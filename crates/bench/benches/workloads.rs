@@ -8,7 +8,8 @@ use apps::driver::Design;
 use apps::fio::Pattern;
 use apps::stream::Kernel;
 use bench::workloads::{
-    run_fio, run_kv, run_redis, run_stream, KvKind, KvWorkload, RedisWorkload, Scale,
+    run_fio_threads, run_kv_threads, run_redis_threads, run_stream_threads, KvKind, KvWorkload,
+    RedisWorkload, Scale,
 };
 use criterion::{criterion_group, criterion_main, Criterion};
 
@@ -33,19 +34,21 @@ fn bench_workloads(c: &mut Criterion) {
     let mut g = c.benchmark_group("workloads");
     g.sample_size(10);
     g.bench_function("redis-set/baseline", |b| {
-        b.iter(|| run_redis(Design::Baseline, RedisWorkload::SetOnly, &s).unwrap())
+        b.iter(|| run_redis_threads(Design::Baseline, RedisWorkload::SetOnly, &s, 1).unwrap())
     });
     g.bench_function("redis-set/tvarak", |b| {
-        b.iter(|| run_redis(Design::Tvarak, RedisWorkload::SetOnly, &s).unwrap())
+        b.iter(|| run_redis_threads(Design::Tvarak, RedisWorkload::SetOnly, &s, 1).unwrap())
     });
     g.bench_function("ctree-insert/tvarak", |b| {
-        b.iter(|| run_kv(Design::Tvarak, KvKind::CTree, KvWorkload::InsertOnly, &s).unwrap())
+        b.iter(|| {
+            run_kv_threads(Design::Tvarak, KvKind::CTree, KvWorkload::InsertOnly, &s, 1).unwrap()
+        })
     });
     g.bench_function("fio-randwrite/tvarak", |b| {
-        b.iter(|| run_fio(Design::Tvarak, Pattern::RandWrite, &s).unwrap())
+        b.iter(|| run_fio_threads(Design::Tvarak, Pattern::RandWrite, &s, 1).unwrap())
     });
     g.bench_function("stream-triad/tvarak", |b| {
-        b.iter(|| run_stream(Design::Tvarak, Kernel::Triad, &s).unwrap())
+        b.iter(|| run_stream_threads(Design::Tvarak, Kernel::Triad, &s, 1).unwrap())
     });
     g.finish();
 }

@@ -25,76 +25,20 @@
 //! `results/chaos_campaign.csv` plus a structured event log in
 //! `results/chaos_events.log`; exits non-zero on any invariant violation.
 
-use apps::btree::BTree;
-use apps::driver::{AppError, Design, Machine};
-use apps::kv::PersistentKv;
-use apps::rbtree::RbTree;
-use apps::rng::Rng;
+use apps::driver::{Design, Machine};
+use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
 use bench::capture::CampaignTrace;
+use bench::faulted::{
+    designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
+    FLUSH_EVERY, MAX_RETRIES, SCRUB_INTERVAL, SCRUB_PAGES,
+};
 use bench::runner::{self, Cell};
 use memsim::addr::{LineAddr, PAGE};
 use memsim::{FaultKind, FaultPlan, FirmwareFault};
 use pmemfs::fs::FileHandle;
 use pmemfs::recover::RecoveryEvent;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use tvarak::controller::TvarakConfig;
 
-thread_local! {
-    /// The most recent panic message on *this* worker thread. Fabricated
-    /// bytes legitimately send the index structures chasing garbage (a
-    /// loud, per-op-caught failure), so the campaign installs one quiet
-    /// process-wide hook up front that records the message here instead of
-    /// spamming stderr. A per-run `set_hook`/`take_hook` pair — the old
-    /// scheme — would race when cells run on the runner's worker pool.
-    static LAST_PANIC: RefCell<Option<String>> = const { RefCell::new(None) };
-}
-
-fn install_quiet_panic_hook() {
-    std::panic::set_hook(Box::new(|info| {
-        LAST_PANIC.with(|p| *p.borrow_mut() = Some(info.to_string()));
-    }));
-}
-
-fn take_last_panic() -> Option<String> {
-    LAST_PANIC.with(|p| p.borrow_mut().take())
-}
-
-/// Ops per run and fault events per run, from `TVARAK_SCALE`.
-fn scale() -> (u64, usize) {
-    match std::env::var("TVARAK_SCALE").as_deref() {
-        Ok("quick") => (240, 5),
-        Ok("reduced") => (600, 8),
-        _ => (1200, 12),
-    }
-}
-
-const FLUSH_EVERY: u64 = 16;
-const MAX_RETRIES: u32 = 3;
-const SCRUB_PAGES: u64 = 1;
-const SCRUB_INTERVAL: u64 = 4;
-
-fn designs() -> [Design; 5] {
-    [
-        Design::Baseline,
-        Design::Tvarak,
-        Design::TvarakAblated(TvarakConfig::naive()),
-        Design::TxbObject,
-        Design::TxbPage,
-    ]
-}
-
-/// Inline cache-line-granular verification — the only designs that can
-/// promise "no silent wrong data" under every fault kind. Page-granular
-/// checksums are launderable: recomputing them re-reads the rest of the
-/// page from media, folding a sticky misread or stale line into the stored
-/// checksum, after which verification agrees with the wrong bytes.
-fn inline_cl_verified(design: Design) -> bool {
-    design.has_controller()
-        && design.checksum_granularity() == Some(tvarak::scrub::ScrubGranularity::CacheLine)
-}
+const SEED_BASE: u64 = 0x00c4_a05c;
 
 /// Whether a fired fault of this kind leaves the media inconsistent with the
 /// acknowledged write stream (read-path misdirections corrupt what's
@@ -131,16 +75,8 @@ struct Outcome {
     detections: u64,
     recoveries: u64,
     quarantines: u64,
-    /// Reads that returned a *value* different from the acknowledged one.
-    wrong_data: u64,
-    /// Reads that returned nothing where a value was expected (collateral
-    /// of a degraded structure; reported, not an invariant).
-    degraded_miss: u64,
-    /// Accesses rejected with a structured `Poisoned` error.
-    fail_closed: u64,
-    /// The application panicked chasing fabricated bytes (only reachable
-    /// when the stack returned wrong data — i.e. non-verifying designs).
-    crashed: bool,
+    /// What the foreground stream observed.
+    tally: Tally,
     first_fire_op: Option<u64>,
     first_detect_op: Option<u64>,
     final_bad_pages: usize,
@@ -168,10 +104,19 @@ struct ChaosCtl {
     out: Outcome,
     log: Vec<String>,
     ctx: String,
+    /// `CHAOS_DEBUG`: dump per-check page lists when the final sweep flags pages.
+    debug: bool,
 }
 
 impl ChaosCtl {
-    fn new(seed: u64, ops: u64, events: usize, kind: FaultKind, lines: Vec<LineAddr>, ctx: String) -> Self {
+    fn new(
+        seed: u64,
+        (ops, events): (u64, usize),
+        kind: FaultKind,
+        lines: Vec<LineAddr>,
+        ctx: String,
+        debug: bool,
+    ) -> Self {
         ChaosCtl {
             plan: FaultPlan::new(seed, ops, events, &[kind]),
             lines,
@@ -180,6 +125,7 @@ impl ChaosCtl {
             out: Outcome::default(),
             log: Vec::new(),
             ctx,
+            debug,
         }
     }
 
@@ -318,10 +264,10 @@ impl ChaosCtl {
     /// The cross-design invariants. `verifying` = inline cache-line-granular
     /// verification on every read (see [`inline_cl_verified`]).
     fn check_invariants(&mut self, m: &mut Machine, file: &FileHandle, verifying: bool) {
-        if verifying && self.out.wrong_data > 0 {
+        if verifying && self.out.tally.wrong_data > 0 {
             self.out.violations.push(format!(
                 "{}: {} silent wrong-data reads under a verifying design",
-                self.ctx, self.out.wrong_data
+                self.ctx, self.out.tally.wrong_data
             ));
         }
         // Degraded mode fails closed on every poisoned page.
@@ -345,7 +291,7 @@ impl ChaosCtl {
         // no redundancy, so verify_all is trivially empty there.)
         let bad = m.verify_all(file).err().unwrap_or_default();
         self.out.final_bad_pages = bad.len();
-        if std::env::var("CHAOS_DEBUG").is_ok() && !bad.is_empty() {
+        if self.debug && !bad.is_empty() {
             let csum_bad = m.fs.scrub_cl(&m.sys, file);
             let page_bad = m.fs.scrub_pages(&m.sys, file);
             let parity_bad = m.fs.scrub_parity(&m.sys, file);
@@ -365,156 +311,65 @@ impl ChaosCtl {
     }
 }
 
-fn enable_pipeline(m: &mut Machine, file: &FileHandle) {
-    if m.design() != Design::Baseline {
-        m.enable_recovery(MAX_RETRIES).expect("poison store fits");
-        m.enable_scrub_daemon(file, SCRUB_PAGES, SCRUB_INTERVAL);
-    }
-}
-
-fn seed_for(app: &str, design: Design, kind: FaultKind) -> u64 {
-    // Same plan for every design in a given (app, kind) cell, so designs
-    // face identical chaos.
-    let mut s: u64 = 0x00c4_a05c_u64;
-    for b in app.bytes().chain(kind.label().bytes()) {
-        s = s.wrapping_mul(31).wrapping_add(b as u64);
-    }
-    let _ = design;
-    s
-}
-
-/// Key-value chaos: btree or rbtree under a 60:40 overwrite:lookup mix with
-/// a shadow map. Keys whose op failed are tainted (their durable value is
-/// legitimately unknown) and excluded from comparisons.
-fn run_kv_chaos(
+/// One (app, design, fault) cell and everything it produced.
+struct Row {
+    app: &'static str,
     design: Design,
     kind: FaultKind,
-    app: &str,
-    ops: u64,
-    events: usize,
-) -> (Outcome, Vec<String>) {
-    let mut m = Machine::builder().small().design(design).data_pages(256).build();
-    let mut txm = m.tx_manager(256 * 1024).expect("pool fits tx log");
-    let heap = 32 * 1024u64;
-    let mut kv: Box<dyn PersistentKv> = match app {
-        "btree" => Box::new(BTree::create(&mut m, 0, heap).expect("pool fits")),
-        _ => Box::new(RbTree::create(&mut m, 0, heap).expect("pool fits")),
-    };
-    let file = *kv.file();
-    const KEYSPACE: u64 = 240;
-    let mut shadow: HashMap<u64, u64> = HashMap::new();
-    let mut tainted: HashMap<u64, ()> = HashMap::new();
-    for k in 0..160u64 {
-        kv.insert(&mut m, &mut txm, k, k ^ 0xa5a5).expect("preload");
-        shadow.insert(k, k ^ 0xa5a5);
+    out: Outcome,
+    log: Vec<String>,
+    trace: Option<(String, Vec<u8>)>,
+}
+
+/// Run one cell: `app`'s shadow-checked stream (`bench::faulted`) under the
+/// seeded fault plan, then convergence and the invariant checks. The plan
+/// seed depends on (app, fault) only, so designs face identical chaos. The
+/// fio op stream is captured as a chunked `TVT2` trace artefact.
+fn run_cell(
+    app: &'static str,
+    design: Design,
+    kind: FaultKind,
+    (ops, events): (u64, usize),
+    debug: bool,
+) -> Row {
+    let mut m = small_machine(design);
+    let ctx = format!("app={app} design={} fault={}", design.label(), kind.label());
+    let seed = seed_for(SEED_BASE, app, kind.label());
+    let raw = app == "fio";
+    let cap = raw.then(|| CampaignTrace::new(&format!("chaos {ctx}")));
+    let mut w = workload(app, &mut m, seed, 256 * 1024, cap);
+    let file = *w.file();
+    if !raw {
+        m.flush();
     }
-    m.flush();
     enable_pipeline(&mut m, &file);
-    // Fault targets: the node region actually exercised (first pages).
-    let hot_pages = 4.min(file.pages());
+    // Fault targets: the whole raw file, or the node region a tree actually
+    // exercises (its first pages).
+    let hot_pages = if raw { file.pages() } else { 4.min(file.pages()) };
     let lines: Vec<LineAddr> = (0..hot_pages)
         .flat_map(|n| (0..memsim::LINES_PER_PAGE).map(move |i| (n, i)))
         .map(|(n, i)| file.page(n).line(i))
         .collect();
-    let ctx = format!("app={app} design={} fault={}", m.design().label(), kind.label());
-    let mut ctl = ChaosCtl::new(seed_for(app, design, kind), ops, events, kind, lines, ctx);
-    let page_map: Vec<_> = (0..file.pages()).map(|n| file.page(n)).collect();
-    ctl.log.push(format!(
-        "{} geometry: pages={:?} first_data_index={} hot_pages={hot_pages}",
-        ctl.ctx,
-        page_map,
-        file.first_data_index()
-    ));
-    let mut rng = Rng::new(0xdead_0000 ^ seed_for(app, design, kind));
-    // Silent-wrong-data accounting stops once the index structure itself
-    // is legitimately suspect: after the stack raises a structured
-    // `Poisoned` error, or after recovery interrupts a *mutation* mid-op
-    // (the dropped transaction's partial writes may have left the index
-    // mid-split; the retried insert runs on that state). Neither is
-    // *silent* — the stack detected and signalled in both cases. Reads
-    // interrupted by recovery stay fully checked: they mutate nothing.
-    let mut degraded = false;
-    // Fabricated bytes can send the index chasing garbage pointers; a panic
-    // is a loud (not silent) failure, caught per-op and reported with its
-    // message + location in the event log (the quiet hook main() installed
-    // records it in LAST_PANIC).
+    let mut ctl = ChaosCtl::new(seed, (ops, events), kind, lines, ctx, debug);
+    if !raw {
+        let page_map: Vec<_> = (0..file.pages()).map(|n| file.page(n)).collect();
+        ctl.log.push(format!(
+            "{} geometry: pages={:?} first_data_index={} hot_pages={hot_pages}",
+            ctl.ctx,
+            page_map,
+            file.first_data_index()
+        ));
+    }
     for op in 0..ops {
         ctl.before_op(&mut m, op);
-        let key = rng.below(KEYSPACE);
-        let write = rng.below(10) < 6;
-        let d_before = m.orchestrator().map_or(0, |o| o.detections());
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if write {
-                match m.with_recovery(|m| kv.insert(m, &mut txm, key, op)) {
-                    Ok(()) => {
-                        shadow.insert(key, op);
-                        tainted.remove(&key);
-                        false
-                    }
-                    Err(AppError::Poisoned(_)) => {
-                        ctl.out.fail_closed += 1;
-                        tainted.insert(key, ());
-                        true
-                    }
-                    Err(e) => panic!("unexpected app error: {e}"),
-                }
-            } else if !design.has_controller()
-                && m.check_poison(&file, 0, (file.pages() * PAGE as u64) as usize).is_err()
-            {
-                // Software designs cannot detect a poisoned page inline;
-                // the coarse pre-check is their fail-closed gate.
-                ctl.out.fail_closed += 1;
-                true
-            } else {
-                match m.with_recovery(|m| kv.get(m, key)) {
-                    Ok(got) => {
-                        match (got, shadow.get(&key)) {
-                            (Some(v), Some(&want))
-                                if v != want && !tainted.contains_key(&key) && !degraded =>
-                            {
-                                ctl.out.wrong_data += 1;
-                                let line = format!(
-                                    "{} op={} event=WrongData key={key} got={v} want={want}",
-                                    ctl.ctx, op
-                                );
-                                ctl.log.push(line);
-                            }
-                            (None, Some(_)) if !tainted.contains_key(&key) => {
-                                ctl.out.degraded_miss += 1;
-                            }
-                            _ => {}
-                        }
-                        false
-                    }
-                    Err(AppError::Poisoned(_)) => {
-                        ctl.out.fail_closed += 1;
-                        true
-                    }
-                    Err(e) => panic!("unexpected app error: {e}"),
-                }
-            }
-        }));
-        match outcome {
-            Ok(poisoned_now) => {
-                degraded |= poisoned_now;
-                let d_after = m.orchestrator().map_or(0, |o| o.detections());
-                if write && d_after > d_before {
-                    // A mutation was interrupted and retried; the index may
-                    // be structurally disturbed from here on.
-                    degraded = true;
-                    tainted.insert(key, ());
-                }
-            }
-            Err(_) => {
-                ctl.out.crashed = true;
-                let info = take_last_panic().unwrap_or_default();
-                ctl.log.push(format!(
-                    "{} op={} event=AppCrash info={}",
-                    ctl.ctx,
-                    op,
-                    info.replace('\n', " | ")
-                ));
-                if inline_cl_verified(design) && !degraded {
+        match w.step(&mut m, op, &mut ctl.out.tally) {
+            Ok(None) => {}
+            Ok(Some(detail)) => ctl.log.push(format!("{} op={op} event={detail}", ctl.ctx)),
+            Err(info) => {
+                // The panic message + location go to the event log.
+                let info = info.replace('\n', " | ");
+                ctl.log.push(format!("{} op={op} event=AppCrash info={info}", ctl.ctx));
+                if inline_cl_verified(design) && !w.suspect() {
                     ctl.out.violations.push(format!(
                         "{}: app crash on fabricated bytes under a verifying design",
                         ctl.ctx
@@ -525,231 +380,95 @@ fn run_kv_chaos(
         }
         ctl.after_op(&mut m, op);
     }
-    ctl.finish(&mut m, &file, ops);
-    ctl.check_invariants(&mut m, &file, inline_cl_verified(design));
-    let log = std::mem::take(&mut ctl.log);
-    (ctl.out, log)
-}
-
-/// Raw-file chaos (fio-style): 64 B reads/writes at random line offsets
-/// with a per-line shadow. Writes go through the transactional interface
-/// under software designs so their checksums stay maintained. The op
-/// stream is captured to `results/traces/` as chunked `TVT2`.
-fn run_raw_chaos(design: Design, kind: FaultKind, ops: u64, events: usize) -> (Outcome, Vec<String>) {
-    let mut m = Machine::builder().small().design(design).data_pages(256).build();
-    let mut txm = match design.sw_scheme() {
-        pmemfs::tx::SwScheme::None => None,
-        _ => Some(m.tx_manager(256 * 1024).expect("pool fits tx log")),
-    };
-    let file = m.create_dax_file("fio", 16 * PAGE as u64).expect("pool fits");
-    let nlines = file.pages() * memsim::LINES_PER_PAGE as u64;
-    // Preload every line out-of-band (unmeasured setup), then rebuild
-    // redundancy from media ground truth.
-    let pattern = |l: u64, v: u64| -> [u8; 64] {
-        let mut p = [0u8; 64];
-        p[..8].copy_from_slice(&l.to_le_bytes());
-        p[8..16].copy_from_slice(&v.to_le_bytes());
-        p[16] = (l ^ v) as u8;
-        p
-    };
-    for l in 0..nlines {
-        m.sys.memory_mut().poke_line(file.addr(l * 64).line(), &pattern(l, 0));
-    }
-    m.reinit_redundancy(&file);
-    let mut shadow: Vec<Option<u64>> = vec![Some(0); nlines as usize];
-    enable_pipeline(&mut m, &file);
-    let lines: Vec<LineAddr> = (0..nlines).map(|l| file.addr(l * 64).line()).collect();
-    let ctx = format!(
-        "app=fio design={} fault={}",
-        m.design().label(),
-        kind.label()
-    );
-    let mut trace = CampaignTrace::create(&format!("chaos {ctx}")).expect("open trace capture");
-    let mut ctl = ChaosCtl::new(seed_for("fio", design, kind), ops, events, kind, lines, ctx);
-    let mut rng = Rng::new(0xf10_0000 ^ seed_for("fio", design, kind));
-    for op in 0..ops {
-        ctl.before_op(&mut m, op);
-        let l = rng.below(nlines);
-        let off = l * 64;
-        let is_write = rng.below(2) == 0;
-        trace.record(is_write, file.addr(off), 64);
-        if is_write {
-            // Write.
-            let data = pattern(l, op + 1);
-            let result = match txm.as_mut() {
-                Some(txm) => {
-                    // Transactional path has no inline poison gate; check
-                    // explicitly so degraded pages fail closed.
-                    match m.check_poison(&file, off, 64) {
-                        Ok(()) => {
-                            let mut tx = txm.begin(&mut m.sys, 0).expect("tx");
-                            tx.write(&mut m.sys, &file, off, &data).expect("tx write");
-                            tx.commit(&mut m.sys).expect("commit");
-                            Ok(())
-                        }
-                        Err(e) => Err(e),
-                    }
-                }
-                None => m.write_file(&file, 0, off, &data),
-            };
-            match result {
-                Ok(()) => shadow[l as usize] = Some(op + 1),
-                Err(AppError::Poisoned(_)) => {
-                    ctl.out.fail_closed += 1;
-                    shadow[l as usize] = None;
-                }
-                Err(e) => panic!("unexpected app error: {e}"),
-            }
-        } else {
-            // Read.
-            let mut buf = [0u8; 64];
-            match m.read_file(&file, 0, off, &mut buf) {
-                Ok(()) => {
-                    if let Some(v) = shadow[l as usize] {
-                        if buf != pattern(l, v) {
-                            ctl.out.wrong_data += 1;
-                            ctl.log.push(format!(
-                                "{} op={} event=WrongData line={l} want_ver={v} got={:02x?}",
-                                ctl.ctx,
-                                op,
-                                &buf[..17]
-                            ));
-                        }
-                    }
-                }
-                Err(AppError::Poisoned(_)) => ctl.out.fail_closed += 1,
-                Err(e) => panic!("unexpected app error: {e}"),
-            }
+    let trace = w.take_capture().and_then(|cap| match cap.finish() {
+        Ok((file, n)) => {
+            ctl.log.push(format!("{} trace: {n} records captured", ctl.ctx));
+            Some(file)
         }
-        ctl.after_op(&mut m, op);
-    }
-    match trace.finish() {
-        Ok(n) => ctl.log.push(format!("{} trace: {n} records captured", ctl.ctx)),
-        Err(e) => ctl.out.violations.push(format!("{}: {e}", ctl.ctx)),
-    }
+        Err(e) => {
+            ctl.out.violations.push(format!("{}: {e}", ctl.ctx));
+            None
+        }
+    });
     ctl.finish(&mut m, &file, ops);
     ctl.check_invariants(&mut m, &file, inline_cl_verified(design));
-    let log = std::mem::take(&mut ctl.log);
-    (ctl.out, log)
+    Row { app, design, kind, out: ctl.out, log: ctl.log, trace }
 }
 
-fn main() {
-    let (ops, events) = scale();
-    println!("# Chaos campaign — fault type × design × app, {ops} ops, {events} fault events/run");
-    println!(
-        "{:<6} {:<17} {:<18} {:>5} {:>5} {:>6} {:>7} {:>5} {:>5} {:>7} {:>7} {:>5} {:>8}",
-        "app", "design", "fault", "armed", "fired", "detect", "recover", "quar", "wrong", "dmiss", "closed", "crash", "latency"
-    );
-    // Install the quiet panic hook once, before any worker thread can run a
-    // cell (per-run hook swaps would race on the process-global hook).
-    install_quiet_panic_hook();
-    // CHAOS_FILTER=substring runs only matching cells (e.g. "rbtree design=Tvarak fault=sticky").
-    let filter = std::env::var("CHAOS_FILTER").unwrap_or_default();
-    type ChaosCell = (&'static str, Design, FaultKind, Outcome, Vec<String>);
-    let mut cells: Vec<Cell<ChaosCell>> = Vec::new();
+fn run(cfg: &Config<bool>, jobs: usize) -> Output {
+    // Ops per run and fault events per run.
+    let (ops, events) = cfg.scale.pick((240, 5), (600, 8), (1200, 12));
+    let debug = cfg.opts;
+    let mut cells: Vec<Cell<Row>> = Vec::new();
     for app in ["btree", "rbtree", "fio"] {
         for design in designs() {
             for kind in FaultKind::all() {
                 let ctx = format!("app={app} design={} fault={}", design.label(), kind.label());
-                if !filter.is_empty() && !ctx.contains(&filter) {
-                    continue;
+                if cfg.selects(&ctx) {
+                    cells.push(Cell::new(ctx, move || {
+                        run_cell(app, design, kind, (ops, events), debug)
+                    }));
                 }
-                cells.push(Cell::new(ctx, move || {
-                    let (out, run_log) = match app {
-                        "fio" => run_raw_chaos(design, kind, ops, events),
-                        _ => run_kv_chaos(design, kind, app, ops, events),
-                    };
-                    (app, design, kind, out, run_log)
-                }));
             }
         }
     }
-    // A filter that matches nothing must not read as a clean campaign.
-    if cells.is_empty() {
-        eprintln!("CHAOS_FILTER={filter:?} matched no cells — nothing was checked");
-        std::process::exit(2);
-    }
-    let results = runner::run_cells(cells, runner::jobs());
-    // Table, CSV, and event log are assembled from the in-input-order
-    // results after the pool drains, so every --jobs setting emits the
-    // same bytes.
-    let mut csv = String::from(
-        "app,design,fault,ops,armed,fired,media_fired,detections,recoveries,quarantines,\
-         wrong_data,degraded_miss,fail_closed,crashed,first_detect_latency_ops,final_bad_pages,\
-         seed,repro\n",
+    let rows: Vec<Row> = runner::run_cells(cells, jobs).into_iter().map(|r| r.value).collect();
+
+    type Col = Column<Row>;
+    let cols = [
+        Col::new("app", "app", -6, |r| r.app),
+        Col::new("design", "design", -17, |r| r.design.label()),
+        Col::new("fault", "fault", -18, |r| r.kind.label()),
+        Col::csv("ops", move |_| ops),
+        Col::new("armed", "armed", 5, |r| r.out.armed),
+        Col::new("fired", "fired", 5, |r| r.out.fired),
+        Col::csv("media_fired", |r| r.out.media_fired),
+        Col::new("detections", "detect", 6, |r| r.out.detections),
+        Col::new("recoveries", "recover", 7, |r| r.out.recoveries),
+        Col::new("quarantines", "quar", 5, |r| r.out.quarantines),
+        Col::new("wrong_data", "wrong", 5, |r| r.out.tally.wrong_data),
+        Col::new("degraded_miss", "dmiss", 7, |r| r.out.tally.degraded_miss),
+        Col::new("fail_closed", "closed", 7, |r| r.out.tally.fail_closed),
+        Col::new("crashed", "crash", 5, |r| r.out.tally.crashed as u8),
+        Col::new("first_detect_latency_ops", "latency", 8, |r| {
+            r.out.detect_latency().map_or("-".into(), |l| l.to_string())
+        }),
+        Col::csv("final_bad_pages", |r| r.out.final_bad_pages),
+        Col::csv("seed", |r| format!("{:#018x}", seed_for(SEED_BASE, r.app, r.kind.label()))),
+        // Provenance: a one-command repro. The filter string pins app,
+        // design, and fault, and the seed is a pure function of that cell,
+        // so the single command re-runs this exact row (single-quoted,
+        // comma-free — CSV-safe unescaped).
+        Col::csv("repro", |r| {
+            let (design, fault) = (r.design.label(), r.kind.label());
+            let ctx = format!("app={} design={design} fault={fault}", r.app);
+            format!("CHAOS_FILTER='{ctx}' ./target/release/chaos_campaign")
+        }),
+    ];
+    let title = format!(
+        "# Chaos campaign — fault type × design × app, {ops} ops, {events} fault events/run"
     );
-    let mut log = String::new();
-    let mut violations: Vec<String> = Vec::new();
-    for r in &results {
-        let (app, design, kind, out, run_log) = &r.value;
-        let latency = out
-            .detect_latency()
-            .map(|l| l.to_string())
-            .unwrap_or_else(|| "-".into());
-        println!(
-            "{:<6} {:<17} {:<18} {:>5} {:>5} {:>6} {:>7} {:>5} {:>5} {:>7} {:>7} {:>5} {:>8}",
-            app,
-            design.label(),
-            kind.label(),
-            out.armed,
-            out.fired,
-            out.detections,
-            out.recoveries,
-            out.quarantines,
-            out.wrong_data,
-            out.degraded_miss,
-            out.fail_closed,
-            out.crashed as u8,
-            latency
-        );
-        // Provenance: the plan seed plus a one-command repro. The filter
-        // string pins app, design, and fault, and the seed is a pure
-        // function of that cell, so the single command re-runs this exact
-        // row (single-quoted, comma-free — CSV-safe unescaped).
-        let repro = format!(
-            "CHAOS_FILTER='app={} design={} fault={}' ./target/release/chaos_campaign",
-            app,
-            design.label(),
-            kind.label()
-        );
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:#018x},{}",
-            app,
-            design.label(),
-            kind.label(),
-            ops,
-            out.armed,
-            out.fired,
-            out.media_fired,
-            out.detections,
-            out.recoveries,
-            out.quarantines,
-            out.wrong_data,
-            out.degraded_miss,
-            out.fail_closed,
-            out.crashed as u8,
-            latency,
-            out.final_bad_pages,
-            seed_for(app, *design, *kind),
-            repro
-        );
-        for line in run_log {
-            log.push_str(line);
-            log.push('\n');
-        }
-        violations.extend(out.violations.iter().cloned());
+    let mut out = Output::sheet(&title, "chaos_campaign.csv", &cols, &rows, |_| true);
+    let log: String = rows.iter().flat_map(|r| &r.log).map(|l| format!("{l}\n")).collect();
+    out.files.push(("chaos_events.log".into(), log.into_bytes()));
+    for r in rows {
+        out.files.extend(r.trace);
+        out.violations.extend(r.out.violations);
     }
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/chaos_campaign.csv", csv);
-    let _ = std::fs::write("results/chaos_events.log", log);
-    eprintln!("[saved results/chaos_campaign.csv, results/chaos_events.log]");
-    if !violations.is_empty() {
-        eprintln!("INVARIANT VIOLATIONS ({}):", violations.len());
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("all survival invariants held");
+    out
+}
+
+/// The campaign this binary runs; the option is `CHAOS_DEBUG`.
+pub fn campaign() -> Campaign<bool> {
+    Campaign::new("chaos_campaign", run)
+        .filter_env("CHAOS_FILTER")
+        .ok_line("all survival invariants held")
+        .options(vec![Opt::new(Kind::Env, "CHAOS_DEBUG", "1", |debug, _| {
+            *debug = true;
+            Ok(())
+        })])
+}
+
+fn main() {
+    campaign().main()
 }

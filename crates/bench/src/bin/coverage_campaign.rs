@@ -15,8 +15,9 @@
 
 use apps::driver::{Design, Machine};
 use apps::rng::Rng;
+use bench::campaign::{Campaign, Column, Output};
+use bench::faulted::designs;
 use bench::runner::{self, Cell};
-use tvarak::controller::TvarakConfig;
 use tvarak::scrub::{ScrubGranularity, Scrubber};
 
 const TRIALS: u64 = 40;
@@ -85,7 +86,11 @@ fn run_trial(design: Design, trial: u64) -> Tally {
     // Random reads; the corrupted line is guaranteed to be among them.
     let mut detected = false;
     for i in 0..READS {
-        let l = if i == READS / 2 { victim } else { rng.below(lines) };
+        let l = if i == READS / 2 {
+            victim
+        } else {
+            rng.below(lines)
+        };
         let mut buf = [0u8; 64];
         match file.read(&mut m.sys, 0, l * 64, &mut buf) {
             Ok(()) => {
@@ -110,12 +115,8 @@ fn run_trial(design: Design, trial: u64) -> Tally {
             _ => ScrubGranularity::Page,
         };
         let layout = *m.fs.layout();
-        let mut scrubber = Scrubber::new(
-            layout,
-            granularity,
-            file.first_data_index(),
-            file.pages(),
-        );
+        let mut scrubber =
+            Scrubber::new(layout, granularity, file.first_data_index(), file.pages());
         match scrubber.step(&mut m.sys, 0, file.pages()) {
             Ok(findings) if !findings.is_empty() => tally.detected_by_scrub += 1,
             Ok(_) => tally.undetected += 1,
@@ -133,63 +134,49 @@ fn run_trial(design: Design, trial: u64) -> Tally {
     tally
 }
 
-fn main() {
-    println!("# Coverage campaign — {TRIALS} single-bit media corruptions per design");
-    println!(
-        "{:<20} {:>10} {:>12} {:>10} {:>10} {:>12}",
-        "design", "inline", "wrong-reads", "by-scrub", "undetected", "recovered"
-    );
-    let designs = [
-        Design::Baseline,
-        Design::Tvarak,
-        Design::TvarakAblated(TvarakConfig::naive()),
-        Design::TxbObject,
-        Design::TxbPage,
-    ];
-    // One cell per (design, trial): each trial builds its own Machine, so
-    // the grid parallelizes at full granularity. Results come back in input
-    // order and tally fields are sums, so the aggregates — and the CSV —
-    // are identical at every --jobs setting.
-    let cells: Vec<Cell<(usize, Tally)>> = designs
-        .iter()
-        .enumerate()
-        .flat_map(|(d, &design)| {
-            (0..TRIALS).map(move |trial| {
-                Cell::new(format!("{} trial {trial}", design.label()), move || {
-                    (d, run_trial(design, trial))
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("coverage_campaign", |_cfg, jobs| {
+        // One cell per (design, trial): each trial builds its own Machine, so
+        // the grid parallelizes at full granularity. Results come back in
+        // input order and tally fields are sums, so the aggregates — and the
+        // CSV — are identical at every --jobs setting.
+        let cells: Vec<Cell<Tally>> = designs()
+            .into_iter()
+            .flat_map(|design| {
+                (0..TRIALS).map(move |trial| {
+                    Cell::new(format!("{} trial {trial}", design.label()), move || {
+                        run_trial(design, trial)
+                    })
                 })
             })
-        })
-        .collect();
-    let results = runner::run_cells(cells, runner::jobs());
-    let mut tallies: Vec<Tally> = designs.iter().map(|_| Tally::default()).collect();
-    for r in &results {
-        let (d, tally) = &r.value;
-        tallies[*d].merge(tally);
-    }
-    let mut csv = String::from("design,inline,wrong_reads,by_scrub,undetected,recovered\n");
-    for (design, tally) in designs.iter().zip(&tallies) {
-        assert_eq!(tally.trials, TRIALS, "lost trials for {}", design.label());
-        println!(
-            "{:<20} {:>10} {:>12} {:>10} {:>10} {:>12}",
-            design.label(),
-            tally.detected_inline,
-            tally.wrong_data_reads,
-            tally.detected_by_scrub,
-            tally.undetected,
-            tally.recovered
-        );
-        csv.push_str(&format!(
-            "{},{},{},{},{},{}\n",
-            design.label(),
-            tally.detected_inline,
-            tally.wrong_data_reads,
-            tally.detected_by_scrub,
-            tally.undetected,
-            tally.recovered
-        ));
-    }
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/coverage_campaign.csv", csv);
-    eprintln!("[saved results/coverage_campaign.csv]");
+            .collect();
+        let results = runner::run_cells(cells, jobs);
+        let rows: Vec<(Design, Tally)> = designs()
+            .into_iter()
+            .zip(results.chunks(TRIALS as usize))
+            .map(|(design, trials)| {
+                let mut tally = Tally::default();
+                trials.iter().for_each(|r| tally.merge(&r.value));
+                assert_eq!(tally.trials, TRIALS, "lost trials for {}", design.label());
+                (design, tally)
+            })
+            .collect();
+        type Col = Column<(Design, Tally)>;
+        let cols = [
+            Col::new("design", "design", -20, |r| r.0.label()),
+            Col::new("inline", "inline", 10, |r| r.1.detected_inline),
+            Col::new("wrong_reads", "wrong-reads", 12, |r| r.1.wrong_data_reads),
+            Col::new("by_scrub", "by-scrub", 10, |r| r.1.detected_by_scrub),
+            Col::new("undetected", "undetected", 10, |r| r.1.undetected),
+            Col::new("recovered", "recovered", 12, |r| r.1.recovered),
+        ];
+        let title =
+            format!("# Coverage campaign — {TRIALS} single-bit media corruptions per design");
+        Output::sheet(&title, "coverage_campaign.csv", &cols, &rows, |_| true)
+    })
+}
+
+fn main() {
+    campaign().main()
 }

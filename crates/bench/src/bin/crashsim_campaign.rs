@@ -15,102 +15,54 @@
 //! the file is byte-identical at every `--jobs` setting and for a fixed
 //! `--seed`. Exits non-zero if any crash point reports unrecoverable loss.
 //!
-//! Flags: `--quick` (tiny windows, CI smoke), `--crash-samples N`,
-//! `--seed N`, `--jobs N`. `TVARAK_SCALE=quick|reduced` matches the other
-//! campaigns.
+//! Flags: `--crash-samples N`, `--seed N`, `--jobs N`;
+//! `TVARAK_SCALE=quick` keeps the windows tiny (CI smoke).
 
 use apps::driver::Design;
 use apps::fio::Pattern;
+use bench::campaign::{number, positive, Campaign, Column, Config, Kind, Opt, Output};
 use bench::runner::{self, Cell};
 use crashsim::{AppKind, CrashPlan, CrashReport, Scenario};
-use std::fmt::Write as _;
 
-struct Scale {
-    fio_ops: u64,
-    stream_iters: u64,
-    ctree_keys: u64,
-    crash_samples: usize,
+/// `--crash-samples` and `--seed`.
+#[derive(Default)]
+pub struct Flags {
+    crash_samples: Option<u64>,
+    seed: Option<u64>,
 }
 
-/// Workload sizes and the per-cell crash-point cap. `--quick` (or
-/// `TVARAK_SCALE=quick`) keeps windows small enough that most cells
-/// enumerate exhaustively.
-fn scale(args: &[String]) -> Scale {
-    let quick = args.iter().any(|a| a == "--quick")
-        || matches!(std::env::var("TVARAK_SCALE").as_deref(), Ok("quick"));
-    let reduced = matches!(std::env::var("TVARAK_SCALE").as_deref(), Ok("reduced"));
-    if quick {
-        Scale {
-            fio_ops: 3,
-            stream_iters: 2,
-            ctree_keys: 4,
-            crash_samples: 8,
-        }
-    } else if reduced {
-        Scale {
-            fio_ops: 6,
-            stream_iters: 4,
-            ctree_keys: 8,
-            crash_samples: 16,
-        }
-    } else {
-        Scale {
-            fio_ops: 8,
-            stream_iters: 6,
-            ctree_keys: 12,
-            crash_samples: 24,
-        }
-    }
+/// One replayed crash point.
+struct Row {
+    sc: Scenario,
+    k: u64,
+    report: CrashReport,
 }
 
-/// `--flag N` or `--flag=N` anywhere in `args`.
-fn flag_value(args: &[String], flag: &str) -> Option<u64> {
-    let eq = format!("{flag}=");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == flag {
-            return it.next()?.parse().ok();
-        }
-        if let Some(v) = a.strip_prefix(&eq) {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
-fn main() {
-    let args = runner::positional_args();
-    let sc = scale(&args);
-    let samples = flag_value(&args, "--crash-samples")
-        .map(|n| n as usize)
-        .unwrap_or(sc.crash_samples)
-        .max(2);
-    let seed = flag_value(&args, "--seed").unwrap_or(0x7c4a_51c3);
-    let jobs = runner::jobs();
-
+fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
+    // Workload sizes and the per-cell crash-point cap: quick keeps windows
+    // small enough that most cells enumerate exhaustively.
+    let (fio_ops, stream_iters, ctree_keys, crash_samples) =
+        cfg.scale.pick((3, 2, 4, 8), (6, 4, 8, 16), (8, 6, 12, 24));
+    let samples = cfg.opts.crash_samples.unwrap_or(crash_samples).max(2) as usize;
+    let seed = cfg.opts.seed.unwrap_or(0x7c4a_51c3);
     let apps = [
         AppKind::Fio {
             threads: 2,
             region_bytes: 4096,
             pattern: Pattern::SeqWrite,
-            ops: sc.fio_ops,
+            ops: fio_ops,
         },
         AppKind::StreamCopy {
             threads: 2,
             array_bytes: 8 * 1024,
-            iters: sc.stream_iters,
+            iters: stream_iters,
         },
-        AppKind::CtreeInsert { keys: sc.ctree_keys },
+        AppKind::CtreeInsert { keys: ctree_keys },
     ];
     let scenarios: Vec<Scenario> = apps
         .iter()
         .flat_map(|&app| Design::all().map(|design| Scenario { app, design }))
         .collect();
-
-    println!(
-        "# Crash-simulation campaign — {} cells, ≤{samples} crash points each, seed {seed:#x}",
-        scenarios.len()
-    );
 
     // Phase 1: reference runs count each cell's writeback window.
     let count_cells: Vec<Cell<u64>> = scenarios
@@ -120,76 +72,60 @@ fn main() {
     let totals = runner::run_cells(count_cells, jobs);
 
     // Phase 2: replay every planned crash point of every cell.
-    let mut replay_cells: Vec<Cell<CrashReport>> = Vec::new();
-    for (sc, total) in scenarios.iter().zip(&totals) {
+    let mut replay_cells: Vec<Cell<Row>> = Vec::new();
+    for (&sc, total) in scenarios.iter().zip(&totals) {
         let plan = CrashPlan::sampled(total.value, samples, seed);
         for &k in &plan.points {
-            let s = *sc;
             replay_cells.push(Cell::new(
-                format!("{} k={k}/{}", s.label(), plan.total),
-                move || s.run_crash_point(k),
+                format!("{} k={k}/{}", sc.label(), plan.total),
+                move || Row { sc, k, report: sc.run_crash_point(k) },
             ));
         }
     }
-    let reports = runner::run_cells(replay_cells, jobs);
+    let results = runner::run_cells(replay_cells, jobs);
+    runner::eprint_rates(&results, |_| 0);
+    let rows: Vec<Row> = results.into_iter().map(|r| r.value).collect();
 
-    println!(
-        "{:<14} {:<17} {:>7} {:>7} {:>7} {:>6} {:>8} {:>7} {:>9}",
-        "app", "design", "k", "total", "crashed", "rolled", "unverif", "vilamb", "outcome"
+    type Col = Column<Row>;
+    let cols = [
+        Col::new("app", "app", -14, |r| r.sc.app.label()),
+        Col::new("design", "design", -17, |r| r.sc.design.label()),
+        Col::new("crash_point", "k", 7, |r| r.k),
+        Col::new("total_writebacks", "total", 7, |r| r.report.total_writebacks),
+        Col::new("crashed", "crashed", 7, |r| r.report.crashed as u8),
+        Col::new("rolled_back", "rolled", 6, |r| r.report.rolled_back),
+        Col::new("unverifiable_pages", "unverif", 8, |r| r.report.unverifiable_pages),
+        Col::new("vilamb_pending", "vilamb", 7, |r| r.report.vilamb_pending),
+        Col::csv("violations", |r| r.report.violations.len()),
+        Col::new("outcome", "outcome", 9, |r| r.report.outcome.label()),
+        Col::csv("image_hash", |r| format!("{:#018x}", r.report.image_hash)),
+    ];
+    let title = format!(
+        "# Crash-simulation campaign — {} cells, ≤{samples} crash points each, seed {seed:#x}",
+        scenarios.len()
     );
-    let mut csv = String::from(
-        "app,design,crash_point,total_writebacks,crashed,rolled_back,\
-         unverifiable_pages,vilamb_pending,violations,outcome,image_hash\n",
-    );
-    let mut lost: Vec<String> = Vec::new();
-    let mut idx = 0usize;
-    for (sc, total) in scenarios.iter().zip(&totals) {
-        let plan = CrashPlan::sampled(total.value, samples, seed);
-        for &k in &plan.points {
-            let r = &reports[idx].value;
-            idx += 1;
-            println!(
-                "{:<14} {:<17} {:>7} {:>7} {:>7} {:>6} {:>8} {:>7} {:>9}",
-                sc.app.label(),
-                sc.design.label(),
-                k,
-                r.total_writebacks,
-                r.crashed as u8,
-                r.rolled_back,
-                r.unverifiable_pages,
-                r.vilamb_pending,
-                r.outcome.label()
-            );
-            let _ = writeln!(
-                csv,
-                "{},{},{},{},{},{},{},{},{},{},{:#018x}",
-                sc.app.label(),
-                sc.design.label(),
-                k,
-                r.total_writebacks,
-                r.crashed as u8,
-                r.rolled_back,
-                r.unverifiable_pages,
-                r.vilamb_pending,
-                r.violations.len(),
-                r.outcome.label(),
-                r.image_hash
-            );
-            for v in &r.violations {
-                lost.push(format!("{} k={k}: {v}", sc.label()));
-            }
-        }
+    let mut out = Output::sheet(&title, "crashsim_campaign.csv", &cols, &rows, |_| true);
+    for r in &rows {
+        let lost = r.report.violations.iter();
+        out.violations.extend(lost.map(|v| format!("{} k={}: {v}", r.sc.label(), r.k)));
     }
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/crashsim_campaign.csv", csv);
-    eprintln!("[saved results/crashsim_campaign.csv]");
-    runner::eprint_rates(&reports, |_| 0);
-    if !lost.is_empty() {
-        eprintln!("UNRECOVERABLE LOSS ({} crash points):", lost.len());
-        for v in &lost {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("every crash point recovered to a consistent state");
+    out
+}
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<Flags> {
+    Campaign::new("crashsim_campaign", run)
+        .ok_line("every crash point recovered to a consistent state")
+        .options(vec![
+            Opt::new(Kind::Value, "--crash-samples", "N", |f: &mut Flags, v| {
+                positive(v).map(|n| f.crash_samples = Some(n))
+            }),
+            Opt::new(Kind::Value, "--seed", "N", |f: &mut Flags, v| {
+                number(v).map(|n| f.seed = Some(n))
+            }),
+        ])
+}
+
+fn main() {
+    campaign().main()
 }

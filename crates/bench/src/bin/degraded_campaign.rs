@@ -38,56 +38,23 @@
 //! `results/degraded_campaign.csv` (byte-identical at any `--jobs`) and
 //! exits non-zero on any invariant violation.
 
-use apps::btree::BTree;
-use apps::driver::{AppError, Design, Machine};
-use apps::kv::PersistentKv;
-use apps::rng::Rng;
+use apps::driver::{Design, Machine};
+use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
 use bench::capture::CampaignTrace;
+use bench::faulted::{
+    designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
+    Workload, FLUSH_EVERY,
+};
 use bench::runner::{self, Cell};
-use memsim::addr::PAGE;
 use memsim::RaidLevel;
 use pmemfs::fault::{self, Fault};
-use pmemfs::fs::FileHandle;
 use pmemfs::rebuild::PoolState;
 use serve::Hist;
-use std::cell::RefCell;
-use std::collections::HashMap;
-use std::fmt::Write as _;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use tvarak::controller::TvarakConfig;
 use tvarak::qos::QosConfig;
 
-thread_local! {
-    /// Most recent panic message on this worker thread (fabricated bytes can
-    /// legitimately send an index structure chasing garbage under Baseline
-    /// in the data-loss scenario; the quiet process-wide hook records it
-    /// here instead of spamming stderr).
-    static LAST_PANIC: RefCell<Option<String>> = const { RefCell::new(None) };
-}
-
-fn install_quiet_panic_hook() {
-    std::panic::set_hook(Box::new(|info| {
-        LAST_PANIC.with(|p| *p.borrow_mut() = Some(info.to_string()));
-    }));
-}
-
-fn take_last_panic() -> Option<String> {
-    LAST_PANIC.with(|p| p.borrow_mut().take())
-}
-
-/// Ops per steady phase (healthy / degraded / recovered), from `TVARAK_SCALE`.
-fn phase_ops() -> u64 {
-    match std::env::var("TVARAK_SCALE").as_deref() {
-        Ok("quick") => 60,
-        Ok("reduced") => 150,
-        _ => 300,
-    }
-}
-
-const FLUSH_EVERY: u64 = 16;
-const MAX_RETRIES: u32 = 3;
-const SCRUB_PAGES: u64 = 1;
-const SCRUB_INTERVAL: u64 = 4;
+const SEED_BASE: u64 = 0x00de_64ad;
+/// Per-core transaction-log bytes.
+const TX_LOG: u64 = 64 * 1024;
 /// First device to fail; the mid-rebuild second fault takes the next one.
 const FAIL_BANK: usize = 1;
 const SECOND_BANK: usize = 2;
@@ -105,24 +72,6 @@ fn qos() -> QosConfig {
         starvation_ops: 64,
         scrub_every_grants: 4,
     }
-}
-
-fn designs() -> [Design; 5] {
-    [
-        Design::Baseline,
-        Design::Tvarak,
-        Design::TvarakAblated(TvarakConfig::naive()),
-        Design::TxbObject,
-        Design::TxbPage,
-    ]
-}
-
-/// Inline cache-line-granular verification — the designs that promise "no
-/// silent wrong data" even across declared data loss (poison fails closed
-/// at first consumption).
-fn inline_cl_verified(design: Design) -> bool {
-    design.has_controller()
-        && design.checksum_granularity() == Some(tvarak::scrub::ScrubGranularity::CacheLine)
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -196,9 +145,7 @@ impl Phase {
 struct Outcome {
     phases: [Phase; 4],
     total_ops: u64,
-    wrong_data: u64,
-    fail_closed: u64,
-    crashed: bool,
+    tally: Tally,
     detections: u64,
     recoveries: u64,
     quarantines: u64,
@@ -214,315 +161,50 @@ struct Outcome {
     content_hash: u64,
     oracle_hash: u64,
     violations: Vec<String>,
+    trace: Option<(String, Vec<u8>)>,
 }
 
-/// One foreground workload: a deterministic op stream over a machine,
-/// replayable op-for-op for the oracle run.
-trait Workload {
-    fn file(&self) -> &FileHandle;
-    /// Run op `op`; account wrong data / fail-closed into `out`. Returns
-    /// `false` if the application crashed (loud failure; the cell aborts).
-    fn step(&mut self, m: &mut Machine, op: u64, out: &mut Outcome) -> bool;
-    /// Surrender the streaming trace capture, if this workload records
-    /// one, so the cell can close and verify it.
-    fn take_capture(&mut self) -> Option<CampaignTrace> {
-        None
-    }
+/// A phase's measurement window on the serving core.
+struct Window {
+    clock0: u64,
+    fills0: u64,
+    lat: Hist,
 }
 
-/// fio-style raw file I/O: 64 B reads/writes at seeded random line offsets
-/// with a per-line shadow of the acknowledged value. When a capture is
-/// attached, every op streams to a chunked `TVT2` file as it is issued.
-struct FioWorkload {
-    file: FileHandle,
-    txm: Option<pmemfs::tx::TxManager>,
-    shadow: Vec<Option<u64>>,
-    rng: Rng,
-    nlines: u64,
-    cap: Option<CampaignTrace>,
-}
-
-fn fio_pattern(l: u64, v: u64) -> [u8; 64] {
-    let mut p = [0u8; 64];
-    p[..8].copy_from_slice(&l.to_le_bytes());
-    p[8..16].copy_from_slice(&v.to_le_bytes());
-    p[16] = (l ^ v) as u8;
-    p
-}
-
-impl FioWorkload {
-    fn new(m: &mut Machine, seed: u64, cap: Option<CampaignTrace>) -> Self {
-        let txm = match m.design().sw_scheme() {
-            pmemfs::tx::SwScheme::None => None,
-            _ => Some(m.tx_manager(64 * 1024).expect("pool fits tx log")),
-        };
-        let file = m.create_dax_file("fio", 16 * PAGE as u64).expect("pool fits");
-        let nlines = file.pages() * memsim::LINES_PER_PAGE as u64;
-        for l in 0..nlines {
-            m.sys
-                .memory_mut()
-                .poke_line(file.addr(l * 64).line(), &fio_pattern(l, 0));
+impl Window {
+    fn open(m: &Machine) -> Self {
+        Window {
+            clock0: m.sys.clock(0),
+            fills0: m.stats().counters.degraded_fills,
+            lat: Hist::new(),
         }
-        m.reinit_redundancy(&file);
-        FioWorkload {
-            file,
-            txm,
-            shadow: vec![Some(0); nlines as usize],
-            rng: Rng::new(0xf10_0000 ^ seed),
-            nlines,
-            cap,
+    }
+
+    fn close(self, m: &Machine, ops: u64) -> Phase {
+        Phase {
+            ops,
+            cycles: m.sys.clock(0) - self.clock0,
+            degraded_fills: m.stats().counters.degraded_fills - self.fills0,
+            lat: self.lat,
         }
     }
 }
 
-impl Workload for FioWorkload {
-    fn file(&self) -> &FileHandle {
-        &self.file
-    }
-
-    fn step(&mut self, m: &mut Machine, op: u64, out: &mut Outcome) -> bool {
-        let l = self.rng.below(self.nlines);
-        let off = l * 64;
-        let file = self.file;
-        let is_write = self.rng.below(2) == 0;
-        if let Some(cap) = self.cap.as_mut() {
-            cap.record(is_write, file.addr(off), 64);
-        }
-        if is_write {
-            let data = fio_pattern(l, op + 1);
-            let result = match self.txm.as_mut() {
-                Some(txm) => match m.check_poison(&file, off, 64) {
-                    Ok(()) => {
-                        let mut tx = txm.begin(&mut m.sys, 0).expect("tx");
-                        tx.write(&mut m.sys, &file, off, &data).expect("tx write");
-                        tx.commit(&mut m.sys).expect("commit");
-                        Ok(())
-                    }
-                    Err(e) => Err(e),
-                },
-                None => m.write_file(&file, 0, off, &data),
-            };
-            match result {
-                Ok(()) => self.shadow[l as usize] = Some(op + 1),
-                Err(AppError::Poisoned(_)) => {
-                    out.fail_closed += 1;
-                    self.shadow[l as usize] = None;
-                }
-                Err(e) => panic!("unexpected app error: {e}"),
-            }
-        } else {
-            let mut buf = [0u8; 64];
-            match m.read_file(&file, 0, off, &mut buf) {
-                Ok(()) => {
-                    if let Some(v) = self.shadow[l as usize] {
-                        if buf != fio_pattern(l, v) {
-                            out.wrong_data += 1;
-                        }
-                    }
-                }
-                Err(AppError::Poisoned(_)) => out.fail_closed += 1,
-                Err(e) => panic!("unexpected app error: {e}"),
-            }
-        }
-        true
-    }
-
-    fn take_capture(&mut self) -> Option<CampaignTrace> {
-        self.cap.take()
-    }
-}
-
-/// Key-value load: a persistent B-tree under a 60:40 overwrite:lookup mix
-/// with a shadow map; keys whose op failed closed are tainted (their
-/// durable value is legitimately unknown).
-struct KvWorkload {
-    kv: Box<BTree>,
-    txm: pmemfs::tx::TxManager,
-    file: FileHandle,
-    shadow: HashMap<u64, u64>,
-    tainted: HashMap<u64, ()>,
-    rng: Rng,
-    degraded: bool,
-}
-
-const KV_KEYSPACE: u64 = 240;
-
-impl KvWorkload {
-    fn new(m: &mut Machine, seed: u64) -> Self {
-        let mut txm = m.tx_manager(64 * 1024).expect("pool fits tx log");
-        let mut kv = Box::new(BTree::create(m, 0, 32 * 1024).expect("pool fits"));
-        let mut shadow = HashMap::new();
-        for k in 0..160u64 {
-            kv.insert(m, &mut txm, k, k ^ 0xa5a5).expect("preload");
-            shadow.insert(k, k ^ 0xa5a5);
-        }
-        let file = *kv.file();
-        KvWorkload {
-            kv,
-            txm,
-            file,
-            shadow,
-            tainted: HashMap::new(),
-            rng: Rng::new(0xdead_0000 ^ seed),
-            degraded: false,
-        }
-    }
-}
-
-impl Workload for KvWorkload {
-    fn file(&self) -> &FileHandle {
-        &self.file
-    }
-
-    fn step(&mut self, m: &mut Machine, op: u64, out: &mut Outcome) -> bool {
-        let key = self.rng.below(KV_KEYSPACE);
-        let write = self.rng.below(10) < 6;
-        let d_before = m.orchestrator().map_or(0, |o| o.detections());
-        let kv = &mut self.kv;
-        let txm = &mut self.txm;
-        let file = self.file;
-        let shadow = &mut self.shadow;
-        let tainted = &mut self.tainted;
-        let degraded = self.degraded;
-        let mut wrong = 0u64;
-        let mut closed = 0u64;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if write {
-                match m.with_recovery(|m| kv.insert(m, txm, key, op)) {
-                    Ok(()) => {
-                        shadow.insert(key, op);
-                        tainted.remove(&key);
-                        false
-                    }
-                    Err(AppError::Poisoned(_)) => {
-                        closed += 1;
-                        tainted.insert(key, ());
-                        true
-                    }
-                    Err(e) => panic!("unexpected app error: {e}"),
-                }
-            } else if !m.design().has_controller()
-                && m.check_poison(&file, 0, (file.pages() * PAGE as u64) as usize)
-                    .is_err()
-            {
-                closed += 1;
-                true
-            } else {
-                match m.with_recovery(|m| kv.get(m, key)) {
-                    Ok(got) => {
-                        if let (Some(v), Some(&want)) = (got, shadow.get(&key)) {
-                            if v != want && !tainted.contains_key(&key) && !degraded {
-                                wrong += 1;
-                            }
-                        }
-                        false
-                    }
-                    Err(AppError::Poisoned(_)) => {
-                        closed += 1;
-                        true
-                    }
-                    Err(e) => panic!("unexpected app error: {e}"),
-                }
-            }
-        }));
-        out.wrong_data += wrong;
-        out.fail_closed += closed;
-        match outcome {
-            Ok(poisoned_now) => {
-                self.degraded |= poisoned_now;
-                let d_after = m.orchestrator().map_or(0, |o| o.detections());
-                if write && d_after > d_before {
-                    // A mutation was interrupted and retried; the index may
-                    // be structurally disturbed from here on.
-                    self.degraded = true;
-                    self.tainted.insert(key, ());
-                }
-                true
-            }
-            Err(_) => {
-                out.crashed = true;
-                let _ = take_last_panic();
-                false
-            }
-        }
-    }
-}
-
-fn seed_for(app: &str, scenario: Scenario) -> u64 {
-    // Design-independent: every design faces the identical op stream and
-    // fault schedule for a given (app, scenario) cell.
-    let mut s: u64 = 0x00de_64ad_u64;
-    for b in app.bytes().chain(scenario.label().bytes()) {
-        s = s.wrapping_mul(31).wrapping_add(b as u64);
-    }
-    s
-}
-
-/// Extra firmware-fault mix from `DEGRADED_FAULTS` (comma/space-separated
-/// `Fault` specs), armed against the fio file when the degraded phase
-/// opens. Exits with usage on a malformed spec.
-fn env_faults() -> Vec<Fault> {
-    let Ok(spec) = std::env::var("DEGRADED_FAULTS") else {
-        return Vec::new();
-    };
-    spec.split([',', ' '])
-        .filter(|s| !s.trim().is_empty())
-        .map(|s| match s.trim().parse::<Fault>() {
-            Ok(f) => f,
-            Err(e) => {
-                eprintln!("DEGRADED_FAULTS: {e}");
-                std::process::exit(2);
-            }
-        })
-        .collect()
-}
-
-fn build_machine(design: Design) -> Machine {
-    Machine::builder()
-        .small()
-        .design(design)
-        .data_pages(256)
-        .build()
-}
-
-fn enable_pipeline(m: &mut Machine, file: &FileHandle) {
-    if m.design() != Design::Baseline {
-        m.enable_recovery(MAX_RETRIES).expect("poison store fits");
-        m.enable_scrub_daemon(file, SCRUB_PAGES, SCRUB_INTERVAL);
-    }
-}
-
-/// Build the app's workload. Only fio has a raw address stream worth
-/// capturing; `cap` is ignored for the KV apps (their ops are index
-/// operations, not addressed I/O).
-fn make_workload(
-    app: &str,
-    m: &mut Machine,
-    seed: u64,
-    cap: Option<CampaignTrace>,
-) -> Box<dyn Workload> {
-    match app {
-        "fio" => Box::new(FioWorkload::new(m, seed, cap)),
-        _ => Box::new(KvWorkload::new(m, seed)),
-    }
-}
-
-/// Drive `n` foreground ops (or until a predicate or crash stops the
-/// phase), ticking maintenance after every op and flushing on the global
-/// cadence. Returns the ops actually run.
-fn drive<F: FnMut(&Machine, u64) -> bool>(
+/// Drive up to `limit` foreground ops (a crash stops the phase), ticking
+/// maintenance after every op and flushing on the global cadence. Returns
+/// the ops actually run.
+fn drive(
     m: &mut Machine,
     w: &mut dyn Workload,
     out: &mut Outcome,
     op: &mut u64,
     limit: u64,
     lat: &mut Hist,
-    mut stop: F,
 ) -> u64 {
     let mut ran = 0;
-    while ran < limit && !stop(m, ran) {
+    while ran < limit {
         let start = m.sys.clock(0);
-        if !w.step(m, *op, out) {
+        if w.step(m, *op, &mut out.tally).is_err() {
             break; // crashed (already recorded)
         }
         let _ = m.tick_maintenance(0);
@@ -542,15 +224,16 @@ fn run_faulted(
     design: Design,
     scenario: Scenario,
     ctx: &str,
+    n: u64,
     faults: &[Fault],
 ) -> Outcome {
-    let n = phase_ops();
-    let seed = seed_for(app, scenario);
+    let seed = seed_for(SEED_BASE, app, scenario.label());
     let mut out = Outcome::default();
-    let mut m = build_machine(design);
-    let cap = (app == "fio")
-        .then(|| CampaignTrace::create(&format!("degraded {ctx}")).expect("open trace capture"));
-    let mut w = make_workload(app, &mut m, seed, cap);
+    let mut m = small_machine(design);
+    // Only fio has a raw address stream worth capturing (the KV ops are
+    // index operations, not addressed I/O).
+    let cap = (app == "fio").then(|| CampaignTrace::new(&format!("degraded {ctx}")));
+    let mut w = workload(app, &mut m, seed, TX_LOG, cap);
     let file = *w.file();
     m.flush();
     enable_pipeline(&mut m, &file);
@@ -569,15 +252,9 @@ fn run_faulted(
     let mut op = 0u64;
 
     // Phase 0: healthy.
-    let (c0, f0) = (m.sys.clock(0), m.stats().counters.degraded_fills);
-    let mut lat = Hist::new();
-    let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, n, &mut lat, |_, _| false);
-    out.phases[0] = Phase {
-        ops: ran,
-        cycles: m.sys.clock(0) - c0,
-        degraded_fills: m.stats().counters.degraded_fills - f0,
-        lat,
-    };
+    let mut win = Window::open(&m);
+    let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, n, &mut win.lat);
+    out.phases[0] = win.close(&m, ran);
 
     // Phase 1: degraded — the device dies, serving continues from parity.
     m.fail_device(FAIL_BANK);
@@ -587,21 +264,14 @@ fn run_faulted(
             out.faults_armed += 1;
         }
     }
-    let (c0, f0) = (m.sys.clock(0), m.stats().counters.degraded_fills);
-    let mut lat = Hist::new();
-    let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, n, &mut lat, |_, _| false);
-    out.phases[1] = Phase {
-        ops: ran,
-        cycles: m.sys.clock(0) - c0,
-        degraded_fills: m.stats().counters.degraded_fills - f0,
-        lat,
-    };
+    let mut win = Window::open(&m);
+    let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, n, &mut win.lat);
+    out.phases[1] = win.close(&m, ran);
 
     // Phase 2: rebuilding — hot spare attached, resilver races foreground
     // traffic; the storm scenarios fail a second device mid-resilver.
     m.attach_spare(FAIL_BANK);
-    let (c0, f0) = (m.sys.clock(0), m.stats().counters.degraded_fills);
-    let mut lat = Hist::new();
+    let mut win = Window::open(&m);
     let mut rebuilding_ops = 0u64;
     let mut second_fired = !scenario.second_fault();
     loop {
@@ -619,21 +289,16 @@ fn run_faulted(
                 None => {}
             }
         }
-        if out.crashed || rebuilding_ops >= cap {
+        if out.tally.crashed || rebuilding_ops >= cap {
             break;
         }
-        let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, 1, &mut lat, |_, _| false);
+        let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, 1, &mut win.lat);
         if ran == 0 {
             break;
         }
         rebuilding_ops += ran;
     }
-    out.phases[2] = Phase {
-        ops: rebuilding_ops,
-        cycles: m.sys.clock(0) - c0,
-        degraded_fills: m.stats().counters.degraded_fills - f0,
-        lat,
-    };
+    out.phases[2] = win.close(&m, rebuilding_ops);
     if !(m.rebuild_idle() && m.pool_state() == PoolState::Healthy) {
         out.violations.push(format!(
             "{ctx}: resilver did not complete under load ({rebuilding_ops} ops, cap {cap})"
@@ -641,24 +306,18 @@ fn run_faulted(
     }
 
     // Phase 3: recovered.
-    let (c0, f0) = (m.sys.clock(0), m.stats().counters.degraded_fills);
-    let mut lat = Hist::new();
-    let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, n, &mut lat, |_, _| false);
-    out.phases[3] = Phase {
-        ops: ran,
-        cycles: m.sys.clock(0) - c0,
-        degraded_fills: m.stats().counters.degraded_fills - f0,
-        lat,
-    };
+    let mut win = Window::open(&m);
+    let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, n, &mut win.lat);
+    out.phases[3] = win.close(&m, ran);
 
     m.flush();
     if let Some(cap) = w.take_capture() {
         match cap.finish() {
             // Every fio op — across all four phases — must round-trip.
-            Ok(n) if n != op => out.violations.push(format!(
+            Ok((_, n)) if n != op => out.violations.push(format!(
                 "{ctx}: trace captured {n} records for {op} ops"
             )),
-            Ok(_) => {}
+            Ok((file, _)) => out.trace = Some(file),
             Err(e) => out.violations.push(format!("{ctx}: {e}")),
         }
     }
@@ -686,19 +345,18 @@ fn run_faulted(
 /// Replay the identical op stream on a never-faulted machine (no firmware
 /// RAID, no device failures) and return its final media hash.
 fn run_oracle(app: &str, design: Design, scenario: Scenario, total_ops: u64) -> u64 {
-    let seed = seed_for(app, scenario);
-    let mut m = build_machine(design);
+    let seed = seed_for(SEED_BASE, app, scenario.label());
+    let mut m = small_machine(design);
     // No capture: the oracle replays the same stream the faulted run
     // already recorded.
-    let mut w = make_workload(app, &mut m, seed, None);
+    let mut w = workload(app, &mut m, seed, TX_LOG, None);
     let file = *w.file();
     m.flush();
     enable_pipeline(&mut m, &file);
     m.flush();
     let mut out = Outcome::default();
     let mut op = 0u64;
-    let mut lat = Hist::new();
-    let _ = drive(&mut m, w.as_mut(), &mut out, &mut op, total_ops, &mut lat, |_, _| false);
+    let _ = drive(&mut m, w.as_mut(), &mut out, &mut op, total_ops, &mut Hist::new());
     m.flush();
     m.sys.memory().content_hash()
 }
@@ -708,13 +366,13 @@ fn check_invariants(ctx: &str, design: Design, scenario: Scenario, out: &mut Out
     if strict {
         // Clean recovery: nothing may diverge from the acknowledged write
         // stream for ANY design — there is no data loss to excuse.
-        if out.wrong_data > 0 {
+        if out.tally.wrong_data > 0 {
             out.violations.push(format!(
                 "{ctx}: {} wrong-data reads in a clean-recovery scenario",
-                out.wrong_data
+                out.tally.wrong_data
             ));
         }
-        if out.crashed {
+        if out.tally.crashed {
             out.violations
                 .push(format!("{ctx}: app crash in a clean-recovery scenario"));
         }
@@ -734,10 +392,10 @@ fn check_invariants(ctx: &str, design: Design, scenario: Scenario, out: &mut Out
     } else {
         // Declared data loss: inline-verified designs must still never be
         // silently wrong — poison fails closed at first consumption.
-        if inline_cl_verified(design) && out.wrong_data > 0 {
+        if inline_cl_verified(design) && out.tally.wrong_data > 0 {
             out.violations.push(format!(
                 "{ctx}: {} silent wrong-data reads under a verifying design",
-                out.wrong_data
+                out.tally.wrong_data
             ));
         }
         // The P-only storm must actually declare the loss, not paper over
@@ -764,21 +422,24 @@ fn check_invariants(ctx: &str, design: Design, scenario: Scenario, out: &mut Out
     }
 }
 
-fn main() {
-    let n = phase_ops();
-    let faults = env_faults();
-    println!(
-        "# Degraded-mode campaign — scenario × design × app, {n} ops/steady phase"
-    );
-    println!(
-        "{:<4} {:<17} {:<10} {:>7} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8} {:>6} {:>6} {:>6} {:>5} {:>6} {:>5}",
-        "app", "design", "scenario", "ops",
-        "h_op/kc", "d_op/kc", "r_op/kc", "ok_op/kc", "h_p99", "r_p99",
-        "resilv", "aband", "dfill", "quar", "closed", "hash"
-    );
-    if std::env::var("DEGRADED_LOUD").is_err() { install_quiet_panic_hook(); }
-    let filter = std::env::var("DEGRADED_FILTER").unwrap_or_default();
-    let mut cells: Vec<Cell<(&'static str, Design, Scenario, Outcome)>> = Vec::new();
+/// One (app, design, scenario) cell.
+struct Row {
+    app: &'static str,
+    design: Design,
+    scenario: Scenario,
+    out: Outcome,
+}
+
+impl Row {
+    fn hash_match(&self) -> bool {
+        self.scenario.oracle_strict() && self.out.content_hash == self.out.oracle_hash
+    }
+}
+
+fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
+    // Ops per steady phase (healthy / degraded / recovered).
+    let n = cfg.scale.pick(60, 150, 300);
+    let mut cells: Vec<Cell<Row>> = Vec::new();
     for app in ["fio", "kv"] {
         for design in designs() {
             for scenario in Scenario::all() {
@@ -787,136 +448,115 @@ fn main() {
                     design.label(),
                     scenario.label()
                 );
-                if !filter.is_empty() && !ctx.contains(&filter) {
+                if !cfg.selects(&ctx) {
                     continue;
                 }
-                let faults = faults.clone();
+                let faults = cfg.opts.clone();
                 cells.push(Cell::new(ctx.clone(), move || {
-                    let mut out = run_faulted(app, design, scenario, &ctx, &faults);
-                    out.oracle_hash = if scenario.oracle_strict() && !out.crashed {
+                    let mut out = run_faulted(app, design, scenario, &ctx, n, &faults);
+                    out.oracle_hash = if scenario.oracle_strict() && !out.tally.crashed {
                         run_oracle(app, design, scenario, out.total_ops)
                     } else {
                         0
                     };
                     check_invariants(&ctx, design, scenario, &mut out);
-                    (app, design, scenario, out)
+                    Row { app, design, scenario, out }
                 }));
             }
         }
     }
-    if cells.is_empty() {
-        eprintln!("DEGRADED_FILTER={filter:?} matched no cells — nothing was checked");
-        std::process::exit(2);
+    let rows: Vec<Row> = runner::run_cells(cells, jobs).into_iter().map(|r| r.value).collect();
+
+    type Col = Column<Row>;
+    const PHASES: [&str; 4] = ["healthy", "degraded", "rebuilding", "recovered"];
+    let mut cols = vec![
+        Col::new("app", "app", -4, |r| r.app),
+        Col::new("design", "design", -17, |r| r.design.label()),
+        Col::new("scenario", "scenario", -10, |r| r.scenario.label()),
+        Col::csv("level", |r| match r.scenario.level() {
+            RaidLevel::P => "P",
+            RaidLevel::PQ => "PQ",
+        }),
+        Col::new("ops", "ops", 7, |r| r.out.total_ops),
+    ];
+    for (p, head) in ["h_op/kc", "d_op/kc", "r_op/kc", "ok_op/kc"].into_iter().enumerate() {
+        cols.push(Col::table(head, 8, move |r| format!("{:.3}", r.out.phases[p].ops_per_kcycle())));
     }
-    let results = runner::run_cells(cells, runner::jobs());
-    // Table and CSV are assembled from the in-input-order results after the
-    // pool drains, so every --jobs setting emits the same bytes.
-    let mut csv = String::from(
-        "app,design,scenario,level,ops,\
-         healthy_ops,healthy_cycles,degraded_ops,degraded_cycles,\
-         rebuilding_ops,rebuilding_cycles,recovered_ops,recovered_cycles,\
-         healthy_p50,healthy_p99,healthy_p999,\
-         degraded_p50,degraded_p99,degraded_p999,\
-         rebuilding_p50,rebuilding_p99,rebuilding_p999,\
-         recovered_p50,recovered_p99,recovered_p999,\
-         degraded_fills,reconstructed_reads,dropped_writes,write_intent_lines,\
-         pages_resilvered,pages_abandoned,lines_reconstructed,backpressure_events,\
-         rebuilds_completed,detections,recoveries,quarantines,wrong_data,\
-         fail_closed,crashed,faults_armed,content_hash,oracle_hash,hash_match,\
-         seed,repro\n",
-    );
-    let mut violations: Vec<String> = Vec::new();
-    for r in &results {
-        let (app, design, scenario, out) = &r.value;
-        let hash_match = scenario.oracle_strict() && out.content_hash == out.oracle_hash;
-        println!(
-            "{:<4} {:<17} {:<10} {:>7} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8} {:>8} {:>6} {:>6} {:>6} {:>5} {:>6} {:>5}",
-            app,
-            design.label(),
-            scenario.label(),
-            out.total_ops,
-            out.phases[0].ops_per_kcycle(),
-            out.phases[1].ops_per_kcycle(),
-            out.phases[2].ops_per_kcycle(),
-            out.phases[3].ops_per_kcycle(),
-            out.phases[0].lat.p99(),
-            out.phases[2].lat.p99(),
-            out.pages_resilvered,
-            out.pages_abandoned,
-            out.phases[1].degraded_fills + out.phases[2].degraded_fills,
-            out.quarantines,
-            out.fail_closed,
-            if scenario.oracle_strict() {
-                if hash_match { "ok" } else { "FAIL" }
-            } else {
-                "-"
-            }
-        );
-        let repro = format!(
-            "DEGRADED_FILTER='app={} design={} scenario={}' ./target/release/degraded_campaign",
-            app,
-            design.label(),
-            scenario.label()
-        );
-        let tails = out
-            .phases
-            .iter()
-            .map(|p| format!("{},{},{}", p.lat.p50(), p.lat.p99(), p.lat.p999()))
-            .collect::<Vec<_>>()
-            .join(",");
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{:#018x},{:#018x},{},{:#018x},{}",
-            app,
-            design.label(),
-            scenario.label(),
-            match scenario.level() {
-                RaidLevel::P => "P",
-                RaidLevel::PQ => "PQ",
+    for (p, phase) in PHASES.into_iter().enumerate() {
+        cols.push(Col::csv(format!("{phase}_ops"), move |r| r.out.phases[p].ops));
+        cols.push(Col::csv(format!("{phase}_cycles"), move |r| r.out.phases[p].cycles));
+    }
+    for (p, phase) in PHASES.into_iter().enumerate() {
+        // The table shows the healthy and rebuilding p99 only.
+        let (p99, head) = (format!("{phase}_p99"), ["h_p99", "", "r_p99", ""][p]);
+        cols.push(Col::csv(format!("{phase}_p50"), move |r| r.out.phases[p].lat.p50()));
+        cols.push(Col::new(p99, head, 8, move |r| r.out.phases[p].lat.p99()));
+        cols.push(Col::csv(format!("{phase}_p999"), move |r| r.out.phases[p].lat.p999()));
+    }
+    let dfills = |r: &Row, phases: std::ops::Range<usize>| -> u64 {
+        r.out.phases[phases].iter().map(|p| p.degraded_fills).sum()
+    };
+    cols.extend([
+        Col::csv("degraded_fills", move |r| dfills(r, 0..4)),
+        Col::csv("reconstructed_reads", |r| r.out.reconstructed_reads),
+        Col::csv("dropped_writes", |r| r.out.dropped_writes),
+        Col::csv("write_intent_lines", |r| r.out.write_intent_lines),
+        Col::new("pages_resilvered", "resilv", 6, |r| r.out.pages_resilvered),
+        Col::new("pages_abandoned", "aband", 6, |r| r.out.pages_abandoned),
+        Col::table("dfill", 6, move |r| dfills(r, 1..3)),
+        Col::csv("lines_reconstructed", |r| r.out.lines_reconstructed),
+        Col::csv("backpressure_events", |r| r.out.backpressure_events),
+        Col::csv("rebuilds_completed", |r| r.out.rebuilds_completed),
+        Col::csv("detections", |r| r.out.detections),
+        Col::csv("recoveries", |r| r.out.recoveries),
+        Col::new("quarantines", "quar", 5, |r| r.out.quarantines),
+        Col::csv("wrong_data", |r| r.out.tally.wrong_data),
+        Col::new("fail_closed", "closed", 6, |r| r.out.tally.fail_closed),
+        Col::csv("crashed", |r| r.out.tally.crashed as u8),
+        Col::csv("faults_armed", |r| r.out.faults_armed),
+        Col::csv("content_hash", |r| format!("{:#018x}", r.out.content_hash)),
+        Col::csv("oracle_hash", |r| format!("{:#018x}", r.out.oracle_hash)),
+        Col::csv("hash_match", |r| r.hash_match() as u8),
+        Col::table("hash", 5, |r| match (r.scenario.oracle_strict(), r.hash_match()) {
+            (false, _) => "-",
+            (true, true) => "ok",
+            (true, false) => "FAIL",
+        }),
+        Col::csv("seed", |r| format!("{:#018x}", seed_for(SEED_BASE, r.app, r.scenario.label()))),
+        Col::csv("repro", |r| {
+            let (design, scenario) = (r.design.label(), r.scenario.label());
+            let ctx = format!("app={} design={design} scenario={scenario}", r.app);
+            format!("DEGRADED_FILTER='{ctx}' ./target/release/degraded_campaign")
+        }),
+    ]);
+    let title =
+        format!("# Degraded-mode campaign — scenario × design × app, {n} ops/steady phase");
+    let mut out = Output::sheet(&title, "degraded_campaign.csv", &cols, &rows, |_| true);
+    for r in rows {
+        out.files.extend(r.out.trace);
+        out.violations.extend(r.out.violations);
+    }
+    out
+}
+
+/// The campaign this binary runs; the option is the `DEGRADED_FAULTS` mix.
+pub fn campaign() -> Campaign<Vec<Fault>> {
+    Campaign::new("degraded_campaign", run)
+        .filter_env("DEGRADED_FILTER")
+        .ok_line("all degraded-mode invariants held")
+        .options(vec![Opt::new(
+            Kind::Env,
+            "DEGRADED_FAULTS",
+            "'lost-write@128,misdir-write@256->512'",
+            |faults: &mut Vec<Fault>, spec| {
+                for s in spec.split([',', ' ']).filter(|s| !s.trim().is_empty()) {
+                    faults.push(s.trim().parse::<Fault>().map_err(|e| e.to_string())?);
+                }
+                Ok(())
             },
-            out.total_ops,
-            out.phases[0].ops,
-            out.phases[0].cycles,
-            out.phases[1].ops,
-            out.phases[1].cycles,
-            out.phases[2].ops,
-            out.phases[2].cycles,
-            out.phases[3].ops,
-            out.phases[3].cycles,
-            tails,
-            out.phases.iter().map(|p| p.degraded_fills).sum::<u64>(),
-            out.reconstructed_reads,
-            out.dropped_writes,
-            out.write_intent_lines,
-            out.pages_resilvered,
-            out.pages_abandoned,
-            out.lines_reconstructed,
-            out.backpressure_events,
-            out.rebuilds_completed,
-            out.detections,
-            out.recoveries,
-            out.quarantines,
-            out.wrong_data,
-            out.fail_closed,
-            out.crashed as u8,
-            out.faults_armed,
-            out.content_hash,
-            out.oracle_hash,
-            hash_match as u8,
-            seed_for(app, *scenario),
-            repro
-        );
-        violations.extend(out.violations.iter().cloned());
-    }
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/degraded_campaign.csv", csv);
-    eprintln!("[saved results/degraded_campaign.csv]");
-    if !violations.is_empty() {
-        eprintln!("INVARIANT VIOLATIONS ({}):", violations.len());
-        for v in &violations {
-            eprintln!("  {v}");
-        }
-        std::process::exit(1);
-    }
-    println!("all degraded-mode invariants held");
+        )])
+}
+
+fn main() {
+    campaign().main()
 }

@@ -2,31 +2,21 @@
 
 use apps::driver::Design;
 use apps::fio::Pattern;
-use bench::runner::{self, Cell};
-use bench::workloads::{run_fio, Scale};
-use bench::{Report, Row};
+use bench::campaign::{figure, grid, Campaign};
+use bench::workloads::run_fio_threads;
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("fig8_fio", |cfg, jobs| {
+        let patterns = Pattern::all().map(|p| (p.label().to_string(), p));
+        let cells = grid(cfg, patterns, &Design::fig8(), |d, p, s, t| {
+            run_fio_threads(d, p, s, t)
+        });
+        let title = "Fig. 8(m-p) — fio (runtime, energy, NVM & cache accesses)";
+        figure(title, "fig8_fio", true, cells, jobs)
+    })
+}
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut cells = Vec::new();
-    for pattern in Pattern::all() {
-        for design in Design::fig8() {
-            let s = scale.clone();
-            cells.push(Cell::new(
-                format!("fio {} {design}", pattern.label()),
-                move || {
-                    let out = run_fio(design, pattern, &s).expect("workload failed");
-                    (pattern.label(), design, out)
-                },
-            ));
-        }
-    }
-    let results = runner::run_cells(cells, runner::jobs());
-    runner::eprint_rates(&results, |(_, _, out)| out.stats.runtime_cycles());
-    let mut rep = Report::new("Fig. 8(m-p) — fio (runtime, energy, NVM & cache accesses)");
-    for r in &results {
-        let (label, design, out) = &r.value;
-        rep.push(Row::new(label, *design, &out.stats, &out.cfg).weave(out.weave_eligibility));
-    }
-    rep.emit("fig8_fio");
+    campaign().main()
 }

@@ -2,32 +2,24 @@
 //! workloads under all four designs.
 
 use apps::driver::Design;
-use bench::runner::{self, Cell};
-use bench::workloads::{run_kv, KvKind, KvWorkload, Scale};
-use bench::{Report, Row};
+use bench::campaign::{figure, grid, Campaign};
+use bench::workloads::{run_kv_threads, KvKind, KvWorkload};
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("fig8_kv", |cfg, jobs| {
+        let mixes = KvKind::all().into_iter().flat_map(|kind| {
+            [KvWorkload::InsertOnly, KvWorkload::Balanced]
+                .map(|wl| (format!("{}/{}", kind.label(), wl.label()), (kind, wl)))
+        });
+        let cells = grid(cfg, mixes, &Design::fig8(), |d, (kind, wl), s, t| {
+            run_kv_threads(d, kind, wl, s, t)
+        });
+        let title = "Fig. 8(e-h) — Key-value structures (runtime, energy, NVM & cache accesses)";
+        figure(title, "fig8_kv", true, cells, jobs)
+    })
+}
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut cells = Vec::new();
-    for kind in KvKind::all() {
-        for wl in [KvWorkload::InsertOnly, KvWorkload::Balanced] {
-            for design in Design::fig8() {
-                let label = format!("{}/{}", kind.label(), wl.label());
-                let s = scale.clone();
-                cells.push(Cell::new(format!("{label} {design}"), move || {
-                    let out = run_kv(design, kind, wl, &s).expect("workload failed");
-                    (label, design, out)
-                }));
-            }
-        }
-    }
-    let results = runner::run_cells(cells, runner::jobs());
-    runner::eprint_rates(&results, |(_, _, out)| out.stats.runtime_cycles());
-    let mut rep =
-        Report::new("Fig. 8(e-h) — Key-value structures (runtime, energy, NVM & cache accesses)");
-    for r in &results {
-        let (label, design, out) = &r.value;
-        rep.push(Row::new(label, *design, &out.stats, &out.cfg).weave(out.weave_eligibility));
-    }
-    rep.emit("fig8_kv");
+    campaign().main()
 }

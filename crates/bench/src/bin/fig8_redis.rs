@@ -1,31 +1,22 @@
 //! Fig. 8(a–d): Redis set-only and get-only under all four designs.
 
 use apps::driver::Design;
-use bench::runner::{self, Cell};
-use bench::workloads::{run_redis, RedisWorkload, Scale};
-use bench::{Report, Row};
+use bench::campaign::{figure, grid, Campaign};
+use bench::workloads::{run_redis_threads, RedisWorkload};
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("fig8_redis", |cfg, jobs| {
+        let mixes =
+            [RedisWorkload::SetOnly, RedisWorkload::GetOnly].map(|wl| (wl.label().to_string(), wl));
+        let cells = grid(cfg, mixes, &Design::fig8(), |d, wl, s, t| {
+            run_redis_threads(d, wl, s, t)
+        });
+        let title = "Fig. 8(a-d) — Redis (runtime, energy, NVM & cache accesses)";
+        figure(title, "fig8_redis", true, cells, jobs)
+    })
+}
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut cells = Vec::new();
-    for wl in [RedisWorkload::SetOnly, RedisWorkload::GetOnly] {
-        for design in Design::fig8() {
-            let s = scale.clone();
-            cells.push(Cell::new(
-                format!("redis {} {design}", wl.label()),
-                move || {
-                    let out = run_redis(design, wl, &s).expect("workload failed");
-                    (wl.label(), design, out)
-                },
-            ));
-        }
-    }
-    let results = runner::run_cells(cells, runner::jobs());
-    runner::eprint_rates(&results, |(_, _, out)| out.stats.runtime_cycles());
-    let mut rep = Report::new("Fig. 8(a-d) — Redis (runtime, energy, NVM & cache accesses)");
-    for r in &results {
-        let (label, design, out) = &r.value;
-        rep.push(Row::new(label, *design, &out.stats, &out.cfg).weave(out.weave_eligibility));
-    }
-    rep.emit("fig8_redis");
+    campaign().main()
 }

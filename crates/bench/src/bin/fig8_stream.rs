@@ -2,31 +2,21 @@
 
 use apps::driver::Design;
 use apps::stream::Kernel;
-use bench::runner::{self, Cell};
-use bench::workloads::{run_stream, Scale};
-use bench::{Report, Row};
+use bench::campaign::{figure, grid, Campaign};
+use bench::workloads::run_stream_threads;
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("fig8_stream", |cfg, jobs| {
+        let kernels = Kernel::all().map(|k| (k.label().to_string(), k));
+        let cells = grid(cfg, kernels, &Design::fig8(), |d, k, s, t| {
+            run_stream_threads(d, k, s, t)
+        });
+        let title = "Fig. 8(q-t) — stream (runtime, energy, NVM & cache accesses)";
+        figure(title, "fig8_stream", true, cells, jobs)
+    })
+}
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut cells = Vec::new();
-    for kernel in Kernel::all() {
-        for design in Design::fig8() {
-            let s = scale.clone();
-            cells.push(Cell::new(
-                format!("stream {} {design}", kernel.label()),
-                move || {
-                    let out = run_stream(design, kernel, &s).expect("workload failed");
-                    (kernel.label(), design, out)
-                },
-            ));
-        }
-    }
-    let results = runner::run_cells(cells, runner::jobs());
-    runner::eprint_rates(&results, |(_, _, out)| out.stats.runtime_cycles());
-    let mut rep = Report::new("Fig. 8(q-t) — stream (runtime, energy, NVM & cache accesses)");
-    for r in &results {
-        let (label, design, out) = &r.value;
-        rep.push(Row::new(label, *design, &out.stats, &out.cfg).weave(out.weave_eligibility));
-    }
-    rep.emit("fig8_stream");
+    campaign().main()
 }

@@ -9,16 +9,13 @@
 //! 3. `+Red-caching` — on-controller cache + LLC redundancy partition
 //!    (this row is also TVARAK for systems with *exclusive* LLCs, §IV-G)
 //! 4. `+Data-diffs` — the complete TVARAK design
+//!
+//! An optional group argument lets long sweeps fit in bounded CI slots:
+//! `a` = redis+ctree, `b` = nstore+fio+stream, default = all.
 
 use apps::driver::Design;
-use apps::fio::Pattern;
-use apps::stream::Kernel;
-use bench::runner::{self, Cell};
-use bench::workloads::{
-    run_fio, run_kv, run_nstore, run_redis, run_stream, KvKind, KvWorkload, NstoreWorkload,
-    Outcome, RedisWorkload, Scale,
-};
-use bench::{Report, Row};
+use bench::campaign::{figure, Campaign, Config, FigCell, Kind, Opt};
+use bench::workloads::{class_representatives, Variant};
 use tvarak::controller::TvarakConfig;
 
 fn variants() -> Vec<(&'static str, Design)> {
@@ -36,102 +33,35 @@ fn variants() -> Vec<(&'static str, Design)> {
     ]
 }
 
-/// The five (workload, group) sweeps, one runner per variant each.
-fn workload_cells(scale: &Scale, run_a: bool, run_b: bool) -> Vec<Cell<(String, &'static str, Design, Outcome)>> {
-    let mut cells = Vec::new();
-    let mut push =
-        |enabled: bool,
-         workload: &'static str,
-         name: &'static str,
-         design: Design,
-         run: Box<dyn FnOnce() -> Outcome + Send>| {
-            if enabled {
-                cells.push(Cell::new(format!("{workload} {name}"), move || {
-                    (workload.to_string(), name, design, run())
+/// The campaign this binary runs; the option is the group (`a` or `b`).
+pub fn campaign() -> Campaign<Option<String>> {
+    Campaign::new("fig9_ablation", |cfg: &Config<Option<String>>, jobs| {
+        let (classes, name) = match cfg.opts.as_deref() {
+            Some("a") => (0..2, "fig9_ablation_a"),
+            Some("b") => (2..5, "fig9_ablation_b"),
+            _ => (0..5, "fig9_ablation"),
+        };
+        let mut cells = Vec::new();
+        for (workload, run) in &class_representatives()[classes] {
+            for (label, design) in variants() {
+                let (run, s, t) = (*run, cfg.scale.workloads(), cfg.threads);
+                cells.push(FigCell::new(*workload, label, design, move || {
+                    run(Variant::of(design), &s, t)
                 }));
             }
-        };
-    for (name, design) in variants() {
-        let s = scale.clone();
-        push(
-            run_a,
-            "redis/set",
-            name,
-            design,
-            Box::new(move || run_redis(design, RedisWorkload::SetOnly, &s).expect("redis failed")),
-        );
-    }
-    for (name, design) in variants() {
-        let s = scale.clone();
-        push(
-            run_a,
-            "ctree/insert",
-            name,
-            design,
-            Box::new(move || {
-                run_kv(design, KvKind::CTree, KvWorkload::InsertOnly, &s).expect("ctree failed")
-            }),
-        );
-    }
-    for (name, design) in variants() {
-        let s = scale.clone();
-        push(
-            run_b,
-            "nstore/bal",
-            name,
-            design,
-            Box::new(move || {
-                run_nstore(design, NstoreWorkload::Balanced, &s).expect("nstore failed")
-            }),
-        );
-    }
-    for (name, design) in variants() {
-        let s = scale.clone();
-        push(
-            run_b,
-            "fio/rand-wr",
-            name,
-            design,
-            Box::new(move || run_fio(design, Pattern::RandWrite, &s).expect("fio failed")),
-        );
-    }
-    for (name, design) in variants() {
-        let s = scale.clone();
-        push(
-            run_b,
-            "stream/triad",
-            name,
-            design,
-            Box::new(move || run_stream(design, Kernel::Triad, &s).expect("stream failed")),
-        );
-    }
-    cells
+        }
+        let title = "Fig. 9 — Impact of TVARAK's design choices (runtime)";
+        figure(title, name, false, cells, jobs)
+    })
+    .options(vec![Opt::new(Kind::Positional(0), "", "a|b", |group, v| match v {
+        "a" | "b" if group.is_none() => {
+            *group = Some(v.to_string());
+            Ok(())
+        }
+        _ => Err("expected one group, a or b".into()),
+    })])
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    // Optional group filter so long sweeps fit in bounded CI slots:
-    // `a` = redis+ctree, `b` = nstore+fio+stream, default = all.
-    let group = runner::positional_args().into_iter().next().unwrap_or_default();
-    let (run_a, run_b) = match group.as_str() {
-        "a" => (true, false),
-        "b" => (false, true),
-        _ => (true, true),
-    };
-    let cells = workload_cells(&scale, run_a, run_b);
-    let results = runner::run_cells(cells, runner::jobs());
-    runner::eprint_rates(&results, |(_, _, _, out)| out.stats.runtime_cycles());
-    let mut rep = Report::new("Fig. 9 — Impact of TVARAK's design choices (runtime)");
-    for r in &results {
-        let (workload, name, design, out) = &r.value;
-        let mut row = Row::new(workload, *design, &out.stats, &out.cfg);
-        row.design = name.to_string();
-        rep.push(row);
-    }
-    let name = match group.as_str() {
-        "a" => "fig9_ablation_a",
-        "b" => "fig9_ablation_b",
-        _ => "fig9_ablation",
-    };
-    rep.emit(name);
+    campaign().main()
 }

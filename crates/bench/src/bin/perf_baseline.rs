@@ -29,8 +29,9 @@
 
 use apps::driver::{Design, Machine};
 use apps::fio::Pattern;
+use bench::campaign::{Cli, Kind, Opt};
 use bench::runner::{self, Cell};
-use bench::workloads::{run_fio, run_fio_threads, Outcome, Scale};
+use bench::workloads::{run_fio_threads, Outcome, Scale};
 use memsim::addr::LineAddr;
 use memsim::cache::CacheArray;
 use std::fmt::Write as _;
@@ -211,9 +212,18 @@ fn json_f(v: f64) -> String {
     }
 }
 
+/// `--quick`: smaller inputs for the CI smoke.
+fn quick_flag() -> Opt<bool> {
+    Opt::new(Kind::Switch, "--quick", "", |quick, _| {
+        *quick = true;
+        Ok(())
+    })
+}
+
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let jobs = runner::jobs();
+    let cli = Cli { name: "perf_baseline", options: vec![quick_flag()], filter_env: None };
+    let (cfg, jobs) = cli.from_process();
+    let (quick, threads) = (cfg.opts, cfg.threads);
     // Engine sweeps are deliberately short (tens of ms) and repeated many
     // times: on shared hardware the *minimum* over many short windows is
     // far more reproducible than any mean, because it only needs one
@@ -309,7 +319,7 @@ fn main() {
             let s = scale.clone();
             cells.push(Cell::new(
                 format!("fio {} {design}", pattern.label()),
-                move || run_fio(design, pattern, &s).expect("workload failed"),
+                move || run_fio_threads(design, pattern, &s, threads).expect("workload failed"),
             ));
         }
     }

@@ -1,5 +1,6 @@
 //! Ad-hoc calibration probe: run one workload under selected designs and
-//! print the comparison row. Usage:
+//! print the comparison rows, with per-design queueing and per-DIMM access
+//! counts on stderr. Usage:
 //!
 //! ```sh
 //! cargo run --release -p bench --bin probe -- stream-copy baseline tvarak
@@ -9,56 +10,87 @@
 use apps::driver::Design;
 use apps::fio::Pattern;
 use apps::stream::Kernel;
+use bench::campaign::{Campaign, Config, Kind, Opt, Output};
 use bench::workloads::{
-    run_fio, run_kv, run_nstore, run_redis, run_stream, KvKind, KvWorkload, NstoreWorkload,
-    RedisWorkload, Scale,
+    run_fio_threads, run_kv_threads, run_nstore_threads, run_redis_threads, run_stream_threads,
+    KvKind, KvWorkload, NstoreWorkload, RedisWorkload, RunFn,
 };
 use bench::{Report, Row};
 
-fn run(workload: &str, design: Design, s: &Scale) -> bench::Outcome {
-    match workload {
-        "redis-set" => run_redis(design, RedisWorkload::SetOnly, s),
-        "redis-get" => run_redis(design, RedisWorkload::GetOnly, s),
-        "ctree-insert" => run_kv(design, KvKind::CTree, KvWorkload::InsertOnly, s),
-        "ctree-bal" => run_kv(design, KvKind::CTree, KvWorkload::Balanced, s),
-        "btree-insert" => run_kv(design, KvKind::BTree, KvWorkload::InsertOnly, s),
-        "rbtree-insert" => run_kv(design, KvKind::RbTree, KvWorkload::InsertOnly, s),
-        "nstore-bal" => run_nstore(design, NstoreWorkload::Balanced, s),
-        "nstore-up" => run_nstore(design, NstoreWorkload::UpdateHeavy, s),
-        "fio-seq-read" => run_fio(design, Pattern::SeqRead, s),
-        "fio-seq-write" => run_fio(design, Pattern::SeqWrite, s),
-        "fio-rand-read" => run_fio(design, Pattern::RandRead, s),
-        "fio-rand-write" => run_fio(design, Pattern::RandWrite, s),
-        "stream-copy" => run_stream(design, Kernel::Copy, s),
-        "stream-triad" => run_stream(design, Kernel::Triad, s),
-        other => panic!("unknown workload {other}"),
-    }
-    .expect("workload failed")
+fn runner(workload: &str) -> Option<RunFn> {
+    use KvWorkload::{Balanced, InsertOnly};
+    Some(match workload {
+        "redis-set" => |v, s, t| run_redis_threads(v, RedisWorkload::SetOnly, s, t),
+        "redis-get" => |v, s, t| run_redis_threads(v, RedisWorkload::GetOnly, s, t),
+        "ctree-insert" => |v, s, t| run_kv_threads(v, KvKind::CTree, InsertOnly, s, t),
+        "ctree-bal" => |v, s, t| run_kv_threads(v, KvKind::CTree, Balanced, s, t),
+        "btree-insert" => |v, s, t| run_kv_threads(v, KvKind::BTree, InsertOnly, s, t),
+        "rbtree-insert" => |v, s, t| run_kv_threads(v, KvKind::RbTree, InsertOnly, s, t),
+        "nstore-bal" => |v, s, t| run_nstore_threads(v, NstoreWorkload::Balanced, s, t),
+        "nstore-up" => |v, s, t| run_nstore_threads(v, NstoreWorkload::UpdateHeavy, s, t),
+        "fio-seq-read" => |v, s, t| run_fio_threads(v, Pattern::SeqRead, s, t),
+        "fio-seq-write" => |v, s, t| run_fio_threads(v, Pattern::SeqWrite, s, t),
+        "fio-rand-read" => |v, s, t| run_fio_threads(v, Pattern::RandRead, s, t),
+        "fio-rand-write" => |v, s, t| run_fio_threads(v, Pattern::RandWrite, s, t),
+        "stream-copy" => |v, s, t| run_stream_threads(v, Kernel::Copy, s, t),
+        "stream-triad" => |v, s, t| run_stream_threads(v, Kernel::Triad, s, t),
+        _ => return None,
+    })
+}
+
+/// The first argument names the workload, the rest the designs.
+#[derive(Default)]
+pub struct Probe {
+    workload: Option<(String, RunFn)>,
+    designs: Vec<Design>,
+}
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<Probe> {
+    Campaign::new("probe", |cfg: &Config<Probe>, _jobs| {
+        let (workload, run) = cfg.opts.workload.as_ref().expect("required argument");
+        let mut rep = Report::new(&format!("probe — {workload}"));
+        for &design in &cfg.opts.designs {
+            eprintln!("probe {workload} under {design} ...");
+            let scale = cfg.scale.workloads();
+            let out = run(design.into(), &scale, cfg.threads).expect("workload failed");
+            let min_clock = out.stats.core_cycles.iter().min().unwrap();
+            eprintln!(
+                "  queue-wait: {} cycles, runtime {}, clock-spread {}, verified {}",
+                out.stats.counters.demand_queue_cycles,
+                out.stats.runtime_cycles(),
+                out.stats.runtime_cycles() - min_clock,
+                out.stats.counters.reads_verified,
+            );
+            eprintln!("  dimm (demand, posted): {:?}", out.dimm_accesses);
+            rep.push(Row::new(workload, design, &out.stats, &out.cfg));
+        }
+        let table = rep.to_table() + "\n";
+        Output {
+            table,
+            rows: rep.rows.len(),
+            ..Output::default()
+        }
+    })
+    .options(vec![Opt::new(
+        Kind::Positional(2),
+        "",
+        "<workload> <design|all>...",
+        |p: &mut Probe, v| {
+            if p.workload.is_none() {
+                let run = runner(v).ok_or(format!("unknown workload {v:?}"))?;
+                p.workload = Some((v.to_string(), run));
+            } else if v == "all" {
+                p.designs.extend(Design::fig8());
+            } else {
+                p.designs
+                    .push(v.parse::<Design>().map_err(|e| e.to_string())?);
+            }
+            Ok(())
+        },
+    )])
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut args = std::env::args().skip(1);
-    let workload = args.next().expect("usage: probe <workload> <design...>");
-    let designs: Vec<Design> = args
-        .flat_map(|d| match d.as_str() {
-            "all" => Design::fig8().to_vec(),
-            other => vec![other.parse().unwrap_or_else(|e| panic!("{e}"))],
-        })
-        .collect();
-    let mut rep = Report::new(&format!("probe — {workload}"));
-    for design in designs {
-        eprintln!("probe {workload} under {design} ...");
-        let out = run(&workload, design, &scale);
-        let min_clock = out.stats.core_cycles.iter().min().unwrap();
-        eprintln!(
-            "  queue-wait: {} cycles, runtime {}, clock-spread {}, verified {}",
-            out.stats.counters.demand_queue_cycles,
-            out.stats.runtime_cycles(),
-            out.stats.runtime_cycles() - min_clock,
-            out.stats.counters.reads_verified,
-        );
-        rep.push(Row::new(&workload, design, &out.stats, &out.cfg));
-    }
-    println!("{}", rep.to_table());
+    campaign().main()
 }

@@ -6,29 +6,34 @@
 
 use apps::driver::Design;
 use apps::stream::Kernel;
-use bench::workloads::{run_stream, Scale, Variant};
-use bench::{Report, Row};
+use bench::campaign::{figure, Campaign, FigCell};
+use bench::workloads::{run_stream_threads, Variant};
 
-fn sweep(rep: &mut Report, tag: &str, make: impl Fn(Design) -> Variant, scale: &Scale) {
-    for design in Design::fig8() {
-        for kernel in [Kernel::Copy, Kernel::Triad] {
-            eprintln!("stream {} under {design} ({tag}) ...", kernel.label());
-            let out = run_stream(make(design), kernel, scale).expect("stream failed");
-            rep.push(Row::new(
-                &format!("{}/{}", tag, kernel.label()),
-                design,
-                &out.stats,
-                &out.cfg,
-            ));
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("sec4h_scaling", |cfg, jobs| {
+        let machines: [(&str, fn(Design) -> Variant); 3] = [
+            ("4dimm", Variant::of),
+            ("8dimm", |d| Variant::of(d).nvm_dimms(8)),
+            ("bbdram", |d| Variant::of(d).dram_as_nvm()),
+        ];
+        let mut cells = Vec::new();
+        for (tag, make) in machines {
+            for design in Design::fig8() {
+                for kernel in [Kernel::Copy, Kernel::Triad] {
+                    let label = format!("{tag}/{}", kernel.label());
+                    let (s, t) = (cfg.scale.workloads(), cfg.threads);
+                    cells.push(FigCell::new(label, design.label(), design, move || {
+                        run_stream_threads(make(design), kernel, &s, t)
+                    }));
+                }
+            }
         }
-    }
+        let title = "§IV-H — NVM DIMM count and NVM technology scaling (stream)";
+        figure(title, "sec4h_scaling", false, cells, jobs)
+    })
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut rep = Report::new("§IV-H — NVM DIMM count and NVM technology scaling (stream)");
-    sweep(&mut rep, "4dimm", Variant::of, &scale);
-    sweep(&mut rep, "8dimm", |d| Variant::of(d).nvm_dimms(8), &scale);
-    sweep(&mut rep, "bbdram", |d| Variant::of(d).dram_as_nvm(), &scale);
-    rep.emit("sec4h_scaling");
+    campaign().main()
 }

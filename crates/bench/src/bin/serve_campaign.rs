@@ -26,112 +26,101 @@
 //! or — under the shed policy — if no sweep point lands past the
 //! saturation knee.
 
-use bench::runner;
-use bench::serve::{run_campaign, to_csv, check_invariants, CampaignConfig};
+use bench::campaign::{render, Campaign, Column, Config, Kind, Opt, Output};
+use bench::serve::{check_invariants, run_campaign, CampaignConfig, ServeScale, ServedApp, SweepRow};
 
-fn main() {
-    let mut cfg = CampaignConfig::from_env();
-    let mut args = runner::positional_args().into_iter();
-    while let Some(a) = args.next() {
-        let parse_val = |name: &str, v: Option<String>| -> String {
-            v.unwrap_or_else(|| {
-                eprintln!("{name} needs a value");
-                std::process::exit(2);
-            })
+/// The offered rate (requests per kilocycle) of a mean gap in cycles.
+fn rate(gap: f64) -> String {
+    format!("{:.4}", 1000.0 / gap)
+}
+
+fn run(cfg: &Config<CampaignConfig>, jobs: usize) -> Output {
+    let c = CampaignConfig { scale: ServeScale::of(cfg.scale), ..cfg.opts.clone() };
+    let (rows, estimates) = run_campaign(&c, jobs);
+
+    type Col = Column<SweepRow>;
+    let cols = [
+        Col::new("phase", "phase", -6, |r| r.phase),
+        Col::new("app", "app", -6, |r| r.app.label()),
+        Col::new("design", "design", -17, |r| r.design.label()),
+        Col::csv("arrival", |r| r.process),
+        Col::csv("policy", |r| r.policy),
+        Col::csv("depth", |r| r.depth),
+        Col::new("mean_gap_cycles", "gap", 9, |r| format!("{:.2}", r.mean_gap)),
+        Col::table("off/kc", 9, |r| rate(r.mean_gap)),
+        Col::table("srv/kc", 9, |r| format!("{:.4}", r.report.throughput_per_kcycle())),
+        Col::csv("offered", |r| r.report.offered),
+        Col::csv("accepted", |r| r.report.accepted),
+        Col::new("shed", "shed", 6, |r| r.report.shed),
+        Col::csv("blocked", |r| r.report.blocked),
+        Col::new("peak_depth", "peakq", 6, |r| r.report.peak_depth),
+        Col::csv("offered_per_kcycle", |r| rate(r.mean_gap)),
+        Col::csv("served_per_kcycle", |r| format!("{:.4}", r.report.throughput_per_kcycle())),
+        Col::new("lat_p50", "p50", 8, |r| r.report.latency.p50()),
+        Col::new("lat_p99", "p99", 8, |r| r.report.latency.p99()),
+        Col::new("lat_p999", "p999", 8, |r| r.report.latency.p999()),
+        Col::csv("lat_mean", |r| format!("{:.1}", r.report.latency.mean())),
+        Col::csv("queue_p50", |r| r.report.queueing.p50()),
+        Col::csv("queue_p99", |r| r.report.queueing.p99()),
+        Col::csv("span_cycles", |r| r.report.span_cycles),
+    ];
+    let (mut table, mut csv) = render(&cols, &rows, |_| true);
+    // A knee estimate is one more CSV record — blank except under the
+    // columns that identify the pair and carry the estimate — and a
+    // free-form table line.
+    let header = csv.lines().next().unwrap_or_default().to_string();
+    for e in &estimates {
+        let (app, design) = (e.app.label(), e.design.label());
+        let cells = header.split(',').map(|column| match (column, e.knee_gap) {
+            ("phase", _) => "knee-est".to_string(),
+            ("app", _) => app.to_string(),
+            ("design", _) => design.to_string(),
+            ("mean_gap_cycles", Some(g)) => format!("{g:.2}"),
+            ("offered_per_kcycle", Some(g)) => rate(g),
+            _ => String::new(),
+        });
+        csv += &(cells.collect::<Vec<_>>().join(",") + "\n");
+        table += &match e.knee_gap {
+            Some(g) => format!(
+                "knee   {app:<6} {design:<17} gap {g:>9.2} cycles ({} req/kcycle sustained)\n",
+                rate(g)
+            ),
+            None => format!("knee   {app:<6} {design:<17} not bracketed by the ladder\n"),
         };
-        match a.as_str() {
-            "--knee" => cfg.knee_rounds = 3,
-            "--arrival" => {
-                cfg.process = parse_val("--arrival", args.next()).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--policy" => {
-                cfg.policy = parse_val("--policy", args.next()).parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                let parsed = other
-                    .strip_prefix("--arrival=")
-                    .map(|v| v.parse().map(|p| cfg.process = p).map_err(|e| format!("{e}")))
-                    .or_else(|| {
-                        other
-                            .strip_prefix("--policy=")
-                            .map(|v| v.parse().map(|p| cfg.policy = p).map_err(|e| format!("{e}")))
-                    });
-                match parsed {
-                    Some(Ok(())) => {}
-                    Some(Err(e)) => {
-                        eprintln!("{e}");
-                        std::process::exit(2);
-                    }
-                    None => {
-                        eprintln!(
-                            "unknown argument {other:?} (expected --knee, --arrival, \
-                             --policy, --jobs)"
-                        );
-                        std::process::exit(2);
-                    }
-                }
-            }
-        }
     }
-
-    println!(
+    let title = format!(
         "# Open-loop serving campaign — {} arrivals, {} policy, {} requests/point, \
          {} serving cores, queue depth {}",
-        cfg.process, cfg.policy, cfg.scale.requests, cfg.scale.serving_cores, cfg.scale.depth
+        c.process, c.policy, c.scale.requests, c.scale.serving_cores, c.scale.depth
     );
-    let (rows, estimates) = run_campaign(&cfg, runner::jobs());
-
-    println!(
-        "{:<6} {:<6} {:<17} {:>9} {:>9} {:>9} {:>6} {:>6} {:>8} {:>8} {:>8}",
-        "phase", "app", "design", "gap", "off/kc", "srv/kc", "shed", "peakq", "p50", "p99", "p999"
-    );
-    for r in &rows {
-        let rep = &r.report;
-        println!(
-            "{:<6} {:<6} {:<17} {:>9.2} {:>9.4} {:>9.4} {:>6} {:>6} {:>8} {:>8} {:>8}",
-            r.phase,
-            r.app.label(),
-            r.design.label(),
-            r.mean_gap,
-            1000.0 / r.mean_gap,
-            rep.throughput_per_kcycle(),
-            rep.shed,
-            rep.peak_depth,
-            rep.latency.p50(),
-            rep.latency.p99(),
-            rep.latency.p999(),
-        );
+    Output {
+        table: format!("{title}\n{table}"),
+        files: vec![("serve_campaign.csv".into(), csv.into_bytes())],
+        violations: check_invariants(&rows).err().into_iter().collect(),
+        rows: rows.len(),
     }
-    for e in &estimates {
-        match e.knee_gap {
-            Some(g) => println!(
-                "knee   {:<6} {:<17} gap {:>9.2} cycles ({:.4} req/kcycle sustained)",
-                e.app.label(),
-                e.design.label(),
-                g,
-                1000.0 / g
-            ),
-            None => println!(
-                "knee   {:<6} {:<17} not bracketed by the ladder",
-                e.app.label(),
-                e.design.label()
-            ),
-        }
-    }
+}
 
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/serve_campaign.csv", to_csv(&rows, &estimates));
-    eprintln!("[saved results/serve_campaign.csv]");
+/// The campaign this binary runs; its options edit the default
+/// [`CampaignConfig`] (whose scale `run` replaces with `TVARAK_SCALE`'s).
+pub fn campaign() -> Campaign<CampaignConfig> {
+    Campaign::new("serve_campaign", run).ok_line("all serving invariants held").options(vec![
+        Opt::new(Kind::Switch, "--knee", "", |c: &mut CampaignConfig, _| {
+            c.knee_rounds = 3;
+            Ok(())
+        }),
+        Opt::new(Kind::Value, "--arrival", "<uniform|poisson|bursty[:mult]>", |c, v| {
+            v.parse().map(|p| c.process = p).map_err(|e| format!("{e}"))
+        }),
+        Opt::new(Kind::Value, "--policy", "<shed|block>", |c, v| {
+            v.parse().map(|p| c.policy = p).map_err(|e| format!("{e}"))
+        }),
+        Opt::new(Kind::Env, "SERVE_APPS", "fio,kv,redis", |c, v| {
+            ServedApp::parse_list(v).map(|apps| c.apps = apps)
+        }),
+    ])
+}
 
-    if let Err(v) = check_invariants(&rows) {
-        eprintln!("INVARIANT VIOLATION: {v}");
-        std::process::exit(1);
-    }
-    println!("all serving invariants held");
+fn main() {
+    campaign().main()
 }

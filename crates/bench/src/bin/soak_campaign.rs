@@ -16,10 +16,11 @@
 
 use apps::driver::Design;
 use apps::fio::Pattern;
+use bench::campaign::{positive, Campaign, Column, Config, Kind, Opt, Output};
 use bench::runner::{self, Cell};
-use bench::soak::{soak_fio, soak_kv, SoakConfig, SoakOutcome};
-use bench::workloads::{KvKind, KvWorkload, Scale};
-use std::fmt::Write as _;
+use bench::soak::{soak_fio, soak_kv, IntervalRow, SoakConfig, SoakOutcome};
+use bench::workloads::{KvKind, KvWorkload};
+use serve::Hist;
 
 fn percent(part: u64, whole: u64) -> f64 {
     if whole == 0 {
@@ -29,143 +30,115 @@ fn percent(part: u64, whole: u64) -> f64 {
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
-    let mut cfg = SoakConfig::from_scale(&scale);
-    let mut args = runner::positional_args().into_iter();
-    while let Some(a) = args.next() {
-        let val = |v: Option<String>| {
-            v.and_then(|v| v.parse::<u64>().ok()).unwrap_or_else(|| {
-                eprintln!("expected a positive integer value");
-                std::process::exit(2);
-            })
-        };
-        match a.as_str() {
-            "--intervals" => cfg.intervals = val(args.next()).max(1),
-            "--ops-per-interval" => cfg.ops_per_interval = val(args.next()).max(1),
-            other => {
-                let parsed = other
-                    .strip_prefix("--intervals=")
-                    .map(|v| cfg.intervals = val(Some(v.to_string())).max(1))
-                    .or_else(|| {
-                        other
-                            .strip_prefix("--ops-per-interval=")
-                            .map(|v| cfg.ops_per_interval = val(Some(v.to_string())).max(1))
-                    });
-                if parsed.is_none() {
-                    eprintln!(
-                        "unknown argument {other:?} (expected --intervals, \
-                         --ops-per-interval, --jobs)"
-                    );
-                    std::process::exit(2);
-                }
-            }
-        }
-    }
+/// `--intervals` and `--ops-per-interval` (default: from the scale).
+#[derive(Default)]
+pub struct Flags {
+    intervals: Option<u64>,
+    ops_per_interval: Option<u64>,
+}
 
-    println!(
-        "# Soak campaign — {} intervals x {} ops/instance/interval, fio {} threads / kv {} instances",
-        cfg.intervals, cfg.ops_per_interval, scale.fio_threads, scale.kv_instances
-    );
+/// One CSV row: a closed interval, or (with the media digest) a cell's
+/// whole-horizon total — the machine's own monolithic accumulation.
+struct Row {
+    app: &'static str,
+    design: Design,
+    r: IntervalRow,
+    total_hash: Option<u64>,
+}
+
+fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
+    let scale = cfg.scale.workloads();
+    let mut soak = SoakConfig::from_scale(&scale);
+    soak.intervals = cfg.opts.intervals.unwrap_or(soak.intervals);
+    soak.ops_per_interval = cfg.opts.ops_per_interval.unwrap_or(soak.ops_per_interval);
 
     let mut cells: Vec<Cell<(&'static str, Design, SoakOutcome)>> = Vec::new();
     for design in Design::all() {
-        let (s, c) = (scale.clone(), cfg.clone());
+        let (s, c) = (scale.clone(), soak.clone());
         cells.push(Cell::new(format!("soak fio-randwrite {design}"), move || {
             let out = soak_fio(design, Pattern::RandWrite, &s, &c).expect("fio soak failed");
             ("fio-randwrite", design, out)
         }));
-        let (s, c) = (scale.clone(), cfg.clone());
+        let (s, c) = (scale.clone(), soak.clone());
         cells.push(Cell::new(format!("soak kv-btree-bal {design}"), move || {
             let out = soak_kv(design, KvKind::BTree, KvWorkload::Balanced, &s, &c)
                 .expect("kv soak failed");
             ("kv-btree-bal", design, out)
         }));
     }
-
-    let results = runner::run_cells(cells, runner::jobs());
+    let results = runner::run_cells(cells, jobs);
     runner::eprint_rates(&results, |(_, _, out)| out.monolithic.runtime_cycles());
 
-    let mut csv = String::from(
-        "app,design,interval,ops,cum_cycles,interval_cycles,ops_per_mcycle,\
-         l1d_hit_pct,llc_hit_pct,tvarak_hit_pct,nvm_data,nvm_red,dram,\
-         lat_p50,lat_p99,lat_p999,lat_max,content_hash\n",
-    );
-    println!(
-        "{:<14} {:<17} {:>8} {:>7} {:>12} {:>9} {:>7} {:>7} {:>8} {:>8} {:>8}",
-        "app", "design", "interval", "ops", "cycles", "ops/Mcyc", "llc%", "tv$%", "p50", "p99", "p999"
-    );
-    let mut failures = 0usize;
-    for r in &results {
-        let (app, design, out) = &r.value;
-        for row in &out.rows {
-            let c = &row.delta.counters;
-            let ops_per_mcycle = row.ops as f64 * 1e6 / (row.interval_cycles.max(1)) as f64;
-            let l1d = percent(c.l1d_hits, c.l1d_hits + c.l1d_misses);
-            let llc = percent(c.llc_hits, c.llc_hits + c.llc_misses);
-            let tv = percent(c.tvarak_cache_hits, c.tvarak_accesses());
-            let _ = writeln!(
-                csv,
-                "{app},{},{},{},{},{},{ops_per_mcycle:.3},{l1d:.4},{llc:.4},{tv:.4},{},{},{},{},{},{},{},-",
-                design.label(),
-                row.interval,
-                row.ops,
-                row.cum_runtime_cycles,
-                row.interval_cycles,
-                c.nvm_data(),
-                c.nvm_redundancy(),
-                c.dram_accesses,
-                row.lat.p50(),
-                row.lat.p99(),
-                row.lat.p999(),
-                row.lat.max(),
-            );
-            println!(
-                "{:<14} {:<17} {:>8} {:>7} {:>12} {:>9.3} {:>7.2} {:>7.2} {:>8} {:>8} {:>8}",
-                app,
-                design.label(),
-                row.interval,
-                row.ops,
-                row.interval_cycles,
-                ops_per_mcycle,
-                llc,
-                tv,
-                row.lat.p50(),
-                row.lat.p99(),
-                row.lat.p999(),
-            );
-        }
-        // Whole-horizon oracle row: the machine's own monolithic totals.
-        let c = &out.monolithic.counters;
-        let total_ops: u64 = out.rows.iter().map(|r| r.ops).sum();
-        let cycles = out.monolithic.runtime_cycles();
-        let _ = writeln!(
-            csv,
-            "{app},{},total,{total_ops},{cycles},{cycles},{:.3},{:.4},{:.4},{:.4},{},{},{},-,-,-,-,{:016x}",
-            design.label(),
-            total_ops as f64 * 1e6 / cycles.max(1) as f64,
-            percent(c.l1d_hits, c.l1d_hits + c.l1d_misses),
-            percent(c.llc_hits, c.llc_hits + c.llc_misses),
-            percent(c.tvarak_cache_hits, c.tvarak_accesses()),
-            c.nvm_data(),
-            c.nvm_redundancy(),
-            c.dram_accesses,
-            out.content_hash,
-        );
+    let mut rows = Vec::new();
+    let mut violations = Vec::new();
+    for r in results {
+        let (app, design, out) = r.value;
         if let Err(e) = out.verify() {
-            eprintln!("SOAK INVARIANT VIOLATION [{app} {design}]: {e}");
-            failures += 1;
+            violations.push(format!("[{app} {design}] snapshot-merge: {e}"));
         }
+        let (total, hash) = (out.total_row(), Some(out.content_hash));
+        rows.extend(out.rows.into_iter().map(|r| Row { app, design, r, total_hash: None }));
+        rows.push(Row { app, design, r: total, total_hash: hash });
     }
 
-    let _ = std::fs::create_dir_all("results");
-    let _ = std::fs::write("results/soak_campaign.csv", &csv);
-    eprintln!("[saved results/soak_campaign.csv]");
-    if let Some(kb) = runner::peak_rss_kb() {
-        eprintln!("[peak RSS: {kb} KiB across {} cells]", results.len());
-    }
-    if failures > 0 {
-        eprintln!("{failures} soak cell(s) violated the snapshot-merge invariant");
-        std::process::exit(1);
-    }
+    type Col = Column<Row>;
+    let lat = |f: fn(&Hist) -> u64| {
+        move |r: &Row| r.total_hash.map_or_else(|| f(&r.r.lat).to_string(), |_| "-".into())
+    };
+    let hit = |hits: u64, misses: u64| percent(hits, hits + misses);
+    let l1d = move |r: &Row| hit(r.r.delta.counters.l1d_hits, r.r.delta.counters.l1d_misses);
+    let llc = move |r: &Row| hit(r.r.delta.counters.llc_hits, r.r.delta.counters.llc_misses);
+    let tv = |r: &Row| {
+        percent(r.r.delta.counters.tvarak_cache_hits, r.r.delta.counters.tvarak_accesses())
+    };
+    let cols = [
+        Col::new("app", "app", -14, |r| r.app),
+        Col::new("design", "design", -17, |r| r.design.label()),
+        Col::new("interval", "interval", 8, |r| {
+            r.total_hash.map_or_else(|| r.r.interval.to_string(), |_| "total".into())
+        }),
+        Col::new("ops", "ops", 7, |r| r.r.ops),
+        Col::csv("cum_cycles", |r| r.r.cum_runtime_cycles),
+        Col::new("interval_cycles", "cycles", 12, |r| r.r.interval_cycles),
+        Col::new("ops_per_mcycle", "ops/Mcyc", 9, |r| {
+            format!("{:.3}", r.r.ops as f64 * 1e6 / r.r.interval_cycles.max(1) as f64)
+        }),
+        Col::csv("l1d_hit_pct", move |r| format!("{:.4}", l1d(r))),
+        Col::csv("llc_hit_pct", move |r| format!("{:.4}", llc(r))),
+        Col::csv("tvarak_hit_pct", move |r| format!("{:.4}", tv(r))),
+        Col::table("llc%", 7, move |r| format!("{:.2}", llc(r))),
+        Col::table("tv$%", 7, move |r| format!("{:.2}", tv(r))),
+        Col::csv("nvm_data", |r| r.r.delta.counters.nvm_data()),
+        Col::csv("nvm_red", |r| r.r.delta.counters.nvm_redundancy()),
+        Col::csv("dram", |r| r.r.delta.counters.dram_accesses),
+        Col::new("lat_p50", "p50", 8, lat(Hist::p50)),
+        Col::new("lat_p99", "p99", 8, lat(Hist::p99)),
+        Col::new("lat_p999", "p999", 8, lat(Hist::p999)),
+        Col::csv("lat_max", lat(Hist::max)),
+        Col::csv("content_hash", |r| r.total_hash.map_or("-".into(), |h| format!("{h:016x}"))),
+    ];
+    let title = format!(
+        "# Soak campaign — {} intervals x {} ops/instance/interval, fio {} threads / kv {} instances",
+        soak.intervals, soak.ops_per_interval, scale.fio_threads, scale.kv_instances
+    );
+    let interval = |r: &Row| r.total_hash.is_none();
+    let mut out = Output::sheet(&title, "soak_campaign.csv", &cols, &rows, interval);
+    out.violations = violations;
+    out
+}
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<Flags> {
+    Campaign::new("soak_campaign", run).options(vec![
+        Opt::new(Kind::Value, "--intervals", "N", |f: &mut Flags, v| {
+            positive(v).map(|n| f.intervals = Some(n))
+        }),
+        Opt::new(Kind::Value, "--ops-per-interval", "N", |f: &mut Flags, v| {
+            positive(v).map(|n| f.ops_per_interval = Some(n))
+        }),
+    ])
+}
+
+fn main() {
+    campaign().main()
 }

@@ -7,30 +7,36 @@
 //! corruption would go undetected.
 
 use apps::driver::Design;
-use bench::workloads::{run_redis, RedisWorkload, Scale};
-use bench::{Report, Row};
+use bench::campaign::{figure, Campaign, FigCell};
+use bench::workloads::{run_redis_threads, RedisWorkload};
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("vilamb_sweep", |cfg, jobs| {
+        let designs = [
+            Design::Baseline,
+            Design::Tvarak,
+            Design::Vilamb { epoch_txs: 1 },
+            Design::Vilamb { epoch_txs: 10 },
+            Design::Vilamb { epoch_txs: 100 },
+            Design::Vilamb { epoch_txs: 1000 },
+            Design::TxbPage,
+        ];
+        let cells = designs.map(|design| {
+            let label = match design {
+                Design::Vilamb { epoch_txs } => format!("Vilamb(epoch={epoch_txs})"),
+                d => d.label().to_string(),
+            };
+            let (s, t) = (cfg.scale.workloads(), cfg.threads);
+            FigCell::new("set-only", label, design, move || {
+                run_redis_threads(design, RedisWorkload::SetOnly, &s, t)
+            })
+        });
+        let title = "Extension — Vilamb epoch sweep (Redis set-only)";
+        figure(title, "vilamb_sweep", false, cells.into(), jobs)
+    })
+}
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut rep = Report::new("Extension — Vilamb epoch sweep (Redis set-only)");
-    for design in [
-        Design::Baseline,
-        Design::Tvarak,
-        Design::Vilamb { epoch_txs: 1 },
-        Design::Vilamb { epoch_txs: 10 },
-        Design::Vilamb { epoch_txs: 100 },
-        Design::Vilamb { epoch_txs: 1000 },
-        Design::TxbPage,
-    ] {
-        let label = match design {
-            Design::Vilamb { epoch_txs } => format!("Vilamb(epoch={epoch_txs})"),
-            d => d.label().to_string(),
-        };
-        eprintln!("redis set-only under {label} ...");
-        let out = run_redis(design, RedisWorkload::SetOnly, &scale).expect("workload failed");
-        let mut row = Row::new("set-only", design, &out.stats, &out.cfg);
-        row.design = label;
-        rep.push(row);
-    }
-    rep.emit("vilamb_sweep");
+    campaign().main()
 }

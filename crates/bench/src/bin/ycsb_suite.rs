@@ -8,8 +8,8 @@
 use apps::driver::{AppError, Design, Machine};
 use apps::nstore::NStore;
 use apps::ycsb::{Op, StandardMix, StandardWorkload};
-use bench::workloads::{machine, Scale};
-use bench::{Report, Row};
+use bench::campaign::{figure, grid, Campaign};
+use bench::workloads::{finish, machine, Scale};
 
 fn run(
     design: Design,
@@ -64,32 +64,29 @@ fn run(
         Ok(())
     })?;
     m.flush();
-    Ok(bench::Outcome {
-        design: m.design(),
-        stats: m.stats(),
-        cfg: m.sys.config().clone(),
-        weave: None,
-        content_hash: m.sys.memory().content_hash(),
-        weave_eligibility: apps::driver::weave_eligibility(&m).as_str(),
-        divergence: None,
+    Ok(finish(&m))
+}
+
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("ycsb_suite", |cfg, jobs| {
+        let mixes = [
+            StandardWorkload::A,
+            StandardWorkload::B,
+            StandardWorkload::C,
+            StandardWorkload::E,
+            StandardWorkload::F,
+        ]
+        .map(|wl| (wl.label().to_string(), wl));
+        // The measured phase runs on the sequential scheduler: `--threads`
+        // has nothing to parallelize here.
+        let designs = [Design::Baseline, Design::Tvarak];
+        let cells = grid(cfg, mixes, &designs, |d, wl, s, _| run(d, wl, s));
+        let title = "Extension — YCSB core workloads on indexed N-Store";
+        figure(title, "ycsb_suite", false, cells, jobs)
     })
 }
 
 fn main() {
-    let scale = Scale::from_env();
-    let mut rep = Report::new("Extension — YCSB core workloads on indexed N-Store");
-    for wl in [
-        StandardWorkload::A,
-        StandardWorkload::B,
-        StandardWorkload::C,
-        StandardWorkload::E,
-        StandardWorkload::F,
-    ] {
-        for design in [Design::Baseline, Design::Tvarak] {
-            eprintln!("{} under {design} ...", wl.label());
-            let out = run(design, wl, &scale).expect("workload failed");
-            rep.push(Row::new(wl.label(), design, &out.stats, &out.cfg));
-        }
-    }
-    rep.emit("ycsb_suite");
+    campaign().main()
 }

@@ -1,24 +1,20 @@
-//! Streaming trace capture for campaign binaries.
+//! Trace capture for campaign binaries.
 //!
-//! Campaign cells that drive a raw file-I/O stream record each op into a
-//! chunked `TVT2` file under `results/traces/` through [`TraceWriter`],
-//! bounding memory at one chunk regardless of run length (the campaigns
-//! used to hold a whole in-memory record vector before serializing — that
-//! path is gone). [`CampaignTrace::finish`] closes the file and re-reads
-//! it through [`TraceReader`], so a capture that cannot be decoded back
-//! record-for-record surfaces as a cell violation, not a silently corrupt
-//! artifact.
+//! Campaign cells that drive a raw file-I/O stream record each op through
+//! the chunked `TVT2` [`TraceWriter`] into a buffer the cell hands back as
+//! a `traces/*.tvt2` artefact — campaign runs stay pure, and the driver
+//! writes the file with every other result. [`CampaignTrace::finish`]
+//! decodes the capture back through [`TraceReader`], so one that does not
+//! round-trip record-for-record surfaces as a cell violation, not a
+//! silently corrupt artefact.
 
 use memsim::addr::PhysAddr;
 use memsim::trace::{TraceReader, TraceRecord, TraceWriter};
-use std::fs::File;
-use std::io::{BufReader, BufWriter};
-use std::path::PathBuf;
 
-/// One cell's streaming capture: a `TVT2` writer over a buffered file.
+/// One cell's capture: a `TVT2` writer over an in-memory buffer.
 pub struct CampaignTrace {
-    writer: TraceWriter<BufWriter<File>>,
-    path: PathBuf,
+    writer: TraceWriter<Vec<u8>>,
+    name: String,
 }
 
 /// Map a cell context label (`app=fio design=Tvarak fault=...`) to a
@@ -40,49 +36,45 @@ fn sanitize(label: &str) -> String {
 }
 
 impl CampaignTrace {
-    /// Open `results/traces/<sanitized label>.tvt2` for streaming capture.
-    pub fn create(label: &str) -> std::io::Result<CampaignTrace> {
-        let dir = PathBuf::from("results/traces");
-        std::fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.tvt2", sanitize(label)));
-        let writer = TraceWriter::new(BufWriter::new(File::create(&path)?))?;
-        Ok(CampaignTrace { writer, path })
+    /// Start capturing the artefact `traces/<sanitized label>.tvt2`.
+    pub fn new(label: &str) -> CampaignTrace {
+        CampaignTrace {
+            writer: TraceWriter::new(Vec::new()).expect("in-memory write"),
+            name: format!("traces/{}.tvt2", sanitize(label)),
+        }
     }
 
-    /// Append one op. Capture failures are loud: a campaign whose artifact
-    /// silently stopped growing would lie about what it replayed.
+    /// Append one op.
     pub fn record(&mut self, write: bool, addr: PhysAddr, len: u16) {
         self.writer
-            .push(TraceRecord { core: 0, write, addr, len })
-            .expect("trace capture write");
+            .push(TraceRecord {
+                core: 0,
+                write,
+                addr,
+                len,
+            })
+            .expect("in-memory write");
     }
 
-    /// Flush, close, and verify the capture by decoding it back. Returns
-    /// the record count on success; a human-readable defect otherwise.
-    pub fn finish(self) -> Result<u64, String> {
+    /// Close the capture and verify it by decoding it back. Returns the
+    /// artefact (name, bytes) and its record count on success; a
+    /// human-readable defect otherwise.
+    pub fn finish(self) -> Result<((String, Vec<u8>), u64), String> {
         let written = self.writer.records_written();
-        let path = self.path;
-        let buf = self
-            .writer
-            .finish()
-            .map_err(|e| format!("trace {}: finish failed: {e}", path.display()))?;
-        buf.into_inner()
-            .map_err(|e| format!("trace {}: flush failed: {e}", path.display()))?;
-        let f = File::open(&path)
-            .map_err(|e| format!("trace {}: reopen failed: {e}", path.display()))?;
-        let mut r = TraceReader::new(BufReader::new(f))
-            .map_err(|e| format!("trace {}: bad header: {e}", path.display()))?;
+        let name = self.name;
+        let bytes = self.writer.finish().expect("in-memory write");
+        let mut r = TraceReader::new(bytes.as_slice())
+            .map_err(|e| format!("trace {name}: bad header: {e}"))?;
         for rec in &mut r {
-            rec.map_err(|e| format!("trace {}: decode failed: {e}", path.display()))?;
+            rec.map_err(|e| format!("trace {name}: decode failed: {e}"))?;
         }
         if r.records_read() != written {
             return Err(format!(
-                "trace {}: decoded {} records, wrote {written}",
-                path.display(),
+                "trace {name}: decoded {} records, wrote {written}",
                 r.records_read()
             ));
         }
-        Ok(written)
+        Ok(((name, bytes), written))
     }
 }
 

@@ -1,8 +1,9 @@
 //! # bench — experiment harness
 //!
 //! Regenerates every table and figure of the TVARAK paper's evaluation
-//! (§IV). Each binary corresponds to one figure; `results/*.csv` files are
-//! written alongside human-readable tables on stdout:
+//! (§IV). Each binary declares one [`campaign::Campaign`] — a grid of
+//! independent cells — and the driver writes `results/*.csv` alongside a
+//! human-readable table on stdout:
 //!
 //! - `show_config` — Table III (simulation parameters)
 //! - `fig8_redis`, `fig8_kv`, `fig8_nstore`, `fig8_fio`, `fig8_stream` —
@@ -11,28 +12,36 @@
 //! - `fig10_sensitivity` — Fig. 10: LLC way-partition sensitivity
 //! - `sec4h_scaling` — §IV-H: NVM DIMM count and NVM technology scaling
 //! - `vilamb_sweep` — extension: Vilamb-style asynchronous-redundancy epochs
+//! - `ycsb_suite` — extension: YCSB core workloads on indexed N-Store
 //! - `coverage_campaign` — Table I's verification column, quantified by
 //!   fault injection
 //! - `chaos_campaign` — fault type × design × app sweep asserting the
 //!   survival invariants of the detection → recovery → degradation
-//!   pipeline (exits non-zero on violation; see DESIGN.md §8)
+//!   pipeline (DESIGN.md §8)
+//! - `degraded_campaign` — device-failure storms under foreground load:
+//!   degraded reads, online resilver, oracle bit-identity (DESIGN.md §13)
+//! - `crashsim_campaign` — app × design × crash point: every power failure
+//!   recovers to a consistent state (DESIGN.md §10)
 //! - `serve_campaign` — open-loop offered-load sweep: throughput vs
 //!   offered load plus p50/p99/p999 tail latency per design, with a
-//!   knee-finding saturation mode (`--knee`; see DESIGN.md §15)
+//!   knee-finding saturation mode (`--knee`; DESIGN.md §15)
+//! - `soak_campaign` — long-horizon interval snapshots checked against the
+//!   machine's monolithic stats (DESIGN.md §16)
 //! - `probe` — ad-hoc single-workload comparisons for calibration
 //! - `perf_baseline` — tracked performance baseline of the simulator
-//!   itself (checksum/engine microbenches + a fixed cell grid), emitting
-//!   `BENCH_perf.json` (see DESIGN.md §9)
+//!   itself, emitting `BENCH_perf.json` (DESIGN.md §9)
 //!
-//! Run with `TVARAK_SCALE=quick` (smoke sizes) or `TVARAK_SCALE=reduced`
-//! (half-sized measured phases for the many-configuration sweeps);
-//! `scripts/reproduce.sh` chains everything. Campaign binaries execute
-//! their cells on [`runner`]'s worker pool — `--jobs N` / `MEMSIM_JOBS`
-//! select the width; output is byte-identical at any setting.
+//! Every binary but `show_config` takes `--jobs N` / `MEMSIM_JOBS` (worker
+//! pool width; output is byte-identical at any setting), `--threads N` /
+//! `MEMSIM_ENGINE_THREADS` and `TVARAK_SCALE=quick|reduced|full`; anything
+//! unknown or malformed is a usage error (exit 2), a violated invariant or
+//! failed write exits 1. `scripts/reproduce.sh` chains everything.
 
 #![warn(missing_docs)]
 
+pub mod campaign;
 pub mod capture;
+pub mod faulted;
 pub mod report;
 pub mod runner;
 pub mod serve;

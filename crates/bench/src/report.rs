@@ -1,13 +1,12 @@
 //! Result tables: the quantities Fig. 8 plots per design, with
-//! normalization against the Baseline, printed as text tables and CSV.
+//! normalization against the Baseline, rendered as text tables, CSV and
+//! gnuplot scripts (`crate::campaign::figure` emits them).
 
+use crate::campaign::{render, Column};
 use apps::driver::Design;
 use memsim::config::SystemConfig;
 use memsim::stats::Stats;
 use std::fmt::Write as _;
-use std::fs;
-use std::io::Write as _;
-use std::path::Path;
 
 /// One measured (workload, design) cell.
 #[derive(Debug, Clone)]
@@ -101,80 +100,44 @@ impl Report {
             .map(|r| r.runtime_cycles)
     }
 
+    /// Each row with its runtime normalized to its workload's Baseline
+    /// (the paper's presentation), rendered as (table body, CSV).
+    fn render(&self) -> (String, String) {
+        type Col<'a> = Column<(f64, &'a Row)>;
+        let cols = [
+            Col::new("workload", "workload", -14, |r| r.1.workload.clone()),
+            Col::new("design", "design", -18, |r| r.1.design.clone()),
+            Col::new("runtime_cycles", "runtime(cyc)", 14, |r| r.1.runtime_cycles),
+            Col::table("norm", 8, |r| format!("{:.3}", r.0)),
+            Col::csv("runtime_norm", |r| format!("{:.4}", r.0)),
+            Col::new("energy_nj", "energy(nJ)", 14, |r| {
+                format!("{:.0}", r.1.energy_nj)
+            }),
+            Col::new("nvm_data", "nvm-data", 12, |r| r.1.nvm_data),
+            Col::new("nvm_red", "nvm-red", 10, |r| r.1.nvm_red),
+            Col::new("l1", "L1", 12, |r| r.1.l1),
+            Col::new("l2", "L2", 12, |r| r.1.l2),
+            Col::new("llc", "LLC", 12, |r| r.1.llc),
+            Col::new("tvarak_cache", "tvarak$", 10, |r| r.1.tvarak_cache),
+            Col::new("weave", "weave", 12, |r| r.1.weave),
+        ];
+        let norm = |r: &Row| {
+            let base = self.baseline_runtime(&r.workload);
+            base.map_or(f64::NAN, |b| r.runtime_cycles as f64 / b as f64)
+        };
+        let rows: Vec<(f64, &Row)> = self.rows.iter().map(|r| (norm(r), r)).collect();
+        render(&cols, &rows, |_| true)
+    }
+
     /// Render the report as an aligned text table with runtimes normalized
-    /// to each workload's Baseline (the paper's presentation).
+    /// to each workload's Baseline.
     pub fn to_table(&self) -> String {
-        let mut s = String::new();
-        let _ = writeln!(s, "## {}", self.title);
-        let _ = writeln!(
-            s,
-            "{:<14} {:<18} {:>14} {:>8} {:>14} {:>12} {:>10} {:>12} {:>12} {:>12} {:>10} {:>12}",
-            "workload",
-            "design",
-            "runtime(cyc)",
-            "norm",
-            "energy(nJ)",
-            "nvm-data",
-            "nvm-red",
-            "L1",
-            "L2",
-            "LLC",
-            "tvarak$",
-            "weave"
-        );
-        for r in &self.rows {
-            let norm = self
-                .baseline_runtime(&r.workload)
-                .map(|b| r.runtime_cycles as f64 / b as f64)
-                .unwrap_or(f64::NAN);
-            let _ = writeln!(
-                s,
-                "{:<14} {:<18} {:>14} {:>8.3} {:>14.0} {:>12} {:>10} {:>12} {:>12} {:>12} {:>10} {:>12}",
-                r.workload,
-                r.design,
-                r.runtime_cycles,
-                norm,
-                r.energy_nj,
-                r.nvm_data,
-                r.nvm_red,
-                r.l1,
-                r.l2,
-                r.llc,
-                r.tvarak_cache,
-                r.weave
-            );
-        }
-        s
+        format!("## {}\n{}", self.title, self.render().0)
     }
 
     /// Render as CSV (same columns as [`Self::to_table`]).
     pub fn to_csv(&self) -> String {
-        let mut s = String::from(
-            "workload,design,runtime_cycles,runtime_norm,energy_nj,nvm_data,nvm_red,l1,l2,llc,tvarak_cache,weave\n",
-        );
-        for r in &self.rows {
-            let norm = self
-                .baseline_runtime(&r.workload)
-                .map(|b| r.runtime_cycles as f64 / b as f64)
-                .unwrap_or(f64::NAN);
-            let _ = writeln!(
-                s,
-                "{},{},{},{:.4},{:.0},{},{},{},{},{},{},{}",
-                r.workload,
-                r.design,
-                r.runtime_cycles,
-                norm,
-                r.energy_nj,
-                r.nvm_data,
-                r.nvm_red,
-                r.l1,
-                r.l2,
-                r.llc,
-                r.tvarak_cache,
-                r.weave
-            );
-        }
-        s
+        self.render().1
     }
 
     /// Render a gnuplot script plotting normalized runtime as grouped bars
@@ -235,28 +198,6 @@ impl Report {
             .collect();
         let _ = writeln!(s, "plot {}", cols.join(", \\\n     "));
         s
-    }
-
-    /// Print the table to stdout and save the CSV plus a gnuplot script
-    /// under `results/<name>.{csv,gp}`.
-    ///
-    /// Rows print in insertion order and the save notice goes to stderr, so
-    /// stdout (and the saved CSV) is byte-identical however the cells that
-    /// produced the rows were scheduled.
-    pub fn emit(&self, name: &str) {
-        println!("{}", self.to_table());
-        let dir = Path::new("results");
-        if fs::create_dir_all(dir).is_ok() {
-            let path = dir.join(format!("{name}.csv"));
-            if let Ok(mut f) = fs::File::create(&path) {
-                let _ = f.write_all(self.to_csv().as_bytes());
-                eprintln!("[saved {}]", path.display());
-            }
-            let gp = dir.join(format!("{name}.gp"));
-            if let Ok(mut f) = fs::File::create(&gp) {
-                let _ = f.write_all(self.to_gnuplot(name).as_bytes());
-            }
-        }
     }
 }
 

@@ -14,8 +14,8 @@
 //! runs, never what it computes. The only shared mutable state is the
 //! work-queue index and the slot each cell writes its own result into.
 //!
-//! Worker count: `--jobs N` (or `--jobs=N`) on the command line beats the
-//! `MEMSIM_JOBS` environment variable beats `available_parallelism()`.
+//! The worker count is resolved once by `crate::campaign` (`--jobs` beats
+//! `MEMSIM_JOBS` beats `available_parallelism()`) and passed down.
 //! Progress lines go to stderr only, so piped stdout stays clean.
 
 use std::io::Write as _;
@@ -61,91 +61,6 @@ impl<R> CellResult<R> {
     }
 }
 
-/// Worker count for this invocation: the first `--jobs N` / `--jobs=N` in
-/// `std::env::args()`, else `MEMSIM_JOBS`, else the machine's available
-/// parallelism. Malformed or zero values fall through to the next source.
-pub fn jobs() -> usize {
-    jobs_from(std::env::args().skip(1))
-}
-
-/// Bound-weave engine threads per cell: the first `--threads N` /
-/// `--threads=N` in `std::env::args()`, else `MEMSIM_ENGINE_THREADS`,
-/// default 1 (pure sequential — the reference oracle). A value of `0` from
-/// either source asks for auto-detection via
-/// [`std::thread::available_parallelism`]. The intra-run analogue of
-/// [`jobs`]'s cross-cell parallelism; results are bit-identical at any
-/// value because diverging cells fall back to the sequential path.
-pub fn engine_threads() -> usize {
-    engine_threads_from(std::env::args().skip(1))
-}
-
-fn engine_threads_from(args: impl Iterator<Item = String>) -> usize {
-    let requested = parse_threads_args(args).or_else(|| {
-        std::env::var("MEMSIM_ENGINE_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-    });
-    match requested {
-        Some(0) => std::thread::available_parallelism().map_or(1, |n| n.get()),
-        Some(n) => n,
-        None => 1,
-    }
-}
-
-fn parse_threads_args(mut args: impl Iterator<Item = String>) -> Option<usize> {
-    while let Some(a) = args.next() {
-        if a == "--threads" {
-            return args.next()?.parse().ok();
-        }
-        if let Some(v) = a.strip_prefix("--threads=") {
-            return v.parse().ok();
-        }
-    }
-    None
-}
-
-fn jobs_from(args: impl Iterator<Item = String>) -> usize {
-    if let Some(n) = parse_jobs_args(args) {
-        return n;
-    }
-    if let Some(n) = std::env::var("MEMSIM_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-    {
-        return n;
-    }
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-fn parse_jobs_args(mut args: impl Iterator<Item = String>) -> Option<usize> {
-    while let Some(a) = args.next() {
-        if a == "--jobs" {
-            return args.next()?.parse().ok().filter(|&n| n > 0);
-        }
-        if let Some(v) = a.strip_prefix("--jobs=") {
-            return v.parse().ok().filter(|&n| n > 0);
-        }
-    }
-    None
-}
-
-/// Command-line arguments with the `--jobs` and `--threads` forms removed,
-/// for binaries that also take positional arguments (e.g. `fig9_ablation`'s
-/// group).
-pub fn positional_args() -> Vec<String> {
-    let mut out = Vec::new();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        if a == "--jobs" || a == "--threads" {
-            let _ = args.next();
-        } else if !a.starts_with("--jobs=") && !a.starts_with("--threads=") {
-            out.push(a);
-        }
-    }
-    out
-}
-
 /// Execute `cells` on `jobs` worker threads and return their results in
 /// input order. With `jobs <= 1` the cells run serially on the calling
 /// thread (no pool), which is the reference order the determinism test
@@ -169,21 +84,6 @@ pub fn run_cells<R: Send>(cells: Vec<Cell<R>>, jobs: usize) -> Vec<CellResult<R>
             wall.as_secs_f64()
         );
     };
-    if jobs <= 1 {
-        let mut results = Vec::with_capacity(total);
-        for (i, cell) in cells.into_iter().enumerate() {
-            let start = Instant::now();
-            let value = (cell.run)();
-            let wall = start.elapsed();
-            progress(i + 1, &cell.label, wall);
-            results.push(CellResult {
-                label: cell.label,
-                wall,
-                value,
-            });
-        }
-        return results;
-    }
     // Work queue: an atomic cursor over the cell vector; each claimed index
     // is run exactly once and its result stored in the same slot, so the
     // output order equals the input order regardless of completion order.
@@ -193,31 +93,36 @@ pub fn run_cells<R: Send>(cells: Vec<Cell<R>>, jobs: usize) -> Vec<CellResult<R>
     let done = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<CellResult<R>>>> =
         (0..total).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..jobs.min(total) {
-            scope.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= total {
-                    return;
-                }
-                let cell = queue[i]
-                    .lock()
-                    .expect("cell slot poisoned")
-                    .take()
-                    .expect("cell claimed twice");
-                let start = Instant::now();
-                let value = (cell.run)();
-                let wall = start.elapsed();
-                let n = done.fetch_add(1, Ordering::Relaxed) + 1;
-                progress(n, &cell.label, wall);
-                *slots[i].lock().expect("result slot poisoned") = Some(CellResult {
-                    label: cell.label,
-                    wall,
-                    value,
-                });
-            });
+    let worker = || loop {
+        let i = next.fetch_add(1, Ordering::Relaxed);
+        if i >= total {
+            return;
         }
-    });
+        let cell = queue[i]
+            .lock()
+            .expect("cell slot poisoned")
+            .take()
+            .expect("cell claimed twice");
+        let start = Instant::now();
+        let value = (cell.run)();
+        let wall = start.elapsed();
+        let n = done.fetch_add(1, Ordering::Relaxed) + 1;
+        progress(n, &cell.label, wall);
+        *slots[i].lock().expect("result slot poisoned") = Some(CellResult {
+            label: cell.label,
+            wall,
+            value,
+        });
+    };
+    if jobs <= 1 {
+        worker();
+    } else {
+        std::thread::scope(|scope| {
+            for _ in 0..jobs.min(total) {
+                scope.spawn(worker);
+            }
+        });
+    }
     slots
         .into_iter()
         .map(|s| {
@@ -283,37 +188,6 @@ mod tests {
     fn empty_grid_is_fine() {
         let results = run_cells(Vec::<Cell<u32>>::new(), 4);
         assert!(results.is_empty());
-    }
-
-    #[test]
-    fn jobs_flag_parsing() {
-        let parse = |v: &[&str]| parse_jobs_args(v.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&["--jobs", "8"]), Some(8));
-        assert_eq!(parse(&["a", "--jobs=3"]), Some(3));
-        assert_eq!(parse(&["--jobs", "0"]), None);
-        assert_eq!(parse(&["--jobs", "x"]), None);
-        assert_eq!(parse(&["--jobs"]), None);
-        assert_eq!(parse(&["b"]), None);
-    }
-
-    #[test]
-    fn threads_flag_parsing() {
-        let parse = |v: &[&str]| parse_threads_args(v.iter().map(|s| s.to_string()));
-        assert_eq!(parse(&["--threads", "4"]), Some(4));
-        assert_eq!(parse(&["a", "--threads=2"]), Some(2));
-        // 0 is a valid request (auto-detect), unlike --jobs.
-        assert_eq!(parse(&["--threads", "0"]), Some(0));
-        assert_eq!(parse(&["--threads", "x"]), None);
-        assert_eq!(parse(&["--threads"]), None);
-        assert_eq!(parse(&["b"]), None);
-    }
-
-    #[test]
-    fn engine_threads_zero_auto_detects() {
-        let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-        let from = |v: &[&str]| engine_threads_from(v.iter().map(|s| s.to_string()));
-        assert_eq!(from(&["--threads", "0"]), host);
-        assert_eq!(from(&["--threads", "3"]), 3);
     }
 
     #[test]

@@ -17,20 +17,17 @@
 //! then sharpens the bracket with geometric bisection rounds (each round
 //! one parallel batch of probes).
 
+use crate::campaign::ScaleKind;
 use crate::runner::{run_cells, Cell};
-use crate::workloads::machine;
-use apps::btree::BTree;
+use crate::workloads::{fresh_fio, preloaded_kv, preloaded_redis, scramble, KvKind, Variant};
 use apps::driver::{AppError, Design};
-use apps::fio::Fio;
-use apps::kv::PersistentKv;
-use apps::redis::Redis;
 use memsim::PAGE;
 use serve::{generate, serve_open_loop, AdmissionPolicy, ArrivalProcess};
 use serve::{QueueConfig, RequestMix, ServeReport};
 use std::fmt;
 use std::str::FromStr;
 
-/// Serving-campaign sizing knobs, scaled by `TVARAK_SCALE` like
+/// Serving-campaign sizing knobs, one set per [`ScaleKind`] like
 /// [`crate::workloads::Scale`].
 #[derive(Debug, Clone)]
 pub struct ServeScale {
@@ -55,7 +52,7 @@ impl ServeScale {
         }
     }
 
-    /// Smoke-test scale (`TVARAK_SCALE=quick`).
+    /// Smoke-test scale.
     pub fn quick() -> Self {
         ServeScale {
             requests: 1_500,
@@ -65,7 +62,7 @@ impl ServeScale {
         }
     }
 
-    /// Half-sized sweep points (`TVARAK_SCALE=reduced`).
+    /// Half-sized sweep points.
     pub fn reduced() -> Self {
         ServeScale {
             requests: 6_000,
@@ -73,13 +70,9 @@ impl ServeScale {
         }
     }
 
-    /// `full()` unless `TVARAK_SCALE` selects `quick` or `reduced`.
-    pub fn from_env() -> Self {
-        match std::env::var("TVARAK_SCALE").as_deref() {
-            Ok("quick") => ServeScale::quick(),
-            Ok("reduced") => ServeScale::reduced(),
-            _ => ServeScale::full(),
-        }
+    /// The sizing `kind` selects.
+    pub fn of(kind: ScaleKind) -> Self {
+        kind.pick(ServeScale::quick(), ServeScale::reduced(), ServeScale::full())
     }
 }
 
@@ -113,17 +106,18 @@ impl ServedApp {
         }
     }
 
-    /// The default campaign apps (`fio` and `kv`); set `SERVE_APPS` (e.g.
-    /// `SERVE_APPS=fio,kv,redis`) to choose explicitly.
-    pub fn from_env() -> Vec<ServedApp> {
-        match std::env::var("SERVE_APPS") {
-            Ok(list) => list
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| s.parse().expect("bad SERVE_APPS entry"))
-                .collect(),
-            Err(_) => vec![ServedApp::Fio, ServedApp::Kv],
+    /// Parse a `SERVE_APPS` list such as `fio,kv,redis`.
+    ///
+    /// # Errors
+    ///
+    /// The first entry that names no app, or a list that names none at all.
+    pub fn parse_list(list: &str) -> Result<Vec<ServedApp>, String> {
+        let apps: Vec<ServedApp> =
+            list.split(',').filter(|s| !s.is_empty()).map(str::parse).collect::<Result<_, _>>()?;
+        if apps.is_empty() {
+            return Err("names no app (expected fio, kv, or redis)".into());
         }
+        Ok(apps)
     }
 }
 
@@ -146,12 +140,6 @@ impl FromStr for ServedApp {
             )),
         }
     }
-}
-
-/// Scramble a request key onto the app keyspace (the same multiplier the
-/// preload uses, so request keys hit preloaded entries).
-fn app_key(key: u64) -> u64 {
-    key.wrapping_mul(0x9e37)
 }
 
 /// Run one (app, design, offered-load) sweep point.
@@ -177,87 +165,36 @@ pub fn run_serve_point(
         policy,
     };
     let cores = s.serving_cores;
+    let v = Variant::of(design);
     match app {
         ServedApp::Fio => {
             let region_bytes = (s.keys * 64).max(PAGE as u64);
-            let data_pages = (region_bytes / PAGE as u64 + 1) * cores as u64 + 1024;
-            let mut m = machine(design, data_pages);
-            let mut fio = Fio::create(&mut m, cores, region_bytes)?;
-            let mut txm = match design.sw_scheme() {
-                pmemfs::tx::SwScheme::None => None,
-                _ => Some(m.tx_manager(64 * 1024)?),
-            };
-            m.reset_stats();
+            let (mut m, mut fio, mut txm) = fresh_fio(&v, cores, region_bytes, 1)?;
             serve_open_loop(&mut m, cores, &reqs, qc, |m, core, r| {
                 fio.keyed_op(m, txm.as_mut(), core, r.key, r.write)
             })
         }
         ServedApp::Kv => {
-            let heap_bytes = (s.keys * 96 + s.requests * 96).max(1 << 20);
-            let data_pages = (heap_bytes / PAGE as u64 + 81) * cores as u64 + 1500;
-            let mut m = machine(design, data_pages);
-            let mut txm = m.tx_manager(256 * 1024)?;
-            let measured_scheme = design.sw_scheme();
-            txm.set_scheme(pmemfs::tx::SwScheme::None);
-            let mut instances: Vec<BTree> = Vec::new();
-            for core in 0..cores {
-                instances.push(BTree::create(&mut m, core, heap_bytes)?);
-            }
-            for k in 0..s.keys {
-                for inst in instances.iter_mut() {
-                    inst.insert(&mut m, &mut txm, app_key(k), k)?;
-                }
-            }
-            m.flush();
-            for inst in &instances {
-                let f = *inst.file();
-                m.reinit_redundancy(&f);
-            }
-            let meta = *txm.meta_file();
-            m.reinit_redundancy(&meta);
-            txm.set_scheme(measured_scheme);
-            m.reset_stats();
+            let (mut m, mut txm, mut instances) =
+                preloaded_kv(&v, KvKind::BTree, cores, s.keys, s.requests)?;
             serve_open_loop(&mut m, cores, &reqs, qc, |m, core, r| {
                 if r.write {
-                    instances[core].insert(m, &mut txm, app_key(r.key), r.seq)?;
+                    instances[core].insert(m, &mut txm, scramble(r.key), r.seq)?;
                 } else {
-                    instances[core].get(m, app_key(r.key))?;
+                    instances[core].get(m, scramble(r.key))?;
                 }
                 Ok(())
             })
         }
         ServedApp::Redis => {
-            let heap_bytes = (s.keys * (24 + 64 + 16) * 2 + s.keys * 64).max(1 << 20);
-            let data_pages = (heap_bytes / PAGE as u64 + 81) * cores as u64 + 1500;
-            let mut m = machine(design, data_pages);
-            let mut txm = m.tx_manager(256 * 1024)?;
-            let measured_scheme = design.sw_scheme();
-            txm.set_scheme(pmemfs::tx::SwScheme::None);
-            let mut instances = Vec::new();
-            for core in 0..cores {
-                instances.push(Redis::create(&mut m, core, heap_bytes, 1024)?);
-            }
-            let val = vec![0xabu8; 64];
-            for k in 0..s.keys {
-                for inst in instances.iter_mut() {
-                    inst.set(&mut m, &mut txm, app_key(k), &val)?;
-                }
-            }
-            m.flush();
-            for inst in &instances {
-                let f = *inst.file();
-                m.reinit_redundancy(&f);
-            }
-            let meta = *txm.meta_file();
-            m.reinit_redundancy(&meta);
-            txm.set_scheme(measured_scheme);
-            m.reset_stats();
+            let (mut m, mut txm, mut instances, val) =
+                preloaded_redis(&v, cores, s.keys, 64, |k, _| scramble(k))?;
             serve_open_loop(&mut m, cores, &reqs, qc, |m, core, r| {
                 if r.write {
-                    instances[core].set(m, &mut txm, app_key(r.key), &val)?;
+                    instances[core].set(m, &mut txm, scramble(r.key), &val)?;
                 } else {
                     let mut out = Vec::new();
-                    instances[core].get(m, &mut txm, app_key(r.key), &mut out)?;
+                    instances[core].get(m, &mut txm, scramble(r.key), &mut out)?;
                 }
                 Ok(())
             })
@@ -324,16 +261,16 @@ pub struct CampaignConfig {
     pub scale: ServeScale,
 }
 
-impl CampaignConfig {
-    /// The default campaign: env-selected apps and scale, Poisson
-    /// arrivals, shed policy, no knee rounds.
-    pub fn from_env() -> Self {
+impl Default for CampaignConfig {
+    /// `fio` and `kv`, Poisson arrivals, shed policy, no knee rounds, full
+    /// scale.
+    fn default() -> Self {
         CampaignConfig {
-            apps: ServedApp::from_env(),
+            apps: vec![ServedApp::Fio, ServedApp::Kv],
             process: ArrivalProcess::Poisson,
             policy: AdmissionPolicy::Shed,
             knee_rounds: 0,
-            scale: ServeScale::from_env(),
+            scale: ServeScale::full(),
         }
     }
 }
@@ -444,55 +381,6 @@ pub fn run_campaign(cfg: &CampaignConfig, jobs: usize) -> (Vec<SweepRow>, Vec<Kn
             .collect();
     }
     (rows, estimates)
-}
-
-/// The campaign CSV: a pure function of the rows and estimates, so the
-/// determinism test can compare outputs structurally.
-pub fn to_csv(rows: &[SweepRow], estimates: &[KneeEstimate]) -> String {
-    let mut out = String::from(
-        "phase,app,design,arrival,policy,depth,mean_gap_cycles,\
-         offered,accepted,shed,blocked,peak_depth,\
-         offered_per_kcycle,served_per_kcycle,\
-         lat_p50,lat_p99,lat_p999,lat_mean,queue_p50,queue_p99,span_cycles\n",
-    );
-    for r in rows {
-        let rep = &r.report;
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{:.2},{},{},{},{},{},{:.4},{:.4},{},{},{},{:.1},{},{},{}\n",
-            r.phase,
-            r.app,
-            r.design,
-            r.process,
-            r.policy,
-            r.depth,
-            r.mean_gap,
-            rep.offered,
-            rep.accepted,
-            rep.shed,
-            rep.blocked,
-            rep.peak_depth,
-            1000.0 / r.mean_gap,
-            rep.throughput_per_kcycle(),
-            rep.latency.p50(),
-            rep.latency.p99(),
-            rep.latency.p999(),
-            rep.latency.mean(),
-            rep.queueing.p50(),
-            rep.queueing.p99(),
-            rep.span_cycles,
-        ));
-    }
-    for e in estimates {
-        let (gap, rate) = match e.knee_gap {
-            Some(g) => (format!("{g:.2}"), format!("{:.4}", 1000.0 / g)),
-            None => ("".into(), "".into()),
-        };
-        out.push_str(&format!(
-            "knee-est,{},{},,,,{gap},,,,,,{rate},,,,,,,,\n",
-            e.app, e.design
-        ));
-    }
-    out
 }
 
 /// Verify the campaign's accounting invariants: every point must satisfy

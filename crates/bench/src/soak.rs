@@ -19,14 +19,11 @@
 //! from `bench::runner` (`--jobs`), which is where campaign throughput
 //! lives.
 
+use crate::workloads::{fresh_fio, preloaded_kv, KvKind, KvMix, KvWorkload, Scale, Variant};
 use apps::driver::{AppError, Machine};
-use apps::fio::{Fio, Pattern};
-use apps::rng::Rng;
+use apps::fio::Pattern;
 use memsim::stats::Stats;
-use memsim::PAGE;
 use serve::Hist;
-
-use crate::workloads::{machine, KvKind, KvWorkload, Scale, Variant};
 
 /// Soak horizon knobs.
 #[derive(Debug, Clone)]
@@ -82,6 +79,20 @@ pub struct SoakOutcome {
 }
 
 impl SoakOutcome {
+    /// The whole horizon as one more row: the monolithic oracle's totals,
+    /// numbered one past the last interval, with no latency samples.
+    pub fn total_row(&self) -> IntervalRow {
+        let cycles = self.monolithic.runtime_cycles();
+        IntervalRow {
+            interval: self.rows.len() as u64,
+            ops: self.rows.iter().map(|r| r.ops).sum(),
+            delta: self.monolithic.clone(),
+            cum_runtime_cycles: cycles,
+            interval_cycles: cycles,
+            lat: Hist::new(),
+        }
+    }
+
     /// Re-merge every interval row and compare against the monolithic
     /// oracle — the ISSUE 9 acceptance invariant.
     ///
@@ -179,15 +190,7 @@ pub fn soak_fio(
     s: &Scale,
     cfg: &SoakConfig,
 ) -> Result<SoakOutcome, AppError> {
-    let v = v.into();
-    let data_pages = s.fio_region_bytes / PAGE as u64 * s.fio_threads as u64 + 1024;
-    let mut m = machine(v.clone(), data_pages);
-    let mut fio = Fio::create(&mut m, s.fio_threads, s.fio_region_bytes)?;
-    let mut txm = match v.design.sw_scheme() {
-        pmemfs::tx::SwScheme::None => None,
-        _ => Some(m.tx_manager(64 * 1024)?),
-    };
-    m.reset_stats();
+    let (mut m, mut fio, mut txm) = fresh_fio(&v.into(), s.fio_threads, s.fio_region_bytes, 0)?;
     soak_loop(&mut m, s.fio_threads, cfg, |m, t, i| {
         fio.op(m, txm.as_mut(), t, pattern, i)
     })
@@ -205,53 +208,13 @@ pub fn soak_kv(
     s: &Scale,
     cfg: &SoakConfig,
 ) -> Result<SoakOutcome, AppError> {
-    let v = v.into();
     let total_ops = cfg.intervals * cfg.ops_per_interval;
-    let heap_bytes = (s.kv_keys * 96 + total_ops * 96).max(1 << 20);
-    let data_pages = (heap_bytes / PAGE as u64 + 81) * s.kv_instances as u64 + 1500;
-    let mut m = machine(v.clone(), data_pages);
-    let mut txm = m.tx_manager(256 * 1024)?;
-    let measured_scheme = v.design.sw_scheme();
-    txm.set_scheme(pmemfs::tx::SwScheme::None);
-    let cores = m.sys.num_cores();
-    let mut instances = Vec::new();
-    for i in 0..s.kv_instances {
-        instances.push(kind.build(&mut m, i % cores, heap_bytes)?);
-    }
-    for k in 0..s.kv_keys {
-        for inst in instances.iter_mut() {
-            inst.insert(&mut m, &mut txm, k.wrapping_mul(0x9e37), k)?;
-        }
-    }
-    m.flush();
-    for inst in &instances {
-        let f = *inst.file();
-        m.reinit_redundancy(&f);
-    }
-    let meta = *txm.meta_file();
-    m.reinit_redundancy(&meta);
-    txm.set_scheme(measured_scheme);
-    m.reset_stats();
-    let mut rngs: Vec<Rng> = (0..s.kv_instances)
-        .map(|i| Rng::new(0xfeed + i as u64))
-        .collect();
+    let (mut m, mut txm, mut instances) =
+        preloaded_kv(&v.into(), kind, s.kv_instances, s.kv_keys, total_ops)?;
     // Per-instance RNGs persist across intervals, so the soak's op stream
     // is one continuous long run, merely observed at interval boundaries.
+    let mut mix = KvMix::new(wl, s.kv_keys, s.kv_instances);
     soak_loop(&mut m, s.kv_instances, cfg, |m, i, op| {
-        match wl {
-            KvWorkload::InsertOnly => {
-                let key = (s.kv_keys + op).wrapping_mul(0x9e37_79b9) ^ i as u64;
-                instances[i].insert(m, &mut txm, key, op)?;
-            }
-            _ => {
-                let key = rngs[i].below(s.kv_keys).wrapping_mul(0x9e37);
-                if rngs[i].unit_f64() < wl.update_fraction() {
-                    instances[i].insert(m, &mut txm, key, op)?;
-                } else {
-                    instances[i].get(m, key)?;
-                }
-            }
-        }
-        Ok(())
+        mix.op(m, &mut txm, instances[i].as_mut(), i, op)
     })
 }

@@ -5,24 +5,26 @@
 //! The paper's absolute dataset sizes (512 MB fio regions, 1 M requests) are
 //! scaled down so runs finish in minutes while preserving the property that
 //! matters: working sets exceed the 24 MB LLC, so steady-state NVM traffic
-//! occurs. `Scale::quick` shrinks further for smoke tests
-//! (`TVARAK_SCALE=quick`).
+//! occurs. `Scale::quick` shrinks further for smoke tests; campaigns select
+//! a scale through `crate::campaign::ScaleKind` (`TVARAK_SCALE`).
 
 use apps::btree::BTree;
 use apps::ctree::CTree;
-use apps::rbtree::RbTree;
 use apps::driver::{AppError, Design, Machine, ThreadedRun};
-use memsim::weave::DivergenceKind;
 use apps::fio::{Fio, Pattern};
 use apps::kv::PersistentKv;
 use apps::nstore::NStore;
+use apps::rbtree::RbTree;
 use apps::redis::Redis;
 use apps::rng::Rng;
 use apps::stream::{Kernel, Stream};
 use apps::ycsb::{Op, YcsbMix};
 use memsim::config::SystemConfig;
 use memsim::stats::Stats;
+use memsim::weave::DivergenceKind;
 use memsim::PAGE;
+use pmemfs::fs::FileHandle;
+use pmemfs::tx::{SwScheme, TxManager};
 
 /// Workload sizing knobs.
 #[derive(Debug, Clone)]
@@ -114,16 +116,6 @@ impl Scale {
         s.stream_array_bytes = 12 * 1024 * 1024;
         s
     }
-
-    /// `full()` unless the environment sets `TVARAK_SCALE=quick` or
-    /// `TVARAK_SCALE=reduced`.
-    pub fn from_env() -> Self {
-        match std::env::var("TVARAK_SCALE").as_deref() {
-            Ok("quick") => Scale::quick(),
-            Ok("reduced") => Scale::reduced(),
-            _ => Scale::full(),
-        }
-    }
 }
 
 /// One measured run.
@@ -151,6 +143,9 @@ pub struct Outcome {
     /// rerun (`None`: no fallback happened). Telemetry only — divergence
     /// depends on the engine-thread count, so this never feeds CSVs.
     pub divergence: Option<&'static str>,
+    /// Per-NVM-DIMM (demand, posted) access counts, for calibration
+    /// (`probe` prints them).
+    pub dimm_accesses: Vec<(u64, u64)>,
 }
 
 /// A design plus machine-parameter overrides: the Fig. 10 way-partition
@@ -262,10 +257,8 @@ pub fn machine(v: impl Into<Variant>, data_pages: u64) -> Machine {
         .build()
 }
 
-fn finish(m: &Machine) -> Outcome {
-    if std::env::var("TVARAK_DIMM_DEBUG").is_ok() {
-        eprintln!("  dimm (demand, posted): {:?}", m.sys.dimm_access_counts());
-    }
+/// Close out a measured machine into its [`Outcome`] (sequential path).
+pub fn finish(m: &Machine) -> Outcome {
     Outcome {
         design: m.design(),
         stats: m.stats(),
@@ -274,6 +267,7 @@ fn finish(m: &Machine) -> Outcome {
         content_hash: m.sys.memory().content_hash(),
         weave_eligibility: apps::driver::weave_eligibility(m).as_str(),
         divergence: None,
+        dimm_accesses: m.sys.dimm_access_counts(),
     }
 }
 
@@ -281,10 +275,11 @@ fn finish(m: &Machine) -> Outcome {
 /// [`apps::driver::run_clocked_threads`]: `Err` carries the divergence kind
 /// (when known) and means the bound-weave attempt was abandoned — the whole
 /// cell (setup included) must be redone sequentially.
-fn finish_threaded(m: &Machine, mode: ThreadedRun) -> Result<Outcome, Option<DivergenceKind>> {
+fn finish_threaded(m: &mut Machine, mode: ThreadedRun) -> Result<Outcome, Option<DivergenceKind>> {
     if let ThreadedRun::Diverged(kind) = mode {
         return Err(kind);
     }
+    m.flush();
     let mut out = finish(m);
     if let ThreadedRun::Woven(r) = mode {
         out.weave = Some(r);
@@ -333,6 +328,131 @@ fn retry_sequential(
     }
 }
 
+/// A pool sized for `instances` heaps of `heap_bytes` plus its transaction
+/// manager, with the software scheme off for the unmeasured preload.
+fn preload_pool(
+    v: &Variant,
+    heap_bytes: u64,
+    instances: usize,
+) -> Result<(Machine, TxManager), AppError> {
+    let data_pages = (heap_bytes / PAGE as u64 + 81) * instances as u64 + 1500;
+    let mut m = machine(v.clone(), data_pages);
+    let mut txm = m.tx_manager(256 * 1024)?;
+    txm.set_scheme(SwScheme::None);
+    Ok((m, txm))
+}
+
+/// End a preload: rebuild redundancy functionally over the populated
+/// `files` and the tx log, switch on the measured scheme, zero the stats.
+fn seal_preload(m: &mut Machine, txm: &mut TxManager, files: &[FileHandle], scheme: SwScheme) {
+    m.flush();
+    for f in files {
+        m.reinit_redundancy(f);
+    }
+    let meta = *txm.meta_file();
+    m.reinit_redundancy(&meta);
+    txm.set_scheme(scheme);
+    m.reset_stats();
+}
+
+/// `instances` Redis tables (instance `i` on core `i`) preloaded with
+/// `keys` entries of `val_len` bytes under key `key_of(k, i)`, ready at
+/// `reset_stats`. Returns the value buffer the preload wrote.
+///
+/// # Errors
+///
+/// Propagates [`AppError`] from pool set-up or the preload.
+pub fn preloaded_redis(
+    v: &Variant,
+    instances: usize,
+    keys: u64,
+    val_len: usize,
+    key_of: impl Fn(u64, usize) -> u64,
+) -> Result<(Machine, TxManager, Vec<Redis>, Vec<u8>), AppError> {
+    // Entry ≈ 24 B header + value; tables grow to ~2×keys slots.
+    let heap_bytes = (keys * (24 + val_len as u64 + 16) * 2 + keys * 64).max(1 << 20);
+    let (mut m, mut txm) = preload_pool(v, heap_bytes, instances)?;
+    let mut tables = Vec::new();
+    for i in 0..instances {
+        tables.push(Redis::create(&mut m, i, heap_bytes, 1024)?);
+    }
+    let val = vec![0xabu8; val_len];
+    for k in 0..keys {
+        for (i, r) in tables.iter_mut().enumerate() {
+            r.set(&mut m, &mut txm, key_of(k, i), &val)?;
+        }
+    }
+    let files: Vec<FileHandle> = tables.iter().map(|r| *r.file()).collect();
+    seal_preload(&mut m, &mut txm, &files, v.design.sw_scheme());
+    Ok((m, txm, tables, val))
+}
+
+/// KV structures of one kind, one per instance.
+pub type KvSet = Vec<Box<dyn PersistentKv>>;
+
+/// `instances` KV structures (instance `i` on core `i % cores`) preloaded
+/// with `keys` scrambled keys, with heap room for `growth_ops` further
+/// inserts each, ready at `reset_stats`.
+///
+/// # Errors
+///
+/// Propagates [`AppError`] from pool set-up or the preload.
+pub fn preloaded_kv(
+    v: &Variant,
+    kind: KvKind,
+    instances: usize,
+    keys: u64,
+    growth_ops: u64,
+) -> Result<(Machine, TxManager, KvSet), AppError> {
+    // Upper bound across structures: rbtree nodes are 48 B, btree amortizes
+    // ~20 B/key, ctree ~40 B/key (leaf+internal).
+    let heap_bytes = (keys * 96 + growth_ops * 96).max(1 << 20);
+    let (mut m, mut txm) = preload_pool(v, heap_bytes, instances)?;
+    let cores = m.sys.num_cores();
+    let mut kvs = Vec::new();
+    for i in 0..instances {
+        kvs.push(kind.build(&mut m, i % cores, heap_bytes)?);
+    }
+    for k in 0..keys {
+        for kv in kvs.iter_mut() {
+            kv.insert(&mut m, &mut txm, scramble(k), k)?;
+        }
+    }
+    let files: Vec<FileHandle> = kvs.iter().map(|kv| *kv.file()).collect();
+    seal_preload(&mut m, &mut txm, &files, v.design.sw_scheme());
+    Ok((m, txm, kvs))
+}
+
+/// `threads` fio regions of `region_bytes` (plus `pad_pages` spare pool
+/// pages each) on a fresh machine at `reset_stats`, with the transaction
+/// manager the software schemes need.
+///
+/// # Errors
+///
+/// Propagates [`AppError`] from pool set-up.
+pub fn fresh_fio(
+    v: &Variant,
+    threads: usize,
+    region_bytes: u64,
+    pad_pages: u64,
+) -> Result<(Machine, Fio, Option<TxManager>), AppError> {
+    let data_pages = (region_bytes / PAGE as u64 + pad_pages) * threads as u64 + 1024;
+    let mut m = machine(v.clone(), data_pages);
+    let fio = Fio::create(&mut m, threads, region_bytes)?;
+    let txm = match v.design.sw_scheme() {
+        SwScheme::None => None,
+        _ => Some(m.tx_manager(64 * 1024)?),
+    };
+    m.reset_stats();
+    Ok((m, fio, txm))
+}
+
+/// Spread a dense key index over the keyspace (preloads and request
+/// streams share it, so requests hit preloaded entries).
+pub fn scramble(k: u64) -> u64 {
+    k.wrapping_mul(0x9e37)
+}
+
 /// Redis workloads (§IV-B).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RedisWorkload {
@@ -352,17 +472,8 @@ impl RedisWorkload {
     }
 }
 
-/// Run a Redis workload (Fig. 8(a–d) cells).
-///
-/// # Errors
-///
-/// Propagates [`AppError`] from the workload.
-pub fn run_redis(v: impl Into<Variant>, wl: RedisWorkload, s: &Scale) -> Result<Outcome, AppError> {
-    run_redis_threads(v, wl, s, crate::runner::engine_threads())
-}
-
-/// [`run_redis`] with an explicit bound-weave engine-thread request (see
-/// `memsim::weave`). Results are bit-identical to `threads == 1`.
+/// Run a Redis workload (Fig. 8(a–d) cells) at `threads` bound-weave engine
+/// threads (see `memsim::weave`). Results are bit-identical to `threads == 1`.
 ///
 /// # Errors
 ///
@@ -373,68 +484,34 @@ pub fn run_redis_threads(
     s: &Scale,
     threads: usize,
 ) -> Result<Outcome, AppError> {
-    let v = v.into();
-    retry_sequential(threads, |t| redis_cell(&v, wl, s, t))
-}
-
-fn redis_cell(
-    v: &Variant,
-    wl: RedisWorkload,
-    s: &Scale,
-    threads: usize,
-) -> Result<Result<Outcome, Option<DivergenceKind>>, AppError> {
-    let v = v.clone();
-    // Entry ≈ 24 B header + value; tables grow to ~2×keys slots.
-    let heap_bytes =
-        (s.redis_keys * (24 + s.redis_val as u64 + 16) * 2 + s.redis_keys * 64).max(1 << 20);
-    let data_pages = (heap_bytes / PAGE as u64 + 81) * s.redis_instances as u64 + 1500;
-    let mut m = machine(v.clone(), data_pages);
-    let mut txm = m.tx_manager(256 * 1024)?;
-    // Preload the keyspace (setup, unmeasured): run with the software scheme
-    // disabled for speed, then rebuild redundancy functionally.
-    let measured_scheme = v.design.sw_scheme();
-    txm.set_scheme(pmemfs::tx::SwScheme::None);
-    let mut instances = Vec::new();
-    for i in 0..s.redis_instances {
-        instances.push(Redis::create(&mut m, i, heap_bytes, 1024)?);
-    }
-    let val = vec![0xabu8; s.redis_val];
-    for k in 0..s.redis_keys {
-        for (i, r) in instances.iter_mut().enumerate() {
-            r.set(&mut m, &mut txm, k.wrapping_mul(0x9e37) ^ i as u64, &val)?;
-        }
-    }
-    m.flush();
-    for r in &instances {
-        let f = *r.file();
-        m.reinit_redundancy(&f);
-    }
-    let meta = *txm.meta_file();
-    m.reinit_redundancy(&meta);
-    txm.set_scheme(measured_scheme);
-    m.reset_stats();
-    let mut rngs: Vec<Rng> = (0..s.redis_instances)
-        .map(|i| Rng::new(0xbeef + i as u64))
-        .collect();
-    let mode = apps::driver::run_clocked_threads(
-        &mut m,
-        s.redis_instances,
-        s.redis_ops,
-        threads,
-        |m, i, _op| {
-            let key = rngs[i].below(s.redis_keys).wrapping_mul(0x9e37) ^ i as u64;
-            match wl {
-                RedisWorkload::SetOnly => instances[i].set(m, &mut txm, key, &val)?,
-                RedisWorkload::GetOnly => {
-                    let mut out = Vec::new();
-                    instances[i].get(m, &mut txm, key, &mut out)?;
+    let v = &v.into();
+    retry_sequential(threads, |threads| {
+        let (mut m, mut txm, mut instances, val) =
+            preloaded_redis(v, s.redis_instances, s.redis_keys, s.redis_val, |k, i| {
+                scramble(k) ^ i as u64
+            })?;
+        let mut rngs: Vec<Rng> = (0..s.redis_instances)
+            .map(|i| Rng::new(0xbeef + i as u64))
+            .collect();
+        let mode = apps::driver::run_clocked_threads(
+            &mut m,
+            s.redis_instances,
+            s.redis_ops,
+            threads,
+            |m, i, _op| {
+                let key = scramble(rngs[i].below(s.redis_keys)) ^ i as u64;
+                match wl {
+                    RedisWorkload::SetOnly => instances[i].set(m, &mut txm, key, &val)?,
+                    RedisWorkload::GetOnly => {
+                        let mut out = Vec::new();
+                        instances[i].get(m, &mut txm, key, &mut out)?;
+                    }
                 }
-            }
-            Ok(())
-        },
-    )?;
-    m.flush();
-    Ok(finish_threaded(&m, mode))
+                Ok(())
+            },
+        )?;
+        Ok(finish_threaded(&mut m, mode))
+    })
 }
 
 /// Which key-value structure (§IV-C).
@@ -501,7 +578,7 @@ impl KvWorkload {
         }
     }
 
-    pub(crate) fn update_fraction(&self) -> f64 {
+    fn update_fraction(&self) -> f64 {
         match self {
             KvWorkload::InsertOnly | KvWorkload::UpdateOnly => 1.0,
             KvWorkload::Balanced => 0.5,
@@ -510,22 +587,47 @@ impl KvWorkload {
     }
 }
 
-/// Run a KV-structure workload (Fig. 8(e–h) cells).
-///
-/// # Errors
-///
-/// Propagates [`AppError`] from the workload.
-pub fn run_kv(
-    v: impl Into<Variant>,
-    kind: KvKind,
+/// The pmembench op mix of a [`KvWorkload`]: one RNG per instance, so an
+/// instance's op stream is one continuous sequence however it is observed
+/// (closed-loop cell or soak intervals).
+pub(crate) struct KvMix {
     wl: KvWorkload,
-    s: &Scale,
-) -> Result<Outcome, AppError> {
-    run_kv_threads(v, kind, wl, s, crate::runner::engine_threads())
+    keys: u64,
+    rngs: Vec<Rng>,
 }
 
-/// [`run_kv`] with an explicit bound-weave engine-thread request (see
-/// `memsim::weave`). Results are bit-identical to `threads == 1`.
+impl KvMix {
+    pub(crate) fn new(wl: KvWorkload, keys: u64, instances: usize) -> Self {
+        let rngs = (0..instances).map(|i| Rng::new(0xfeed + i as u64)).collect();
+        KvMix { wl, keys, rngs }
+    }
+
+    /// Run instance `i`'s op number `op` against `kv`.
+    pub(crate) fn op(
+        &mut self,
+        m: &mut Machine,
+        txm: &mut TxManager,
+        kv: &mut dyn PersistentKv,
+        i: usize,
+        op: u64,
+    ) -> Result<(), AppError> {
+        if self.wl == KvWorkload::InsertOnly {
+            // Fresh keys beyond the preloaded range.
+            let key = (self.keys + op).wrapping_mul(0x9e37_79b9) ^ i as u64;
+            return kv.insert(m, txm, key, op);
+        }
+        let key = scramble(self.rngs[i].below(self.keys));
+        if self.rngs[i].unit_f64() < self.wl.update_fraction() {
+            kv.insert(m, txm, key, op)
+        } else {
+            kv.get(m, key).map(|_| ())
+        }
+    }
+}
+
+/// Run a KV-structure workload (Fig. 8(e–h) cells) at `threads` bound-weave
+/// engine threads (see `memsim::weave`). Results are bit-identical to
+/// `threads == 1`.
 ///
 /// # Errors
 ///
@@ -537,76 +639,20 @@ pub fn run_kv_threads(
     s: &Scale,
     threads: usize,
 ) -> Result<Outcome, AppError> {
-    let v = v.into();
-    retry_sequential(threads, |t| kv_cell(&v, kind, wl, s, t))
-}
-
-fn kv_cell(
-    v: &Variant,
-    kind: KvKind,
-    wl: KvWorkload,
-    s: &Scale,
-    threads: usize,
-) -> Result<Result<Outcome, Option<DivergenceKind>>, AppError> {
-    let v = v.clone();
-    // Upper bound across structures: rbtree nodes are 48 B, btree amortizes
-    // ~20 B/key, ctree ~40 B/key (leaf+internal).
-    let heap_bytes = (s.kv_keys * 96 + s.kv_ops * 96).max(1 << 20);
-    let data_pages = (heap_bytes / PAGE as u64 + 81) * s.kv_instances as u64 + 1500;
-    let mut m = machine(v.clone(), data_pages);
-    let mut txm = m.tx_manager(256 * 1024)?;
-    let measured_scheme = v.design.sw_scheme();
-    txm.set_scheme(pmemfs::tx::SwScheme::None);
-    let cores = m.sys.num_cores();
-    let mut instances = Vec::new();
-    for i in 0..s.kv_instances {
-        instances.push(kind.build(&mut m, i % cores, heap_bytes)?);
-    }
-    // Preload (setup, unmeasured) so the measured phase runs against a
-    // populated structure under every workload.
-    for k in 0..s.kv_keys {
-        for inst in instances.iter_mut() {
-            inst.insert(&mut m, &mut txm, k.wrapping_mul(0x9e37), k)?;
-        }
-    }
-    m.flush();
-    for inst in &instances {
-        let f = *inst.file();
-        m.reinit_redundancy(&f);
-    }
-    let meta = *txm.meta_file();
-    m.reinit_redundancy(&meta);
-    txm.set_scheme(measured_scheme);
-    m.reset_stats();
-    let mut rngs: Vec<Rng> = (0..s.kv_instances)
-        .map(|i| Rng::new(0xfeed + i as u64))
-        .collect();
-    let mode = apps::driver::run_clocked_threads(
-        &mut m,
-        s.kv_instances,
-        s.kv_ops,
-        threads,
-        |m, i, op| {
-            match wl {
-                KvWorkload::InsertOnly => {
-                    // Fresh keys beyond the preloaded range.
-                    let key = (s.kv_keys + op).wrapping_mul(0x9e37_79b9) ^ i as u64;
-                    instances[i].insert(m, &mut txm, key, op)?;
-                }
-                _ => {
-                    let key = rngs[i].below(s.kv_keys).wrapping_mul(0x9e37);
-                    if rngs[i].unit_f64() < wl.update_fraction() {
-                        instances[i].insert(m, &mut txm, key, op)?;
-                    } else {
-                        instances[i].get(m, key)?;
-                    }
-                }
-            }
-            Ok(())
-        },
-    )?;
-    m.flush();
-    Ok(finish_threaded(&m, mode))
+    let v = &v.into();
+    retry_sequential(threads, |threads| {
+        let (mut m, mut txm, mut instances) =
+            preloaded_kv(v, kind, s.kv_instances, s.kv_keys, s.kv_ops)?;
+        let mut mix = KvMix::new(wl, s.kv_keys, s.kv_instances);
+        let mode = apps::driver::run_clocked_threads(
+            &mut m,
+            s.kv_instances,
+            s.kv_ops,
+            threads,
+            |m, i, op| mix.op(m, &mut txm, instances[i].as_mut(), i, op),
+        )?;
+        Ok(finish_threaded(&mut m, mode))
+    })
 }
 
 /// N-Store YCSB mixes (§IV-D).
@@ -648,17 +694,8 @@ impl NstoreWorkload {
     }
 }
 
-/// Run an N-Store workload (Fig. 8(i–l) cells).
-///
-/// # Errors
-///
-/// Propagates [`AppError`] from the workload.
-pub fn run_nstore(v: impl Into<Variant>, wl: NstoreWorkload, s: &Scale) -> Result<Outcome, AppError> {
-    run_nstore_threads(v, wl, s, crate::runner::engine_threads())
-}
-
-/// [`run_nstore`] with an explicit bound-weave engine-thread request (see
-/// `memsim::weave`). Results are bit-identical to `threads == 1`. N-Store
+/// Run an N-Store workload (Fig. 8(i–l) cells) at `threads` bound-weave
+/// engine threads. Results are bit-identical to `threads == 1`. N-Store
 /// clients share the table and WAL, so parallel attempts typically detect
 /// cache-line sharing and fall back — the knob is still honoured for
 /// uniformity and future sharding.
@@ -672,63 +709,45 @@ pub fn run_nstore_threads(
     s: &Scale,
     threads: usize,
 ) -> Result<Outcome, AppError> {
-    let v = v.into();
-    retry_sequential(threads, |t| nstore_cell(&v, wl, s, t))
-}
-
-fn nstore_cell(
-    v: &Variant,
-    wl: NstoreWorkload,
-    s: &Scale,
-    threads: usize,
-) -> Result<Result<Outcome, Option<DivergenceKind>>, AppError> {
-    let v = v.clone();
-    let wal_bytes = s.nstore_txs * 160 + (1 << 20);
-    let data_pages =
-        s.nstore_tuples * 64 / PAGE as u64 + wal_bytes / PAGE as u64 + 1500;
-    let mut m = machine(v.clone(), data_pages);
-    let mut txm = m.tx_manager(256 * 1024)?;
-    let mut store = NStore::create(&mut m, s.nstore_tuples, wal_bytes)?;
-    m.reset_stats();
-    let mut mixes: Vec<YcsbMix> = (0..s.nstore_clients)
-        .map(|i| YcsbMix::new(s.nstore_tuples, wl.update_fraction(), 0xace + i as u64))
-        .collect();
-    let per_client = s.nstore_txs / s.nstore_clients as u64;
-    let mode = apps::driver::run_clocked_threads(
-        &mut m,
-        s.nstore_clients,
-        per_client,
-        threads,
-        |m, c, op| {
-            match mixes[c].next_op() {
-                Op::Update(k) => {
-                    let payload = [(op ^ k) as u8; 64];
-                    store.update(m, &mut txm, c, k, &payload)?;
+    let v = &v.into();
+    retry_sequential(threads, |threads| {
+        let wal_bytes = s.nstore_txs * 160 + (1 << 20);
+        let data_pages =
+            s.nstore_tuples * 64 / PAGE as u64 + wal_bytes / PAGE as u64 + 1500;
+        let mut m = machine(v.clone(), data_pages);
+        let mut txm = m.tx_manager(256 * 1024)?;
+        let mut store = NStore::create(&mut m, s.nstore_tuples, wal_bytes)?;
+        m.reset_stats();
+        let mut mixes: Vec<YcsbMix> = (0..s.nstore_clients)
+            .map(|i| YcsbMix::new(s.nstore_tuples, wl.update_fraction(), 0xace + i as u64))
+            .collect();
+        let per_client = s.nstore_txs / s.nstore_clients as u64;
+        let mode = apps::driver::run_clocked_threads(
+            &mut m,
+            s.nstore_clients,
+            per_client,
+            threads,
+            |m, c, op| {
+                match mixes[c].next_op() {
+                    Op::Update(k) => {
+                        let payload = [(op ^ k) as u8; 64];
+                        store.update(m, &mut txm, c, k, &payload)?;
+                    }
+                    Op::Read(k) => {
+                        store.read(m, c, k)?;
+                    }
+                    // YcsbMix emits only reads and updates.
+                    _ => unreachable!("unexpected YCSB op"),
                 }
-                Op::Read(k) => {
-                    store.read(m, c, k)?;
-                }
-                // YcsbMix emits only reads and updates.
-                _ => unreachable!("unexpected YCSB op"),
-            }
-            Ok(())
-        },
-    )?;
-    m.flush();
-    Ok(finish_threaded(&m, mode))
+                Ok(())
+            },
+        )?;
+        Ok(finish_threaded(&mut m, mode))
+    })
 }
 
-/// Run an fio workload (Fig. 8(m–p) cells).
-///
-/// # Errors
-///
-/// Propagates [`AppError`] from the workload.
-pub fn run_fio(v: impl Into<Variant>, pattern: Pattern, s: &Scale) -> Result<Outcome, AppError> {
-    run_fio_threads(v, pattern, s, crate::runner::engine_threads())
-}
-
-/// [`run_fio`] with an explicit bound-weave engine-thread request (see
-/// `memsim::weave`). Results are bit-identical to `threads == 1`.
+/// Run an fio workload (Fig. 8(m–p) cells) at `threads` bound-weave engine
+/// threads (see `memsim::weave`). Results are bit-identical to `threads == 1`.
 ///
 /// # Errors
 ///
@@ -739,48 +758,22 @@ pub fn run_fio_threads(
     s: &Scale,
     threads: usize,
 ) -> Result<Outcome, AppError> {
-    let v = v.into();
-    retry_sequential(threads, |t| fio_cell(&v, pattern, s, t))
+    let v = &v.into();
+    retry_sequential(threads, |threads| {
+        let (mut m, mut fio, mut txm) = fresh_fio(v, s.fio_threads, s.fio_region_bytes, 0)?;
+        let mode = apps::driver::run_clocked_threads(
+            &mut m,
+            s.fio_threads,
+            s.fio_ops_per_thread,
+            threads,
+            |m, t, i| fio.op(m, txm.as_mut(), t, pattern, i),
+        )?;
+        Ok(finish_threaded(&mut m, mode))
+    })
 }
 
-fn fio_cell(
-    v: &Variant,
-    pattern: Pattern,
-    s: &Scale,
-    threads: usize,
-) -> Result<Result<Outcome, Option<DivergenceKind>>, AppError> {
-    let v = v.clone();
-    let data_pages = s.fio_region_bytes / PAGE as u64 * s.fio_threads as u64 + 1024;
-    let mut m = machine(v.clone(), data_pages);
-    let mut fio = Fio::create(&mut m, s.fio_threads, s.fio_region_bytes)?;
-    // Software schemes need the library's transactional interface.
-    let mut txm = match v.design.sw_scheme() {
-        pmemfs::tx::SwScheme::None => None,
-        _ => Some(m.tx_manager(64 * 1024)?),
-    };
-    m.reset_stats();
-    let mode = apps::driver::run_clocked_threads(
-        &mut m,
-        s.fio_threads,
-        s.fio_ops_per_thread,
-        threads,
-        |m, t, i| fio.op(m, txm.as_mut(), t, pattern, i),
-    )?;
-    m.flush();
-    Ok(finish_threaded(&m, mode))
-}
-
-/// Run one stream kernel (Fig. 8(q–t) cells).
-///
-/// # Errors
-///
-/// Propagates [`AppError`] from the workload.
-pub fn run_stream(v: impl Into<Variant>, kernel: Kernel, s: &Scale) -> Result<Outcome, AppError> {
-    run_stream_threads(v, kernel, s, crate::runner::engine_threads())
-}
-
-/// [`run_stream`] with an explicit bound-weave engine-thread request (see
-/// `memsim::weave`). Results are bit-identical to `threads == 1`.
+/// Run one stream kernel (Fig. 8(q–t) cells) at `threads` bound-weave engine
+/// threads (see `memsim::weave`). Results are bit-identical to `threads == 1`.
 ///
 /// # Errors
 ///
@@ -791,31 +784,40 @@ pub fn run_stream_threads(
     s: &Scale,
     threads: usize,
 ) -> Result<Outcome, AppError> {
-    let v = v.into();
-    retry_sequential(threads, |t| stream_cell(&v, kernel, s, t))
+    let v = &v.into();
+    retry_sequential(threads, |threads| {
+        let data_pages = 3 * s.stream_array_bytes / PAGE as u64 + 1024;
+        let mut m = machine(v.clone(), data_pages);
+        let mut st = Stream::create(&mut m, s.stream_threads, s.stream_array_bytes)?;
+        let mut txm = match v.design.sw_scheme() {
+            SwScheme::None => None,
+            _ => Some(m.tx_manager(64 * 1024)?),
+        };
+        st.init(&mut m)?;
+        m.flush();
+        m.reset_stats();
+        let lines = st.lines_per_thread();
+        let mode = apps::driver::run_clocked_threads(&mut m, s.stream_threads, lines, threads, |m, t, i| {
+            st.op(m, txm.as_mut(), t, kernel, i)
+        })?;
+        Ok(finish_threaded(&mut m, mode))
+    })
 }
 
-fn stream_cell(
-    v: &Variant,
-    kernel: Kernel,
-    s: &Scale,
-    threads: usize,
-) -> Result<Result<Outcome, Option<DivergenceKind>>, AppError> {
-    let v = v.clone();
-    let data_pages = 3 * s.stream_array_bytes / PAGE as u64 + 1024;
-    let mut m = machine(v.clone(), data_pages);
-    let mut st = Stream::create(&mut m, s.stream_threads, s.stream_array_bytes)?;
-    let mut txm = match v.design.sw_scheme() {
-        pmemfs::tx::SwScheme::None => None,
-        _ => Some(m.tx_manager(64 * 1024)?),
-    };
-    st.init(&mut m)?;
-    m.flush();
-    m.reset_stats();
-    let lines = st.lines_per_thread();
-    let mode = apps::driver::run_clocked_threads(&mut m, s.stream_threads, lines, threads, |m, t, i| {
-        st.op(m, txm.as_mut(), t, kernel, i)
-    })?;
-    m.flush();
-    Ok(finish_threaded(&m, mode))
+/// A workload runner with the variant, sizing and engine-thread count bound
+/// late, so sweeps can tabulate workloads.
+pub type RunFn = fn(Variant, &Scale, usize) -> Result<Outcome, AppError>;
+
+/// One workload per application class — the paper's selection for the
+/// Fig. 9 ablation and Fig. 10 sensitivity sweeps.
+pub fn class_representatives() -> [(&'static str, RunFn); 5] {
+    [
+        ("redis/set", |v, s, t| run_redis_threads(v, RedisWorkload::SetOnly, s, t)),
+        ("ctree/insert", |v, s, t| {
+            run_kv_threads(v, KvKind::CTree, KvWorkload::InsertOnly, s, t)
+        }),
+        ("nstore/bal", |v, s, t| run_nstore_threads(v, NstoreWorkload::Balanced, s, t)),
+        ("fio/rand-wr", |v, s, t| run_fio_threads(v, Pattern::RandWrite, s, t)),
+        ("stream/triad", |v, s, t| run_stream_threads(v, Kernel::Triad, s, t)),
+    ]
 }

@@ -1,0 +1,50 @@
+//! Golden digests: the CRC32C and length of every campaign's quick-scale
+//! CSV (and the chaos event log), so a refactor that moves an output byte
+//! fails `cargo test` instead of waiting for a hand-run `sha256sum`.
+//!
+//! The digests are pure functions of the simulator: regenerate them (the
+//! failure message prints the new tuple) only with a change that means to
+//! move simulated results.
+
+mod bins;
+
+use memsim::trace::chunk_crc32c;
+
+/// (campaign, artefact, length, CRC32C).
+const GOLDEN: [(&str, &str, usize, u32); 20] = [
+    ("chaos_campaign", "chaos_campaign.csv", 16091, 0xbd3a28cb),
+    ("chaos_campaign", "chaos_events.log", 438353, 0xe0881e5c),
+    ("coverage_campaign", "coverage_campaign.csv", 180, 0xda1fc287),
+    ("crashsim_campaign", "crashsim_campaign.csv", 8094, 0xf0e4a15d),
+    ("degraded_campaign", "degraded_campaign.csv", 11069, 0x8d881368),
+    ("fig10_sensitivity", "fig10a_redundancy_ways.csv", 2219, 0xbe5858bb),
+    ("fig10_sensitivity", "fig10b_diff_ways.csv", 2239, 0xcd34238d),
+    ("fig8_fio", "fig8_fio.csv", 1411, 0x0a03fc6c),
+    ("fig8_kv", "fig8_kv.csv", 2364, 0x31e7110d),
+    ("fig8_nstore", "fig8_nstore.csv", 1177, 0x3ad46f46),
+    ("fig8_redis", "fig8_redis.csv", 789, 0x2734b83d),
+    ("fig8_stream", "fig8_stream.csv", 1464, 0x2d133fa4),
+    ("fig9_ablation", "fig9_ablation.csv", 2182, 0x15bb3ed1),
+    ("sec4h_scaling", "sec4h_scaling.csv", 2121, 0x39808373),
+    ("serve_campaign", "serve_campaign.csv", 7211, 0xc238cf07),
+    ("serve_campaign --knee", "serve_campaign.csv", 10500, 0xd73280a3),
+    ("soak_campaign", "soak_campaign.csv", 8113, 0x23018fb4),
+    ("soak_campaign 3x256", "soak_campaign.csv", 4629, 0x706c088f),
+    ("vilamb_sweep", "vilamb_sweep.csv", 683, 0xb44edf4e),
+    ("ycsb_suite", "ycsb_suite.csv", 801, 0x61e4eb50),
+];
+
+#[test]
+fn quick_scale_artefacts_match_their_digests() {
+    for (name, run) in bins::ALL {
+        let out = run(2);
+        let pinned = GOLDEN.iter().filter(|g| g.0 == name);
+        assert!(pinned.clone().count() > 0, "{name}: no golden entry");
+        for &(_, file, len, crc) in pinned {
+            let bytes = out.files.iter().find(|f| f.0 == file).map(|f| f.1.as_slice());
+            let bytes = bytes.unwrap_or_else(|| panic!("{name}: no artefact {file}"));
+            let got = (name, file, bytes.len(), chunk_crc32c(bytes));
+            assert_eq!(got, (name, file, len, crc), "{name}: {file} moved");
+        }
+    }
+}

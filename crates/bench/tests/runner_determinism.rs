@@ -6,7 +6,7 @@
 use apps::driver::Design;
 use apps::fio::Pattern;
 use bench::runner::{run_cells, Cell};
-use bench::workloads::{run_fio, Outcome, Scale};
+use bench::workloads::{run_fio_threads, Outcome, Scale};
 use bench::{Report, Row};
 
 /// A small fixed scale so the test grid stays fast in CI.
@@ -26,7 +26,7 @@ fn grid() -> Vec<Cell<(&'static str, Design, Outcome)>> {
             cells.push(Cell::new(
                 format!("fio {} {design}", pattern.label()),
                 move || {
-                    let out = run_fio(design, pattern, &s).expect("workload failed");
+                    let out = run_fio_threads(design, pattern, &s, 1).expect("workload failed");
                     (pattern.label(), design, out)
                 },
             ));
@@ -88,7 +88,7 @@ fn golden_grid() -> Vec<Cell<(&'static str, Design, Outcome)>> {
             cells.push(Cell::new(
                 format!("fio {} {design}", pattern.label()),
                 move || {
-                    let out = run_fio(design, pattern, &s).expect("workload failed");
+                    let out = run_fio_threads(design, pattern, &s, 1).expect("workload failed");
                     (pattern.label(), design, out)
                 },
             ));
@@ -144,7 +144,7 @@ fn rerunning_the_same_cell_is_deterministic() {
     // The premise behind the pool: a cell owns all of its state, so running
     // it twice (anywhere, anytime) gives the same simulated numbers.
     let s = tiny();
-    let a = run_fio(Design::Tvarak, Pattern::SeqRead, &s).expect("run a");
-    let b = run_fio(Design::Tvarak, Pattern::SeqRead, &s).expect("run b");
+    let a = run_fio_threads(Design::Tvarak, Pattern::SeqRead, &s, 1).expect("run a");
+    let b = run_fio_threads(Design::Tvarak, Pattern::SeqRead, &s, 1).expect("run b");
     assert_eq!(a.stats, b.stats);
 }

@@ -1,12 +1,10 @@
-//! The serve campaign's CSV must be byte-identical at any `--jobs` width
-//! and across repeated runs at a fixed seed, with admission counters
-//! invariant — the same contract every other campaign binary honours via
-//! `bench::runner`, extended here across the knee-bisection rounds (whose
-//! probe loads are *decided* from earlier parallel results).
+//! The serve campaign's admission counters and knee estimates must not
+//! depend on the `--jobs` width — checked structurally here, across the
+//! knee-bisection rounds (whose probe loads are *decided* from earlier
+//! parallel results), so a failure names the counter. The byte-identity of
+//! the rendered CSV at two widths is `campaign_determinism.rs`'s.
 
-use bench::serve::{
-    check_invariants, run_campaign, to_csv, CampaignConfig, ServeScale, ServedApp,
-};
+use bench::serve::{check_invariants, run_campaign, CampaignConfig, ServeScale, ServedApp};
 use serve::{AdmissionPolicy, ArrivalProcess};
 
 fn test_config() -> CampaignConfig {
@@ -25,22 +23,17 @@ fn test_config() -> CampaignConfig {
 }
 
 #[test]
-fn csv_byte_identical_across_jobs_and_runs() {
+fn counters_and_knees_invariant_across_jobs() {
     let cfg = test_config();
     let (rows1, est1) = run_campaign(&cfg, 1);
     let (rows4, est4) = run_campaign(&cfg, 4);
-    let (rows1b, est1b) = run_campaign(&cfg, 1);
-    let (a, b, c) = (
-        to_csv(&rows1, &est1),
-        to_csv(&rows4, &est4),
-        to_csv(&rows1b, &est1b),
-    );
-    assert_eq!(a, b, "CSV differs between --jobs 1 and --jobs 4");
-    assert_eq!(a, c, "CSV differs between repeated --jobs 1 runs");
-
-    // Admission counters are part of the byte-identity contract, but check
-    // them structurally too so a failure names the counter, not a CSV line.
+    assert_eq!(rows1.len(), rows4.len(), "probe count differs across --jobs");
+    for (e1, e4) in est1.iter().zip(&est4) {
+        assert_eq!(e1.knee_gap, e4.knee_gap, "{}/{} knee", e1.app, e1.design);
+    }
+    assert!(est1.iter().any(|e| e.knee_gap.is_some()), "no knee bracketed");
     for (r1, r4) in rows1.iter().zip(&rows4) {
+        assert_eq!(r1.mean_gap, r4.mean_gap, "{}/{} probe load", r1.app, r1.design);
         assert_eq!(r1.report.shed, r4.report.shed, "{}/{}", r1.app, r1.design);
         assert_eq!(
             r1.report.accepted, r4.report.accepted,

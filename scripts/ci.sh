@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, unit/integration tests, and quick-scale smokes of the
-# fault-injection campaigns. The campaigns exit non-zero on any survival
+# Tier-1 gate: build, unit/integration tests (which include every campaign's
+# --jobs width-independence and golden CSV digests), and quick-scale smokes
+# of the fault-injection campaigns. The campaigns exit non-zero on any survival
 # invariant violation (silent wrong data under a verifying design, an
 # unsettled media inconsistency after convergence, a poisoned page that
 # fails open, or a resilver that fails to complete / diverges from the
@@ -46,35 +47,17 @@ echo "=== crashsim_campaign (quick) ==="
 # The binary already exits non-zero on any unrecoverable-loss crash point;
 # double-check the CSV it wrote reports zero lost rows (belt and braces —
 # a reporting bug must not read as a clean campaign).
-./target/release/crashsim_campaign --quick
+TVARAK_SCALE=quick ./target/release/crashsim_campaign
 if awk -F, 'NR > 1 && $10 == "lost"' results/crashsim_campaign.csv | grep -q .; then
     echo "ci: crashsim_campaign.csv contains unrecoverable-loss rows" >&2
     exit 1
 fi
 
-echo "=== soak_campaign --jobs determinism (short horizon) ==="
-# The soak binary itself exits non-zero if any cell's merged interval
-# snapshots differ from the machine's monolithic stats (DESIGN.md §16);
-# on top of that, the CSV must be byte-identical at any --jobs width.
-soak_bin="$PWD/target/release/soak_campaign"
-soak_tmp="$(mktemp -d)"
-trap 'rm -rf "$soak_tmp"' EXIT
-mkdir -p "$soak_tmp/j1" "$soak_tmp/j4"
-(cd "$soak_tmp/j1" && TVARAK_SCALE=quick \
-    "$soak_bin" --intervals 3 --ops-per-interval 256 --jobs 1 > stdout.txt)
-(cd "$soak_tmp/j4" && TVARAK_SCALE=quick \
-    "$soak_bin" --intervals 3 --ops-per-interval 256 --jobs 4 > stdout.txt)
-for f in results/soak_campaign.csv stdout.txt; do
-    if ! diff -q "$soak_tmp/j1/$f" "$soak_tmp/j4/$f"; then
-        echo "ci: soak_campaign $f differs between --jobs 1 and --jobs 4" >&2
-        exit 1
-    fi
-done
-echo "ci: soak_campaign CSV and stdout byte-identical at --jobs 1 and 4"
-mkdir -p results
-cp "$soak_tmp/j1/results/soak_campaign.csv" results/soak_campaign.csv
-rm -rf "$soak_tmp"
-trap - EXIT
+echo "=== soak_campaign (quick, short horizon) ==="
+# Exits non-zero if any cell's merged interval snapshots differ from the
+# machine's monolithic stats (DESIGN.md §16). Width-independence of this
+# and every other campaign is a cargo test (campaign_determinism.rs).
+TVARAK_SCALE=quick ./target/release/soak_campaign --intervals 3 --ops-per-interval 256
 
 echo "=== perf_baseline (quick smoke) ==="
 # Runs the simulator-performance baseline in quick mode and checks that
@@ -82,9 +65,22 @@ echo "=== perf_baseline (quick smoke) ==="
 # regenerated manually in full mode (see EXPERIMENTS.md); CI only smokes
 # the instrument, so run in a scratch dir to avoid clobbering it.
 repo_root="$PWD"
-perf_tmp="$(mktemp -d)"
-trap 'rm -rf "$perf_tmp"' EXIT
-(cd "$perf_tmp" && "$repo_root/target/release/perf_baseline" --quick > /dev/null)
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+# in_scratch NAME [VAR=VALUE...] BIN [ARGS...]: run target/release/BIN in the
+# fresh directory $scratch/NAME; stdout is discarded, stderr kept in
+# $scratch/NAME/stderr.txt and shown if the run fails.
+in_scratch() {
+    local dir="$scratch/$1"; shift
+    local envs=()
+    while [[ "$1" == *=* ]]; do envs+=("$1"); shift; done
+    local bin="$1"; shift
+    mkdir -p "$dir"
+    (cd "$dir" && env ${envs[@]+"${envs[@]}"} "$repo_root/target/release/$bin" "$@" > /dev/null 2> stderr.txt) \
+        || { cat "$dir/stderr.txt" >&2; exit 1; }
+}
+perf_tmp="$scratch/perf"
+in_scratch perf perf_baseline --quick
 for key in '"schema"' '"hw_threads"' '"line_speedup"' '"sim_cycles_per_sec"' '"cells_per_sec"' \
            '"trace_encode_mib_s"' '"trace_decode_mib_s"' '"rss_peak_kb"'; do
     grep -q "$key" "$perf_tmp/BENCH_perf.json" \
@@ -106,29 +102,21 @@ echo "=== bound-weave CSV differential (fig8_fio, threads x shards sweep) ==="
 # MEMSIM_ENGINE_THREADS and any MEMSIM_WEAVE_SHARDS. Run one fio campaign
 # sequentially, then sweep thread counts (default shards) and shard counts
 # (at 4 threads), byte-diffing every CSV against the sequential oracle.
-weave_tmp="$(mktemp -d)"
-trap 'rm -rf "$perf_tmp" "$weave_tmp"' EXIT
-mkdir -p "$weave_tmp/seq"
-(cd "$weave_tmp/seq" && TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=1 \
-    "$repo_root/target/release/fig8_fio" --jobs 1 > /dev/null)
-for t in 4 8; do
-    mkdir -p "$weave_tmp/par$t"
-    (cd "$weave_tmp/par$t" && TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=$t \
-        "$repo_root/target/release/fig8_fio" --jobs 1 > /dev/null)
-    if ! diff -q "$weave_tmp/seq/results/fig8_fio.csv" "$weave_tmp/par$t/results/fig8_fio.csv"; then
-        echo "ci: fig8_fio.csv differs between sequential and $t engine threads" >&2
+fio_csv_matches_seq() { # NAME: $scratch/NAME's fig8_fio.csv equals the sequential oracle's
+    if ! diff -q "$scratch/seq/results/fig8_fio.csv" "$scratch/$1/results/fig8_fio.csv"; then
+        echo "ci: fig8_fio.csv differs between sequential and $1" >&2
         exit 1
     fi
+}
+in_scratch seq TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=1 fig8_fio --jobs 1
+for t in 4 8; do
+    in_scratch "threads$t" TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=$t fig8_fio --jobs 1
+    fio_csv_matches_seq "threads$t"
 done
 for sh in 1 2 4; do
-    mkdir -p "$weave_tmp/shard$sh"
-    (cd "$weave_tmp/shard$sh" && TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=4 \
-        MEMSIM_WEAVE_SHARDS=$sh \
-        "$repo_root/target/release/fig8_fio" --jobs 1 > /dev/null)
-    if ! diff -q "$weave_tmp/seq/results/fig8_fio.csv" "$weave_tmp/shard$sh/results/fig8_fio.csv"; then
-        echo "ci: fig8_fio.csv differs between sequential and 4 threads / $sh shards" >&2
-        exit 1
-    fi
+    in_scratch "shards$sh" TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=4 MEMSIM_WEAVE_SHARDS=$sh \
+        fig8_fio --jobs 1
+    fio_csv_matches_seq "shards$sh"
 done
 echo "ci: fig8_fio.csv byte-identical at 1/4/8 engine threads and 1/2/4 weave shards"
 
@@ -136,51 +124,12 @@ echo "=== weave divergence-rate smoke (fig8_fio must not fall back) ==="
 # A weave cell that diverges reruns sequentially — bit-identical output, so
 # the byte-diffs above cannot see it. The fallback would silently void the
 # scaling win, so fail CI if any fig8_fio cell under the default config
-# printed the sequential-fallback marker during the 4-thread run.
-div_tmp="$(mktemp -d)"
-trap 'rm -rf "$perf_tmp" "$weave_tmp" "$div_tmp"' EXIT
-(cd "$div_tmp" && TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=4 \
-    "$repo_root/target/release/fig8_fio" --jobs 1 > /dev/null 2> stderr.txt) || {
-    cat "$div_tmp/stderr.txt" >&2; exit 1; }
-if grep -q "rerunning sequentially" "$div_tmp/stderr.txt"; then
-    echo "ci: fig8_fio diverged from the weave path under the default config:" >&2
-    grep "rerunning sequentially" "$div_tmp/stderr.txt" >&2
+# printed the sequential-fallback marker during the 4-thread run above.
+if grep "rerunning sequentially" "$scratch/threads4/stderr.txt" >&2; then
+    echo "ci: fig8_fio diverged from the weave path under the default config" >&2
     exit 1
 fi
 echo "ci: no weave cell fell back to sequential"
-
-echo "=== degraded_campaign --jobs determinism ==="
-# The campaign assembles its CSV from in-input-order results, so any
-# --jobs setting must emit the same bytes.
-deg_tmp="$(mktemp -d)"
-trap 'rm -rf "$perf_tmp" "$weave_tmp" "$deg_tmp"' EXIT
-mkdir -p "$deg_tmp/j1" "$deg_tmp/j4"
-(cd "$deg_tmp/j1" && TVARAK_SCALE=quick \
-    "$repo_root/target/release/degraded_campaign" --jobs 1 > /dev/null)
-(cd "$deg_tmp/j4" && TVARAK_SCALE=quick \
-    "$repo_root/target/release/degraded_campaign" --jobs 4 > /dev/null)
-if ! diff -q "$deg_tmp/j1/results/degraded_campaign.csv" "$deg_tmp/j4/results/degraded_campaign.csv"; then
-    echo "ci: degraded_campaign.csv differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-echo "ci: degraded_campaign.csv byte-identical at --jobs 1 and 4"
-
-echo "=== serve_campaign --jobs determinism (knee mode) ==="
-# Knee bisection decides probe loads from earlier parallel results, so it
-# is the strongest determinism stressor: the whole CSV (sweep + knee
-# probes + estimates) must be byte-identical at any --jobs width.
-srv_tmp="$(mktemp -d)"
-trap 'rm -rf "$perf_tmp" "$weave_tmp" "$deg_tmp" "$srv_tmp"' EXIT
-mkdir -p "$srv_tmp/j1" "$srv_tmp/j4"
-(cd "$srv_tmp/j1" && TVARAK_SCALE=quick \
-    "$repo_root/target/release/serve_campaign" --knee --jobs 1 > /dev/null)
-(cd "$srv_tmp/j4" && TVARAK_SCALE=quick \
-    "$repo_root/target/release/serve_campaign" --knee --jobs 4 > /dev/null)
-if ! diff -q "$srv_tmp/j1/results/serve_campaign.csv" "$srv_tmp/j4/results/serve_campaign.csv"; then
-    echo "ci: serve_campaign.csv differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-fi
-echo "ci: serve_campaign.csv byte-identical at --jobs 1 and 4"
 
 echo "=== perf gate (>30% regression vs committed BENCH_perf.json fails) ==="
 # Two tracked hot paths: engine simulation rate (first sim_cycles_per_sec in
@@ -210,7 +159,7 @@ gate_ok=""
 for attempt in 1 2 3; do
     [ "$attempt" -gt 1 ] && {
         echo "ci: perf gate retry $attempt (noise burst suspected)"
-        (cd "$perf_tmp" && "$repo_root/target/release/perf_baseline" --quick > /dev/null)
+        in_scratch perf perf_baseline --quick
     }
     gate_ok=yes
     for key in sim_cycles_per_sec line_slice8_mib_s trace_encode_mib_s trace_decode_mib_s; do

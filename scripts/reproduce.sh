@@ -26,5 +26,9 @@ TVARAK_SCALE=reduced run vilamb_sweep
 TVARAK_SCALE=reduced run ycsb_suite
 run coverage_campaign
 run chaos_campaign
+run degraded_campaign
+run crashsim_campaign
+run serve_campaign --knee
+run soak_campaign
 
 echo "All experiments complete; CSVs in results/."
