@@ -274,10 +274,10 @@ pub struct Cli<O> {
     /// Binary name (usage text, diagnostics).
     pub name: &'static str,
     /// Flags, positionals and environment variables beyond the common set.
-    pub options: Vec<Opt<O>>,
+    options: Vec<Opt<O>>,
     /// The cell-filter variable (`CHAOS_FILTER`), for campaigns that have
     /// one; it lands in [`Config::filter`].
-    pub filter_env: Option<&'static str>,
+    filter_env: Option<&'static str>,
 }
 
 impl<O: Default> Cli<O> {
@@ -363,7 +363,7 @@ impl<O: Default> Cli<O> {
     }
 
     /// The usage text printed with every [`UsageError`].
-    pub fn usage(&self) -> String {
+    fn usage(&self) -> String {
         let mut s = format!("usage: {} [--jobs N] [--threads N]", self.name);
         let mut envs =
             String::from("TVARAK_SCALE=quick|reduced|full MEMSIM_JOBS=N MEMSIM_ENGINE_THREADS=N");
@@ -379,18 +379,6 @@ impl<O: Default> Cli<O> {
             envs += &format!(" {f}=<substring>");
         }
         format!("{s}\nenvironment: {envs}")
-    }
-
-    /// Parse the process's real arguments and environment.
-    ///
-    /// Prints the usage text and exits 2 on a [`UsageError`].
-    pub fn from_process(&self) -> (Config<O>, usize) {
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let parsed = self.parse(&args, &|k| std::env::var(k).ok());
-        parsed.unwrap_or_else(|UsageError(e)| {
-            eprintln!("{}: {e}\n{}", self.name, self.usage());
-            std::process::exit(2)
-        })
     }
 }
 
@@ -431,13 +419,14 @@ impl<O: Default> Campaign<O> {
         }
     }
 
-    /// Set [`Cli::options`].
+    /// Set the flags, positionals and environment variables beyond the
+    /// common set.
     pub fn options(mut self, options: Vec<Opt<O>>) -> Self {
         self.cli.options = options;
         self
     }
 
-    /// Set [`Cli::filter_env`].
+    /// Set the cell-filter variable (`CHAOS_FILTER`).
     pub fn filter_env(mut self, var: &'static str) -> Self {
         self.cli.filter_env = Some(var);
         self
@@ -487,10 +476,16 @@ impl<O: Default> Campaign<O> {
         0
     }
 
-    /// Run the campaign as a process: real argv and environment, artefacts
-    /// under `results/`, exit code from [`Campaign::emit`].
+    /// Run the campaign as a process: real argv and environment (usage
+    /// text and exit 2 on a [`UsageError`]), artefacts under `results/`,
+    /// exit code from [`Campaign::emit`].
     pub fn main(&self) -> ! {
-        let (cfg, jobs) = self.cli.from_process();
+        let args: Vec<String> = std::env::args().skip(1).collect();
+        let parsed = self.cli.parse(&args, &|k| std::env::var(k).ok());
+        let (cfg, jobs) = parsed.unwrap_or_else(|UsageError(e)| {
+            eprintln!("{}: {e}\n{}", self.cli.name, self.cli.usage());
+            std::process::exit(2)
+        });
         let code = self.emit(
             &cfg,
             jobs,

@@ -4,9 +4,10 @@
 //! the chunked `TVT2` [`TraceWriter`] into a buffer the cell hands back as
 //! a `traces/*.tvt2` artefact — campaign runs stay pure, and the driver
 //! writes the file with every other result. [`CampaignTrace::finish`]
-//! decodes the capture back through [`TraceReader`], so one that does not
-//! round-trip record-for-record surfaces as a cell violation, not a
-//! silently corrupt artefact.
+//! decodes the capture back through [`TraceReader`] — every chunk's CRC and
+//! the total record count, not the records' contents — so a capture that
+//! fails either check surfaces as a cell violation, not a silently corrupt
+//! artefact.
 
 use memsim::addr::PhysAddr;
 use memsim::trace::{TraceReader, TraceRecord, TraceWriter};

@@ -28,8 +28,9 @@
 //! - `soak_campaign` — long-horizon interval snapshots checked against the
 //!   machine's monolithic stats (DESIGN.md §16)
 //! - `probe` — ad-hoc single-workload comparisons for calibration
-//! - `perf_baseline` — tracked performance baseline of the simulator
-//!   itself, emitting `BENCH_perf.json` (DESIGN.md §9)
+//!
+//! How fast the simulator itself runs is measured by the standalone
+//! `benchmark/` crate (`BENCHMARK.json`), not by anything in this crate.
 //!
 //! Every binary but `show_config` takes `--jobs N` / `MEMSIM_JOBS` (worker
 //! pool width; output is byte-identical at any setting), `--threads N` /

@@ -55,8 +55,8 @@ pub struct CellResult<R> {
 
 impl<R> CellResult<R> {
     /// Simulated cycles per wall-clock second, given the cell's simulated
-    /// cycle count (the simulator-throughput figure `perf_baseline` tracks).
-    pub fn sim_cycles_per_sec(&self, sim_cycles: u64) -> f64 {
+    /// cycle count.
+    fn sim_cycles_per_sec(&self, sim_cycles: u64) -> f64 {
         sim_cycles as f64 / self.wall.as_secs_f64().max(1e-9)
     }
 }
@@ -134,20 +134,18 @@ pub fn run_cells<R: Send>(cells: Vec<Cell<R>>, jobs: usize) -> Vec<CellResult<R>
 }
 
 /// Print a per-cell wall-time / simulated-throughput summary to stderr.
-/// `sim_cycles` extracts each cell's simulated cycle count from its value.
+/// `sim_cycles` extracts each cell's simulated cycle count from its value;
+/// a cell that reports none (0) gets its wall time only.
 pub fn eprint_rates<R>(results: &[CellResult<R>], sim_cycles: impl Fn(&R) -> u64) {
     let mut err = std::io::stderr().lock();
     let total_wall: f64 = results.iter().map(|r| r.wall.as_secs_f64()).sum();
     let _ = writeln!(err, "# per-cell wall time and simulated throughput");
     for r in results {
-        let cyc = sim_cycles(&r.value);
-        let _ = writeln!(
-            err,
-            "#   {:<40} {:>8.2}s {:>10.2} Mcyc/s",
-            r.label,
-            r.wall.as_secs_f64(),
-            r.sim_cycles_per_sec(cyc) / 1e6
-        );
+        let _ = write!(err, "#   {:<40} {:>8.2}s", r.label, r.wall.as_secs_f64());
+        let _ = match sim_cycles(&r.value) {
+            0 => writeln!(err),
+            cyc => writeln!(err, " {:>10.2} Mcyc/s", r.sim_cycles_per_sec(cyc) / 1e6),
+        };
     }
     let _ = writeln!(
         err,
@@ -158,7 +156,8 @@ pub fn eprint_rates<R>(results: &[CellResult<R>], sim_cycles: impl Fn(&R) -> u64
 
 /// Peak resident set size of this process (`VmHWM`) in KiB, when the
 /// platform exposes it (`/proc/self/status`). A host-dependent gauge for
-/// stderr telemetry and perf-baseline JSON — never for deterministic CSVs.
+/// stderr telemetry and the benchmark's `rss_peak_mib` — never for
+/// deterministic CSVs.
 pub fn peak_rss_kb() -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     let line = status.lines().find(|l| l.starts_with("VmHWM:"))?;

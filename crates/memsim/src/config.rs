@@ -127,8 +127,7 @@ pub struct SystemConfig {
     /// Weave shard workers for bound-weave parallel sessions (see
     /// `memsim::weave`): `0` = auto (min of LLC banks and host parallelism,
     /// capped at 4). Results are bit-identical at any value — the knob only
-    /// moves where replay work runs. Overridable per-process with
-    /// `MEMSIM_WEAVE_SHARDS` when this is `0`.
+    /// moves where replay work runs.
     pub weave_shards: usize,
     /// DRAM parameters.
     pub dram: DramConfig,

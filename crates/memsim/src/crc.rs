@@ -63,8 +63,9 @@ const fn make_tables() -> [[u32; 256]; 8] {
 static TABLES: [[u32; 256]; 8] = make_tables();
 
 /// Whether this machine offers a hardware CRC32C unit the kernel will use
-/// (SSE 4.2 on x86_64, the CRC extension on aarch64). Reported by
-/// `perf_baseline` so checksum-throughput numbers are interpretable.
+/// (SSE 4.2 on x86_64, the CRC extension on aarch64). Reported in the
+/// benchmark's `info` line (`hw_crc32c`) so checksum timings are
+/// interpretable.
 pub fn hw_available() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
@@ -80,11 +81,10 @@ pub fn hw_available() -> bool {
     }
 }
 
-/// Advance `crc` over `data` with the portable slice-by-8 kernel.
-///
-/// Public so the checksum microbench can pin the software path regardless
-/// of what [`update`] dispatches to on the host.
-pub fn update_sw(crc: u32, data: &[u8]) -> u32 {
+/// Advance `crc` over `data` with the portable slice-by-8 kernel: what
+/// [`update`] falls back to without a hardware unit, and the path the unit
+/// tests pin regardless of the host.
+fn update_sw(crc: u32, data: &[u8]) -> u32 {
     let mut crc = crc;
     let mut chunks = data.chunks_exact(8);
     for c in &mut chunks {

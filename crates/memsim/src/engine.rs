@@ -1967,8 +1967,8 @@ impl System {
     /// and emitted as an event batched per scheduler step (epoch) onto
     /// per-(core × shard) SPSC rings; the workers replay, verify, and time
     /// the epochs in deterministic (epoch, emitter, seq) order. The shard
-    /// count comes from `cfg.weave_shards` (0 = `MEMSIM_WEAVE_SHARDS` or
-    /// auto); results are bit-identical at any value.
+    /// count comes from `cfg.weave_shards` (0 = auto); results are
+    /// bit-identical at any value.
     ///
     /// Call [`Self::weave_end`] to close the session and fold the shared
     /// state (and corrected clocks) back in. The caller must invoke

@@ -1,14 +1,10 @@
-//! Memory-access traces: a compact chunked binary format for recording and
-//! replaying access streams through the simulated hierarchy.
+//! Memory-access traces: a compact chunked binary format for recording the
+//! access stream a campaign cell issued (`bench::capture`, the
+//! `results/traces/*.tvt2` artefacts).
 //!
-//! Trace-driven runs complement the execution-driven applications: they make
-//! experiments portable (a trace captured once can be replayed under every
-//! redundancy design) and make it easy to construct adversarial access
-//! patterns for stress tests.
+//! # Streaming codec
 //!
-//! # Streaming pipeline
-//!
-//! The on-disk format (`TVT2`) is **chunked** so capture and replay are
+//! The on-disk format (`TVT2`) is **chunked** so encoding and decoding are
 //! O(chunk) in memory, not O(trace): [`TraceWriter`] encodes records into a
 //! bounded buffer and emits a self-describing chunk (record count, payload
 //! length, CRC32C over the payload via the [`crate::crc`] dispatcher)
@@ -20,8 +16,8 @@
 //! Inside a chunk, records are delta-encoded: addresses are stored as
 //! zigzag LEB128 deltas from the previous record's address (reset per
 //! chunk, so chunks decode independently) and the length/write-flag pair is
-//! one LEB128 varint, shrinking the dominant sequential/strided patterns
-//! from 12 bytes per record to ~4–5.
+//! one LEB128 varint, so the dominant sequential/strided patterns take
+//! ~4–5 bytes per record.
 //!
 //! ```text
 //! file   := "TVT2" chunk*
@@ -29,12 +25,9 @@
 //! record := core:u8  varint(len << 1 | write)  varint(zigzag(addr - prev))
 //! ```
 //!
-//! The legacy fixed-width `TVTR` format (12 bytes per record, no chunking)
-//! is still decoded by [`Trace::from_bytes`] and [`TraceReader`] for old
-//! fixtures; nothing in the library writes it any more.
+//! `TVT2` is the only format: any other magic is rejected.
 
 use crate::addr::PhysAddr;
-use crate::engine::{CorruptionDetected, System};
 use std::fmt;
 use std::io::{self, Read, Write};
 
@@ -51,20 +44,12 @@ pub struct TraceRecord {
     pub len: u16,
 }
 
-/// A sequence of accesses, fully resident. For streams too large to hold,
-/// use [`TraceWriter`]/[`TraceReader`] directly.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Trace {
-    records: Vec<TraceRecord>,
-}
-
 /// What was wrong with a serialized trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceErrorKind {
-    /// The stream does not start with a known magic (`TVT2` or `TVTR`).
+    /// The stream does not start with the `TVT2` magic.
     BadMagic,
-    /// The stream ended inside a chunk header, chunk payload, or (legacy)
-    /// record.
+    /// The stream ended inside a chunk header or chunk payload.
     Truncated,
     /// A chunk header's CRC32C does not match its payload.
     CrcMismatch,
@@ -74,8 +59,6 @@ pub enum TraceErrorKind {
     BadChunkHeader,
     /// A record's access length is outside `1..=4096`.
     BadLen,
-    /// A record's write flag is neither 0 nor 1 (legacy format only).
-    BadFlag,
     /// A LEB128 varint overruns 10 bytes or the chunk payload.
     BadVarint,
     /// A chunk payload was not fully consumed by its declared record count.
@@ -90,7 +73,6 @@ impl TraceErrorKind {
             TraceErrorKind::CrcMismatch => "chunk CRC mismatch",
             TraceErrorKind::BadChunkHeader => "bad chunk header",
             TraceErrorKind::BadLen => "access length out of range",
-            TraceErrorKind::BadFlag => "bad write flag",
             TraceErrorKind::BadVarint => "bad varint",
             TraceErrorKind::TrailingBytes => "chunk payload not consumed",
         }
@@ -149,33 +131,8 @@ impl From<ParseTraceError> for TraceReadError {
     }
 }
 
-/// Error replaying a streamed trace: a decode/read failure or a verified
-/// read that detected corruption.
-#[derive(Debug)]
-pub enum ReplayError {
-    /// The trace stream could not be decoded.
-    Read(TraceReadError),
-    /// A verified read failed (propagated from the engine).
-    Corruption(CorruptionDetected),
-}
-
-impl fmt::Display for ReplayError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ReplayError::Read(e) => e.fmt(f),
-            ReplayError::Corruption(e) => write!(f, "replay detected corruption: {e:?}"),
-        }
-    }
-}
-
-impl std::error::Error for ReplayError {}
-
-/// Serialized legacy record size: core (1) + flags (1) + len (2) + addr (8).
-const RECORD_BYTES: usize = 12;
-/// Legacy magic: fixed 12-byte records, no chunking.
-const MAGIC_LEGACY: &[u8; 4] = b"TVTR";
-/// Chunked magic.
-const MAGIC_CHUNKED: &[u8; 4] = b"TVT2";
+/// Stream magic.
+const MAGIC: &[u8; 4] = b"TVT2";
 /// Chunk header size: count (4) + payload len (4) + crc (4).
 const CHUNK_HEADER: usize = 12;
 /// Upper bound on one encoded record: core byte + len/flag varint (2) +
@@ -260,146 +217,6 @@ fn unzigzag(v: u64) -> i64 {
     ((v >> 1) ^ (v & 1).wrapping_neg()) as i64
 }
 
-/// Validate an access length decoded from any format.
-fn check_len(len: u64, offset: usize) -> Result<u16, ParseTraceError> {
-    if len == 0 || len > LEN_MAX as u64 {
-        return Err(ParseTraceError {
-            offset,
-            kind: TraceErrorKind::BadLen,
-        });
-    }
-    Ok(len as u16)
-}
-
-impl Trace {
-    /// An empty trace.
-    pub fn new() -> Self {
-        Trace::default()
-    }
-
-    /// Append a record.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `len` is zero or greater than a page — the same bound
-    /// every decode path enforces with [`TraceErrorKind::BadLen`].
-    pub fn push(&mut self, record: TraceRecord) {
-        assert!(
-            record.len >= 1 && record.len as usize <= LEN_MAX,
-            "access length {} out of range",
-            record.len
-        );
-        self.records.push(record);
-    }
-
-    /// Number of records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Iterate the records.
-    pub fn iter(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.records.iter()
-    }
-
-    /// Replay the trace through `sys`. Stores write a deterministic pattern
-    /// derived from the record index so replays are reproducible
-    /// (bit-identical to a [`TraceReader::replay`] of the same records).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first [`CorruptionDetected`] from verified reads.
-    pub fn replay(&self, sys: &mut System) -> Result<(), CorruptionDetected> {
-        let mut buf = vec![0u8; LEN_MAX];
-        for (i, r) in self.records.iter().enumerate() {
-            replay_one(sys, r, i as u64, &mut buf)?;
-        }
-        Ok(())
-    }
-
-    /// Serialize to the chunked `TVT2` representation.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = TraceWriter::new(Vec::with_capacity(4 + self.records.len() * 6))
-            .expect("Vec write cannot fail");
-        for r in &self.records {
-            w.push(*r).expect("Vec write cannot fail");
-        }
-        w.finish().expect("Vec write cannot fail")
-    }
-
-    /// Parse a serialized trace, accepting both the chunked `TVT2` format
-    /// and the legacy `TVTR` format.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseTraceError`] — carrying the byte offset of the
-    /// malformed chunk or record and the defect kind — on a bad magic, a
-    /// truncated chunk/record, a CRC mismatch, or an out-of-range field.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, ParseTraceError> {
-        // The legacy format has no framing, so a truncated tail is only
-        // detectable from the total size; check it up front to report the
-        // partial record's offset exactly as the old parser did.
-        if bytes.len() >= 4 && &bytes[..4] == MAGIC_LEGACY {
-            let body = bytes.len() - 4;
-            if !body.is_multiple_of(RECORD_BYTES) {
-                return Err(ParseTraceError {
-                    offset: 4 + body / RECORD_BYTES * RECORD_BYTES,
-                    kind: TraceErrorKind::Truncated,
-                });
-            }
-        }
-        let mut reader = TraceReader::new(bytes).map_err(flatten_slice_err)?;
-        let mut records = Vec::new();
-        while let Some(r) = reader.next_record().map_err(flatten_slice_err)? {
-            records.push(r);
-        }
-        Ok(Trace { records })
-    }
-}
-
-/// A slice-backed reader cannot fail with a genuine I/O error; surface the
-/// parse error it wraps.
-fn flatten_slice_err(e: TraceReadError) -> ParseTraceError {
-    match e {
-        TraceReadError::Malformed(p) => p,
-        TraceReadError::Io(e) => unreachable!("in-memory trace read cannot io-fail: {e}"),
-    }
-}
-
-/// Replay one record through `sys`; `index` seeds the deterministic store
-/// pattern. `buf` must be at least `PAGE` bytes.
-fn replay_one(
-    sys: &mut System,
-    r: &TraceRecord,
-    index: u64,
-    buf: &mut [u8],
-) -> Result<(), CorruptionDetected> {
-    let n = r.len as usize;
-    if r.write {
-        let b = (index as u8).wrapping_mul(131).wrapping_add(7);
-        buf[..n].fill(b);
-        sys.write(r.core as usize, r.addr, &buf[..n])?;
-    } else {
-        sys.read(r.core as usize, r.addr, &mut buf[..n])?;
-    }
-    Ok(())
-}
-
-impl FromIterator<TraceRecord> for Trace {
-    fn from_iter<I: IntoIterator<Item = TraceRecord>>(iter: I) -> Self {
-        let mut t = Trace::new();
-        for r in iter {
-            t.push(r);
-        }
-        t
-    }
-}
-
 /// Streaming chunked-trace encoder over any `io::Write`.
 ///
 /// Records accumulate into a bounded payload buffer (delta/varint encoded);
@@ -414,14 +231,12 @@ pub struct TraceWriter<W: Write> {
     chunk_records: u32,
     prev_addr: u64,
     records: u64,
-    bytes: u64,
 }
 
 impl<W: Write> fmt::Debug for TraceWriter<W> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceWriter")
             .field("records", &self.records)
-            .field("bytes", &self.bytes)
             .field("buffered", &self.payload.len())
             .finish_non_exhaustive()
     }
@@ -434,14 +249,13 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// Propagates the magic write.
     pub fn new(mut inner: W) -> io::Result<Self> {
-        inner.write_all(MAGIC_CHUNKED)?;
+        inner.write_all(MAGIC)?;
         Ok(TraceWriter {
             inner,
             payload: Vec::with_capacity(CHUNK_PAYLOAD_MAX),
             chunk_records: 0,
             prev_addr: 0,
             records: 0,
-            bytes: 4,
         })
     }
 
@@ -453,8 +267,8 @@ impl<W: Write> TraceWriter<W> {
     ///
     /// # Panics
     ///
-    /// Panics if `record.len` is zero or greater than a page (the
-    /// [`Trace::push`] contract).
+    /// Panics if `record.len` is zero or greater than a page — the same
+    /// bound the decoder enforces with [`TraceErrorKind::BadLen`].
     pub fn push(&mut self, record: TraceRecord) -> io::Result<()> {
         assert!(
             record.len >= 1 && record.len as usize <= LEN_MAX,
@@ -487,7 +301,6 @@ impl<W: Write> TraceWriter<W> {
         self.inner.write_all(&(self.payload.len() as u32).to_le_bytes())?;
         self.inner.write_all(&crc.to_le_bytes())?;
         self.inner.write_all(&self.payload)?;
-        self.bytes += (CHUNK_HEADER + self.payload.len()) as u64;
         self.payload.clear();
         self.chunk_records = 0;
         self.prev_addr = 0; // deltas reset per chunk: chunks decode independently
@@ -497,12 +310,6 @@ impl<W: Write> TraceWriter<W> {
     /// Records pushed so far.
     pub fn records_written(&self) -> u64 {
         self.records
-    }
-
-    /// Bytes emitted so far (magic + completed chunks; excludes the
-    /// buffered partial chunk).
-    pub fn bytes_written(&self) -> u64 {
-        self.bytes
     }
 
     /// Flush the final partial chunk and return the underlying writer.
@@ -517,25 +324,15 @@ impl<W: Write> TraceWriter<W> {
     }
 }
 
-/// Which wire format a [`TraceReader`] is decoding.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Format {
-    Chunked,
-    Legacy,
-}
-
-/// Streaming trace decoder over any `io::Read`, accepting both the chunked
-/// `TVT2` format and the legacy `TVTR` format.
+/// Streaming `TVT2` decoder over any `io::Read`.
 ///
 /// Memory use is O(chunk): one payload buffer bounded by
-/// [`CHUNK_PAYLOAD_MAX`] (12 bytes for legacy records), regardless of
-/// stream length. Every chunk's CRC32C is verified before any of its
-/// records are surfaced, and every error carries the byte offset of the
-/// offending chunk or record.
+/// [`CHUNK_PAYLOAD_MAX`], regardless of stream length. Every chunk's CRC32C
+/// is verified before any of its records are surfaced, and every error
+/// carries the byte offset of the offending chunk or record.
 pub struct TraceReader<R: Read> {
     inner: R,
-    format: Format,
-    /// Current chunk payload (chunked) or one record (legacy).
+    /// Current chunk payload.
     buf: Vec<u8>,
     /// Decode cursor within `buf`.
     cursor: usize,
@@ -547,14 +344,13 @@ pub struct TraceReader<R: Read> {
     prev_addr: u64,
     /// Total bytes consumed from the underlying reader.
     pos: usize,
-    /// Records decoded so far (drives the deterministic replay pattern).
+    /// Records decoded so far.
     records_read: u64,
 }
 
 impl<R: Read> fmt::Debug for TraceReader<R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceReader")
-            .field("format", &self.format)
             .field("pos", &self.pos)
             .field("records_read", &self.records_read)
             .finish_non_exhaustive()
@@ -566,41 +362,25 @@ impl<R: Read> TraceReader<R> {
     ///
     /// # Errors
     ///
-    /// [`TraceReadError::Malformed`] with [`TraceErrorKind::BadMagic`] (or
-    /// `Truncated`) when the stream does not start with `TVT2`/`TVTR`;
+    /// [`TraceReadError::Malformed`] with [`TraceErrorKind::BadMagic`] at
+    /// offset 0 when the stream does not start with `TVT2`;
     /// [`TraceReadError::Io`] on reader failure.
     pub fn new(mut inner: R) -> Result<Self, TraceReadError> {
         let mut magic = [0u8; 4];
         let got = read_fully(&mut inner, &mut magic)?;
-        if got < 4 {
+        if got < 4 || &magic != MAGIC {
             return Err(ParseTraceError {
                 offset: 0,
                 kind: TraceErrorKind::BadMagic,
             }
             .into());
         }
-        let format = if &magic == MAGIC_CHUNKED {
-            Format::Chunked
-        } else if &magic == MAGIC_LEGACY {
-            Format::Legacy
-        } else {
-            return Err(ParseTraceError {
-                offset: 0,
-                kind: TraceErrorKind::BadMagic,
-            }
-            .into());
-        };
-        // Pre-size the payload buffer to its ceiling so `resize` inside the
-        // chunk loop never reallocates: capacity IS the memory bound that
-        // `buffer_capacity` reports and the bounded-replay test asserts.
-        let buf = Vec::with_capacity(match format {
-            Format::Chunked => CHUNK_PAYLOAD_MAX,
-            Format::Legacy => RECORD_BYTES,
-        });
         Ok(TraceReader {
             inner,
-            format,
-            buf,
+            // Pre-sized to its ceiling so `resize` inside the chunk loop
+            // never reallocates: capacity IS the memory bound that
+            // `buffer_capacity` reports and the bounded-stream test asserts.
+            buf: Vec::with_capacity(CHUNK_PAYLOAD_MAX),
             cursor: 0,
             chunk_remaining: 0,
             payload_offset: 4,
@@ -616,14 +396,14 @@ impl<R: Read> TraceReader<R> {
     }
 
     /// Capacity of the reader's internal payload buffer — the O(chunk)
-    /// resident-memory bound the streaming pipeline guarantees (at most
-    /// [`CHUNK_PAYLOAD_MAX`] for well-formed chunked input).
+    /// resident-memory bound the streaming codec guarantees (at most
+    /// [`CHUNK_PAYLOAD_MAX`]).
     pub fn buffer_capacity(&self) -> usize {
         self.buf.capacity()
     }
 
     /// Decode the next record, or `None` at a clean end of stream (EOF at
-    /// a chunk/record boundary).
+    /// a chunk boundary).
     ///
     /// # Errors
     ///
@@ -631,15 +411,10 @@ impl<R: Read> TraceReader<R> {
     /// out-of-range field, with the offending chunk/record's byte offset;
     /// [`TraceReadError::Io`] on reader failure.
     pub fn next_record(&mut self) -> Result<Option<TraceRecord>, TraceReadError> {
-        match self.format {
-            Format::Legacy => self.next_legacy(),
-            Format::Chunked => {
-                if self.chunk_remaining == 0 && !self.load_chunk()? {
-                    return Ok(None);
-                }
-                self.decode_one().map(Some)
-            }
+        if self.chunk_remaining == 0 && !self.load_chunk()? {
+            return Ok(None);
         }
+        self.decode_one().map(Some)
     }
 
     /// Read the next chunk header + payload and verify its CRC. `false` at
@@ -660,8 +435,8 @@ impl<R: Read> TraceReader<R> {
         let crc = u32::from_le_bytes(header[8..12].try_into().unwrap());
         // A record encodes to at least 3 bytes (core + 2 one-byte varints),
         // so `count` beyond len/3 (or an empty/oversized payload) cannot be
-        // well-formed — reject before allocating.
-        if count == 0 || len == 0 || len > CHUNK_PAYLOAD_MAX || count as usize > len {
+        // well-formed — reject before reading the payload.
+        if count == 0 || len == 0 || len > CHUNK_PAYLOAD_MAX || count as usize > len / 3 {
             return Err(ParseTraceError {
                 offset: chunk_start,
                 kind: TraceErrorKind::BadChunkHeader,
@@ -702,8 +477,10 @@ impl<R: Read> TraceReader<R> {
         self.cursor += 1;
         let lw = get_varint(&self.buf, &mut self.cursor)
             .ok_or_else(|| malformed(TraceErrorKind::BadVarint))?;
-        let len = check_len(lw >> 1, rec_offset)?;
-        let write = lw & 1 == 1;
+        let (len, write) = (lw >> 1, lw & 1 == 1);
+        if len == 0 || len > LEN_MAX as u64 {
+            return Err(malformed(TraceErrorKind::BadLen).into());
+        }
         let delta = get_varint(&self.buf, &mut self.cursor)
             .ok_or_else(|| malformed(TraceErrorKind::BadVarint))?;
         let addr = self.prev_addr.wrapping_add(unzigzag(delta) as u64);
@@ -721,63 +498,8 @@ impl<R: Read> TraceReader<R> {
             core,
             write,
             addr: PhysAddr(addr),
-            len,
+            len: len as u16,
         })
-    }
-
-    /// Decode one legacy fixed-width record.
-    fn next_legacy(&mut self) -> Result<Option<TraceRecord>, TraceReadError> {
-        let rec_offset = self.pos;
-        self.buf.resize(RECORD_BYTES, 0);
-        let got = read_fully(&mut self.inner, &mut self.buf)?;
-        if got == 0 {
-            return Ok(None);
-        }
-        self.pos += got;
-        if got < RECORD_BYTES {
-            return Err(truncated(rec_offset));
-        }
-        let len = check_len(
-            u64::from(u16::from_le_bytes([self.buf[2], self.buf[3]])),
-            rec_offset,
-        )?;
-        if self.buf[1] > 1 {
-            return Err(ParseTraceError {
-                offset: rec_offset,
-                kind: TraceErrorKind::BadFlag,
-            }
-            .into());
-        }
-        self.records_read += 1;
-        Ok(Some(TraceRecord {
-            core: self.buf[0],
-            write: self.buf[1] == 1,
-            len,
-            addr: PhysAddr(u64::from_le_bytes(self.buf[4..12].try_into().unwrap())),
-        }))
-    }
-
-    /// Replay the remaining records through `sys` as they decode, never
-    /// holding more than one chunk resident. Stores write the same
-    /// deterministic index-derived pattern as [`Trace::replay`], so a
-    /// streamed replay is bit-identical to a resident one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates decode errors and the first [`CorruptionDetected`].
-    pub fn replay(&mut self, sys: &mut System) -> Result<u64, ReplayError> {
-        let mut buf = vec![0u8; LEN_MAX];
-        let mut n = 0u64;
-        loop {
-            let index = self.records_read;
-            match self.next_record().map_err(ReplayError::Read)? {
-                None => return Ok(n),
-                Some(r) => {
-                    replay_one(sys, &r, index, &mut buf).map_err(ReplayError::Corruption)?;
-                    n += 1;
-                }
-            }
-        }
     }
 }
 
@@ -814,157 +536,99 @@ fn read_fully<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize> {
     Ok(filled)
 }
 
-/// Synthetic trace generators for stress and microbenchmark patterns.
-pub mod generate {
-    use super::{Trace, TraceRecord};
-    use crate::addr::{PhysAddr, CACHE_LINE, NVM_BASE};
-
-    /// Sequential 64 B reads or writes over `[base, base + lines*64)`.
-    pub fn sequential(core: u8, write: bool, base: PhysAddr, lines: u64) -> Trace {
-        (0..lines)
-            .map(|i| TraceRecord {
-                core,
-                write,
-                addr: PhysAddr(base.0 + i * CACHE_LINE as u64),
-                len: CACHE_LINE as u16,
-            })
-            .collect()
-    }
-
-    /// Strided 64 B accesses: `count` accesses `stride_lines` apart
-    /// (wrapping within `lines`), starting at `base`.
-    pub fn strided(
-        core: u8,
-        write: bool,
-        base: PhysAddr,
-        lines: u64,
-        stride_lines: u64,
-        count: u64,
-    ) -> Trace {
-        (0..count)
-            .map(|i| TraceRecord {
-                core,
-                write,
-                addr: PhysAddr(base.0 + (i * stride_lines % lines) * CACHE_LINE as u64),
-                len: CACHE_LINE as u16,
-            })
-            .collect()
-    }
-
-    /// A pointer-chase-like pattern: pseudo-random line order within the
-    /// region (deterministic in `seed`).
-    pub fn scramble(core: u8, write: bool, base: PhysAddr, lines: u64, seed: u64) -> Trace {
-        let mul = (seed | 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        (0..lines)
-            .map(|i| TraceRecord {
-                core,
-                write,
-                addr: PhysAddr(base.0 + (i.wrapping_mul(mul) % lines) * CACHE_LINE as u64),
-                len: CACHE_LINE as u16,
-            })
-            .collect()
-    }
-
-    /// The `i`-th record of an unbounded synthetic mixed stream
-    /// (deterministic in `seed`): a blend of sequential runs and strided
-    /// jumps across `lines` cache lines, 1-in-4 writes, cycling `cores`
-    /// issuing cores. Generates records one at a time so billion-op streams
-    /// can be fed to a [`super::TraceWriter`] without materializing them.
-    pub fn mixed_record(seed: u64, i: u64, cores: u8, lines: u64) -> TraceRecord {
-        let mul = (seed | 1).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-        // 16-record sequential runs whose start lines scramble.
-        let run = i / 16;
-        let line = (run.wrapping_mul(mul) % lines + i % 16) % lines;
-        TraceRecord {
-            core: (run % cores.max(1) as u64) as u8,
-            write: i.is_multiple_of(4),
-            addr: PhysAddr(NVM_BASE + line * CACHE_LINE as u64),
-            len: CACHE_LINE as u16,
-        }
-    }
-
-    /// The default NVM base address, for building traces without a pool.
-    pub fn nvm_base() -> PhysAddr {
-        PhysAddr(NVM_BASE)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::addr::NVM_BASE;
-    use crate::config::SystemConfig;
-    use crate::engine::{NullHooks, System};
 
-    #[test]
-    fn roundtrip_serialization() {
-        let mut t = Trace::new();
-        t.push(TraceRecord {
-            core: 1,
-            write: true,
-            addr: PhysAddr(NVM_BASE + 640),
-            len: 64,
-        });
-        t.push(TraceRecord {
-            core: 0,
-            write: false,
-            addr: PhysAddr(128),
-            len: 8,
-        });
-        let bytes = t.to_bytes();
-        assert_eq!(&bytes[..4], MAGIC_CHUNKED);
-        let back = Trace::from_bytes(&bytes).unwrap();
-        assert_eq!(t, back);
+    fn encode(records: &[TraceRecord]) -> Vec<u8> {
+        let mut w = TraceWriter::new(Vec::new()).unwrap();
+        for r in records {
+            w.push(*r).unwrap();
+        }
+        w.finish().unwrap()
+    }
+
+    /// Decode a whole in-memory stream; a slice reader cannot io-fail.
+    fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, ParseTraceError> {
+        let malformed = |e| match e {
+            TraceReadError::Malformed(p) => p,
+            TraceReadError::Io(e) => panic!("slice read failed: {e}"),
+        };
+        TraceReader::new(bytes)
+            .map_err(malformed)?
+            .map(|r| r.map_err(malformed))
+            .collect()
+    }
+
+    /// One hand-framed chunk claiming `count` records over `payload`.
+    fn chunk(count: u32, payload: &[u8]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&count.to_le_bytes());
+        bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(&crc32c(payload).to_le_bytes());
+        bytes.extend_from_slice(payload);
+        bytes
     }
 
     #[test]
-    fn legacy_roundtrip_still_decodes() {
-        let mut t = Trace::new();
-        t.push(TraceRecord {
-            core: 3,
-            write: true,
-            addr: PhysAddr(NVM_BASE),
-            len: 4096,
-        });
-        // Hand-encoded TVTR bytes: the library only decodes this format now.
-        let mut bytes = MAGIC_LEGACY.to_vec();
-        for r in &t.records {
-            bytes.push(r.core);
-            bytes.push(u8::from(r.write));
-            bytes.extend_from_slice(&r.len.to_le_bytes());
-            bytes.extend_from_slice(&r.addr.0.to_le_bytes());
-        }
-        assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
+    fn roundtrip_serialization() {
+        let records = [
+            TraceRecord {
+                core: 1,
+                write: true,
+                addr: PhysAddr(NVM_BASE + 640),
+                len: 64,
+            },
+            TraceRecord {
+                core: 0,
+                write: false,
+                addr: PhysAddr(128),
+                len: 8,
+            },
+        ];
+        let bytes = encode(&records);
+        assert_eq!(&bytes[..4], MAGIC);
+        assert_eq!(decode(&bytes).unwrap(), records);
     }
 
     #[test]
     fn rejects_malformed_input() {
-        assert!(Trace::from_bytes(b"").is_err());
-        assert!(Trace::from_bytes(b"XXXX").is_err());
-        let mut good = Trace::new();
-        good.push(TraceRecord {
+        assert!(decode(b"").is_err());
+        assert!(decode(b"XXXX").is_err());
+        let good = encode(&[TraceRecord {
             core: 0,
             write: false,
             addr: PhysAddr(0),
             len: 1,
-        });
-        let mut bytes = good.to_bytes();
+        }]);
+        let mut bytes = good.clone();
         bytes.pop(); // truncate the chunk payload
-        let err = Trace::from_bytes(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert_eq!(err.kind, TraceErrorKind::Truncated);
         assert_eq!(err.offset, 4, "truncation reports the chunk start");
         // Corrupt the CRC field (chunk header: count@4, len@8, crc@12).
-        let mut bytes = good.to_bytes();
+        let mut bytes = good.clone();
         bytes[12] ^= 0xff;
-        let err = Trace::from_bytes(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert_eq!(err.kind, TraceErrorKind::CrcMismatch);
         assert_eq!(err.offset, 4);
         // Corrupt a payload byte: also surfaces as a CRC mismatch.
-        let mut bytes = good.to_bytes();
+        let mut bytes = good.clone();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xff;
-        let err = Trace::from_bytes(&bytes).unwrap_err();
+        let err = decode(&bytes).unwrap_err();
         assert_eq!(err.kind, TraceErrorKind::CrcMismatch);
+        assert_eq!(err.offset, 4);
+        // A minimal record (core 0, len 1 read, delta 0) is 3 bytes, so
+        // 3 * count == len is the densest well-formed chunk.
+        let payload = [0u8, 2, 0, 0, 2, 0, 0, 2];
+        assert_eq!(decode(&chunk(2, &payload[..6])).unwrap().len(), 2);
+        // 3 * count == len + 1 cannot be well-formed: the header is rejected
+        // at the chunk offset before any payload decode (decoding first
+        // would report a `BadVarint` inside the payload instead).
+        let err = decode(&chunk(3, &payload)).unwrap_err();
+        assert_eq!(err.kind, TraceErrorKind::BadChunkHeader);
         assert_eq!(err.offset, 4);
     }
 
@@ -984,19 +648,25 @@ mod tests {
 
     #[test]
     fn writer_reader_stream_across_chunks() {
-        // Enough records to force multiple chunks (sequential pattern is
-        // ~4 bytes/record, so > CHUNK_PAYLOAD_MAX / 4 records).
+        // Enough records to force multiple chunks (strided cache-line
+        // accesses are ~4-5 bytes/record, so > CHUNK_PAYLOAD_MAX / 4 records).
         let n = (CHUNK_PAYLOAD_MAX * 3) as u64;
+        let record = |i: u64| TraceRecord {
+            core: (i / 16 % 4) as u8,
+            write: i.is_multiple_of(4),
+            addr: PhysAddr(NVM_BASE + (i * 0x9e37 % (1 << 20)) * 64),
+            len: 64,
+        };
         let mut w = TraceWriter::new(Vec::new()).unwrap();
         for i in 0..n {
-            w.push(generate::mixed_record(7, i, 4, 1 << 20)).unwrap();
+            w.push(record(i)).unwrap();
         }
         assert_eq!(w.records_written(), n);
         let bytes = w.finish().unwrap();
         let mut r = TraceReader::new(&bytes[..]).unwrap();
         let mut count = 0u64;
         while let Some(rec) = r.next_record().unwrap() {
-            assert_eq!(rec, generate::mixed_record(7, count, 4, 1 << 20));
+            assert_eq!(rec, record(count));
             count += 1;
         }
         assert_eq!(count, n);
@@ -1005,49 +675,5 @@ mod tests {
             "reader buffer {} exceeds the chunk bound",
             r.buffer_capacity()
         );
-    }
-
-    #[test]
-    fn replay_writes_then_reads_consistently() {
-        let mut sys = System::new(SystemConfig::small(), Box::new(NullHooks));
-        let base = PhysAddr(NVM_BASE);
-        let mut t = generate::sequential(0, true, base, 32);
-        for r in generate::sequential(0, false, base, 32).iter() {
-            t.push(*r);
-        }
-        t.replay(&mut sys).unwrap();
-        assert!(sys.stats().counters.l1d_hits > 0);
-    }
-
-    #[test]
-    fn streamed_replay_matches_resident_replay() {
-        let base = PhysAddr(NVM_BASE);
-        let mut t = generate::sequential(0, true, base, 64);
-        for r in generate::scramble(1, false, base, 64, 5).iter() {
-            t.push(*r);
-        }
-        let mut sys_a = System::new(SystemConfig::small(), Box::new(NullHooks));
-        t.replay(&mut sys_a).unwrap();
-        let bytes = t.to_bytes();
-        let mut sys_b = System::new(SystemConfig::small(), Box::new(NullHooks));
-        let mut reader = TraceReader::new(&bytes[..]).unwrap();
-        let n = reader.replay(&mut sys_b).unwrap();
-        assert_eq!(n, t.len() as u64);
-        assert_eq!(sys_a.stats(), sys_b.stats());
-        assert_eq!(
-            sys_a.memory().content_hash(),
-            sys_b.memory().content_hash()
-        );
-    }
-
-    #[test]
-    fn generators_cover_expected_ranges() {
-        let t = generate::strided(0, false, PhysAddr(NVM_BASE), 8, 3, 8);
-        let lines: Vec<u64> = t.iter().map(|r| (r.addr.0 - NVM_BASE) / 64).collect();
-        assert_eq!(lines, vec![0, 3, 6, 1, 4, 7, 2, 5]);
-        let s = generate::scramble(0, false, PhysAddr(NVM_BASE), 16, 9);
-        let mut seen: Vec<u64> = s.iter().map(|r| (r.addr.0 - NVM_BASE) / 64).collect();
-        seen.sort_unstable();
-        assert_eq!(seen, (0..16).collect::<Vec<_>>());
     }
 }

@@ -23,7 +23,7 @@
 //!   an event emitted by core `c` targeting LLC bank `b` travels on ring
 //!   `(c, b mod S)` — allocation-free, lock-free, one release store per
 //!   event. `S` is the shard count ([`crate::config::SystemConfig::weave_shards`],
-//!   `MEMSIM_WEAVE_SHARDS`, or auto).
+//!   0 = auto).
 //! - **Epoch batching**: the bound side batches every event of one scheduler
 //!   step (one application instruction, same emitter core) into one *epoch*.
 //!   At step end it publishes a descriptor to the emitter's directory ring
@@ -1187,8 +1187,8 @@ impl WeaveReport {
     }
 
     /// Fraction of the session's lifetime spent applying events, summed
-    /// over workers — the pipeline-occupancy figure reported by
-    /// `perf_baseline`.
+    /// over workers — the pipeline-occupancy figure the benchmark reports
+    /// as `weave.shard_occupancy`.
     pub fn occupancy(&self) -> f64 {
         if self.wall_s > 0.0 {
             self.busy_s / self.wall_s
@@ -1196,37 +1196,17 @@ impl WeaveReport {
             0.0
         }
     }
-
-    /// Per-shard occupancy: seconds spent applying each shard's events over
-    /// the session lifetime (`engine_scaling.shard_occupancy` in
-    /// `BENCH_perf.json`).
-    pub fn shard_occupancy(&self) -> Vec<f64> {
-        if self.wall_s > 0.0 {
-            self.shard_busy_s.iter().map(|b| b / self.wall_s).collect()
-        } else {
-            vec![0.0; self.shards()]
-        }
-    }
 }
 
-/// Resolve the shard-worker count for a session: the config knob when set,
-/// else `MEMSIM_WEAVE_SHARDS`, else auto (min of LLC banks and host
-/// parallelism, capped at 4 — more spinning workers than cores only adds
-/// scheduler pressure).
+/// Resolve the shard-worker count for a session: `cfg.weave_shards` when
+/// set, else auto (min of LLC banks and host parallelism, capped at 4 —
+/// more spinning workers than cores only adds scheduler pressure).
 pub(crate) fn resolve_shards(cfg_shards: usize, llc_banks: usize) -> usize {
     let n = if cfg_shards > 0 {
         cfg_shards
     } else {
-        match std::env::var("MEMSIM_WEAVE_SHARDS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) if n > 0 => n,
-            _ => {
-                let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-                host.min(llc_banks).min(4)
-            }
-        }
+        let host = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        host.min(llc_banks).min(4)
     };
     n.clamp(1, MAX_SHARDS)
 }

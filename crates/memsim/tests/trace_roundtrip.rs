@@ -1,10 +1,8 @@
-//! Property-style round-trip tests for the trace wire formats (ISSUE 9
-//! satellite): seeded randomized record streams must serialize/parse
-//! losslessly through the chunked `TVT2` codec, legacy `TVTR` bytes must
-//! still decode with their historical exact-offset errors, and every
-//! malformed-input class in the chunked format must be rejected with the
-//! byte offset of the defective chunk or record preserved in
-//! `ParseTraceError`.
+//! Property-style round-trip tests for the `TVT2` trace codec: seeded
+//! randomized record streams must encode/decode losslessly through
+//! `TraceWriter`/`TraceReader`, and every malformed-input class must be
+//! rejected with the byte offset of the defective chunk or record preserved
+//! in `ParseTraceError`.
 //!
 //! Hermetic build: no proptest dependency, so the property is driven by a
 //! seeded SplitMix64 generator — deterministic, reproducible, and wide
@@ -13,7 +11,7 @@
 
 use memsim::addr::{PhysAddr, NVM_BASE, PAGE};
 use memsim::trace::{
-    Trace, TraceErrorKind, TraceReadError, TraceReader, TraceRecord, TraceWriter,
+    ParseTraceError, TraceErrorKind, TraceReadError, TraceReader, TraceRecord, TraceWriter,
     CHUNK_PAYLOAD_MAX,
 };
 
@@ -42,23 +40,33 @@ fn random_record(state: &mut u64) -> TraceRecord {
     }
 }
 
-/// Encode in the legacy fixed-width `TVTR` representation (12 bytes per
-/// record). The library no longer writes this format — captures stream
-/// through [`TraceWriter`] — so the encoder lives here, where the
-/// legacy-decode tests need to fabricate inputs.
-fn legacy_bytes(t: &Trace) -> Vec<u8> {
-    let mut out = Vec::with_capacity(HEADER + t.len() * RECORD_BYTES);
-    out.extend_from_slice(b"TVTR");
-    for r in t.iter() {
-        out.push(r.core);
-        out.push(u8::from(r.write));
-        out.extend_from_slice(&r.len.to_le_bytes());
-        out.extend_from_slice(&r.addr.0.to_le_bytes());
+/// Encode `records` into an in-memory `TVT2` stream.
+fn encode(records: &[TraceRecord]) -> Vec<u8> {
+    let mut w = TraceWriter::new(Vec::new()).unwrap();
+    for r in records {
+        w.push(*r).unwrap();
     }
-    out
+    assert_eq!(w.records_written(), records.len() as u64);
+    w.finish().unwrap()
 }
 
-const RECORD_BYTES: usize = 12;
+/// Decode a whole in-memory stream, stopping at the first defect. A slice
+/// reader cannot fail with a genuine I/O error.
+fn decode(bytes: &[u8]) -> Result<Vec<TraceRecord>, ParseTraceError> {
+    let malformed = |e| match e {
+        TraceReadError::Malformed(p) => p,
+        TraceReadError::Io(e) => panic!("in-memory trace read cannot io-fail: {e}"),
+    };
+    TraceReader::new(bytes)
+        .map_err(malformed)?
+        .map(|r| r.map_err(malformed))
+        .collect()
+}
+
+/// What a fixed-width encoding would spend per record: core (1) + flag (1)
+/// + len (2) + addr (8). The varint/delta encoding must never do worse.
+const FIXED_RECORD_BYTES: usize = 12;
+/// Length of the stream magic.
 const HEADER: usize = 4;
 /// Chunk header: record count (u32le) + payload length (u32le) + CRC32C.
 const CHUNK_HEADER: usize = 12;
@@ -68,36 +76,18 @@ fn random_traces_roundtrip_losslessly() {
     let mut state = 0x5eed_0001u64;
     for case in 0..200 {
         let n = (splitmix64(&mut state) % 64) as usize;
-        let t: Trace = (0..n).map(|_| random_record(&mut state)).collect();
-        let bytes = t.to_bytes();
+        let t: Vec<TraceRecord> = (0..n).map(|_| random_record(&mut state)).collect();
+        let bytes = encode(&t);
         assert!(
-            bytes.len() <= HEADER + usize::from(n > 0) * CHUNK_HEADER + n * RECORD_BYTES,
-            "case {case}: chunked encoding must not exceed the legacy size"
+            bytes.len() <= HEADER + usize::from(n > 0) * CHUNK_HEADER + n * FIXED_RECORD_BYTES,
+            "case {case}: chunked encoding must not exceed the fixed-width size"
         );
-        let back = Trace::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("case {case}: valid trace rejected: {e}"));
+        let back =
+            decode(&bytes).unwrap_or_else(|e| panic!("case {case}: valid trace rejected: {e}"));
         assert_eq!(t, back, "case {case}: round-trip must be lossless");
         // Serialization is canonical: re-serializing parses back to the
         // same bytes.
-        assert_eq!(bytes, back.to_bytes(), "case {case}: canonical bytes");
-    }
-}
-
-#[test]
-fn random_traces_roundtrip_via_legacy_format() {
-    let mut state = 0x5eed_0002u64;
-    for case in 0..100 {
-        let n = (splitmix64(&mut state) % 64) as usize;
-        let t: Trace = (0..n).map(|_| random_record(&mut state)).collect();
-        let bytes = legacy_bytes(&t);
-        assert_eq!(
-            bytes.len(),
-            HEADER + n * RECORD_BYTES,
-            "case {case}: legacy serialized size"
-        );
-        let back = Trace::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("case {case}: legacy trace rejected: {e}"));
-        assert_eq!(t, back, "case {case}: legacy decode must be lossless");
+        assert_eq!(bytes, encode(&back), "case {case}: canonical bytes");
     }
 }
 
@@ -107,12 +97,7 @@ fn streaming_writer_reader_roundtrips_spanning_chunks() {
     // 64 KiB chunks and exercises the per-chunk delta-base reset.
     let mut state = 0x5eed_0003u64;
     let records: Vec<TraceRecord> = (0..40_000).map(|_| random_record(&mut state)).collect();
-    let mut w = TraceWriter::new(Vec::new()).unwrap();
-    for r in &records {
-        w.push(*r).unwrap();
-    }
-    assert_eq!(w.records_written(), records.len() as u64);
-    let bytes = w.finish().unwrap();
+    let bytes = encode(&records);
     assert!(bytes.len() > CHUNK_PAYLOAD_MAX, "must span multiple chunks");
 
     let mut r = TraceReader::new(&bytes[..]).unwrap();
@@ -131,32 +116,41 @@ fn streaming_writer_reader_roundtrips_spanning_chunks() {
 
 #[test]
 fn empty_trace_roundtrips() {
-    let t = Trace::new();
-    let bytes = t.to_bytes();
+    let bytes = encode(&[]);
     assert_eq!(bytes, b"TVT2", "an empty trace is just the magic");
-    assert_eq!(Trace::from_bytes(&bytes).unwrap(), t);
-    assert_eq!(Trace::from_bytes(b"TVTR").unwrap(), t, "legacy empty");
+    assert_eq!(decode(&bytes).unwrap(), []);
 }
 
 #[test]
 fn short_or_bad_magic_reports_offset_zero() {
-    for bad in [&b""[..], &b"T"[..], &b"TVT"[..], &b"XXXX"[..], &b"tvtr"[..]] {
-        let err = Trace::from_bytes(bad).expect_err("must reject");
+    for bad in [&b""[..], &b"T"[..], &b"TVT"[..], &b"XXXX"[..], &b"tvt2"[..]] {
+        let err = decode(bad).expect_err("must reject");
         assert_eq!(err.offset, 0, "input {bad:?}");
         assert_eq!(err.kind, TraceErrorKind::BadMagic, "input {bad:?}");
     }
 }
 
 #[test]
+fn retired_fixed_width_format_is_rejected_as_bad_magic() {
+    // A well-formed stream of the retired fixed-width format (one 64-byte
+    // read of address 0 by core 0): there is one decode path, so its magic
+    // is rejected like any other unknown one.
+    let mut bytes = b"TVTR".to_vec();
+    bytes.extend_from_slice(&[0, 0, 64, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
+    let err = decode(&bytes).expect_err("must reject");
+    assert_eq!((err.offset, err.kind), (0, TraceErrorKind::BadMagic));
+}
+
+#[test]
 fn truncated_chunk_reports_chunk_offset() {
     let mut state = 0xbad_c0deu64;
-    let t: Trace = (0..5).map(|_| random_record(&mut state)).collect();
-    let full = t.to_bytes();
+    let t: Vec<TraceRecord> = (0..5).map(|_| random_record(&mut state)).collect();
+    let full = encode(&t);
     // One chunk: magic, then header + payload. Any cut inside the chunk —
     // header or payload — reports the chunk's start offset. (A cut at
     // exactly HEADER leaves a valid empty trace, so start past it.)
     for cut in HEADER + 1..full.len() - 1 {
-        let err = Trace::from_bytes(&full[..cut]).expect_err("truncated trace must be rejected");
+        let err = decode(&full[..cut]).expect_err("truncated trace must be rejected");
         assert_eq!(err.offset, HEADER, "cut at byte {cut}");
         assert_eq!(err.kind, TraceErrorKind::Truncated, "cut at byte {cut}");
     }
@@ -167,11 +161,7 @@ fn corrupt_crc_reports_chunk_offset() {
     let mut state = 0xc0c0_c0deu64;
     // Two chunks' worth of records so the second chunk's offset is nonzero.
     let records: Vec<TraceRecord> = (0..10_000).map(|_| random_record(&mut state)).collect();
-    let mut w = TraceWriter::new(Vec::new()).unwrap();
-    for r in &records {
-        w.push(*r).unwrap();
-    }
-    let good = w.finish().unwrap();
+    let good = encode(&records);
     // Locate the second chunk by walking the chunk headers.
     let len0 = u32::from_le_bytes(good[HEADER + 4..HEADER + 8].try_into().unwrap()) as usize;
     let chunk1 = HEADER + CHUNK_HEADER + len0;
@@ -197,68 +187,6 @@ fn corrupt_crc_reports_chunk_offset() {
     assert!(delivered > 0, "first chunk decodes before the bad one");
     assert_eq!(err.kind, TraceErrorKind::CrcMismatch);
     assert_eq!(err.offset, chunk1, "error names the corrupt chunk's offset");
-
-    // Same defect through the resident decode path.
-    let err = Trace::from_bytes(&bytes).expect_err("corrupt CRC");
-    assert_eq!(err.kind, TraceErrorKind::CrcMismatch);
-    assert_eq!(err.offset, chunk1);
-}
-
-#[test]
-fn legacy_truncated_body_reports_offset_of_partial_record() {
-    let mut state = 0xbad_c0deu64;
-    let t: Trace = (0..5).map(|_| random_record(&mut state)).collect();
-    let full = legacy_bytes(&t);
-    // Chop anywhere that is not a whole number of records: the reported
-    // offset must be the start of the partial record.
-    for cut in 1..RECORD_BYTES * 5 {
-        if cut % RECORD_BYTES == 0 {
-            continue;
-        }
-        let bytes = &full[..HEADER + cut];
-        let err = Trace::from_bytes(bytes).expect_err("truncated trace must be rejected");
-        assert_eq!(
-            err.offset,
-            HEADER + cut / RECORD_BYTES * RECORD_BYTES,
-            "cut at body byte {cut}"
-        );
-        assert_eq!(err.kind, TraceErrorKind::Truncated, "cut at body byte {cut}");
-    }
-}
-
-#[test]
-fn legacy_bad_records_report_their_own_offset() {
-    let mut state = 0xfeed_beefu64;
-    let t: Trace = (0..4).map(|_| random_record(&mut state)).collect();
-    let good = legacy_bytes(&t);
-    for i in 0..4 {
-        let rec = HEADER + i * RECORD_BYTES;
-        // Zero length.
-        let mut bytes = good.clone();
-        bytes[rec + 2] = 0;
-        bytes[rec + 3] = 0;
-        let err = Trace::from_bytes(&bytes).expect_err("len 0");
-        assert_eq!(err.offset, rec, "zero len in record {i}");
-        assert_eq!(err.kind, TraceErrorKind::BadLen);
-        // Length beyond a page.
-        let mut bytes = good.clone();
-        bytes[rec + 2..rec + 4].copy_from_slice(&(PAGE as u16 + 1).to_le_bytes());
-        let err = Trace::from_bytes(&bytes).expect_err("len > PAGE");
-        assert_eq!(err.offset, rec, "oversized len in record {i}");
-        assert_eq!(err.kind, TraceErrorKind::BadLen);
-        // Non-boolean write flag.
-        let mut bytes = good.clone();
-        bytes[rec + 1] = 2;
-        let err = Trace::from_bytes(&bytes).expect_err("flag 2");
-        assert_eq!(err.offset, rec, "bad flag in record {i}");
-        assert_eq!(err.kind, TraceErrorKind::BadFlag);
-    }
-    // Only the FIRST defect is reported.
-    let mut bytes = good.clone();
-    bytes[HEADER + 1] = 7;
-    bytes[HEADER + 2 * RECORD_BYTES + 1] = 7;
-    let err = Trace::from_bytes(&bytes).expect_err("two bad records");
-    assert_eq!(err.offset, HEADER, "first defect wins");
 }
 
 #[test]
@@ -287,7 +215,7 @@ fn chunked_decode_rejects_out_of_range_len() {
         bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
         bytes.extend_from_slice(&crc.to_le_bytes());
         bytes.extend_from_slice(&payload);
-        let err = Trace::from_bytes(&bytes).expect_err("len {bad_len} must be rejected");
+        let err = decode(&bytes).expect_err("len {bad_len} must be rejected");
         assert_eq!(err.kind, TraceErrorKind::BadLen, "len {bad_len}");
         assert_eq!(
             err.offset,
@@ -299,6 +227,6 @@ fn chunked_decode_rejects_out_of_range_len() {
 
 #[test]
 fn error_display_names_the_offset() {
-    let err = Trace::from_bytes(b"XXXX").unwrap_err();
+    let err = decode(b"XXXX").unwrap_err();
     assert_eq!(err.to_string(), "malformed trace at byte 0: bad magic");
 }

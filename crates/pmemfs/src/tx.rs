@@ -672,6 +672,35 @@ mod tests {
         assert_eq!(buf, [0u8; 4]);
     }
 
+    /// Shrunk failure proptest once recorded for `abort_atomicity`
+    /// (`tests/proptest_tx.proptest-regressions`): a single aborted write
+    /// whose last byte spills onto the next page.
+    #[test]
+    fn regression_abort_atomicity_page_crossing_write() {
+        let (mut sys, _fs, mut txm, f) = setup(SwScheme::None);
+        let mut tx = txm.begin(&mut sys, 0).unwrap();
+        tx.write(&mut sys, &f, 12252, &[1u8; 37]).unwrap();
+        tx.abort(&mut sys).unwrap();
+        let mut buf = vec![0xffu8; f.len() as usize];
+        f.read(&mut sys, 0, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0));
+    }
+
+    /// Shrunk failure proptest once recorded for `undo_log_space_is_reusable`
+    /// (`rounds = 1`): one transaction logging ~32 KB against the 64 KB log.
+    #[test]
+    fn regression_undo_log_space_is_reusable_one_round() {
+        let (mut sys, _fs, mut txm, f) = setup(SwScheme::None);
+        let mut tx = txm.begin(&mut sys, 0).unwrap();
+        for i in 0..8u64 {
+            tx.write(&mut sys, &f, i * 4096, &[0u8; 4000]).unwrap();
+        }
+        tx.commit(&mut sys).unwrap();
+        let mut buf = vec![0xffu8; 4000];
+        f.read(&mut sys, 0, 0, &mut buf).unwrap();
+        assert!(buf.iter().all(|&b| b == 0));
+    }
+
     #[test]
     fn log_full_is_reported() {
         let cfg = SystemConfig::small();

@@ -56,8 +56,7 @@ pub fn crc32c(data: &[u8]) -> u32 {
 }
 
 /// The reference byte-at-a-time CRC32C. Kept as the equivalence oracle for
-/// the slice-by-8 implementation and as the slow arm of the checksum
-/// microbench (`perf_baseline`).
+/// the slice-by-8 and hardware kernels in [`memsim::crc`].
 pub fn crc32c_bytewise(data: &[u8]) -> u32 {
     let mut crc = u32::MAX;
     for &b in data {
@@ -115,52 +114,6 @@ pub fn line_checksum(data: &[u8; CACHE_LINE]) -> u32 {
 pub fn page_checksum(page: &[u8]) -> u32 {
     assert_eq!(page.len(), PAGE, "page checksum requires a full 4KB page");
     crc32c(page)
-}
-
-/// Fletcher-64-style checksum folded to 32 bits (two 32-bit running sums
-/// over 32-bit words, as ZFS uses for its cheaper checksum tier). Provided
-/// as an alternative checksum function for the controller's adders: weaker
-/// mixing than CRC32C but only adds and shifts — see the `primitives`
-/// Criterion bench for the throughput comparison that justifies CRC32C as
-/// the default (hardware CRC units make the stronger code effectively free).
-///
-/// Trailing bytes short of a 4-byte word are zero-padded.
-pub fn fletcher32(data: &[u8]) -> u32 {
-    let mut a: u64 = 0;
-    let mut b: u64 = 0;
-    let mut chunks = data.chunks_exact(4);
-    for w in &mut chunks {
-        let v = u32::from_le_bytes([w[0], w[1], w[2], w[3]]) as u64;
-        a = (a + v) % 0xffff_ffff;
-        b = (b + a) % 0xffff_ffff;
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = [0u8; 4];
-        w[..rem.len()].copy_from_slice(rem);
-        let v = u32::from_le_bytes(w) as u64;
-        a = (a + v) % 0xffff_ffff;
-        b = (b + a) % 0xffff_ffff;
-    }
-    ((b << 16) ^ a) as u32
-}
-
-/// XOR-fold checksum (the weakest, fastest option — what a naive design
-/// might pick). Included to demonstrate in tests why it is *insufficient*:
-/// it misses reordered and compensating corruptions that CRC32C catches.
-pub fn xor_fold(data: &[u8]) -> u32 {
-    let mut acc: u32 = 0;
-    let mut chunks = data.chunks_exact(4);
-    for w in &mut chunks {
-        acc ^= u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut w = [0u8; 4];
-        w[..rem.len()].copy_from_slice(rem);
-        acc ^= u32::from_le_bytes(w);
-    }
-    acc
 }
 
 /// Number of 4-byte checksums packed into one 64 B checksum cache line.
@@ -294,57 +247,5 @@ mod tests {
     #[should_panic(expected = "out of line")]
     fn slot_out_of_range_panics() {
         csum_slot(&[0u8; CACHE_LINE], CSUMS_PER_LINE);
-    }
-
-    #[test]
-    fn fletcher_detects_single_byte_changes() {
-        let base = [0x5au8; CACHE_LINE];
-        let c0 = fletcher32(&base);
-        for i in 0..CACHE_LINE {
-            let mut x = base;
-            x[i] ^= 0x01;
-            assert_ne!(fletcher32(&x), c0, "byte {i}");
-        }
-    }
-
-    #[test]
-    fn fletcher_detects_word_swaps_xor_fold_does_not() {
-        // Two different words swapped: position-sensitive checksums catch
-        // it, the XOR fold cannot — the concrete reason TVARAK needs more
-        // than an adder tree.
-        let mut a = [0u8; CACHE_LINE];
-        a[0] = 1;
-        a[4] = 2;
-        let mut b = [0u8; CACHE_LINE];
-        b[0] = 2;
-        b[4] = 1;
-        assert_ne!(fletcher32(&a), fletcher32(&b));
-        assert_ne!(crc32c(&a), crc32c(&b));
-        assert_eq!(xor_fold(&a), xor_fold(&b), "xor fold is order-blind");
-    }
-
-    #[test]
-    fn xor_fold_misses_compensating_corruption() {
-        let mut x = [0u8; CACHE_LINE];
-        let c0 = xor_fold(&x);
-        // Flip the same bit in two different words: XOR cancels.
-        x[0] ^= 0x80;
-        x[8] ^= 0x80;
-        assert_eq!(xor_fold(&x), c0, "compensating flips cancel under xor");
-        assert_ne!(crc32c(&x), crc32c(&[0u8; CACHE_LINE]));
-    }
-
-    #[test]
-    fn alternative_checksums_handle_ragged_lengths() {
-        for len in [0usize, 1, 3, 4, 5, 63, 64, 65] {
-            let data = vec![0xa7u8; len];
-            let _ = fletcher32(&data);
-            let _ = xor_fold(&data);
-            if len > 0 {
-                let mut d2 = data.clone();
-                d2[len - 1] ^= 1;
-                assert_ne!(fletcher32(&data), fletcher32(&d2), "len {len}");
-            }
-        }
     }
 }

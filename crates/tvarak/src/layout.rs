@@ -299,6 +299,28 @@ mod tests {
         assert!(!l.is_data_line(memsim::addr::PhysAddr(0).line()));
     }
 
+    /// Shrunk failure proptest once recorded (`dimms = 2, n = 472`,
+    /// `tests/proptest_layout.proptest-regressions`), against both layout
+    /// properties that take `(dimms, n)`.
+    #[test]
+    fn regression_layout_properties_at_dimms_2_page_472() {
+        let (dimms, n) = (2, 472);
+        // data_page_indexing_roundtrips
+        let l = NvmLayout::new(dimms, 10_000);
+        let page = l.nth_data_page(n);
+        assert!(!l.geom.is_parity_page(page.nvm_index()));
+        assert_eq!(l.data_index_of(page), n);
+        // csum_tables_do_not_overlap_stripes
+        let l = NvmLayout::new(dimms, 2_000);
+        let page = l.nth_data_page(n);
+        let (cs_line, _) = l.cl_csum_loc(page.line((n % 64) as usize));
+        assert!(!l.is_data_line(cs_line));
+        assert!(cs_line.page().nvm_index() >= l.striped_pages);
+        let (pcs_line, _) = l.page_csum_loc(page);
+        assert!(!l.is_data_line(pcs_line));
+        assert!(pcs_line.page().nvm_index() > cs_line.page().nvm_index());
+    }
+
     #[test]
     fn two_dimm_mirror_geometry_works() {
         // d=2 degenerates to mirroring (parity of one page = that page).

@@ -1,11 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 gate: build, unit/integration tests (which include every campaign's
-# --jobs width-independence and golden CSV digests), and quick-scale smokes
-# of the fault-injection campaigns. The campaigns exit non-zero on any survival
-# invariant violation (silent wrong data under a verifying design, an
-# unsettled media inconsistency after convergence, a poisoned page that
-# fails open, or a resilver that fails to complete / diverges from the
-# never-faulted oracle), so this script fails CI on them.
+# Tier-1 gate. Runs, in order: the workspace build, clippy (-D warnings) and
+# tests (which include every campaign's --jobs width-independence and golden
+# CSV digests); quick-scale smokes of the coverage, chaos, degraded, serve,
+# crashsim and soak campaigns; the fig8_fio byte-diff across engine thread
+# counts with its divergence smoke; and the benchmark's correctness gate on
+# one short workload. The campaigns exit non-zero on any survival invariant
+# violation (silent wrong data under a verifying design, an unsettled media
+# inconsistency after convergence, a poisoned page that fails open, or a
+# resilver that fails to complete / diverges from the never-faulted oracle),
+# so this script fails CI on them. Nothing here compares host time: speed is
+# measured by the benchmark's paired parent/change protocol
+# (benchmark/README.md), not by a threshold on a shared host.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -59,11 +64,6 @@ echo "=== soak_campaign (quick, short horizon) ==="
 # and every other campaign is a cargo test (campaign_determinism.rs).
 TVARAK_SCALE=quick ./target/release/soak_campaign --intervals 3 --ops-per-interval 256
 
-echo "=== perf_baseline (quick smoke) ==="
-# Runs the simulator-performance baseline in quick mode and checks that
-# BENCH_perf.json comes out well-formed. The committed BENCH_perf.json is
-# regenerated manually in full mode (see EXPERIMENTS.md); CI only smokes
-# the instrument, so run in a scratch dir to avoid clobbering it.
 repo_root="$PWD"
 scratch="$(mktemp -d)"
 trap 'rm -rf "$scratch"' EXIT
@@ -79,29 +79,13 @@ in_scratch() {
     (cd "$dir" && env ${envs[@]+"${envs[@]}"} "$repo_root/target/release/$bin" "$@" > /dev/null 2> stderr.txt) \
         || { cat "$dir/stderr.txt" >&2; exit 1; }
 }
-perf_tmp="$scratch/perf"
-in_scratch perf perf_baseline --quick
-for key in '"schema"' '"hw_threads"' '"line_speedup"' '"sim_cycles_per_sec"' '"cells_per_sec"' \
-           '"trace_encode_mib_s"' '"trace_decode_mib_s"' '"rss_peak_kb"'; do
-    grep -q "$key" "$perf_tmp/BENCH_perf.json" \
-        || { echo "ci: BENCH_perf.json missing key $key" >&2; exit 1; }
-done
 
-echo "=== perf_dashboard (smoke) ==="
-# The dashboard generator must run cleanly against the repo's git history
-# (old schemas included) and the soak CSV the smoke above just produced.
-scripts/perf_dashboard.sh
-for f in results/perf_dashboard.csv results/perf_dashboard.md; do
-    [ -s "$f" ] || { echo "ci: perf_dashboard produced empty $f" >&2; exit 1; }
-done
-grep -q 'soak campaign' results/perf_dashboard.md \
-    || { echo "ci: perf_dashboard.md missing the soak section" >&2; exit 1; }
-
-echo "=== bound-weave CSV differential (fig8_fio, threads x shards sweep) ==="
+echo "=== bound-weave CSV differential (fig8_fio, engine threads sweep) ==="
 # The bound-weave hard requirement: campaign output is byte-identical at any
-# MEMSIM_ENGINE_THREADS and any MEMSIM_WEAVE_SHARDS. Run one fio campaign
-# sequentially, then sweep thread counts (default shards) and shard counts
-# (at 4 threads), byte-diffing every CSV against the sequential oracle.
+# MEMSIM_ENGINE_THREADS. Run one fio campaign sequentially, then byte-diff
+# the CSV at 4 and 8 engine threads against it. (Shard counts are swept by
+# crates/bench/tests/weave_differential.rs, which also asserts the count
+# that actually ran.)
 fio_csv_matches_seq() { # NAME: $scratch/NAME's fig8_fio.csv equals the sequential oracle's
     if ! diff -q "$scratch/seq/results/fig8_fio.csv" "$scratch/$1/results/fig8_fio.csv"; then
         echo "ci: fig8_fio.csv differs between sequential and $1" >&2
@@ -113,12 +97,7 @@ for t in 4 8; do
     in_scratch "threads$t" TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=$t fig8_fio --jobs 1
     fio_csv_matches_seq "threads$t"
 done
-for sh in 1 2 4; do
-    in_scratch "shards$sh" TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=4 MEMSIM_WEAVE_SHARDS=$sh \
-        fig8_fio --jobs 1
-    fio_csv_matches_seq "shards$sh"
-done
-echo "ci: fig8_fio.csv byte-identical at 1/4/8 engine threads and 1/2/4 weave shards"
+echo "ci: fig8_fio.csv byte-identical at 1/4/8 engine threads"
 
 echo "=== weave divergence-rate smoke (fig8_fio must not fall back) ==="
 # A weave cell that diverges reruns sequentially — bit-identical output, so
@@ -131,77 +110,17 @@ if grep "rerunning sequentially" "$scratch/threads4/stderr.txt" >&2; then
 fi
 echo "ci: no weave cell fell back to sequential"
 
-echo "=== perf gate (>30% regression vs committed BENCH_perf.json fails) ==="
-# Two tracked hot paths: engine simulation rate (first sim_cycles_per_sec in
-# the file is the engine block's; the per-cell ones sit inside one-line cell
-# objects) and the pinned *software* slice-by-8 checksum rate (host
-# comparable — the dispatched kernel depends on what the CPU offers). Both
-# sides of the comparison are best-of-N minima, which are stable under
-# scheduler noise where single shots are not; 30% headroom plus a bounded
-# retry (shared boxes see multi-second steal bursts that depress even the
-# minimum) covers what remains.
-perf_metric() { # file, key -> first value of "key": <float>
-    grep -Eo "\"$2\": [0-9.]+" "$1" | head -1 | awk '{print $2}'
-}
-# Sharded-weave scaling gate: on a host with >= 4 cores the 4-engine-thread
-# fio cell must beat sequential by 1.2x (dependency-vector admission lets
-# epochs on disjoint shards apply concurrently, so the workers must deliver
-# real parallelism, not just break even). Smaller hosts cannot run the
-# replay workers concurrently, so the full gate is skipped there — loudly,
-# so a quiet CI downgrade never masks a scaling regression — and replaced
-# with an overhead bound: even time-sliced onto too few cores, the weave
-# path must stay within 2x of sequential (speedup >= 0.5).
-host_cores=$(nproc 2>/dev/null || echo 1)
-scaling_speedup4() { # file -> the threads-4 scaling point's speedup
-    grep '"threads": 4' "$1" | grep -Eo '"speedup": [0-9.]+' | head -1 | awk '{print $2}'
-}
-gate_ok=""
-for attempt in 1 2 3; do
-    [ "$attempt" -gt 1 ] && {
-        echo "ci: perf gate retry $attempt (noise burst suspected)"
-        in_scratch perf perf_baseline --quick
-    }
-    gate_ok=yes
-    for key in sim_cycles_per_sec line_slice8_mib_s trace_encode_mib_s trace_decode_mib_s; do
-        committed=$(perf_metric BENCH_perf.json "$key")
-        current=$(perf_metric "$perf_tmp/BENCH_perf.json" "$key")
-        if [ -z "$committed" ] || [ -z "$current" ]; then
-            echo "ci: perf gate could not read $key" >&2
-            exit 1
-        fi
-        if awk -v cur="$current" -v base="$committed" 'BEGIN { exit !(cur >= 0.7 * base) }'; then
-            echo "ci: perf $key ok ($current vs committed $committed)"
-        else
-            echo "ci: perf $key low: $current vs committed $committed (>30% drop)"
-            gate_ok=""
-        fi
-    done
-    speedup4=$(scaling_speedup4 "$perf_tmp/BENCH_perf.json")
-    if [ -z "$speedup4" ]; then
-        echo "ci: perf gate could not read the 4-thread scaling speedup" >&2
-        exit 1
-    fi
-    if [ "$host_cores" -ge 4 ]; then
-        if awk -v s="$speedup4" 'BEGIN { exit !(s > 1.2) }'; then
-            echo "ci: engine scaling ok (4-thread speedup $speedup4 on $host_cores detected cores)"
-        else
-            echo "ci: engine scaling low: 4-thread speedup $speedup4 <= 1.2 on $host_cores detected cores"
-            gate_ok=""
-        fi
-    else
-        echo "ci: SKIPPED engine-scaling speedup gate: host has $host_cores detected core(s), need >= 4"
-        if awk -v s="$speedup4" 'BEGIN { exit !(s >= 0.5) }'; then
-            echo "ci: engine scaling overhead ok (4-thread speedup $speedup4 >= 0.5 on $host_cores core(s))"
-        else
-            echo "ci: engine scaling overhead high: 4-thread speedup $speedup4 < 0.5 on $host_cores core(s)"
-            gate_ok=""
-        fi
-    fi
-    [ -n "$gate_ok" ] && break
-done
-if [ -z "$gate_ok" ]; then
-    echo "ci: perf regression persisted across 3 attempts" >&2
+echo "=== benchmark correctness gate (fio-llcfit-tvarak-t2, 1 s) ==="
+# The repo's one performance instrument is the standalone benchmark/ crate
+# (BENCHMARK.json). CI smokes its correctness gate only: exact-repeat
+# simulated results and the threads-2 vs threads-1 comparison, neither of
+# which depends on how fast the host is. Builds into benchmark/target.
+bench_last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+    --workload fio-llcfit-tvarak-t2 --seed 1 --seconds 1 --trace 0 | tail -n 1)
+if [[ "$bench_last" != *'"correct": true'* || "$bench_last" != *'"failed": 0'* ]]; then
+    echo "ci: benchmark correctness gate failed: $bench_last" >&2
     exit 1
 fi
+echo "ci: benchmark reports correct with 0 failed"
 
 echo "ci: all gates passed"

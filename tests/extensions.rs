@@ -1,40 +1,46 @@
-//! Integration tests for the extension features: trace replay, background
-//! scrubbing, Vilamb asynchronous redundancy, and file deletion — working
-//! together with the core stack.
+//! Integration tests for the extension features: raw access streams,
+//! background scrubbing, Vilamb asynchronous redundancy, and file deletion —
+//! working together with the core stack.
 
-use memsim::trace::{generate, Trace, TraceRecord};
 use tvarak::scrub::{ScrubGranularity, Scrubber};
 use tvarak_repro::prelude::*;
 
+/// The store pattern of access `index` in a raw stream: deterministic, and
+/// different from one store to the next.
+fn store_byte(index: u64) -> u8 {
+    (index as u8).wrapping_mul(131).wrapping_add(7)
+}
+
 #[test]
 fn trace_replay_is_design_independent_functionally() {
-    // The same trace replayed under Baseline and TVARAK leaves identical
-    // media content; TVARAK additionally leaves consistent redundancy.
-    let build = |design: Design| {
+    // The same access stream issued under Baseline and TVARAK leaves
+    // identical media content; TVARAK additionally leaves consistent
+    // redundancy. The stream: core 0 writes 512 lines in order, then core 1
+    // reads them back in a scrambled order.
+    const LINES: u64 = 512;
+    let scramble = 3u64.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut medias = Vec::new();
+    for design in [Design::Baseline, Design::Tvarak] {
         let mut m = Machine::builder()
             .small()
             .design(design)
             .data_pages(512)
             .build();
         let f = m.create_dax_file("t", 256 * 1024).unwrap();
-        (m, f)
-    };
-    let (m0, f0) = build(Design::Baseline);
-    let base = f0.addr(0);
-    drop(m0);
-    let mut trace = generate::sequential(0, true, base, 512);
-    for r in generate::scramble(1, false, base, 512, 3).iter() {
-        trace.push(*r);
-    }
-    let mut medias = Vec::new();
-    for design in [Design::Baseline, Design::Tvarak] {
-        let (mut m, f) = build(design);
-        trace.replay(&mut m.sys).unwrap();
+        let line_addr = |l: u64| memsim::PhysAddr(f.addr(0).0 + l * 64);
+        let mut buf = [0u8; 64];
+        for i in 0..LINES {
+            m.sys.write(0, line_addr(i), &[store_byte(i); 64]).unwrap();
+        }
+        for i in 0..LINES {
+            let line = i.wrapping_mul(scramble) % LINES;
+            m.sys.read(1, line_addr(line), &mut buf).unwrap();
+        }
         m.flush();
         if design == Design::Tvarak {
             m.verify_all(&f).unwrap();
         }
-        let snapshot: Vec<[u8; 64]> = (0..512)
+        let snapshot: Vec<[u8; 64]> = (0..LINES)
             .map(|l| m.sys.memory().peek_line(f.addr(l * 64).line()))
             .collect();
         medias.push(snapshot);
@@ -113,16 +119,12 @@ fn mixed_size_trace_accesses_roundtrip() {
         .data_pages(256)
         .build();
     let f = m.create_dax_file("t", 64 * 1024).unwrap();
-    let mut t = Trace::new();
+    // 50 odd-sized, unaligned stores alternating between two cores.
     for i in 0..50u64 {
-        t.push(TraceRecord {
-            core: (i % 2) as u8,
-            write: true,
-            addr: memsim::PhysAddr(f.addr(0).0 + i * 97),
-            len: (1 + (i % 200)) as u16,
-        });
+        let data = vec![store_byte(i); 1 + (i % 200) as usize];
+        let addr = memsim::PhysAddr(f.addr(0).0 + i * 97);
+        m.sys.write((i % 2) as usize, addr, &data).unwrap();
     }
-    t.replay(&mut m.sys).unwrap();
     m.flush();
     m.verify_all(&f).unwrap();
 }
