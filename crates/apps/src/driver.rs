@@ -113,11 +113,7 @@ impl Design {
         match self {
             Design::Baseline => None,
             Design::Tvarak | Design::TxbObject => Some(ScrubGranularity::CacheLine),
-            Design::TvarakAblated(tc) => Some(if tc.cl_granular_csums {
-                ScrubGranularity::CacheLine
-            } else {
-                ScrubGranularity::Page
-            }),
+            Design::TvarakAblated(tc) => Some(tc.checksum_granularity()),
             Design::TxbPage | Design::Vilamb { .. } => Some(ScrubGranularity::Page),
         }
     }
@@ -314,14 +310,6 @@ impl MachineBuilder {
         self
     }
 
-    /// LLC ways reserved for redundancy caching and data diffs (Fig. 10
-    /// sensitivity knobs). Only meaningful for TVARAK designs.
-    pub fn llc_partition(mut self, redundancy_ways: usize, diff_ways: usize) -> Self {
-        self.cfg.controller.redundancy_ways = redundancy_ways;
-        self.cfg.controller.diff_ways = diff_ways;
-        self
-    }
-
     /// Build the machine.
     ///
     /// # Panics
@@ -484,21 +472,11 @@ impl Machine {
     ///
     /// Returns the indices of inconsistent file pages.
     pub fn verify_all(&self, file: &FileHandle) -> Result<(), Vec<u64>> {
-        let mut bad = match self.design {
-            Design::Baseline => Vec::new(),
-            Design::Tvarak | Design::TxbObject => self.fs.scrub_cl(&self.sys, file),
-            Design::TvarakAblated(tc) => {
-                if tc.cl_granular_csums {
-                    self.fs.scrub_cl(&self.sys, file)
-                } else {
-                    self.fs.scrub_pages(&self.sys, file)
-                }
-            }
-            Design::TxbPage | Design::Vilamb { .. } => self.fs.scrub_pages(&self.sys, file),
+        let Some(granularity) = self.design.checksum_granularity() else {
+            return Ok(());
         };
-        if self.design != Design::Baseline {
-            bad.extend(self.fs.scrub_parity(&self.sys, file));
-        }
+        let mut bad = self.fs.scrub(&self.sys, file, granularity);
+        bad.extend(self.fs.scrub_parity(&self.sys, file));
         bad.sort_unstable();
         bad.dedup();
         if bad.is_empty() {
@@ -543,8 +521,8 @@ impl Machine {
     }
 
     /// Install a budgeted scrub daemon over `file`: `pages` pages verified
-    /// every `interval_ops` operations, ticked by the run drivers
-    /// ([`run_interleaved`], [`run_clocked`]) after every operation.
+    /// every `interval_ops` operations, ticked by [`run_clocked`] after
+    /// every operation.
     /// Findings are routed through the recovery orchestrator when one is
     /// enabled.
     ///
@@ -958,34 +936,6 @@ impl Machine {
 }
 
 /// Run `instances` workload instances for `ops` operations each,
-/// round-robin interleaved (instance `i` runs on core `i % cores`), then
-/// flush. Returns the statistics of the measured phase (call
-/// `Machine::reset_stats` before if setup preceded).
-///
-/// # Errors
-///
-/// Propagates the first workload error.
-pub fn run_interleaved<F>(
-    m: &mut Machine,
-    instances: usize,
-    ops: u64,
-    mut f: F,
-) -> Result<Stats, AppError>
-where
-    F: FnMut(&mut Machine, usize, u64) -> Result<(), AppError>,
-{
-    let cores = m.sys.num_cores();
-    for op in 0..ops {
-        for inst in 0..instances {
-            f(m, inst, op)?;
-            m.tick_maintenance(inst % cores)?;
-        }
-    }
-    m.flush();
-    Ok(m.stats())
-}
-
-/// Run `instances` workload instances for `ops` operations each,
 /// *clock-driven*: the instance whose core has the smallest simulated clock
 /// runs next. This is how concurrent threads actually interleave — an
 /// instance delayed by a busy NVM DIMM falls behind and the others advance,
@@ -1360,24 +1310,6 @@ mod tests {
             outcome,
             ThreadedRun::Sequential(WeaveEligibility::SwScheme)
         ));
-    }
-
-    #[test]
-    fn run_interleaved_advances_all_instances() {
-        let mut m = Machine::builder()
-            .small()
-            .design(Design::Baseline)
-            .data_pages(64)
-            .build();
-        let f = m.create_dax_file("t", 16 * 1024).unwrap();
-        let mut count = [0u64; 2];
-        run_interleaved(&mut m, 2, 5, |m, inst, op| {
-            count[inst] += 1;
-            f.write_u64(&mut m.sys, inst, (inst as u64 * 8192) + op * 8, op)?;
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(count, [5, 5]);
     }
 
     #[test]

@@ -139,13 +139,14 @@ fn scrub_daemon_detects_and_recovers_under_software_design() {
     let before = m.orchestrator().unwrap().detections();
     // Application keeps touching page 0 only; the daemon sweeps the rest.
     let ops = 2 * f.pages();
-    apps::driver::run_interleaved(&mut m, 1, ops, |m, _inst, op| {
+    apps::driver::run_clocked(&mut m, 1, ops, |m, _inst, op| {
         let mut tx = txm.begin(&mut m.sys, 0)?;
         tx.write_u64(&mut m.sys, &f, 8 * (op % 8), op)?;
         tx.commit(&mut m.sys)?;
         Ok(())
     })
     .unwrap();
+    m.flush();
     let orch = m.orchestrator().unwrap();
     assert!(
         orch.detections() > before,

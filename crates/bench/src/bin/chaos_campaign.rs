@@ -37,6 +37,7 @@ use memsim::addr::{LineAddr, PAGE};
 use memsim::{FaultKind, FaultPlan, FirmwareFault};
 use pmemfs::fs::FileHandle;
 use pmemfs::recover::RecoveryEvent;
+use tvarak::scrub::ScrubGranularity;
 
 const SEED_BASE: u64 = 0x00c4_a05c;
 
@@ -292,8 +293,8 @@ impl ChaosCtl {
         let bad = m.verify_all(file).err().unwrap_or_default();
         self.out.final_bad_pages = bad.len();
         if self.debug && !bad.is_empty() {
-            let csum_bad = m.fs.scrub_cl(&m.sys, file);
-            let page_bad = m.fs.scrub_pages(&m.sys, file);
+            let csum_bad = m.fs.scrub(&m.sys, file, ScrubGranularity::CacheLine);
+            let page_bad = m.fs.scrub(&m.sys, file, ScrubGranularity::Page);
             let parity_bad = m.fs.scrub_parity(&m.sys, file);
             eprintln!(
                 "{}: debug bad={bad:?} cl={csum_bad:?} page={page_bad:?} parity={parity_bad:?} poisoned={poisoned:?}",

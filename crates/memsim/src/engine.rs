@@ -452,17 +452,6 @@ impl<'a> HookEnv<'a> {
         }
     }
 
-    /// Look up the data diff for `data_line` in the diff partition.
-    pub fn llc_diff_lookup(&mut self, data_line: LineAddr) -> Option<[u8; CACHE_LINE]> {
-        self.sys.ctrs().llc_redundancy_accesses += 1;
-        let bank = self.bank_of(data_line);
-        let ways = self.diff_ways();
-        self.sys
-            .llc_bank(bank)
-            .lookup(data_line, ways)
-            .map(|e| *e.data)
-    }
-
     /// Store the pre-modification content of `data_line` in the diff
     /// partition. The evicted diff (if any) is returned so the controller can
     /// perform the paper's early writeback of that diff's data line.
@@ -1800,12 +1789,6 @@ impl System {
     /// oracle).
     pub fn crash_armed(&self) -> bool {
         self.crash.get_ref().budget.is_some()
-    }
-
-    /// Disarm the crash budget (subsequent writes reach the media again).
-    /// Event counts are preserved. The recovery phase runs after this.
-    pub fn crash_disarm(&mut self) {
-        self.crash.get_mut().budget = None;
     }
 
     /// Simulate the power loss itself: every volatile structure — private

@@ -1,11 +1,9 @@
 //! GF(2⁸) arithmetic for the firmware shadow-RAID Q syndrome.
 //!
 //! The device-level RAID model in [`crate::mem`] keeps host-side P/Q
-//! syndromes over the striped NVM pages (see `RaidState`). Q needs the same
-//! Galois field RAID-6 uses; `memsim` sits below the `tvarak` crate and
-//! cannot borrow its `raid6` module, so the (tiny) field lives here too.
-//! The `tvarak` crate pins the two implementations to each other with an
-//! equivalence test.
+//! syndromes over the striped NVM pages (see `RaidState`). Q is the
+//! conventional RAID-6 syndrome Σ 2ˢ·dₛ over this field; the two-erasure
+//! solve that uses it is `Memory::reconstruct_line`.
 
 /// The conventional RAID-6 field polynomial x⁸ + x⁴ + x³ + x² + 1.
 const POLY: u16 = 0x11d;

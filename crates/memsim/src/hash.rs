@@ -9,7 +9,7 @@
 //! change any simulated number, only wall-clock time. (The maps it backs
 //! are never iterated for output, so even iteration order is immaterial.)
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// Multiplier from Fx hash (derived from the golden ratio, as in rustc).
@@ -81,9 +81,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
-
-/// A `HashSet` keyed with [`FxHasher`].
-pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]
 mod tests {

@@ -777,11 +777,6 @@ impl Memory {
         self.raid.is_some()
     }
 
-    /// The configured RAID level, if any.
-    pub fn raid_level(&self) -> Option<RaidLevel> {
-        self.raid.as_ref().map(|r| r.level)
-    }
-
     /// Number of striped pages under shadow-RAID (0 when unconfigured).
     pub fn striped_pages(&self) -> u64 {
         self.raid.as_ref().map_or(0, |r| r.striped_pages)
@@ -1083,16 +1078,6 @@ impl FaultKind {
             FaultKind::StickyLostWrite => "sticky-lost-write",
             FaultKind::StickyMisdirectedRead => "sticky-misdir-read",
         }
-    }
-
-    /// Whether arming this kind needs a second ("actual") location.
-    pub fn needs_aux(&self) -> bool {
-        matches!(
-            self,
-            FaultKind::MisdirectedWrite
-                | FaultKind::MisdirectedRead
-                | FaultKind::StickyMisdirectedRead
-        )
     }
 }
 
@@ -1443,19 +1428,33 @@ mod tests {
 
     #[test]
     fn pq_survives_second_fault_during_rebuild() {
-        let mut m = Memory::new(4);
-        fill_region(&mut m, 8);
-        let want: Vec<[u8; CACHE_LINE]> =
-            (0..LINES_PER_PAGE).map(|li| m.peek_line(nvm_line(1, li))).collect();
-        let want5: Vec<[u8; CACHE_LINE]> =
-            (0..LINES_PER_PAGE).map(|li| m.peek_line(nvm_line(3, li))).collect();
-        m.configure_raid(8, RaidLevel::PQ);
-        m.fail_bank(1);
-        m.attach_spare(1);
-        m.fail_bank(3); // second fault mid-rebuild: two dead members per line
-        for li in 0..LINES_PER_PAGE {
-            assert_eq!(&m.read_line(nvm_line(1, li)), &want[li], "Q solve bank1");
-            assert_eq!(&m.read_line(nvm_line(3, li)), &want5[li], "Q solve bank3");
+        // Every (rebuilding, failed) bank pair at several widths: the P+Q
+        // two-erasure solve must read back every line of the region exactly.
+        for dimms in [4usize, 6, 8] {
+            let pages = 2 * dimms as u64;
+            for first in 0..dimms {
+                for second in (0..dimms).filter(|&b| b != first) {
+                    let mut m = Memory::new(dimms);
+                    fill_region(&mut m, pages);
+                    let want: Vec<[u8; CACHE_LINE]> = (0..pages)
+                        .flat_map(|idx| (0..LINES_PER_PAGE).map(move |li| nvm_line(idx, li)))
+                        .map(|l| m.peek_line(l))
+                        .collect();
+                    m.configure_raid(pages, RaidLevel::PQ);
+                    m.fail_bank(first);
+                    m.attach_spare(first);
+                    m.fail_bank(second); // second fault mid-rebuild: two dead members per line
+                    for idx in 0..pages {
+                        for li in 0..LINES_PER_PAGE {
+                            assert_eq!(
+                                m.read_line(nvm_line(idx, li)),
+                                want[idx as usize * LINES_PER_PAGE + li],
+                                "{dimms} DIMMs, banks {first}+{second}, page {idx} line {li}"
+                            );
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -330,11 +330,6 @@ impl Stats {
         self.core_cycles.iter().copied().max().unwrap_or(0)
     }
 
-    /// Simulated runtime in nanoseconds under `cfg`'s clock.
-    pub fn runtime_ns(&self, cfg: &SystemConfig) -> f64 {
-        self.runtime_cycles() as f64 / cfg.freq_ghz
-    }
-
     /// Total energy in nanojoules under `cfg`'s energy parameters.
     ///
     /// Sums cache hit/miss energies, on-controller cache energies, DRAM

@@ -28,7 +28,6 @@
 //! operation cleanly delimits the healthy / degraded / rebuilding /
 //! recovered phases a campaign wants to report on.
 
-use memsim::addr::PageNum;
 use memsim::engine::System;
 use memsim::BankState;
 use tvarak::qos::{MaintGrant, MaintenanceScheduler, QosConfig};
@@ -230,15 +229,6 @@ impl ReplacementManager {
         self.failed
             .iter()
             .all(|&b| mem.bank_state(b) == BankState::Failed)
-    }
-}
-
-/// Pages a campaign or driver must quarantine after a step: convenience
-/// extraction so callers do not match on [`RebuildStep`] inline.
-pub fn abandoned_page(step: &RebuildStep) -> Option<PageNum> {
-    match step {
-        RebuildStep::Abandoned(p) => Some(*p),
-        _ => None,
     }
 }
 

@@ -29,11 +29,10 @@
 use crate::fs::{DaxFs, FileHandle, FsError, RecoveryError};
 use memsim::addr::{LineAddr, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
 use memsim::engine::{CorruptionDetected, System};
-use tvarak::checksum::{csum_slot, line_checksum, page_checksum};
 use tvarak::controller::TvarakController;
 use tvarak::init;
-use tvarak::layout::NvmLayout;
-use tvarak::parity::xor_into;
+use tvarak::layout::{gather_page, peek, NvmLayout};
+use tvarak::recovery::{reconstruct_page, RecoveryFailed};
 use tvarak::scrub::ScrubGranularity;
 use std::error::Error;
 use std::fmt;
@@ -171,12 +170,7 @@ impl RecoveryOrchestrator {
         max_retries: u32,
     ) -> Self {
         assert!(max_retries > 0, "need at least one recovery attempt");
-        let page = store.page(0);
-        let mut bytes = vec![0u8; PAGE];
-        for i in 0..LINES_PER_PAGE {
-            bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE]
-                .copy_from_slice(&sys.memory().peek_line(page.line(i)));
-        }
+        let Ok(bytes) = gather_page(store.page(0), peek(sys.memory()));
         let count = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
         let poisoned = (0..count.min(POISON_CAP))
             .map(|i| {
@@ -256,17 +250,15 @@ impl RecoveryOrchestrator {
     /// redundancy (an OS metadata update, below the measured path).
     fn persist(&mut self, sys: &mut System) {
         let page = self.store.page(0);
-        let mut bytes = vec![0u8; PAGE];
+        let mut bytes = [0u8; PAGE];
         let n = self.poisoned.len().min(POISON_CAP);
         bytes[..8].copy_from_slice(&(n as u64).to_le_bytes());
         for (i, p) in self.poisoned.iter().take(n).enumerate() {
             bytes[8 + i * 8..16 + i * 8].copy_from_slice(&p.0.to_le_bytes());
         }
         let mem = sys.memory_mut();
-        for i in 0..LINES_PER_PAGE {
-            let mut line = [0u8; CACHE_LINE];
-            line.copy_from_slice(&bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE]);
-            mem.poke_line(page.line(i), &line);
+        for (i, line) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
+            mem.poke_line(page.line(i), line);
         }
         let idx = self.store.first_data_index();
         init::initialize_region(&self.layout, mem, idx..idx + 1);
@@ -311,32 +303,21 @@ impl RecoveryOrchestrator {
     /// the shadow syndromes — reads reconstruct and verify on consumption.
     fn media_consistent(&self, sys: &System, page: PageNum) -> bool {
         let mem = sys.memory();
+        let media = peek(mem);
         match self.granularity {
-            ScrubGranularity::CacheLine => {
-                for i in 0..LINES_PER_PAGE {
-                    let line = page.line(i);
-                    let (cs_line, slot) = self.layout.cl_csum_loc(line);
-                    if !mem.line_live(line) || !mem.line_live(cs_line) {
-                        continue;
-                    }
-                    let data = mem.peek_line(line);
-                    if csum_slot(&mem.peek_line(cs_line), slot) != line_checksum(&data) {
-                        return false;
-                    }
-                }
-                true
-            }
-            ScrubGranularity::Page => {
-                let (cs_line, slot) = self.layout.page_csum_loc(page);
-                if !mem.page_fully_live(page) || !mem.line_live(cs_line) {
+            ScrubGranularity::CacheLine => (0..LINES_PER_PAGE).all(|i| {
+                let line = page.line(i);
+                if !mem.line_live(line) || !mem.line_live(self.layout.cl_csum_loc(line).0) {
                     return true;
                 }
-                let mut bytes = vec![0u8; PAGE];
-                for i in 0..LINES_PER_PAGE {
-                    bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE]
-                        .copy_from_slice(&mem.peek_line(page.line(i)));
+                self.layout.line_matches_csum(line, &mem.peek_line(line), media) == Ok(true)
+            }),
+            ScrubGranularity::Page => {
+                if !mem.page_fully_live(page) || !mem.line_live(self.layout.page_csum_loc(page).0) {
+                    return true;
                 }
-                csum_slot(&mem.peek_line(cs_line), slot) == page_checksum(&bytes)
+                let Ok(bytes) = gather_page(page, media);
+                self.layout.page_matches_csums(page, self.granularity, &bytes, media) == Ok(true)
             }
         }
     }
@@ -364,11 +345,7 @@ impl RecoveryOrchestrator {
             if !mem.line_live(line)
                 || !mem.line_live(self.layout.parity_line_of(line))
                 || !mem.line_live(cs_line)
-                || self
-                    .layout
-                    .sibling_lines_of(line)
-                    .into_iter()
-                    .any(|sib| !mem.line_live(sib))
+                || self.layout.sibling_lines_of(line).any(|sib| !mem.line_live(sib))
             {
                 return false;
             }
@@ -378,47 +355,13 @@ impl RecoveryOrchestrator {
     }
 
     /// Software parity reconstruction for designs without a hardware
-    /// controller: XOR parity with sibling lines from media, verify against
-    /// the stored checksum, repair through the firmware. Reads and writes
-    /// are charged as redundancy/data NVM traffic like the hardware path.
-    fn recover_sw(&self, sys: &mut System, page: PageNum) -> Result<(), RecoveryFailedSw> {
-        let layout = self.layout;
-        let granularity = self.granularity;
+    /// controller: [`reconstruct_page`] with every redundancy line read
+    /// from NVM, charged as redundancy traffic like the hardware path.
+    fn recover_sw(&self, sys: &mut System, page: PageNum) -> Result<(), RecoveryFailed> {
         sys.with_hooks_env(|_hooks, env| {
-            let mut reconstructed = vec![[0u8; CACHE_LINE]; LINES_PER_PAGE];
-            for (o, rec) in reconstructed.iter_mut().enumerate() {
-                let line = page.line(o);
-                let mut r = env.nvm_read_red(0, layout.parity_line_of(line), true);
-                for sib in layout.sibling_lines_of(line) {
-                    let d = env.nvm_read_red(0, sib, true);
-                    xor_into(&mut r, &d);
-                }
-                *rec = r;
-            }
-            let ok = match granularity {
-                ScrubGranularity::CacheLine => reconstructed.iter().enumerate().all(|(o, rec)| {
-                    let (cs_line, slot) = layout.cl_csum_loc(page.line(o));
-                    let cs = env.nvm_read_red(0, cs_line, true);
-                    csum_slot(&cs, slot) == line_checksum(rec)
-                }),
-                ScrubGranularity::Page => {
-                    let mut bytes = vec![0u8; PAGE];
-                    for (o, rec) in reconstructed.iter().enumerate() {
-                        bytes[o * CACHE_LINE..(o + 1) * CACHE_LINE].copy_from_slice(rec);
-                    }
-                    let (cs_line, slot) = layout.page_csum_loc(page);
-                    let cs = env.nvm_read_red(0, cs_line, true);
-                    csum_slot(&cs, slot) == page_checksum(&bytes)
-                }
-            };
-            if !ok {
-                return Err(RecoveryFailedSw);
-            }
-            for (o, rec) in reconstructed.iter().enumerate() {
-                env.nvm_write_data(0, page.line(o), rec);
-            }
-            env.counters().pages_recovered += 1;
-            Ok(())
+            reconstruct_page(&self.layout, self.granularity, 0, page, env, |l, env| {
+                env.nvm_read_red(0, l, true)
+            })
         })
     }
 
@@ -436,18 +379,15 @@ impl RecoveryOrchestrator {
             return false;
         }
         let mem = sys.memory();
-        for i in 0..LINES_PER_PAGE {
-            let line = page.line(i);
-            let mut rec = mem.peek_line(self.layout.parity_line_of(line));
-            for sib in self.layout.sibling_lines_of(line) {
-                xor_into(&mut rec, &mem.peek_line(sib));
-            }
-            if rec != mem.peek_line(line) {
-                return false;
-            }
+        if (0..LINES_PER_PAGE)
+            .any(|i| self.layout.stripe_consistent(page.line(i), peek(mem)) != Ok(true))
+        {
+            return false;
         }
         sys.flush();
-        init::refresh_csums_for_page(&self.layout, sys.memory_mut(), page);
+        let n = self.layout.data_index_of(page);
+        init::refresh_cl_csums(&self.layout, sys.memory_mut(), n..n + 1);
+        init::refresh_page_csums(&self.layout, sys.memory_mut(), n..n + 1);
         self.drop_stale_copies(sys, page);
         self.events.push(RecoveryEvent::CsumsRebuilt { page });
         true
@@ -471,7 +411,6 @@ impl RecoveryOrchestrator {
         let stripe = geom.stripe_of(page.nvm_index());
         let mem = sys.memory();
         geom.data_pages_of_stripe(stripe)
-            .into_iter()
             .map(memsim::addr::nvm_page)
             .filter(|m| !self.is_poisoned(*m))
             .all(|m| mem.page_fully_live(m) && self.media_consistent(sys, m))
@@ -697,19 +636,16 @@ impl RecoveryOrchestrator {
         sys.flush();
         sys.invalidate_page(page);
         let mem = sys.memory_mut();
-        for i in 0..LINES_PER_PAGE {
-            let mut line = [0u8; CACHE_LINE];
-            line.copy_from_slice(&data[i * CACHE_LINE..(i + 1) * CACHE_LINE]);
-            mem.write_line(page.line(i), &line);
+        for (i, line) in data.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
+            mem.write_line(page.line(i), line);
         }
         // Acceptance test: did the rewrite actually reach the media?
-        for i in 0..LINES_PER_PAGE {
-            if mem.peek_line(page.line(i))[..] != data[i * CACHE_LINE..(i + 1) * CACHE_LINE] {
-                if !self.is_poisoned(page) {
-                    self.quarantine(sys, page);
-                }
-                return Err(Poisoned { page });
+        let Ok(media) = gather_page(page, peek(mem));
+        if media[..] != *data {
+            if !self.is_poisoned(page) {
+                self.quarantine(sys, page);
             }
+            return Err(Poisoned { page });
         }
         // Rebuild this page's redundancy from media ground truth.
         let idx = file.first_data_index() + n;
@@ -756,9 +692,6 @@ impl RecoveryOrchestrator {
         });
     }
 }
-
-/// Internal marker: software reconstruction failed verification.
-struct RecoveryFailedSw;
 
 #[cfg(test)]
 mod tests {
@@ -842,6 +775,37 @@ mod tests {
         assert_eq!(orch.recoveries(), 1);
     }
 
+    /// The hardware and software recoveries are one routine with two
+    /// redundancy readers: on the same corrupted page they must leave
+    /// byte-identical media and both count the recovery.
+    #[test]
+    fn sw_and_controller_recovery_repair_identically() {
+        let mut repaired = Vec::new();
+        for (hardware, (mut sys, mut fs, orch, f)) in [(true, tvarak_setup(16)), (false, sw_setup(16))] {
+            for i in 0..4 * LINES_PER_PAGE as u64 {
+                f.write(&mut sys, 0, i * 64, &[i as u8 ^ 0x5a; 64]).unwrap();
+            }
+            sys.flush();
+            let idx = f.first_data_index();
+            init::initialize_region(fs.layout(), sys.memory_mut(), idx..idx + f.pages());
+            let page = f.page(2);
+            let Ok(original) = gather_page(page, peek(sys.memory()));
+            sys.memory_mut().poke_line(page.line(9), &[0x66u8; 64]);
+            sys.memory_mut().poke_line(page.line(40), &[0x77u8; 64]);
+            sys.invalidate_page(page);
+            if hardware {
+                fs.recover_page(&mut sys, page).unwrap();
+            } else {
+                orch.recover_sw(&mut sys, page).unwrap();
+            }
+            assert_eq!(sys.stats().counters.pages_recovered, 1, "hardware: {hardware}");
+            let Ok(media) = gather_page(page, peek(sys.memory()));
+            assert!(media == original, "hardware: {hardware}: repair restores the page");
+            repaired.push(media);
+        }
+        assert!(repaired[0] == repaired[1]);
+    }
+
     #[test]
     fn sticky_fault_quarantines_and_rest_of_file_serves() {
         let (mut sys, mut fs, mut orch, f) = tvarak_setup(16);
@@ -888,7 +852,7 @@ mod tests {
         assert_eq!(buf, [0xabu8; 64]);
         // Redundancy was rebuilt: scrubs stay clean.
         sys.flush();
-        assert!(fs.scrub_cl(&sys, &f).is_empty());
+        assert!(fs.scrub(&sys, &f, ScrubGranularity::CacheLine).is_empty());
         assert!(fs.scrub_parity(&sys, &f).is_empty());
         assert!(orch
             .events()

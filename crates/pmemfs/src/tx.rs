@@ -25,9 +25,8 @@
 use crate::fs::{DaxFs, FileHandle, FsError};
 use memsim::addr::{LineAddr, PhysAddr, CACHE_LINE, LINES_PER_PAGE, PAGE};
 use memsim::engine::{CorruptionDetected, System};
-use tvarak::checksum::{crc32c, line_checksum, page_checksum};
-use tvarak::layout::NvmLayout;
-use tvarak::parity::xor_into;
+use tvarak::checksum::{line_checksum, page_checksum};
+use tvarak::layout::{gather_page, read_charged, NvmLayout};
 use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
@@ -537,6 +536,24 @@ pub fn sw_redundancy_update(
     }
 }
 
+/// Recompute and write the parity line covering `line`, whose current
+/// content is `data`, by reading the stripe's sibling lines (in-place
+/// updates leave no data diff to patch parity with).
+fn recompute_parity(
+    sys: &mut System,
+    core: usize,
+    layout: &NvmLayout,
+    line: LineAddr,
+    data: [u8; CACHE_LINE],
+) -> Result<(), CorruptionDetected> {
+    let par = layout.xor_siblings(line, data, |sib| {
+        let s = read_charged(sys, core, sib)?;
+        sys.compute(core, XOR_CYCLES_PER_LINE);
+        Ok(s)
+    })?;
+    sys.write(core, layout.parity_line_of(line).base(), &par)
+}
+
 /// Pangolin-like: checksum each dirty line; recompute its parity line by
 /// reading the stripe's sibling lines.
 fn txb_object(
@@ -549,22 +566,13 @@ fn txb_object(
         if !layout.is_data_line(line) {
             continue;
         }
-        let mut data = [0u8; CACHE_LINE];
-        sys.read(core, line.base(), &mut data)?;
+        let data = read_charged(sys, core, line)?;
         sys.compute(core, CSUM_CYCLES_PER_LINE);
         let csum = line_checksum(&data);
         let (cs_line, slot) = layout.cl_csum_loc(line);
         let cs_addr = PhysAddr(cs_line.base().0 + slot as u64 * 4);
         sys.write(core, cs_addr, &csum.to_le_bytes())?;
-        // Parity recompute for this line (no data diff available).
-        let mut par = data;
-        for sib in layout.sibling_lines_of(line) {
-            let mut s = [0u8; CACHE_LINE];
-            sys.read(core, sib.base(), &mut s)?;
-            sys.compute(core, XOR_CYCLES_PER_LINE);
-            xor_into(&mut par, &s);
-        }
-        sys.write(core, layout.parity_line_of(line).base(), &par)?;
+        recompute_parity(sys, core, layout, line, data)?;
     }
     Ok(())
 }
@@ -595,32 +603,15 @@ fn txb_page_over(
 ) -> Result<(), CorruptionDetected> {
     for &page in pages {
         // Read the whole page and checksum it.
-        let mut bytes = vec![0u8; PAGE];
-        for i in 0..LINES_PER_PAGE {
-            sys.read(
-                core,
-                page.line(i).base(),
-                &mut bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE],
-            )?;
-        }
+        let bytes = gather_page(page, |l| read_charged(sys, core, l))?;
         sys.compute(core, CSUM_CYCLES_PER_LINE * LINES_PER_PAGE as u64);
         let csum = page_checksum(&bytes);
-        debug_assert_eq!(csum, crc32c(&bytes));
         let (cs_line, slot) = layout.page_csum_loc(page);
         let cs_addr = PhysAddr(cs_line.base().0 + slot as u64 * 4);
         sys.write(core, cs_addr, &csum.to_le_bytes())?;
         // Recompute the stripe's parity page line by line.
-        for i in 0..LINES_PER_PAGE {
-            let line = page.line(i);
-            let mut par = [0u8; CACHE_LINE];
-            par.copy_from_slice(&bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE]);
-            for sib in layout.sibling_lines_of(line) {
-                let mut s = [0u8; CACHE_LINE];
-                sys.read(core, sib.base(), &mut s)?;
-                sys.compute(core, XOR_CYCLES_PER_LINE);
-                xor_into(&mut par, &s);
-            }
-            sys.write(core, layout.parity_line_of(line).base(), &par)?;
+        for (i, data) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
+            recompute_parity(sys, core, layout, page.line(i), *data)?;
         }
     }
     Ok(())
@@ -632,6 +623,7 @@ mod tests {
     use memsim::config::SystemConfig;
     use memsim::engine::NullHooks;
     use tvarak::layout::NvmLayout;
+    use tvarak::scrub::ScrubGranularity;
 
     fn setup(scheme: SwScheme) -> (System, DaxFs, TxManager, FileHandle) {
         let cfg = SystemConfig::small();
@@ -672,9 +664,8 @@ mod tests {
         assert_eq!(buf, [0u8; 4]);
     }
 
-    /// Shrunk failure proptest once recorded for `abort_atomicity`
-    /// (`tests/proptest_tx.proptest-regressions`): a single aborted write
-    /// whose last byte spills onto the next page.
+    /// A failure the `abort_atomicity` property once shrank to: a single
+    /// aborted write whose last byte spills onto the next page.
     #[test]
     fn regression_abort_atomicity_page_crossing_write() {
         let (mut sys, _fs, mut txm, f) = setup(SwScheme::None);
@@ -686,7 +677,7 @@ mod tests {
         assert!(buf.iter().all(|&b| b == 0));
     }
 
-    /// Shrunk failure proptest once recorded for `undo_log_space_is_reusable`
+    /// A failure the `undo_log_space_is_reusable` property once shrank to
     /// (`rounds = 1`): one transaction logging ~32 KB against the 64 KB log.
     #[test]
     fn regression_undo_log_space_is_reusable_one_round() {
@@ -725,7 +716,7 @@ mod tests {
         tx.write(&mut sys, &f, 256, &[0x77u8; 100]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(fs.scrub_cl(&sys, &f).is_empty(), "CL checksums consistent");
+        assert!(fs.scrub(&sys, &f, ScrubGranularity::CacheLine).is_empty(), "CL checksums consistent");
         assert!(fs.scrub_parity(&sys, &f).is_empty(), "parity consistent");
         // Redundancy traffic was classified as such.
         assert!(sys.stats().counters.nvm_redundancy() > 0);
@@ -739,7 +730,7 @@ mod tests {
         tx.write(&mut sys, &f, 5000, &[0x32u8; 64]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(fs.scrub_pages(&sys, &f).is_empty(), "page checksums consistent");
+        assert!(fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty(), "page checksums consistent");
         assert!(fs.scrub_parity(&sys, &f).is_empty(), "parity consistent");
     }
 
@@ -813,7 +804,7 @@ mod tests {
         }
         sys.flush();
         assert!(
-            !fs.scrub_pages(&sys, &f).is_empty(),
+            !fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty(),
             "inside the epoch, page checksums must be stale"
         );
         // Fourth commit closes the epoch: everything refreshed.
@@ -821,7 +812,7 @@ mod tests {
         tx.write(&mut sys, &f, 3 * 4096, &[0x45u8; 64]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(fs.scrub_pages(&sys, &f).is_empty());
+        assert!(fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty());
         assert!(fs.scrub_parity(&sys, &f).is_empty());
     }
 
@@ -832,10 +823,10 @@ mod tests {
         tx.write(&mut sys, &f, 0, &[0x46u8; 64]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(!fs.scrub_pages(&sys, &f).is_empty());
+        assert!(!fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty());
         txm.vilamb_flush(&mut sys, 0).unwrap();
         sys.flush();
-        assert!(fs.scrub_pages(&sys, &f).is_empty());
+        assert!(fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty());
     }
 
     #[test]

@@ -28,6 +28,7 @@
 use crate::checksum::{csum_slot, line_checksum, set_csum_slot, Crc32c};
 use crate::layout::NvmLayout;
 use crate::parity::parity_delta;
+use crate::scrub::ScrubGranularity;
 use memsim::addr::LineAddr;
 use memsim::cache::{CacheArray, Evicted};
 use memsim::engine::{
@@ -88,11 +89,20 @@ impl TvarakConfig {
             overlapped_verification: true,
         }
     }
+
+    /// The checksum granularity this configuration maintains.
+    pub fn checksum_granularity(&self) -> ScrubGranularity {
+        if self.cl_granular_csums {
+            ScrubGranularity::CacheLine
+        } else {
+            ScrubGranularity::Page
+        }
+    }
 }
 
 /// How urgently the controller needs a redundancy line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Urgency {
+pub(crate) enum Urgency {
     /// Core waits for the value (recovery, naive whole-page verification).
     Stall,
     /// Needed for verification of an in-flight fill: the NVM leg overlaps
@@ -200,7 +210,7 @@ impl TvarakController {
     /// The bank is derived from the *redundancy* line's own interleave (a
     /// redundancy line is homed with the controller of the bank it maps to),
     /// so all its cached state lives in one shard.
-    fn read_red_line(
+    pub(crate) fn read_red_line(
         &self,
         core: usize,
         line: LineAddr,
@@ -369,17 +379,6 @@ impl TvarakController {
         let mut par = self.read_red_line(core, par_line, Urgency::Background, env);
         parity_delta(&mut par, old, new);
         self.write_red_line(core, par_line, &par, env);
-    }
-
-    /// Crate-internal bridge for the recovery module: a demand read through
-    /// the redundancy cache hierarchy.
-    pub(crate) fn read_red_line_pub(
-        &self,
-        core: usize,
-        line: LineAddr,
-        env: &mut HookEnv<'_>,
-    ) -> [u8; CACHE_LINE] {
-        self.read_red_line(core, line, Urgency::Stall, env)
     }
 
     /// Drop any cached copies of redundancy `line` — on-controller caches

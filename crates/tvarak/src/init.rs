@@ -8,9 +8,8 @@
 //! operations, excluded from measured runs — see DESIGN.md).
 
 use crate::checksum::{line_checksum, page_checksum, set_csum_slot};
-use crate::layout::NvmLayout;
-use crate::parity::xor_into;
-use memsim::addr::{CACHE_LINE, LINES_PER_PAGE, PAGE};
+use crate::layout::{gather_page, peek, NvmLayout};
+use memsim::addr::{nvm_page, PageNum, LINES_PER_PAGE};
 use memsim::mem::Memory;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -37,11 +36,7 @@ pub fn refresh_cl_csums(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>)
 pub fn refresh_page_csums(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>) {
     for n in range {
         let page = layout.nth_data_page(n);
-        let mut bytes = vec![0u8; PAGE];
-        for i in 0..LINES_PER_PAGE {
-            bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE]
-                .copy_from_slice(&mem.peek_line(page.line(i)));
-        }
+        let Ok(bytes) = gather_page(page, peek(mem));
         let (cs_line, slot) = layout.page_csum_loc(page);
         let mut cs = mem.peek_line(cs_line);
         set_csum_slot(&mut cs, slot, page_checksum(&bytes));
@@ -67,44 +62,23 @@ pub fn refresh_parity(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>) {
 /// one of its pages: the lost page's stale parity deltas must not keep
 /// implicating — or corrupting future reconstructions of — the surviving
 /// stripe members.
-pub fn refresh_parity_for_page(layout: &NvmLayout, mem: &mut Memory, page: memsim::addr::PageNum) {
+pub fn refresh_parity_for_page(layout: &NvmLayout, mem: &mut Memory, page: PageNum) {
     let geom = layout.geometry();
     rebuild_stripe_parity(layout, mem, geom.stripe_of(page.nvm_index()));
 }
 
 fn rebuild_stripe_parity(layout: &NvmLayout, mem: &mut Memory, stripe: u64) {
     let geom = layout.geometry();
-    let parity_page = memsim::addr::nvm_page(geom.parity_page_of(stripe * geom.dimms() as u64));
-    let data_pages = geom.data_pages_of_stripe(stripe);
+    let first = geom
+        .data_pages_of_stripe(stripe)
+        .next()
+        .map(nvm_page)
+        .expect("a stripe has at least one data page");
     for o in 0..LINES_PER_PAGE {
-        let mut par = [0u8; CACHE_LINE];
-        for &dp in &data_pages {
-            let d = mem.peek_line(memsim::addr::nvm_page(dp).line(o));
-            xor_into(&mut par, &d);
-        }
-        mem.poke_line(parity_page.line(o), &par);
+        let line = first.line(o);
+        let Ok(par) = layout.xor_siblings(line, mem.peek_line(line), peek(mem));
+        mem.poke_line(layout.parity_line_of(line), &par);
     }
-}
-
-/// Recompute both checksum granularities of `page` from current media
-/// content. Recovery's two-of-three vote uses this when data and parity
-/// agree with each other but not with the stored checksum — the checksum is
-/// the liar, so it is rebuilt rather than the (intact) data quarantined.
-pub fn refresh_csums_for_page(layout: &NvmLayout, mem: &mut Memory, page: memsim::addr::PageNum) {
-    let mut bytes = vec![0u8; PAGE];
-    for i in 0..LINES_PER_PAGE {
-        let line = page.line(i);
-        let data = mem.peek_line(line);
-        bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE].copy_from_slice(&data);
-        let (cs_line, slot) = layout.cl_csum_loc(line);
-        let mut cs = mem.peek_line(cs_line);
-        set_csum_slot(&mut cs, slot, line_checksum(&data));
-        mem.poke_line(cs_line, &cs);
-    }
-    let (cs_line, slot) = layout.page_csum_loc(page);
-    let mut cs = mem.peek_line(cs_line);
-    set_csum_slot(&mut cs, slot, page_checksum(&bytes));
-    mem.poke_line(cs_line, &cs);
 }
 
 /// Full redundancy initialization for the data pages in `range`: DAX-CL
@@ -120,6 +94,7 @@ pub fn initialize_region(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>
 mod tests {
     use super::*;
     use crate::checksum::csum_slot;
+    use memsim::addr::{CACHE_LINE, PAGE};
 
     #[test]
     fn initialize_zero_region_matches_zero_checksums() {
@@ -151,10 +126,7 @@ mod tests {
         );
         // Parity of the stripe reflects the content.
         let par = mem.peek_line(layout.parity_line_of(line));
-        let mut expect = mem.peek_line(line);
-        for sib in layout.sibling_lines_of(line) {
-            xor_into(&mut expect, &mem.peek_line(sib));
-        }
+        let Ok(expect) = layout.xor_siblings(line, mem.peek_line(line), peek(&mem));
         assert_eq!(par, expect);
     }
 

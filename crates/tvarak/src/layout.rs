@@ -12,10 +12,22 @@
 //! Both checksum tables are indexed by raw page index, so locating the
 //! redundancy for a data line is pure arithmetic — exactly what TVARAK's
 //! per-bank comparators + adders implement in hardware (§III-E).
+//!
+//! The walks that depend on this format — reconstruct a line from its
+//! stripe, gather a page, compare content against the stored checksums —
+//! live here too, each over a caller-supplied *line source* closure: an
+//! uncharged `Memory::peek_line`, a charged fallible `System::read`, or the
+//! controller's redundancy reader. A charged source is called in a fixed
+//! order (documented per method) because that order is simulated time.
 
-use crate::parity::StripeGeometry;
+use crate::checksum::{csum_slot, line_checksum, page_checksum};
+use crate::parity::{xor_into, StripeGeometry};
+use crate::scrub::ScrubGranularity;
 use memsim::addr::{nvm_page, LineAddr, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
+use memsim::engine::{CorruptionDetected, System};
 use memsim::fastdiv::FastDiv;
+use memsim::mem::Memory;
+use std::convert::Infallible;
 
 /// Byte size of the DAX-CL-checksum entries for one page (64 lines × 4 B).
 pub const CL_CSUM_BYTES_PER_PAGE: usize = LINES_PER_PAGE * 4;
@@ -177,20 +189,152 @@ impl NvmLayout {
     }
 
     /// The sibling data lines of a data line (same offset in the stripe's
-    /// other data pages).
+    /// other data pages), in slot order.
     ///
     /// # Panics
     ///
     /// Panics if `line` is not a data line.
-    pub fn sibling_lines_of(&self, line: LineAddr) -> Vec<LineAddr> {
+    pub fn sibling_lines_of(&self, line: LineAddr) -> impl Iterator<Item = LineAddr> {
         assert!(self.is_data_line(line), "{line:?} is not a data line");
-        let idx = line.page().nvm_index();
         self.geom
-            .siblings_of(idx)
-            .into_iter()
-            .map(|p| nvm_page(p).line(line.index_in_page()))
-            .collect()
+            .siblings_of(line.page().nvm_index())
+            .map(move |p| nvm_page(p).line(line.index_in_page()))
     }
+
+    /// `seed` XORed with every sibling of data line `line`, siblings read
+    /// through `src` in [`sibling_lines_of`](Self::sibling_lines_of) order.
+    /// Seeded with the line's own content this is the parity its stripe
+    /// should hold; seeded with the parity line it is the line's content.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of `src`.
+    pub fn xor_siblings<E>(
+        &self,
+        line: LineAddr,
+        mut seed: [u8; CACHE_LINE],
+        mut src: impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], E>,
+    ) -> Result<[u8; CACHE_LINE], E> {
+        for sib in self.sibling_lines_of(line) {
+            xor_into(&mut seed, &src(sib)?);
+        }
+        Ok(seed)
+    }
+
+    /// Reconstruct data line `line` from its stripe: `src` is called for
+    /// the parity line first, then for each sibling in
+    /// [`sibling_lines_of`](Self::sibling_lines_of) order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of `src`.
+    pub fn reconstruct_line<E>(
+        &self,
+        line: LineAddr,
+        mut src: impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], E>,
+    ) -> Result<[u8; CACHE_LINE], E> {
+        let parity = src(self.parity_line_of(line))?;
+        self.xor_siblings(line, parity, src)
+    }
+
+    /// Whether data line `line` equals its stripe reconstruction (the
+    /// parity audit of one line).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of `src`.
+    pub fn stripe_consistent<E>(
+        &self,
+        line: LineAddr,
+        mut src: impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], E>,
+    ) -> Result<bool, E> {
+        Ok(self.reconstruct_line(line, &mut src)? == src(line)?)
+    }
+
+    /// Whether `data`, as the content of data line `line`, matches the
+    /// line's stored DAX-CL-checksum (its checksum line read through `src`).
+    ///
+    /// # Errors
+    ///
+    /// Propagates the error of `src`.
+    pub fn line_matches_csum<E>(
+        &self,
+        line: LineAddr,
+        data: &[u8; CACHE_LINE],
+        mut src: impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], E>,
+    ) -> Result<bool, E> {
+        let (cs_line, slot) = self.cl_csum_loc(line);
+        Ok(csum_slot(&src(cs_line)?, slot) == line_checksum(data))
+    }
+
+    /// Whether `bytes`, as the content of `page`, matches the checksums
+    /// stored at `granularity`. Page granularity reads the one checksum
+    /// line; cache-line granularity reads a checksum line per data line, in
+    /// line order, and stops at the first mismatch.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of `src`.
+    pub fn page_matches_csums<E>(
+        &self,
+        page: PageNum,
+        granularity: ScrubGranularity,
+        bytes: &[u8; PAGE],
+        mut src: impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], E>,
+    ) -> Result<bool, E> {
+        match granularity {
+            ScrubGranularity::Page => {
+                let (cs_line, slot) = self.page_csum_loc(page);
+                Ok(csum_slot(&src(cs_line)?, slot) == page_checksum(bytes))
+            }
+            ScrubGranularity::CacheLine => {
+                for (i, data) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
+                    if !self.line_matches_csum(page.line(i), data, &mut src)? {
+                        return Ok(false);
+                    }
+                }
+                Ok(true)
+            }
+        }
+    }
+}
+
+/// The uncharged line source: media content through the fault-bypassing
+/// [`Memory::peek_line`].
+pub fn peek(mem: &Memory) -> impl Fn(LineAddr) -> Result<[u8; CACHE_LINE], Infallible> + Copy + '_ {
+    move |line| Ok(mem.peek_line(line))
+}
+
+/// One read of the charged line source: `line` through the cache hierarchy
+/// on `core`.
+///
+/// # Errors
+///
+/// Propagates [`CorruptionDetected`] from a verified NVM fill.
+pub fn read_charged(
+    sys: &mut System,
+    core: usize,
+    line: LineAddr,
+) -> Result<[u8; CACHE_LINE], CorruptionDetected> {
+    let mut data = [0u8; CACHE_LINE];
+    sys.read(core, line.base(), &mut data)?;
+    Ok(data)
+}
+
+/// The content of `page`, its lines read through `src` in line order.
+///
+/// # Errors
+///
+/// Propagates the first error of `src`.
+pub fn gather_page<E>(
+    page: PageNum,
+    mut src: impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], E>,
+) -> Result<[u8; PAGE], E> {
+    let mut bytes = [0u8; PAGE];
+    for (i, chunk) in bytes.as_chunks_mut::<CACHE_LINE>().0.iter_mut().enumerate() {
+        *chunk = src(page.line(i))?;
+    }
+    Ok(bytes)
 }
 
 #[cfg(test)]
@@ -279,7 +423,7 @@ mod tests {
     fn siblings_cover_stripe() {
         let l = NvmLayout::new(4, 12);
         let line = l.nth_data_page(0).line(3);
-        let sibs = l.sibling_lines_of(line);
+        let sibs: Vec<LineAddr> = l.sibling_lines_of(line).collect();
         assert_eq!(sibs.len(), 2);
         for s in &sibs {
             assert_eq!(s.index_in_page(), 3);
@@ -299,9 +443,8 @@ mod tests {
         assert!(!l.is_data_line(memsim::addr::PhysAddr(0).line()));
     }
 
-    /// Shrunk failure proptest once recorded (`dimms = 2, n = 472`,
-    /// `tests/proptest_layout.proptest-regressions`), against both layout
-    /// properties that take `(dimms, n)`.
+    /// A failure the property suite once shrank to `dimms = 2, n = 472`,
+    /// pinned against both layout properties that take `(dimms, n)`.
     #[test]
     fn regression_layout_properties_at_dimms_2_page_472() {
         let (dimms, n) = (2, 472);
@@ -322,13 +465,76 @@ mod tests {
     }
 
     #[test]
+    fn reconstruct_matches_original_for_every_line() {
+        // Two full stripes plus a partial one, at mirror, paper and odd widths.
+        for dimms in [2usize, 4, 7] {
+            let pages = 2 * (dimms as u64 - 1) + 1;
+            let l = NvmLayout::new(dimms, pages);
+            let mut mem = Memory::new(dimms);
+            let mut state = dimms as u64;
+            for n in 0..pages {
+                for o in 0..LINES_PER_PAGE {
+                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    let content = std::array::from_fn(|k| (state >> (k % 8 * 8)) as u8 ^ k as u8);
+                    mem.poke_line(l.nth_data_page(n).line(o), &content);
+                }
+            }
+            crate::init::initialize_region(&l, &mut mem, 0..pages);
+            for n in 0..pages {
+                let page = l.nth_data_page(n);
+                let Ok(bytes) = gather_page(page, peek(&mem));
+                for g in [ScrubGranularity::Page, ScrubGranularity::CacheLine] {
+                    assert_eq!(l.page_matches_csums(page, g, &bytes, peek(&mem)), Ok(true));
+                }
+                for o in 0..LINES_PER_PAGE {
+                    let line = page.line(o);
+                    let Ok(rec) = l.reconstruct_line(line, peek(&mem));
+                    assert_eq!(rec, mem.peek_line(line), "{dimms} DIMMs, page {n} line {o}");
+                    assert_eq!(l.stripe_consistent(line, peek(&mem)), Ok(true));
+                }
+            }
+        }
+    }
+
+    /// The order contract the golden digests depend on: a charged source's
+    /// call sequence is simulated time.
+    #[test]
+    fn sources_are_called_in_the_documented_order() {
+        let l = NvmLayout::new(7, 30);
+        let page = l.nth_data_page(8);
+        let line = page.line(5);
+        let calls = std::cell::RefCell::new(Vec::new());
+        let record = |a: LineAddr| {
+            calls.borrow_mut().push(a);
+            Ok::<_, Infallible>([0u8; CACHE_LINE])
+        };
+        // Reconstruct: parity first, then siblings in `sibling_lines_of` order.
+        let Ok(_) = l.reconstruct_line(line, record);
+        let mut want = vec![l.parity_line_of(line)];
+        want.extend(l.sibling_lines_of(line));
+        assert_eq!(want.len(), 6);
+        assert_eq!(calls.take(), want);
+        // Gather: data lines 0..64. Checksums: one line at page granularity,
+        // one per data line (16 slots each) at cache-line granularity,
+        // stopping at the first mismatch (all-zero content never matches a
+        // zero slot, so that is the first).
+        let Ok(bytes) = gather_page(page, record);
+        let Ok(_) = l.page_matches_csums(page, ScrubGranularity::Page, &bytes, record);
+        let Ok(ok) = l.page_matches_csums(page, ScrubGranularity::CacheLine, &bytes, record);
+        assert!(!ok);
+        let mut want: Vec<LineAddr> = (0..LINES_PER_PAGE).map(|o| page.line(o)).collect();
+        want.push(l.page_csum_loc(page).0);
+        want.push(l.cl_csum_loc(page.line(0)).0);
+        assert_eq!(calls.take(), want);
+    }
+
+    #[test]
     fn two_dimm_mirror_geometry_works() {
         // d=2 degenerates to mirroring (parity of one page = that page).
         let l = NvmLayout::new(2, 4);
         for n in 0..4 {
             let line = l.nth_data_page(n).line(0);
-            let sibs = l.sibling_lines_of(line);
-            assert!(sibs.is_empty());
+            assert_eq!(l.sibling_lines_of(line).count(), 0);
             let _ = l.parity_line_of(line);
         }
     }

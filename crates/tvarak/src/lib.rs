@@ -48,7 +48,6 @@ pub mod init;
 pub mod layout;
 pub mod parity;
 pub mod qos;
-pub mod raid6;
 pub mod rebuild;
 pub mod recovery;
 pub mod scrub;

@@ -80,28 +80,23 @@ impl StripeGeometry {
         stripe * self.dimms as u64 + self.parity_slot(stripe) as u64
     }
 
-    /// The data pages of the stripe containing page `idx`, in slot order.
-    pub fn data_pages_of_stripe(&self, stripe: u64) -> Vec<u64> {
+    /// The data pages of `stripe`, in slot order.
+    pub fn data_pages_of_stripe(&self, stripe: u64) -> impl Iterator<Item = u64> {
         let base = stripe * self.dimms as u64;
-        let pslot = self.parity_slot(stripe);
-        (0..self.dimms)
-            .filter(|&s| s != pslot)
-            .map(|s| base + s as u64)
-            .collect()
+        let parity = base + self.parity_slot(stripe) as u64;
+        (base..base + self.dimms as u64).filter(move |&p| p != parity)
     }
 
     /// The sibling data pages of data page `idx` (the other data pages in
-    /// its stripe).
+    /// its stripe), in slot order.
     ///
     /// # Panics
     ///
     /// Panics if `idx` is a parity page.
-    pub fn siblings_of(&self, idx: u64) -> Vec<u64> {
+    pub fn siblings_of(&self, idx: u64) -> impl Iterator<Item = u64> {
         assert!(!self.is_parity_page(idx), "page {idx} is a parity page");
         self.data_pages_of_stripe(self.stripe_of(idx))
-            .into_iter()
-            .filter(|&p| p != idx)
-            .collect()
+            .filter(move |&p| p != idx)
     }
 
     /// Number of pages (data + parity) needed to hold `data_pages` data
@@ -234,7 +229,7 @@ mod tests {
             let base = stripe * 4;
             let n_parity = (base..base + 4).filter(|&i| g.is_parity_page(i)).count();
             assert_eq!(n_parity, 1, "stripe {stripe}");
-            assert_eq!(g.data_pages_of_stripe(stripe).len(), 3);
+            assert_eq!(g.data_pages_of_stripe(stripe).count(), 3);
         }
     }
 
@@ -253,7 +248,7 @@ mod tests {
         let g = StripeGeometry::new(4);
         // Page 5: stripe 1, parity slot 1 => parity page 5? slot_of(5)=1 ==
         // parity_slot(1)=1, so 5 IS parity. Use page 6.
-        let sib = g.siblings_of(6);
+        let sib: Vec<u64> = g.siblings_of(6).collect();
         assert_eq!(sib.len(), 2);
         assert!(!sib.contains(&6));
         assert!(sib.iter().all(|&p| !g.is_parity_page(p)));
@@ -262,7 +257,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "parity page")]
     fn siblings_of_parity_page_panics() {
-        StripeGeometry::new(4).siblings_of(0);
+        let _ = StripeGeometry::new(4).siblings_of(0);
     }
 
     #[test]

@@ -6,11 +6,12 @@
 //! and validates the result against the stored system-checksum before
 //! repairing the media.
 
-use crate::checksum::{csum_slot, line_checksum, page_checksum};
-use crate::controller::TvarakController;
-use crate::parity::xor_into;
-use memsim::addr::{PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
+use crate::controller::{TvarakController, Urgency};
+use crate::layout::{gather_page, NvmLayout};
+use crate::scrub::ScrubGranularity;
+use memsim::addr::{LineAddr, PageNum, CACHE_LINE};
 use memsim::engine::HookEnv;
+use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
 
@@ -30,76 +31,61 @@ impl fmt::Display for RecoveryFailed {
 
 impl Error for RecoveryFailed {}
 
+/// Reconstruct every line of `page` from parity + sibling data lines, verify
+/// the result against the checksums stored at `granularity`, and repair the
+/// media. Sibling data lines are read from NVM as redundancy traffic;
+/// `read_red` fetches the redundancy lines themselves (parity, then after
+/// all 64 reconstructions the checksum lines) — the hardware controller
+/// passes its cached reader, software recovery `HookEnv::nvm_read_red`.
+///
+/// # Errors
+///
+/// Returns [`RecoveryFailed`] if the reconstructed content does not match
+/// the stored checksums (more than one corruption in the stripe, or
+/// corrupted redundancy).
+pub fn reconstruct_page(
+    layout: &NvmLayout,
+    granularity: ScrubGranularity,
+    core: usize,
+    page: PageNum,
+    env: &mut HookEnv<'_>,
+    mut read_red: impl FnMut(LineAddr, &mut HookEnv<'_>) -> [u8; CACHE_LINE],
+) -> Result<(), RecoveryFailed> {
+    let Ok(bytes) = gather_page(page, |line| {
+        let parity = read_red(layout.parity_line_of(line), env);
+        layout.xor_siblings(line, parity, |sib| Ok::<_, Infallible>(env.nvm_read_red(core, sib, true)))
+    });
+    let stored = |l| Ok::<_, Infallible>(read_red(l, env));
+    if layout.page_matches_csums(page, granularity, &bytes, stored) != Ok(true) {
+        return Err(RecoveryFailed { page });
+    }
+    for (o, rec) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
+        env.nvm_write_data(core, page.line(o), rec);
+    }
+    env.counters().pages_recovered += 1;
+    Ok(())
+}
+
 impl TvarakController {
-    /// Reconstruct every line of `page` from parity + sibling data lines,
-    /// verify the result against the stored system-checksums, and repair the
-    /// media.
+    /// [`reconstruct_page`] at the controller's checksum granularity, its
+    /// redundancy lines read through the redundancy cache hierarchy.
     ///
     /// The caller (the file system) must have dropped cached copies of the
-    /// page first (see `System::invalidate_page`); cached *redundancy* state
-    /// is handled here via the redundancy cache hierarchy.
+    /// page first (see `System::invalidate_page`).
     ///
     /// # Errors
     ///
-    /// Returns [`RecoveryFailed`] if the reconstructed content does not match
-    /// the stored checksums (more than one corruption in the stripe, or
-    /// corrupted redundancy).
+    /// See [`reconstruct_page`].
     pub fn recover_page(
         &mut self,
         core: usize,
         page: PageNum,
         env: &mut HookEnv<'_>,
     ) -> Result<(), RecoveryFailed> {
-        let layout = *self.layout();
-        let mut reconstructed = vec![[0u8; CACHE_LINE]; LINES_PER_PAGE];
-        for (o, slot) in reconstructed.iter_mut().enumerate() {
-            let line = page.line(o);
-            let par_line = layout.parity_line_of(line);
-            let mut rec = self.read_red(core, par_line, env);
-            for sib in layout.sibling_lines_of(line) {
-                let d = env.nvm_read_red(core, sib, true);
-                xor_into(&mut rec, &d);
-            }
-            *slot = rec;
-        }
-        // Verify against stored checksums before repairing.
-        if self.tvarak_config().cl_granular_csums {
-            for (o, rec) in reconstructed.iter().enumerate() {
-                let line = page.line(o);
-                let (cs_line, slot) = layout.cl_csum_loc(line);
-                let cs = self.read_red(core, cs_line, env);
-                if csum_slot(&cs, slot) != line_checksum(rec) {
-                    return Err(RecoveryFailed { page });
-                }
-            }
-        } else {
-            let mut bytes = vec![0u8; PAGE];
-            for (o, rec) in reconstructed.iter().enumerate() {
-                bytes[o * CACHE_LINE..(o + 1) * CACHE_LINE].copy_from_slice(rec);
-            }
-            let (cs_line, slot) = layout.page_csum_loc(page);
-            let cs = self.read_red(core, cs_line, env);
-            if csum_slot(&cs, slot) != page_checksum(&bytes) {
-                return Err(RecoveryFailed { page });
-            }
-        }
-        // Repair the media.
-        for (o, rec) in reconstructed.iter().enumerate() {
-            env.nvm_write_data(core, page.line(o), rec);
-        }
-        env.counters().pages_recovered += 1;
-        Ok(())
-    }
-
-    /// Internal bridge so recovery can use the redundancy cache hierarchy
-    /// (the method is private to the controller module).
-    fn read_red(
-        &self,
-        core: usize,
-        line: memsim::addr::LineAddr,
-        env: &mut HookEnv<'_>,
-    ) -> [u8; CACHE_LINE] {
-        self.read_red_line_pub(core, line, env)
+        let granularity = self.tvarak_config().checksum_granularity();
+        reconstruct_page(self.layout(), granularity, core, page, env, |l, env| {
+            self.read_red_line(core, l, Urgency::Stall, env)
+        })
     }
 }
 

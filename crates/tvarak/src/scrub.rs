@@ -16,9 +16,8 @@
 //! `scrub_reads` counter so reports can split demand from maintenance
 //! traffic.
 
-use crate::checksum::{csum_slot, line_checksum, page_checksum};
-use crate::layout::NvmLayout;
-use memsim::addr::{PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
+use crate::layout::{gather_page, peek, read_charged, NvmLayout};
+use memsim::addr::{PageNum, LINES_PER_PAGE};
 use memsim::engine::System;
 
 /// Which checksum granularity the scrubber validates against.
@@ -185,38 +184,11 @@ impl Scrubber {
         core: usize,
         page: PageNum,
     ) -> Result<Option<ScrubFindingKind>, memsim::engine::CorruptionDetected> {
-        let mut bytes = vec![0u8; PAGE];
-        for i in 0..LINES_PER_PAGE {
-            sys.read(
-                core,
-                page.line(i).base(),
-                &mut bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE],
-            )?;
-        }
-        let csums_ok = match self.granularity {
-            ScrubGranularity::Page => {
-                let (cs_line, slot) = self.layout.page_csum_loc(page);
-                let mut cs = [0u8; CACHE_LINE];
-                sys.read(core, cs_line.base(), &mut cs)?;
-                csum_slot(&cs, slot) == page_checksum(&bytes)
-            }
-            ScrubGranularity::CacheLine => {
-                let mut ok = true;
-                for i in 0..LINES_PER_PAGE {
-                    let line = page.line(i);
-                    let (cs_line, slot) = self.layout.cl_csum_loc(line);
-                    let mut cs = [0u8; CACHE_LINE];
-                    sys.read(core, cs_line.base(), &mut cs)?;
-                    let mut data = [0u8; CACHE_LINE];
-                    data.copy_from_slice(&bytes[i * CACHE_LINE..(i + 1) * CACHE_LINE]);
-                    if csum_slot(&cs, slot) != line_checksum(&data) {
-                        ok = false;
-                        break;
-                    }
-                }
-                ok
-            }
-        };
+        let mut read = |l| read_charged(sys, core, l);
+        let bytes = gather_page(page, &mut read)?;
+        let csums_ok = self
+            .layout
+            .page_matches_csums(page, self.granularity, &bytes, read)?;
         if !csums_ok {
             return Ok(Some(ScrubFindingKind::Checksum));
         }
@@ -240,22 +212,11 @@ impl Scrubber {
             // stripe is not fully live; the resilver restores them.
             if !mem.line_live(line)
                 || !mem.line_live(self.layout.parity_line_of(line))
-                || self
-                    .layout
-                    .sibling_lines_of(line)
-                    .iter()
-                    .any(|&sib| !mem.line_live(sib))
+                || self.layout.sibling_lines_of(line).any(|sib| !mem.line_live(sib))
             {
                 continue;
             }
-            let mut x = mem.peek_line(line);
-            for sib in self.layout.sibling_lines_of(line) {
-                let d = mem.peek_line(sib);
-                for (xb, db) in x.iter_mut().zip(d.iter()) {
-                    *xb ^= db;
-                }
-            }
-            if x != mem.peek_line(self.layout.parity_line_of(line)) {
+            if self.layout.stripe_consistent(line, peek(mem)) != Ok(true) {
                 return false;
             }
         }

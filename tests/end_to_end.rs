@@ -3,6 +3,7 @@
 
 use apps::redis::Redis;
 use pmemfs::fault::{inject, Fault};
+use tvarak::scrub::ScrubGranularity;
 use tvarak_repro::prelude::*;
 
 fn tvarak_machine(pages: u64) -> Machine {
@@ -143,7 +144,7 @@ fn unmap_remap_preserves_protection() {
     m.flush();
     m.fs.dax_unmap(&mut m.sys, &file);
     // Page checksums now cover the data.
-    assert!(m.fs.scrub_pages(&m.sys, &file).is_empty());
+    assert!(m.fs.scrub(&m.sys, &file, ScrubGranularity::Page).is_empty());
     // Remap: CL checksums regenerated; verification active again.
     m.fs.dax_map(&mut m.sys, &file);
     m.sys
