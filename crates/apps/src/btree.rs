@@ -247,58 +247,6 @@ impl BTree {
         Ok(removed)
     }
 
-    /// Collect all `(key, value)` pairs with `lo <= key <= hi`, in key
-    /// order (an in-order walk of the relevant subtrees — the range-query
-    /// access pattern relational scans produce).
-    ///
-    /// # Errors
-    ///
-    /// Propagates corruption errors from verified reads.
-    pub fn scan(
-        &mut self,
-        m: &mut Machine,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<(u64, u64)>, AppError> {
-        m.sys.instr(self.core, OP_INSTR);
-        let mut out = Vec::new();
-        let root_off = self.file.read_u64(&mut m.sys, self.core, H_ROOT)?;
-        if root_off != NIL && lo <= hi {
-            self.scan_node(m, root_off, lo, hi, &mut out)?;
-        }
-        Ok(out)
-    }
-
-    fn scan_node(
-        &mut self,
-        m: &mut Machine,
-        off: u64,
-        lo: u64,
-        hi: u64,
-        out: &mut Vec<(u64, u64)>,
-    ) -> Result<(), AppError> {
-        let node = self.load(m, off)?;
-        let n = node.nkeys();
-        if node.is_leaf() {
-            for p in 0..n {
-                let k = node.key(p);
-                if k >= lo && k <= hi {
-                    out.push((k, node.slot(p)));
-                }
-            }
-            return Ok(());
-        }
-        // Children overlapping [lo, hi]: child i covers [key(i-1), key(i)).
-        for i in 0..=n {
-            let child_lo = if i == 0 { u64::MIN } else { node.key(i - 1) };
-            let child_hi = if i == n { u64::MAX } else { node.key(i) };
-            if child_lo <= hi && (i == n || child_hi > lo) {
-                self.scan_node(m, node.slot(i), lo, hi, out)?;
-            }
-        }
-        Ok(())
-    }
-
     /// Give child `i` of `parent` at least one key above its minimum, by
     /// borrowing from a sibling or merging with one. Returns the (possibly
     /// changed) child index holding the target key range.
@@ -577,26 +525,6 @@ mod tests {
             assert_eq!(t.get(&mut m, k).unwrap(), Some(k * 2), "key {k}");
         }
         assert_eq!(t.get(&mut m, 1000).unwrap(), None);
-    }
-
-    #[test]
-    fn scan_returns_sorted_range() {
-        let mut m = harness::machine(crate::driver::Design::Baseline);
-        let mut txm = m.tx_manager(64 * 1024).unwrap();
-        let mut t = BTree::create(&mut m, 0, 1024 * 1024).unwrap();
-        // Insert multiples of 3 in shuffled order.
-        let mut keys: Vec<u64> = (0..200).map(|i| i * 3).collect();
-        crate::rng::Rng::new(5).shuffle(&mut keys);
-        for &k in &keys {
-            t.insert(&mut m, &mut txm, k, k + 1).unwrap();
-        }
-        let got = t.scan(&mut m, 30, 90).unwrap();
-        let expect: Vec<(u64, u64)> = (10..=30).map(|i| (i * 3, i * 3 + 1)).collect();
-        assert_eq!(got, expect);
-        // Open-ended boundaries.
-        assert_eq!(t.scan(&mut m, 0, u64::MAX).unwrap().len(), 200);
-        assert!(t.scan(&mut m, 1, 2).unwrap().is_empty());
-        assert!(t.scan(&mut m, 50, 40).unwrap().is_empty());
     }
 
     #[test]

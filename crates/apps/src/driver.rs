@@ -10,7 +10,7 @@ use memsim::weave::{DivergenceKind, WeaveEligibility};
 use memsim::RaidLevel;
 use pmemfs::fs::{DaxFs, FileHandle, FsError, RecoveryError};
 use pmemfs::rebuild::{PoolState, ReplacementManager};
-use pmemfs::recover::{Poisoned, RecoveryOrchestrator};
+use pmemfs::recover::{Incidents, Poisoned, RecoveryOrchestrator};
 use pmemfs::tx::{SwScheme, TxManager};
 use tvarak::controller::{TvarakConfig, TvarakController};
 use tvarak::layout::NvmLayout;
@@ -594,33 +594,20 @@ impl Machine {
         &mut self,
         mut op: impl FnMut(&mut Machine) -> Result<T, AppError>,
     ) -> Result<T, AppError> {
-        let mut incidents: Vec<(PageNum, u32)> = Vec::new();
+        let mut seen = Incidents::default();
         loop {
             let err = match op(self) {
                 Ok(v) => return Ok(v),
                 Err(err) => err,
             };
-            let e = match (&err, self.orchestrator.is_some()) {
-                (AppError::Corruption(e), true) => *e,
-                (AppError::Tx(pmemfs::tx::TxError::Corruption(e)), true) => *e,
+            let (e, orch) = match (&err, self.orchestrator.as_mut()) {
+                (
+                    AppError::Corruption(e) | AppError::Tx(pmemfs::tx::TxError::Corruption(e)),
+                    Some(orch),
+                ) => (*e, orch),
                 _ => return Err(err),
             };
-            let page = e.line.page();
-            let n = match incidents.iter_mut().find(|(p, _)| *p == page) {
-                Some((_, n)) => {
-                    *n += 1;
-                    *n
-                }
-                None => {
-                    incidents.push((page, 1));
-                    1
-                }
-            };
-            let orch = self.orchestrator.as_mut().unwrap();
-            if n > orch.max_retries() {
-                return Err(orch.quarantine_page(&mut self.sys, page).into());
-            }
-            orch.handle(&mut self.fs, &mut self.sys, e)?;
+            orch.incident(&mut self.fs, &mut self.sys, &mut seen, e)?;
         }
     }
 

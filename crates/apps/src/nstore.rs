@@ -8,9 +8,7 @@
 //! least (and can even hurt, Fig. 9/10).
 
 use crate::alloc::BumpAlloc;
-use crate::btree::BTree;
 use crate::driver::{AppError, Machine};
-use crate::kv::PersistentKv;
 use pmemfs::fs::FileHandle;
 use pmemfs::tx::TxManager;
 
@@ -18,8 +16,6 @@ use pmemfs::tx::TxManager;
 pub const TUPLE_BYTES: u64 = 64;
 /// Log node: next (8) + tuple id (8) + before image (64) + after image (64).
 const LOG_NODE_BYTES: u64 = 144;
-/// Indexed-field width (44 bits; 20 low bits of composite keys hold the id).
-const FIELD_MASK: u64 = (1 << 44) - 1;
 const H_LOG_HEAD: u64 = 0;
 const NIL: u64 = 0;
 /// Instruction cost per transaction (SQL-less key-based YCSB path).
@@ -32,10 +28,6 @@ pub struct NStore {
     wal: FileHandle,
     wal_heap: BumpAlloc,
     n_tuples: u64,
-    /// Optional secondary index over the tuple's first 8 bytes (a persistent
-    /// B+tree mapping field value → tuple id), enabling YCSB-E-style range
-    /// scans.
-    index: Option<BTree>,
 }
 
 impl NStore {
@@ -53,70 +45,7 @@ impl NStore {
             wal,
             wal_heap,
             n_tuples,
-            index: None,
         })
-    }
-
-    /// Attach a secondary index over the tuples' first 8 bytes (little
-    /// endian), maintained by every subsequent [`Self::update`]. Sized for
-    /// `n_tuples` entries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] if the pool cannot hold the index.
-    pub fn with_index(&mut self, m: &mut Machine) -> Result<(), AppError> {
-        self.with_index_sized(m, (self.n_tuples * 120).max(1 << 16))
-    }
-
-    /// Like [`Self::with_index`] with an explicit index-heap size (updates
-    /// that change the indexed field allocate new B+tree nodes on splits;
-    /// the bump allocator does not reclaim, so long update-heavy runs need
-    /// headroom).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] if the pool cannot hold the index.
-    pub fn with_index_sized(&mut self, m: &mut Machine, heap_bytes: u64) -> Result<(), AppError> {
-        self.index = Some(BTree::create(m, 0, heap_bytes)?);
-        Ok(())
-    }
-
-    /// The indexed field of a tuple payload (its first 8 bytes, little
-    /// endian, truncated to 44 bits so composite index keys fit in a u64).
-    fn field_of(payload: &[u8; TUPLE_BYTES as usize]) -> u64 {
-        u64::from_le_bytes(payload[..8].try_into().unwrap()) & FIELD_MASK
-    }
-
-    /// Composite index key: field in the high bits, tuple id in the low 20
-    /// (so duplicate field values index distinct entries).
-    fn index_key(field: u64, tid: u64) -> u64 {
-        debug_assert!(tid < 1 << 20);
-        (field << 20) | tid
-    }
-
-    /// Range scan over the secondary index: tuple ids whose indexed field is
-    /// in `[lo, hi]`, in (field, id) order (YCSB-E's access pattern).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] on corruption.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no index was attached ([`Self::with_index`]).
-    pub fn scan_field(
-        &mut self,
-        m: &mut Machine,
-        lo: u64,
-        hi: u64,
-    ) -> Result<Vec<u64>, AppError> {
-        let (lo, hi) = (lo & FIELD_MASK, hi & FIELD_MASK);
-        let index = self.index.as_mut().expect("no secondary index attached");
-        Ok(index
-            .scan(m, Self::index_key(lo, 0), Self::index_key(hi, (1 << 20) - 1))?
-            .into_iter()
-            .map(|(_, tid)| tid)
-            .collect())
     }
 
     /// Number of tuples.
@@ -170,16 +99,6 @@ impl NStore {
         // In-place tuple update.
         tx.write(&mut m.sys, &self.tuples, tuple_off, payload)?;
         tx.commit(&mut m.sys)?;
-        // Secondary-index maintenance (its own transactions inside the
-        // B+tree operations).
-        if let Some(index) = self.index.as_mut() {
-            let old_field = Self::field_of(&before);
-            let new_field = Self::field_of(payload);
-            if old_field != new_field || before == [0u8; TUPLE_BYTES as usize] {
-                index.remove(m, txm, Self::index_key(old_field, key))?;
-                index.insert(m, txm, Self::index_key(new_field, key), key)?;
-            }
-        }
         Ok(())
     }
 
@@ -319,45 +238,11 @@ mod tests {
                 Op::Read(k) => {
                     s.read(&mut m, 0, k).unwrap();
                 }
-                _ => unreachable!("YcsbMix emits only reads and updates"),
             }
         }
         m.flush();
         m.verify_all(s.tuple_file()).unwrap();
         m.verify_all(s.wal_file()).unwrap();
-    }
-
-    #[test]
-    fn secondary_index_scans_by_field() {
-        let (mut m, mut txm, mut s) = setup(Design::Baseline);
-        s.with_index(&mut m).unwrap();
-        // Tuple i gets field value 1000 - i (reverse order), with a few
-        // duplicates.
-        for i in 0..40u64 {
-            let mut payload = [0u8; 64];
-            let field = 1000 - (i / 2) * 10; // pairs share a field value
-            payload[..8].copy_from_slice(&field.to_le_bytes());
-            payload[8] = i as u8;
-            s.update(&mut m, &mut txm, 0, i, &payload).unwrap();
-        }
-        // Scan a field range; both duplicates of each value must appear.
-        let hits = s.scan_field(&mut m, 900, 950).unwrap();
-        let mut expect: Vec<u64> = (0..40u64)
-            .filter(|i| {
-                let f = 1000 - (i / 2) * 10;
-                (900..=950).contains(&f)
-            })
-            .collect();
-        let mut got = hits.clone();
-        got.sort_unstable();
-        expect.sort_unstable();
-        assert_eq!(got, expect);
-        // Updating a tuple's field moves it between ranges.
-        let mut payload = [0u8; 64];
-        payload[..8].copy_from_slice(&5u64.to_le_bytes());
-        s.update(&mut m, &mut txm, 0, 0, &payload).unwrap();
-        assert!(!s.scan_field(&mut m, 900, 1001).unwrap().contains(&0));
-        assert_eq!(s.scan_field(&mut m, 0, 10).unwrap(), vec![0]);
     }
 
     #[test]

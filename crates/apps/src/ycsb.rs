@@ -11,10 +11,6 @@ pub enum Op {
     Read(u64),
     /// Update the tuple with this key.
     Update(u64),
-    /// Range scan: `len` tuples starting at this key (YCSB-E).
-    Scan(u64, u64),
-    /// Read-modify-write the tuple with this key (YCSB-F).
-    ReadModifyWrite(u64),
 }
 
 /// Hot/cold skewed key chooser: `hot_fraction` of accesses hit the first
@@ -100,93 +96,6 @@ impl YcsbMix {
     }
 }
 
-/// The standard YCSB core workloads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StandardWorkload {
-    /// 50:50 updates:reads.
-    A,
-    /// 5:95 updates:reads.
-    B,
-    /// read-only.
-    C,
-    /// 5:95 inserts... modelled as updates:scans (scan-heavy).
-    E,
-    /// 50:50 read-modify-writes:reads.
-    F,
-}
-
-impl StandardWorkload {
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            StandardWorkload::A => "ycsb-a",
-            StandardWorkload::B => "ycsb-b",
-            StandardWorkload::C => "ycsb-c",
-            StandardWorkload::E => "ycsb-e",
-            StandardWorkload::F => "ycsb-f",
-        }
-    }
-}
-
-/// Generator for the standard YCSB core workloads over a skewed keyspace.
-#[derive(Debug, Clone)]
-pub struct StandardMix {
-    keys: SkewedKeys,
-    workload: StandardWorkload,
-    rng: Rng,
-    max_scan: u64,
-}
-
-impl StandardMix {
-    /// A generator for `workload` over `keys` keys (90/10 skew, as the
-    /// paper's N-Store runs use). Scans draw lengths in `1..=max_scan`.
-    pub fn new(keys: u64, workload: StandardWorkload, max_scan: u64, seed: u64) -> Self {
-        StandardMix {
-            keys: SkewedKeys::new(keys, 0.9, 0.1, seed),
-            workload,
-            rng: Rng::new(seed ^ 0x5ca1_ab1e),
-            max_scan: max_scan.max(1),
-        }
-    }
-
-    /// Draw the next operation.
-    pub fn next_op(&mut self) -> Op {
-        let key = self.keys.next_key();
-        let p = self.rng.unit_f64();
-        match self.workload {
-            StandardWorkload::A => {
-                if p < 0.5 {
-                    Op::Update(key)
-                } else {
-                    Op::Read(key)
-                }
-            }
-            StandardWorkload::B => {
-                if p < 0.05 {
-                    Op::Update(key)
-                } else {
-                    Op::Read(key)
-                }
-            }
-            StandardWorkload::C => Op::Read(key),
-            StandardWorkload::E => {
-                if p < 0.05 {
-                    Op::Update(key)
-                } else {
-                    Op::Scan(key, 1 + self.rng.below(self.max_scan))
-                }
-            }
-            StandardWorkload::F => {
-                if p < 0.5 {
-                    Op::ReadModifyWrite(key)
-                } else {
-                    Op::Read(key)
-                }
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,35 +148,5 @@ mod tests {
     #[should_panic(expected = "nonempty keyspace")]
     fn empty_keyspace_rejected() {
         SkewedKeys::new(0, 0.9, 0.1, 0);
-    }
-
-    #[test]
-    fn standard_workload_op_distributions() {
-        let count = |wl: StandardWorkload, pred: fn(&Op) -> bool| -> usize {
-            let mut g = StandardMix::new(1000, wl, 16, 7);
-            (0..10_000).filter(|_| pred(&g.next_op())).count()
-        };
-        // A: ~50% updates.
-        let u = count(StandardWorkload::A, |o| matches!(o, Op::Update(_)));
-        assert!((4000..6000).contains(&u), "A updates={u}");
-        // B: ~5% updates.
-        let u = count(StandardWorkload::B, |o| matches!(o, Op::Update(_)));
-        assert!((200..900).contains(&u), "B updates={u}");
-        // C: zero updates.
-        assert_eq!(count(StandardWorkload::C, |o| !matches!(o, Op::Read(_))), 0);
-        // E: mostly scans with bounded lengths.
-        let mut g = StandardMix::new(1000, StandardWorkload::E, 16, 9);
-        let mut scans = 0;
-        for _ in 0..10_000 {
-            if let Op::Scan(start, len) = g.next_op() {
-                scans += 1;
-                assert!(start < 1000);
-                assert!((1..=16).contains(&len));
-            }
-        }
-        assert!(scans > 9000, "E scans={scans}");
-        // F: ~50% RMWs.
-        let r = count(StandardWorkload::F, |o| matches!(o, Op::ReadModifyWrite(_)));
-        assert!((4000..6000).contains(&r), "F rmw={r}");
     }
 }

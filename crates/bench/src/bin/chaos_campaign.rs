@@ -27,7 +27,6 @@
 
 use apps::driver::{Design, Machine};
 use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
-use bench::capture::CampaignTrace;
 use bench::faulted::{
     designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
     FLUSH_EVERY, MAX_RETRIES, SCRUB_INTERVAL, SCRUB_PAGES,
@@ -319,13 +318,11 @@ struct Row {
     kind: FaultKind,
     out: Outcome,
     log: Vec<String>,
-    trace: Option<(String, Vec<u8>)>,
 }
 
 /// Run one cell: `app`'s shadow-checked stream (`bench::faulted`) under the
 /// seeded fault plan, then convergence and the invariant checks. The plan
-/// seed depends on (app, fault) only, so designs face identical chaos. The
-/// fio op stream is captured as a chunked `TVT2` trace artefact.
+/// seed depends on (app, fault) only, so designs face identical chaos.
 fn run_cell(
     app: &'static str,
     design: Design,
@@ -337,8 +334,7 @@ fn run_cell(
     let ctx = format!("app={app} design={} fault={}", design.label(), kind.label());
     let seed = seed_for(SEED_BASE, app, kind.label());
     let raw = app == "fio";
-    let cap = raw.then(|| CampaignTrace::new(&format!("chaos {ctx}")));
-    let mut w = workload(app, &mut m, seed, 256 * 1024, cap);
+    let mut w = workload(app, &mut m, seed, 256 * 1024);
     let file = *w.file();
     if !raw {
         m.flush();
@@ -381,19 +377,9 @@ fn run_cell(
         }
         ctl.after_op(&mut m, op);
     }
-    let trace = w.take_capture().and_then(|cap| match cap.finish() {
-        Ok((file, n)) => {
-            ctl.log.push(format!("{} trace: {n} records captured", ctl.ctx));
-            Some(file)
-        }
-        Err(e) => {
-            ctl.out.violations.push(format!("{}: {e}", ctl.ctx));
-            None
-        }
-    });
     ctl.finish(&mut m, &file, ops);
     ctl.check_invariants(&mut m, &file, inline_cl_verified(design));
-    Row { app, design, kind, out: ctl.out, log: ctl.log, trace }
+    Row { app, design, kind, out: ctl.out, log: ctl.log }
 }
 
 fn run(cfg: &Config<bool>, jobs: usize) -> Output {
@@ -453,7 +439,6 @@ fn run(cfg: &Config<bool>, jobs: usize) -> Output {
     let log: String = rows.iter().flat_map(|r| &r.log).map(|l| format!("{l}\n")).collect();
     out.files.push(("chaos_events.log".into(), log.into_bytes()));
     for r in rows {
-        out.files.extend(r.trace);
         out.violations.extend(r.out.violations);
     }
     out

@@ -40,7 +40,6 @@
 
 use apps::driver::{Design, Machine};
 use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
-use bench::capture::CampaignTrace;
 use bench::faulted::{
     designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
     Workload, FLUSH_EVERY,
@@ -161,7 +160,6 @@ struct Outcome {
     content_hash: u64,
     oracle_hash: u64,
     violations: Vec<String>,
-    trace: Option<(String, Vec<u8>)>,
 }
 
 /// A phase's measurement window on the serving core.
@@ -230,10 +228,7 @@ fn run_faulted(
     let seed = seed_for(SEED_BASE, app, scenario.label());
     let mut out = Outcome::default();
     let mut m = small_machine(design);
-    // Only fio has a raw address stream worth capturing (the KV ops are
-    // index operations, not addressed I/O).
-    let cap = (app == "fio").then(|| CampaignTrace::new(&format!("degraded {ctx}")));
-    let mut w = workload(app, &mut m, seed, TX_LOG, cap);
+    let mut w = workload(app, &mut m, seed, TX_LOG);
     let file = *w.file();
     m.flush();
     enable_pipeline(&mut m, &file);
@@ -311,16 +306,6 @@ fn run_faulted(
     out.phases[3] = win.close(&m, ran);
 
     m.flush();
-    if let Some(cap) = w.take_capture() {
-        match cap.finish() {
-            // Every fio op — across all four phases — must round-trip.
-            Ok((_, n)) if n != op => out.violations.push(format!(
-                "{ctx}: trace captured {n} records for {op} ops"
-            )),
-            Ok((file, _)) => out.trace = Some(file),
-            Err(e) => out.violations.push(format!("{ctx}: {e}")),
-        }
-    }
     out.total_ops = op;
     out.content_hash = m.sys.memory().content_hash();
     let rs = m.sys.memory().raid_stats();
@@ -347,9 +332,7 @@ fn run_faulted(
 fn run_oracle(app: &str, design: Design, scenario: Scenario, total_ops: u64) -> u64 {
     let seed = seed_for(SEED_BASE, app, scenario.label());
     let mut m = small_machine(design);
-    // No capture: the oracle replays the same stream the faulted run
-    // already recorded.
-    let mut w = workload(app, &mut m, seed, TX_LOG, None);
+    let mut w = workload(app, &mut m, seed, TX_LOG);
     let file = *w.file();
     m.flush();
     enable_pipeline(&mut m, &file);
@@ -533,7 +516,6 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
         format!("# Degraded-mode campaign — scenario × design × app, {n} ops/steady phase");
     let mut out = Output::sheet(&title, "degraded_campaign.csv", &cols, &rows, |_| true);
     for r in rows {
-        out.files.extend(r.out.trace);
         out.violations.extend(r.out.violations);
     }
     out

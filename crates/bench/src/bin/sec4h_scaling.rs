@@ -9,10 +9,13 @@ use apps::stream::Kernel;
 use bench::campaign::{figure, Campaign, FigCell};
 use bench::workloads::{run_stream_threads, Variant};
 
+/// A machine under test: its label and the variant it makes of a design.
+type Machine = (&'static str, fn(Design) -> Variant);
+
 /// The campaign this binary runs.
 pub fn campaign() -> Campaign<()> {
     Campaign::new("sec4h_scaling", |cfg, jobs| {
-        let machines: [(&str, fn(Design) -> Variant); 3] = [
+        let machines: [Machine; 3] = [
             ("4dimm", Variant::of),
             ("8dimm", |d| Variant::of(d).nvm_dimms(8)),
             ("bbdram", |d| Variant::of(d).dram_as_nvm()),

@@ -216,7 +216,7 @@ pub struct Output {
     /// The stdout text.
     pub table: String,
     /// Artefacts as (path relative to the results directory, bytes); the
-    /// campaign CSV first, then gnuplot scripts, event logs and traces.
+    /// campaign CSV first, then gnuplot scripts and event logs.
     pub files: Vec<(String, Vec<u8>)>,
     /// Invariant violations; any makes the process exit 1.
     pub violations: Vec<String>,

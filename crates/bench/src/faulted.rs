@@ -5,7 +5,6 @@
 //! design list, detection → recovery pipeline settings, seed derivation and
 //! quiet panic capture both campaigns share.
 
-use crate::capture::CampaignTrace;
 use apps::btree::BTree;
 use apps::driver::{AppError, Design, Machine};
 use apps::kv::PersistentKv;
@@ -131,27 +130,14 @@ pub trait Workload {
     fn suspect(&self) -> bool {
         false
     }
-
-    /// Surrender the trace capture, if this workload records one, so the
-    /// cell can close and verify it.
-    fn take_capture(&mut self) -> Option<CampaignTrace> {
-        None
-    }
 }
 
-/// Build `app`'s workload on `m`: `fio` is [`ShadowFio`] (the only one with
-/// a raw address stream worth capturing into `cap`), `rbtree` a red-black
-/// tree and anything else a B-tree under [`ShadowKv`]. `tx_log` sizes the
-/// per-core transaction log.
-pub fn workload(
-    app: &str,
-    m: &mut Machine,
-    seed: u64,
-    tx_log: u64,
-    cap: Option<CampaignTrace>,
-) -> Box<dyn Workload> {
+/// Build `app`'s workload on `m`: `fio` is [`ShadowFio`], `rbtree` a
+/// red-black tree and anything else a B-tree under [`ShadowKv`]. `tx_log`
+/// sizes the per-core transaction log.
+pub fn workload(app: &str, m: &mut Machine, seed: u64, tx_log: u64) -> Box<dyn Workload> {
     match app {
-        "fio" => Box::new(ShadowFio::new(m, seed, tx_log, cap)),
+        "fio" => Box::new(ShadowFio::new(m, seed, tx_log)),
         _ => Box::new(ShadowKv::new(m, app, seed, tx_log)),
     }
 }
@@ -159,15 +145,13 @@ pub fn workload(
 /// fio-style raw file I/O: 64 B reads/writes at seeded random line offsets
 /// with a per-line shadow of the acknowledged version. Writes go through
 /// the transactional interface under software designs so their checksums
-/// stay maintained. When a capture is attached, every op is recorded as it
-/// is issued.
+/// stay maintained.
 pub struct ShadowFio {
     file: FileHandle,
     txm: Option<TxManager>,
     shadow: Vec<Option<u64>>,
     rng: Rng,
     nlines: u64,
-    cap: Option<CampaignTrace>,
 }
 
 fn fio_pattern(l: u64, v: u64) -> [u8; 64] {
@@ -179,7 +163,7 @@ fn fio_pattern(l: u64, v: u64) -> [u8; 64] {
 }
 
 impl ShadowFio {
-    fn new(m: &mut Machine, seed: u64, tx_log: u64, cap: Option<CampaignTrace>) -> Self {
+    fn new(m: &mut Machine, seed: u64, tx_log: u64) -> Self {
         let txm = match m.design().sw_scheme() {
             SwScheme::None => None,
             _ => Some(m.tx_manager(tx_log).expect("pool fits tx log")),
@@ -198,7 +182,6 @@ impl ShadowFio {
             shadow: vec![Some(0); nlines as usize],
             rng: Rng::new(0xf10_0000 ^ seed),
             nlines,
-            cap,
         }
     }
 }
@@ -213,9 +196,6 @@ impl Workload for ShadowFio {
         let off = l * 64;
         let file = self.file;
         let is_write = self.rng.below(2) == 0;
-        if let Some(cap) = self.cap.as_mut() {
-            cap.record(is_write, file.addr(off), 64);
-        }
         let mut event = None;
         if is_write {
             let data = fio_pattern(l, op + 1);
@@ -254,10 +234,6 @@ impl Workload for ShadowFio {
             }
         }
         Ok(event)
-    }
-
-    fn take_capture(&mut self) -> Option<CampaignTrace> {
-        self.cap.take()
     }
 }
 
@@ -419,7 +395,7 @@ mod tests {
     fn clean_streams_never_report_wrong_data() {
         for app in ["fio", "btree", "rbtree"] {
             let mut m = small_machine(Design::Tvarak);
-            let mut w = workload(app, &mut m, 7, 64 * 1024, None);
+            let mut w = workload(app, &mut m, 7, 64 * 1024);
             let mut t = Tally::default();
             for op in 0..200 {
                 assert_eq!(w.step(&mut m, op, &mut t), Ok(None), "{app} op {op}");

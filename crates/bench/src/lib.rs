@@ -12,7 +12,6 @@
 //! - `fig10_sensitivity` — Fig. 10: LLC way-partition sensitivity
 //! - `sec4h_scaling` — §IV-H: NVM DIMM count and NVM technology scaling
 //! - `vilamb_sweep` — extension: Vilamb-style asynchronous-redundancy epochs
-//! - `ycsb_suite` — extension: YCSB core workloads on indexed N-Store
 //! - `coverage_campaign` — Table I's verification column, quantified by
 //!   fault injection
 //! - `chaos_campaign` — fault type × design × app sweep asserting the
@@ -41,7 +40,6 @@
 #![warn(missing_docs)]
 
 pub mod campaign;
-pub mod capture;
 pub mod faulted;
 pub mod report;
 pub mod runner;

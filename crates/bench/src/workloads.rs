@@ -736,8 +736,6 @@ pub fn run_nstore_threads(
                     Op::Read(k) => {
                         store.read(m, c, k)?;
                     }
-                    // YcsbMix emits only reads and updates.
-                    _ => unreachable!("unexpected YCSB op"),
                 }
                 Ok(())
             },

@@ -36,8 +36,6 @@ pub mod serve_campaign;
 pub mod soak_campaign;
 #[path = "../../src/bin/vilamb_sweep.rs"]
 pub mod vilamb_sweep;
-#[path = "../../src/bin/ycsb_suite.rs"]
-pub mod ycsb_suite;
 
 /// Parse `args` under `env` as the binary would, then run at `jobs` workers.
 pub fn run<O: Default>(
@@ -63,7 +61,7 @@ pub type Quick = fn(usize) -> Output;
 /// Every campaign at quick scale and default flags — serve also in `--knee`
 /// mode (its bisection rounds decide probes from earlier parallel results),
 /// soak also at the short 3 × 256 horizon.
-pub const ALL: [(&str, Quick); 18] = [
+pub const ALL: [(&str, Quick); 17] = [
     ("chaos_campaign", |j| quick(chaos_campaign::campaign(), &[], j)),
     ("coverage_campaign", |j| quick(coverage_campaign::campaign(), &[], j)),
     ("crashsim_campaign", |j| quick(crashsim_campaign::campaign(), &[], j)),
@@ -84,5 +82,4 @@ pub const ALL: [(&str, Quick); 18] = [
         quick(soak_campaign::campaign(), &horizon, j)
     }),
     ("vilamb_sweep", |j| quick(vilamb_sweep::campaign(), &[], j)),
-    ("ycsb_suite", |j| quick(ycsb_suite::campaign(), &[], j)),
 ];

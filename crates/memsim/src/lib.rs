@@ -38,7 +38,6 @@ pub mod hash;
 pub mod mem;
 pub mod spsc;
 pub mod stats;
-pub mod trace;
 pub mod weave;
 
 pub use addr::{LineAddr, PageNum, PhysAddr, CACHE_LINE, LINES_PER_PAGE, NVM_BASE, PAGE};

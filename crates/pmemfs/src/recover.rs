@@ -105,6 +105,11 @@ pub enum RecoveryEvent {
 /// Maximum poison-list entries the one-page persistent store can hold.
 const POISON_CAP: usize = (PAGE - 8) / 8;
 
+/// Per-page corruption counts of one re-issued operation (see
+/// [`RecoveryOrchestrator::incident`]).
+#[derive(Debug, Default)]
+pub struct Incidents(Vec<(PageNum, u32)>);
+
 /// The detection → recovery → degradation orchestrator for one pool.
 ///
 /// Owns a one-page persistent store (allocated from the pool itself) holding
@@ -497,10 +502,6 @@ impl RecoveryOrchestrator {
     /// access cannot *detect* its way to the poison list — callers on those
     /// designs check ranges explicitly before trusting bytes.
     pub fn check_range(&self, file: &FileHandle, offset: u64, len: usize) -> Result<(), Poisoned> {
-        self.check_poison(file, offset, len)
-    }
-
-    fn check_poison(&self, file: &FileHandle, offset: u64, len: usize) -> Result<(), Poisoned> {
         if len == 0 {
             return Ok(());
         }
@@ -515,11 +516,60 @@ impl RecoveryOrchestrator {
         Ok(())
     }
 
+    /// Route one corruption surfaced by an operation that is about to be
+    /// re-issued, counting it against its page in `seen`: recover the page
+    /// ([`Self::handle`]) — or, once that page has detected more than
+    /// `max_retries` times within the operation, quarantine it. A page that
+    /// keeps detecting after successful-looking recoveries (a sticky
+    /// misdirected read: the media is fine, the device path is broken) must
+    /// not be retried forever.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Poisoned`] if the page was, or has just been, quarantined.
+    pub fn incident(
+        &mut self,
+        fs: &mut DaxFs,
+        sys: &mut System,
+        seen: &mut Incidents,
+        err: CorruptionDetected,
+    ) -> Result<(), Poisoned> {
+        let page = err.line.page();
+        let n = match seen.0.iter_mut().find(|(p, _)| *p == page) {
+            Some((_, n)) => {
+                *n += 1;
+                *n
+            }
+            None => {
+                seen.0.push((page, 1));
+                1
+            }
+        };
+        if n > self.max_retries {
+            return Err(self.quarantine_page(sys, page));
+        }
+        self.handle(fs, sys, err)
+    }
+
+    /// The loop both [`Self::read`] and [`Self::write`] are: re-issue
+    /// `access` until it succeeds, routing every corruption it surfaces
+    /// through [`Self::incident`].
+    fn retrying(
+        &mut self,
+        fs: &mut DaxFs,
+        sys: &mut System,
+        mut access: impl FnMut(&mut System) -> Result<(), CorruptionDetected>,
+    ) -> Result<(), Poisoned> {
+        let mut seen = Incidents::default();
+        while let Err(e) = access(sys) {
+            self.incident(fs, sys, &mut seen, e)?;
+        }
+        Ok(())
+    }
+
     /// Orchestrated read: like [`FileHandle::read`], but corruption is
-    /// transparently recovered and the read re-issued. A page that keeps
-    /// detecting after successful-looking recoveries (a sticky misdirected
-    /// read: the media is fine, the device path is broken) is quarantined
-    /// after `max_retries` re-issues.
+    /// transparently recovered and the read re-issued (see
+    /// [`Self::incident`] for the retry bound).
     ///
     /// # Errors
     ///
@@ -534,31 +584,8 @@ impl RecoveryOrchestrator {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), Poisoned> {
-        self.check_poison(file, offset, buf.len())?;
-        let mut incidents: Vec<(PageNum, u32)> = Vec::new();
-        loop {
-            match file.read(sys, core, offset, buf) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    let page = e.line.page();
-                    let n = match incidents.iter_mut().find(|(p, _)| *p == page) {
-                        Some((_, n)) => {
-                            *n += 1;
-                            *n
-                        }
-                        None => {
-                            incidents.push((page, 1));
-                            1
-                        }
-                    };
-                    if n > self.max_retries {
-                        self.quarantine(sys, page);
-                        return Err(Poisoned { page });
-                    }
-                    self.handle(fs, sys, e)?;
-                }
-            }
-        }
+        self.check_range(file, offset, buf.len())?;
+        self.retrying(fs, sys, |sys| file.read(sys, core, offset, buf))
     }
 
     /// Orchestrated write: poisoned pages reject writes (use
@@ -577,31 +604,8 @@ impl RecoveryOrchestrator {
         offset: u64,
         data: &[u8],
     ) -> Result<(), Poisoned> {
-        self.check_poison(file, offset, data.len())?;
-        let mut incidents: Vec<(PageNum, u32)> = Vec::new();
-        loop {
-            match file.write(sys, core, offset, data) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    let page = e.line.page();
-                    let n = match incidents.iter_mut().find(|(p, _)| *p == page) {
-                        Some((_, n)) => {
-                            *n += 1;
-                            *n
-                        }
-                        None => {
-                            incidents.push((page, 1));
-                            1
-                        }
-                    };
-                    if n > self.max_retries {
-                        self.quarantine(sys, page);
-                        return Err(Poisoned { page });
-                    }
-                    self.handle(fs, sys, e)?;
-                }
-            }
-        }
+        self.check_range(file, offset, data.len())?;
+        self.retrying(fs, sys, |sys| file.write(sys, core, offset, data))
     }
 
     /// Clear a page's poison with a verified full-page rewrite: write the

@@ -35,8 +35,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             Op::Read(k) => {
                 store.read(&mut m, 0, k)?;
             }
-            // YcsbMix emits only reads and updates.
-            _ => unreachable!(),
         }
     }
     m.flush();

@@ -20,7 +20,7 @@ echo "=== build (workspace) ==="
 cargo build --release --workspace
 
 echo "=== clippy (workspace, -D warnings) ==="
-cargo clippy -q --all-targets -- -D warnings
+cargo clippy -q --workspace --all-targets -- -D warnings
 
 echo "=== tests (workspace) ==="
 cargo test --release --workspace --quiet

@@ -23,7 +23,6 @@ TVARAK_SCALE=reduced run fig10_sensitivity redundancy
 TVARAK_SCALE=reduced run fig10_sensitivity diffs
 TVARAK_SCALE=reduced run sec4h_scaling
 TVARAK_SCALE=reduced run vilamb_sweep
-TVARAK_SCALE=reduced run ycsb_suite
 run coverage_campaign
 run chaos_campaign
 run degraded_campaign
