@@ -363,7 +363,7 @@ fn run_cell(
             Ok(None) => {}
             Ok(Some(detail)) => ctl.log.push(format!("{} op={op} event={detail}", ctl.ctx)),
             Err(info) => {
-                // The panic message + location go to the event log.
+                // The panic message (no source location) goes to the event log.
                 let info = info.replace('\n', " | ");
                 ctl.log.push(format!("{} op={op} event=AppCrash info={info}", ctl.ctx));
                 if inline_cl_verified(design) && !w.suspect() {

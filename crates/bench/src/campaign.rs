@@ -55,8 +55,6 @@ pub struct UsageError(pub String);
 /// Where an [`Opt`] comes from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Kind {
-    /// A value-less flag such as `--knee` (the setter receives `""`).
-    Switch,
     /// A flag taking a value as `--name V` or `--name=V`.
     Value,
     /// Bare arguments, at least this many; the setter runs once per
@@ -327,14 +325,13 @@ impl<O: Default> Cli<O> {
             };
             let flag = name.starts_with("--");
             let opt = self.options.iter().find(|o| match o.kind {
-                Kind::Switch | Kind::Value => o.name == name,
+                Kind::Value => o.name == name,
                 Kind::Positional(_) => !flag,
                 Kind::Env => false,
             });
             match (name, opt.map(|o| o.kind)) {
                 ("--jobs", _) => jobs = Some(positive(value()?).map_err(|e| bad(name, e))?),
                 ("--threads", _) => threads = Some(number(value()?).map_err(|e| bad(name, e))?),
-                (_, Some(Kind::Switch)) if inline.is_none() => set(opt, &mut opts, "")?,
                 (_, Some(Kind::Value)) => set(opt, &mut opts, value()?)?,
                 (_, Some(Kind::Positional(_))) => {
                     positionals += 1;
@@ -369,7 +366,6 @@ impl<O: Default> Cli<O> {
             String::from("TVARAK_SCALE=quick|reduced|full MEMSIM_JOBS=N MEMSIM_ENGINE_THREADS=N");
         for o in &self.options {
             match o.kind {
-                Kind::Switch => s += &format!(" [{}]", o.name),
                 Kind::Value => s += &format!(" [{} {}]", o.name, o.hint),
                 Kind::Positional(_) => s += &format!(" [{}]", o.hint),
                 Kind::Env => envs += &format!(" {}={}", o.name, o.hint),
@@ -596,16 +592,12 @@ mod tests {
         Campaign::new("t", |cfg: &Config<Vec<String>>, _| Output {
             table: "t\n".into(),
             files: vec![("t.csv".into(), b"h\n".to_vec())],
-            violations: cfg.opts.iter().filter(|o| *o == "knee").cloned().collect(),
+            violations: cfg.opts.iter().filter(|o| *o == "b").cloned().collect(),
             rows: usize::from(cfg.selects("cell")),
         })
         .filter_env("T_FILTER")
         .ok_line("ok")
         .options(vec![
-            Opt::new(Kind::Switch, "--knee", "", |o, _| {
-                o.push("knee".into());
-                Ok(())
-            }),
             Opt::new(Kind::Value, "--seed", "N", |o, v| {
                 number(v).map(|n| o.push(format!("seed={n}")))
             }),
@@ -646,9 +638,9 @@ mod tests {
             ("APPS", "x,y"),
             ("T_FILTER", "app="),
         ];
-        let (cfg, jobs) = parse(&["--knee", "--seed=9", "b"], &env).unwrap();
+        let (cfg, jobs) = parse(&["--seed=9", "b"], &env).unwrap();
         assert_eq!((jobs, cfg.threads, cfg.scale), (5, host, ScaleKind::Quick));
-        assert_eq!(cfg.opts, ["apps=x,y", "knee", "seed=9", "b"]);
+        assert_eq!(cfg.opts, ["apps=x,y", "seed=9", "b"]);
         assert_eq!(cfg.filter, "app=");
 
         let (cfg, jobs) = parse(&["--jobs", "2", "--threads=3", "--seed", "7"], &env).unwrap();
@@ -671,7 +663,6 @@ mod tests {
             (&["--threads", "x"], &[]),
             (&["--seed"], &[]),
             (&["--seed", "abc"], &[]),
-            (&["--knee=1"], &[]),
             (&["c"], &[]),
             (&["a", "b"], &[]),
             (&["--APPS", "x"], &[]),
@@ -684,12 +675,12 @@ mod tests {
             assert!(parse(args, env).is_err(), "accepted {args:?} {env:?}");
         }
         let mut strict = campaign();
-        strict.cli.options[2] = Opt::new(Kind::Positional(2), "", "<a> <b>", |_, _| Ok(()));
+        strict.cli.options[1] = Opt::new(Kind::Positional(2), "", "<a> <b>", |_, _| Ok(()));
         assert!(
             strict.cli.parse(&["a".into()], &|_| None).is_err(),
             "missing positional"
         );
-        assert!(campaign().cli.usage().contains("[--knee] [--seed N] [a|b]"));
+        assert!(campaign().cli.usage().contains("[--seed N] [a|b]"));
     }
 
     #[test]
@@ -718,7 +709,7 @@ mod tests {
         };
         assert_eq!(emit(&[], &[], &dir), (0, "t\nok\n".into()));
         assert_eq!(std::fs::read(dir.join("t.csv")).unwrap(), b"h\n");
-        assert_eq!(emit(&["--knee"], &[], &dir), (1, "t\n".into()), "violation");
+        assert_eq!(emit(&["b"], &[], &dir), (1, "t\n".into()), "violation");
         let filtered = emit(&[], &[("T_FILTER", "zzz")], &dir);
         assert_eq!(filtered.0, 2, "a filter that matched nothing");
         // A results path that is a regular file: the write error is an exit

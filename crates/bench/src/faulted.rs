@@ -91,7 +91,10 @@ fn install_quiet_panic_hook() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             if IN_STEP.get() {
-                LAST_PANIC.with(|p| *p.borrow_mut() = Some(info.to_string()));
+                // The payload only: a source location would tie the golden-pinned
+                // event log to line numbers.
+                let msg = info.payload_as_str().unwrap_or("<non-string panic>");
+                LAST_PANIC.set(Some(msg.to_string()));
             } else {
                 prev(info);
             }

@@ -21,9 +21,6 @@
 //!   degraded reads, online resilver, oracle bit-identity (DESIGN.md §13)
 //! - `crashsim_campaign` — app × design × crash point: every power failure
 //!   recovers to a consistent state (DESIGN.md §10)
-//! - `serve_campaign` — open-loop offered-load sweep: throughput vs
-//!   offered load plus p50/p99/p999 tail latency per design, with a
-//!   knee-finding saturation mode (`--knee`; DESIGN.md §15)
 //! - `soak_campaign` — long-horizon interval snapshots checked against the
 //!   machine's monolithic stats (DESIGN.md §16)
 //! - `probe` — ad-hoc single-workload comparisons for calibration
@@ -43,7 +40,6 @@ pub mod campaign;
 pub mod faulted;
 pub mod report;
 pub mod runner;
-pub mod serve;
 pub mod soak;
 pub mod workloads;
 

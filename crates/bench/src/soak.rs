@@ -190,7 +190,7 @@ pub fn soak_fio(
     s: &Scale,
     cfg: &SoakConfig,
 ) -> Result<SoakOutcome, AppError> {
-    let (mut m, mut fio, mut txm) = fresh_fio(&v.into(), s.fio_threads, s.fio_region_bytes, 0)?;
+    let (mut m, mut fio, mut txm) = fresh_fio(&v.into(), s.fio_threads, s.fio_region_bytes)?;
     soak_loop(&mut m, s.fio_threads, cfg, |m, t, i| {
         fio.op(m, txm.as_mut(), t, pattern, i)
     })

@@ -356,18 +356,17 @@ fn seal_preload(m: &mut Machine, txm: &mut TxManager, files: &[FileHandle], sche
 }
 
 /// `instances` Redis tables (instance `i` on core `i`) preloaded with
-/// `keys` entries of `val_len` bytes under key `key_of(k, i)`, ready at
+/// `keys` entries of `val_len` bytes under key `scramble(k) ^ i`, ready at
 /// `reset_stats`. Returns the value buffer the preload wrote.
 ///
 /// # Errors
 ///
 /// Propagates [`AppError`] from pool set-up or the preload.
-pub fn preloaded_redis(
+fn preloaded_redis(
     v: &Variant,
     instances: usize,
     keys: u64,
     val_len: usize,
-    key_of: impl Fn(u64, usize) -> u64,
 ) -> Result<(Machine, TxManager, Vec<Redis>, Vec<u8>), AppError> {
     // Entry ≈ 24 B header + value; tables grow to ~2×keys slots.
     let heap_bytes = (keys * (24 + val_len as u64 + 16) * 2 + keys * 64).max(1 << 20);
@@ -379,7 +378,7 @@ pub fn preloaded_redis(
     let val = vec![0xabu8; val_len];
     for k in 0..keys {
         for (i, r) in tables.iter_mut().enumerate() {
-            r.set(&mut m, &mut txm, key_of(k, i), &val)?;
+            r.set(&mut m, &mut txm, scramble(k) ^ i as u64, &val)?;
         }
     }
     let files: Vec<FileHandle> = tables.iter().map(|r| *r.file()).collect();
@@ -423,9 +422,8 @@ pub fn preloaded_kv(
     Ok((m, txm, kvs))
 }
 
-/// `threads` fio regions of `region_bytes` (plus `pad_pages` spare pool
-/// pages each) on a fresh machine at `reset_stats`, with the transaction
-/// manager the software schemes need.
+/// `threads` fio regions of `region_bytes` on a fresh machine at
+/// `reset_stats`, with the transaction manager the software schemes need.
 ///
 /// # Errors
 ///
@@ -434,9 +432,8 @@ pub fn fresh_fio(
     v: &Variant,
     threads: usize,
     region_bytes: u64,
-    pad_pages: u64,
 ) -> Result<(Machine, Fio, Option<TxManager>), AppError> {
-    let data_pages = (region_bytes / PAGE as u64 + pad_pages) * threads as u64 + 1024;
+    let data_pages = region_bytes / PAGE as u64 * threads as u64 + 1024;
     let mut m = machine(v.clone(), data_pages);
     let fio = Fio::create(&mut m, threads, region_bytes)?;
     let txm = match v.design.sw_scheme() {
@@ -449,7 +446,7 @@ pub fn fresh_fio(
 
 /// Spread a dense key index over the keyspace (preloads and request
 /// streams share it, so requests hit preloaded entries).
-pub fn scramble(k: u64) -> u64 {
+fn scramble(k: u64) -> u64 {
     k.wrapping_mul(0x9e37)
 }
 
@@ -487,9 +484,7 @@ pub fn run_redis_threads(
     let v = &v.into();
     retry_sequential(threads, |threads| {
         let (mut m, mut txm, mut instances, val) =
-            preloaded_redis(v, s.redis_instances, s.redis_keys, s.redis_val, |k, i| {
-                scramble(k) ^ i as u64
-            })?;
+            preloaded_redis(v, s.redis_instances, s.redis_keys, s.redis_val)?;
         let mut rngs: Vec<Rng> = (0..s.redis_instances)
             .map(|i| Rng::new(0xbeef + i as u64))
             .collect();
@@ -758,7 +753,7 @@ pub fn run_fio_threads(
 ) -> Result<Outcome, AppError> {
     let v = &v.into();
     retry_sequential(threads, |threads| {
-        let (mut m, mut fio, mut txm) = fresh_fio(v, s.fio_threads, s.fio_region_bytes, 0)?;
+        let (mut m, mut fio, mut txm) = fresh_fio(v, s.fio_threads, s.fio_region_bytes)?;
         let mode = apps::driver::run_clocked_threads(
             &mut m,
             s.fio_threads,

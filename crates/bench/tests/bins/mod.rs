@@ -30,8 +30,6 @@ pub mod fig8_stream;
 pub mod fig9_ablation;
 #[path = "../../src/bin/sec4h_scaling.rs"]
 pub mod sec4h_scaling;
-#[path = "../../src/bin/serve_campaign.rs"]
-pub mod serve_campaign;
 #[path = "../../src/bin/soak_campaign.rs"]
 pub mod soak_campaign;
 #[path = "../../src/bin/vilamb_sweep.rs"]
@@ -58,10 +56,9 @@ pub fn quick<O: Default>(campaign: Campaign<O>, args: &[&str], jobs: usize) -> O
 /// A campaign at quick scale, as a function of the worker count.
 pub type Quick = fn(usize) -> Output;
 
-/// Every campaign at quick scale and default flags — serve also in `--knee`
-/// mode (its bisection rounds decide probes from earlier parallel results),
-/// soak also at the short 3 × 256 horizon.
-pub const ALL: [(&str, Quick); 17] = [
+/// Every campaign at quick scale and default flags — soak also at the short
+/// 3 × 256 horizon.
+pub const ALL: [(&str, Quick); 15] = [
     ("chaos_campaign", |j| quick(chaos_campaign::campaign(), &[], j)),
     ("coverage_campaign", |j| quick(coverage_campaign::campaign(), &[], j)),
     ("crashsim_campaign", |j| quick(crashsim_campaign::campaign(), &[], j)),
@@ -74,8 +71,6 @@ pub const ALL: [(&str, Quick); 17] = [
     ("fig8_stream", |j| quick(fig8_stream::campaign(), &[], j)),
     ("fig9_ablation", |j| quick(fig9_ablation::campaign(), &[], j)),
     ("sec4h_scaling", |j| quick(sec4h_scaling::campaign(), &[], j)),
-    ("serve_campaign", |j| quick(serve_campaign::campaign(), &[], j)),
-    ("serve_campaign --knee", |j| quick(serve_campaign::campaign(), &["--knee"], j)),
     ("soak_campaign", |j| quick(soak_campaign::campaign(), &[], j)),
     ("soak_campaign 3x256", |j| {
         let horizon = ["--intervals", "3", "--ops-per-interval", "256"];

@@ -1,7 +1,12 @@
 //! `--jobs` width-independence, for every campaign: the pure
 //! `run(cfg, jobs)` must return the same table, CSV and extra files (event
-//! log, gnuplot scripts, traces) at 1 and at 4 workers. Replaces the
-//! per-campaign temp-dir `diff -q` stanzas `scripts/ci.sh` used to carry.
+//! log, gnuplot scripts) at 1 and at 4 workers. Replaces the per-campaign
+//! temp-dir `diff -q` stanzas `scripts/ci.sh` used to carry.
+//!
+//! `crashsim_campaign` is the strongest stressor: it is the one campaign
+//! with two phases, and its replay cells are *decided* from the count
+//! phase's parallel results (each cell's writeback total seeds its crash
+//! plan), so a width-dependent count would change which points are replayed.
 
 mod bins;
 
@@ -39,10 +44,6 @@ fn reproduced_silent_no_ops_fail_closed() {
         assert!(!err.0.is_empty(), "{bad:?}");
     }
     assert!(bins::run(&crashsim, &[], &[("TVARAK_SCALE", "qick")], 1).is_err());
-    let serve = bins::serve_campaign::campaign();
-    for apps in ["fio,nfs", ""] {
-        assert!(bins::run(&serve, &[], &[("SERVE_APPS", apps)], 1).is_err(), "{apps:?}");
-    }
     let degraded = bins::degraded_campaign::campaign();
     assert!(bins::run(&degraded, &[], &[("DEGRADED_FAULTS", "lost-write@x")], 1).is_err());
 }

@@ -1049,16 +1049,6 @@ impl System {
         *self.clocks[core].get_mut() += cycles;
     }
 
-    /// Advance `core`'s clock to at least `cycle` (idle until a timestamp;
-    /// no effect when the clock is already past it). The open-loop serving
-    /// layer uses this to align service start with a request's arrival
-    /// timestamp: a core that drained its queue sits idle until the next
-    /// arrival, exactly like a polled NVMe submission queue.
-    pub fn idle_until(&mut self, core: usize, cycle: u64) {
-        let c = self.clocks[core].get_mut();
-        *c = (*c).max(cycle);
-    }
-
     /// Charge `count` instruction-fetch accesses to `core` (1 cycle each,
     /// counted for L1-I energy). Applications use this as a coarse per-op
     /// instruction cost; see DESIGN.md §7.

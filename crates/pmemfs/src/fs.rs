@@ -10,7 +10,8 @@ use tvarak::init;
 use tvarak::layout::{gather_page, peek, NvmLayout};
 use tvarak::recovery::RecoveryFailed;
 use tvarak::scrub::ScrubGranularity;
-use std::{error::Error, fmt}; // one line: chaos_events.log's golden digest pins the panic at line 140
+use std::error::Error;
+use std::fmt;
 
 /// File-system errors.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -12,9 +12,8 @@
 //! per-core shards recorded independently and merged in any order or
 //! grouping are bit-identical to one monolithic histogram fed the combined
 //! stream (`serve/tests/hist_props.rs` proves it on randomized sequences).
-//! The open-loop dispatch loop leans on this exactly as the sharded weave
-//! engine leans on `Stats::merge`: each serving core records into its own
-//! shard and the report merges once at the end.
+//! The soak campaign leans on this: interval histograms drained with
+//! [`Hist::take`] re-merge to the monolithic run's.
 
 /// Sub-bucket resolution in bits: each octave holds `2^SUB_BITS` linear
 /// sub-buckets, so any reported quantile is within `2^-SUB_BITS` (3.125%)
@@ -85,7 +84,7 @@ impl Hist {
     }
 
     /// Record `n` occurrences of sample `v`.
-    pub fn record_n(&mut self, v: u64, n: u64) {
+    fn record_n(&mut self, v: u64, n: u64) {
         if n == 0 {
             return;
         }

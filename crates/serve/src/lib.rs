@@ -1,35 +1,13 @@
-//! Open-loop request-serving front end for the TVARAK machine model.
+//! Mergeable tail-latency histograms for the TVARAK machine model.
 //!
-//! Closed-loop benchmarks (each worker issues its next op the moment the
-//! previous one retires) self-throttle at saturation and therefore cannot
-//! observe queueing delay — the dominant component of tail latency in a
-//! loaded store. This crate adds the missing front end:
-//!
-//! - [`arrival`]: seeded, deterministic open-loop request generation —
-//!   uniform, Poisson, and bursty arrival processes with YCSB-style hot-key
-//!   skew ([`ArrivalProcess`], [`generate`]).
-//! - [`queue`]: per-core bounded FIFO submission queues with admission
-//!   control, modeled on the NVMe per-core queue-pair design
-//!   ([`CoreQueue`], [`AdmissionPolicy`]).
-//! - [`dispatch`]: the simulated-clock dispatch loop that drains the
-//!   queues against an `apps::driver::Machine` and measures end-to-end,
-//!   queueing, and service latency per request ([`serve_open_loop`]).
-//! - [`hist`]: HDR-style log-bucketed latency histograms with the same
-//!   associative/commutative merge contract as `Stats::merge`, so per-core
-//!   shards merge bit-identically to a monolithic histogram ([`Hist`]).
-//!
-//! The `serve_campaign` binary in the `bench` crate sweeps offered load
-//! across all five redundancy designs with this machinery and reports
-//! throughput-vs-offered-load plus p50/p99/p999 per sweep point.
+//! [`Hist`] is an HDR-style log-bucketed histogram with the same
+//! associative/commutative merge contract as `Stats::merge`: shards merge
+//! bit-identically to a monolithic histogram. The degraded and soak
+//! campaigns in the `bench` crate report their p50/p99/p999 latency tails
+//! with it.
 
 #![warn(missing_docs)]
 
-pub mod arrival;
-pub mod dispatch;
-pub mod hist;
-pub mod queue;
+mod hist;
 
-pub use arrival::{generate, ArrivalProcess, Request, RequestMix};
-pub use dispatch::{serve_open_loop, ServeReport};
 pub use hist::Hist;
-pub use queue::{Admission, AdmissionPolicy, CoreQueue, QueueConfig};

@@ -275,17 +275,14 @@ impl ScrubDaemon {
         if !self.ops.is_multiple_of(self.interval_ops) {
             return Ok(None);
         }
-        sys.set_scrub_accounting(true);
-        let result = self.scrubber.step(sys, core, self.pages);
-        sys.set_scrub_accounting(false);
-        result.map(Some)
+        self.step_now(sys, core).map(Some)
     }
 
     /// Run one budgeted scrub step immediately, regardless of the interval
     /// clock. Degraded-mode drivers use this when the maintenance scheduler
     /// grants the scrubber a bandwidth token (scrub QoS) instead of pacing
-    /// by raw op count. Reads are bracketed with scrub accounting exactly
-    /// like on-interval [`tick`](Self::tick) steps.
+    /// by raw op count. Reads are bracketed with scrub accounting;
+    /// on-interval [`tick`](Self::tick) steps go through here too.
     ///
     /// # Errors
     ///

@@ -27,7 +27,6 @@ run coverage_campaign
 run chaos_campaign
 run degraded_campaign
 run crashsim_campaign
-run serve_campaign --knee
 run soak_campaign
 
 echo "All experiments complete; CSVs in results/."
