@@ -496,8 +496,8 @@ impl Machine {
     }
 
     /// Install the detection→recovery→degradation pipeline: corruption
-    /// handled through this machine (via [`Self::handle_corruption`] or
-    /// [`Self::with_recovery`]) is transparently recovered with up to
+    /// handled through this machine (via [`Self::with_recovery`] or the
+    /// scrub daemon's findings) is transparently recovered with up to
     /// `max_retries` attempts, and unrecoverable pages are quarantined on a
     /// persistent poison list.
     ///
@@ -558,24 +558,6 @@ impl Machine {
     /// The scrub daemon, if [`Self::enable_scrub_daemon`] was called.
     pub fn scrub_daemon(&self) -> Option<&ScrubDaemon> {
         self.daemon.as_ref()
-    }
-
-    /// Route one detected corruption through the orchestrator: recover with
-    /// bounded retries, or quarantine.
-    ///
-    /// # Errors
-    ///
-    /// [`AppError::Poisoned`] when the page was (or just became)
-    /// quarantined; [`AppError::Corruption`] when no orchestrator is
-    /// enabled.
-    pub fn handle_corruption(&mut self, err: CorruptionDetected) -> Result<(), AppError> {
-        match self.orchestrator.as_mut() {
-            Some(orch) => {
-                orch.handle(&mut self.fs, &mut self.sys, err)?;
-                Ok(())
-            }
-            None => Err(AppError::Corruption(err)),
-        }
     }
 
     /// Run `op` with transparent recovery: any corruption it surfaces —
@@ -1081,8 +1063,6 @@ where
             break;
         }
         done[inst] += 1;
-        // Step boundary: publish this step's batched events as one epoch.
-        m.sys.weave_epoch_close();
     }
     let report = m.sys.weave_end(session);
     if diverged || report.diverged {

@@ -118,7 +118,8 @@ pub struct Config<O> {
     pub scale: ScaleKind,
     /// Bound-weave engine threads per cell (`--threads` beats
     /// `MEMSIM_ENGINE_THREADS`; default 1, the sequential oracle; 0 asks
-    /// for the host's available parallelism).
+    /// for the host's available parallelism). Any value ≥ 2 means the same
+    /// engine: the bound thread plus one replay worker.
     pub threads: usize,
     /// Cell filter from the campaign's filter variable (empty: all cells).
     pub filter: String,
@@ -374,7 +375,10 @@ impl<O: Default> Cli<O> {
         if let Some(f) = self.filter_env {
             envs += &format!(" {f}=<substring>");
         }
-        format!("{s}\nenvironment: {envs}")
+        format!(
+            "{s}\n--threads: 1 = sequential, any N >= 2 = bound thread + one replay worker\n\
+             environment: {envs}"
+        )
     }
 }
 

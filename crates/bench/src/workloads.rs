@@ -166,11 +166,6 @@ pub struct Variant {
     pub nvm_latency_ns: Option<(f64, f64)>,
     /// Override: NVM read/write DIMM occupancy in ns (scaled with latency).
     pub nvm_occupancy_ns: Option<(f64, f64)>,
-    /// Override: bound-weave shard count (`memsim::config::SystemConfig::
-    /// weave_shards`; `None` keeps the config default of auto-detect).
-    /// Results are bit-identical at any value — this only moves where
-    /// replay work runs — so differentials sweep it freely.
-    pub weave_shards: Option<usize>,
 }
 
 impl Variant {
@@ -183,7 +178,6 @@ impl Variant {
             nvm_dimms: None,
             nvm_latency_ns: None,
             nvm_occupancy_ns: None,
-            weave_shards: None,
         }
     }
 
@@ -209,12 +203,6 @@ impl Variant {
     pub fn dram_as_nvm(mut self) -> Self {
         self.nvm_latency_ns = Some((15.0, 15.0));
         self.nvm_occupancy_ns = Some((7.5, 7.5));
-        self
-    }
-
-    /// Pin the bound-weave shard count (0 restores auto-detect).
-    pub fn weave_shards(mut self, s: usize) -> Self {
-        self.weave_shards = Some(s);
         self
     }
 }
@@ -246,9 +234,6 @@ pub fn machine(v: impl Into<Variant>, data_pages: u64) -> Machine {
     if let Some((r, w)) = v.nvm_occupancy_ns {
         cfg.nvm.read_occupancy_ns = r;
         cfg.nvm.write_occupancy_ns = w;
-    }
-    if let Some(s) = v.weave_shards {
-        cfg.weave_shards = s;
     }
     Machine::builder()
         .system_config(cfg)

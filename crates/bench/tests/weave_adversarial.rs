@@ -1,29 +1,30 @@
-//! Adversarial cross-shard epoch generators for the dependency-vector
-//! weave engine: access streams crafted to stress exactly the admission
-//! protocol's hard cases —
+//! Adversarial access streams for the bound-weave engine: generators
+//! crafted to stress the bound phase's fill prediction and the worker's
+//! replay of the redundancy hooks —
 //!
 //! - **hook fan-out**: cache-line-granular TVARAK scatters every write's
-//!   redundancy work (checksum + parity lines) across other banks, so
-//!   epochs routinely carry multi-shard footprints;
-//! - **back-to-back DIMM-global epochs**: the page-granular ablation makes
-//!   every NVM writeback's footprint page-wide (all shards), chaining
-//!   full-mask epochs that must serialize through every shard turn;
-//! - **single-shard storms**: all cores hammer one LLC bank, funneling
-//!   every epoch through one shard's turn counter.
+//!   redundancy work (checksum + parity lines) across other LLC banks, so
+//!   replay runs the full hook path behind nearly every event;
+//! - **page-wide writebacks**: the page-granular ablation streams a whole
+//!   page through the hooks on every NVM writeback, the most replay work a
+//!   single event can carry;
+//! - **single-bank storms**: all cores hammer one LLC bank, so evictions,
+//!   directory updates and fill predictions all collide in one set range.
 //!
 //! Each generator must be bit-identical to its sequential oracle — same
-//! `Stats`, same media hash — at engine threads {2, 4, 8} × weave shards
-//! {1, 2, 4}, and must actually run on the weave path (a silent sequential
-//! fallback would make the differential vacuous).
+//! `Stats`, same media hash — at two engine threads (the bound thread plus
+//! the one replay worker; any count ≥ 2 runs the same engine), and must
+//! actually run on the weave path (a silent sequential fallback would make
+//! the differential vacuous).
 
 use apps::driver::{AppError, Design, Machine, ThreadedRun};
-use bench::workloads::{machine, Variant};
+use bench::workloads::machine;
 use memsim::addr::PAGE;
 use memsim::stats::Stats;
 use tvarak::controller::TvarakConfig;
 
-const THREADS: [usize; 3] = [2, 4, 8];
-const SHARDS: [usize; 3] = [1, 2, 4];
+/// Engine threads of the woven run.
+const THREADS: usize = 2;
 
 /// Emitter cores driving the stream.
 const CORES: usize = 4;
@@ -36,30 +37,29 @@ const OPS: u64 = 1200;
 #[derive(Clone, Copy, Debug)]
 enum Gen {
     /// Scattered writes under cl-granular TVARAK: redundancy hooks fan
-    /// epochs out across banks.
+    /// out across banks.
     FanOut,
     /// Pure write stream under the page-granular ablation: every
-    /// writeback is a DIMM-global (all-shard) epoch.
-    GlobalStorm,
-    /// Every core pinned to LLC bank 0: all epochs funnel through one
-    /// shard (under Baseline the footprint is exactly the line's bank).
-    SingleShardStorm,
+    /// writeback walks a whole page through the hooks.
+    PageWide,
+    /// Every core pinned to LLC bank 0 (under Baseline, no hook work).
+    SingleBankStorm,
 }
 
 impl Gen {
     fn design(self) -> Design {
         match self {
             Gen::FanOut => Design::Tvarak,
-            Gen::GlobalStorm => Design::TvarakAblated(TvarakConfig::naive()),
-            Gen::SingleShardStorm => Design::Baseline,
+            Gen::PageWide => Design::TvarakAblated(TvarakConfig::naive()),
+            Gen::SingleBankStorm => Design::Baseline,
         }
     }
 
     fn label(self) -> &'static str {
         match self {
             Gen::FanOut => "hook-fan-out",
-            Gen::GlobalStorm => "dimm-global-storm",
-            Gen::SingleShardStorm => "single-shard-storm",
+            Gen::PageWide => "page-wide-writebacks",
+            Gen::SingleBankStorm => "single-bank-storm",
         }
     }
 }
@@ -71,14 +71,15 @@ fn pattern(l: u64, v: u64) -> [u8; 64] {
     p
 }
 
-/// Run one generator at `threads` engine threads and `shards` weave
-/// shards; returns the run's stats, media hash, and execution mode.
-fn run(gen: Gen, threads: usize, shards: usize) -> (Stats, u64, ThreadedRun) {
-    let v = Variant::of(gen.design()).weave_shards(shards);
+/// Run one generator at `threads` engine threads; returns the run's stats,
+/// media hash, and execution mode.
+fn run(gen: Gen, threads: usize) -> (Stats, u64, ThreadedRun) {
     let total_lines = CORES as u64 * LINES_PER_CORE;
     let file_pages = total_lines / 64; // LINES_PER_PAGE with 4 KiB pages
-    let mut m: Machine = machine(v, file_pages + 1024);
-    let file = m.create_dax_file("adv", file_pages * PAGE as u64).expect("pool fits");
+    let mut m: Machine = machine(gen.design(), file_pages + 1024);
+    let file = m
+        .create_dax_file("adv", file_pages * PAGE as u64)
+        .expect("pool fits");
     m.reinit_redundancy(&file);
     m.flush();
     let banks = m.sys.config().llc_banks as u64;
@@ -93,10 +94,11 @@ fn run(gen: Gen, threads: usize, shards: usize) -> (Stats, u64, ThreadedRun) {
             // Stride 13 is coprime to the power-of-two region: the sweep
             // visits every line, rotating through all banks.
             Gen::FanOut => (span + (i * 13 + c as u64) % LINES_PER_CORE, i % 4 != 3),
-            Gen::GlobalStorm => (span + (i * 13) % LINES_PER_CORE, true),
-            Gen::SingleShardStorm => {
-                (span + align + (i % (LINES_PER_CORE / banks - 1)) * banks, i % 4 != 3)
-            }
+            Gen::PageWide => (span + (i * 13) % LINES_PER_CORE, true),
+            Gen::SingleBankStorm => (
+                span + align + (i % (LINES_PER_CORE / banks - 1)) * banks,
+                i % 4 != 3,
+            ),
         };
         let off = l * 64;
         if write {
@@ -116,51 +118,25 @@ fn run(gen: Gen, threads: usize, shards: usize) -> (Stats, u64, ThreadedRun) {
     (m.stats(), m.sys.memory().content_hash(), mode)
 }
 
-/// The parallel run must really weave (with the pinned shard count), and
-/// must never fall back: the generators are crafted to be eligible and
-/// divergence-free.
-fn assert_woven(gen: Gen, mode: &ThreadedRun, shards: usize, threads: usize) {
-    match mode {
-        ThreadedRun::Woven(r) => assert_eq!(
-            r.shards(),
-            shards,
-            "{}: wrong shard count at {threads} threads",
-            gen.label()
-        ),
-        ThreadedRun::Sequential(elig) => panic!(
-            "{}: fell back to sequential ({elig:?}) at {threads} threads, {shards} shards",
-            gen.label()
-        ),
-        ThreadedRun::Diverged(kind) => panic!(
-            "{}: diverged ({kind:?}) at {threads} threads, {shards} shards",
-            gen.label()
-        ),
-    }
-}
-
 fn differential(gen: Gen) {
-    let (seq_stats, seq_hash, seq_mode) = run(gen, 1, 1);
+    let (seq_stats, seq_hash, seq_mode) = run(gen, 1);
     assert!(
         matches!(seq_mode, ThreadedRun::Sequential(_)),
         "{}: single-threaded run is the oracle",
         gen.label()
     );
-    for threads in THREADS {
-        for shards in SHARDS {
-            let (stats, hash, mode) = run(gen, threads, shards);
-            assert_woven(gen, &mode, shards, threads);
-            assert_eq!(
-                seq_stats, stats,
-                "{}: stats mismatch at {threads} threads, {shards} shards",
-                gen.label()
-            );
-            assert_eq!(
-                seq_hash, hash,
-                "{}: media mismatch at {threads} threads, {shards} shards",
-                gen.label()
-            );
+    let (stats, hash, mode) = run(gen, THREADS);
+    // The generators are crafted to be eligible and divergence-free: the
+    // parallel run must really weave and never fall back.
+    match mode {
+        ThreadedRun::Woven(_) => {}
+        ThreadedRun::Sequential(elig) => {
+            panic!("{}: fell back to sequential ({elig:?})", gen.label())
         }
+        ThreadedRun::Diverged(kind) => panic!("{}: diverged ({kind:?})", gen.label()),
     }
+    assert_eq!(seq_stats, stats, "{}: stats mismatch", gen.label());
+    assert_eq!(seq_hash, hash, "{}: media mismatch", gen.label());
 }
 
 #[test]
@@ -169,11 +145,11 @@ fn hook_fan_out_is_bit_identical() {
 }
 
 #[test]
-fn back_to_back_dimm_global_epochs_are_bit_identical() {
-    differential(Gen::GlobalStorm);
+fn page_wide_writebacks_are_bit_identical() {
+    differential(Gen::PageWide);
 }
 
 #[test]
-fn single_shard_storm_is_bit_identical() {
-    differential(Gen::SingleShardStorm);
+fn single_bank_storm_is_bit_identical() {
+    differential(Gen::SingleBankStorm);
 }

@@ -124,10 +124,12 @@ pub struct SystemConfig {
     pub llc: CacheConfig,
     /// Number of LLC banks.
     pub llc_banks: usize,
-    /// Weave shard workers for bound-weave parallel sessions (see
-    /// `memsim::weave`): `0` = auto (min of LLC banks and host parallelism,
-    /// capped at 4). Results are bit-identical at any value — the knob only
-    /// moves where replay work runs.
+    /// Retired replay-worker count of the bound-weave engine, which now
+    /// always runs one worker (see `memsim::weave`). `0` and `1` are
+    /// accepted and mean the same; [`Self::validate`] rejects anything
+    /// larger. The field exists only because the standalone benchmark crate
+    /// still assigns it, and goes when the weave engine is retired
+    /// (ROADMAP.md, "Retire the weave engine").
     pub weave_shards: usize,
     /// DRAM parameters.
     pub dram: DramConfig,
@@ -243,11 +245,15 @@ impl SystemConfig {
     ///
     /// Panics with a descriptive message on an inconsistent configuration
     /// (e.g. zero cores, reserved ways ≥ associativity, non-power-of-two
-    /// cache geometry).
+    /// cache geometry, more than one weave worker).
     pub fn validate(&self) {
         assert!(self.cores > 0, "need at least one core");
         assert!(self.llc_banks > 0, "need at least one LLC bank");
         assert!(self.freq_ghz > 0.0, "core frequency must be positive");
+        assert!(
+            self.weave_shards <= 1,
+            "weave_shards must be 0 or 1: the weave engine runs one replay worker"
+        );
         assert!(self.nvm.dimms >= 2, "RAID parity needs at least 2 NVM DIMMs");
         assert!(
             self.controller.redundancy_ways + self.controller.diff_ways < self.llc.ways,
@@ -311,6 +317,16 @@ mod tests {
         let mut c = SystemConfig::default();
         c.controller.redundancy_ways = 15;
         c.controller.diff_ways = 1;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "weave_shards must be 0 or 1")]
+    fn validate_rejects_multiple_weave_workers() {
+        let c = SystemConfig {
+            weave_shards: 2,
+            ..SystemConfig::default()
+        };
         c.validate();
     }
 }

@@ -42,149 +42,6 @@ use std::error::Error;
 use std::fmt;
 use std::ops::Range;
 
-/// Per-thread weave-replay context, installed by a shard worker for the
-/// duration of one epoch application (see [`crate::weave`]).
-///
-/// It carries the sinks that make hot-path accounting shard-safe — a pointer
-/// to the worker's private [`Counters`] shard and crash-event tally — plus
-/// the epoch's *declared* shard footprint, which [`assert_weave_shard`]
-/// cross-checks on every partitioned-state access. A footprint violation is
-/// a protocol bug (the bound side under-declared the epoch's shards), so it
-/// panics; the worker's `catch_unwind` converts that into a `WorkerPanic`
-/// divergence and the cell reruns on the sequential oracle.
-#[derive(Clone, Copy)]
-struct WeaveTls {
-    /// Worker-private counter shard (merged at session join).
-    ctrs: *mut Counters,
-    /// Worker-private crash-event tally (summed into `CrashState` at join).
-    crash_events: *mut u64,
-    /// Bit `s` set ⇔ the epoch being applied declared shard `s`.
-    mask: u8,
-    /// Session shard count (bank → shard reduction).
-    shards: u8,
-    /// Set when replay hits a state transition it cannot apply (private-
-    /// cache back-invalidation); drained by `weave_tls_take_diverged`.
-    diverged: bool,
-}
-
-thread_local! {
-    static WEAVE_TLS: Cell<Option<WeaveTls>> = const { Cell::new(None) };
-}
-
-/// Install the replay context for one epoch application. The pointed-to
-/// storage must stay untouched by the caller until [`weave_tls_clear`].
-pub(crate) fn weave_tls_install(
-    ctrs: &mut Counters,
-    crash_events: &mut u64,
-    mask: u8,
-    shards: u8,
-) {
-    WEAVE_TLS.with(|t| {
-        t.set(Some(WeaveTls {
-            ctrs,
-            crash_events,
-            mask,
-            shards,
-            diverged: false,
-        }));
-    });
-}
-
-/// Remove the replay context (the worker finished the epoch).
-pub(crate) fn weave_tls_clear() {
-    WEAVE_TLS.with(|t| t.set(None));
-}
-
-/// Flag a replay-side divergence from the sequential oracle (called by the
-/// replay path when it meets a transition it cannot apply).
-fn weave_tls_set_diverged() {
-    WEAVE_TLS.with(|t| {
-        if let Some(mut tls) = t.get() {
-            tls.diverged = true;
-            t.set(Some(tls));
-        }
-    });
-}
-
-/// Read-and-clear the replay divergence flag.
-fn weave_tls_take_diverged() -> bool {
-    WEAVE_TLS.with(|t| match t.get() {
-        Some(mut tls) if tls.diverged => {
-            tls.diverged = false;
-            t.set(Some(tls));
-            true
-        }
-        _ => false,
-    })
-}
-
-/// The installed worker counter sink, if a replay context is active.
-fn weave_tls_counters() -> Option<*mut Counters> {
-    WEAVE_TLS.with(|t| t.get().map(|tls| tls.ctrs))
-}
-
-/// The installed crash-event sink, if a replay context is active.
-fn weave_tls_crash() -> Option<*mut u64> {
-    WEAVE_TLS.with(|t| t.get().map(|tls| tls.crash_events))
-}
-
-/// Cross-check that touching LLC bank `bank` (or its DIMM lane) is covered
-/// by the epoch's declared shard footprint.
-///
-/// No-op outside weave replay (no context installed). During replay a
-/// violation means the bound-side footprint computation missed a shard the
-/// epoch actually touches — a protocol bug that would silently corrupt
-/// concurrent state — so it panics; the worker's `catch_unwind` turns the
-/// panic into a divergence fallback. Exported for redundancy controllers
-/// that keep their own bank-partitioned state (e.g. the Tvarak on-controller
-/// cache).
-#[inline]
-pub fn assert_weave_shard(bank: usize) {
-    WEAVE_TLS.with(|t| {
-        if let Some(tls) = t.get() {
-            let shard = bank % tls.shards as usize;
-            assert!(
-                tls.mask >> shard & 1 == 1,
-                "weave replay touched bank {bank} (shard {shard}) outside the \
-                 epoch's declared footprint mask {:#010b}",
-                tls.mask
-            );
-        }
-    });
-}
-
-/// Redundancy-line footprint of one data line, declared by a controller's
-/// [`FootprintOracle`] so the bound side can compute which LLC-bank shards
-/// an epoch's replay will touch.
-#[derive(Debug, Clone, Copy)]
-pub struct RedFootprint {
-    /// Checksum line covering the data line (cache-line-granular schemes).
-    pub cs: Option<LineAddr>,
-    /// Parity line covering the data line.
-    pub parity: Option<LineAddr>,
-    /// The scheme touches redundancy page/stripe-wide on this line's events
-    /// (page-granular checksums walk all 64 data lines): the epoch must
-    /// synchronize on every shard.
-    pub page_wide: bool,
-}
-
-/// Bound-side oracle for a controller's redundancy-line routing: a cheap,
-/// immutable snapshot of *where* the controller's replay-side work lands,
-/// never *what* it computes. The weave engine uses it to stamp epoch
-/// descriptors with per-shard dependencies; [`assert_weave_shard`] verifies
-/// the declaration during replay.
-pub trait FootprintOracle: Send + Sync {
-    /// Whether NVM fills of managed lines verify (read the checksum line).
-    fn verify_reads(&self) -> bool;
-    /// Whether clean→dirty transitions capture diffs in the LLC diff
-    /// partition (the early-writeback path can then touch a *second* data
-    /// line's redundancy on diff eviction).
-    fn data_diffs(&self) -> bool;
-    /// Redundancy lines the controller may touch for events on `line`, or
-    /// `None` when the line is outside every managed (DAX-mapped) range.
-    fn red_lines(&self, line: LineAddr) -> Option<RedFootprint>;
-}
-
 /// A checksum mismatch detected by the redundancy controller on an NVM read.
 ///
 /// The paper's controller raises an interrupt that traps to the OS; here the
@@ -250,11 +107,9 @@ impl CrashState {
 /// can reach (memory, the LLC partitions, clocks, counters) without the
 /// private caches (which it cannot see).
 ///
-/// Internally this is just a shared borrow of the [`System`]: every access
-/// routes through the shard-cell accessors, so the same hook code runs both
-/// sequentially and inside concurrent weave replay (where the admission
-/// protocol guarantees exclusivity per shard and [`assert_weave_shard`]
-/// cross-checks the epoch's declared footprint).
+/// Internally this is just a shared borrow of the [`System`] (the engine
+/// calls the hooks while the rest of the system is borrowed), so every
+/// mutation routes through the [`ShardCell`] accessors.
 #[allow(missing_debug_implementations)]
 pub struct HookEnv<'a> {
     /// System configuration.
@@ -510,10 +365,9 @@ impl<'a> HookEnv<'a> {
         }
     }
 
-    /// Direct access to the memory devices (used by parity recovery, which
-    /// is sequential-only — never reachable from weave replay).
+    /// Direct access to the memory devices (used by parity recovery).
     pub fn memory(&mut self) -> &mut Memory {
-        self.sys.mem_seq()
+        self.sys.mem.get()
     }
 }
 
@@ -523,12 +377,12 @@ impl<'a> HookEnv<'a> {
 /// uses [`NullHooks`]. Implementations charge their own latencies and
 /// counters through the [`HookEnv`].
 ///
-/// The three hot-path hooks take `&self` because they run inside concurrent
-/// weave replay: any mutable controller state they touch must be partitioned
-/// by LLC bank in [`ShardCell`]s (guarded by [`assert_weave_shard`]) so the
-/// epoch admission protocol serializes access per shard. `flush`/`on_crash`
-/// remain `&mut self` — they only run sequentially.
-pub trait RedundancyHooks: Send + Sync {
+/// The three hot-path hooks take `&self` because the engine invokes them
+/// while their [`HookEnv`] borrows the whole [`System`] (hooks included), so
+/// any mutable controller state they touch sits in [`ShardCell`]s.
+/// `flush`/`on_crash` take `&mut self`: the engine parks the hooks outside
+/// the system for those calls. `Send` lets the weave worker own a system.
+pub trait RedundancyHooks: Send {
     /// A line is being filled from NVM into the LLC. Verify it.
     ///
     /// # Errors
@@ -565,14 +419,6 @@ pub trait RedundancyHooks: Send + Sync {
 
     /// End of run: write back all dirty redundancy state.
     fn flush(&mut self, env: &mut HookEnv<'_>);
-
-    /// A cheap routing oracle for the bound side's epoch shard-footprint
-    /// computation (see [`FootprintOracle`]). `None` (the default) means the
-    /// hooks touch no redundancy state, so an epoch's footprint is just the
-    /// banks of its event lines.
-    fn footprint_oracle(&self) -> Option<Box<dyn FootprintOracle>> {
-        None
-    }
 
     /// The machine lost power: all volatile controller state (on-controller
     /// caches, in-flight work) is gone. Invoked by
@@ -683,10 +529,12 @@ impl RedundancyRegion {
 /// (see [`System`]'s `dimms` field): each lane owns `1/weight` of the DIMM's
 /// bandwidth, so an access's occupancy is scaled by `weight` before it
 /// accumulates into the lane's busy time. Under bank-uniform traffic each
-/// lane's utilization then matches the whole-DIMM model's; the partitioning
-/// is what lets weave epochs on disjoint banks apply concurrently without
-/// sharing queue state. A default-constructed state is a whole-DIMM model
-/// (`weight` ≤ 1 scales by 1).
+/// lane's utilization then matches the whole-DIMM model's. The lanes were
+/// introduced for a bank-sharded replay engine that is gone; they stay only
+/// because collapsing them to one whole-DIMM queue moves simulated cycles,
+/// which belongs with the DIMM-model calibration (ROADMAP.md). A
+/// default-constructed state is a whole-DIMM model (`weight` ≤ 1 scales
+/// by 1).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DimmState {
     /// Cumulative scaled occupancy (cycles) of all accesses to this lane.
@@ -761,15 +609,11 @@ struct PrivCaches {
 
 /// The simulated machine.
 ///
-/// Every piece of state a weave epoch may touch lives in a [`ShardCell`]:
-/// the LLC banks and DIMM lanes are partitioned by `bank_interleave`, the
-/// replay clocks are single-writer per emitter core, and counters/crash
-/// tallies redirect to worker-private storage during replay (see the
-/// thread-local machinery at the top of this module). That makes `System`
-/// itself `Sync`, so weave workers share it through a plain `Arc` — no
-/// global lock, no turn token — with the dependency-vector admission
-/// protocol (see [`crate::weave`]) providing the per-shard exclusivity the
-/// cells require.
+/// The state the hierarchy walk and the redundancy hooks mutate lives in
+/// [`ShardCell`]s, because the walk runs on `&self` while a [`HookEnv`]
+/// borrows the whole system. One thread owns a `System` at a time: the
+/// caller's, or — during a bound-weave session — the weave worker, which
+/// receives the shared-state half by value (see [`crate::weave`]).
 pub struct System {
     cfg: SystemConfig,
     cores: Vec<ShardCell<PrivCaches>>,
@@ -777,8 +621,7 @@ pub struct System {
     mem: ShardCell<Memory>,
     clocks: Vec<ShardCell<u64>>,
     /// Per-(DIMM × LLC-bank) bandwidth lanes, indexed `dimm * llc_banks +
-    /// bank`, so an epoch's DIMM-model mutations stay inside its banks'
-    /// shards.
+    /// bank` (see [`DimmState`]).
     dimms: Vec<ShardCell<DimmState>>,
     counters: ShardCell<Counters>,
     hooks: Box<dyn RedundancyHooks>,
@@ -791,6 +634,10 @@ pub struct System {
     /// [`crate::weave`]): shared-state accesses are predicted locally and
     /// emitted as events instead of touching the (moved-out) LLC/memory.
     bound: Option<crate::weave::BoundCtx>,
+    /// Set when the weave worker's replay met a private-cache
+    /// back-invalidation it cannot apply (the private caches stay with the
+    /// bound thread); drained by `weave_apply`.
+    back_invalidated: Cell<bool>,
 }
 
 impl fmt::Debug for System {
@@ -841,76 +688,38 @@ impl System {
             crash: ShardCell::new(CrashState::default()),
             flush_scratch: Vec::new(),
             bound: None,
+            back_invalidated: Cell::new(false),
         }
     }
 
-    /// Whether this `System` is the weave-side replay skeleton (no private
-    /// caches — they stay with the bound thread).
-    #[inline]
-    fn is_weave_replay(&self) -> bool {
-        self.cores.is_empty()
-    }
-
-    /// The LLC bank array, footprint-checked during weave replay.
+    /// The LLC bank array.
     #[inline]
     fn llc_bank(&self, bank: usize) -> &mut CacheArray {
-        if self.is_weave_replay() {
-            assert_weave_shard(bank);
-        }
         self.llc[bank].get()
     }
 
-    /// The DIMM queue lane for (`dimm`, bank of `line`) — the per-(DIMM ×
-    /// bank) partition of the bandwidth model, aligned with shard routing.
+    /// The DIMM queue lane for (`dimm`, bank of `line`).
     #[inline]
     fn dimm_lane(&self, dimm: usize, line: LineAddr) -> &mut DimmState {
         let banks = self.cfg.llc_banks;
-        let bank = bank_interleave(line, banks);
-        if self.is_weave_replay() {
-            assert_weave_shard(bank);
-        }
-        self.dimms[dimm * banks + bank].get()
+        self.dimms[dimm * banks + bank_interleave(line, banks)].get()
     }
 
-    /// The live counter block: worker-private during weave replay (merged at
-    /// session join), the shared block otherwise.
+    /// The counter block.
     #[inline]
-    #[allow(clippy::mut_from_ref)] // same contract as ShardCell::get
     fn ctrs(&self) -> &mut Counters {
-        if self.is_weave_replay() {
-            if let Some(p) = weave_tls_counters() {
-                // SAFETY: points into the calling worker's private storage,
-                // untouched by that worker until it clears the TLS context.
-                return unsafe { &mut *p };
-            }
-        }
         self.counters.get()
     }
 
     /// Count an NVM media-write event; returns whether it reaches the media.
-    /// During weave replay the event lands in the worker's private tally
-    /// (weave eligibility guarantees no budget is armed, so the answer is
-    /// always "admitted") and the shared `CrashState` is never touched.
     #[inline]
     fn crash_admit(&self) -> bool {
-        if self.is_weave_replay() {
-            if let Some(p) = weave_tls_crash() {
-                // SAFETY: worker-private tally, as in `ctrs`.
-                unsafe { *p += 1 };
-            }
-            return true;
-        }
         self.crash.get().admit()
     }
 
-    /// Whether the armed crash budget is exhausted. Always false during
-    /// weave replay (eligibility excludes armed budgets) — checked without
-    /// touching the shared cell.
+    /// Whether the armed crash budget is exhausted.
     #[inline]
     fn crash_crashed(&self) -> bool {
-        if self.is_weave_replay() {
-            return false;
-        }
         self.crash.get_ref().crashed()
     }
 
@@ -920,35 +729,16 @@ impl System {
         self.mem.get_ref()
     }
 
-    /// Exclusive media access — sequential contexts only.
-    #[inline]
-    fn mem_seq(&self) -> &mut Memory {
-        debug_assert!(
-            !self.is_weave_replay(),
-            "exclusive Memory access during weave replay"
-        );
-        self.mem.get()
-    }
-
-    /// Read a line via the firmware. Weave replay uses the lock-free shared
-    /// path (faults and RAID are weave-ineligible, so it is equivalent).
+    /// Read a line via the firmware.
     #[inline]
     fn mem_read_line(&self, line: LineAddr) -> [u8; CACHE_LINE] {
-        if self.is_weave_replay() {
-            self.mem.get_ref().read_line_shared(line)
-        } else {
-            self.mem.get().read_line(line)
-        }
+        self.mem.get().read_line(line)
     }
 
-    /// Write a line via the firmware (shared path during replay, as above).
+    /// Write a line via the firmware.
     #[inline]
     fn mem_write_line(&self, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        if self.is_weave_replay() {
-            self.mem.get_ref().write_line_shared(line, data);
-        } else {
-            self.mem.get().write_line(line, data);
-        }
+        self.mem.get().write_line(line, data);
     }
 
     /// While set, NVM data-line demand reads tally under
@@ -987,7 +777,7 @@ impl System {
     }
 
     /// Assert that no bound-weave session is active: during the bound phase
-    /// the LLC, memory, DIMMs, and hooks live on the weave thread, so any
+    /// the LLC, memory, DIMMs, and hooks live on the weave worker, so any
     /// path that needs them whole must not run (see [`crate::weave`]).
     #[inline]
     fn assert_unbound(&self, what: &str) {
@@ -1246,7 +1036,7 @@ impl System {
     /// return — the dirty-line overlay ∪ the media snapshot is exactly the
     /// LLC-or-media content for every line not privately dirty elsewhere —
     /// and emit a [`crate::weave::Event::Fill`] carrying the prediction for
-    /// the weave thread to verify against the real walk.
+    /// the weave worker to verify against the real walk.
     ///
     /// The prediction (and the granted exclusivity) is wrong exactly when
     /// some *other* core still caches the line privately, so probe every
@@ -1346,9 +1136,9 @@ impl System {
     }
 
     /// LLC-level access: returns the line data and whether the core obtains
-    /// exclusive (writable) permission. `&self` because it runs both
-    /// sequentially and inside concurrent weave replay (all state behind
-    /// shard cells).
+    /// exclusive (writable) permission. `&self` because the hooks it invokes
+    /// borrow the system through a [`HookEnv`] (all state behind shard
+    /// cells).
     fn llc_access(
         &self,
         core: usize,
@@ -1543,13 +1333,14 @@ impl System {
     /// Remove `line` from `core`'s L1 and L2, returning the newest private
     /// data and whether it was dirty.
     fn priv_invalidate(&self, core: usize, line: LineAddr) -> Option<([u8; CACHE_LINE], bool)> {
-        if self.is_weave_replay() {
+        if self.cores.is_empty() {
             // Weave-side replay: the private caches live on the bound
             // thread, so a back-invalidation here (remote-owner pull,
             // cross-core sharer shootdown, or an inclusion victim still
-            // held privately) cannot be applied. Flag divergence; the run
-            // is redone on the sequential oracle.
-            weave_tls_set_diverged();
+            // held privately) cannot be applied. Record it; `weave_apply`
+            // reports the divergence and the run is redone on the
+            // sequential oracle.
+            self.back_invalidated.set(true);
             return None;
         }
         let c = self.cores[core].get();
@@ -1638,7 +1429,7 @@ impl System {
     }
 
     /// The shared half of a private-cache spill (runs inline sequentially
-    /// and on weave workers during replay).
+    /// and on the weave worker during replay).
     fn spill_to_llc_shared(&self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE], dirty: bool) {
         let bank = self.bank_of(line);
         let ways = self.data_ways();
@@ -1848,7 +1639,7 @@ impl System {
             // Bound phase: the private sweep above is clock-independent and
             // already done; the shared half (LLC latency, LLC refresh, the
             // posted media write and its redundancy hook) replays on the
-            // weave thread. After a clwb the line's below-private content is
+            // weave worker. After a clwb the line's below-private content is
             // the swept value, so the overlay learns it.
             if let Some(d) = private_newest {
                 b.overlay_insert(line, d);
@@ -1866,7 +1657,7 @@ impl System {
 
     /// The shared half of [`Self::clwb`]: charge the LLC access, refresh or
     /// clean the LLC copy, and post the newest content to memory. Runs
-    /// inline sequentially and on the weave thread under bound-weave. The
+    /// inline sequentially and on the weave worker under bound-weave. The
     /// latency charge moved here from the head of `clwb` — the private sweep
     /// never reads clocks, so the final state is identical.
     pub(crate) fn clwb_shared(
@@ -1932,20 +1723,16 @@ impl System {
     /// for the architecture and the determinism argument).
     ///
     /// The shared state — LLC banks, memory devices, DIMM bandwidth model,
-    /// redundancy hooks, crash window, and the shared-side counters — moves
-    /// onto freshly spawned weave shard workers wrapped in a skeleton
-    /// `System` (no cores: its `priv_invalidate` flags divergence instead).
-    /// This system keeps the private caches and runs the application; every
-    /// shared access is predicted from a dirty-line overlay ∪ media snapshot
-    /// and emitted as an event batched per scheduler step (epoch) onto
-    /// per-(core × shard) SPSC rings; the workers replay, verify, and time
-    /// the epochs in deterministic (epoch, emitter, seq) order. The shard
-    /// count comes from `cfg.weave_shards` (0 = auto); results are
-    /// bit-identical at any value.
+    /// redundancy hooks, crash window, and the counters — moves by value
+    /// onto a freshly spawned weave worker as a skeleton `System` (no cores:
+    /// its `priv_invalidate` records a divergence instead). This system
+    /// keeps the private caches and runs the application; every shared
+    /// access is predicted from a dirty-line overlay ∪ media snapshot and
+    /// pushed as an event onto the worker's ring, which replays, verifies,
+    /// and times the events in emission order.
     ///
     /// Call [`Self::weave_end`] to close the session and fold the shared
-    /// state (and corrected clocks) back in. The caller must invoke
-    /// [`Self::weave_epoch_close`] at every scheduler-step boundary.
+    /// state (and corrected clocks) back in.
     ///
     /// # Panics
     ///
@@ -1995,38 +1782,12 @@ impl System {
             crash: ShardCell::new(std::mem::take(self.crash.get_mut())),
             flush_scratch: Vec::new(),
             bound: None,
+            back_invalidated: Cell::new(false),
         };
-        let shards = crate::weave::resolve_shards(self.cfg.weave_shards, self.cfg.llc_banks);
         let (session, ctx) =
-            crate::weave::WeaveSession::spawn(weave_sys, self.cfg.cores, shards, snapshot, overlay);
+            crate::weave::WeaveSession::spawn(weave_sys, self.cfg.cores, snapshot, overlay);
         self.bound = Some(ctx);
         session
-    }
-
-    /// Close the current epoch (one scheduler step's batched events) on the
-    /// bound side: publish its descriptor and stream its events to the
-    /// per-shard rings. No-op when no session is active or the step emitted
-    /// nothing. The clocked schedulers call this at every step boundary.
-    pub fn weave_epoch_close(&mut self) {
-        if let Some(b) = self.bound.as_mut() {
-            b.close_epoch();
-        }
-    }
-
-    /// Number of LLC banks (shard routing on the weave side).
-    pub(crate) fn llc_banks(&self) -> usize {
-        self.cfg.llc_banks
-    }
-
-    /// Clones of the LLC bank arrays (the bound side's shadow LLC seeds from
-    /// the session-start state; see [`crate::weave::ShadowLlc`]).
-    pub(crate) fn clone_llc_arrays(&self) -> Vec<CacheArray> {
-        self.llc.iter().map(|b| b.get_ref().clone()).collect()
-    }
-
-    /// The hooks' routing oracle for bound-side footprint computation.
-    pub(crate) fn footprint_oracle(&self) -> Option<Box<dyn FootprintOracle>> {
-        self.hooks.footprint_oracle()
     }
 
     /// Record the outcome of the bound-weave configuration eligibility
@@ -2047,11 +1808,11 @@ impl System {
         }
     }
 
-    /// Close a bound-weave session: post the close sentinel (the workers
-    /// drain and exit), join them, move the shared state back into this
-    /// system, correct every core clock by its final stall offset, and
-    /// merge the bound-side counters (private-cache hits/misses,
-    /// instruction fetches) with the per-worker weave shards.
+    /// Close a bound-weave session: close the ring (the worker drains it and
+    /// exits), join the worker, move the shared state back into this
+    /// system, correct every core clock by its final stall offset, and add
+    /// the bound-side counters (private-cache hits/misses, instruction
+    /// fetches) to the worker's.
     ///
     /// If the returned report says the session diverged, this system's
     /// state is unspecified beyond being safe to drop — discard it and
@@ -2061,23 +1822,16 @@ impl System {
     ///
     /// Panics if no session is active.
     pub fn weave_end(&mut self, session: crate::weave::WeaveSession) -> crate::weave::WeaveReport {
-        let mut ctx = self.bound.take().expect("no bound-weave session active");
-        ctx.finish(); // posts the close sentinels; the workers drain and exit
-        drop(ctx);
-        let (mut weave_sys, stalls, worker_shards, crash_events, report) = session.join();
-        // Side-table pages materialized by concurrent replay writes fold
-        // into the arena now that the session is single-threaded again.
-        weave_sys.mem.get_mut().merge_weave_side();
-        let shared = std::mem::take(weave_sys.counters.get_mut());
-        let bound_counters = std::mem::replace(self.counters.get_mut(), shared);
+        self.bound.take().expect("no bound-weave session active");
+        let (weave_sys, stalls, report) = session.join();
+        let bound_counters =
+            std::mem::replace(self.counters.get_mut(), weave_sys.counters.into_inner());
         *self.counters.get_mut() += bound_counters;
-        self.counters.get_mut().merge(&worker_shards);
         self.llc = weave_sys.llc;
         self.mem = weave_sys.mem;
         self.dimms = weave_sys.dimms;
         self.hooks = weave_sys.hooks;
         self.crash = weave_sys.crash;
-        self.crash.get_mut().events += crash_events;
         for (clock, stall) in self.clocks.iter_mut().zip(stalls) {
             *clock.get_mut() += stall;
         }
@@ -2092,64 +1846,41 @@ impl System {
     /// consistent with the bound phase's predictions, or the divergence
     /// cause otherwise.
     pub(crate) fn weave_apply(
-        &self,
+        &mut self,
         ev: crate::weave::Event,
         stall: &mut u64,
     ) -> Option<crate::weave::DivergenceKind> {
         use crate::weave::{DivergenceKind, Event};
-        let mut kind = None;
-        match ev {
+        let (core, ts) = (ev.core(), ev.ts());
+        *self.clocks[core].get_mut() = ts + *stall;
+        let fault = match ev {
             Event::Fill {
-                core,
                 line,
                 for_write,
-                ts,
                 predicted,
-            } => {
-                *self.clocks[core].get() = ts + *stall;
-                match self.llc_access(core, line, for_write) {
-                    Ok((data, excl)) => {
-                        if weave_tls_take_diverged() {
-                            kind = Some(DivergenceKind::InclusionVictim);
-                        } else if data != predicted || !excl {
-                            kind = Some(DivergenceKind::FillMismatch);
-                        }
-                    }
-                    Err(_) => {
-                        kind = Some(DivergenceKind::HookFault);
-                    }
+                ..
+            } => match self.llc_access(core, line, for_write) {
+                Ok((data, excl)) => {
+                    (data != predicted || !excl).then_some(DivergenceKind::FillMismatch)
                 }
-                *stall = *self.clocks[core].get_ref() - ts;
-            }
+                Err(_) => Some(DivergenceKind::HookFault),
+            },
             Event::Spill {
-                core,
-                line,
-                data,
-                dirty,
-                ts,
+                line, data, dirty, ..
             } => {
-                *self.clocks[core].get() = ts + *stall;
                 self.spill_to_llc_shared(core, line, &data, dirty);
-                if weave_tls_take_diverged() {
-                    kind = Some(DivergenceKind::InclusionVictim);
-                }
-                *stall = *self.clocks[core].get_ref() - ts;
+                None
             }
-            Event::Clwb {
-                core,
-                line,
-                newest,
-                ts,
-            } => {
-                *self.clocks[core].get() = ts + *stall;
+            Event::Clwb { line, newest, .. } => {
                 self.clwb_shared(core, line, newest);
-                if weave_tls_take_diverged() {
-                    kind = Some(DivergenceKind::InclusionVictim);
-                }
-                *stall = *self.clocks[core].get_ref() - ts;
+                None
             }
+        };
+        *stall = *self.clocks[core].get_ref() - ts;
+        if self.back_invalidated.take() && fault != Some(DivergenceKind::HookFault) {
+            return Some(DivergenceKind::InclusionVictim);
         }
-        kind
+        fault
     }
 }
 

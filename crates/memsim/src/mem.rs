@@ -30,72 +30,6 @@ use crate::addr::{
 use crate::fastdiv::FastDiv;
 use crate::gf256;
 use crate::hash::FxHashMap;
-use std::cell::UnsafeCell;
-use std::sync::Mutex;
-
-/// One materialized 4 KB media page, writable line-at-a-time through a
-/// shared reference during weave replay.
-///
-/// LLC bank routing is *line*-granular (`bank_interleave`), so two weave
-/// workers holding different shard turns may concurrently touch different
-/// lines of the same page. The per-line accessors therefore go through raw
-/// pointers — never materializing a whole-page `&mut` — so concurrent
-/// disjoint-line writes are plain non-overlapping byte copies, not aliasing
-/// violations.
-#[repr(transparent)]
-struct SyncPage(UnsafeCell<[u8; PAGE]>);
-
-// SAFETY: sequential phases hold `&mut Memory`; during weave replay each
-// *line* is touched only by the worker holding its LLC bank's shard turn
-// (the dependency-vector admission protocol, see `crate::weave`), and
-// distinct lines occupy disjoint byte ranges.
-unsafe impl Sync for SyncPage {}
-unsafe impl Send for SyncPage {}
-
-impl SyncPage {
-    fn new(v: [u8; PAGE]) -> Self {
-        SyncPage(UnsafeCell::new(v))
-    }
-
-    /// Whole-page read access. Only safe when no concurrent writer exists
-    /// (sequential phases, or read-only inspection outside replay).
-    fn bytes(&self) -> &[u8; PAGE] {
-        // SAFETY: callers are sequential-phase (`&mut Memory` upstream) or
-        // hold the relevant shard turn; see the type-level contract.
-        unsafe { &*self.0.get() }
-    }
-
-    /// Whole-page exclusive access; `&mut self` proves exclusivity.
-    fn bytes_mut(&mut self) -> &mut [u8; PAGE] {
-        self.0.get_mut()
-    }
-
-    /// Copy one line out through a raw pointer (replay-safe).
-    ///
-    /// # Safety
-    ///
-    /// `off` must be line-aligned and in bounds, and the caller must hold
-    /// the shard turn for the line's LLC bank (no concurrent access to the
-    /// same line).
-    unsafe fn read_line_raw(&self, off: usize, out: &mut [u8; CACHE_LINE]) {
-        std::ptr::copy_nonoverlapping((self.0.get() as *const u8).add(off), out.as_mut_ptr(), CACHE_LINE);
-    }
-
-    /// Copy one line in through a raw pointer (replay-safe).
-    ///
-    /// # Safety
-    ///
-    /// As [`Self::read_line_raw`].
-    unsafe fn write_line_raw(&self, off: usize, data: &[u8; CACHE_LINE]) {
-        std::ptr::copy_nonoverlapping(data.as_ptr(), (self.0.get() as *mut u8).add(off), CACHE_LINE);
-    }
-}
-
-impl std::fmt::Debug for SyncPage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("SyncPage(..)")
-    }
-}
 
 /// Which device a physical line lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,14 +114,9 @@ pub struct Memory {
     // Fx-hashed (crate::hash): every simulated access indexes `index`, and
     // the fault check hits `armed`; neither map is iterated for output.
     index: FxHashMap<u64, u32>,
-    arena: Vec<SyncPage>,
+    arena: Vec<[u8; PAGE]>,
     /// Materialized page numbers, ascending; parallel lookup via `index`.
     page_order: Vec<u64>,
-    /// Pages first written *during weave replay*, where the arena and index
-    /// cannot grow (workers share `&Memory`). Keyed by page number; folded
-    /// into the arena by [`Memory::merge_weave_side`] at weave teardown.
-    /// Empty at all other times.
-    side: Mutex<FxHashMap<u64, Box<[u8; PAGE]>>>,
     armed: FxHashMap<LineAddr, FirmwareFault>,
     fired: Vec<FiredFault>,
     /// Firmware shadow-RAID state (device-level P/Q over the striped pages);
@@ -354,7 +283,6 @@ impl Memory {
             index: FxHashMap::default(),
             arena: Vec::new(),
             page_order: Vec::new(),
-            side: Mutex::new(FxHashMap::default()),
             armed: FxHashMap::default(),
             fired: Vec::new(),
             raid: None,
@@ -393,15 +321,11 @@ impl Memory {
     }
 
     fn page_mut(&mut self, page: PageNum) -> &mut [u8; PAGE] {
-        debug_assert!(
-            self.side.get_mut().unwrap().is_empty(),
-            "weave side pages must be merged before sequential writes"
-        );
         let slot = match self.index.get(&page.0) {
             Some(&slot) => slot as usize,
             None => {
                 let slot = self.arena.len();
-                self.arena.push(SyncPage::new([0u8; PAGE]));
+                self.arena.push([0u8; PAGE]);
                 self.index.insert(page.0, slot as u32);
                 // One-time ordered insert, so content_hash never sorts.
                 let pos = self.page_order.partition_point(|&k| k < page.0);
@@ -409,7 +333,7 @@ impl Memory {
                 slot
             }
         };
-        self.arena[slot].bytes_mut()
+        &mut self.arena[slot]
     }
 
     /// Record a firing and remove the fault unless it is sticky.
@@ -515,79 +439,9 @@ impl Memory {
         let mut out = [0u8; CACHE_LINE];
         if let Some(&slot) = self.index.get(&line.page().0) {
             let off = line.index_in_page() * CACHE_LINE;
-            out.copy_from_slice(&self.arena[slot as usize].bytes()[off..off + CACHE_LINE]);
+            out.copy_from_slice(&self.arena[slot as usize][off..off + CACHE_LINE]);
         }
         out
-    }
-
-    /// Read a line through a *shared* reference during weave replay.
-    ///
-    /// Arena pages are read line-at-a-time through raw pointers (the shard
-    /// admission protocol guarantees no concurrent access to the same line);
-    /// pages the replay itself materialized live in the locked side table.
-    /// Weave eligibility excludes armed faults and firmware RAID, so this is
-    /// the plain media path by construction.
-    pub(crate) fn read_line_shared(&self, line: LineAddr) -> [u8; CACHE_LINE] {
-        debug_assert!(
-            self.armed.is_empty() && self.raid.is_none(),
-            "weave replay requires fault-free, RAID-free memory"
-        );
-        let mut out = [0u8; CACHE_LINE];
-        if let Some(&slot) = self.index.get(&line.page().0) {
-            let off = line.index_in_page() * CACHE_LINE;
-            // SAFETY: off is line-aligned in bounds; the caller holds the
-            // shard turn for this line's bank (weave admission protocol).
-            unsafe { self.arena[slot as usize].read_line_raw(off, &mut out) };
-        } else if let Some(page) = self.side.lock().unwrap().get(&line.page().0) {
-            let off = line.index_in_page() * CACHE_LINE;
-            out.copy_from_slice(&page[off..off + CACHE_LINE]);
-        }
-        out
-    }
-
-    /// Write a line through a *shared* reference during weave replay; the
-    /// mirror of [`Memory::read_line_shared`]. Writes to pages not yet in
-    /// the arena materialize entries in the locked side table instead (the
-    /// arena cannot grow while workers share `&Memory`).
-    pub(crate) fn write_line_shared(&self, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        debug_assert!(
-            self.armed.is_empty() && self.raid.is_none(),
-            "weave replay requires fault-free, RAID-free memory"
-        );
-        let off = line.index_in_page() * CACHE_LINE;
-        if let Some(&slot) = self.index.get(&line.page().0) {
-            // SAFETY: as read_line_shared — per-line shard exclusivity.
-            unsafe { self.arena[slot as usize].write_line_raw(off, data) };
-            return;
-        }
-        let mut side = self.side.lock().unwrap();
-        let page = side
-            .entry(line.page().0)
-            .or_insert_with(|| Box::new([0u8; PAGE]));
-        page[off..off + CACHE_LINE].copy_from_slice(data);
-    }
-
-    /// Fold pages materialized during weave replay into the arena (ascending
-    /// page order, so slot assignment is deterministic). Called once at
-    /// weave teardown, after every worker has joined.
-    pub(crate) fn merge_weave_side(&mut self) {
-        let side = std::mem::take(self.side.get_mut().unwrap());
-        if side.is_empty() {
-            return;
-        }
-        let mut pages: Vec<(u64, Box<[u8; PAGE]>)> = side.into_iter().collect();
-        pages.sort_unstable_by_key(|&(k, _)| k);
-        for (k, page) in pages {
-            debug_assert!(
-                !self.index.contains_key(&k),
-                "side page {k} already materialized in the arena"
-            );
-            let slot = self.arena.len();
-            self.arena.push(SyncPage::new(*page));
-            self.index.insert(k, slot as u32);
-            let pos = self.page_order.partition_point(|&q| q < k);
-            self.page_order.insert(pos, k);
-        }
     }
 
     /// Write a line directly to the media, bypassing firmware faults.
@@ -678,16 +532,11 @@ impl Memory {
     /// Snapshot the current media content for bound-phase data prediction
     /// (see [`crate::weave`]). The snapshot is immutable and read-only: the
     /// bound thread predicts NVM fill data from it (plus its dirty-line
-    /// overlay) while the weave shard workers own the live `Memory` behind
-    /// the session's turn token.
+    /// overlay) while the weave worker owns the live `Memory`.
     pub fn snapshot(&self) -> MemSnapshot {
-        debug_assert!(
-            self.side.lock().unwrap().is_empty(),
-            "snapshot during replay would miss side pages"
-        );
         MemSnapshot {
             index: self.index.clone(),
-            arena: self.arena.iter().map(|p| *p.bytes()).collect(),
+            arena: self.arena.clone(),
         }
     }
 
@@ -704,7 +553,7 @@ impl Memory {
             }
         };
         for &k in &self.page_order {
-            let page = self.arena[self.index[&k] as usize].bytes();
+            let page = &self.arena[self.index[&k] as usize];
             if page.iter().all(|&b| b == 0) {
                 continue;
             }
@@ -746,7 +595,7 @@ impl Memory {
             let Some(&slot) = self.index.get(&(NVM_PAGE_BASE + idx)) else {
                 continue;
             };
-            let page = self.arena[slot as usize].bytes();
+            let page = &self.arena[slot as usize];
             let stripe = (idx / d as u64) as usize;
             for (k, &b) in page.iter().enumerate() {
                 p[stripe][k] ^= b;
@@ -814,7 +663,7 @@ impl Memory {
         let mut idx = bank as u64;
         while idx < striped {
             if let Some(&slot) = self.index.get(&(NVM_PAGE_BASE + idx)) {
-                *self.arena[slot as usize].bytes_mut() = [0u8; PAGE];
+                self.arena[slot as usize] = [0u8; PAGE];
             }
             idx += d;
         }

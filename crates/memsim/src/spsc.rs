@@ -1,8 +1,9 @@
-//! Bounded single-producer / single-consumer ring buffer.
+//! Bounded single-producer / single-consumer ring buffer, and the
+//! single-owner cell the simulator's shared-borrow hot path mutates through.
 //!
-//! The sharded weave engine (see [`crate::weave`]) moves every bound-phase
-//! event through one of these rings instead of a `std::sync::mpsc` channel:
-//! a push is two atomic loads, one slot write, and one release store — no
+//! The weave engine (see [`crate::weave`]) moves every bound-phase event
+//! through one of these rings instead of a `std::sync::mpsc` channel: a push
+//! is two atomic loads, one slot write, and one release store — no
 //! allocation, no lock, no syscall — and a pop is the mirror image. That is
 //! the whole point: the old channel paid an allocation plus synchronization
 //! per event, which capped weave occupancy around 0.19.
@@ -13,61 +14,50 @@
 //! pop. The two roles may live on different threads, and either role may
 //! *migrate* between threads provided the handoff is ordered by an external
 //! happens-before edge (a thread join, a mutex, or an acquire load of a
-//! release-stored flag). The weave engine satisfies this structurally: each
-//! ring has one fixed producer (the bound thread) and one fixed consumer
-//! (the shard worker that owns the emitting core), and session teardown
-//! hands the consumer role back through `JoinHandle::join`.
+//! release-stored flag). The weave engine satisfies this structurally: its
+//! one ring has one fixed producer (the bound thread) and one fixed consumer
+//! (the weave worker).
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// A shard-owned cell: interior mutability whose exclusivity is enforced by
-/// the weave partitioning protocol rather than by a lock.
+/// A cell whose exclusivity is enforced by ownership of the structure that
+/// holds it rather than by a lock or a borrow flag.
 ///
-/// The dependency-vector admission protocol (see [`crate::weave`]) guarantees
-/// that at any instant each shard's slice of simulator state — an LLC bank, a
-/// DIMM queue lane, a core's replay clock — is touched by at most one thread:
-/// either the single bound thread (sequential phase, `&mut System` in hand) or
-/// the one weave worker currently holding that shard's turn. `ShardCell` turns
-/// that protocol-level exclusivity into `&mut T` access through a shared
-/// reference, so `System` can be shared (`Arc<System>`) across workers without
-/// a global lock.
+/// The engine's hierarchy walk and the redundancy hooks run on `&System`
+/// (a hook's [`HookEnv`](crate::engine::HookEnv) borrows the whole system
+/// while the engine is mid-walk), yet mutate caches, clocks, counters and
+/// the media. Every such piece of state sits in a `ShardCell`, and one
+/// thread owns a `System` at a time: the sequential caller, or the one weave
+/// worker holding the moved-out shared-state `System`. `ShardCell` is `Send`
+/// but not `Sync`, so the compiler rules out two threads sharing one.
 ///
-/// # Safety contract for callers
+/// # Contract for callers
 ///
-/// * Never touch a cell for a shard whose turn you do not hold (the engine
-///   cross-checks this in replay via a thread-local footprint mask and panics
-///   on violation, which the worker converts into a divergence fallback).
-/// * Take a fresh `get()` per statement; never hold the returned `&mut T`
-///   across a call that may re-enter the same cell.
+/// Take a fresh `get()` per statement; never hold the returned `&mut T`
+/// across a call that may re-enter the same cell.
 #[repr(transparent)]
 pub struct ShardCell<T>(UnsafeCell<T>);
 
-// SAFETY: the admission protocol (above) serializes all access per cell; the
-// per-shard turn counters' release/acquire pairs order the handoffs.
-unsafe impl<T: Send> Sync for ShardCell<T> {}
-unsafe impl<T: Send> Send for ShardCell<T> {}
-
 impl<T> ShardCell<T> {
-    /// Wrap `v` in a shard-owned cell.
+    /// Wrap `v`.
     pub fn new(v: T) -> Self {
         ShardCell(UnsafeCell::new(v))
     }
 
-    /// Shared-reference mutable access. Caller must hold the cell's shard
-    /// turn (see the safety contract above).
+    /// Shared-reference mutable access (see the contract above).
     #[allow(clippy::mut_from_ref)]
     pub fn get(&self) -> &mut T {
-        // SAFETY: exclusivity is guaranteed by the shard admission protocol;
-        // see the type-level safety contract.
+        // SAFETY: the cell is not `Sync`, so only the owning thread reaches
+        // it, and callers never hold two live borrows of one cell (the
+        // type-level contract).
         unsafe { &mut *self.0.get() }
     }
 
-    /// Shared-reference read access, same exclusivity contract as [`Self::get`].
+    /// Shared-reference read access, same contract as [`Self::get`].
     pub fn get_ref(&self) -> &T {
-        // SAFETY: as `get`; no concurrent writer exists while the caller
-        // holds the shard turn.
+        // SAFETY: as `get`; no `&mut` from `get` is live across this call.
         unsafe { &*self.0.get() }
     }
 
@@ -84,8 +74,6 @@ impl<T> ShardCell<T> {
 
 impl<T: Clone> Clone for ShardCell<T> {
     fn clone(&self) -> Self {
-        // &self clone is only reachable from contexts that may read the cell
-        // (bound phase, or a worker holding the shard turn).
         ShardCell::new(self.get_ref().clone())
     }
 }
@@ -125,8 +113,8 @@ pub struct SpscRing<T> {
 
 // SAFETY: the single-producer / single-consumer contract (module docs) means
 // a slot is written by exactly one thread and read by exactly one thread,
-// with the release/acquire pair on the cursors ordering the handoff.
-unsafe impl<T: Send> Send for SpscRing<T> {}
+// with the release/acquire pair on the cursors ordering the handoff. (`Send`
+// is automatic: every field is `Send` when `T` is.)
 unsafe impl<T: Send> Sync for SpscRing<T> {}
 
 impl<T> SpscRing<T> {

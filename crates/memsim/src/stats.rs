@@ -181,9 +181,8 @@ impl Counters {
     /// [`Counters::default()`] is its **identity**: accumulating one event
     /// stream into a single monolithic `Counters` and accumulating disjoint
     /// slices of it into per-shard `Counters` then merging (in any order,
-    /// any grouping) produce bit-identical results. The sharded weave
-    /// engine leans on this — every worker bumps only its own shard on the
-    /// hot path and the shards are merged once at session join
+    /// any grouping) produce bit-identical results. Interval snapshots and
+    /// the weave session's bound-side/replay-side split lean on this
     /// (`memsim/tests/stats_merge.rs` proves the contract on randomized
     /// sequences).
     pub fn merge(&mut self, other: &Counters) {

@@ -1,8 +1,9 @@
 //! Property tests for the mergeable-stats contract (`Counters::merge`,
 //! `Stats::merge`): identity, associativity, commutativity, and the property
-//! the sharded weave engine actually relies on — merging per-shard shards
-//! reproduces the monolithic accumulation bit-for-bit, for any partition of
-//! the event sequence.
+//! callers rely on — merging the accumulations of any partition of one event
+//! sequence reproduces the monolithic accumulation bit-for-bit. The soak
+//! campaign re-merges interval snapshots on it, and a weave session adds its
+//! bound-side counters to the replay worker's on it.
 //!
 //! Randomness comes from a hand-rolled LCG so runs are deterministic and the
 //! crate needs no external property-testing dependency.
@@ -24,7 +25,7 @@ impl Lcg {
 
 /// Counter-field accessors the generators draw from. A representative
 /// cross-section: cache levels, NVM traffic, controller work, and the
-/// weave-eligibility counters this PR adds.
+/// weave-eligibility counters.
 type Field = fn(&mut Counters) -> &mut u64;
 
 const FIELDS: &[Field] = &[
@@ -139,7 +140,7 @@ fn stats_merge_associative() {
     }
 }
 
-/// One abstract stats event, mirroring what the weave replay produces: a
+/// One abstract stats event, mirroring what a simulated access produces: a
 /// counter increment, a core-clock advance (merge-by-max), and an eviction
 /// digest contribution (merge-by-XOR).
 struct Event {

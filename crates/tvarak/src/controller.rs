@@ -31,10 +31,7 @@ use crate::parity::parity_delta;
 use crate::scrub::ScrubGranularity;
 use memsim::addr::LineAddr;
 use memsim::cache::{CacheArray, Evicted};
-use memsim::engine::{
-    assert_weave_shard, CorruptionDetected, FootprintOracle, HookEnv, RedFootprint,
-    RedundancyHooks,
-};
+use memsim::engine::{CorruptionDetected, HookEnv, RedundancyHooks};
 use memsim::spsc::ShardCell;
 use memsim::{CACHE_LINE, LINES_PER_PAGE};
 use std::any::Any;
@@ -119,9 +116,7 @@ pub struct TvarakController {
     /// Per-LLC-bank on-controller redundancy caches (inclusive under the LLC
     /// redundancy partition). A redundancy line lives with the bank its
     /// address interleaves to — the same bank that holds its LLC-partition
-    /// copy — so each bank's cache is exclusively owned by whichever context
-    /// holds that bank's shard turn during weave replay (hence the
-    /// [`ShardCell`]s; [`assert_weave_shard`] cross-checks every access).
+    /// copy. The hot-path hooks run on `&self`, hence the [`ShardCell`]s.
     oncache: Vec<ShardCell<CacheArray>>,
     /// DAX-mapped ranges as [start, end) *data-page-index* intervals —
     /// the contents of the per-bank comparators.
@@ -209,7 +204,7 @@ impl TvarakController {
     ///
     /// The bank is derived from the *redundancy* line's own interleave (a
     /// redundancy line is homed with the controller of the bank it maps to),
-    /// so all its cached state lives in one shard.
+    /// so all its cached state lives in one bank.
     pub(crate) fn read_red_line(
         &self,
         core: usize,
@@ -229,7 +224,6 @@ impl TvarakController {
             return nvm_read(env);
         }
         let bank = env.bank_of(line);
-        assert_weave_shard(bank);
         let demand = urgency != Urgency::Background;
         if demand {
             env.charge(core, env.cfg.controller.cache_latency_cycles);
@@ -281,7 +275,6 @@ impl TvarakController {
         }
         env.counters().tvarak_cache_hits += 1;
         let bank = env.bank_of(line);
-        assert_weave_shard(bank);
         {
             let cache = self.oncache[bank].get();
             let all = cache.all_ways();
@@ -489,14 +482,6 @@ impl RedundancyHooks for TvarakController {
         }
     }
 
-    fn footprint_oracle(&self) -> Option<Box<dyn FootprintOracle>> {
-        Some(Box::new(TvarakFootprints {
-            cfg: self.cfg,
-            layout: self.layout,
-            mapped: self.mapped.clone(),
-        }))
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -515,51 +500,6 @@ impl RedundancyHooks for TvarakController {
 
     fn name(&self) -> &'static str {
         "tvarak"
-    }
-}
-
-/// A bound-side snapshot of the controller's routing inputs, handed to the
-/// weave engine so epoch shard footprints can be computed without touching
-/// controller state. Mapping changes happen only in sequential sections
-/// (`&mut self` management API), so a snapshot taken at weave-region entry
-/// stays valid for the whole region.
-struct TvarakFootprints {
-    cfg: TvarakConfig,
-    layout: NvmLayout,
-    mapped: Vec<Range<u64>>,
-}
-
-impl FootprintOracle for TvarakFootprints {
-    fn verify_reads(&self) -> bool {
-        self.cfg.verify_reads
-    }
-
-    fn data_diffs(&self) -> bool {
-        self.cfg.data_diffs
-    }
-
-    fn red_lines(&self, line: LineAddr) -> Option<RedFootprint> {
-        if !self.layout.is_data_line(line) {
-            return None;
-        }
-        let idx = self.layout.data_index_of(line.page());
-        if !self.mapped.iter().any(|r| r.contains(&idx)) {
-            return None;
-        }
-        if !self.cfg.cl_granular_csums {
-            // Page-granular checksums stream the whole page through the
-            // hooks; the footprint is unbounded per-bank, so declare all.
-            return Some(RedFootprint {
-                cs: None,
-                parity: None,
-                page_wide: true,
-            });
-        }
-        Some(RedFootprint {
-            cs: Some(self.layout.cl_csum_loc(line).0),
-            parity: Some(self.layout.parity_line_of(line)),
-            page_wide: false,
-        })
     }
 }
 

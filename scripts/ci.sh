@@ -2,13 +2,14 @@
 # Tier-1 gate. Runs, in order: the workspace build, clippy (-D warnings) and
 # tests (which include every campaign's --jobs width-independence and golden
 # CSV digests); quick-scale smokes of the coverage, chaos, degraded,
-# crashsim and soak campaigns; the fig8_fio byte-diff across engine thread
-# counts with its divergence smoke; and the benchmark's correctness gate on
-# one short workload. The campaigns exit non-zero on any survival invariant
-# violation (silent wrong data under a verifying design, an unsettled media
-# inconsistency after convergence, a poisoned page that fails open, or a
-# resilver that fails to complete / diverges from the never-faulted oracle),
-# so this script fails CI on them. Nothing here compares host time: speed is
+# crashsim and soak campaigns; the fig8_fio byte-diff between the sequential
+# engine (threads 1) and the bound-weave engine (threads 2 — every N >= 2 is
+# the same bound thread + one replay worker) with its divergence smoke; and
+# the benchmark's correctness gate on one short workload. The campaigns exit
+# non-zero on any survival invariant violation (silent wrong data under a
+# verifying design, an unsettled media inconsistency after convergence, a
+# poisoned page that fails open, or a resilver that fails to complete /
+# diverges from the never-faulted oracle), so this script fails CI on them. Nothing here compares host time: speed is
 # measured by the benchmark's paired parent/change protocol
 # (benchmark/README.md), not by a threshold on a shared host.
 #
@@ -69,31 +70,24 @@ in_scratch() {
         || { cat "$dir/stderr.txt" >&2; exit 1; }
 }
 
-echo "=== bound-weave CSV differential (fig8_fio, engine threads sweep) ==="
+echo "=== bound-weave CSV differential (fig8_fio, threads 1 vs 2) ==="
 # The bound-weave hard requirement: campaign output is byte-identical at any
-# MEMSIM_ENGINE_THREADS. Run one fio campaign sequentially, then byte-diff
-# the CSV at 4 and 8 engine threads against it. (Shard counts are swept by
-# crates/bench/tests/weave_differential.rs, which also asserts the count
-# that actually ran.)
-fio_csv_matches_seq() { # NAME: $scratch/NAME's fig8_fio.csv equals the sequential oracle's
-    if ! diff -q "$scratch/seq/results/fig8_fio.csv" "$scratch/$1/results/fig8_fio.csv"; then
-        echo "ci: fig8_fio.csv differs between sequential and $1" >&2
-        exit 1
-    fi
-}
+# MEMSIM_ENGINE_THREADS. Every value >= 2 runs the same engine, so one woven
+# run against the sequential one covers them all.
 in_scratch seq TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=1 fig8_fio --jobs 1
-for t in 4 8; do
-    in_scratch "threads$t" TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=$t fig8_fio --jobs 1
-    fio_csv_matches_seq "threads$t"
-done
-echo "ci: fig8_fio.csv byte-identical at 1/4/8 engine threads"
+in_scratch threads2 TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=2 fig8_fio --jobs 1
+if ! diff -q "$scratch/seq/results/fig8_fio.csv" "$scratch/threads2/results/fig8_fio.csv"; then
+    echo "ci: fig8_fio.csv differs between 1 and 2 engine threads" >&2
+    exit 1
+fi
+echo "ci: fig8_fio.csv byte-identical at 1/2 engine threads"
 
 echo "=== weave divergence-rate smoke (fig8_fio must not fall back) ==="
 # A weave cell that diverges reruns sequentially — bit-identical output, so
-# the byte-diffs above cannot see it. The fallback would silently void the
-# scaling win, so fail CI if any fig8_fio cell under the default config
-# printed the sequential-fallback marker during the 4-thread run above.
-if grep "rerunning sequentially" "$scratch/threads4/stderr.txt" >&2; then
+# the byte-diff above cannot see it. The fallback would silently void the
+# parallel run, so fail CI if any fig8_fio cell under the default config
+# printed the sequential-fallback marker during the 2-thread run above.
+if grep "rerunning sequentially" "$scratch/threads2/stderr.txt" >&2; then
     echo "ci: fig8_fio diverged from the weave path under the default config" >&2
     exit 1
 fi
