@@ -1313,21 +1313,40 @@ impl System {
     /// Handle an LLC data-partition eviction: back-invalidate private copies
     /// (inclusion), then write back if dirty.
     fn process_llc_victim(&self, core: usize, v: Evicted) {
-        let mut data = v.data;
-        let mut dirty = v.dirty;
-        for other in 0..self.cfg.cores {
-            if (v.sharers >> other) & 1 == 1 {
-                if let Some((d, pd)) = self.priv_invalidate(other, v.line) {
-                    if pd {
-                        data = d;
-                        dirty = true;
-                    }
-                }
-            }
-        }
+        let (data, dirty) = match self.back_invalidate(&v) {
+            Some(d) => (d, true),
+            None => (v.data, v.dirty),
+        };
         if dirty {
             self.mem_posted_write(core, v.line, &data);
         }
+    }
+
+    /// Remove the private copies of an entry that just left the LLC data
+    /// ways, visiting only the cores in its sharer mask. The mask is a
+    /// superset of the cores holding the line (DESIGN.md §4, "Inclusion and
+    /// the directory"), so no copy survives. Returns the newest dirty private
+    /// data, if any core held the line modified.
+    fn back_invalidate(&self, v: &Evicted) -> Option<[u8; CACHE_LINE]> {
+        let mut newest = None;
+        let mut mask = v.sharers;
+        while mask != 0 {
+            let other = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            if let Some((d, true)) = self.priv_invalidate(other, v.line) {
+                newest = Some(d);
+            }
+        }
+        newest
+    }
+
+    /// Whether any core's L1 or L2 holds `line` (a probe: no LRU tick).
+    fn privately_cached(&self, line: LineAddr) -> bool {
+        self.cores.iter().any(|c| {
+            let c = c.get_ref();
+            c.l1d.probe(line, 0..self.cfg.l1d.ways).is_some()
+                || c.l2.probe(line, 0..self.cfg.l2.ways).is_some()
+        })
     }
 
     /// Remove `line` from `core`'s L1 and L2, returning the newest private
@@ -1701,21 +1720,28 @@ impl System {
         }
     }
 
-    /// Drop every cached copy of `page`'s lines without writing back (used
+    /// Drop every cached copy of `page`'s lines without writing back. Used
     /// after a detected corruption, before parity recovery repairs the
-    /// media).
+    /// media, and by file creation, which zeroes a (possibly reused) extent
+    /// on the media and must leave no stale cached copy above it.
+    ///
+    /// Walks the inclusive LLC's directory: each line costs one LLC probe,
+    /// plus an L1/L2 invalidation in each core of the line's sharer mask. A
+    /// line the LLC does not hold has no private copy (inclusion), so it
+    /// costs nothing more. Debug builds check that claim on every line.
     pub fn invalidate_page(&mut self, page: PageNum) {
         self.assert_unbound("invalidate_page");
+        let ways = self.data_ways();
         for i in 0..LINES_PER_PAGE {
             let line = page.line(i);
-            for core in 0..self.cfg.cores {
-                let c = self.cores[core].get_mut();
-                c.l1d.invalidate(line, 0..self.cfg.l1d.ways);
-                c.l2.invalidate(line, 0..self.cfg.l2.ways);
-            }
             let bank = self.bank_of(line);
-            let ways = self.data_ways();
-            self.llc[bank].get_mut().invalidate(line, ways);
+            if let Some(v) = self.llc[bank].get_mut().invalidate(line, ways.clone()) {
+                self.back_invalidate(&v);
+            }
+            debug_assert!(
+                !self.privately_cached(line),
+                "{line:?} is cached privately outside the LLC directory"
+            );
         }
     }
 
@@ -2013,6 +2039,130 @@ mod tests {
         let mut buf = [0u8; 8];
         s.read(0, nvm(0), &mut buf).unwrap();
         assert_eq!(buf, [0u8; 8]);
+    }
+
+    /// Inclusion (L1 ⊆ L2 ⊆ LLC data ways) and the directory's
+    /// sharers-superset invariant: every valid private line is in the LLC
+    /// with the holding core's sharer bit set.
+    fn assert_inclusive(s: &System, step: usize) {
+        for (core, c) in s.cores.iter().enumerate() {
+            let c = c.get_ref();
+            let mut held = Vec::new();
+            c.l2.for_each_valid(0..s.cfg.l2.ways, |line, _, _| held.push(line));
+            c.l1d.for_each_valid(0..s.cfg.l1d.ways, |line, _, _| {
+                assert!(
+                    c.l2.probe(line, 0..s.cfg.l2.ways).is_some(),
+                    "step {step}: core {core} L1 holds {line:?} without its L2"
+                );
+            });
+            for line in held {
+                let e = s.llc[s.bank_of(line)].get_ref().probe(line, s.data_ways());
+                let e = e.unwrap_or_else(|| {
+                    panic!("step {step}: core {core} holds {line:?}, LLC does not")
+                });
+                assert_eq!(
+                    (e.sharers >> core) & 1,
+                    1,
+                    "step {step}: core {core} holds {line:?} outside its sharer mask"
+                );
+            }
+        }
+    }
+
+    /// Seeded random streams over 4 cores with caches a few lines deep. The
+    /// four L2s hold more than the LLC's data ways, so LLC victims with live
+    /// sharers are common; reads from several cores build multi-sharer
+    /// lines. The invariants `invalidate_page` relies on are checked after
+    /// every step, every read is checked against the newest written value,
+    /// and every `invalidate_page` must leave no copy of the page anywhere.
+    #[test]
+    fn inclusion_and_sharer_masks_hold_under_random_streams() {
+        const LINES: u64 = 2 * LINES_PER_PAGE as u64;
+        let mut cfg = SystemConfig::small();
+        cfg.cores = 4;
+        cfg.l1d.size_bytes = 256; // 2 sets × 2 ways
+        cfg.l1d.ways = 2;
+        cfg.l2.size_bytes = 1024; // 4 sets × 4 ways
+        cfg.l2.ways = 4;
+        cfg.llc.size_bytes = 2048; // 4 sets × 8 ways, 5 of them data
+        cfg.llc.ways = 8;
+        let fresh_hash = CacheArray::new(1, 1, 1).evict_hash();
+        let mut multi_sharer_reads = 0;
+        for seed in 1..=4u64 {
+            let mut s = System::new(cfg.clone(), Box::new(NullHooks));
+            let mut state = seed;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let line_of = |l: u64| nvm(l * CACHE_LINE as u64);
+            let media_word = |s: &System, l: u64| {
+                let m = s.memory().peek_line(line_of(l).line());
+                u64::from_le_bytes(m[..8].try_into().unwrap())
+            };
+            // The first word of each line as every core must read it.
+            let mut newest = [0u64; LINES as usize];
+            for step in 0..4000 {
+                let core = (next() % 4) as usize;
+                let l = next() % LINES;
+                let addr = line_of(l);
+                match next() % 100 {
+                    0..=44 => {
+                        let mut buf = [0u8; 8];
+                        s.read(core, addr, &mut buf).unwrap();
+                        assert_eq!(u64::from_le_bytes(buf), newest[l as usize], "step {step}");
+                        let bank = s.bank_of(addr.line());
+                        let e = s.llc[bank].get_ref().probe(addr.line(), s.data_ways());
+                        if e.is_some_and(|e| e.sharers.count_ones() > 1) {
+                            multi_sharer_reads += 1;
+                        }
+                    }
+                    45..=84 => {
+                        let v = next();
+                        s.write(core, addr, &v.to_le_bytes()).unwrap();
+                        newest[l as usize] = v;
+                    }
+                    85..=93 => s.clwb(core, addr.line()),
+                    94..=96 => {
+                        let page = addr.line().page();
+                        s.invalidate_page(page);
+                        for i in 0..LINES_PER_PAGE {
+                            let line = page.line(i);
+                            assert!(
+                                !s.privately_cached(line),
+                                "step {step}: {line:?} survived privately"
+                            );
+                            let e = s.llc[s.bank_of(line)].get_ref().probe(line, s.data_ways());
+                            assert!(e.is_none(), "step {step}: {line:?} survived in the LLC");
+                        }
+                        // Dropped dirty data reverts the page to its media.
+                        let first = l - l % LINES_PER_PAGE as u64;
+                        for k in first..first + LINES_PER_PAGE as u64 {
+                            newest[k as usize] = media_word(&s, k);
+                        }
+                    }
+                    97..=98 => s.flush(),
+                    _ => {
+                        s.lose_volatile_state();
+                        for k in 0..LINES {
+                            newest[k as usize] = media_word(&s, k);
+                        }
+                    }
+                }
+                assert_inclusive(&s, step);
+            }
+            assert!(
+                s.llc.iter().all(|b| b.get_ref().evict_hash() != fresh_hash),
+                "seed {seed}: every LLC bank must evict"
+            );
+        }
+        assert!(
+            multi_sharer_reads > 0,
+            "the streams must build multi-sharer lines"
+        );
     }
 
     /// A hook that records events, for engine-hook contract tests.

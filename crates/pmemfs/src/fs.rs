@@ -533,6 +533,48 @@ mod tests {
         assert_eq!(buf, [0u8; 64], "stale content must not leak");
     }
 
+    /// `create` over a reused extent whose old lines are still cached on
+    /// several cores: some dirty in core 0's L1, others clean and shared by
+    /// cores 1–3. Every core must read zeros, and the dropped dirty data
+    /// must never reach the media.
+    #[test]
+    fn reused_extent_drops_stale_copies_on_every_core() {
+        let cfg = SystemConfig {
+            cores: 4,
+            ..SystemConfig::small()
+        };
+        let layout = NvmLayout::new(cfg.nvm.dimms, 8);
+        let mut sys = System::new(cfg, Box::new(NullHooks));
+        let mut fs = DaxFs::new(layout, &mut sys);
+        let a = fs.create(&mut sys, 2 * 4096).unwrap();
+        a.write(&mut sys, 0, 4096, &[0xbbu8; 256]).unwrap();
+        sys.flush();
+        for core in 1..4 {
+            a.read(&mut sys, core, 4096, &mut [0u8; 256]).unwrap();
+        }
+        a.write(&mut sys, 0, 0, &[0xaau8; 256]).unwrap();
+        let writes = sys.stats().counters.nvm_data_writes;
+        fs.delete(&mut sys, a);
+        let b = fs.create(&mut sys, 2 * 4096).unwrap();
+        assert_eq!(b.first_data_index(), 0, "extent reused");
+        for core in 0..4 {
+            for off in [0, 4096] {
+                let mut buf = [0xffu8; 256];
+                b.read(&mut sys, core, off, &mut buf).unwrap();
+                assert_eq!(buf, [0u8; 256], "core {core} read stale data at {off}");
+            }
+        }
+        sys.flush();
+        assert_eq!(
+            sys.stats().counters.nvm_data_writes,
+            writes,
+            "stale data reached the media"
+        );
+        for off in [0, 4096] {
+            assert_eq!(sys.memory().peek_line(b.addr(off).line()), [0u8; 64]);
+        }
+    }
+
     #[test]
     fn delete_coalesces_adjacent_extents() {
         let (mut sys, mut fs) = baseline_sys(10);

@@ -6,10 +6,18 @@
 //! time; they operate directly on media content (these helpers use the
 //! fault-bypassing peek/poke interface because they are setup-time
 //! operations, excluded from measured runs — see DESIGN.md).
+//!
+//! The checksum helpers work a page at a time: they gather the page's
+//! content once and derive every checksum they write from it. A page's 64
+//! DAX-CL-checksums fill exactly four checksum lines, the 256 B at
+//! `page index * 256`, so they are written whole, with no
+//! read-modify-write. A page's system-checksum shares its checksum line
+//! with fifteen other pages, so that one slot is still read, patched and
+//! written back.
 
-use crate::checksum::{line_checksum, page_checksum, set_csum_slot};
+use crate::checksum::{line_checksum, page_checksum, set_csum_slot, CSUMS_PER_LINE};
 use crate::layout::{gather_page, peek, NvmLayout};
-use memsim::addr::{nvm_page, PageNum, LINES_PER_PAGE};
+use memsim::addr::{nvm_page, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
 use memsim::mem::Memory;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -19,14 +27,8 @@ use std::ops::Range;
 pub fn refresh_cl_csums(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>) {
     for n in range {
         let page = layout.nth_data_page(n);
-        for i in 0..LINES_PER_PAGE {
-            let line = page.line(i);
-            let data = mem.peek_line(line);
-            let (cs_line, slot) = layout.cl_csum_loc(line);
-            let mut cs = mem.peek_line(cs_line);
-            set_csum_slot(&mut cs, slot, line_checksum(&data));
-            mem.poke_line(cs_line, &cs);
-        }
+        let Ok(bytes) = gather_page(page, peek(mem));
+        write_cl_csums(layout, mem, page, &bytes);
     }
 }
 
@@ -37,11 +39,32 @@ pub fn refresh_page_csums(layout: &NvmLayout, mem: &mut Memory, range: Range<u64
     for n in range {
         let page = layout.nth_data_page(n);
         let Ok(bytes) = gather_page(page, peek(mem));
-        let (cs_line, slot) = layout.page_csum_loc(page);
-        let mut cs = mem.peek_line(cs_line);
-        set_csum_slot(&mut cs, slot, page_checksum(&bytes));
+        write_page_csum(layout, mem, page, &bytes);
+    }
+}
+
+/// Write `page`'s four DAX-CL-checksum lines whole, from its content
+/// `bytes`.
+fn write_cl_csums(layout: &NvmLayout, mem: &mut Memory, page: PageNum, bytes: &[u8; PAGE]) {
+    let (lines, _) = bytes.as_chunks::<CACHE_LINE>();
+    for (k, group) in lines.chunks(CSUMS_PER_LINE).enumerate() {
+        let (cs_line, first_slot) = layout.cl_csum_loc(page.line(k * CSUMS_PER_LINE));
+        debug_assert_eq!(first_slot, 0, "a page's checksums start a checksum line");
+        let mut cs = [0u8; CACHE_LINE];
+        for (slot, data) in group.iter().enumerate() {
+            set_csum_slot(&mut cs, slot, line_checksum(data));
+        }
         mem.poke_line(cs_line, &cs);
     }
+}
+
+/// Patch `page`'s slot of its system-checksum line, from its content
+/// `bytes`.
+fn write_page_csum(layout: &NvmLayout, mem: &mut Memory, page: PageNum, bytes: &[u8; PAGE]) {
+    let (cs_line, slot) = layout.page_csum_loc(page);
+    let mut cs = mem.peek_line(cs_line);
+    set_csum_slot(&mut cs, slot, page_checksum(bytes));
+    mem.poke_line(cs_line, &cs);
 }
 
 /// Recompute the parity pages of every stripe containing a data page in
@@ -85,8 +108,12 @@ fn rebuild_stripe_parity(layout: &NvmLayout, mem: &mut Memory, stripe: u64) {
 /// checksums, page checksums, and parity, all consistent with current media
 /// content.
 pub fn initialize_region(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>) {
-    refresh_cl_csums(layout, mem, range.clone());
-    refresh_page_csums(layout, mem, range.clone());
+    for n in range.clone() {
+        let page = layout.nth_data_page(n);
+        let Ok(bytes) = gather_page(page, peek(mem));
+        write_cl_csums(layout, mem, page, &bytes);
+        write_page_csum(layout, mem, page, &bytes);
+    }
     refresh_parity(layout, mem, range);
 }
 
