@@ -464,6 +464,15 @@ impl Machine {
         self.sys.reset_stats();
     }
 
+    /// Run `f` fast-forwarded: its accesses go straight to the media, with
+    /// no caches, redundancy hooks, clocks or counters (see
+    /// [`System::fast_forward`] for the entry flush, the panics and what
+    /// makes it exact). For set-up whose redundancy is rebuilt afterwards
+    /// with [`Self::reinit_redundancy`].
+    pub fn fast_forward<T>(&mut self, f: impl FnOnce(&mut Machine) -> T) -> T {
+        System::fast_forward(self, |m| &mut m.sys, f)
+    }
+
     /// Verify `file`'s media-level redundancy invariants for whatever the
     /// active design maintains (checksums + parity). Baseline maintains
     /// nothing and trivially passes.

@@ -342,12 +342,13 @@ fn seal_preload(m: &mut Machine, txm: &mut TxManager, files: &[FileHandle], sche
 
 /// `instances` Redis tables (instance `i` on core `i`) preloaded with
 /// `keys` entries of `val_len` bytes under key `scramble(k) ^ i`, ready at
-/// `reset_stats`. Returns the value buffer the preload wrote.
+/// `reset_stats`. Returns the value buffer the preload wrote. The preload
+/// is fast-forwarded ([`Machine::fast_forward`]).
 ///
 /// # Errors
 ///
 /// Propagates [`AppError`] from pool set-up or the preload.
-fn preloaded_redis(
+pub fn preloaded_redis(
     v: &Variant,
     instances: usize,
     keys: u64,
@@ -361,11 +362,14 @@ fn preloaded_redis(
         tables.push(Redis::create(&mut m, i, heap_bytes, 1024)?);
     }
     let val = vec![0xabu8; val_len];
-    for k in 0..keys {
-        for (i, r) in tables.iter_mut().enumerate() {
-            r.set(&mut m, &mut txm, scramble(k) ^ i as u64, &val)?;
+    m.fast_forward(|m| {
+        for k in 0..keys {
+            for (i, r) in tables.iter_mut().enumerate() {
+                r.set(m, &mut txm, scramble(k) ^ i as u64, &val)?;
+            }
         }
-    }
+        Ok::<_, AppError>(())
+    })?;
     let files: Vec<FileHandle> = tables.iter().map(|r| *r.file()).collect();
     seal_preload(&mut m, &mut txm, &files, v.design.sw_scheme());
     Ok((m, txm, tables, val))
@@ -376,7 +380,8 @@ pub type KvSet = Vec<Box<dyn PersistentKv>>;
 
 /// `instances` KV structures (instance `i` on core `i % cores`) preloaded
 /// with `keys` scrambled keys, with heap room for `growth_ops` further
-/// inserts each, ready at `reset_stats`.
+/// inserts each, ready at `reset_stats`. The preload is fast-forwarded
+/// ([`Machine::fast_forward`]).
 ///
 /// # Errors
 ///
@@ -397,11 +402,14 @@ pub fn preloaded_kv(
     for i in 0..instances {
         kvs.push(kind.build(&mut m, i % cores, heap_bytes)?);
     }
-    for k in 0..keys {
-        for kv in kvs.iter_mut() {
-            kv.insert(&mut m, &mut txm, scramble(k), k)?;
+    m.fast_forward(|m| {
+        for k in 0..keys {
+            for kv in kvs.iter_mut() {
+                kv.insert(m, &mut txm, scramble(k), k)?;
+            }
         }
-    }
+        Ok::<_, AppError>(())
+    })?;
     let files: Vec<FileHandle> = kvs.iter().map(|kv| *kv.file()).collect();
     seal_preload(&mut m, &mut txm, &files, v.design.sw_scheme());
     Ok((m, txm, kvs))

@@ -27,6 +27,7 @@
 //! `tests/evict_golden.rs` and the bench determinism suite prove it.
 
 use crate::addr::{LineAddr, CACHE_LINE};
+use crate::fastdiv::FastDiv;
 use std::ops::Range;
 
 /// Sentinel for "no owner" in the directory owner field.
@@ -144,14 +145,11 @@ fn fold_evict(h: u64, word: u64) -> u64 {
 pub struct CacheArray {
     sets: usize,
     ways: usize,
-    set_div: u64,
-    /// `log2(set_div)` when the divisor is a power of two (always true for
-    /// the configs the engine builds: 1 for private caches, the bank count
-    /// for LLC banks), letting [`Self::set_of`] shift instead of issuing a
-    /// 64-bit divide — which otherwise dominates the tag-scan cost on every
-    /// lookup/insert/invalidate. `u32::MAX` marks a non-power-of-two
-    /// divisor, which falls back to real division.
-    set_shift: u32,
+    /// The set-index divisor (1 for private caches, the bank count for LLC
+    /// banks — 12 in the default config). [`Self::set_of`] runs on every
+    /// lookup/insert/invalidate, so it multiplies by a precomputed magic
+    /// instead of issuing a 64-bit divide.
+    set_div: FastDiv,
     tick: u64,
     /// Running digest of every capacity eviction: (set, chosen way, victim
     /// line, victim dirty) in eviction order. Exposed so the determinism
@@ -192,16 +190,10 @@ impl CacheArray {
         assert!(ways > 0, "need at least one way");
         assert!(set_div > 0, "set divisor must be nonzero");
         let slots = sets * ways;
-        let set_shift = if set_div.is_power_of_two() {
-            set_div.trailing_zeros()
-        } else {
-            u32::MAX
-        };
         CacheArray {
             sets,
             ways,
-            set_div,
-            set_shift,
+            set_div: FastDiv::new(set_div),
             tick: 0,
             evict_hash: EVICT_HASH_BASIS,
             lines: vec![INVALID_LINE; slots],
@@ -236,12 +228,7 @@ impl CacheArray {
 
     #[inline]
     fn set_of(&self, line: LineAddr) -> usize {
-        let q = if self.set_shift != u32::MAX {
-            line.0 >> self.set_shift
-        } else {
-            line.0 / self.set_div
-        };
-        (q as usize) & (self.sets - 1)
+        (self.set_div.quotient(line.0) as usize) & (self.sets - 1)
     }
 
     #[inline]
@@ -675,6 +662,17 @@ mod tests {
         let c = CacheArray::new(2, 1, 2);
         assert_eq!(c.set_of(line(0)), c.set_of(line(1)));
         assert_ne!(c.set_of(line(0)), c.set_of(line(2)));
+    }
+
+    #[test]
+    fn set_of_matches_division_for_every_divisor() {
+        // 12 is the default LLC bank count; NVM line addresses sit near 2^34.
+        for div in [1u64, 2, 3, 12, 16] {
+            let c = CacheArray::new(64, 1, div);
+            for n in (0..5000u64).chain((1 << 34)..(1 << 34) + 5000) {
+                assert_eq!(c.set_of(line(n)), ((n / div) % 64) as usize, "{n} / {div}");
+            }
+        }
     }
 
     #[test]

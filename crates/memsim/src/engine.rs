@@ -117,9 +117,9 @@ pub struct HookEnv<'a> {
     sys: &'a System,
 }
 
-/// The LLC bank holding `line` under line-granular interleaving. Bank
-/// counts are powers of two in every shipped config, so the modulo usually
-/// reduces to a mask; the division survives only as a fallback.
+/// The LLC bank holding `line` under line-granular interleaving. A
+/// power-of-two bank count reduces the modulo to a mask; the default
+/// 12-bank LLC divides.
 #[inline]
 pub(crate) fn bank_interleave(line: LineAddr, banks: usize) -> usize {
     let n = banks as u64;
@@ -638,6 +638,9 @@ pub struct System {
     /// back-invalidation it cannot apply (the private caches stay with the
     /// bound thread); drained by `weave_apply`.
     back_invalidated: Cell<bool>,
+    /// Set only inside [`System::fast_forward`]: reads and writes go
+    /// straight to `Memory`.
+    functional: bool,
 }
 
 impl fmt::Debug for System {
@@ -689,6 +692,7 @@ impl System {
             flush_scratch: Vec::new(),
             bound: None,
             back_invalidated: Cell::new(false),
+            functional: false,
         }
     }
 
@@ -933,6 +937,10 @@ impl System {
         addr: PhysAddr,
         buf: &mut [u8],
     ) -> Result<(), CorruptionDetected> {
+        if self.functional {
+            self.functional_read(addr, buf);
+            return Ok(());
+        }
         let mut off = 0usize;
         while off < buf.len() {
             let a = PhysAddr(addr.0 + off as u64);
@@ -959,6 +967,10 @@ impl System {
         addr: PhysAddr,
         data: &[u8],
     ) -> Result<(), CorruptionDetected> {
+        if self.functional {
+            self.functional_write(addr, data);
+            return Ok(());
+        }
         let mut off = 0usize;
         while off < data.len() {
             let a = PhysAddr(addr.0 + off as u64);
@@ -972,6 +984,36 @@ impl System {
             off += n;
         }
         Ok(())
+    }
+
+    /// [`Self::read`] in functional mode: each covered line straight from
+    /// the media.
+    fn functional_read(&mut self, addr: PhysAddr, buf: &mut [u8]) {
+        let mem = self.mem.get_mut();
+        let mut off = 0usize;
+        while off < buf.len() {
+            let a = PhysAddr(addr.0 + off as u64);
+            let lo = a.line_offset();
+            let n = (CACHE_LINE - lo).min(buf.len() - off);
+            buf[off..off + n].copy_from_slice(&mem.read_line(a.line())[lo..lo + n]);
+            off += n;
+        }
+    }
+
+    /// [`Self::write`] in functional mode: read-modify-write of each covered
+    /// line on the media.
+    fn functional_write(&mut self, addr: PhysAddr, data: &[u8]) {
+        let mem = self.mem.get_mut();
+        let mut off = 0usize;
+        while off < data.len() {
+            let a = PhysAddr(addr.0 + off as u64);
+            let lo = a.line_offset();
+            let n = (CACHE_LINE - lo).min(data.len() - off);
+            let mut line = mem.read_line(a.line());
+            line[lo..lo + n].copy_from_slice(&data[off..off + n]);
+            mem.write_line(a.line(), &line);
+            off += n;
+        }
     }
 
     /// Guarantee `line` is present in `core`'s L1D with write permission if
@@ -1619,8 +1661,12 @@ impl System {
     /// `clwb` instruction): private copies and the LLC copy are marked clean
     /// and the line's current content is posted to memory, firing the
     /// redundancy writeback hook as usual. A fully clean (or uncached) line
-    /// is a no-op. Charges one LLC access of latency to `core`.
+    /// is a no-op, as is every `clwb` under [`Self::fast_forward`] (nothing
+    /// is cached). Charges one LLC access of latency to `core`.
     pub fn clwb(&mut self, core: usize, line: LineAddr) {
+        if self.functional {
+            return;
+        }
         // Sweep private caches: collect the newest dirty copy (MESI permits
         // at most one) and mark every copy clean. When the L1 holds the
         // dirty copy, the same core's L2 may hold a stale clean one — it
@@ -1745,6 +1791,64 @@ impl System {
         }
     }
 
+    /// Run `f` over `ctx` with the system `sys(ctx)` in *functional mode*:
+    /// what zsim calls fast-forwarding, for set-up whose timing nobody reads.
+    ///
+    /// On entry the whole hierarchy is flushed, so the media hold the newest
+    /// copy of every line. Inside, [`Self::read`] and [`Self::write`] touch
+    /// only `Memory` (a write is a read-modify-write of each covered line)
+    /// and [`Self::clwb`] is a no-op. No cache, redundancy hook, DIMM lane,
+    /// counter or crash-window event sees those accesses; [`Self::instr`]
+    /// and [`Self::compute`] still charge as usual. Every cache is still
+    /// empty on exit (debug-asserted). A set-up that then flushes, rebuilds
+    /// redundancy from the media and calls [`Self::reset_stats`] ends in the
+    /// state its timed run would have left, except for
+    /// [`Stats::evict_hash`] and [`Self::crash_events`] (DESIGN.md §18,
+    /// "Fast-forwarded set-up").
+    ///
+    /// The mode ends when `f` returns or unwinds; it cannot be left on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the system is already fast-forwarding, a bound-weave
+    /// session is active, a crash budget is armed, or the firmware has an
+    /// armed fault or shadow RAID: functional accesses bypass all of them.
+    pub fn fast_forward<C, T>(
+        ctx: &mut C,
+        sys: fn(&mut C) -> &mut System,
+        f: impl FnOnce(&mut C) -> T,
+    ) -> T {
+        let s = sys(ctx);
+        assert!(!s.functional, "System::fast_forward does not nest");
+        s.assert_unbound("fast_forward");
+        assert!(
+            !s.crash_armed(),
+            "cannot fast-forward with a crash budget armed"
+        );
+        let mem = s.mem_ref();
+        assert!(
+            mem.armed_faults() == 0 && !mem.raid_enabled(),
+            "cannot fast-forward past armed firmware faults or firmware RAID"
+        );
+        s.flush();
+        s.functional = true;
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(ctx)));
+        let s = sys(ctx);
+        s.functional = false;
+        let out = out.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+        debug_assert!(s.caches_empty(), "a cache filled while fast-forwarding");
+        out
+    }
+
+    /// Whether no L1, L2 or LLC way (any partition) holds a line.
+    fn caches_empty(&self) -> bool {
+        let empty = |c: &CacheArray| c.occupancy(c.all_ways()) == 0;
+        self.cores
+            .iter()
+            .all(|c| empty(&c.get_ref().l1d) && empty(&c.get_ref().l2))
+            && self.llc.iter().all(|b| empty(b.get_ref()))
+    }
+
     /// Enter the bound phase of a bound-weave session (see [`crate::weave`]
     /// for the architecture and the determinism argument).
     ///
@@ -1809,6 +1913,7 @@ impl System {
             flush_scratch: Vec::new(),
             bound: None,
             back_invalidated: Cell::new(false),
+            functional: false,
         };
         let (session, ctx) =
             crate::weave::WeaveSession::spawn(weave_sys, self.cfg.cores, snapshot, overlay);
@@ -2392,6 +2497,90 @@ mod tests {
         let st = s.stats();
         assert_eq!(st.runtime_cycles(), 0);
         assert_eq!(st.counters.nvm_data_reads, 0);
+    }
+
+    #[test]
+    fn fast_forward_sees_lines_left_dirty_before_entry() {
+        let mut s = sys();
+        s.write(1, nvm(4096 + 3), b"dirty").unwrap();
+        let got = System::fast_forward(
+            &mut s,
+            |s| s,
+            |s| {
+                let mut buf = [0u8; 5];
+                s.read(0, nvm(4096 + 3), &mut buf).unwrap();
+                buf
+            },
+        );
+        assert_eq!(&got, b"dirty");
+    }
+
+    #[test]
+    fn timed_reads_see_functional_writes_after_exit() {
+        let mut s = sys();
+        // A clean cached copy of line 0, which the entry flush must drop.
+        s.read(0, nvm(0), &mut [0u8; 8]).unwrap();
+        // Straddles lines 0 and 1.
+        System::fast_forward(&mut s, |s| s, |s| s.write(1, nvm(60), &[9u8; 10]).unwrap());
+        let mut buf = [0u8; 12];
+        s.read(0, nvm(58), &mut buf).unwrap();
+        assert_eq!(buf, [0, 0, 9, 9, 9, 9, 9, 9, 9, 9, 9, 9]);
+        assert_eq!(
+            s.stats().counters.nvm_data_reads,
+            3,
+            "both lines refill from media"
+        );
+    }
+
+    #[test]
+    fn fast_forward_moves_only_instr_and_compute() {
+        let mut s = System::new(SystemConfig::small(), Box::new(RecordingHooks::default()));
+        s.write(0, nvm(0), &[1u8; 8]).unwrap();
+        System::fast_forward(
+            &mut s,
+            |s| s,
+            |s| {
+                let before = s.stats();
+                let lanes = s.dimm_access_counts();
+                let events = s.crash_events();
+                s.write(0, nvm(320), &[2u8; 100]).unwrap();
+                s.read(1, nvm(0), &mut [0u8; 200]).unwrap();
+                s.clwb(0, nvm(320).line());
+                assert_eq!(s.stats(), before, "reads, writes and clwb are free");
+                assert_eq!(s.dimm_access_counts(), lanes);
+                assert_eq!(s.crash_events(), events);
+                s.instr(0, 5);
+                s.compute(1, 7);
+                let mut want = before;
+                want.counters.l1i_accesses += 5;
+                want.core_cycles[0] += 5;
+                want.core_cycles[1] += 7;
+                assert_eq!(s.stats(), want);
+            },
+        );
+        let hooks = s
+            .hooks_mut()
+            .as_any_mut()
+            .downcast_mut::<RecordingHooks>()
+            .unwrap();
+        // Only the timed write's fill and the entry flush reached the hooks.
+        assert_eq!(*hooks.fills.lock().unwrap(), vec![nvm(0).line()]);
+        assert_eq!(*hooks.writebacks.lock().unwrap(), vec![nvm(0).line()]);
+    }
+
+    #[test]
+    fn fast_forward_ends_when_its_closure_unwinds() {
+        let mut s = sys();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            System::fast_forward(&mut s, |s| s, |_| panic!("set-up failed"))
+        }));
+        assert!(unwound.is_err());
+        s.read(0, nvm(0), &mut [0u8; 8]).unwrap();
+        assert_eq!(
+            s.stats().counters.nvm_data_reads,
+            1,
+            "timed again after the unwind"
+        );
     }
 
     #[test]

@@ -250,9 +250,13 @@ pub struct Stats {
     pub core_cycles: Vec<u64>,
     /// Combined digest of every cache array's eviction/victim-choice history
     /// (private L1/L2 caches and LLC banks, in fixed order), cumulative from
-    /// machine construction — `reset_stats` does not clear it. Never written
-    /// to campaign CSVs; it exists so the determinism goldens can prove that
-    /// a cache-layout refactor keeps eviction order bit-identical.
+    /// machine construction — `reset_stats` does not clear it. It digests
+    /// victim choices made by timed accesses only: set-up run under
+    /// [`crate::engine::System::fast_forward`] makes none, so a
+    /// fast-forwarded preload leaves a different value here than a timed
+    /// one, and nothing else in `Stats`. Never written to campaign CSVs; it
+    /// exists so the determinism goldens can prove that a cache-layout
+    /// refactor keeps eviction order bit-identical.
     pub evict_hash: u64,
 }
 

@@ -536,6 +536,19 @@ pub fn sw_redundancy_update(
     }
 }
 
+/// The line source of a software parity recompute: each sibling line read
+/// through the hierarchy on `core`, plus the cycles to XOR it in.
+fn sibling_src(
+    sys: &mut System,
+    core: usize,
+) -> impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], CorruptionDetected> + '_ {
+    move |sib| {
+        let s = read_charged(sys, core, sib)?;
+        sys.compute(core, XOR_CYCLES_PER_LINE);
+        Ok(s)
+    }
+}
+
 /// Recompute and write the parity line covering `line`, whose current
 /// content is `data`, by reading the stripe's sibling lines (in-place
 /// updates leave no data diff to patch parity with).
@@ -546,11 +559,7 @@ fn recompute_parity(
     line: LineAddr,
     data: [u8; CACHE_LINE],
 ) -> Result<(), CorruptionDetected> {
-    let par = layout.xor_siblings(line, data, |sib| {
-        let s = read_charged(sys, core, sib)?;
-        sys.compute(core, XOR_CYCLES_PER_LINE);
-        Ok(s)
-    })?;
+    let par = layout.xor_siblings(line, data, sibling_src(sys, core))?;
     sys.write(core, layout.parity_line_of(line).base(), &par)
 }
 
@@ -609,9 +618,12 @@ fn txb_page_over(
         let (cs_line, slot) = layout.page_csum_loc(page);
         let cs_addr = PhysAddr(cs_line.base().0 + slot as u64 * 4);
         sys.write(core, cs_addr, &csum.to_le_bytes())?;
-        // Recompute the stripe's parity page line by line.
+        // Recompute the stripe's parity page line by line, as
+        // `recompute_parity` would, with the stripe resolved once per page.
+        let stripe = layout.page_stripe(page);
         for (i, data) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
-            recompute_parity(sys, core, layout, page.line(i), *data)?;
+            let par = stripe.xor_siblings(i, *data, sibling_src(sys, core))?;
+            sys.write(core, stripe.parity_line(i).base(), &par)?;
         }
     }
     Ok(())

@@ -201,6 +201,23 @@ impl NvmLayout {
             .map(move |p| nvm_page(p).line(line.index_in_page()))
     }
 
+    /// The stripe around data page `page`, resolved once for work that walks
+    /// the page line by line (TxB-Page's parity recompute).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `page` is not a data page.
+    pub fn page_stripe(&self, page: PageNum) -> PageStripe {
+        PageStripe {
+            parity: self.parity_line_of(page.line(0)).page(),
+            siblings: self
+                .geom
+                .siblings_of(page.nvm_index())
+                .map(nvm_page)
+                .collect(),
+        }
+    }
+
     /// `seed` XORed with every sibling of data line `line`, siblings read
     /// through `src` in [`sibling_lines_of`](Self::sibling_lines_of) order.
     /// Seeded with the line's own content this is the parity its stripe
@@ -296,6 +313,42 @@ impl NvmLayout {
                 Ok(true)
             }
         }
+    }
+}
+
+/// A data page's stripe, from [`NvmLayout::page_stripe`]: line `o` of the
+/// page has its parity at line `o` of the parity page and its siblings at
+/// line `o` of the sibling pages.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PageStripe {
+    parity: PageNum,
+    /// Sibling data pages, in slot order.
+    siblings: Vec<PageNum>,
+}
+
+impl PageStripe {
+    /// The parity line covering line `o` of the page
+    /// ([`NvmLayout::parity_line_of`]).
+    pub fn parity_line(&self, o: usize) -> LineAddr {
+        self.parity.line(o)
+    }
+
+    /// [`NvmLayout::xor_siblings`] for line `o` of the page: `seed` XORed
+    /// with line `o` of every sibling, read through `src` in slot order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first error of `src`.
+    pub fn xor_siblings<E>(
+        &self,
+        o: usize,
+        mut seed: [u8; CACHE_LINE],
+        mut src: impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], E>,
+    ) -> Result<[u8; CACHE_LINE], E> {
+        for sib in &self.siblings {
+            xor_into(&mut seed, &src(sib.line(o))?);
+        }
+        Ok(seed)
     }
 }
 
@@ -526,6 +579,31 @@ mod tests {
         want.push(l.page_csum_loc(page).0);
         want.push(l.cl_csum_loc(page.line(0)).0);
         assert_eq!(calls.take(), want);
+    }
+
+    #[test]
+    fn page_stripe_agrees_with_the_per_line_walk() {
+        for dimms in [2usize, 4, 7] {
+            let l = NvmLayout::new(dimms, 3 * (dimms as u64 - 1));
+            for n in 0..l.data_pages() {
+                let page = l.nth_data_page(n);
+                let stripe = l.page_stripe(page);
+                for o in [0, 17, LINES_PER_PAGE - 1] {
+                    let line = page.line(o);
+                    assert_eq!(stripe.parity_line(o), l.parity_line_of(line));
+                    let (mut per_line, mut resolved) = (Vec::new(), Vec::new());
+                    let seed = [o as u8; CACHE_LINE];
+                    let src = |calls: &mut Vec<LineAddr>, a: LineAddr| {
+                        calls.push(a);
+                        Ok::<_, Infallible>([a.0 as u8; CACHE_LINE])
+                    };
+                    let a = l.xor_siblings(line, seed, |s| src(&mut per_line, s));
+                    let b = stripe.xor_siblings(o, seed, |s| src(&mut resolved, s));
+                    assert_eq!(a, b, "{dimms} DIMMs, page {n} line {o}");
+                    assert_eq!(per_line, resolved, "same sibling order");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Tier-1 gate. Runs, in order: the workspace build, clippy (-D warnings) and
 # tests (which include every campaign's --jobs width-independence and golden
-# CSV digests); the memsim, pmemfs and tvarak tests again in debug, so their
-# debug assertions run; quick-scale smokes of the coverage, chaos, degraded,
+# CSV digests); the memsim, pmemfs and tvarak tests and the fast-forward
+# preload oracle (bench's fast_forward suite) again in debug, so their debug
+# assertions run; quick-scale smokes of the coverage, chaos, degraded,
 # crashsim and soak campaigns; the fig8_fio byte-diff between the sequential
 # engine (threads 1) and the bound-weave engine (threads 2 — every N >= 2 is
 # the same bound thread + one replay worker) with its divergence smoke; and
@@ -27,12 +28,14 @@ cargo clippy -q --workspace --all-targets -- -D warnings
 echo "=== tests (workspace) ==="
 cargo test --release --workspace --quiet
 
-echo "=== tests (memsim, pmemfs, tvarak; debug assertions on) ==="
+echo "=== tests (memsim, pmemfs, tvarak, fast-forward oracle; debug assertions on) ==="
 # The release run above compiles out every debug_assert!, including the
 # engine's inclusion checks (insert_absent's precondition, and
 # invalidate_page's no-private-copy check, which turns every test that
-# calls it into an inclusion audit).
+# calls it into an inclusion audit) and fast_forward's empty-caches check on
+# exit, which the oracle runs on every design.
 cargo test -q -p memsim -p pmemfs -p tvarak
+cargo test -q -p bench --test fast_forward
 
 echo "=== coverage_campaign (quick) ==="
 TVARAK_SCALE=quick ./target/release/coverage_campaign
