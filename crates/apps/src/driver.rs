@@ -125,8 +125,8 @@ impl fmt::Display for Design {
     }
 }
 
-/// The design names [`Design::from_str`] accepts, for error messages and
-/// usage strings.
+/// The design names `Design`'s [`FromStr`](std::str::FromStr) impl
+/// accepts, for error messages and usage strings.
 pub const DESIGN_NAMES: &str = "baseline, tvarak, naive, tvarak-noverify, \
      tvarak-nodiff, tvarak-stall, tvarak-nocache, txb-object, txb-page, \
      vilamb, vilamb:<epoch_txs>";

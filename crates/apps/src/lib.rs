@@ -13,6 +13,7 @@
 //! - [`fio`] — sequential/random 64 B read/write microbenchmarks;
 //! - [`stream`] — copy/scale/add/triad bandwidth kernels.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

@@ -34,6 +34,7 @@
 //! unknown or malformed is a usage error (exit 2), a violated invariant or
 //! failed write exits 1. `scripts/reproduce.sh` chains everything.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod campaign;

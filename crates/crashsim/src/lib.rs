@@ -21,6 +21,7 @@
 //! `(scenario, k)` pair always produces the same post-crash image — crash
 //! points are reproducible coordinates, not race lotteries.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod plan;

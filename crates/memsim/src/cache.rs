@@ -14,17 +14,17 @@
 //!
 //! # Data layout
 //!
-//! The array is structure-of-arrays: the per-way tag metadata
-//! ([`TagMeta`]: line address, LRU stamp, valid/dirty/exclusive flags) lives
-//! in one densely packed slice that lookups and victim scans walk, while the
-//! 64 B line payloads, directory sharer masks, and directory owners sit in
-//! parallel arrays touched only on a hit. A 16-way set's metadata spans a
-//! few cache lines instead of ~2.4 KiB of interleaved `Entry` structs, so
-//! the tag scan — the hottest loop in the simulator — stays resident.
-//! Replacement decisions are bit-identical to the previous
-//! array-of-structs layout (same tick sequence, same first-invalid-else-LRU
-//! victim choice); the eviction-order digest goldens in
-//! `tests/evict_golden.rs` and the bench determinism suite prove it.
+//! The array is structure-of-arrays: the per-way tag metadata (line address,
+//! LRU stamp, valid/dirty/exclusive flags) lives in densely packed columns
+//! that lookups and victim scans walk, while the 64 B line payloads,
+//! directory sharer masks, and directory owners sit in parallel arrays
+//! touched only on a hit. A 16-way set's metadata spans a few cache lines
+//! instead of ~2.4 KiB of interleaved `Entry` structs, so the tag scan — the
+//! hottest loop in the simulator — stays resident. Replacement decisions are
+//! bit-identical to the previous array-of-structs layout (same tick sequence,
+//! same first-invalid-else-LRU victim choice); the eviction-order digest
+//! goldens in `tests/evict_golden.rs` and the bench determinism suite prove
+//! it.
 
 use crate::addr::{LineAddr, CACHE_LINE};
 use crate::fastdiv::FastDiv;

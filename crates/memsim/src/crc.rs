@@ -112,6 +112,7 @@ fn update_sw(crc: u32, data: &[u8]) -> u32 {
 /// Caller must ensure SSE 4.2 is available (see [`hw_available`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
+#[allow(unsafe_code)]
 unsafe fn update_x86(crc: u32, data: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
     let mut crc = crc as u64;
@@ -134,6 +135,7 @@ unsafe fn update_x86(crc: u32, data: &[u8]) -> u32 {
 /// Caller must ensure the `crc` target feature is available.
 #[cfg(target_arch = "aarch64")]
 #[target_feature(enable = "crc")]
+#[allow(unsafe_code)]
 unsafe fn update_aarch64(crc: u32, data: &[u8]) -> u32 {
     use std::arch::aarch64::{__crc32cb, __crc32cd};
     let mut crc = crc;
@@ -151,6 +153,7 @@ unsafe fn update_aarch64(crc: u32, data: &[u8]) -> u32 {
 /// Advance `crc` over `data`: hardware CRC32C where the host has it, the
 /// slice-by-8 kernel otherwise. Bit-identical either way.
 #[inline]
+#[allow(unsafe_code)]
 pub fn update(crc: u32, data: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     {

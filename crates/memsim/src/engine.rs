@@ -34,10 +34,8 @@ use crate::addr::{LineAddr, PageNum, PhysAddr, CACHE_LINE, LINES_PER_PAGE};
 use crate::cache::{CacheArray, Evicted, NO_OWNER};
 use crate::config::SystemConfig;
 use crate::mem::{Device, Memory};
-use crate::spsc::ShardCell;
 use crate::stats::{Counters, Stats};
 use std::any::Any;
-use std::cell::Cell;
 use std::error::Error;
 use std::fmt;
 use std::ops::Range;
@@ -107,14 +105,13 @@ impl CrashState {
 /// can reach (memory, the LLC partitions, clocks, counters) without the
 /// private caches (which it cannot see).
 ///
-/// Internally this is just a shared borrow of the [`System`] (the engine
-/// calls the hooks while the rest of the system is borrowed), so every
-/// mutation routes through the [`ShardCell`] accessors.
+/// It borrows the [`System`]'s uncore exclusively, next to the configuration;
+/// the engine builds one per hook call from those two disjoint fields.
 #[allow(missing_debug_implementations)]
 pub struct HookEnv<'a> {
     /// System configuration.
     pub cfg: &'a SystemConfig,
-    sys: &'a System,
+    uncore: &'a mut Uncore,
 }
 
 /// The LLC bank holding `line` under line-granular interleaving. A
@@ -157,13 +154,13 @@ impl<'a> HookEnv<'a> {
     /// Advance `core`'s clock by `cycles`.
     #[inline]
     pub fn charge(&mut self, core: usize, cycles: u64) {
-        *self.sys.clocks[core].get() += cycles;
+        self.uncore.clocks[core] += cycles;
     }
 
     /// Mutable access to the counters.
     #[inline]
     pub fn counters(&mut self) -> &mut Counters {
-        self.sys.ctrs()
+        &mut self.uncore.counters
     }
 
     /// Read a redundancy line from NVM.
@@ -172,21 +169,17 @@ impl<'a> HookEnv<'a> {
     /// (writeback path) only occupy DIMM bandwidth. Counted as a redundancy
     /// NVM read.
     pub fn nvm_read_red(&mut self, core: usize, line: LineAddr, demand: bool) -> [u8; CACHE_LINE] {
-        self.sys.ctrs().nvm_red_reads += 1;
+        self.uncore.counters.nvm_red_reads += 1;
         self.nvm_timing(core, line, false, demand);
-        self.sys.mem_read_line(line)
+        self.uncore.mem.read_line(line)
     }
 
     /// Write a redundancy line to NVM (posted; occupies DIMM bandwidth only).
     /// Counted as a redundancy NVM write.
     pub fn nvm_write_red(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        self.sys.ctrs().nvm_red_writes += 1;
+        self.uncore.counters.nvm_red_writes += 1;
         self.nvm_timing(core, line, true, false);
-        if self.sys.crash_admit() {
-            self.sys.mem_write_line(line, data);
-        } else {
-            self.sys.ctrs().nvm_suppressed_writes += 1;
-        }
+        self.media_write(line, data);
     }
 
     /// Read a redundancy line from NVM, overlapped with an in-flight demand
@@ -195,9 +188,9 @@ impl<'a> HookEnv<'a> {
     /// occupancy is consumed — the core does not stall further. Counted as a
     /// redundancy NVM read.
     pub fn nvm_read_red_overlapped(&mut self, core: usize, line: LineAddr) -> [u8; CACHE_LINE] {
-        self.sys.ctrs().nvm_red_reads += 1;
+        self.uncore.counters.nvm_red_reads += 1;
         self.nvm_timing(core, line, false, false);
-        self.sys.mem_read_line(line)
+        self.uncore.mem.read_line(line)
     }
 
     /// Read a data line's *current media content* via the firmware (used by
@@ -207,20 +200,30 @@ impl<'a> HookEnv<'a> {
         self.nvm_read_red(core, line, false)
     }
 
+    /// A posted media write through the crash window: it reaches the media
+    /// only if the armed budget admits it.
+    fn media_write(&mut self, line: LineAddr, data: &[u8; CACHE_LINE]) {
+        if self.uncore.crash.admit() {
+            self.uncore.mem.write_line(line, data);
+        } else {
+            self.uncore.counters.nvm_suppressed_writes += 1;
+        }
+    }
+
     fn nvm_timing(&mut self, core: usize, line: LineAddr, write: bool, demand: bool) {
-        let dimm = match self.sys.mem_ref().device_of(line) {
+        let u = &mut *self.uncore;
+        let dimm = match u.mem.device_of(line) {
             Device::Nvm { dimm } => dimm,
             Device::Dram => {
                 // Redundancy for DRAM lines should never arise; treat as DRAM access.
-                self.sys.ctrs().dram_accesses += 1;
+                u.counters.dram_accesses += 1;
                 if demand {
-                    let lat = self.cfg.ns_to_cycles(self.cfg.dram.read_ns);
-                    *self.sys.clocks[core].get() += lat;
+                    u.clocks[core] += self.cfg.ns_to_cycles(self.cfg.dram.read_ns);
                 }
                 return;
             }
         };
-        let now = *self.sys.clocks[core].get_ref();
+        let now = u.clocks[core];
         let occ = self.cfg.ns_to_cycles(if write {
             self.cfg.nvm.write_occupancy_ns
         } else {
@@ -232,11 +235,11 @@ impl<'a> HookEnv<'a> {
             } else {
                 self.cfg.nvm.read_ns
             });
-            let wait = self.sys.dimm_lane(dimm, line).demand(now, occ);
-            self.sys.ctrs().demand_queue_cycles += wait;
-            *self.sys.clocks[core].get() = now + wait + lat;
+            let wait = u.dimm_lane(self.cfg.llc_banks, dimm, line).demand(now, occ);
+            u.counters.demand_queue_cycles += wait;
+            u.clocks[core] = now + wait + lat;
         } else {
-            self.sys.dimm_lane(dimm, line).posted(now, occ);
+            u.dimm_lane(self.cfg.llc_banks, dimm, line).posted(now, occ);
         }
     }
 
@@ -248,13 +251,13 @@ impl<'a> HookEnv<'a> {
         line: LineAddr,
         demand: bool,
     ) -> Option<[u8; CACHE_LINE]> {
-        self.sys.ctrs().llc_redundancy_accesses += 1;
+        self.uncore.counters.llc_redundancy_accesses += 1;
         if demand {
-            *self.sys.clocks[core].get() += self.cfg.llc.latency_cycles;
+            self.uncore.clocks[core] += self.cfg.llc.latency_cycles;
         }
         let bank = self.bank_of(line);
         let ways = self.red_ways();
-        self.sys.llc_bank(bank).lookup(line, ways).map(|e| *e.data)
+        self.uncore.llc[bank].lookup(line, ways).map(|e| *e.data)
     }
 
     /// Insert a redundancy line into the LLC redundancy partition; a dirty
@@ -269,19 +272,19 @@ impl<'a> HookEnv<'a> {
         data: &[u8; CACHE_LINE],
         dirty: bool,
     ) -> Option<Evicted> {
-        self.sys.ctrs().llc_redundancy_accesses += 1;
+        self.uncore.counters.llc_redundancy_accesses += 1;
         let bank = self.bank_of(line);
         let ways = self.red_ways();
-        self.sys.llc_bank(bank).insert_absent(line, data, dirty, ways)
+        self.uncore.llc[bank].insert_absent(line, data, dirty, ways)
     }
 
     /// Update a redundancy line in place in the LLC partition if present,
     /// marking it dirty. Returns whether it was present.
     pub fn llc_red_update(&mut self, line: LineAddr, data: &[u8; CACHE_LINE]) -> bool {
-        self.sys.ctrs().llc_redundancy_accesses += 1;
+        self.uncore.counters.llc_redundancy_accesses += 1;
         let bank = self.bank_of(line);
         let ways = self.red_ways();
-        if let Some(mut e) = self.sys.llc_bank(bank).lookup(line, ways) {
+        if let Some(mut e) = self.uncore.llc[bank].lookup(line, ways) {
             *e.data = *data;
             e.set_dirty(true);
             true
@@ -294,7 +297,7 @@ impl<'a> HookEnv<'a> {
     pub fn llc_red_invalidate(&mut self, line: LineAddr) -> Option<Evicted> {
         let bank = self.bank_of(line);
         let ways = self.red_ways();
-        self.sys.llc_bank(bank).invalidate(line, ways)
+        self.uncore.llc[bank].invalidate(line, ways)
     }
 
     /// Drain the whole LLC redundancy partition (flush path) into a
@@ -303,7 +306,7 @@ impl<'a> HookEnv<'a> {
     pub fn llc_red_drain_into(&mut self, out: &mut Vec<Evicted>) {
         let ways = self.red_ways();
         for bank in 0..self.cfg.llc_banks {
-            self.sys.llc_bank(bank).drain_into(ways.clone(), out);
+            self.uncore.llc[bank].drain_into(ways.clone(), out);
         }
     }
 
@@ -315,17 +318,17 @@ impl<'a> HookEnv<'a> {
         data_line: LineAddr,
         old_data: &[u8; CACHE_LINE],
     ) -> Option<Evicted> {
-        self.sys.ctrs().llc_redundancy_accesses += 1;
+        self.uncore.counters.llc_redundancy_accesses += 1;
         let bank = self.bank_of(data_line);
         let ways = self.diff_ways();
-        self.sys.llc_bank(bank).insert(data_line, old_data, false, ways)
+        self.uncore.llc[bank].insert(data_line, old_data, false, ways)
     }
 
     /// Drop the diff for `data_line` (its data line was written back).
     pub fn llc_diff_invalidate(&mut self, data_line: LineAddr) -> Option<Evicted> {
         let bank = self.bank_of(data_line);
         let ways = self.diff_ways();
-        self.sys.llc_bank(bank).invalidate(data_line, ways)
+        self.uncore.llc[bank].invalidate(data_line, ways)
     }
 
     /// Drain the whole diff partition (flush path) into a caller-provided
@@ -334,7 +337,7 @@ impl<'a> HookEnv<'a> {
     pub fn llc_diff_drain_into(&mut self, out: &mut Vec<Evicted>) {
         let ways = self.diff_ways();
         for bank in 0..self.cfg.llc_banks {
-            self.sys.llc_bank(bank).drain_into(ways.clone(), out);
+            self.uncore.llc[bank].drain_into(ways.clone(), out);
         }
     }
 
@@ -344,7 +347,7 @@ impl<'a> HookEnv<'a> {
     pub fn llc_data_take_dirty(&mut self, line: LineAddr) -> Option<[u8; CACHE_LINE]> {
         let bank = self.bank_of(line);
         let ways = self.data_ways();
-        match self.sys.llc_bank(bank).lookup(line, ways) {
+        match self.uncore.llc[bank].lookup(line, ways) {
             Some(mut e) if e.dirty() => {
                 e.set_dirty(false);
                 Some(*e.data)
@@ -356,18 +359,14 @@ impl<'a> HookEnv<'a> {
     /// Write an application data line to NVM on behalf of the controller
     /// (early writeback path). Counted as a *data* NVM write, posted.
     pub fn nvm_write_data(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        self.sys.ctrs().nvm_data_writes += 1;
+        self.uncore.counters.nvm_data_writes += 1;
         self.nvm_timing(core, line, true, false);
-        if self.sys.crash_admit() {
-            self.sys.mem_write_line(line, data);
-        } else {
-            self.sys.ctrs().nvm_suppressed_writes += 1;
-        }
+        self.media_write(line, data);
     }
 
     /// Direct access to the memory devices (used by parity recovery).
     pub fn memory(&mut self) -> &mut Memory {
-        self.sys.mem.get()
+        &mut self.uncore.mem
     }
 }
 
@@ -377,11 +376,9 @@ impl<'a> HookEnv<'a> {
 /// uses [`NullHooks`]. Implementations charge their own latencies and
 /// counters through the [`HookEnv`].
 ///
-/// The three hot-path hooks take `&self` because the engine invokes them
-/// while their [`HookEnv`] borrows the whole [`System`] (hooks included), so
-/// any mutable controller state they touch sits in [`ShardCell`]s.
-/// `flush`/`on_crash` take `&mut self`: the engine parks the hooks outside
-/// the system for those calls. `Send` lets the weave worker own a system.
+/// Every hook takes `&mut self`: the hooks and the uncore their [`HookEnv`]
+/// borrows are disjoint fields of the [`System`], so the controller owns its
+/// state outright. `Send` lets the weave worker own a system.
 pub trait RedundancyHooks: Send {
     /// A line is being filled from NVM into the LLC. Verify it.
     ///
@@ -390,7 +387,7 @@ pub trait RedundancyHooks: Send {
     /// Returns [`CorruptionDetected`] if a checksum mismatch is found; the
     /// engine aborts the fill and propagates the error to the caller.
     fn on_nvm_fill(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         data: &[u8; CACHE_LINE],
@@ -400,7 +397,7 @@ pub trait RedundancyHooks: Send {
     /// A dirty line is being written back from the LLC to NVM. Update its
     /// redundancy. Called *before* the data write reaches the media.
     fn on_nvm_writeback(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         new_data: &[u8; CACHE_LINE],
@@ -410,7 +407,7 @@ pub trait RedundancyHooks: Send {
     /// An LLC data line transitioned clean→dirty; `old_data` is its
     /// pre-modification content (data-diff capture opportunity).
     fn on_llc_clean_to_dirty(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         old_data: &[u8; CACHE_LINE],
@@ -440,7 +437,7 @@ pub struct NullHooks;
 
 impl RedundancyHooks for NullHooks {
     fn on_nvm_fill(
-        &self,
+        &mut self,
         _core: usize,
         _line: LineAddr,
         _data: &[u8; CACHE_LINE],
@@ -450,7 +447,7 @@ impl RedundancyHooks for NullHooks {
     }
 
     fn on_nvm_writeback(
-        &self,
+        &mut self,
         _core: usize,
         _line: LineAddr,
         _new_data: &[u8; CACHE_LINE],
@@ -459,7 +456,7 @@ impl RedundancyHooks for NullHooks {
     }
 
     fn on_llc_clean_to_dirty(
-        &self,
+        &mut self,
         _core: usize,
         _line: LineAddr,
         _old_data: &[u8; CACHE_LINE],
@@ -607,27 +604,42 @@ struct PrivCaches {
     l2: CacheArray,
 }
 
-/// The simulated machine.
-///
-/// The state the hierarchy walk and the redundancy hooks mutate lives in
-/// [`ShardCell`]s, because the walk runs on `&self` while a [`HookEnv`]
-/// borrows the whole system. One thread owns a `System` at a time: the
-/// caller's, or — during a bound-weave session — the weave worker, which
-/// receives the shared-state half by value (see [`crate::weave`]).
-pub struct System {
-    cfg: SystemConfig,
-    cores: Vec<ShardCell<PrivCaches>>,
-    llc: Vec<ShardCell<CacheArray>>,
-    mem: ShardCell<Memory>,
-    clocks: Vec<ShardCell<u64>>,
+/// The machine state outside the cores' private caches: everything a
+/// redundancy hook may reach through its [`HookEnv`].
+struct Uncore {
+    llc: Vec<CacheArray>,
+    mem: Memory,
+    clocks: Vec<u64>,
     /// Per-(DIMM × LLC-bank) bandwidth lanes, indexed `dimm * llc_banks +
     /// bank` (see [`DimmState`]).
-    dimms: Vec<ShardCell<DimmState>>,
-    counters: ShardCell<Counters>,
+    dimms: Vec<DimmState>,
+    counters: Counters,
+    crash: CrashState,
+}
+
+impl Uncore {
+    /// The DIMM queue lane for (`dimm`, bank of `line`) among `banks` LLC
+    /// banks.
+    #[inline]
+    fn dimm_lane(&mut self, banks: usize, dimm: usize, line: LineAddr) -> &mut DimmState {
+        &mut self.dimms[dimm * banks + bank_interleave(line, banks)]
+    }
+}
+
+/// The simulated machine.
+///
+/// The walk runs on `&mut self`. At each hook call it lends the hooks and
+/// the uncore out as disjoint fields, so no state needs interior
+/// mutability. One thread owns a `System` at a time: the caller's, or —
+/// during a bound-weave session — the weave worker, which receives the
+/// uncore and the hooks by value (see [`crate::weave`]).
+pub struct System {
+    cfg: SystemConfig,
+    cores: Vec<PrivCaches>,
+    uncore: Uncore,
     hooks: Box<dyn RedundancyHooks>,
     red_region: Option<RedundancyRegion>,
     scrub_accounting: bool,
-    crash: ShardCell<CrashState>,
     /// Victim buffer reused across [`System::flush`] calls (see `flush`).
     flush_scratch: Vec<Evicted>,
     /// Bound-phase context while a bound-weave session is active (see
@@ -637,7 +649,7 @@ pub struct System {
     /// Set when the weave worker's replay met a private-cache
     /// back-invalidation it cannot apply (the private caches stay with the
     /// bound thread); drained by `weave_apply`.
-    back_invalidated: Cell<bool>,
+    back_invalidated: bool,
     /// Set only inside [`System::fast_forward`]: reads and writes go
     /// straight to `Memory`.
     functional: bool,
@@ -647,7 +659,7 @@ impl fmt::Debug for System {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("System")
             .field("cores", &self.cores.len())
-            .field("llc_banks", &self.llc.len())
+            .field("llc_banks", &self.uncore.llc.len())
             .field("hooks", &self.hooks.name())
             .finish()
     }
@@ -662,87 +674,33 @@ impl System {
     pub fn new(cfg: SystemConfig, hooks: Box<dyn RedundancyHooks>) -> Self {
         cfg.validate();
         let cores = (0..cfg.cores)
-            .map(|_| {
-                ShardCell::new(PrivCaches {
-                    l1d: CacheArray::new(cfg.l1d.sets(), cfg.l1d.ways, 1),
-                    l2: CacheArray::new(cfg.l2.sets(), cfg.l2.ways, 1),
-                })
+            .map(|_| PrivCaches {
+                l1d: CacheArray::new(cfg.l1d.sets(), cfg.l1d.ways, 1),
+                l2: CacheArray::new(cfg.l2.sets(), cfg.l2.ways, 1),
             })
             .collect();
-        let llc = (0..cfg.llc_banks)
-            .map(|_| ShardCell::new(CacheArray::new(cfg.llc.sets(), cfg.llc.ways, cfg.llc_banks as u64)))
-            .collect();
-        let mem = ShardCell::new(Memory::new(cfg.nvm.dimms));
-        let clocks = (0..cfg.cores).map(|_| ShardCell::new(0)).collect();
-        let dimms = (0..cfg.nvm.dimms * cfg.llc_banks)
-            .map(|_| ShardCell::new(DimmState::lane(cfg.llc_banks as u64)))
-            .collect();
+        let uncore = Uncore {
+            llc: (0..cfg.llc_banks)
+                .map(|_| CacheArray::new(cfg.llc.sets(), cfg.llc.ways, cfg.llc_banks as u64))
+                .collect(),
+            mem: Memory::new(cfg.nvm.dimms),
+            clocks: vec![0; cfg.cores],
+            dimms: vec![DimmState::lane(cfg.llc_banks as u64); cfg.nvm.dimms * cfg.llc_banks],
+            counters: Counters::default(),
+            crash: CrashState::default(),
+        };
         System {
             cfg,
             cores,
-            llc,
-            mem,
-            clocks,
-            dimms,
-            counters: ShardCell::new(Counters::default()),
+            uncore,
             hooks,
             red_region: None,
             scrub_accounting: false,
-            crash: ShardCell::new(CrashState::default()),
             flush_scratch: Vec::new(),
             bound: None,
-            back_invalidated: Cell::new(false),
+            back_invalidated: false,
             functional: false,
         }
-    }
-
-    /// The LLC bank array.
-    #[inline]
-    fn llc_bank(&self, bank: usize) -> &mut CacheArray {
-        self.llc[bank].get()
-    }
-
-    /// The DIMM queue lane for (`dimm`, bank of `line`).
-    #[inline]
-    fn dimm_lane(&self, dimm: usize, line: LineAddr) -> &mut DimmState {
-        let banks = self.cfg.llc_banks;
-        self.dimms[dimm * banks + bank_interleave(line, banks)].get()
-    }
-
-    /// The counter block.
-    #[inline]
-    fn ctrs(&self) -> &mut Counters {
-        self.counters.get()
-    }
-
-    /// Count an NVM media-write event; returns whether it reaches the media.
-    #[inline]
-    fn crash_admit(&self) -> bool {
-        self.crash.get().admit()
-    }
-
-    /// Whether the armed crash budget is exhausted.
-    #[inline]
-    fn crash_crashed(&self) -> bool {
-        self.crash.get_ref().crashed()
-    }
-
-    /// Shared read access to the media.
-    #[inline]
-    fn mem_ref(&self) -> &Memory {
-        self.mem.get_ref()
-    }
-
-    /// Read a line via the firmware.
-    #[inline]
-    fn mem_read_line(&self, line: LineAddr) -> [u8; CACHE_LINE] {
-        self.mem.get().read_line(line)
-    }
-
-    /// Write a line via the firmware.
-    #[inline]
-    fn mem_write_line(&self, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        self.mem.get().write_line(line, data);
     }
 
     /// While set, NVM data-line demand reads tally under
@@ -795,13 +753,13 @@ impl System {
     /// Direct access to the memory devices (fault injection, ground truth).
     pub fn memory_mut(&mut self) -> &mut Memory {
         self.assert_unbound("memory_mut");
-        self.mem.get_mut()
+        &mut self.uncore.mem
     }
 
     /// Shared access to the memory devices.
     pub fn memory(&self) -> &Memory {
         self.assert_unbound("memory");
-        self.mem.get_ref()
+        &self.uncore.mem
     }
 
     /// The redundancy hooks (for controller management APIs via downcast).
@@ -817,47 +775,38 @@ impl System {
         f: impl FnOnce(&mut dyn RedundancyHooks, &mut HookEnv<'_>) -> T,
     ) -> T {
         self.assert_unbound("with_hooks_env");
-        // The env borrows the whole System shared while `f` needs the hooks
-        // exclusively, so park the hooks outside `self` for the duration.
-        // None of the env's methods touch `self.hooks`, so the placeholder
-        // is never invoked.
-        let mut hooks = std::mem::replace(&mut self.hooks, Box::new(NullHooks));
-        let out = {
-            let mut env = HookEnv {
+        f(
+            self.hooks.as_mut(),
+            &mut HookEnv {
                 cfg: &self.cfg,
-                sys: self,
-            };
-            f(hooks.as_mut(), &mut env)
-        };
-        self.hooks = hooks;
-        out
+                uncore: &mut self.uncore,
+            },
+        )
     }
 
     /// Current cycle count of `core`.
     pub fn clock(&self, core: usize) -> u64 {
-        *self.clocks[core].get_ref()
+        self.uncore.clocks[core]
     }
 
     /// Charge `cycles` of compute work to `core`.
     pub fn compute(&mut self, core: usize, cycles: u64) {
-        *self.clocks[core].get_mut() += cycles;
+        self.uncore.clocks[core] += cycles;
     }
 
     /// Charge `count` instruction-fetch accesses to `core` (1 cycle each,
     /// counted for L1-I energy). Applications use this as a coarse per-op
     /// instruction cost; see DESIGN.md §7.
     pub fn instr(&mut self, core: usize, count: u64) {
-        self.counters.get_mut().l1i_accesses += count;
-        *self.clocks[core].get_mut() += count;
+        self.uncore.counters.l1i_accesses += count;
+        self.uncore.clocks[core] += count;
     }
 
     /// Synchronize all core clocks to the maximum (a barrier).
     pub fn barrier(&mut self) {
         self.assert_unbound("barrier");
-        let m = self.clocks.iter().map(|c| *c.get_ref()).max().unwrap_or(0);
-        for c in &mut self.clocks {
-            *c.get_mut() = m;
-        }
+        let m = self.uncore.clocks.iter().copied().max().unwrap_or(0);
+        self.uncore.clocks.fill(m);
     }
 
     /// Reset counters, clocks, and the DIMM bandwidth horizons. Benchmarks
@@ -865,14 +814,10 @@ impl System {
     /// phase.
     pub fn reset_stats(&mut self) {
         self.assert_unbound("reset_stats");
-        *self.counters.get_mut() = Counters::default();
-        for c in &mut self.clocks {
-            *c.get_mut() = 0;
-        }
-        let banks = self.cfg.llc_banks as u64;
-        for d in &mut self.dimms {
-            *d.get_mut() = DimmState::lane(banks);
-        }
+        let u = &mut self.uncore;
+        u.counters = Counters::default();
+        u.clocks.fill(0);
+        u.dimms.fill(DimmState::lane(self.cfg.llc_banks as u64));
     }
 
     /// Per-DIMM (demand, posted) access counts (diagnostics), aggregated
@@ -880,14 +825,14 @@ impl System {
     pub fn dimm_access_counts(&self) -> Vec<(u64, u64)> {
         self.assert_unbound("dimm_access_counts");
         let banks = self.cfg.llc_banks;
-        (0..self.dimms.len() / banks)
-            .map(|d| {
-                self.dimms[d * banks..(d + 1) * banks]
-                    .iter()
-                    .fold((0, 0), |(dm, po), lane| {
-                        let (a, b) = lane.get_ref().access_counts();
-                        (dm + a, po + b)
-                    })
+        self.uncore
+            .dimms
+            .chunks(banks)
+            .map(|lanes| {
+                lanes.iter().fold((0, 0), |(dm, po), lane| {
+                    let (a, b) = lane.access_counts();
+                    (dm + a, po + b)
+                })
             })
             .collect()
     }
@@ -903,15 +848,15 @@ impl System {
             evict_hash = (evict_hash ^ x).wrapping_mul(0x0000_0100_0000_01b3);
         };
         for core in &self.cores {
-            fold(core.get_ref().l1d.evict_hash());
-            fold(core.get_ref().l2.evict_hash());
+            fold(core.l1d.evict_hash());
+            fold(core.l2.evict_hash());
         }
-        for bank in &self.llc {
-            fold(bank.get_ref().evict_hash());
+        for bank in &self.uncore.llc {
+            fold(bank.evict_hash());
         }
         Stats {
-            counters: *self.counters.get_ref(),
-            core_cycles: self.clocks.iter().map(|c| *c.get_ref()).collect(),
+            counters: self.uncore.counters,
+            core_cycles: self.uncore.clocks.clone(),
             evict_hash,
         }
     }
@@ -948,7 +893,7 @@ impl System {
             let lo = a.line_offset();
             let n = (CACHE_LINE - lo).min(buf.len() - off);
             let idx = self.ensure_line(core, line, false)?;
-            let e = self.cores[core].get_mut().l1d.entry_mut(idx);
+            let e = self.cores[core].l1d.entry_mut(idx);
             buf[off..off + n].copy_from_slice(&e.data[lo..lo + n]);
             off += n;
         }
@@ -978,7 +923,7 @@ impl System {
             let lo = a.line_offset();
             let n = (CACHE_LINE - lo).min(data.len() - off);
             let idx = self.ensure_line(core, line, true)?;
-            let mut e = self.cores[core].get_mut().l1d.entry_mut(idx);
+            let mut e = self.cores[core].l1d.entry_mut(idx);
             e.data[lo..lo + n].copy_from_slice(&data[off..off + n]);
             e.set_dirty(true);
             off += n;
@@ -989,7 +934,7 @@ impl System {
     /// [`Self::read`] in functional mode: each covered line straight from
     /// the media.
     fn functional_read(&mut self, addr: PhysAddr, buf: &mut [u8]) {
-        let mem = self.mem.get_mut();
+        let mem = &mut self.uncore.mem;
         let mut off = 0usize;
         while off < buf.len() {
             let a = PhysAddr(addr.0 + off as u64);
@@ -1003,7 +948,7 @@ impl System {
     /// [`Self::write`] in functional mode: read-modify-write of each covered
     /// line on the media.
     fn functional_write(&mut self, addr: PhysAddr, data: &[u8]) {
-        let mem = self.mem.get_mut();
+        let mem = &mut self.uncore.mem;
         let mut off = 0usize;
         while off < data.len() {
             let a = PhysAddr(addr.0 + off as u64);
@@ -1030,25 +975,25 @@ impl System {
         let l2_ways = 0..self.cfg.l2.ways;
 
         // L1 hit?
-        if let Some(idx) = self.cores[core].get_mut().l1d.lookup_idx(line, l1_ways.clone()) {
-            self.counters.get_mut().l1d_hits += 1;
-            *self.clocks[core].get_mut() += self.cfg.l1d.latency_cycles;
-            if !for_write || self.cores[core].get_mut().l1d.entry_mut(idx).excl() {
+        if let Some(idx) = self.cores[core].l1d.lookup_idx(line, l1_ways.clone()) {
+            self.uncore.counters.l1d_hits += 1;
+            self.uncore.clocks[core] += self.cfg.l1d.latency_cycles;
+            if !for_write || self.cores[core].l1d.entry_mut(idx).excl() {
                 return Ok(idx);
             }
             // Upgrade: fall through to the LLC for ownership, keeping data.
             self.upgrade_for_write(core, line);
             return Ok(idx);
         }
-        self.counters.get_mut().l1d_misses += 1;
-        *self.clocks[core].get_mut() += self.cfg.l1d.latency_cycles;
+        self.uncore.counters.l1d_misses += 1;
+        self.uncore.clocks[core] += self.cfg.l1d.latency_cycles;
 
         // L2 hit?
-        if let Some(idx) = self.cores[core].get_mut().l2.lookup_idx(line, l2_ways.clone()) {
-            self.counters.get_mut().l2_hits += 1;
-            *self.clocks[core].get_mut() += self.cfg.l2.latency_cycles;
+        if let Some(idx) = self.cores[core].l2.lookup_idx(line, l2_ways.clone()) {
+            self.uncore.counters.l2_hits += 1;
+            self.uncore.clocks[core] += self.cfg.l2.latency_cycles;
             let (data, excl) = {
-                let e = self.cores[core].get_mut().l2.entry_mut(idx);
+                let e = self.cores[core].l2.entry_mut(idx);
                 (*e.data, e.excl())
             };
             if for_write && !excl {
@@ -1057,8 +1002,8 @@ impl System {
             let excl_now = excl || for_write;
             return Ok(self.fill_l1(core, line, &data, excl_now));
         }
-        self.counters.get_mut().l2_misses += 1;
-        *self.clocks[core].get_mut() += self.cfg.l2.latency_cycles;
+        self.uncore.counters.l2_misses += 1;
+        self.uncore.clocks[core] += self.cfg.l2.latency_cycles;
 
         // LLC.
         if self.bound.is_some() {
@@ -1087,24 +1032,12 @@ impl System {
     /// probe sees precisely the private state sequential execution would
     /// consult through the directory.
     fn bound_fill(&mut self, core: usize, line: LineAddr, for_write: bool) -> [u8; CACHE_LINE] {
-        let mut foreign = false;
-        for other in 0..self.cfg.cores {
-            if other != core
-                && (self.cores[other]
-                    .get_ref()
-                    .l1d
-                    .probe(line, 0..self.cfg.l1d.ways)
-                    .is_some()
-                    || self.cores[other]
-                        .get_ref()
-                        .l2
-                        .probe(line, 0..self.cfg.l2.ways)
-                        .is_some())
-            {
-                foreign = true;
-            }
-        }
-        let ts = *self.clocks[core].get_ref();
+        let foreign = self.cores.iter().enumerate().any(|(other, c)| {
+            other != core
+                && (c.l1d.probe(line, 0..self.cfg.l1d.ways).is_some()
+                    || c.l2.probe(line, 0..self.cfg.l2.ways).is_some())
+        });
+        let ts = self.uncore.clocks[core];
         let b = self.bound.as_mut().expect("bound_fill outside bound phase");
         if foreign {
             b.flag_divergence(crate::weave::DivergenceKind::ForeignPrivateCopy);
@@ -1129,7 +1062,7 @@ impl System {
             // the LLC directory, which the bound phase cannot see. Grant
             // exclusivity benignly and bail to the sequential oracle.
             b.flag_divergence(crate::weave::DivergenceKind::WriteUpgrade);
-            let c = self.cores[core].get_mut();
+            let c = &mut self.cores[core];
             if let Some(mut e) = c.l1d.lookup(line, 0..self.cfg.l1d.ways) {
                 e.set_excl(true);
             }
@@ -1138,14 +1071,14 @@ impl System {
             }
             return;
         }
-        *self.clocks[core].get_mut() += self.cfg.l2.latency_cycles + self.cfg.llc.latency_cycles;
-        self.counters.get_mut().llc_hits += 1;
+        self.uncore.clocks[core] += self.cfg.l2.latency_cycles + self.cfg.llc.latency_cycles;
+        self.uncore.counters.llc_hits += 1;
         let bank = self.bank_of(line);
         let ways = self.data_ways();
         // Inclusion should make a miss here unreachable; tolerate gracefully.
-        let found = self.llc_bank(bank).lookup_idx(line, ways);
+        let found = self.uncore.llc[bank].lookup_idx(line, ways);
         let sharers = match found {
-            Some(idx) => *self.llc_bank(bank).entry_mut(idx).sharers,
+            Some(idx) => *self.uncore.llc[bank].entry_mut(idx).sharers,
             None => 0,
         };
         for other in 0..self.cfg.cores {
@@ -1154,7 +1087,7 @@ impl System {
                     if dirty {
                         // Other core's modified data merges into the LLC.
                         if let Some(idx) = found {
-                            let mut e = self.llc_bank(bank).entry_mut(idx);
+                            let mut e = self.uncore.llc[bank].entry_mut(idx);
                             *e.data = d;
                             e.set_dirty(true);
                         }
@@ -1163,12 +1096,12 @@ impl System {
             }
         }
         if let Some(idx) = found {
-            let e = self.llc_bank(bank).entry_mut(idx);
+            let e = self.uncore.llc[bank].entry_mut(idx);
             *e.sharers = 1 << core;
             *e.owner = core as u8;
         }
         // Grant exclusivity in this core's private copies.
-        let c = self.cores[core].get_mut();
+        let c = &mut self.cores[core];
         if let Some(mut e) = c.l1d.lookup(line, 0..self.cfg.l1d.ways) {
             e.set_excl(true);
         }
@@ -1178,16 +1111,14 @@ impl System {
     }
 
     /// LLC-level access: returns the line data and whether the core obtains
-    /// exclusive (writable) permission. `&self` because the hooks it invokes
-    /// borrow the system through a [`HookEnv`] (all state behind shard
-    /// cells).
+    /// exclusive (writable) permission.
     fn llc_access(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         for_write: bool,
     ) -> Result<([u8; CACHE_LINE], bool), CorruptionDetected> {
-        *self.clocks[core].get() += self.cfg.llc.latency_cycles;
+        self.uncore.clocks[core] += self.cfg.llc.latency_cycles;
         let bank = self.bank_of(line);
         let ways = self.data_ways();
 
@@ -1196,10 +1127,10 @@ impl System {
         // the slot by index. Interleaved hook work only ever inserts into
         // the redundancy/diff partitions, which cannot displace a
         // data-partition slot.
-        if let Some(idx) = self.llc_bank(bank).lookup_idx(line, ways) {
-            self.ctrs().llc_hits += 1;
+        if let Some(idx) = self.uncore.llc[bank].lookup_idx(line, ways) {
+            self.uncore.counters.llc_hits += 1;
             let (mut data, sharers, owner) = {
-                let e = self.llc_bank(bank).entry_mut(idx);
+                let e = self.uncore.llc[bank].entry_mut(idx);
                 (*e.data, *e.sharers, *e.owner)
             };
             // Pull the newest copy from a remote owner.
@@ -1207,12 +1138,12 @@ impl System {
                 if let Some((d, dirty)) = self.priv_invalidate(owner as usize, line) {
                     if dirty {
                         data = d;
-                        let mut e = self.llc_bank(bank).entry_mut(idx);
+                        let mut e = self.uncore.llc[bank].entry_mut(idx);
                         *e.data = d;
                         e.set_dirty(true);
                     }
                 }
-                *self.clocks[core].get() += self.cfg.l2.latency_cycles;
+                self.uncore.clocks[core] += self.cfg.l2.latency_cycles;
             }
             if for_write {
                 // Invalidate all other sharers.
@@ -1221,19 +1152,19 @@ impl System {
                         if let Some((d, dirty)) = self.priv_invalidate(other, line) {
                             if dirty {
                                 data = d;
-                                let mut e = self.llc_bank(bank).entry_mut(idx);
+                                let mut e = self.uncore.llc[bank].entry_mut(idx);
                                 *e.data = d;
                                 e.set_dirty(true);
                             }
                         }
                     }
                 }
-                let e = self.llc_bank(bank).entry_mut(idx);
+                let e = self.uncore.llc[bank].entry_mut(idx);
                 *e.sharers = 1 << core;
                 *e.owner = core as u8;
                 Ok((data, true))
             } else {
-                let e = self.llc_bank(bank).entry_mut(idx);
+                let e = self.uncore.llc[bank].entry_mut(idx);
                 *e.sharers |= 1 << core;
                 *e.owner = NO_OWNER;
                 let excl = *e.sharers == (1 << core);
@@ -1243,19 +1174,19 @@ impl System {
                 Ok((data, excl))
             }
         } else {
-            self.ctrs().llc_misses += 1;
+            self.uncore.counters.llc_misses += 1;
             // Fill from memory. The tag scan above just missed, and the
             // hooks run by the demand read only touch the red/diff
             // partitions, so the line is provably absent from the data ways.
             let data = self.mem_demand_read(core, line)?;
             let (victim, idx) = {
                 let ways = self.data_ways();
-                self.llc_bank(bank).insert_absent_get(line, &data, false, ways)
+                self.uncore.llc[bank].insert_absent_get(line, &data, false, ways)
             };
             if let Some(v) = victim {
                 self.process_llc_victim(core, v);
             }
-            let e = self.llc_bank(bank).entry_mut(idx);
+            let e = self.uncore.llc[bank].entry_mut(idx);
             *e.sharers = 1 << core;
             *e.owner = core as u8; // E state: sole sharer.
             Ok((data, true))
@@ -1265,48 +1196,56 @@ impl System {
     /// Demand read of `line` from its memory device, with verification for
     /// NVM lines.
     fn mem_demand_read(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
     ) -> Result<[u8; CACHE_LINE], CorruptionDetected> {
-        match self.mem_ref().device_of(line) {
+        match self.uncore.mem.device_of(line) {
             Device::Dram => {
-                self.ctrs().dram_accesses += 1;
-                *self.clocks[core].get() += self.cfg.ns_to_cycles(self.cfg.dram.read_ns);
-                Ok(self.mem_read_line(line))
+                self.uncore.counters.dram_accesses += 1;
+                self.uncore.clocks[core] += self.cfg.ns_to_cycles(self.cfg.dram.read_ns);
+                Ok(self.uncore.mem.read_line(line))
             }
             Device::Nvm { dimm } => {
                 if self.is_red_line(line) {
-                    self.ctrs().nvm_red_reads += 1;
+                    self.uncore.counters.nvm_red_reads += 1;
                 } else if self.scrub_accounting {
-                    self.ctrs().scrub_reads += 1;
+                    self.uncore.counters.scrub_reads += 1;
                 } else {
-                    self.ctrs().nvm_data_reads += 1;
+                    self.uncore.counters.nvm_data_reads += 1;
                 }
                 let occ = self.cfg.ns_to_cycles(self.cfg.nvm.read_occupancy_ns);
-                let wait = self.dimm_lane(dimm, line).demand(*self.clocks[core].get_ref(), occ);
-                self.ctrs().demand_queue_cycles += wait;
-                *self.clocks[core].get() += wait + self.cfg.ns_to_cycles(self.cfg.nvm.read_ns);
+                let now = self.uncore.clocks[core];
+                let wait = self
+                    .uncore
+                    .dimm_lane(self.cfg.llc_banks, dimm, line)
+                    .demand(now, occ);
+                self.uncore.counters.demand_queue_cycles += wait;
+                self.uncore.clocks[core] += wait + self.cfg.ns_to_cycles(self.cfg.nvm.read_ns);
                 // Degraded-mode amplification: a dead line is served by
                 // reconstructing from the surviving stripe members, costing
                 // that many extra media reads before the fill can complete.
-                let amp = self.mem_ref().degraded_read_width(line);
+                let amp = self.uncore.mem.degraded_read_width(line);
                 if amp > 0 {
-                    self.ctrs().degraded_fills += 1;
-                    *self.clocks[core].get() +=
+                    self.uncore.counters.degraded_fills += 1;
+                    self.uncore.clocks[core] +=
                         amp as u64 * self.cfg.ns_to_cycles(self.cfg.nvm.read_ns);
                 }
-                let data = self.mem_read_line(line);
+                let data = self.uncore.mem.read_line(line);
                 // After the crash budget runs out the machine is logically
                 // powered off; media content may predate suppressed
                 // writebacks, so verifying fills would report phantom
                 // corruption for a run that never actually executes.
-                if !self.crash_crashed() {
-                    let mut env = HookEnv {
-                        cfg: &self.cfg,
-                        sys: self,
-                    };
-                    self.hooks.on_nvm_fill(core, line, &data, &mut env)?;
+                if !self.uncore.crash.crashed() {
+                    self.hooks.on_nvm_fill(
+                        core,
+                        line,
+                        &data,
+                        &mut HookEnv {
+                            cfg: &self.cfg,
+                            uncore: &mut self.uncore,
+                        },
+                    )?;
                 }
                 Ok(data)
             }
@@ -1315,38 +1254,44 @@ impl System {
 
     /// Posted write of `line` to its memory device, with redundancy updates
     /// for NVM lines.
-    fn mem_posted_write(&self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        match self.mem_ref().device_of(line) {
+    fn mem_posted_write(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE]) {
+        match self.uncore.mem.device_of(line) {
             Device::Dram => {
-                self.ctrs().dram_accesses += 1;
-                self.mem_write_line(line, data);
+                self.uncore.counters.dram_accesses += 1;
+                self.uncore.mem.write_line(line, data);
             }
             Device::Nvm { dimm } => {
                 if self.is_red_line(line) {
-                    self.ctrs().nvm_red_writes += 1;
+                    self.uncore.counters.nvm_red_writes += 1;
                 } else {
-                    self.ctrs().nvm_data_writes += 1;
+                    self.uncore.counters.nvm_data_writes += 1;
                 }
-                let now = *self.clocks[core].get_ref();
+                let now = self.uncore.clocks[core];
                 let occ = self.cfg.ns_to_cycles(self.cfg.nvm.write_occupancy_ns);
-                self.dimm_lane(dimm, line).posted(now, occ);
-                let admitted = self.crash_admit();
+                self.uncore
+                    .dimm_lane(self.cfg.llc_banks, dimm, line)
+                    .posted(now, occ);
+                let admitted = self.uncore.crash.admit();
                 // The redundancy update for the k-th (final) admitted write
                 // is also suppressed: the controller performs it *with* the
                 // media write, and the crash interrupts exactly there. The
                 // post-crash audit must tolerate (and repair) that torn
                 // state.
-                if !self.crash_crashed() {
-                    let mut env = HookEnv {
-                        cfg: &self.cfg,
-                        sys: self,
-                    };
-                    self.hooks.on_nvm_writeback(core, line, data, &mut env);
+                if !self.uncore.crash.crashed() {
+                    self.hooks.on_nvm_writeback(
+                        core,
+                        line,
+                        data,
+                        &mut HookEnv {
+                            cfg: &self.cfg,
+                            uncore: &mut self.uncore,
+                        },
+                    );
                 }
                 if admitted {
-                    self.mem_write_line(line, data);
+                    self.uncore.mem.write_line(line, data);
                 } else {
-                    self.ctrs().nvm_suppressed_writes += 1;
+                    self.uncore.counters.nvm_suppressed_writes += 1;
                 }
             }
         }
@@ -1354,7 +1299,7 @@ impl System {
 
     /// Handle an LLC data-partition eviction: back-invalidate private copies
     /// (inclusion), then write back if dirty.
-    fn process_llc_victim(&self, core: usize, v: Evicted) {
+    fn process_llc_victim(&mut self, core: usize, v: Evicted) {
         let (data, dirty) = match self.back_invalidate(&v) {
             Some(d) => (d, true),
             None => (v.data, v.dirty),
@@ -1369,7 +1314,7 @@ impl System {
     /// superset of the cores holding the line (DESIGN.md §4, "Inclusion and
     /// the directory"), so no copy survives. Returns the newest dirty private
     /// data, if any core held the line modified.
-    fn back_invalidate(&self, v: &Evicted) -> Option<[u8; CACHE_LINE]> {
+    fn back_invalidate(&mut self, v: &Evicted) -> Option<[u8; CACHE_LINE]> {
         let mut newest = None;
         let mut mask = v.sharers;
         while mask != 0 {
@@ -1385,7 +1330,6 @@ impl System {
     /// Whether any core's L1 or L2 holds `line` (a probe: no LRU tick).
     fn privately_cached(&self, line: LineAddr) -> bool {
         self.cores.iter().any(|c| {
-            let c = c.get_ref();
             c.l1d.probe(line, 0..self.cfg.l1d.ways).is_some()
                 || c.l2.probe(line, 0..self.cfg.l2.ways).is_some()
         })
@@ -1393,7 +1337,7 @@ impl System {
 
     /// Remove `line` from `core`'s L1 and L2, returning the newest private
     /// data and whether it was dirty.
-    fn priv_invalidate(&self, core: usize, line: LineAddr) -> Option<([u8; CACHE_LINE], bool)> {
+    fn priv_invalidate(&mut self, core: usize, line: LineAddr) -> Option<([u8; CACHE_LINE], bool)> {
         if self.cores.is_empty() {
             // Weave-side replay: the private caches live on the bound
             // thread, so a back-invalidation here (remote-owner pull,
@@ -1401,10 +1345,10 @@ impl System {
             // held privately) cannot be applied. Record it; `weave_apply`
             // reports the divergence and the run is redone on the
             // sequential oracle.
-            self.back_invalidated.set(true);
+            self.back_invalidated = true;
             return None;
         }
-        let c = self.cores[core].get();
+        let c = &mut self.cores[core];
         let l1 = c.l1d.invalidate(line, 0..self.cfg.l1d.ways);
         let l2 = c.l2.invalidate(line, 0..self.cfg.l2.ways);
         match (l1, l2) {
@@ -1427,14 +1371,14 @@ impl System {
         // Only reached after an L1 lookup miss; nothing between it and here
         // inserts into this L1 (lower-level fills only back-invalidate).
         let ways = 0..self.cfg.l1d.ways;
-        let c = self.cores[core].get_mut();
+        let c = &mut self.cores[core];
         let (victim, idx) = c.l1d.insert_absent_get(line, data, false, ways);
         c.l1d.entry_mut(idx).set_excl(excl);
         if let Some(v) = victim {
             if v.dirty {
                 // L2 must hold the line (inclusion).
                 let l2_ways = 0..self.cfg.l2.ways;
-                if let Some(mut e) = self.cores[core].get_mut().l2.lookup(v.line, l2_ways) {
+                if let Some(mut e) = self.cores[core].l2.lookup(v.line, l2_ways) {
                     *e.data = v.data;
                     e.set_dirty(true);
                 } else {
@@ -1450,7 +1394,7 @@ impl System {
     fn fill_l2(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE], excl: bool) {
         // Only reached after an L2 lookup miss (same argument as fill_l1).
         let ways = 0..self.cfg.l2.ways;
-        let c = self.cores[core].get_mut();
+        let c = &mut self.cores[core];
         let (victim, idx) = c.l2.insert_absent_get(line, data, false, ways);
         c.l2.entry_mut(idx).set_excl(excl);
         if let Some(v) = victim {
@@ -1468,7 +1412,7 @@ impl System {
     /// LLC copy, firing the clean→dirty diff-capture hook when appropriate,
     /// and clear this core's directory presence.
     fn spill_to_llc(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE], dirty: bool) {
-        let ts = *self.clocks[core].get_ref();
+        let ts = self.uncore.clocks[core];
         if let Some(b) = self.bound.as_mut() {
             // Bound phase: a dirty spill makes the LLC copy the line's
             // newest below-private content, so the fill-prediction overlay
@@ -1491,26 +1435,36 @@ impl System {
 
     /// The shared half of a private-cache spill (runs inline sequentially
     /// and on the weave worker during replay).
-    fn spill_to_llc_shared(&self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE], dirty: bool) {
+    fn spill_to_llc_shared(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        data: &[u8; CACHE_LINE],
+        dirty: bool,
+    ) {
         let bank = self.bank_of(line);
         let ways = self.data_ways();
-        let found = self.llc_bank(bank).lookup_idx(line, ways);
+        let found = self.uncore.llc[bank].lookup_idx(line, ways);
         let info = found.map(|idx| {
-            let e = self.llc_bank(bank).entry_mut(idx);
+            let e = self.uncore.llc[bank].entry_mut(idx);
             (*e.data, e.dirty())
         });
         match info {
             Some((old_data, was_dirty)) => {
                 if dirty && !was_dirty && line.is_nvm() {
-                    let mut env = HookEnv {
-                        cfg: &self.cfg,
-                        sys: self,
-                    };
-                    self.hooks.on_llc_clean_to_dirty(core, line, &old_data, &mut env);
+                    self.hooks.on_llc_clean_to_dirty(
+                        core,
+                        line,
+                        &old_data,
+                        &mut HookEnv {
+                            cfg: &self.cfg,
+                            uncore: &mut self.uncore,
+                        },
+                    );
                 }
                 // The diff-capture hook above only touches the diff/red
                 // partitions, so the data-partition slot index still holds.
-                let mut e = self.llc_bank(bank).entry_mut(found.expect("checked above"));
+                let mut e = self.uncore.llc[bank].entry_mut(found.expect("checked above"));
                 if dirty {
                     *e.data = *data;
                     e.set_dirty(true);
@@ -1545,13 +1499,12 @@ impl System {
         for core in 0..self.cfg.cores {
             victims.clear();
             self.cores[core]
-                .get_mut()
                 .l1d
                 .drain_into(0..self.cfg.l1d.ways, &mut victims);
             for v in &victims {
                 if v.dirty {
                     let ways = 0..self.cfg.l2.ways;
-                    if let Some(mut e) = self.cores[core].get_mut().l2.lookup(v.line, ways) {
+                    if let Some(mut e) = self.cores[core].l2.lookup(v.line, ways) {
                         *e.data = v.data;
                         e.set_dirty(true);
                     } else {
@@ -1561,7 +1514,6 @@ impl System {
             }
             victims.clear();
             self.cores[core]
-                .get_mut()
                 .l2
                 .drain_into(0..self.cfg.l2.ways, &mut victims);
             for v in &victims {
@@ -1570,9 +1522,9 @@ impl System {
         }
         // LLC data partition.
         let ways = self.data_ways();
-        for bank in 0..self.llc.len() {
+        for bank in 0..self.uncore.llc.len() {
             victims.clear();
-            self.llc[bank].get_mut().drain_into(ways.clone(), &mut victims);
+            self.uncore.llc[bank].drain_into(ways.clone(), &mut victims);
             for v in &victims {
                 if v.dirty {
                     self.mem_posted_write(0, v.line, &v.data);
@@ -1580,17 +1532,10 @@ impl System {
             }
         }
         // Controller state (redundancy partition + on-controller caches).
-        // As in `with_hooks_env`, park the hooks outside `self` so the env
-        // can borrow the System shared while `flush` has them exclusively.
-        let mut hooks = std::mem::replace(&mut self.hooks, Box::new(NullHooks));
-        {
-            let mut env = HookEnv {
-                cfg: &self.cfg,
-                sys: self,
-            };
-            hooks.flush(&mut env);
-        }
-        self.hooks = hooks;
+        self.hooks.flush(&mut HookEnv {
+            cfg: &self.cfg,
+            uncore: &mut self.uncore,
+        });
         victims.clear();
         self.flush_scratch = victims;
     }
@@ -1602,7 +1547,7 @@ impl System {
     /// after the k-th writeback would leave. With `None` the window only
     /// counts events (the reference run that enumerates crash points).
     pub fn crash_window_start(&mut self, budget: Option<u64>) {
-        *self.crash.get_mut() = CrashState {
+        self.uncore.crash = CrashState {
             budget,
             events: 0,
             suppressed: 0,
@@ -1612,17 +1557,17 @@ impl System {
     /// Whether the armed crash budget has been exhausted (the simulated
     /// machine has logically lost power).
     pub fn crashed(&self) -> bool {
-        self.crash.get_ref().crashed()
+        self.uncore.crash.crashed()
     }
 
     /// NVM media-write events observed since [`Self::crash_window_start`].
     pub fn crash_events(&self) -> u64 {
-        self.crash.get_ref().events
+        self.uncore.crash.events
     }
 
     /// NVM media writes suppressed because they arrived after the budget.
     pub fn crash_suppressed(&self) -> u64 {
-        self.crash.get_ref().suppressed
+        self.uncore.crash.suppressed
     }
 
     /// Whether a crash-window media-write budget is currently armed
@@ -1630,7 +1575,7 @@ impl System {
     /// to reproduce a precise crash image, so it stays on the sequential
     /// oracle).
     pub fn crash_armed(&self) -> bool {
-        self.crash.get_ref().budget.is_some()
+        self.uncore.crash.budget.is_some()
     }
 
     /// Simulate the power loss itself: every volatile structure — private
@@ -1642,18 +1587,16 @@ impl System {
     /// mount).
     pub fn lose_volatile_state(&mut self) {
         for core in &mut self.cores {
-            let core = core.get_mut();
             let w = core.l1d.all_ways();
             core.l1d.clear(w);
             let w = core.l2.all_ways();
             core.l2.clear(w);
         }
-        for bank in &mut self.llc {
-            let bank = bank.get_mut();
+        for bank in &mut self.uncore.llc {
             let w = bank.all_ways();
             bank.clear(w);
         }
-        self.crash.get_mut().budget = None;
+        self.uncore.crash.budget = None;
         self.hooks.on_crash();
     }
 
@@ -1674,7 +1617,6 @@ impl System {
         // line would expose the stale L2 data.
         let mut private_newest: Option<[u8; CACHE_LINE]> = None;
         for c in &mut self.cores {
-            let c = c.get_mut();
             let w = c.l1d.all_ways();
             let l1_dirty = match c.l1d.lookup(line, w) {
                 Some(mut e) if e.dirty() => {
@@ -1699,7 +1641,7 @@ impl System {
                 private_newest = Some(d);
             }
         }
-        let ts = *self.clocks[core].get_ref();
+        let ts = self.uncore.clocks[core];
         if let Some(b) = self.bound.as_mut() {
             // Bound phase: the private sweep above is clock-independent and
             // already done; the shared half (LLC latency, LLC refresh, the
@@ -1726,16 +1668,16 @@ impl System {
     /// latency charge moved here from the head of `clwb` — the private sweep
     /// never reads clocks, so the final state is identical.
     pub(crate) fn clwb_shared(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         private_newest: Option<[u8; CACHE_LINE]>,
     ) {
-        *self.clocks[core].get() += self.cfg.llc.latency_cycles;
+        self.uncore.clocks[core] += self.cfg.llc.latency_cycles;
         let bank = self.bank_of(line);
         let ways = self.data_ways();
         let mut to_write: Option<[u8; CACHE_LINE]> = None;
-        if let Some(mut e) = self.llc_bank(bank).lookup(line, ways) {
+        if let Some(mut e) = self.uncore.llc[bank].lookup(line, ways) {
             if let Some(d) = private_newest {
                 *e.data = d;
                 e.set_dirty(false);
@@ -1781,7 +1723,7 @@ impl System {
         for i in 0..LINES_PER_PAGE {
             let line = page.line(i);
             let bank = self.bank_of(line);
-            if let Some(v) = self.llc[bank].get_mut().invalidate(line, ways.clone()) {
+            if let Some(v) = self.uncore.llc[bank].invalidate(line, ways.clone()) {
                 self.back_invalidate(&v);
             }
             debug_assert!(
@@ -1825,7 +1767,7 @@ impl System {
             !s.crash_armed(),
             "cannot fast-forward with a crash budget armed"
         );
-        let mem = s.mem_ref();
+        let mem = &s.uncore.mem;
         assert!(
             mem.armed_faults() == 0 && !mem.raid_enabled(),
             "cannot fast-forward past armed firmware faults or firmware RAID"
@@ -1843,17 +1785,15 @@ impl System {
     /// Whether no L1, L2 or LLC way (any partition) holds a line.
     fn caches_empty(&self) -> bool {
         let empty = |c: &CacheArray| c.occupancy(c.all_ways()) == 0;
-        self.cores
-            .iter()
-            .all(|c| empty(&c.get_ref().l1d) && empty(&c.get_ref().l2))
-            && self.llc.iter().all(|b| empty(b.get_ref()))
+        self.cores.iter().all(|c| empty(&c.l1d) && empty(&c.l2))
+            && self.uncore.llc.iter().all(empty)
     }
 
     /// Enter the bound phase of a bound-weave session (see [`crate::weave`]
     /// for the architecture and the determinism argument).
     ///
-    /// The shared state — LLC banks, memory devices, DIMM bandwidth model,
-    /// redundancy hooks, crash window, and the counters — moves by value
+    /// The uncore — LLC banks, memory devices, DIMM bandwidth model, crash
+    /// window, and the counters — and the redundancy hooks move by value
     /// onto a freshly spawned weave worker as a skeleton `System` (no cores:
     /// its `priv_invalidate` records a divergence instead). This system
     /// keeps the private caches and runs the application; every shared
@@ -1866,27 +1806,31 @@ impl System {
     ///
     /// # Panics
     ///
-    /// Panics if a session is already active.
+    /// Panics if a session is already active, or inside
+    /// [`Self::fast_forward`]: functional accesses would reach the
+    /// placeholder `Memory` left on this side.
     pub fn weave_begin(&mut self) -> crate::weave::WeaveSession {
         assert!(self.bound.is_none(), "bound-weave session already active");
+        assert!(
+            !self.functional,
+            "cannot begin a bound-weave session while fast-forwarding"
+        );
         // Predict fills from LLC-or-media content: for every line not
         // privately dirty, a clean LLC copy equals the media and a clean
         // private copy equals the LLC copy, so seeding the overlay with the
         // *dirty* lines only (LLC data ways, then per-core L2 then L1 so
         // newer levels override) makes overlay ∪ snapshot exact.
-        let snapshot = self.mem.get_ref().snapshot();
+        let snapshot = self.uncore.mem.snapshot();
         let mut overlay = crate::hash::FxHashMap::default();
         let data_ways = self.data_ways();
-        for bank in &self.llc {
-            bank.get_ref()
-                .for_each_valid(data_ways.clone(), |line, dirty, data| {
-                    if dirty {
-                        overlay.insert(line.0, *data);
-                    }
-                });
+        for bank in &self.uncore.llc {
+            bank.for_each_valid(data_ways.clone(), |line, dirty, data| {
+                if dirty {
+                    overlay.insert(line.0, *data);
+                }
+            });
         }
         for core in &self.cores {
-            let core = core.get_ref();
             core.l2.for_each_valid(0..self.cfg.l2.ways, |line, dirty, data| {
                 if dirty {
                     overlay.insert(line.0, *data);
@@ -1898,21 +1842,26 @@ impl System {
                 }
             });
         }
+        // This side keeps its clocks (bound-local time) and counts its own
+        // private-cache events from zero; `weave_end` folds both back.
+        let bound_side = Uncore {
+            llc: Vec::new(),
+            mem: Memory::new(self.cfg.nvm.dimms),
+            clocks: self.uncore.clocks.clone(),
+            dimms: Vec::new(),
+            counters: Counters::default(),
+            crash: CrashState::default(),
+        };
         let weave_sys = System {
             cfg: self.cfg.clone(),
             cores: Vec::new(),
-            llc: std::mem::take(&mut self.llc),
-            mem: std::mem::replace(&mut self.mem, ShardCell::new(Memory::new(self.cfg.nvm.dimms))),
-            clocks: self.clocks.clone(),
-            dimms: std::mem::take(&mut self.dimms),
-            counters: ShardCell::new(std::mem::take(self.counters.get_mut())),
+            uncore: std::mem::replace(&mut self.uncore, bound_side),
             hooks: std::mem::replace(&mut self.hooks, Box::new(NullHooks)),
             red_region: self.red_region,
             scrub_accounting: self.scrub_accounting,
-            crash: ShardCell::new(std::mem::take(self.crash.get_mut())),
             flush_scratch: Vec::new(),
             bound: None,
-            back_invalidated: Cell::new(false),
+            back_invalidated: false,
             functional: false,
         };
         let (session, ctx) =
@@ -1928,7 +1877,7 @@ impl System {
     /// them — are identical across `MEMSIM_ENGINE_THREADS` values.
     pub fn note_weave_eligibility(&mut self, e: crate::weave::WeaveEligibility) {
         use crate::weave::WeaveEligibility as E;
-        let c = self.counters.get_mut();
+        let c = &mut self.uncore.counters;
         match e {
             E::Eligible => c.weave_eligible_runs += 1,
             E::SwScheme => c.weave_inel_sw_scheme += 1,
@@ -1955,16 +1904,12 @@ impl System {
     pub fn weave_end(&mut self, session: crate::weave::WeaveSession) -> crate::weave::WeaveReport {
         self.bound.take().expect("no bound-weave session active");
         let (weave_sys, stalls, report) = session.join();
-        let bound_counters =
-            std::mem::replace(self.counters.get_mut(), weave_sys.counters.into_inner());
-        *self.counters.get_mut() += bound_counters;
-        self.llc = weave_sys.llc;
-        self.mem = weave_sys.mem;
-        self.dimms = weave_sys.dimms;
+        let bound_side = std::mem::replace(&mut self.uncore, weave_sys.uncore);
         self.hooks = weave_sys.hooks;
-        self.crash = weave_sys.crash;
-        for (clock, stall) in self.clocks.iter_mut().zip(stalls) {
-            *clock.get_mut() += stall;
+        self.uncore.counters += bound_side.counters;
+        self.uncore.clocks = bound_side.clocks;
+        for (clock, stall) in self.uncore.clocks.iter_mut().zip(stalls) {
+            *clock += stall;
         }
         report
     }
@@ -1983,7 +1928,7 @@ impl System {
     ) -> Option<crate::weave::DivergenceKind> {
         use crate::weave::{DivergenceKind, Event};
         let (core, ts) = (ev.core(), ev.ts());
-        *self.clocks[core].get_mut() = ts + *stall;
+        self.uncore.clocks[core] = ts + *stall;
         let fault = match ev {
             Event::Fill {
                 line,
@@ -2007,8 +1952,8 @@ impl System {
                 None
             }
         };
-        *stall = *self.clocks[core].get_ref() - ts;
-        if self.back_invalidated.take() && fault != Some(DivergenceKind::HookFault) {
+        *stall = self.uncore.clocks[core] - ts;
+        if std::mem::take(&mut self.back_invalidated) && fault != Some(DivergenceKind::HookFault) {
             return Some(DivergenceKind::InclusionVictim);
         }
         fault
@@ -2019,6 +1964,7 @@ impl System {
 mod tests {
     use super::*;
     use crate::addr::NVM_BASE;
+    use crate::weave::DivergenceKind;
 
     fn sys() -> System {
         System::new(SystemConfig::small(), Box::new(NullHooks))
@@ -2151,7 +2097,6 @@ mod tests {
     /// with the holding core's sharer bit set.
     fn assert_inclusive(s: &System, step: usize) {
         for (core, c) in s.cores.iter().enumerate() {
-            let c = c.get_ref();
             let mut held = Vec::new();
             c.l2.for_each_valid(0..s.cfg.l2.ways, |line, _, _| held.push(line));
             c.l1d.for_each_valid(0..s.cfg.l1d.ways, |line, _, _| {
@@ -2161,7 +2106,7 @@ mod tests {
                 );
             });
             for line in held {
-                let e = s.llc[s.bank_of(line)].get_ref().probe(line, s.data_ways());
+                let e = s.uncore.llc[s.bank_of(line)].probe(line, s.data_ways());
                 let e = e.unwrap_or_else(|| {
                     panic!("step {step}: core {core} holds {line:?}, LLC does not")
                 });
@@ -2220,7 +2165,7 @@ mod tests {
                         s.read(core, addr, &mut buf).unwrap();
                         assert_eq!(u64::from_le_bytes(buf), newest[l as usize], "step {step}");
                         let bank = s.bank_of(addr.line());
-                        let e = s.llc[bank].get_ref().probe(addr.line(), s.data_ways());
+                        let e = s.uncore.llc[bank].probe(addr.line(), s.data_ways());
                         if e.is_some_and(|e| e.sharers.count_ones() > 1) {
                             multi_sharer_reads += 1;
                         }
@@ -2240,7 +2185,7 @@ mod tests {
                                 !s.privately_cached(line),
                                 "step {step}: {line:?} survived privately"
                             );
-                            let e = s.llc[s.bank_of(line)].get_ref().probe(line, s.data_ways());
+                            let e = s.uncore.llc[s.bank_of(line)].probe(line, s.data_ways());
                             assert!(e.is_none(), "step {step}: {line:?} survived in the LLC");
                         }
                         // Dropped dirty data reverts the page to its media.
@@ -2260,7 +2205,7 @@ mod tests {
                 assert_inclusive(&s, step);
             }
             assert!(
-                s.llc.iter().all(|b| b.get_ref().evict_hash() != fresh_hash),
+                s.uncore.llc.iter().all(|b| b.evict_hash() != fresh_hash),
                 "seed {seed}: every LLC bank must evict"
             );
         }
@@ -2273,40 +2218,40 @@ mod tests {
     /// A hook that records events, for engine-hook contract tests.
     #[derive(Default)]
     struct RecordingHooks {
-        fills: std::sync::Mutex<Vec<LineAddr>>,
-        writebacks: std::sync::Mutex<Vec<LineAddr>>,
-        dirties: std::sync::Mutex<Vec<LineAddr>>,
+        fills: Vec<LineAddr>,
+        writebacks: Vec<LineAddr>,
+        dirties: Vec<LineAddr>,
         flushed: bool,
     }
 
     impl RedundancyHooks for RecordingHooks {
         fn on_nvm_fill(
-            &self,
+            &mut self,
             _core: usize,
             line: LineAddr,
             _data: &[u8; CACHE_LINE],
             _env: &mut HookEnv<'_>,
         ) -> Result<(), CorruptionDetected> {
-            self.fills.lock().unwrap().push(line);
+            self.fills.push(line);
             Ok(())
         }
         fn on_nvm_writeback(
-            &self,
+            &mut self,
             _core: usize,
             line: LineAddr,
             _new: &[u8; CACHE_LINE],
             _env: &mut HookEnv<'_>,
         ) {
-            self.writebacks.lock().unwrap().push(line);
+            self.writebacks.push(line);
         }
         fn on_llc_clean_to_dirty(
-            &self,
+            &mut self,
             _core: usize,
             line: LineAddr,
             _old: &[u8; CACHE_LINE],
             _env: &mut HookEnv<'_>,
         ) {
-            self.dirties.lock().unwrap().push(line);
+            self.dirties.push(line);
         }
         fn flush(&mut self, _env: &mut HookEnv<'_>) {
             self.flushed = true;
@@ -2330,16 +2275,8 @@ mod tests {
             .as_any_mut()
             .downcast_mut::<RecordingHooks>()
             .unwrap();
-        assert_eq!(
-            *hooks.fills.lock().unwrap(),
-            vec![line],
-            "write-allocate fill verified"
-        );
-        assert_eq!(
-            *hooks.writebacks.lock().unwrap(),
-            vec![line],
-            "flush wrote the line back"
-        );
+        assert_eq!(hooks.fills, vec![line], "write-allocate fill verified");
+        assert_eq!(hooks.writebacks, vec![line], "flush wrote the line back");
         assert!(hooks.flushed);
     }
 
@@ -2359,7 +2296,7 @@ mod tests {
             .downcast_mut::<RecordingHooks>()
             .unwrap();
         assert!(
-            hooks.dirties.lock().unwrap().contains(&nvm(0).line()),
+            hooks.dirties.contains(&nvm(0).line()),
             "dirty spill to the LLC must fire the diff-capture hook"
         );
     }
@@ -2564,8 +2501,8 @@ mod tests {
             .downcast_mut::<RecordingHooks>()
             .unwrap();
         // Only the timed write's fill and the entry flush reached the hooks.
-        assert_eq!(*hooks.fills.lock().unwrap(), vec![nvm(0).line()]);
-        assert_eq!(*hooks.writebacks.lock().unwrap(), vec![nvm(0).line()]);
+        assert_eq!(hooks.fills, vec![nvm(0).line()]);
+        assert_eq!(hooks.writebacks, vec![nvm(0).line()]);
     }
 
     #[test]
@@ -2581,6 +2518,101 @@ mod tests {
             1,
             "timed again after the unwind"
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "while fast-forwarding")]
+    fn weave_begin_rejects_fast_forward() {
+        let mut s = sys();
+        System::fast_forward(&mut s, |s| s, |s| drop(s.weave_begin()));
+    }
+
+    /// Run `before` sequentially, then `inside` in a bound-weave session on
+    /// a `cfg` system, and return the session's divergence cause.
+    fn woven_divergence(
+        cfg: SystemConfig,
+        before: impl FnOnce(&mut System),
+        inside: impl FnOnce(&mut System),
+    ) -> Option<DivergenceKind> {
+        let mut s = System::new(cfg, Box::new(NullHooks));
+        before(&mut s);
+        let session = s.weave_begin();
+        inside(&mut s);
+        let report = s.weave_end(session);
+        assert_eq!(report.diverged, report.divergence.is_some());
+        report.divergence
+    }
+
+    /// A seeded NVM line index in the first 64 pages.
+    fn seeded_line(seed: u64) -> u64 {
+        let mut z = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % (64 * LINES_PER_PAGE as u64)
+    }
+
+    fn line_addr(l: u64) -> PhysAddr {
+        nvm(l * CACHE_LINE as u64)
+    }
+
+    #[test]
+    fn weave_flags_a_fill_of_a_line_another_core_holds() {
+        for seed in 1..=4 {
+            let a = line_addr(seeded_line(seed));
+            let got = woven_divergence(
+                SystemConfig::small(),
+                |s| s.read(0, a, &mut [0u8; 8]).unwrap(),
+                |s| s.read(1, a, &mut [0u8; 8]).unwrap(),
+            );
+            assert_eq!(got, Some(DivergenceKind::ForeignPrivateCopy), "seed {seed}");
+        }
+    }
+
+    #[test]
+    fn weave_flags_a_write_to_a_line_shared_before_the_session() {
+        for seed in 1..=4 {
+            let a = line_addr(seeded_line(seed));
+            let got = woven_divergence(
+                SystemConfig::small(),
+                |s| {
+                    // Core 1's read pulls the line from its owner, core 0,
+                    // so core 0 reads it again to share it.
+                    for core in [0, 1, 0] {
+                        s.read(core, a, &mut [0u8; 8]).unwrap();
+                    }
+                },
+                |s| s.write(0, a, &[7u8; 8]).unwrap(),
+            );
+            assert_eq!(got, Some(DivergenceKind::WriteUpgrade), "seed {seed}");
+        }
+    }
+
+    /// One LLC bank of 4 sets × 8 ways (5 data ways). Core 0 holds line `v`
+    /// privately; inside the session core 1 fills five more lines of `v`'s
+    /// set, so the replayed fills evict `v`, the LRU way, from the LLC. The
+    /// back-invalidation that inclusion then needs reaches core 0's private
+    /// caches, which the weave worker does not have.
+    #[test]
+    fn weave_flags_an_llc_victim_still_held_privately() {
+        let mut cfg = SystemConfig::small();
+        cfg.llc_banks = 1;
+        cfg.llc.size_bytes = 2048;
+        cfg.llc.ways = 8;
+        let stride = (cfg.llc.sets() * cfg.llc_banks) as u64;
+        let data_ways = cfg.llc_data_ways() as u64;
+        for seed in 1..=4 {
+            let v = seeded_line(seed);
+            let got = woven_divergence(
+                cfg.clone(),
+                |s| s.read(0, line_addr(v), &mut [0u8; 8]).unwrap(),
+                |s| {
+                    for k in 1..=data_ways {
+                        s.read(1, line_addr(v + k * stride), &mut [0u8; 8]).unwrap();
+                    }
+                },
+            );
+            assert_eq!(got, Some(DivergenceKind::InclusionVictim), "seed {seed}");
+        }
     }
 
     #[test]
@@ -2669,7 +2701,7 @@ mod tests {
         s.clwb(0, nvm(256).line());
         assert_eq!(s.memory().peek_line(nvm(256).line()), [2u8; 64]);
         let line = nvm(256).line();
-        let core = s.cores[0].get_mut();
+        let core = &mut s.cores[0];
         let w = core.l2.all_ways();
         if let Some(e) = core.l2.lookup(line, w) {
             assert_eq!(*e.data, [2u8; 64], "L2 copy must be refreshed");
@@ -2698,7 +2730,7 @@ mod tests {
         struct AlwaysFail;
         impl RedundancyHooks for AlwaysFail {
             fn on_nvm_fill(
-                &self,
+                &mut self,
                 _core: usize,
                 line: LineAddr,
                 _data: &[u8; CACHE_LINE],
@@ -2707,7 +2739,7 @@ mod tests {
                 Err(CorruptionDetected { line })
             }
             fn on_nvm_writeback(
-                &self,
+                &mut self,
                 _c: usize,
                 _l: LineAddr,
                 _d: &[u8; CACHE_LINE],
@@ -2715,7 +2747,7 @@ mod tests {
             ) {
             }
             fn on_llc_clean_to_dirty(
-                &self,
+                &mut self,
                 _c: usize,
                 _l: LineAddr,
                 _d: &[u8; CACHE_LINE],
@@ -2743,7 +2775,7 @@ mod tests {
         struct FailingHooks;
         impl RedundancyHooks for FailingHooks {
             fn on_nvm_fill(
-                &self,
+                &mut self,
                 _core: usize,
                 line: LineAddr,
                 _data: &[u8; CACHE_LINE],
@@ -2752,7 +2784,7 @@ mod tests {
                 Err(CorruptionDetected { line })
             }
             fn on_nvm_writeback(
-                &self,
+                &mut self,
                 _c: usize,
                 _l: LineAddr,
                 _d: &[u8; CACHE_LINE],
@@ -2760,7 +2792,7 @@ mod tests {
             ) {
             }
             fn on_llc_clean_to_dirty(
-                &self,
+                &mut self,
                 _c: usize,
                 _l: LineAddr,
                 _d: &[u8; CACHE_LINE],

@@ -8,7 +8,8 @@
 /// The conventional RAID-6 field polynomial x⁸ + x⁴ + x³ + x² + 1.
 const POLY: u16 = 0x11d;
 
-/// GF(2⁸) multiply (carry-less multiply with reduction by [`POLY`]).
+/// GF(2⁸) multiply (carry-less multiply with reduction by the field
+/// polynomial 0x11d).
 #[inline]
 pub const fn mul(a: u8, b: u8) -> u8 {
     let mut a = a as u16;

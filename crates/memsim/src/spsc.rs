@@ -1,5 +1,4 @@
-//! Bounded single-producer / single-consumer ring buffer, and the
-//! single-owner cell the simulator's shared-borrow hot path mutates through.
+//! Bounded single-producer / single-consumer ring buffer.
 //!
 //! The weave engine (see [`crate::weave`]) moves every bound-phase event
 //! through one of these rings instead of a `std::sync::mpsc` channel: a push
@@ -21,74 +20,6 @@
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-/// A cell whose exclusivity is enforced by ownership of the structure that
-/// holds it rather than by a lock or a borrow flag.
-///
-/// The engine's hierarchy walk and the redundancy hooks run on `&System`
-/// (a hook's [`HookEnv`](crate::engine::HookEnv) borrows the whole system
-/// while the engine is mid-walk), yet mutate caches, clocks, counters and
-/// the media. Every such piece of state sits in a `ShardCell`, and one
-/// thread owns a `System` at a time: the sequential caller, or the one weave
-/// worker holding the moved-out shared-state `System`. `ShardCell` is `Send`
-/// but not `Sync`, so the compiler rules out two threads sharing one.
-///
-/// # Contract for callers
-///
-/// Take a fresh `get()` per statement; never hold the returned `&mut T`
-/// across a call that may re-enter the same cell.
-#[repr(transparent)]
-pub struct ShardCell<T>(UnsafeCell<T>);
-
-impl<T> ShardCell<T> {
-    /// Wrap `v`.
-    pub fn new(v: T) -> Self {
-        ShardCell(UnsafeCell::new(v))
-    }
-
-    /// Shared-reference mutable access (see the contract above).
-    #[allow(clippy::mut_from_ref)]
-    pub fn get(&self) -> &mut T {
-        // SAFETY: the cell is not `Sync`, so only the owning thread reaches
-        // it, and callers never hold two live borrows of one cell (the
-        // type-level contract).
-        unsafe { &mut *self.0.get() }
-    }
-
-    /// Shared-reference read access, same contract as [`Self::get`].
-    pub fn get_ref(&self) -> &T {
-        // SAFETY: as `get`; no `&mut` from `get` is live across this call.
-        unsafe { &*self.0.get() }
-    }
-
-    /// Plain exclusive access — no protocol needed, `&mut self` proves it.
-    pub fn get_mut(&mut self) -> &mut T {
-        self.0.get_mut()
-    }
-
-    /// Unwrap the cell, consuming it.
-    pub fn into_inner(self) -> T {
-        self.0.into_inner()
-    }
-}
-
-impl<T: Clone> Clone for ShardCell<T> {
-    fn clone(&self) -> Self {
-        ShardCell::new(self.get_ref().clone())
-    }
-}
-
-impl<T: Default> Default for ShardCell<T> {
-    fn default() -> Self {
-        ShardCell::new(T::default())
-    }
-}
-
-impl<T: std::fmt::Debug> std::fmt::Debug for ShardCell<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_tuple("ShardCell").field(self.get_ref()).finish()
-    }
-}
 
 /// Pad-and-align wrapper so the producer and consumer cursors live on
 /// different cache lines (no false sharing between push and pop).

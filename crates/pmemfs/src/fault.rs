@@ -33,7 +33,7 @@ pub enum Fault {
 }
 
 impl std::fmt::Display for Fault {
-    /// Canonical CLI/env syntax, parseable back by [`FromStr`]:
+    /// Canonical CLI/env syntax, parseable back by [`FromStr`](std::str::FromStr):
     ///
     /// ```text
     /// lost-write@128

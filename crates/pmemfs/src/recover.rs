@@ -427,7 +427,7 @@ impl RecoveryOrchestrator {
     /// data is intact, so the stripe is re-silvered from media rather than
     /// reconstructing anything. Refused (returning `false`) while any
     /// non-poisoned stripe member fails its checksum — see
-    /// [`Self::stripe_resilver_safe`].
+    /// `stripe_resilver_safe`.
     pub fn repair_parity(&mut self, sys: &mut System, page: PageNum) -> bool {
         if !self.stripe_resilver_safe(sys, page) {
             return false;
@@ -450,7 +450,7 @@ impl RecoveryOrchestrator {
     /// media to count), quarantine on failure. A failed reconstruction whose
     /// page nevertheless matches its parity reconstruction is arbitrated by
     /// two-of-three vote: data + parity against the checksum — see
-    /// [`Self::try_csum_repair`].
+    /// `try_csum_repair`.
     ///
     /// Software designs keep their redundancy through the cache hierarchy,
     /// so the hierarchy is flushed first to settle checksums and parity onto

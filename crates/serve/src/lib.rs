@@ -6,6 +6,7 @@
 //! campaigns in the `bench` crate report their p50/p99/p999 latency tails
 //! with it.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod hist;

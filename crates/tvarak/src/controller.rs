@@ -32,7 +32,6 @@ use crate::scrub::ScrubGranularity;
 use memsim::addr::LineAddr;
 use memsim::cache::{CacheArray, Evicted};
 use memsim::engine::{CorruptionDetected, HookEnv, RedundancyHooks};
-use memsim::spsc::ShardCell;
 use memsim::{CACHE_LINE, LINES_PER_PAGE};
 use std::any::Any;
 use std::ops::Range;
@@ -116,8 +115,8 @@ pub struct TvarakController {
     /// Per-LLC-bank on-controller redundancy caches (inclusive under the LLC
     /// redundancy partition). A redundancy line lives with the bank its
     /// address interleaves to — the same bank that holds its LLC-partition
-    /// copy. The hot-path hooks run on `&self`, hence the [`ShardCell`]s.
-    oncache: Vec<ShardCell<CacheArray>>,
+    /// copy.
+    oncache: Vec<CacheArray>,
     /// DAX-mapped ranges as [start, end) *data-page-index* intervals —
     /// the contents of the per-bank comparators.
     mapped: Vec<Range<u64>>,
@@ -151,7 +150,7 @@ impl TvarakController {
         let lines = cache_bytes / CACHE_LINE;
         let sets = lines / cache_ways;
         let oncache = (0..banks)
-            .map(|_| ShardCell::new(CacheArray::new(sets, cache_ways, 1)))
+            .map(|_| CacheArray::new(sets, cache_ways, 1))
             .collect();
         TvarakController {
             cfg,
@@ -206,7 +205,7 @@ impl TvarakController {
     /// redundancy line is homed with the controller of the bank it maps to),
     /// so all its cached state lives in one bank.
     pub(crate) fn read_red_line(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         urgency: Urgency,
@@ -229,7 +228,7 @@ impl TvarakController {
             env.charge(core, env.cfg.controller.cache_latency_cycles);
         }
         {
-            let cache = self.oncache[bank].get();
+            let cache = &mut self.oncache[bank];
             let all = cache.all_ways();
             if let Some(e) = cache.lookup(line, all) {
                 env.counters().tvarak_cache_hits += 1;
@@ -251,7 +250,7 @@ impl TvarakController {
         // On-controller caches hold clean copies only (write-through to the
         // LLC partition), so their evictions are silent. The line is absent
         // here: the lookup above missed and nothing since touches this bank.
-        let cache = self.oncache[bank].get();
+        let cache = &mut self.oncache[bank];
         let all = cache.all_ways();
         cache.insert_absent(line, &data, false, all);
         data
@@ -263,7 +262,7 @@ impl TvarakController {
     /// own interleave), so no cross-bank invalidation is needed: no other
     /// bank's cache can hold a copy.
     fn write_red_line(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         data: &[u8; CACHE_LINE],
@@ -275,11 +274,9 @@ impl TvarakController {
         }
         env.counters().tvarak_cache_hits += 1;
         let bank = env.bank_of(line);
-        {
-            let cache = self.oncache[bank].get();
-            let all = cache.all_ways();
-            cache.insert(line, data, false, all);
-        }
+        let cache = &mut self.oncache[bank];
+        let all = cache.all_ways();
+        cache.insert(line, data, false, all);
         if !env.llc_red_update(line, data) {
             if let Some(v) = env.llc_red_insert(line, data, true) {
                 if v.dirty {
@@ -293,7 +290,7 @@ impl TvarakController {
     /// per the configuration). Also returns the computed checksum of the
     /// provided content so callers can compare.
     fn stored_and_computed_csum(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         content: &[u8; CACHE_LINE],
@@ -334,7 +331,7 @@ impl TvarakController {
     /// Update checksum and parity for a data line transitioning from `old`
     /// to `new` on the media (the writeback path; always posted).
     fn update_redundancy(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         old: &[u8; CACHE_LINE],
@@ -380,8 +377,7 @@ impl TvarakController {
     /// media (the poison-clearing rewrite path), so stale cached checksums
     /// or parity cannot shadow the rebuilt values.
     pub fn drop_cached_red(&mut self, line: LineAddr, env: &mut HookEnv<'_>) {
-        for cache in self.oncache.iter_mut() {
-            let c = cache.get_mut();
+        for c in &mut self.oncache {
             let all = c.all_ways();
             c.invalidate(line, all);
         }
@@ -408,7 +404,7 @@ impl TvarakController {
 
 impl RedundancyHooks for TvarakController {
     fn on_nvm_fill(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         data: &[u8; CACHE_LINE],
@@ -428,7 +424,7 @@ impl RedundancyHooks for TvarakController {
     }
 
     fn on_nvm_writeback(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         new_data: &[u8; CACHE_LINE],
@@ -442,7 +438,7 @@ impl RedundancyHooks for TvarakController {
     }
 
     fn on_llc_clean_to_dirty(
-        &self,
+        &mut self,
         core: usize,
         line: LineAddr,
         old_data: &[u8; CACHE_LINE],
@@ -475,8 +471,7 @@ impl RedundancyHooks for TvarakController {
                 env.nvm_write_red(0, v.line, &v.data);
             }
         }
-        for cache in &mut self.oncache {
-            let c = cache.get_mut();
+        for c in &mut self.oncache {
             let all = c.all_ways();
             c.clear(all);
         }
@@ -491,8 +486,7 @@ impl RedundancyHooks for TvarakController {
         // hold clean copies only, so nothing is lost beyond what the LLC
         // partitions already lost). The comparator contents (`mapped`)
         // survive logically — the OS re-registers DAX ranges at mount.
-        for cache in &mut self.oncache {
-            let c = cache.get_mut();
+        for c in &mut self.oncache {
             let all = c.all_ways();
             c.clear(all);
         }

@@ -40,6 +40,7 @@
 //! # Ok::<(), memsim::engine::CorruptionDetected>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checksum;

@@ -83,7 +83,8 @@ impl TvarakController {
         env: &mut HookEnv<'_>,
     ) -> Result<(), RecoveryFailed> {
         let granularity = self.tvarak_config().checksum_granularity();
-        reconstruct_page(self.layout(), granularity, core, page, env, |l, env| {
+        let layout = *self.layout();
+        reconstruct_page(&layout, granularity, core, page, env, |l, env| {
             self.read_red_line(core, l, Urgency::Stall, env)
         })
     }

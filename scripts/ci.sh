@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
-# Tier-1 gate. Runs, in order: the workspace build, clippy (-D warnings) and
-# tests (which include every campaign's --jobs width-independence and golden
-# CSV digests); the memsim, pmemfs and tvarak tests and the fast-forward
-# preload oracle (bench's fast_forward suite) again in debug, so their debug
-# assertions run; quick-scale smokes of the coverage, chaos, degraded,
-# crashsim and soak campaigns; the fig8_fio byte-diff between the sequential
-# engine (threads 1) and the bound-weave engine (threads 2 — every N >= 2 is
-# the same bound thread + one replay worker) with its divergence smoke; and
-# the benchmark's correctness gate on one short workload. The campaigns exit
-# non-zero on any survival invariant violation (silent wrong data under a
-# verifying design, an unsettled media inconsistency after convergence, a
-# poisoned page that fails open, or a resilver that fails to complete /
-# diverges from the never-faulted oracle), so this script fails CI on them. Nothing here compares host time: speed is
+# Tier-1 gate. Runs, in order: the workspace build, clippy (-D warnings),
+# rustdoc (-D warnings) and tests (which include every campaign's --jobs
+# width-independence and golden CSV digests); the memsim, pmemfs and tvarak
+# tests and the fast-forward preload oracle (bench's fast_forward suite)
+# again in debug, so their debug assertions run; quick-scale smokes of the
+# coverage, chaos, degraded, crashsim and soak campaigns; the fig8_fio
+# byte-diff between the sequential engine (threads 1) and the bound-weave
+# engine (threads 2 — every N >= 2 is the same bound thread + one replay
+# worker) with its divergence smoke; and the benchmark's correctness gate on
+# one short workload. The campaigns exit non-zero on any survival invariant
+# violation (silent wrong data under a verifying design, an unsettled media
+# inconsistency after convergence, a poisoned page that fails open, or a
+# resilver that fails to complete / diverges from the never-faulted oracle),
+# so this script fails CI on them. Nothing here compares host time: speed is
 # measured by the benchmark's paired parent/change protocol
 # (benchmark/README.md), not by a threshold on a shared host.
 #
@@ -24,6 +25,10 @@ cargo build --release --workspace
 
 echo "=== clippy (workspace, -D warnings) ==="
 cargo clippy -q --workspace --all-targets -- -D warnings
+
+echo "=== docs (workspace, -D warnings) ==="
+# A deleted or private item named in an intra-doc link fails the build.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace -q
 
 echo "=== tests (workspace) ==="
 cargo test --release --workspace --quiet
