@@ -244,10 +244,14 @@ impl SystemConfig {
     /// # Panics
     ///
     /// Panics with a descriptive message on an inconsistent configuration
-    /// (e.g. zero cores, reserved ways ≥ associativity, non-power-of-two
-    /// cache geometry, more than one weave worker).
+    /// (e.g. zero or more than 64 cores, reserved ways ≥ associativity,
+    /// non-power-of-two cache geometry, more than one weave worker).
     pub fn validate(&self) {
         assert!(self.cores > 0, "need at least one core");
+        assert!(
+            self.cores <= 64,
+            "at most 64 cores: the LLC directory's sharer mask is a u64"
+        );
         assert!(self.llc_banks > 0, "need at least one LLC bank");
         assert!(self.freq_ghz > 0.0, "core frequency must be positive");
         assert!(

@@ -127,6 +127,19 @@ pub(crate) fn bank_interleave(line: LineAddr, banks: usize) -> usize {
     }
 }
 
+/// The cores of a directory sharer mask, in ascending order: every walk that
+/// visits "the cores that may hold this line" goes through here.
+fn sharer_cores(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let core = mask.trailing_zeros() as usize;
+        mask &= mask - 1;
+        Some(core)
+    })
+}
+
 impl<'a> HookEnv<'a> {
     /// The LLC bank holding `line` (lines are bank-interleaved).
     #[inline]
@@ -1081,17 +1094,13 @@ impl System {
             Some(idx) => *self.uncore.llc[bank].entry_mut(idx).sharers,
             None => 0,
         };
-        for other in 0..self.cfg.cores {
-            if other != core && (sharers >> other) & 1 == 1 {
-                if let Some((d, dirty)) = self.priv_invalidate(other, line) {
-                    if dirty {
-                        // Other core's modified data merges into the LLC.
-                        if let Some(idx) = found {
-                            let mut e = self.uncore.llc[bank].entry_mut(idx);
-                            *e.data = d;
-                            e.set_dirty(true);
-                        }
-                    }
+        for other in sharer_cores(sharers & !(1 << core)) {
+            if let Some((d, true)) = self.priv_invalidate(other, line) {
+                // Other core's modified data merges into the LLC.
+                if let Some(idx) = found {
+                    let mut e = self.uncore.llc[bank].entry_mut(idx);
+                    *e.data = d;
+                    e.set_dirty(true);
                 }
             }
         }
@@ -1147,16 +1156,13 @@ impl System {
             }
             if for_write {
                 // Invalidate all other sharers.
-                for other in 0..self.cfg.cores {
-                    if other != core && (sharers >> other) & 1 == 1 && other != owner as usize {
-                        if let Some((d, dirty)) = self.priv_invalidate(other, line) {
-                            if dirty {
-                                data = d;
-                                let mut e = self.uncore.llc[bank].entry_mut(idx);
-                                *e.data = d;
-                                e.set_dirty(true);
-                            }
-                        }
+                let others = sharer_cores(sharers).filter(|&o| o != core && o != owner as usize);
+                for other in others {
+                    if let Some((d, true)) = self.priv_invalidate(other, line) {
+                        data = d;
+                        let mut e = self.uncore.llc[bank].entry_mut(idx);
+                        *e.data = d;
+                        e.set_dirty(true);
                     }
                 }
                 let e = self.uncore.llc[bank].entry_mut(idx);
@@ -1316,10 +1322,7 @@ impl System {
     /// data, if any core held the line modified.
     fn back_invalidate(&mut self, v: &Evicted) -> Option<[u8; CACHE_LINE]> {
         let mut newest = None;
-        let mut mask = v.sharers;
-        while mask != 0 {
-            let other = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
+        for other in sharer_cores(v.sharers) {
             if let Some((d, true)) = self.priv_invalidate(other, v.line) {
                 newest = Some(d);
             }
@@ -1327,12 +1330,15 @@ impl System {
         newest
     }
 
-    /// Whether any core's L1 or L2 holds `line` (a probe: no LRU tick).
-    fn privately_cached(&self, line: LineAddr) -> bool {
-        self.cores.iter().any(|c| {
+    /// The mask of cores whose L1 or L2 holds `line` (probes: no LRU tick).
+    fn private_holders(&self, line: LineAddr) -> u64 {
+        let held = |c: &PrivCaches| {
             c.l1d.probe(line, 0..self.cfg.l1d.ways).is_some()
                 || c.l2.probe(line, 0..self.cfg.l2.ways).is_some()
-        })
+        };
+        (self.cores.iter().enumerate())
+            .filter(|(_, c)| held(c))
+            .fold(0, |mask, (core, _)| mask | 1 << core)
     }
 
     /// Remove `line` from `core`'s L1 and L2, returning the newest private
@@ -1606,17 +1612,51 @@ impl System {
     /// redundancy writeback hook as usual. A fully clean (or uncached) line
     /// is a no-op, as is every `clwb` under [`Self::fast_forward`] (nothing
     /// is cached). Charges one LLC access of latency to `core`.
+    ///
+    /// Walks the inclusive LLC's directory: one LLC tag scan locates the
+    /// line, and only the cores of its sharer mask have their L1 and L2
+    /// swept. The result is exactly that of sweeping every core:
+    ///
+    /// - (i) a core outside the mask holds no copy (DESIGN.md §4,
+    ///   "Inclusion and the directory"; debug builds check it), so its
+    ///   lookups would miss;
+    /// - (ii) a missed lookup only advances that array's private LRU tick,
+    ///   and stamps stay strictly ordered without it, so every later victim
+    ///   choice and [`Stats::evict_hash`] are unchanged;
+    /// - (iii) the LLC lookup runs before the private sweep instead of after
+    ///   it, but the sweep touches no LLC bank, so the bank's LRU history is
+    ///   unchanged.
+    ///
+    /// The bound phase of a bound-weave session cannot see the directory
+    /// (the LLC lives on the replay worker), so there the mask is every
+    /// core and the shared half replays through `clwb_shared`.
     pub fn clwb(&mut self, core: usize, line: LineAddr) {
         if self.functional {
             return;
         }
-        // Sweep private caches: collect the newest dirty copy (MESI permits
-        // at most one) and mark every copy clean. When the L1 holds the
-        // dirty copy, the same core's L2 may hold a stale clean one — it
-        // must be refreshed, or a later silent eviction of the now-clean L1
-        // line would expose the stale L2 data.
+        let bank = self.bank_of(line);
+        let (found, sharers) = if self.bound.is_some() {
+            (None, u64::MAX >> (64 - self.cfg.cores))
+        } else {
+            let ways = self.data_ways();
+            match self.uncore.llc[bank].lookup_idx(line, ways) {
+                Some(idx) => (Some(idx), *self.uncore.llc[bank].entry_mut(idx).sharers),
+                None => (None, 0),
+            }
+        };
+        debug_assert_eq!(
+            self.private_holders(line) & !sharers,
+            0,
+            "{line:?} is cached privately outside the LLC directory"
+        );
+        // Sweep the sharers' private caches: collect the newest dirty copy
+        // (MESI permits at most one) and mark every copy clean. When the L1
+        // holds the dirty copy, the same core's L2 may hold a stale clean
+        // one — it must be refreshed, or a later silent eviction of the
+        // now-clean L1 line would expose the stale L2 data.
         let mut private_newest: Option<[u8; CACHE_LINE]> = None;
-        for c in &mut self.cores {
+        for other in sharer_cores(sharers) {
+            let c = &mut self.cores[other];
             let w = c.l1d.all_ways();
             let l1_dirty = match c.l1d.lookup(line, w) {
                 Some(mut e) if e.dirty() => {
@@ -1659,38 +1699,56 @@ impl System {
             });
             return;
         }
-        self.clwb_shared(core, line, private_newest);
+        self.clwb_slot(core, line, bank, found, private_newest);
     }
 
-    /// The shared half of [`Self::clwb`]: charge the LLC access, refresh or
-    /// clean the LLC copy, and post the newest content to memory. Runs
-    /// inline sequentially and on the weave worker under bound-weave. The
-    /// latency charge moved here from the head of `clwb` — the private sweep
-    /// never reads clocks, so the final state is identical.
+    /// The shared half of a bound-phase [`Self::clwb`], replayed on the
+    /// weave worker: locate the line in the LLC, then finish as
+    /// [`Self::clwb_slot`].
     pub(crate) fn clwb_shared(
         &mut self,
         core: usize,
         line: LineAddr,
         private_newest: Option<[u8; CACHE_LINE]>,
     ) {
-        self.uncore.clocks[core] += self.cfg.llc.latency_cycles;
         let bank = self.bank_of(line);
         let ways = self.data_ways();
-        let mut to_write: Option<[u8; CACHE_LINE]> = None;
-        if let Some(mut e) = self.uncore.llc[bank].lookup(line, ways) {
-            if let Some(d) = private_newest {
-                *e.data = d;
-                e.set_dirty(false);
-                to_write = Some(d);
-            } else if e.dirty() {
-                e.set_dirty(false);
-                to_write = Some(*e.data);
+        let found = self.uncore.llc[bank].lookup_idx(line, ways);
+        self.clwb_slot(core, line, bank, found, private_newest);
+    }
+
+    /// The tail of [`Self::clwb`] on the line's LLC slot `found` in `bank`
+    /// (`None` if the LLC does not hold it): charge the LLC access, refresh
+    /// or clean the LLC copy, and post the newest content to memory. The
+    /// private sweep reads no clock, so charging the latency after it is
+    /// exact.
+    fn clwb_slot(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        bank: usize,
+        found: Option<usize>,
+        private_newest: Option<[u8; CACHE_LINE]>,
+    ) {
+        self.uncore.clocks[core] += self.cfg.llc.latency_cycles;
+        let to_write = match found {
+            Some(idx) => {
+                let mut e = self.uncore.llc[bank].entry_mut(idx);
+                if let Some(d) = private_newest {
+                    *e.data = d;
+                    e.set_dirty(false);
+                    Some(d)
+                } else if e.dirty() {
+                    e.set_dirty(false);
+                    Some(*e.data)
+                } else {
+                    None
+                }
             }
-        } else if private_newest.is_some() {
             // Not LLC-resident (inclusion says this shouldn't happen);
             // write the private data straight back.
-            to_write = private_newest;
-        }
+            None => private_newest,
+        };
         if let Some(d) = to_write {
             self.mem_posted_write(core, line, &d);
         }
@@ -1726,8 +1784,9 @@ impl System {
             if let Some(v) = self.uncore.llc[bank].invalidate(line, ways.clone()) {
                 self.back_invalidate(&v);
             }
-            debug_assert!(
-                !self.privately_cached(line),
+            debug_assert_eq!(
+                self.private_holders(line),
+                0,
                 "{line:?} is cached privately outside the LLC directory"
             );
         }
@@ -2122,9 +2181,11 @@ mod tests {
     /// Seeded random streams over 4 cores with caches a few lines deep. The
     /// four L2s hold more than the LLC's data ways, so LLC victims with live
     /// sharers are common; reads from several cores build multi-sharer
-    /// lines. The invariants `invalidate_page` relies on are checked after
-    /// every step, every read is checked against the newest written value,
-    /// and every `invalidate_page` must leave no copy of the page anywhere.
+    /// lines. The invariants `invalidate_page` and `clwb` rely on are checked
+    /// after every step, every read is checked against the newest written
+    /// value, every `clwb` must leave the newest value on the media and no
+    /// dirty copy anywhere, and every `invalidate_page` must leave no copy of
+    /// the page anywhere.
     #[test]
     fn inclusion_and_sharer_masks_hold_under_random_streams() {
         const LINES: u64 = 2 * LINES_PER_PAGE as u64;
@@ -2175,14 +2236,33 @@ mod tests {
                         s.write(core, addr, &v.to_le_bytes()).unwrap();
                         newest[l as usize] = v;
                     }
-                    85..=93 => s.clwb(core, addr.line()),
+                    85..=93 => {
+                        let line = addr.line();
+                        s.clwb(core, line);
+                        assert_eq!(media_word(&s, l), newest[l as usize], "step {step}");
+                        let dirty = |a: &CacheArray, ways: Range<usize>| {
+                            a.probe(line, ways).is_some_and(|e| e.dirty)
+                        };
+                        for (c, p) in s.cores.iter().enumerate() {
+                            assert!(
+                                !dirty(&p.l1d, 0..s.cfg.l1d.ways)
+                                    && !dirty(&p.l2, 0..s.cfg.l2.ways),
+                                "step {step}: core {c} still holds {line:?} dirty after clwb"
+                            );
+                        }
+                        assert!(
+                            !dirty(&s.uncore.llc[s.bank_of(line)], s.data_ways()),
+                            "step {step}: the LLC still holds {line:?} dirty after clwb"
+                        );
+                    }
                     94..=96 => {
                         let page = addr.line().page();
                         s.invalidate_page(page);
                         for i in 0..LINES_PER_PAGE {
                             let line = page.line(i);
-                            assert!(
-                                !s.privately_cached(line),
+                            assert_eq!(
+                                s.private_holders(line),
+                                0,
                                 "step {step}: {line:?} survived privately"
                             );
                             let e = s.uncore.llc[s.bank_of(line)].probe(line, s.data_ways());

@@ -7,6 +7,7 @@
 use memsim::addr::{PhysAddr, NVM_BASE};
 use memsim::config::SystemConfig;
 use memsim::engine::{NullHooks, System};
+use memsim::stats::Counters;
 
 /// splitmix64 — the repo's standard seeded generator.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -50,9 +51,12 @@ fn run_stream(seed: u64, ops: u64) -> (u64, u64, u64) {
     }
     s.flush();
     let st = s.stats();
-    // Digest the counters through the same FNV fold so a single constant
-    // covers every counter field.
-    let c = st.counters;
+    (st.evict_hash, counter_digest(&st.counters), st.runtime_cycles())
+}
+
+/// Digest the counters through the same FNV fold as the eviction digest, so
+/// a single constant covers every counter field.
+fn counter_digest(c: &Counters) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for w in [
         c.l1d_hits,
@@ -68,7 +72,54 @@ fn run_stream(seed: u64, ops: u64) -> (u64, u64, u64) {
     ] {
         h = (h ^ w).wrapping_mul(0x0000_0100_0000_01b3);
     }
-    (st.evict_hash, h, st.runtime_cycles())
+    h
+}
+
+/// (evict_hash, counter digest, runtime, media content hash).
+type ClwbDigests = (u64, u64, u64, u64);
+
+/// A `clwb`-dense stream over 4 cores: after every 8th op, a core other than
+/// the one that just accessed memory `clwb`s a random hot line. Three
+/// quarters of the accesses go to 256 hot lines that every core reads and
+/// writes, so lines with several sharers and a remote dirty owner are the
+/// common case; the rest sweep a footprint twice the LLC, so LLC victims
+/// with live sharers occur too. Returns the three digests of [`run_stream`] plus the media
+/// content hash taken before the final flush, which sees every line a
+/// `clwb` did (or failed to) write back.
+fn run_clwb_stream(seed: u64, ops: u64) -> ClwbDigests {
+    let mut cfg = SystemConfig::small();
+    cfg.cores = 4;
+    let mut s = System::new(cfg, Box::new(NullHooks));
+    let mut rng = seed;
+    let lines = 4 * 1024u64;
+    let hot = 256u64;
+    let mut buf = [0u8; 8];
+    for op in 0..ops {
+        let r = splitmix64(&mut rng);
+        let line = if r & 3 != 0 { (r >> 8) % hot } else { (r >> 8) % lines };
+        let core = ((r >> 32) % 4) as usize;
+        let addr = PhysAddr(NVM_BASE + line * 64);
+        if (r >> 40).is_multiple_of(3) {
+            buf[0] = r as u8;
+            s.write(core, addr, &buf).unwrap();
+        } else {
+            s.read(core, addr, &mut buf).unwrap();
+        }
+        if op % 8 == 7 {
+            let other = (core + 1 + ((r >> 48) % 3) as usize) % 4;
+            let target = PhysAddr(NVM_BASE + ((r >> 16) % hot) * 64);
+            s.clwb(other, target.line());
+        }
+    }
+    let media = s.memory().content_hash();
+    s.flush();
+    let st = s.stats();
+    (
+        st.evict_hash,
+        counter_digest(&st.counters),
+        st.runtime_cycles(),
+        media,
+    )
 }
 
 #[test]
@@ -82,6 +133,21 @@ fn synthetic_stream_matches_goldens() {
         assert_eq!(
             got, want,
             "seed {seed:#x}: (evict_hash, counter_digest, runtime) diverged from golden"
+        );
+    }
+}
+
+#[test]
+fn clwb_dense_stream_matches_goldens() {
+    let cases: [(u64, u64, ClwbDigests); 2] = [
+        (3, 40_000, GOLDEN_CLWB_SEED3),
+        (0x5eed_c1eb, 40_000, GOLDEN_CLWB_SEED4),
+    ];
+    for (seed, ops, want) in cases {
+        let got = run_clwb_stream(seed, ops);
+        assert_eq!(
+            got, want,
+            "seed {seed:#x}: (evict_hash, counter_digest, runtime, media) diverged from golden"
         );
     }
 }
@@ -104,3 +170,18 @@ fn evict_hash_is_deterministic_and_layout_sensitive() {
 // unchanged).
 const GOLDEN_SEED1: (u64, u64, u64) = (1035810263696390314, 3548409230353882612, 3289396);
 const GOLDEN_SEED2: (u64, u64, u64) = (9280993359117321120, 14647174136023863394, 3292769);
+
+// Captured before `clwb` walked the LLC directory instead of every core's
+// private caches, which must not move them.
+const GOLDEN_CLWB_SEED3: ClwbDigests = (
+    6570402157708217860,
+    5242092669845438806,
+    606056,
+    17748849694785032402,
+);
+const GOLDEN_CLWB_SEED4: ClwbDigests = (
+    5632931605166925291,
+    483905628895262511,
+    601435,
+    10311574045142435094,
+);

@@ -106,6 +106,9 @@ pub struct TxManager {
     vilamb_dirty: BTreeSet<memsim::addr::PageNum>,
     /// Vilamb state: transactions since the last epoch refresh.
     vilamb_txs: u32,
+    /// Scratch for the undo pre-image of each transactional write, reused
+    /// so a write allocates nothing.
+    undo: Vec<u8>,
 }
 
 impl TxManager {
@@ -136,6 +139,7 @@ impl TxManager {
             stride,
             vilamb_dirty: BTreeSet::new(),
             vilamb_txs: 0,
+            undo: Vec::new(),
         })
     }
 
@@ -331,8 +335,10 @@ impl Tx<'_> {
         }
         sys.instr(self.core, 25 + data.len() as u64 / 4);
         // Undo log: header (addr, len) + old content.
-        let mut old = vec![0u8; data.len()];
-        file.read(sys, self.core, offset, &mut old)?;
+        let old = &mut self.mgr.undo;
+        old.clear();
+        old.resize(data.len(), 0);
+        file.read(sys, self.core, offset, old)?;
         let log_base = self.log_off() + self.log_head;
         let target = file.addr(offset);
         self.mgr
@@ -343,7 +349,7 @@ impl Tx<'_> {
             .write_u64(sys, self.core, log_base + 8, data.len() as u64)?;
         self.mgr
             .meta
-            .write(sys, self.core, log_base + 16, &old)?;
+            .write(sys, self.core, log_base + 16, &self.mgr.undo)?;
         // Track log lines + data lines for commit-time redundancy (in
         // page-bounded, physically contiguous chunks).
         let meta = self.mgr.meta;
@@ -517,18 +523,22 @@ pub fn sw_redundancy_update(
     layout: &NvmLayout,
     ranges: &[(PhysAddr, u32)],
 ) -> Result<(), CorruptionDetected> {
-    let mut lines = BTreeSet::new();
-    for &(addr, len) in ranges {
-        let first = addr.line().0;
-        let last = PhysAddr(addr.0 + len.max(1) as u64 - 1).line().0;
-        for l in first..=last {
-            lines.insert(LineAddr(l));
+    // Built only for the schemes that read it.
+    let lines = || {
+        let mut lines = BTreeSet::new();
+        for &(addr, len) in ranges {
+            let first = addr.line().0;
+            let last = PhysAddr(addr.0 + len.max(1) as u64 - 1).line().0;
+            for l in first..=last {
+                lines.insert(LineAddr(l));
+            }
         }
-    }
+        lines
+    };
     match scheme {
         SwScheme::None => Ok(()),
-        SwScheme::TxbObject => txb_object(sys, core, layout, &lines),
-        SwScheme::TxbPage => txb_page(sys, core, layout, &lines),
+        SwScheme::TxbObject => txb_object(sys, core, layout, &lines()),
+        SwScheme::TxbPage => txb_page(sys, core, layout, &lines()),
         // Vilamb needs manager state (epoch tracking); direct library
         // notifications without a TxManager contribute nothing until the
         // next epoch refresh, which is exactly its vulnerability window.

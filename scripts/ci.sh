@@ -8,7 +8,8 @@
 # byte-diff between the sequential engine (threads 1) and the bound-weave
 # engine (threads 2 — every N >= 2 is the same bound thread + one replay
 # worker) with its divergence smoke; and the benchmark's correctness gate on
-# one short workload. The campaigns exit non-zero on any survival invariant
+# two short workloads (the woven LLC-fit fio cell, and the transactional
+# B-Tree, the one whose ops clwb). The campaigns exit non-zero on any survival invariant
 # violation (silent wrong data under a verifying design, an unsettled media
 # inconsistency after convergence, a poisoned page that fails open, or a
 # resilver that fails to complete / diverges from the never-faulted oracle),
@@ -109,18 +110,22 @@ if grep "rerunning sequentially" "$scratch/threads2/stderr.txt" >&2; then
 fi
 echo "ci: no weave cell fell back to sequential"
 
-echo "=== benchmark correctness gate (fio-llcfit-tvarak-t2, 1 s) ==="
+echo "=== benchmark correctness gate (fio-llcfit-tvarak-t2, btree-insert-txbpage; 1 s each) ==="
 # The repo's one performance instrument is the standalone benchmark/ crate
 # (BENCHMARK.json). CI smokes its correctness gate only: exact-repeat
-# simulated results and the threads-2 vs threads-1 comparison, neither of
-# which depends on how fast the host is. Builds into benchmark/target.
-bench_last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
-    --workload fio-llcfit-tvarak-t2 --seed 1 --seconds 1 --trace 0 | tail -n 1)
-if [[ "$bench_last" != *'"correct": true'* || "$bench_last" != *'"failed": 0'* ]]; then
-    echo "ci: benchmark correctness gate failed: $bench_last" >&2
-    exit 1
-fi
-echo "ci: benchmark reports correct with 0 failed"
+# simulated results (and, on llcfit, the threads-2 vs threads-1
+# comparison), none of which depends on how fast the host is. llcfit issues
+# no transaction and no clwb; the B-Tree covers the tx/clwb path. Builds
+# into benchmark/target.
+for workload in fio-llcfit-tvarak-t2 btree-insert-txbpage; do
+    bench_last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
+        --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    if [[ "$bench_last" != *'"correct": true'* || "$bench_last" != *'"failed": 0'* ]]; then
+        echo "ci: benchmark correctness gate failed on $workload: $bench_last" >&2
+        exit 1
+    fi
+    echo "ci: benchmark reports correct with 0 failed on $workload"
+done
 # A dependency-list edit under crates/ makes the offline build above rewrite
 # a lock file; commit a deliberate benchmark edit before running this script.
 if [[ -n "$(git status --porcelain -- Cargo.lock benchmark)" ]]; then
