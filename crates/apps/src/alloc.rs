@@ -32,7 +32,6 @@ impl Error for OutOfMemory {}
 /// Bump allocator over `[base, end)` file offsets.
 #[derive(Debug, Clone)]
 pub struct BumpAlloc {
-    base: u64,
     end: u64,
     next: u64,
 }
@@ -45,7 +44,7 @@ impl BumpAlloc {
     /// Panics if `end < base`.
     pub fn new(base: u64, end: u64) -> Self {
         assert!(end >= base, "inverted heap range");
-        BumpAlloc { base, end, next: base }
+        BumpAlloc { end, next: base }
     }
 
     /// Allocate `bytes` aligned to `align` (a power of two), returning the
@@ -69,16 +68,6 @@ impl BumpAlloc {
         }
         self.next = at + bytes;
         Ok(at)
-    }
-
-    /// Bytes still available (ignoring alignment padding).
-    pub fn remaining(&self) -> u64 {
-        self.end - self.next
-    }
-
-    /// Bytes allocated so far.
-    pub fn used(&self) -> u64 {
-        self.next - self.base
     }
 }
 
@@ -108,14 +97,5 @@ mod tests {
         let err = a.alloc(100, 1).unwrap_err();
         assert_eq!(err.remaining, 28);
         assert_eq!(err.requested, 100);
-    }
-
-    #[test]
-    fn accounting() {
-        let mut a = BumpAlloc::new(64, 1064);
-        assert_eq!(a.remaining(), 1000);
-        a.alloc(500, 1).unwrap();
-        assert_eq!(a.used(), 500);
-        assert_eq!(a.remaining(), 500);
     }
 }

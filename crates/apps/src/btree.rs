@@ -161,224 +161,6 @@ impl BTree {
     }
 }
 
-/// Minimum keys in a non-root leaf after rebalancing.
-const MIN_LEAF: usize = 7;
-/// Minimum keys in a non-root internal node (internal splits leave 6).
-const MIN_INTERNAL: usize = 6;
-
-impl BTree {
-    /// Remove `key`, returning its value if present. Uses preemptive
-    /// rebalancing on the way down (borrow from a sibling or merge) so no
-    /// post-deletion fixups are needed. (Also available through
-    /// [`PersistentKv::remove`].)
-    ///
-    /// # Errors
-    ///
-    /// Propagates transaction and corruption errors.
-    pub fn remove_inner(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        key: u64,
-    ) -> Result<Option<u64>, AppError> {
-        m.sys.instr(self.core, OP_INSTR);
-        let mut tx = txm.begin(&mut m.sys, self.core)?;
-        let root_off = self.file.read_u64(&mut m.sys, self.core, H_ROOT)?;
-        if root_off == NIL {
-            tx.commit(&mut m.sys)?;
-            return Ok(None);
-        }
-        let mut node = self.load(m, root_off)?;
-        // Collapse a one-child root.
-        if !node.is_leaf() && node.nkeys() == 0 {
-            let child = node.slot(0);
-            tx.write_u64(&mut m.sys, &self.file, H_ROOT, child)?;
-            node = self.load(m, child)?;
-        }
-        let removed = loop {
-            if node.is_leaf() {
-                let n = node.nkeys();
-                let mut p = 0;
-                while p < n && node.key(p) < key {
-                    p += 1;
-                }
-                if p == n || node.key(p) != key {
-                    break None;
-                }
-                let val = node.slot(p);
-                for k in p..n - 1 {
-                    let kk = node.key(k + 1);
-                    let vv = node.slot(k + 1);
-                    node.set_key(k, kk);
-                    node.set_slot(k, vv);
-                }
-                node.set_nkeys(n - 1);
-                self.store(m, &mut tx, &node)?;
-                break Some(val);
-            }
-            let n = node.nkeys();
-            let mut i = 0;
-            while i < n && key >= node.key(i) {
-                i += 1;
-            }
-            let child = self.load(m, node.slot(i))?;
-            let min = if child.is_leaf() { MIN_LEAF } else { MIN_INTERNAL };
-            if child.nkeys() <= min {
-                let i2 = self.rebalance_child(m, &mut tx, &mut node, i)?;
-                // Re-select after the borrow/merge moved separators.
-                let n = node.nkeys();
-                let mut j = 0;
-                while j < n && key >= node.key(j) {
-                    j += 1;
-                }
-                let _ = i2;
-                node = self.load(m, node.slot(j))?;
-            } else {
-                node = child;
-            }
-        };
-        // Root collapse after merges.
-        let root_off = self.file.read_u64(&mut m.sys, self.core, H_ROOT)?;
-        let root = self.load(m, root_off)?;
-        if !root.is_leaf() && root.nkeys() == 0 {
-            tx.write_u64(&mut m.sys, &self.file, H_ROOT, root.slot(0))?;
-        }
-        tx.commit(&mut m.sys)?;
-        Ok(removed)
-    }
-
-    /// Give child `i` of `parent` at least one key above its minimum, by
-    /// borrowing from a sibling or merging with one. Returns the (possibly
-    /// changed) child index holding the target key range.
-    fn rebalance_child(
-        &mut self,
-        m: &mut Machine,
-        tx: &mut pmemfs::tx::Tx<'_>,
-        parent: &mut Node,
-        i: usize,
-    ) -> Result<usize, AppError> {
-        let mut child = self.load(m, parent.slot(i))?;
-        let leaf = child.is_leaf();
-        // Try borrowing from the left sibling.
-        if i > 0 {
-            let mut left = self.load(m, parent.slot(i - 1))?;
-            let min = if leaf { MIN_LEAF } else { MIN_INTERNAL };
-            if left.nkeys() > min {
-                let ln = left.nkeys();
-                let cn = child.nkeys();
-                // Shift child right by one.
-                for k in (0..cn).rev() {
-                    let kk = child.key(k);
-                    child.set_key(k + 1, kk);
-                }
-                let slots = if leaf { cn } else { cn + 1 };
-                for c in (0..slots).rev() {
-                    let cc = child.slot(c);
-                    child.set_slot(c + 1, cc);
-                }
-                if leaf {
-                    child.set_key(0, left.key(ln - 1));
-                    child.set_slot(0, left.slot(ln - 1));
-                    parent.set_key(i - 1, child.key(0));
-                } else {
-                    // Rotate through the parent separator.
-                    child.set_key(0, parent.key(i - 1));
-                    child.set_slot(0, left.slot(ln));
-                    parent.set_key(i - 1, left.key(ln - 1));
-                }
-                left.set_nkeys(ln - 1);
-                child.set_nkeys(cn + 1);
-                self.store(m, tx, &left)?;
-                self.store(m, tx, &child)?;
-                self.store(m, tx, parent)?;
-                return Ok(i);
-            }
-        }
-        // Try borrowing from the right sibling.
-        if i < parent.nkeys() {
-            let mut right = self.load(m, parent.slot(i + 1))?;
-            let min = if leaf { MIN_LEAF } else { MIN_INTERNAL };
-            if right.nkeys() > min {
-                let rn = right.nkeys();
-                let cn = child.nkeys();
-                // For internal nodes the separator rotates: parent's goes
-                // down, the right sibling's old first key goes up.
-                let right_first = right.key(0);
-                if leaf {
-                    child.set_key(cn, right_first);
-                    child.set_slot(cn, right.slot(0));
-                } else {
-                    child.set_key(cn, parent.key(i));
-                    child.set_slot(cn + 1, right.slot(0));
-                }
-                // Shift right sibling left by one.
-                for k in 0..rn - 1 {
-                    let kk = right.key(k + 1);
-                    right.set_key(k, kk);
-                }
-                let slots = if leaf { rn - 1 } else { rn };
-                for c in 0..slots {
-                    let cc = right.slot(c + 1);
-                    right.set_slot(c, cc);
-                }
-                if leaf {
-                    // New separator: the right sibling's new first key.
-                    parent.set_key(i, right.key(0));
-                } else {
-                    parent.set_key(i, right_first);
-                }
-                right.set_nkeys(rn - 1);
-                child.set_nkeys(cn + 1);
-                self.store(m, tx, &right)?;
-                self.store(m, tx, &child)?;
-                self.store(m, tx, parent)?;
-                return Ok(i);
-            }
-        }
-        // Merge with a sibling (left-preferred).
-        let (li, mut left, right) = if i > 0 {
-            let left = self.load(m, parent.slot(i - 1))?;
-            (i - 1, left, child)
-        } else {
-            let right = self.load(m, parent.slot(i + 1))?;
-            (i, child, right)
-        };
-        let ln = left.nkeys();
-        let rn = right.nkeys();
-        if leaf {
-            for k in 0..rn {
-                left.set_key(ln + k, right.key(k));
-                left.set_slot(ln + k, right.slot(k));
-            }
-            left.set_nkeys(ln + rn);
-        } else {
-            left.set_key(ln, parent.key(li));
-            for k in 0..rn {
-                left.set_key(ln + 1 + k, right.key(k));
-            }
-            for c in 0..=rn {
-                left.set_slot(ln + 1 + c, right.slot(c));
-            }
-            left.set_nkeys(ln + 1 + rn);
-        }
-        // Remove separator li and the right child pointer from the parent.
-        let pn = parent.nkeys();
-        for k in li..pn - 1 {
-            let kk = parent.key(k + 1);
-            parent.set_key(k, kk);
-        }
-        for c in li + 1..pn {
-            let cc = parent.slot(c + 1);
-            parent.set_slot(c, cc);
-        }
-        parent.set_nkeys(pn - 1);
-        parent.set_slot(li, left.off);
-        self.store(m, tx, &left)?;
-        self.store(m, tx, parent)?;
-        Ok(li)
-    }
-}
-
 impl PersistentKv for BTree {
     fn name(&self) -> &'static str {
         "btree"
@@ -487,14 +269,6 @@ impl PersistentKv for BTree {
         &self.file
     }
 
-    fn remove(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        key: u64,
-    ) -> Result<Option<u64>, AppError> {
-        self.remove_inner(m, txm, key)
-    }
 }
 
 #[cfg(test)]
@@ -525,54 +299,6 @@ mod tests {
             assert_eq!(t.get(&mut m, k).unwrap(), Some(k * 2), "key {k}");
         }
         assert_eq!(t.get(&mut m, 1000).unwrap(), None);
-    }
-
-    #[test]
-    fn remove_differential_vs_reference() {
-        let mut m = harness::machine(crate::driver::Design::Baseline);
-        let mut txm = m.tx_manager(64 * 1024).unwrap();
-        let mut t = BTree::create(&mut m, 0, 1024 * 1024).unwrap();
-        let mut reference = std::collections::HashMap::new();
-        let mut rng = crate::rng::Rng::new(41);
-        for i in 0..700u64 {
-            let k = rng.below(300);
-            if rng.below(3) == 0 {
-                assert_eq!(
-                    t.remove(&mut m, &mut txm, k).unwrap(),
-                    reference.remove(&k),
-                    "remove {k} at op {i}"
-                );
-            } else {
-                t.insert(&mut m, &mut txm, k, i).unwrap();
-                reference.insert(k, i);
-            }
-        }
-        for k in 0..300u64 {
-            assert_eq!(t.get(&mut m, k).unwrap(), reference.get(&k).copied(), "{k}");
-        }
-    }
-
-    #[test]
-    fn remove_everything_with_merges() {
-        let mut m = harness::machine(crate::driver::Design::Baseline);
-        let mut txm = m.tx_manager(64 * 1024).unwrap();
-        let mut t = BTree::create(&mut m, 0, 1024 * 1024).unwrap();
-        // Enough keys for a multi-level tree.
-        for k in 0..400u64 {
-            t.insert(&mut m, &mut txm, k, k * 3).unwrap();
-        }
-        // Remove alternating from both ends (each key exactly once),
-        // exercising merges on both sides.
-        for k in 0..400u64 {
-            let key = if k % 2 == 0 { k / 2 } else { 399 - k / 2 };
-            assert_eq!(t.remove(&mut m, &mut txm, key).unwrap(), Some(key * 3), "{key}");
-        }
-        for k in 0..400u64 {
-            assert_eq!(t.get(&mut m, k).unwrap(), None);
-        }
-        // Reinsertion still works after full drain.
-        t.insert(&mut m, &mut txm, 7, 8).unwrap();
-        assert_eq!(t.get(&mut m, 7).unwrap(), Some(8));
     }
 
     #[test]

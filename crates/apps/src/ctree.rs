@@ -62,76 +62,6 @@ impl CTree {
     }
 }
 
-impl CTree {
-    /// Remove `key`, returning its value if present. The leaf and its parent
-    /// internal node are unlinked (the sibling subtree takes the parent's
-    /// place), transactionally. (Also available through
-    /// [`PersistentKv::remove`].)
-    ///
-    /// # Errors
-    ///
-    /// Propagates transaction and corruption errors.
-    pub fn remove_inner(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        key: u64,
-    ) -> Result<Option<u64>, AppError> {
-        m.sys.instr(self.core, OP_INSTR);
-        let mut tx = txm.begin(&mut m.sys, self.core)?;
-        let root = self.file.read_u64(&mut m.sys, self.core, H_ROOT)?;
-        if root == NIL {
-            tx.commit(&mut m.sys)?;
-            return Ok(None);
-        }
-        // Walk tracking the internal node above `cur`.
-        let mut parent_node = NIL;
-        let mut cur = root;
-        while !is_leaf(cur) {
-            m.sys.instr(self.core, NODE_INSTR);
-            let node = untag(cur);
-            let bit = self.file.read_u64(&mut m.sys, self.core, node)?;
-            let dir = (key >> bit) & 1;
-            parent_node = node;
-            cur = self
-                .file
-                .read_u64(&mut m.sys, self.core, node + 8 + dir * 8)?;
-        }
-        let leaf = untag(cur);
-        let leaf_key = self.file.read_u64(&mut m.sys, self.core, leaf)?;
-        if leaf_key != key {
-            tx.commit(&mut m.sys)?;
-            return Ok(None);
-        }
-        let val = self.file.read_u64(&mut m.sys, self.core, leaf + 8)?;
-        if parent_node == NIL {
-            // The leaf was the root.
-            tx.write_u64(&mut m.sys, &self.file, H_ROOT, NIL)?;
-        } else {
-            // Replace the parent with the sibling subtree. Find which link
-            // of the grandparent points at parent_node by re-descending.
-            let bit = self.file.read_u64(&mut m.sys, self.core, parent_node)?;
-            let dir = (key >> bit) & 1;
-            let sibling = self
-                .file
-                .read_u64(&mut m.sys, self.core, parent_node + 8 + (1 - dir) * 8)?;
-            let mut glink = H_ROOT;
-            let mut c = self.file.read_u64(&mut m.sys, self.core, glink)?;
-            while untag(c) != parent_node {
-                m.sys.instr(self.core, NODE_INSTR);
-                let node = untag(c);
-                let b = self.file.read_u64(&mut m.sys, self.core, node)?;
-                let d = (key >> b) & 1;
-                glink = node + 8 + d * 8;
-                c = self.file.read_u64(&mut m.sys, self.core, glink)?;
-            }
-            tx.write_u64(&mut m.sys, &self.file, glink, sibling)?;
-        }
-        tx.commit(&mut m.sys)?;
-        Ok(Some(val))
-    }
-}
-
 impl PersistentKv for CTree {
     fn name(&self) -> &'static str {
         "ctree"
@@ -227,14 +157,6 @@ impl PersistentKv for CTree {
         &self.file
     }
 
-    fn remove(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        key: u64,
-    ) -> Result<Option<u64>, AppError> {
-        self.remove_inner(m, txm, key)
-    }
 }
 
 #[cfg(test)]
@@ -267,42 +189,6 @@ mod tests {
             assert_eq!(t.get(&mut m, k).unwrap(), Some(k + 100));
         }
         assert_eq!(t.get(&mut m, 999).unwrap(), None);
-    }
-
-    #[test]
-    fn remove_unlinks_and_preserves_others() {
-        let mut m = harness::machine(crate::driver::Design::Baseline);
-        let mut txm = m.tx_manager(64 * 1024).unwrap();
-        let mut t = CTree::create(&mut m, 0, 256 * 1024).unwrap();
-        for k in 0..100u64 {
-            t.insert(&mut m, &mut txm, k, k + 1).unwrap();
-        }
-        // Remove every third key.
-        for k in (0..100u64).step_by(3) {
-            assert_eq!(t.remove(&mut m, &mut txm, k).unwrap(), Some(k + 1));
-        }
-        for k in 0..100u64 {
-            let expect = if k % 3 == 0 { None } else { Some(k + 1) };
-            assert_eq!(t.get(&mut m, k).unwrap(), expect, "key {k}");
-        }
-        // Removing again is a no-op.
-        assert_eq!(t.remove(&mut m, &mut txm, 0).unwrap(), None);
-    }
-
-    #[test]
-    fn remove_down_to_empty_and_reinsert() {
-        let mut m = harness::machine(crate::driver::Design::Baseline);
-        let mut txm = m.tx_manager(64 * 1024).unwrap();
-        let mut t = CTree::create(&mut m, 0, 256 * 1024).unwrap();
-        for k in 0..10u64 {
-            t.insert(&mut m, &mut txm, k, k).unwrap();
-        }
-        for k in 0..10u64 {
-            assert!(t.remove(&mut m, &mut txm, k).unwrap().is_some());
-        }
-        assert_eq!(t.get(&mut m, 3).unwrap(), None);
-        t.insert(&mut m, &mut txm, 42, 43).unwrap();
-        assert_eq!(t.get(&mut m, 42).unwrap(), Some(43));
     }
 
     #[test]

@@ -32,18 +32,6 @@ pub trait PersistentKv {
     /// Propagates corruption errors from verified reads.
     fn get(&mut self, m: &mut Machine, key: u64) -> Result<Option<u64>, AppError>;
 
-    /// Remove `key`, returning its value if present, transactionally.
-    ///
-    /// # Errors
-    ///
-    /// Propagates allocation, log, and corruption errors.
-    fn remove(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        key: u64,
-    ) -> Result<Option<u64>, AppError>;
-
     /// The backing DAX file (for scrubbing).
     fn file(&self) -> &FileHandle;
 }

@@ -17,7 +17,6 @@ pub const TUPLE_BYTES: u64 = 64;
 /// Log node: next (8) + tuple id (8) + before image (64) + after image (64).
 const LOG_NODE_BYTES: u64 = 144;
 const H_LOG_HEAD: u64 = 0;
-const NIL: u64 = 0;
 /// Instruction cost per transaction (SQL-less key-based YCSB path).
 const TXN_INSTR: u64 = 400;
 
@@ -123,66 +122,6 @@ impl NStore {
         self.tuples.read(&mut m.sys, core, key * TUPLE_BYTES, &mut out)?;
         Ok(out)
     }
-
-    /// Checkpoint: with all tuple updates applied in place and durable
-    /// after a flush, the WAL can be truncated and its arena reused.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] on detected corruption.
-    pub fn checkpoint(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        core: usize,
-    ) -> Result<(), AppError> {
-        m.sys.instr(core, TXN_INSTR);
-        let mut tx = txm.begin(&mut m.sys, core)?;
-        tx.write_u64(&mut m.sys, &self.wal, H_LOG_HEAD, NIL)?;
-        tx.commit(&mut m.sys)?;
-        self.wal_heap = BumpAlloc::new(64, self.wal.len());
-        Ok(())
-    }
-
-    /// Crash recovery: reapply the WAL's after-images oldest-first so the
-    /// tuple table reflects every acknowledged update (N-Store's WAL-engine
-    /// restart path). Returns the number of records applied.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] on detected corruption.
-    pub fn recover_from_log(&mut self, m: &mut Machine, core: usize) -> Result<u64, AppError> {
-        let records = self.replay_log(m, core)?;
-        let mut applied = 0;
-        for (tid, after) in records.into_iter().rev() {
-            self.tuples.write(&mut m.sys, core, tid * TUPLE_BYTES, &after)?;
-            applied += 1;
-        }
-        Ok(applied)
-    }
-
-    /// Replay the WAL from the head, returning `(tuple id, after image)`
-    /// records newest-first (recovery/audit support).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] on detected corruption.
-    pub fn replay_log(
-        &mut self,
-        m: &mut Machine,
-        core: usize,
-    ) -> Result<Vec<(u64, [u8; TUPLE_BYTES as usize])>, AppError> {
-        let mut out = Vec::new();
-        let mut cur = self.wal.read_u64(&mut m.sys, core, H_LOG_HEAD)?;
-        while cur != NIL {
-            let tid = self.wal.read_u64(&mut m.sys, core, cur + 8)?;
-            let mut after = [0u8; TUPLE_BYTES as usize];
-            self.wal.read(&mut m.sys, core, cur + 80, &mut after)?;
-            out.push((tid, after));
-            cur = self.wal.read_u64(&mut m.sys, core, cur)?;
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
@@ -215,17 +154,42 @@ mod tests {
         assert_eq!(s.read(&mut m, 0, 6).unwrap(), tuple(0));
     }
 
+    /// Walk the WAL from its head through `wal_file()`, returning
+    /// `(tuple id, after image)` records newest-first. The head word sits
+    /// at offset 0, so no node does, and a zero link ends the list.
+    fn walk_wal(m: &mut Machine, s: &NStore) -> Vec<(u64, [u8; 64])> {
+        let wal = s.wal_file();
+        let mut out = Vec::new();
+        let mut cur = wal.read_u64(&mut m.sys, 0, H_LOG_HEAD).unwrap();
+        while cur != 0 {
+            let tid = wal.read_u64(&mut m.sys, 0, cur + 8).unwrap();
+            let mut after = [0u8; 64];
+            wal.read(&mut m.sys, 0, cur + 80, &mut after).unwrap();
+            out.push((tid, after));
+            cur = wal.read_u64(&mut m.sys, 0, cur).unwrap();
+        }
+        out
+    }
+
+    /// Every update from every client links one node at the head: the
+    /// walk finds one record per update, newest-first, repeats included.
     #[test]
-    fn wal_replay_newest_first() {
+    fn wal_walk_finds_every_update_newest_first() {
         let (mut m, mut txm, mut s) = setup(Design::Baseline);
-        s.update(&mut m, &mut txm, 0, 1, &tuple(1)).unwrap();
-        s.update(&mut m, &mut txm, 0, 2, &tuple(2)).unwrap();
-        s.update(&mut m, &mut txm, 0, 1, &tuple(3)).unwrap();
-        let log = s.replay_log(&mut m, 0).unwrap();
-        assert_eq!(log.len(), 3);
-        assert_eq!(log[0], (1, tuple(3)));
-        assert_eq!(log[1], (2, tuple(2)));
-        assert_eq!(log[2], (1, tuple(1)));
+        assert!(walk_wal(&mut m, &s).is_empty());
+        let mut expect = Vec::new();
+        for i in 0..50u64 {
+            for core in 0..2 {
+                let n = i * 2 + core as u64;
+                let key = n % 16;
+                s.update(&mut m, &mut txm, core, key, &tuple(n as u8)).unwrap();
+                expect.push((key, tuple(n as u8)));
+            }
+        }
+        expect.reverse();
+        let log = walk_wal(&mut m, &s);
+        assert_eq!(log.len(), 100);
+        assert_eq!(log, expect);
     }
 
     #[test]
@@ -243,58 +207,5 @@ mod tests {
         m.flush();
         m.verify_all(s.tuple_file()).unwrap();
         m.verify_all(s.wal_file()).unwrap();
-    }
-
-    #[test]
-    fn checkpoint_truncates_and_reuses_wal() {
-        let (mut m, mut txm, mut s) = setup(Design::Baseline);
-        for i in 0..20u64 {
-            s.update(&mut m, &mut txm, 0, i, &tuple(i as u8)).unwrap();
-        }
-        s.checkpoint(&mut m, &mut txm, 0).unwrap();
-        assert!(s.replay_log(&mut m, 0).unwrap().is_empty());
-        // The arena is reusable after truncation.
-        for i in 0..20u64 {
-            s.update(&mut m, &mut txm, 0, i, &tuple(i as u8 + 1)).unwrap();
-        }
-        assert_eq!(s.replay_log(&mut m, 0).unwrap().len(), 20);
-        assert_eq!(s.read(&mut m, 0, 5).unwrap(), tuple(6));
-    }
-
-    #[test]
-    fn wal_recovery_restores_lost_tuple_updates() {
-        let (mut m, mut txm, mut s) = setup(Design::Baseline);
-        for i in 0..30u64 {
-            s.update(&mut m, &mut txm, 0, i % 8, &tuple(i as u8)).unwrap();
-        }
-        m.flush();
-        // Simulate a crash that lost the in-place tuple updates: clobber the
-        // tuple table on the media; the WAL survives.
-        for k in 0..8u64 {
-            m.sys
-                .memory_mut()
-                .poke_line(s.tuple_file().addr(k * 64).line(), &[0u8; 64]);
-            m.sys.invalidate_page(s.tuple_file().page(0));
-        }
-        let applied = s.recover_from_log(&mut m, 0).unwrap();
-        assert_eq!(applied, 30);
-        // Every tuple holds the newest acknowledged value.
-        for k in 0..8u64 {
-            let newest = (0..30u64).filter(|i| i % 8 == k).max().unwrap();
-            assert_eq!(s.read(&mut m, 0, k).unwrap(), tuple(newest as u8));
-        }
-    }
-
-    #[test]
-    fn multi_client_interleaving() {
-        let (mut m, mut txm, mut s) = setup(Design::Baseline);
-        for i in 0..50u64 {
-            for core in 0..2 {
-                s.update(&mut m, &mut txm, core, (i * 2 + core as u64) % 256, &tuple(core as u8))
-                    .unwrap();
-            }
-        }
-        let log = s.replay_log(&mut m, 0).unwrap();
-        assert_eq!(log.len(), 100);
     }
 }

@@ -187,202 +187,6 @@ impl RbTree {
         Ok(())
     }
 
-    /// Replace subtree `u` with subtree `v` (CLRS RB-TRANSPLANT).
-    fn transplant(
-        &mut self,
-        m: &mut Machine,
-        tx: &mut pmemfs::tx::Tx<'_>,
-        u: u64,
-        v: u64,
-    ) -> Result<(), AppError> {
-        let up = self.rd(m, u, F_PARENT)?;
-        self.replace_child(m, tx, up, u, v)?;
-        if v != NIL {
-            self.wr(m, tx, v, F_PARENT, up)?;
-        }
-        Ok(())
-    }
-
-    /// Leftmost node of the subtree rooted at `node`.
-    fn minimum(&mut self, m: &mut Machine, mut node: u64) -> Result<u64, AppError> {
-        loop {
-            m.sys.instr(self.core, NODE_INSTR);
-            let l = self.rd(m, node, F_LEFT)?;
-            if l == NIL {
-                return Ok(node);
-            }
-            node = l;
-        }
-    }
-
-    /// Remove `key`, returning its value if present (CLRS RB-DELETE).
-    /// (Also available through [`PersistentKv::remove`].)
-    ///
-    /// # Errors
-    ///
-    /// Propagates transaction and corruption errors.
-    pub fn remove_inner(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        key: u64,
-    ) -> Result<Option<u64>, AppError> {
-        m.sys.instr(self.core, OP_INSTR);
-        let mut tx = txm.begin(&mut m.sys, self.core)?;
-        // Find z.
-        let mut z = self.file.read_u64(&mut m.sys, self.core, H_ROOT)?;
-        while z != NIL {
-            m.sys.instr(self.core, NODE_INSTR);
-            let k = self.rd(m, z, F_KEY)?;
-            if k == key {
-                break;
-            }
-            z = if key < k {
-                self.rd(m, z, F_LEFT)?
-            } else {
-                self.rd(m, z, F_RIGHT)?
-            };
-        }
-        if z == NIL {
-            tx.commit(&mut m.sys)?;
-            return Ok(None);
-        }
-        let val = self.rd(m, z, F_VAL)?;
-        let zl = self.rd(m, z, F_LEFT)?;
-        let zr = self.rd(m, z, F_RIGHT)?;
-        let mut y_color = self.color(m, z)?;
-        let x;
-        let x_parent;
-        if zl == NIL {
-            x = zr;
-            x_parent = self.rd(m, z, F_PARENT)?;
-            self.transplant(m, &mut tx, z, zr)?;
-        } else if zr == NIL {
-            x = zl;
-            x_parent = self.rd(m, z, F_PARENT)?;
-            self.transplant(m, &mut tx, z, zl)?;
-        } else {
-            // Successor y takes z's place.
-            let y = self.minimum(m, zr)?;
-            y_color = self.color(m, y)?;
-            x = self.rd(m, y, F_RIGHT)?;
-            let yp = self.rd(m, y, F_PARENT)?;
-            if yp == z {
-                x_parent = y;
-                if x != NIL {
-                    self.wr(m, &mut tx, x, F_PARENT, y)?;
-                }
-            } else {
-                x_parent = yp;
-                self.transplant(m, &mut tx, y, x)?;
-                self.wr(m, &mut tx, y, F_RIGHT, zr)?;
-                self.wr(m, &mut tx, zr, F_PARENT, y)?;
-            }
-            self.transplant(m, &mut tx, z, y)?;
-            self.wr(m, &mut tx, y, F_LEFT, zl)?;
-            self.wr(m, &mut tx, zl, F_PARENT, y)?;
-            let zc = self.color(m, z)?;
-            self.wr(m, &mut tx, y, F_COLOR, zc)?;
-        }
-        if y_color == BLACK {
-            self.delete_fixup(m, &mut tx, x, x_parent)?;
-        }
-        tx.commit(&mut m.sys)?;
-        Ok(Some(val))
-    }
-
-    /// CLRS RB-DELETE-FIXUP with an explicit parent (x may be NIL).
-    fn delete_fixup(
-        &mut self,
-        m: &mut Machine,
-        tx: &mut pmemfs::tx::Tx<'_>,
-        mut x: u64,
-        mut parent: u64,
-    ) -> Result<(), AppError> {
-        loop {
-            let root = self.file.read_u64(&mut m.sys, self.core, H_ROOT)?;
-            if x == root || self.color(m, x)? == RED {
-                break;
-            }
-            if parent == NIL {
-                break;
-            }
-            m.sys.instr(self.core, NODE_INSTR);
-            let left_side = self.rd(m, parent, F_LEFT)? == x;
-            if left_side {
-                let mut w = self.rd(m, parent, F_RIGHT)?;
-                if self.color(m, w)? == RED {
-                    self.wr(m, tx, w, F_COLOR, BLACK)?;
-                    self.wr(m, tx, parent, F_COLOR, RED)?;
-                    self.rotate_left(m, tx, parent)?;
-                    w = self.rd(m, parent, F_RIGHT)?;
-                }
-                let wl = self.rd(m, w, F_LEFT)?;
-                let wr = self.rd(m, w, F_RIGHT)?;
-                if self.color(m, wl)? == BLACK && self.color(m, wr)? == BLACK {
-                    self.wr(m, tx, w, F_COLOR, RED)?;
-                    x = parent;
-                    parent = self.rd(m, x, F_PARENT)?;
-                } else {
-                    if self.color(m, wr)? == BLACK {
-                        if wl != NIL {
-                            self.wr(m, tx, wl, F_COLOR, BLACK)?;
-                        }
-                        self.wr(m, tx, w, F_COLOR, RED)?;
-                        self.rotate_right(m, tx, w)?;
-                        w = self.rd(m, parent, F_RIGHT)?;
-                    }
-                    let pc = self.color(m, parent)?;
-                    self.wr(m, tx, w, F_COLOR, pc)?;
-                    self.wr(m, tx, parent, F_COLOR, BLACK)?;
-                    let wr = self.rd(m, w, F_RIGHT)?;
-                    if wr != NIL {
-                        self.wr(m, tx, wr, F_COLOR, BLACK)?;
-                    }
-                    self.rotate_left(m, tx, parent)?;
-                    break;
-                }
-            } else {
-                let mut w = self.rd(m, parent, F_LEFT)?;
-                if self.color(m, w)? == RED {
-                    self.wr(m, tx, w, F_COLOR, BLACK)?;
-                    self.wr(m, tx, parent, F_COLOR, RED)?;
-                    self.rotate_right(m, tx, parent)?;
-                    w = self.rd(m, parent, F_LEFT)?;
-                }
-                let wl = self.rd(m, w, F_LEFT)?;
-                let wr = self.rd(m, w, F_RIGHT)?;
-                if self.color(m, wl)? == BLACK && self.color(m, wr)? == BLACK {
-                    self.wr(m, tx, w, F_COLOR, RED)?;
-                    x = parent;
-                    parent = self.rd(m, x, F_PARENT)?;
-                } else {
-                    if self.color(m, wl)? == BLACK {
-                        if wr != NIL {
-                            self.wr(m, tx, wr, F_COLOR, BLACK)?;
-                        }
-                        self.wr(m, tx, w, F_COLOR, RED)?;
-                        self.rotate_left(m, tx, w)?;
-                        w = self.rd(m, parent, F_LEFT)?;
-                    }
-                    let pc = self.color(m, parent)?;
-                    self.wr(m, tx, w, F_COLOR, pc)?;
-                    self.wr(m, tx, parent, F_COLOR, BLACK)?;
-                    let wl = self.rd(m, w, F_LEFT)?;
-                    if wl != NIL {
-                        self.wr(m, tx, wl, F_COLOR, BLACK)?;
-                    }
-                    self.rotate_right(m, tx, parent)?;
-                    break;
-                }
-            }
-        }
-        if x != NIL {
-            self.wr(m, tx, x, F_COLOR, BLACK)?;
-        }
-        Ok(())
-    }
-
     /// Verify red-black invariants on the media image (test support): red
     /// nodes have black children, and every root-leaf path has the same
     /// black height. Returns the black height.
@@ -481,14 +285,6 @@ impl PersistentKv for RbTree {
         &self.file
     }
 
-    fn remove(
-        &mut self,
-        m: &mut Machine,
-        txm: &mut TxManager,
-        key: u64,
-    ) -> Result<Option<u64>, AppError> {
-        self.remove_inner(m, txm, key)
-    }
 }
 
 #[cfg(test)]
@@ -522,54 +318,6 @@ mod tests {
         for k in 0..256u64 {
             assert_eq!(t.get(&mut m, k).unwrap(), Some(k));
         }
-    }
-
-    #[test]
-    fn remove_maintains_invariants_and_contents() {
-        let mut m = harness::machine(crate::driver::Design::Baseline);
-        let mut txm = m.tx_manager(64 * 1024).unwrap();
-        let mut t = RbTree::create(&mut m, 0, 1024 * 1024).unwrap();
-        let mut reference = std::collections::HashMap::new();
-        let mut rng = crate::rng::Rng::new(31);
-        for i in 0..400u64 {
-            let k = rng.below(200);
-            if rng.below(3) == 0 {
-                let got = t.remove(&mut m, &mut txm, k).unwrap();
-                assert_eq!(got, reference.remove(&k), "remove {k} at op {i}");
-            } else {
-                t.insert(&mut m, &mut txm, k, i).unwrap();
-                reference.insert(k, i);
-            }
-            if i % 50 == 0 {
-                let root = t.file.read_u64(&mut m.sys, 0, H_ROOT).unwrap();
-                t.check_invariants(&mut m, root).unwrap();
-            }
-        }
-        let root = t.file.read_u64(&mut m.sys, 0, H_ROOT).unwrap();
-        t.check_invariants(&mut m, root).unwrap();
-        for (k, v) in &reference {
-            assert_eq!(t.get(&mut m, *k).unwrap(), Some(*v));
-        }
-    }
-
-    #[test]
-    fn remove_all_then_tree_is_empty() {
-        let mut m = harness::machine(crate::driver::Design::Baseline);
-        let mut txm = m.tx_manager(64 * 1024).unwrap();
-        let mut t = RbTree::create(&mut m, 0, 512 * 1024).unwrap();
-        for k in 0..64u64 {
-            t.insert(&mut m, &mut txm, k, k).unwrap();
-        }
-        for k in (0..64u64).rev() {
-            assert_eq!(t.remove(&mut m, &mut txm, k).unwrap(), Some(k));
-            let root = t.file.read_u64(&mut m.sys, 0, H_ROOT).unwrap();
-            if root != NIL {
-                t.check_invariants(&mut m, root).unwrap();
-            }
-        }
-        let root = t.file.read_u64(&mut m.sys, 0, H_ROOT).unwrap();
-        assert_eq!(root, NIL);
-        assert_eq!(t.remove(&mut m, &mut txm, 0).unwrap(), None);
     }
 
     #[test]

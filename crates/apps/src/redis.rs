@@ -96,21 +96,17 @@ impl Redis {
         Ok(self.file.read_u64(&mut m.sys, self.core, H_COUNT)?)
     }
 
-    /// Whether the store is empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates verified-read failures.
-    pub fn is_empty(&self, m: &mut Machine) -> Result<bool, AppError> {
-        Ok(self.len(m)? == 0)
-    }
-
-    /// SET: insert or update `key` with `val`, transactionally.
+    /// SET: insert or update `key` with `val`, transactionally. An update
+    /// overwrites the value in place, so it must keep the stored length.
     ///
     /// # Errors
     ///
     /// Returns [`AppError`] on heap exhaustion, log overflow, or detected
     /// corruption.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is stored with a value of a different length.
     pub fn set(
         &mut self,
         m: &mut Machine,
@@ -125,13 +121,8 @@ impl Redis {
         match entry {
             Some(off) => {
                 let vlen = self.file.read_u64(&mut m.sys, self.core, off + 16)?;
-                if vlen as usize == val.len() {
-                    tx.write(&mut m.sys, &self.file, off + ENTRY_HDR, val)?;
-                } else {
-                    tx.write_u64(&mut m.sys, &self.file, off + 16, val.len() as u64)?;
-                    // Realloc in place if it fits the old slot, else append.
-                    tx.write(&mut m.sys, &self.file, off + ENTRY_HDR, val)?;
-                }
+                assert_eq!(vlen, val.len() as u64, "SET {key}: value length changed");
+                tx.write(&mut m.sys, &self.file, off + ENTRY_HDR, val)?;
             }
             None => {
                 let off = self.heap.alloc(ENTRY_HDR + val.len() as u64, 16)?;
@@ -178,51 +169,6 @@ impl Redis {
         };
         tx.commit(&mut m.sys)?;
         Ok(found)
-    }
-
-    /// DEL: remove `key`, transactionally unlinking it from its chain.
-    /// Returns whether the key existed.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AppError`] on detected corruption or log overflow.
-    pub fn del(&mut self, m: &mut Machine, txm: &mut TxManager, key: u64) -> Result<bool, AppError> {
-        m.sys.instr(self.core, REQUEST_INSTR);
-        let mut tx = txm.begin(&mut m.sys, self.core)?;
-        self.rehash_step(m, &mut tx)?;
-        let h = hash(key);
-        let rehash_idx = self.file.read_u64(&mut m.sys, self.core, H_REHASH_IDX)?;
-        let n0 = self.file.read_u64(&mut m.sys, self.core, H_NBUCKETS0)?;
-        let t0 = self.file.read_u64(&mut m.sys, self.core, H_TABLE0)?;
-        let tables: Vec<(u64, u64)> = if rehash_idx == NOT_REHASHING {
-            vec![(t0, n0)]
-        } else {
-            let n1 = self.file.read_u64(&mut m.sys, self.core, H_NBUCKETS1)?;
-            let t1 = self.file.read_u64(&mut m.sys, self.core, H_TABLE1)?;
-            vec![(t1, n1), (t0, n0)]
-        };
-        for &(table, n) in &tables {
-            let bucket = table + (h & (n - 1)) * 8;
-            // Walk with the link slot (bucket head or predecessor's next).
-            let mut slot = bucket;
-            let mut cur = self.file.read_u64(&mut m.sys, self.core, slot)?;
-            while cur != NIL {
-                m.sys.instr(self.core, HOP_INSTR);
-                let k = self.file.read_u64(&mut m.sys, self.core, cur + 8)?;
-                if k == key {
-                    let next = self.file.read_u64(&mut m.sys, self.core, cur)?;
-                    tx.write_u64(&mut m.sys, &self.file, slot, next)?;
-                    let count = self.file.read_u64(&mut m.sys, self.core, H_COUNT)?;
-                    tx.write_u64(&mut m.sys, &self.file, H_COUNT, count - 1)?;
-                    tx.commit(&mut m.sys)?;
-                    return Ok(true);
-                }
-                slot = cur;
-                cur = self.file.read_u64(&mut m.sys, self.core, slot)?;
-            }
-        }
-        tx.commit(&mut m.sys)?;
-        Ok(false)
     }
 
     /// Locate `key`: returns (entry offset if found, searched-table base,
@@ -406,34 +352,11 @@ mod tests {
     }
 
     #[test]
-    fn del_removes_and_decrements_count() {
+    #[should_panic(expected = "value length changed")]
+    fn set_with_a_different_value_length_panics() {
         let (mut m, mut txm, mut r) = setup(Design::Baseline);
-        for k in 0..30u64 {
-            r.set(&mut m, &mut txm, k, &[k as u8; 8]).unwrap();
-        }
-        assert!(r.del(&mut m, &mut txm, 7).unwrap());
-        assert!(!r.del(&mut m, &mut txm, 7).unwrap());
-        assert!(!r.del(&mut m, &mut txm, 999).unwrap());
-        let mut out = Vec::new();
-        assert!(!r.get(&mut m, &mut txm, 7, &mut out).unwrap());
-        for k in (0..30u64).filter(|&k| k != 7) {
-            assert!(r.get(&mut m, &mut txm, k, &mut out).unwrap(), "key {k}");
-        }
-        assert_eq!(r.len(&mut m).unwrap(), 29);
-    }
-
-    #[test]
-    fn del_mid_rehash_checks_both_tables() {
-        let (mut m, mut txm, mut r) = setup(Design::Baseline);
-        // Overflow the 8 initial buckets to trigger an active rehash, then
-        // delete while rehash_idx is mid-migration.
-        for k in 0..20u64 {
-            r.set(&mut m, &mut txm, k, b"v").unwrap();
-        }
-        for k in 0..20u64 {
-            assert!(r.del(&mut m, &mut txm, k).unwrap(), "key {k}");
-        }
-        assert_eq!(r.len(&mut m).unwrap(), 0);
+        r.set(&mut m, &mut txm, 1, b"aaaa").unwrap();
+        let _ = r.set(&mut m, &mut txm, 1, b"bbbbbbbb");
     }
 
     #[test]
