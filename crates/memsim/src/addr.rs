@@ -68,12 +68,6 @@ impl PhysAddr {
         (self.0 as usize) & (CACHE_LINE - 1)
     }
 
-    /// Byte offset within the containing page.
-    #[inline]
-    pub fn page_offset(self) -> usize {
-        (self.0 as usize) & (PAGE - 1)
-    }
-
     /// True if this address falls in the NVM region.
     #[inline]
     pub fn is_nvm(self) -> bool {
@@ -181,7 +175,7 @@ mod tests {
     fn line_and_page_of_addr() {
         let a = PhysAddr(NVM_BASE + 4096 + 130);
         assert_eq!(a.line_offset(), 2);
-        assert_eq!(a.page_offset(), 130);
+        assert_eq!(a.0 - a.page().base().0, 130);
         assert_eq!(a.line().index_in_page(), 2);
         assert_eq!(a.page(), PageNum((NVM_BASE >> PAGE_SHIFT as u64) + 1));
         assert!(a.is_nvm());

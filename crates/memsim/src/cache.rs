@@ -285,7 +285,7 @@ impl CacheArray {
 
     /// Like [`Self::lookup`], but returns the raw slot index instead of a
     /// borrow, so a caller that interleaves other work (hooks, sibling-array
-    /// updates) can come back to the entry via [`Self::entry_mut`] without
+    /// updates) can come back to the entry via `entry_mut` without
     /// paying a second tag scan. The index stays valid until the next
     /// insert/invalidate *within the same way range* replaces the slot.
     pub fn lookup_idx(&mut self, line: LineAddr, ways: Range<usize>) -> Option<usize> {
@@ -304,7 +304,8 @@ impl CacheArray {
     /// # Panics
     ///
     /// Panics if `idx` is out of bounds.
-    pub fn entry_mut(&mut self, idx: usize) -> EntryRef<'_> {
+    #[inline]
+    pub(crate) fn entry_mut(&mut self, idx: usize) -> EntryRef<'_> {
         self.entry_at(idx)
     }
 
@@ -340,7 +341,7 @@ impl CacheArray {
     /// Like [`Self::insert`], but also returns the slot index the line now
     /// occupies, saving the hot engine paths a lookup-after-insert scan
     /// (reach the entry again via [`Self::entry_mut`]).
-    pub fn insert_get(
+    fn insert_get(
         &mut self,
         line: LineAddr,
         data: &[u8; CACHE_LINE],
@@ -379,7 +380,7 @@ impl CacheArray {
 
     /// [`Self::insert_absent`] returning the occupied slot index as well
     /// (the fill paths re-borrow it via [`Self::entry_mut`]).
-    pub fn insert_absent_get(
+    pub(crate) fn insert_absent_get(
         &mut self,
         line: LineAddr,
         data: &[u8; CACHE_LINE],
@@ -470,7 +471,7 @@ impl CacheArray {
     /// Drain every valid line in `ways` into a caller-provided buffer (not
     /// cleared first), invalidating them. Used for end-of-run flushes;
     /// flush-heavy paths reuse one allocation across many drains.
-    pub fn drain_into(&mut self, ways: Range<usize>, out: &mut Vec<Evicted>) {
+    pub(crate) fn drain_into(&mut self, ways: Range<usize>, out: &mut Vec<Evicted>) {
         for set in 0..self.sets {
             for way in ways.clone() {
                 let idx = self.slot(set, way);
@@ -506,7 +507,7 @@ impl CacheArray {
     /// Visit every valid line in `ways` without disturbing any state (no
     /// LRU ticks, no invalidation) — set-major, way-minor order. Used to
     /// seed the bound phase's dirty-line overlay ([`crate::weave`]).
-    pub fn for_each_valid(
+    pub(crate) fn for_each_valid(
         &self,
         ways: Range<usize>,
         mut f: impl FnMut(LineAddr, bool, &[u8; CACHE_LINE]),

@@ -226,7 +226,7 @@ impl SystemConfig {
 
     /// Convert nanoseconds to (rounded) core cycles at `freq_ghz`.
     #[inline]
-    pub fn ns_to_cycles(&self, ns: f64) -> u64 {
+    pub(crate) fn ns_to_cycles(&self, ns: f64) -> u64 {
         (ns * self.freq_ghz).round() as u64
     }
 

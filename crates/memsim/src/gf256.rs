@@ -66,7 +66,7 @@ pub const fn inv(a: u8) -> u8 {
 /// A 256-entry multiply row for a fixed coefficient: `row[b] = mul(c, b)`.
 /// The shadow-Q delta path multiplies 64-byte lines by a per-slot weight on
 /// every striped write, so a table lookup replaces the bit loop there.
-pub fn mul_row(c: u8) -> [u8; 256] {
+pub(crate) fn mul_row(c: u8) -> [u8; 256] {
     let mut row = [0u8; 256];
     for (b, out) in row.iter_mut().enumerate() {
         *out = mul(c, b as u8);

@@ -84,7 +84,7 @@ impl<T> SpscRing<T> {
     }
 
     /// Producer role: enqueue `v`, or hand it back if the ring is full.
-    pub fn try_push(&self, v: T) -> Result<(), T> {
+    pub(crate) fn try_push(&self, v: T) -> Result<(), T> {
         let t = self.tail.0.load(Ordering::Relaxed);
         let h = self.head.0.load(Ordering::Acquire);
         if t.wrapping_sub(h) > self.mask {
@@ -99,7 +99,7 @@ impl<T> SpscRing<T> {
     }
 
     /// Consumer role: dequeue the oldest item, if any.
-    pub fn try_pop(&self) -> Option<T> {
+    pub(crate) fn try_pop(&self) -> Option<T> {
         let h = self.head.0.load(Ordering::Relaxed);
         let t = self.tail.0.load(Ordering::Acquire);
         if h == t {

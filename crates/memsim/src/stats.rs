@@ -127,15 +127,6 @@ macro_rules! for_each_counter_field {
 }
 
 impl Counters {
-    /// Total NVM accesses (data + redundancy + scrub, reads + writes).
-    pub fn nvm_total(&self) -> u64 {
-        self.nvm_data_reads
-            + self.scrub_reads
-            + self.nvm_data_writes
-            + self.nvm_red_reads
-            + self.nvm_red_writes
-    }
-
     /// Total NVM accesses for redundancy maintenance (checksum/parity
     /// traffic plus scrub-daemon reads).
     pub fn nvm_redundancy(&self) -> u64 {
@@ -403,7 +394,7 @@ mod tests {
             nvm_red_writes: 4,
             ..Default::default()
         };
-        assert_eq!(c.nvm_total(), 10);
+        assert_eq!(c.nvm_data() + c.nvm_redundancy(), 10);
         assert_eq!(c.nvm_redundancy(), 7);
         assert_eq!(c.nvm_data(), 3);
     }
@@ -433,7 +424,7 @@ mod tests {
         };
         assert_eq!(c.nvm_data(), 10, "scrub traffic is not application data");
         assert_eq!(c.nvm_redundancy(), 4);
-        assert_eq!(c.nvm_total(), 14);
+        assert_eq!(c.nvm_data() + c.nvm_redundancy(), 14);
         let s = c + c;
         assert_eq!(s.scrub_reads, 8);
     }

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# Tier-1 gate. Runs, in order: the workspace build, clippy (-D warnings),
-# rustdoc (-D warnings) and tests (which include every campaign's --jobs
-# width-independence and golden CSV digests); the memsim, pmemfs and tvarak
+# Tier-1 gate. Runs, in order: a size check (no .rs file under
+# crates/memsim/src or crates/apps/src over 900 lines); the workspace build,
+# clippy (-D warnings), rustdoc (-D warnings) and tests (which include every
+# campaign's --jobs width-independence and golden CSV digests); the memsim, pmemfs and tvarak
 # tests and the fast-forward preload oracle (bench's fast_forward suite)
 # again in debug, so their debug assertions run; quick-scale smokes of the
 # coverage, chaos, degraded, crashsim and soak campaigns; the fig8_fio
@@ -20,6 +21,17 @@
 # Usage: scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
+
+echo "=== module size (memsim, apps: no .rs file over 900 lines) ==="
+# One module per layer (DESIGN.md §4): a file that outgrows this bound holds
+# more than one layer and wants splitting, not a raised bound.
+oversize=$(find crates/memsim/src crates/apps/src -name '*.rs' -exec wc -l {} + |
+    awk '$2 != "total" && $1 > 900')
+if [[ -n "$oversize" ]]; then
+    echo "ci: files over 900 lines:" >&2
+    echo "$oversize" >&2
+    exit 1
+fi
 
 echo "=== build (workspace) ==="
 cargo build --release --workspace

@@ -1,8 +1,16 @@
-//! Docs that cannot drift: every command the user-facing docs tell a reader
-//! to run must name a target that exists. Each `--example NAME` needs
-//! `examples/NAME.rs`, and each `--bin NAME` needs a `crates/*/src/bin/NAME.rs`.
-//! A shell brace group (`--bin {a,b}_campaign`) expands to one name per
-//! alternative; a shell variable (`--bin $b`) names no target and is skipped.
+//! Docs that cannot drift. Two rules over the user-facing docs:
+//!
+//! 1. Every command they tell a reader to run must name a target that
+//!    exists. Each `--example NAME` needs `examples/NAME.rs`, and each
+//!    `--bin NAME` needs a `crates/*/src/bin/NAME.rs`. A shell brace group
+//!    (`--bin {a,b}_campaign`) expands to one name per alternative; a shell
+//!    variable (`--bin $b`) names no target and is skipped.
+//! 2. Every crate path they name (`memsim::engine::System`) must resolve:
+//!    its leading segments name module files under `crates/CRATE/src`, and
+//!    the first segment past the last module is a `pub` item declared or
+//!    re-exported at the top level of that module's file. Later segments
+//!    (methods, variants) are not checked. [`PATH_ALLOWLIST`] holds the
+//!    mentions that are meant not to resolve.
 
 use std::fs;
 use std::path::Path;
@@ -13,6 +21,25 @@ const DOCS: [&str; 4] = [
     "DESIGN.md",
     "EXPERIMENTS.md",
     "benchmark/README.md",
+];
+
+/// The workspace crates whose paths the docs may name.
+const CRATES: [&str; 7] = [
+    "memsim", "tvarak", "pmemfs", "apps", "bench", "crashsim", "serve",
+];
+
+/// `(doc, path, reason)`: crate paths a doc names on purpose although they
+/// do not resolve.
+const PATH_ALLOWLIST: [(&str, &str, &str); 5] = [
+    ("DESIGN.md", "bench::serve", "history: a §5 ledger row of a removed module"),
+    ("DESIGN.md", "memsim::trace", "history: a §5 ledger row of a removed module"),
+    ("DESIGN.md", "bench::capture", "history: a §5 ledger row of a removed module"),
+    ("EXPERIMENTS.md", "tvarak::raid6", "history: a removed module"),
+    (
+        "benchmark/README.md",
+        "memsim::trace",
+        "stale, but only a change to the benchmark may edit that file",
+    ),
 ];
 
 /// Expand the first `{a,b,..}` group of `word`, recursively.
@@ -58,6 +85,134 @@ fn exists(root: &Path, flag: &str, name: &str) -> bool {
     fs::read_dir(root.join("crates"))
         .unwrap()
         .any(|krate| krate.unwrap().path().join(&file).is_file())
+}
+
+/// Every crate path in `line`: a workspace crate name not preceded by an
+/// identifier character, then one or more `::ident` segments.
+fn crate_paths(line: &str) -> Vec<String> {
+    let ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut out = Vec::new();
+    for krate in CRATES {
+        let prefix = format!("{krate}::");
+        for (at, _) in line.match_indices(&prefix) {
+            if line[..at].chars().next_back().is_some_and(ident) {
+                continue; // `bench::` inside `workbench::`
+            }
+            let mut path = krate.to_string();
+            let mut rest = &line[at + krate.len()..];
+            while let Some(tail) = rest.strip_prefix("::") {
+                let seg: String = tail.chars().take_while(|&c| ident(c)).collect();
+                rest = &tail[seg.len()..];
+                if seg.is_empty() || rest.starts_with('*') {
+                    break; // `::{a, b}`, `::*` or a `run_*` pattern
+                }
+                path = format!("{path}::{seg}");
+            }
+            if path != krate {
+                out.push(path);
+            }
+        }
+    }
+    out
+}
+
+/// Whether the module source `text` declares or re-exports `name` as a
+/// top-level `pub` item (`pub fn name`, `pub struct name<..>`,
+/// `pub use a::{b, name}`, `pub use a::b as name`, ...).
+fn declares_pub(text: &str, name: &str) -> bool {
+    let mut lines = text.lines();
+    while let Some(line) = lines.next() {
+        let Some(decl) = line.strip_prefix("pub ") else {
+            continue;
+        };
+        if let Some(mut stmt) = decl.strip_prefix("use ").map(str::to_string) {
+            while !stmt.contains(';') {
+                match lines.next() {
+                    Some(more) => stmt.push_str(more),
+                    None => break,
+                }
+            }
+            let leaves = stmt.replace(['{', '}', ';'], ",");
+            let found = leaves.split(',').any(|leaf| {
+                let leaf = leaf.trim();
+                let leaf = leaf.rsplit(" as ").next().unwrap_or(leaf);
+                leaf.rsplit("::").next() == Some(name)
+            });
+            if found {
+                return true;
+            }
+            continue;
+        }
+        let words: Vec<&str> = decl
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .filter(|w| !w.is_empty())
+            .collect();
+        let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
+        if words.windows(2).any(|w| kinds.contains(&w[0]) && w[1] == name) {
+            return true;
+        }
+    }
+    false
+}
+
+/// Why `path` does not resolve under `root`, or `None` if it does.
+fn unresolved(root: &Path, path: &str) -> Option<String> {
+    let mut segs = path.split("::");
+    let krate = segs.next().unwrap();
+    let mut dir = root.join("crates").join(krate).join("src");
+    let mut file = dir.join("lib.rs");
+    for seg in segs {
+        let flat = dir.join(format!("{seg}.rs"));
+        let nested = dir.join(seg).join("mod.rs");
+        if flat.is_file() || nested.is_file() {
+            file = if flat.is_file() { flat } else { nested };
+            dir = dir.join(seg);
+            continue;
+        }
+        let text = fs::read_to_string(&file).unwrap();
+        return (!declares_pub(&text, seg)).then(|| {
+            let file = file.strip_prefix(root).unwrap().display();
+            format!("`{seg}` is no module file and no pub item of {file}")
+        });
+    }
+    None
+}
+
+#[test]
+fn every_documented_crate_path_resolves() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut checked = 0;
+    let mut bad = Vec::new();
+    let mut allowed = [false; PATH_ALLOWLIST.len()];
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for path in crate_paths(line) {
+                checked += 1;
+                let Some(why) = unresolved(root, &path) else {
+                    continue;
+                };
+                match PATH_ALLOWLIST.iter().position(|&(d, p, _)| d == doc && p == path) {
+                    Some(k) => allowed[k] = true,
+                    None => bad.push(format!("{doc}:{}: {path}: {why}", n + 1)),
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no crate path found in {DOCS:?}");
+    assert!(
+        bad.is_empty(),
+        "documented crate paths that do not resolve:\n{}",
+        bad.join("\n")
+    );
+    let stale: Vec<_> = (PATH_ALLOWLIST.iter().zip(allowed))
+        .filter(|&(_, used)| !used)
+        .map(|(&(doc, path, _), _)| format!("{doc}: {path}"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "allowlisted paths that now resolve or left their doc; drop them: {stale:?}"
+    );
 }
 
 #[test]
