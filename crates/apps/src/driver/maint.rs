@@ -7,10 +7,8 @@ use memsim::addr::PageNum;
 use memsim::engine::CorruptionDetected;
 use memsim::RaidLevel;
 use pmemfs::fs::{FileHandle, FsError, RecoveryError};
-use pmemfs::rebuild::{PoolState, ReplacementManager};
+use pmemfs::rebuild::{MaintGrant, PoolState, ReplacementManager};
 use pmemfs::recover::{Incidents, RecoveryOrchestrator};
-use tvarak::qos::{MaintGrant, QosConfig};
-use tvarak::rebuild::RebuildStep;
 use tvarak::scrub::{ScrubDaemon, ScrubFinding, ScrubFindingKind, Scrubber};
 
 impl Machine {
@@ -218,18 +216,18 @@ impl Machine {
     /// Configure firmware shadow-RAID over the whole NVM region — data,
     /// design-level parity, and checksum tables alike, since a failed
     /// device takes its share of all three — and install the
-    /// device-replacement lifecycle with maintenance QoS `qos`. Call after
-    /// all setup writes are flushed so the syndromes cover the initial
-    /// content.
+    /// device-replacement lifecycle with its maintenance token bucket. Call
+    /// after all setup writes are flushed so the syndromes cover the
+    /// initial content.
     ///
     /// # Panics
     ///
     /// Panics if called twice, or with fewer than 3 NVM DIMMs.
-    pub fn enable_raid(&mut self, level: RaidLevel, qos: QosConfig) {
+    pub fn enable_raid(&mut self, level: RaidLevel) {
         let d = self.sys.memory().nvm_dimms() as u64;
         let striped = self.fs.layout().total_pages().div_ceil(d) * d;
         self.sys.memory_mut().configure_raid(striped, level);
-        self.replacement = Some(ReplacementManager::new(qos));
+        self.replacement = Some(ReplacementManager::default());
     }
 
     /// Fail NVM device `bank` cleanly: the hierarchy is flushed (quiesce),
@@ -267,9 +265,7 @@ impl Machine {
 
     /// Pool redundancy state ([`PoolState::Healthy`] when RAID is off).
     pub fn pool_state(&self) -> PoolState {
-        self.replacement
-            .as_ref()
-            .map_or(PoolState::Healthy, |m| m.pool_state())
+        PoolState::of(self.sys.memory())
     }
 
     /// Whether no resilver is currently pending (idle or RAID off).
@@ -281,8 +277,8 @@ impl Machine {
 
     /// Per-operation maintenance hook, called by the run drivers after
     /// every operation. Without a replacement manager this is exactly
-    /// [`Self::tick_scrub`]. With one, the op feeds the QoS token bucket
-    /// and a granted step runs: a rebuild grant resilvers one page (an
+    /// [`Self::tick_scrub`]. With one, the op feeds the maintenance token
+    /// bucket and a granted step runs: a rebuild grant resilvers one page (an
     /// abandoned page is quarantined with the orchestrator — fail closed),
     /// a scrub grant runs one budgeted scrub step through the same finding
     /// routing as interval scrubbing.
@@ -299,11 +295,9 @@ impl Machine {
         let mgr = self.replacement.as_mut().unwrap();
         match mgr.on_op(scrub_pending) {
             Some(MaintGrant::Rebuild) => {
-                if let Some(RebuildStep::Abandoned(page)) = mgr.step_rebuild(&mut self.sys, core)
-                {
-                    if let Some(orch) = self.orchestrator.as_mut() {
-                        orch.quarantine_page(&mut self.sys, page);
-                    }
+                let abandoned = mgr.step_rebuild(&mut self.sys, core);
+                if let (Some(page), Some(orch)) = (abandoned, self.orchestrator.as_mut()) {
+                    orch.quarantine_page(&mut self.sys, page);
                 }
                 Ok(())
             }

@@ -7,7 +7,7 @@
 //! shadow parity) **→ rebuilding** (a hot spare attaches and the online
 //! resilver races foreground traffic under the maintenance QoS token
 //! bucket) **→ recovered** — and reports per-phase throughput, degraded
-//! read amplification, and rebuild/QoS counters. Scenarios:
+//! read amplification, and rebuild counters. Scenarios:
 //!
 //! - `rebuild`: single fault at RAID-P; the baseline lifecycle.
 //! - `double-pq`: RAID-P+Q with a *second* device failing mid-resilver —
@@ -45,11 +45,10 @@ use bench::faulted::{
     Workload, FLUSH_EVERY,
 };
 use bench::runner::{self, Cell};
-use memsim::RaidLevel;
+use memsim::{BankState, RaidLevel};
 use pmemfs::fault::{self, Fault};
-use pmemfs::rebuild::PoolState;
+use pmemfs::rebuild::{bank_in, PoolState};
 use serve::Hist;
-use tvarak::qos::QosConfig;
 
 const SEED_BASE: u64 = 0x00de_64ad;
 /// Per-core transaction-log bytes.
@@ -57,21 +56,6 @@ const TX_LOG: u64 = 64 * 1024;
 /// First device to fail; the mid-rebuild second fault takes the next one.
 const FAIL_BANK: usize = 1;
 const SECOND_BANK: usize = 2;
-
-/// Maintenance pacing: one resilvered page (or scrub step) per two
-/// foreground ops at steady state — fast enough that the rebuilding phase
-/// stays a bounded fraction of a cell, slow enough that it visibly
-/// interleaves with (and is paced by) foreground traffic.
-fn qos() -> QosConfig {
-    QosConfig {
-        refill_per_op: 1,
-        burst: 8,
-        rebuild_page_cost: 2,
-        scrub_step_cost: 2,
-        starvation_ops: 64,
-        scrub_every_grants: 4,
-    }
-}
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scenario {
@@ -154,7 +138,6 @@ struct Outcome {
     write_intent_lines: u64,
     dropped_writes: u64,
     reconstructed_reads: u64,
-    backpressure_events: u64,
     rebuilds_completed: u64,
     faults_armed: u64,
     content_hash: u64,
@@ -233,16 +216,17 @@ fn run_faulted(
     m.flush();
     enable_pipeline(&mut m, &file);
     m.flush();
-    m.enable_raid(scenario.level(), qos());
+    m.enable_raid(scenario.level());
 
     let striped = m.sys.memory().striped_pages();
     let pages_per_bank = striped / m.sys.memory().nvm_dimms() as u64;
-    // The second fault lands about halfway through the first resilver.
-    let second_at = pages_per_bank * qos().rebuild_page_cost as u64 / 2;
-    // Generous completion cap: a resilver needs ~cost ops per page; 16×
-    // covers both banks, QoS debt, and scrub's minimum share many times
-    // over. Exceeding it means the rebuild did not complete under load.
-    let cap = 64 + 16 * striped * qos().rebuild_page_cost as u64;
+    // The maintenance bucket resilvers one page per two foreground ops, so
+    // the second fault lands about halfway through the first resilver.
+    let second_at = pages_per_bank;
+    // Generous completion cap: 32 ops per striped page covers both banks
+    // and scrub's minimum share many times over. Exceeding it means the
+    // rebuild did not complete under load.
+    let cap = 64 + 32 * striped;
 
     let mut op = 0u64;
 
@@ -275,8 +259,7 @@ fn run_faulted(
             second_fired = true;
         }
         if m.rebuild_idle() {
-            let next = m.replacement().and_then(|r| r.failed_banks().first().copied());
-            match next {
+            match bank_in(m.sys.memory(), BankState::Failed) {
                 // Second spare only once the storm has fired; until then an
                 // idle manager with no failed banks means we are done.
                 Some(b) => m.attach_spare(b),
@@ -294,7 +277,7 @@ fn run_faulted(
         rebuilding_ops += ran;
     }
     out.phases[2] = win.close(&m, rebuilding_ops);
-    if !(m.rebuild_idle() && m.pool_state() == PoolState::Healthy) {
+    if m.pool_state() != PoolState::Healthy {
         out.violations.push(format!(
             "{ctx}: resilver did not complete under load ({rebuilding_ops} ops, cap {cap})"
         ));
@@ -316,7 +299,6 @@ fn run_faulted(
         out.pages_resilvered = r.pages_resilvered();
         out.pages_abandoned = r.pages_abandoned();
         out.lines_reconstructed = r.lines_reconstructed();
-        out.backpressure_events = r.backpressure_events();
         out.rebuilds_completed = r.rebuilds_completed();
     }
     if let Some(orch) = m.orchestrator() {
@@ -488,7 +470,6 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
         Col::new("pages_abandoned", "aband", 6, |r| r.out.pages_abandoned),
         Col::table("dfill", 6, move |r| dfills(r, 1..3)),
         Col::csv("lines_reconstructed", |r| r.out.lines_reconstructed),
-        Col::csv("backpressure_events", |r| r.out.backpressure_events),
         Col::csv("rebuilds_completed", |r| r.out.rebuilds_completed),
         Col::csv("detections", |r| r.out.detections),
         Col::csv("recoveries", |r| r.out.recoveries),

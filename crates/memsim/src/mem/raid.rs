@@ -78,7 +78,7 @@ pub(super) struct RaidState {
     /// absent entry = all dead. Healthy banks are implicitly all-live,
     /// Failed banks all-dead.
     live: FxHashMap<u64, u64>,
-    /// Set while the Rebuilder is writing: suppresses the write-intent
+    /// Set while a resilver is writing: suppresses the write-intent
     /// counter (liveness marking itself always happens).
     resilver_mode: bool,
     pub(super) stats: RaidStats,

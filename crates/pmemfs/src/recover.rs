@@ -37,11 +37,6 @@ use tvarak::scrub::ScrubGranularity;
 use std::error::Error;
 use std::fmt;
 
-// Whole-device fault handling is the other half of OS-side recovery: the
-// page-granular orchestrator below degrades single pages, the replacement
-// manager degrades (and resilvers) whole devices.
-pub use crate::rebuild::{PoolState, ReplacementManager};
-
 /// Structured degraded-mode error: the page is quarantined and accesses to
 /// it fail closed. Everything else in the file keeps working.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

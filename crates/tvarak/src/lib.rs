@@ -15,7 +15,9 @@
 //! ([`checksum`], [`parity`]), the NVM redundancy layout ([`layout`]), the
 //! controller with all of the paper's design elements and their ablations
 //! ([`controller`]), redundancy initialization and DAX map/unmap conversions
-//! ([`init`]), and parity recovery ([`recovery`]).
+//! ([`init`]), parity recovery ([`recovery`]) and the background scrubber
+//! ([`scrub`]). Whole-DIMM replacement under firmware RAID, which the paper
+//! only assumes, lives in `pmemfs::rebuild`.
 //!
 //! ```
 //! use memsim::config::SystemConfig;
@@ -48,14 +50,10 @@ pub mod controller;
 pub mod init;
 pub mod layout;
 pub mod parity;
-pub mod qos;
-pub mod rebuild;
 pub mod recovery;
 pub mod scrub;
 
 pub use controller::{TvarakConfig, TvarakController};
 pub use layout::NvmLayout;
-pub use qos::{MaintGrant, MaintenanceScheduler, OpBudget, QosConfig};
-pub use rebuild::{RebuildStep, Rebuilder};
 pub use recovery::RecoveryFailed;
 pub use scrub::{ScrubDaemon, ScrubFinding, ScrubGranularity, Scrubber};

@@ -1,4 +1,4 @@
-//! Docs that cannot drift. Two rules over the user-facing docs:
+//! Docs that cannot drift. Three rules over the user-facing docs:
 //!
 //! 1. Every command they tell a reader to run must name a target that
 //!    exists. Each `--example NAME` needs `examples/NAME.rs`, and each
@@ -11,6 +11,10 @@
 //!    re-exported at the top level of that module's file. Later segments
 //!    (methods, variants) are not checked. [`PATH_ALLOWLIST`] holds the
 //!    mentions that are meant not to resolve.
+//! 3. Every environment variable they name with a [`ENV_PREFIXES`] prefix
+//!    (`TVARAK_SCALE`) must be read by the program: its quoted name appears
+//!    in a `.rs` file under `crates/*/src`, outside the file's
+//!    `#[cfg(test)]` tail.
 
 use std::fs;
 use std::path::Path;
@@ -27,6 +31,9 @@ const DOCS: [&str; 4] = [
 const CRATES: [&str; 7] = [
     "memsim", "tvarak", "pmemfs", "apps", "bench", "crashsim", "serve",
 ];
+
+/// The prefixes of the environment variables the program reads.
+const ENV_PREFIXES: [&str; 4] = ["TVARAK_", "MEMSIM_", "CHAOS_", "DEGRADED_"];
 
 /// `(doc, path, reason)`: crate paths a doc names on purpose although they
 /// do not resolve.
@@ -236,5 +243,60 @@ fn every_documented_example_and_bin_exists() {
         missing.is_empty(),
         "documented targets with no source:\n{}",
         missing.join("\n")
+    );
+}
+
+/// Every `PREFIX_NAME` word in `line` for a prefix in [`ENV_PREFIXES`].
+fn env_vars(line: &str) -> Vec<&str> {
+    let word = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
+    line.split(|c: char| !word(c))
+        .filter(|w| ENV_PREFIXES.iter().any(|p| w.len() > p.len() && w.starts_with(p)))
+        .collect()
+}
+
+/// The non-test source of every `.rs` file under `dir`, recursively: each
+/// file up to its first `#[cfg(test)]` line.
+fn program_sources(dir: &Path, out: &mut Vec<String>) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            program_sources(&path, out);
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            let text = fs::read_to_string(&path).unwrap();
+            let end = text.find("#[cfg(test)]").unwrap_or(text.len());
+            out.push(text[..end].to_string());
+        }
+    }
+}
+
+#[test]
+fn every_documented_env_var_is_read() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            program_sources(&src, &mut sources);
+        }
+    }
+    let mut checked = 0;
+    let mut unread = Vec::new();
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for var in env_vars(line) {
+                checked += 1;
+                let quoted = format!("\"{var}\"");
+                if !sources.iter().any(|s| s.contains(&quoted)) {
+                    unread.push(format!("{doc}:{}: {var}", n + 1));
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no environment variable found in {DOCS:?}");
+    assert!(
+        unread.is_empty(),
+        "documented environment variables the program never reads:\n{}",
+        unread.join("\n")
     );
 }
