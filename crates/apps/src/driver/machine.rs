@@ -111,8 +111,8 @@ impl MachineBuilder {
             fs,
             design: self.design,
             orchestrator: None,
-            daemon: None,
-            scrub_strikes: None,
+            scrubber: None,
+            scrub_incidents: Default::default(),
             replacement: None,
         }
     }
@@ -212,8 +212,8 @@ impl Machine {
     }
 
     /// Verify `file`'s media-level redundancy invariants for whatever the
-    /// active design maintains (checksums + parity). Baseline maintains
-    /// nothing and trivially passes.
+    /// active design maintains (checksums + parity, [`DaxFs::audit`]).
+    /// Baseline maintains nothing and trivially passes.
     ///
     /// # Errors
     ///
@@ -222,10 +222,8 @@ impl Machine {
         let Some(granularity) = self.design.checksum_granularity() else {
             return Ok(());
         };
-        let mut bad = self.fs.scrub(&self.sys, file, granularity);
-        bad.extend(self.fs.scrub_parity(&self.sys, file));
-        bad.sort_unstable();
-        bad.dedup();
+        let bad: Vec<u64> =
+            self.fs.audit(&self.sys, file, granularity).into_iter().map(|(n, _)| n).collect();
         if bad.is_empty() {
             Ok(())
         } else {

@@ -1,31 +1,43 @@
 //! The maintenance pipeline of a [`Machine`]: detection → recovery →
 //! quarantine, the scrub daemon, firmware shadow-RAID with device
-//! replacement, and the per-operation `tick_*` hooks the run drivers call.
+//! replacement, and the per-operation `tick_maintenance` hook the run
+//! drivers call.
 
 use super::{AppError, Machine};
 use memsim::addr::PageNum;
 use memsim::engine::CorruptionDetected;
 use memsim::RaidLevel;
-use pmemfs::fs::{FileHandle, FsError, RecoveryError};
+use pmemfs::fs::{FileHandle, FsError};
 use pmemfs::rebuild::{MaintGrant, PoolState, ReplacementManager};
 use pmemfs::recover::{Incidents, RecoveryOrchestrator};
-use tvarak::scrub::{ScrubDaemon, ScrubFinding, ScrubFindingKind, Scrubber};
+use tvarak::recovery::{recover_page, RecoveryFailed};
+use tvarak::scrub::{ScrubFinding, ScrubFindingKind, Scrubber};
 
 impl Machine {
-    /// OS recovery path after [`CorruptionDetected`].
+    /// OS recovery path after [`CorruptionDetected`]: reconstruct `page`
+    /// from parity ([`recover_page`]) at the design's checksum granularity.
     ///
     /// # Errors
     ///
-    /// See [`DaxFs::recover_page`](pmemfs::fs::DaxFs::recover_page).
-    pub fn recover(&mut self, page: PageNum) -> Result<(), RecoveryError> {
-        self.fs.recover_page(&mut self.sys, page)
+    /// [`RecoveryFailed`] if the reconstruction does not verify.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`Design::Baseline`](super::Design::Baseline), which
+    /// maintains no redundancy to recover from.
+    pub fn recover(&mut self, page: PageNum) -> Result<(), RecoveryFailed> {
+        let granularity = self
+            .design
+            .checksum_granularity()
+            .expect("Baseline maintains no redundancy; nothing to recover from");
+        recover_page(&mut self.sys, self.fs.layout(), granularity, page)
     }
 
     /// Install the detection→recovery→degradation pipeline: corruption
     /// handled through this machine (via [`Self::with_recovery`] or the
     /// scrub daemon's findings) is transparently recovered with up to
-    /// `max_retries` attempts, and unrecoverable pages are quarantined on a
-    /// persistent poison list.
+    /// [`MAX_RETRIES`](pmemfs::recover::MAX_RETRIES) attempts, and
+    /// unrecoverable pages are quarantined on a persistent poison list.
     ///
     /// # Errors
     ///
@@ -35,40 +47,36 @@ impl Machine {
     ///
     /// Panics under [`Design::Baseline`](super::Design::Baseline), which maintains no redundancy to
     /// recover from.
-    pub fn enable_recovery(&mut self, max_retries: u32) -> Result<(), FsError> {
+    pub fn enable_recovery(&mut self) -> Result<(), FsError> {
         let granularity = self
             .design
             .checksum_granularity()
             .expect("Baseline maintains no redundancy; nothing to recover from");
-        let orch =
-            RecoveryOrchestrator::new(&mut self.fs, &mut self.sys, granularity, max_retries)?;
+        let orch = RecoveryOrchestrator::new(&mut self.fs, &mut self.sys, granularity)?;
         self.orchestrator = Some(orch);
         Ok(())
     }
 
-    /// Install a budgeted scrub daemon over `file`: `pages` pages verified
-    /// every `interval_ops` operations, ticked by [`run_clocked`](super::run_clocked) after
-    /// every operation.
+    /// Install the scrub daemon over `file`: a [`Scrubber`] on its fixed
+    /// budget, ticked by [`Self::tick_maintenance`] after every operation.
     /// Findings are routed through the recovery orchestrator when one is
     /// enabled.
     ///
     /// # Panics
     ///
-    /// Panics under [`Design::Baseline`](super::Design::Baseline) (no checksums to scrub against) and
-    /// on a zero budget.
-    pub fn enable_scrub_daemon(&mut self, file: &FileHandle, pages: u64, interval_ops: u64) {
+    /// Panics under [`Design::Baseline`](super::Design::Baseline) (no
+    /// checksums to scrub against).
+    pub fn enable_scrub_daemon(&mut self, file: &FileHandle) {
         let granularity = self
             .design
             .checksum_granularity()
             .expect("Baseline maintains no checksums; nothing to scrub against");
-        let scrubber = Scrubber::new(
+        self.scrubber = Some(Scrubber::new(
             *self.fs.layout(),
             granularity,
             file.first_data_index(),
             file.pages(),
-        )
-        .with_parity_audit();
-        self.daemon = Some(ScrubDaemon::new(scrubber, pages, interval_ops));
+        ));
     }
 
     /// The recovery orchestrator, if [`Self::enable_recovery`] was called.
@@ -81,16 +89,18 @@ impl Machine {
         self.orchestrator.as_mut()
     }
 
-    /// The scrub daemon, if [`Self::enable_scrub_daemon`] was called.
-    pub fn scrub_daemon(&self) -> Option<&ScrubDaemon> {
-        self.daemon.as_ref()
+    /// The scrub daemon's scrubber, if [`Self::enable_scrub_daemon`] was
+    /// called.
+    pub fn scrub_daemon(&self) -> Option<&Scrubber> {
+        self.scrubber.as_ref()
     }
 
     /// Run `op` with transparent recovery: any corruption it surfaces —
     /// [`AppError::Corruption`] from a raw access or wrapped as
     /// [`pmemfs::tx::TxError::Corruption`] from inside a transaction — is
     /// routed through the orchestrator and the operation is re-issued. A
-    /// page that keeps detecting after `max_retries` apparently-successful
+    /// page that keeps detecting after
+    /// [`MAX_RETRIES`](pmemfs::recover::MAX_RETRIES) apparently-successful
     /// recoveries (a broken device read path: the media verifies but reads
     /// keep faulting) is quarantined.
     ///
@@ -115,7 +125,7 @@ impl Machine {
                 ) => (*e, orch),
                 _ => return Err(err),
             };
-            orch.incident(&mut self.fs, &mut self.sys, &mut seen, e)?;
+            orch.incident(&mut self.sys, &mut seen, e)?;
         }
     }
 
@@ -158,7 +168,7 @@ impl Machine {
     ) -> Result<(), AppError> {
         match self.orchestrator.as_mut() {
             Some(orch) => {
-                orch.read(&mut self.fs, &mut self.sys, file, core, offset, buf)?;
+                orch.read(&mut self.sys, file, core, offset, buf)?;
                 Ok(())
             }
             None => {
@@ -182,7 +192,7 @@ impl Machine {
     ) -> Result<(), AppError> {
         match self.orchestrator.as_mut() {
             Some(orch) => {
-                orch.write(&mut self.fs, &mut self.sys, file, core, offset, data)?;
+                orch.write(&mut self.sys, file, core, offset, data)?;
                 Ok(())
             }
             None => {
@@ -209,7 +219,7 @@ impl Machine {
             .orchestrator
             .as_mut()
             .expect("rewrite_page requires enable_recovery");
-        orch.rewrite_page(&mut self.fs, &mut self.sys, file, n, data)?;
+        orch.rewrite_page(&mut self.sys, file, n, data)?;
         Ok(())
     }
 
@@ -276,75 +286,69 @@ impl Machine {
     }
 
     /// Per-operation maintenance hook, called by the run drivers after
-    /// every operation. Without a replacement manager this is exactly
-    /// [`Self::tick_scrub`]. With one, the op feeds the maintenance token
-    /// bucket and a granted step runs: a rebuild grant resilvers one page (an
-    /// abandoned page is quarantined with the orchestrator — fail closed),
-    /// a scrub grant runs one budgeted scrub step through the same finding
-    /// routing as interval scrubbing.
+    /// every operation. Without a replacement manager the scrub daemon (if
+    /// any) ticks on its interval clock ([`Scrubber::tick`]). With one, the
+    /// op feeds the maintenance token bucket and a granted step runs: a
+    /// rebuild grant resilvers one page (an abandoned page is quarantined
+    /// with the orchestrator — fail closed), a scrub grant runs one budgeted
+    /// scrub step ([`Scrubber::step_now`]).
     ///
-    /// # Errors
-    ///
-    /// [`AppError::Corruption`] from a granted scrub step with no
-    /// orchestrator enabled, as with [`Self::tick_scrub`].
-    pub fn tick_maintenance(&mut self, core: usize) -> Result<(), AppError> {
-        if self.replacement.is_none() {
-            return self.tick_scrub(core);
-        }
-        let scrub_pending = self.daemon.is_some();
-        let mgr = self.replacement.as_mut().unwrap();
-        match mgr.on_op(scrub_pending) {
-            Some(MaintGrant::Rebuild) => {
-                let abandoned = mgr.step_rebuild(&mut self.sys, core);
-                if let (Some(page), Some(orch)) = (abandoned, self.orchestrator.as_mut()) {
-                    orch.quarantine_page(&mut self.sys, page);
-                }
-                Ok(())
-            }
-            Some(MaintGrant::Scrub) => {
-                let daemon = self.daemon.as_mut().unwrap();
-                let outcome = daemon.step_now(&mut self.sys, core).map(Some);
-                self.route_scrub(outcome)
-            }
-            None => Ok(()),
-        }
-    }
-
-    /// Advance the scrub daemon by one application operation on `core`.
-    /// Detections are routed through the orchestrator; a quarantined page is
-    /// skipped so the daemon keeps covering the rest of the file. The run
-    /// drivers call this automatically after every operation (via
-    /// [`Self::tick_maintenance`]).
+    /// Scrub detections are routed through the orchestrator; a quarantined
+    /// page is skipped so the daemon keeps covering the rest of the file.
     ///
     /// # Errors
     ///
     /// [`AppError::Corruption`] when the scrubber detects corruption and no
     /// orchestrator is enabled. Quarantines do *not* fail the tick — the
     /// poison only surfaces to accesses that touch the page.
-    pub fn tick_scrub(&mut self, core: usize) -> Result<(), AppError> {
-        let Some(daemon) = self.daemon.as_mut() else {
-            return Ok(());
+    pub fn tick_maintenance(&mut self, core: usize) -> Result<(), AppError> {
+        let outcome = match self.replacement.as_mut() {
+            None => {
+                let Some(scrubber) = self.scrubber.as_mut() else {
+                    return Ok(());
+                };
+                scrubber.tick(&mut self.sys, core)
+            }
+            Some(mgr) => match mgr.on_op(self.scrubber.is_some()) {
+                Some(MaintGrant::Rebuild) => {
+                    let abandoned = mgr.step_rebuild(&mut self.sys, core);
+                    if let (Some(page), Some(orch)) = (abandoned, self.orchestrator.as_mut()) {
+                        orch.quarantine_page(&mut self.sys, page);
+                    }
+                    return Ok(());
+                }
+                Some(MaintGrant::Scrub) => {
+                    let scrubber = self.scrubber.as_mut().unwrap();
+                    scrubber.step_now(&mut self.sys, core).map(Some)
+                }
+                None => return Ok(()),
+            },
         };
-        let outcome = daemon.tick(&mut self.sys, core);
         self.route_scrub(outcome)
     }
 
     /// Route one scrub outcome (an interval tick's or a QoS-granted
     /// step's) through the orchestrator: checksum findings recover or
-    /// quarantine, parity findings re-silver, mid-step trips retry with a
-    /// strike bound.
+    /// quarantine, parity findings re-silver, and a step that trips
+    /// verification mid-page is an [`incident`](RecoveryOrchestrator::incident)
+    /// counted in `scrub_incidents`, which bounds the retries of a page the
+    /// cursor is stuck on.
     fn route_scrub(
         &mut self,
         outcome: Result<Option<Vec<ScrubFinding>>, CorruptionDetected>,
     ) -> Result<(), AppError> {
         match outcome {
-            // Off-interval tick: no scrubbing happened, leave the strike
-            // record of the page under the cursor untouched.
+            // Off-interval tick: no scrubbing happened, leave the incident
+            // count of the page under the cursor untouched.
             Ok(None) => Ok(()),
             Ok(Some(findings)) => {
-                self.scrub_strikes = None;
+                // The step completed, so the cursor left any page it was
+                // stuck on.
+                self.scrub_incidents = Incidents::default();
                 for f in findings {
                     match f.kind {
+                        // One finding per page per step: a plain handle,
+                        // with no retry count to keep.
                         ScrubFindingKind::Checksum => {
                             let err = CorruptionDetected {
                                 line: f.page.line(0),
@@ -353,7 +357,7 @@ impl Machine {
                                 // Quarantine is recorded in the orchestrator;
                                 // the daemon moves on.
                                 Some(orch) => {
-                                    let _ = orch.handle(&mut self.fs, &mut self.sys, err);
+                                    let _ = orch.handle(&mut self.sys, err);
                                 }
                                 None => return Err(AppError::Corruption(err)),
                             }
@@ -376,36 +380,15 @@ impl Machine {
             // Hardware verification tripped mid-step; the cursor is still on
             // the failing page, so settle it before the next tick.
             Err(e) => {
-                let page = e.line.page();
                 let Some(orch) = self.orchestrator.as_mut() else {
                     return Err(AppError::Corruption(e));
                 };
                 // A quarantined page trips verification on every scrub read
                 // forever; that is not a new incident — skip past it.
-                if orch.is_poisoned(page) {
-                    self.daemon.as_mut().unwrap().skip_page();
-                    self.scrub_strikes = None;
-                    return Ok(());
-                }
-                let strikes = match &mut self.scrub_strikes {
-                    Some((p, n)) if *p == page => {
-                        *n += 1;
-                        *n
-                    }
-                    _ => {
-                        self.scrub_strikes = Some((page, 1));
-                        1
-                    }
-                };
-                let poisoned = if strikes > orch.max_retries() {
-                    orch.quarantine_page(&mut self.sys, page);
-                    true
-                } else {
-                    orch.handle(&mut self.fs, &mut self.sys, e).is_err()
-                };
-                if poisoned {
-                    self.daemon.as_mut().unwrap().skip_page();
-                    self.scrub_strikes = None;
+                let seen = &mut self.scrub_incidents;
+                if orch.is_poisoned(e.line.page()) || orch.incident(&mut self.sys, seen, e).is_err() {
+                    self.scrubber.as_mut().unwrap().skip_current();
+                    self.scrub_incidents = Incidents::default();
                 }
                 Ok(())
             }

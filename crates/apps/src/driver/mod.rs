@@ -6,7 +6,7 @@
 //! - `machine`: building a [`Machine`] and its plain access, flush and
 //!   statistics calls;
 //! - `maint`: the maintenance pipeline — recovery, scrubbing, firmware RAID
-//!   and device replacement, and the per-operation `tick_*` hooks;
+//!   and device replacement, and the per-operation `tick_maintenance` hook;
 //! - `run`: the clock-driven schedulers ([`run_clocked`],
 //!   [`run_clocked_threads`]).
 
@@ -19,14 +19,14 @@ pub use design::{Design, ParseDesignError, DEFAULT_VILAMB_EPOCH_TXS, DESIGN_NAME
 pub use machine::MachineBuilder;
 pub use run::{run_clocked, run_clocked_threads, weave_eligibility, ThreadedRun};
 
-use memsim::addr::PageNum;
 use memsim::engine::{CorruptionDetected, System};
-use pmemfs::fs::{DaxFs, FsError, RecoveryError};
+use pmemfs::fs::{DaxFs, FsError};
 use pmemfs::rebuild::ReplacementManager;
-use pmemfs::recover::{Poisoned, RecoveryOrchestrator};
+use pmemfs::recover::{Incidents, Poisoned, RecoveryOrchestrator};
 use std::error::Error;
 use std::fmt;
-use tvarak::scrub::ScrubDaemon;
+use tvarak::recovery::RecoveryFailed;
+use tvarak::scrub::Scrubber;
 
 /// Errors surfaced by workloads.
 #[derive(Debug)]
@@ -40,7 +40,7 @@ pub enum AppError {
     /// Persistent heap exhausted.
     Oom(crate::alloc::OutOfMemory),
     /// Recovery failed.
-    Recovery(RecoveryError),
+    Recovery(RecoveryFailed),
     /// The access touched a quarantined page (degraded mode fails closed).
     Poisoned(Poisoned),
 }
@@ -84,8 +84,8 @@ impl From<crate::alloc::OutOfMemory> for AppError {
     }
 }
 
-impl From<RecoveryError> for AppError {
-    fn from(e: RecoveryError) -> Self {
+impl From<RecoveryFailed> for AppError {
+    fn from(e: RecoveryFailed) -> Self {
         AppError::Recovery(e)
     }
 }
@@ -105,10 +105,11 @@ pub struct Machine {
     pub fs: DaxFs,
     design: Design,
     orchestrator: Option<RecoveryOrchestrator>,
-    daemon: Option<ScrubDaemon>,
-    /// Consecutive scrub-time detections on the same page, for bounding
-    /// repeat offenders (see [`Machine::tick_scrub`]).
-    scrub_strikes: Option<(PageNum, u32)>,
+    /// The scrub daemon, if [`Machine::enable_scrub_daemon`] was called.
+    scrubber: Option<Scrubber>,
+    /// Scrub-time detections of the page the scrub cursor is stuck on, for
+    /// bounding repeat offenders (see [`Machine::tick_maintenance`]).
+    scrub_incidents: Incidents,
     /// Device-replacement lifecycle + maintenance QoS, if
     /// [`Machine::enable_raid`] was called.
     replacement: Option<ReplacementManager>,

@@ -9,6 +9,7 @@ use apps::kv::PersistentKv;
 use memsim::addr::PAGE;
 use memsim::FirmwareFault;
 use pmemfs::recover::RecoveryEvent;
+use tvarak::scrub::{SCRUB_INTERVAL, SCRUB_PAGES};
 
 fn machine(design: Design) -> Machine {
     Machine::builder()
@@ -23,7 +24,7 @@ fn machine(design: Design) -> Machine {
 #[test]
 fn btree_completes_through_mid_run_lost_write() {
     let mut m = machine(Design::Tvarak);
-    m.enable_recovery(3).unwrap();
+    m.enable_recovery().unwrap();
     let mut txm = m.tx_manager(64 * 1024).unwrap();
     let mut t = BTree::create(&mut m, 0, 256 * 1024).unwrap();
     for k in 0..12u64 {
@@ -63,7 +64,7 @@ fn btree_completes_through_mid_run_lost_write() {
 #[test]
 fn double_fault_quarantines_one_page_rest_serves() {
     let mut m = machine(Design::Tvarak);
-    m.enable_recovery(2).unwrap();
+    m.enable_recovery().unwrap();
     let f = m.create_dax_file("victim", 4 * PAGE as u64).unwrap();
     for n in 0..4u64 {
         m.write_file(&f, 0, n * PAGE as u64, &[n as u8 + 1; 64]).unwrap();
@@ -120,7 +121,7 @@ fn double_fault_quarantines_one_page_rest_serves() {
 #[test]
 fn scrub_daemon_detects_and_recovers_under_software_design() {
     let mut m = machine(Design::TxbPage);
-    m.enable_recovery(3).unwrap();
+    m.enable_recovery().unwrap();
     let mut txm = m.tx_manager(64 * 1024).unwrap();
     let f = m.create_dax_file("data", 8 * PAGE as u64).unwrap();
     for n in 0..8u64 {
@@ -129,8 +130,9 @@ fn scrub_daemon_detects_and_recovers_under_software_design() {
         tx.commit(&mut m.sys).unwrap();
     }
     m.flush();
-    // One page of scrubbing per op: a full pass every 8 ops.
-    m.enable_scrub_daemon(&f, 1, 1);
+    // SCRUB_PAGES pages every SCRUB_INTERVAL ops: a full pass every
+    // 8 / SCRUB_PAGES * SCRUB_INTERVAL ops.
+    m.enable_scrub_daemon(&f);
     // Silent media corruption — no read of page 5 will ever demand-miss it,
     // so only the scrub daemon can find it.
     let victim = f.addr(5 * PAGE as u64).line();
@@ -138,7 +140,7 @@ fn scrub_daemon_detects_and_recovers_under_software_design() {
     m.sys.invalidate_page(victim.page());
     let before = m.orchestrator().unwrap().detections();
     // Application keeps touching page 0 only; the daemon sweeps the rest.
-    let ops = 2 * f.pages();
+    let ops = 2 * f.pages() / SCRUB_PAGES * SCRUB_INTERVAL;
     apps::driver::run_clocked(&mut m, 1, ops, |m, _inst, op| {
         let mut tx = txm.begin(&mut m.sys, 0)?;
         tx.write_u64(&mut m.sys, &f, 8 * (op % 8), op)?;
@@ -168,13 +170,13 @@ fn scrub_daemon_detects_and_recovers_under_software_design() {
 #[test]
 fn scrub_daemon_skips_quarantined_page() {
     let mut m = machine(Design::Tvarak);
-    m.enable_recovery(2).unwrap();
+    m.enable_recovery().unwrap();
     let f = m.create_dax_file("data", 4 * PAGE as u64).unwrap();
     for n in 0..4u64 {
         m.write_file(&f, 0, n * PAGE as u64, &[n as u8 + 1; 64]).unwrap();
     }
     m.flush();
-    m.enable_scrub_daemon(&f, 1, 1);
+    m.enable_scrub_daemon(&f);
     let victim = f.addr(PAGE as u64).line();
     m.sys.memory_mut().poke_line(victim, &[0xcc; 64]);
     m.sys
@@ -183,12 +185,12 @@ fn scrub_daemon_skips_quarantined_page() {
     m.sys.invalidate_page(victim.page());
     // Enough ticks for detection, bounded retries, quarantine, and at least
     // one further full pass over the remaining pages.
-    for _ in 0..32 {
-        m.tick_scrub(0).unwrap();
+    for _ in 0..32 / SCRUB_PAGES * SCRUB_INTERVAL {
+        m.tick_maintenance(0).unwrap();
     }
     let orch = m.orchestrator().unwrap();
     assert_eq!(orch.poisoned_pages(), &[f.page(1)]);
-    let checked = m.scrub_daemon().unwrap().scrubber().pages_checked();
+    let checked = m.scrub_daemon().unwrap().pages_checked();
     assert!(
         checked >= 16,
         "daemon kept covering the file after quarantine (checked {checked})"
@@ -200,7 +202,39 @@ fn scrub_daemon_skips_quarantined_page() {
         &m.sys,
         store,
         tvarak::scrub::ScrubGranularity::CacheLine,
-        2,
     );
     assert_eq!(reloaded.poisoned_pages(), &[f.page(1)]);
+}
+
+/// Software designs recover through the same entry as the controller: the
+/// redundancy lines come from NVM instead of the controller's caches.
+#[test]
+fn recover_under_software_design_restores_the_page() {
+    let mut m = machine(Design::TxbPage);
+    let mut txm = m.tx_manager(64 * 1024).unwrap();
+    let f = m.create_dax_file("data", 4 * PAGE as u64).unwrap();
+    for n in 0..4u64 {
+        let mut tx = txm.begin(&mut m.sys, 0).unwrap();
+        tx.write(&mut m.sys, &f, n * PAGE as u64, &[n as u8 + 1; 64]).unwrap();
+        tx.commit(&mut m.sys).unwrap();
+    }
+    m.flush();
+    let victim = f.addr(2 * PAGE as u64).line();
+    m.sys.memory_mut().poke_line(victim, &[0xee; 64]);
+    assert!(m.verify_all(&f).is_err(), "the poke is visible on the media");
+    m.recover(victim.page()).unwrap();
+    m.verify_all(&f).unwrap();
+    let mut buf = [0u8; 64];
+    m.read_file(&f, 0, 2 * PAGE as u64, &mut buf).unwrap();
+    assert_eq!(buf, [3u8; 64], "the read returns the original bytes");
+}
+
+/// Baseline maintains no redundancy: asking it to recover is a misuse,
+/// like enabling the recovery pipeline on it.
+#[test]
+#[should_panic(expected = "Baseline maintains no redundancy")]
+fn recover_under_baseline_panics() {
+    let mut m = machine(Design::Baseline);
+    let f = m.create_dax_file("data", PAGE as u64).unwrap();
+    let _ = m.recover(f.page(0));
 }

@@ -29,14 +29,14 @@ use apps::driver::{Design, Machine};
 use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
 use bench::faulted::{
     designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
-    FLUSH_EVERY, MAX_RETRIES, SCRUB_INTERVAL, SCRUB_PAGES,
+    FLUSH_EVERY,
 };
 use bench::runner::{self, Cell};
 use memsim::addr::{LineAddr, PAGE};
 use memsim::{FaultKind, FaultPlan, FirmwareFault};
 use pmemfs::fs::FileHandle;
-use pmemfs::recover::RecoveryEvent;
-use tvarak::scrub::ScrubGranularity;
+use pmemfs::recover::{RecoveryEvent, MAX_RETRIES};
+use tvarak::scrub::{ScrubGranularity, SCRUB_INTERVAL, SCRUB_PAGES};
 
 const SEED_BASE: u64 = 0x00c4_a05c;
 
@@ -168,9 +168,10 @@ impl ChaosCtl {
         if (op + 1).is_multiple_of(FLUSH_EVERY) {
             m.flush();
         }
-        // Scrub daemon tick; detections route through the orchestrator.
-        // Only Baseline runs without one, and Baseline detects nothing.
-        let _ = m.tick_scrub(0);
+        // Scrub daemon tick (no RAID here, so maintenance is the scrub
+        // daemon alone); detections route through the orchestrator. Only
+        // Baseline runs without one, and Baseline detects nothing.
+        let _ = m.tick_maintenance(0);
         // Newly fired firmware faults.
         let fired = m.sys.memory().fired_faults();
         for f in &fired[self.fired_seen..] {
@@ -230,9 +231,9 @@ impl ChaosCtl {
             // "settles nothing new" is only meaningful over a FULL pass —
             // a partial wrap can miss the corrupt page entirely.
             let run_one_pass = |m: &mut Machine, budget: &mut u64| {
-                let pass = m.scrub_daemon().unwrap().scrubber().passes();
-                while m.scrub_daemon().unwrap().scrubber().passes() == pass && *budget > 0 {
-                    let _ = m.tick_scrub(0);
+                let pass = m.scrub_daemon().unwrap().passes();
+                while m.scrub_daemon().unwrap().passes() == pass && *budget > 0 {
+                    let _ = m.tick_maintenance(0);
                     *budget -= 1;
                 }
             };
@@ -244,7 +245,7 @@ impl ChaosCtl {
                     break;
                 }
             }
-            let s = m.scrub_daemon().unwrap().scrubber();
+            let s = m.scrub_daemon().unwrap();
             self.log.push(format!(
                 "{} op={ops} event=Converged passes={} checked={} budget_left={budget} settled={:?}",
                 self.ctx,
@@ -292,11 +293,10 @@ impl ChaosCtl {
         let bad = m.verify_all(file).err().unwrap_or_default();
         self.out.final_bad_pages = bad.len();
         if self.debug && !bad.is_empty() {
-            let csum_bad = m.fs.scrub(&m.sys, file, ScrubGranularity::CacheLine);
-            let page_bad = m.fs.scrub(&m.sys, file, ScrubGranularity::Page);
-            let parity_bad = m.fs.scrub_parity(&m.sys, file);
+            let cl = m.fs.audit(&m.sys, file, ScrubGranularity::CacheLine);
+            let page = m.fs.audit(&m.sys, file, ScrubGranularity::Page);
             eprintln!(
-                "{}: debug bad={bad:?} cl={csum_bad:?} page={page_bad:?} parity={parity_bad:?} poisoned={poisoned:?}",
+                "{}: debug bad={bad:?} cl={cl:?} page={page:?} poisoned={poisoned:?}",
                 self.ctx
             );
         }

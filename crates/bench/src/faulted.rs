@@ -2,8 +2,8 @@
 //! (`chaos_campaign`, `degraded_campaign`): a deterministic op stream over a
 //! small machine, with a shadow of every acknowledged write so each read is
 //! classified as correct, silently wrong, or failed closed — plus the
-//! design list, detection → recovery pipeline settings, seed derivation and
-//! quiet panic capture both campaigns share.
+//! design list, the detection → recovery pipeline switch, seed derivation
+//! and quiet panic capture both campaigns share.
 
 use apps::btree::BTree;
 use apps::driver::{AppError, Design, Machine};
@@ -21,12 +21,6 @@ use tvarak::controller::TvarakConfig;
 
 /// Foreground ops between forced writebacks.
 pub const FLUSH_EVERY: u64 = 16;
-/// Recovery attempts before a page is quarantined.
-pub const MAX_RETRIES: u32 = 3;
-/// Pages per scrub-daemon step.
-pub const SCRUB_PAGES: u64 = 1;
-/// Ticks between scrub-daemon steps.
-pub const SCRUB_INTERVAL: u64 = 4;
 
 /// The designs the fault campaigns sweep: the Fig. 8 four plus the naive
 /// page-granular controller ablation.
@@ -59,8 +53,8 @@ pub fn small_machine(design: Design) -> Machine {
 /// (Baseline has none).
 pub fn enable_pipeline(m: &mut Machine, file: &FileHandle) {
     if m.design() != Design::Baseline {
-        m.enable_recovery(MAX_RETRIES).expect("poison store fits");
-        m.enable_scrub_daemon(file, SCRUB_PAGES, SCRUB_INTERVAL);
+        m.enable_recovery().expect("poison store fits");
+        m.enable_scrub_daemon(file);
     }
 }
 

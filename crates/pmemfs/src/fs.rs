@@ -1,15 +1,14 @@
 //! The DAX file system: file allocation over the striped NVM region, DAX
 //! map/unmap (which registers ranges with the TVARAK controller and converts
 //! between page- and cache-line-granular checksums, §III-C), and the
-//! OS-side corruption-recovery path.
+//! offline media audit.
 
 use memsim::addr::{PageNum, PhysAddr, PAGE};
 use memsim::engine::{CorruptionDetected, RedundancyRegion, System};
 use tvarak::controller::TvarakController;
 use tvarak::init;
-use tvarak::layout::{gather_page, peek, NvmLayout};
-use tvarak::recovery::RecoveryFailed;
-use tvarak::scrub::ScrubGranularity;
+use tvarak::layout::NvmLayout;
+use tvarak::scrub::{ScrubFindingKind, ScrubGranularity};
 use std::error::Error;
 use std::fmt;
 
@@ -43,28 +42,6 @@ impl fmt::Display for FsError {
 }
 
 impl Error for FsError {}
-
-/// Recovery errors surfaced to applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryError {
-    /// Parity reconstruction failed verification.
-    Unrecoverable(RecoveryFailed),
-    /// The running design has no hardware controller to recover with.
-    NoController,
-}
-
-impl fmt::Display for RecoveryError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            RecoveryError::Unrecoverable(e) => write!(f, "{e}"),
-            RecoveryError::NoController => {
-                write!(f, "no redundancy controller present to recover with")
-            }
-        }
-    }
-}
-
-impl Error for RecoveryError {}
 
 /// A handle to a file in the pool: a contiguous run of *data-page indices*
 /// (the physical pages interleave with parity pages, but the handle's
@@ -381,48 +358,21 @@ impl DaxFs {
         }
     }
 
-    /// OS-side recovery path after a [`CorruptionDetected`] error: drop
-    /// cached copies of the page and reconstruct it from parity.
-    ///
-    /// # Errors
-    ///
-    /// [`RecoveryError::Unrecoverable`] if reconstruction fails verification,
-    /// [`RecoveryError::NoController`] if the design has no controller.
-    pub fn recover_page(&mut self, sys: &mut System, page: PageNum) -> Result<(), RecoveryError> {
-        sys.invalidate_page(page);
-        sys.with_hooks_env(|hooks, env| {
-            match hooks.as_any_mut().downcast_mut::<TvarakController>() {
-                Some(ctrl) => ctrl
-                    .recover_page(0, page, env)
-                    .map_err(RecoveryError::Unrecoverable),
-                None => Err(RecoveryError::NoController),
-            }
-        })
-    }
-
-    /// Offline scrub: verify every page of `file` on the media against the
-    /// checksums stored at `granularity`, returning offending file pages.
-    /// Used by tests and by designs that rely on background scrubbing.
-    pub fn scrub(&self, sys: &System, file: &FileHandle, granularity: ScrubGranularity) -> Vec<u64> {
-        let media = peek(sys.memory());
+    /// Offline media audit of every page of `file`
+    /// ([`NvmLayout::audit_page`]): checksums stored at `granularity`
+    /// first, then stripe parity, skipping lines that are not live under
+    /// firmware RAID. Returns each inconsistent file page with what
+    /// disagrees, in file order.
+    pub fn audit(
+        &self,
+        sys: &System,
+        file: &FileHandle,
+        granularity: ScrubGranularity,
+    ) -> Vec<(u64, ScrubFindingKind)> {
         (0..file.pages)
-            .filter(|&n| {
-                let page = file.page(n);
-                let Ok(bytes) = gather_page(page, media);
-                self.layout.page_matches_csums(page, granularity, &bytes, media) != Ok(true)
-            })
-            .collect()
-    }
-
-    /// Verify parity consistency of every stripe covering `file` on the
-    /// media, returning offending file pages.
-    pub fn scrub_parity(&self, sys: &System, file: &FileHandle) -> Vec<u64> {
-        let media = peek(sys.memory());
-        (0..file.pages)
-            .filter(|&n| {
-                let page = file.page(n);
-                (0..memsim::LINES_PER_PAGE)
-                    .any(|i| self.layout.stripe_consistent(page.line(i), media) != Ok(true))
+            .filter_map(|n| {
+                let kind = self.layout.audit_page(sys.memory(), file.page(n), granularity)?;
+                Some((n, kind))
             })
             .collect()
     }
@@ -631,20 +581,11 @@ mod tests {
         let mut buf = [0u8; 64];
         let err = f.read(&mut sys, 0, 0, &mut buf).unwrap_err();
         assert_eq!(err.line, line);
-        fs.recover_page(&mut sys, line.page()).unwrap();
+        let page = line.page();
+        tvarak::recovery::recover_page(&mut sys, fs.layout(), ScrubGranularity::CacheLine, page)
+            .unwrap();
         f.read(&mut sys, 0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0x11u8; 64]);
-    }
-
-    #[test]
-    fn recovery_without_controller_is_an_error() {
-        let (mut sys, mut fs) = baseline_sys(4);
-        let f = fs.create(&mut sys, 4096).unwrap();
-        let page = f.page(0);
-        assert_eq!(
-            fs.recover_page(&mut sys, page),
-            Err(RecoveryError::NoController)
-        );
     }
 
     #[test]
@@ -655,7 +596,7 @@ mod tests {
         f.write(&mut sys, 0, 0, &[7u8; 128]).unwrap();
         sys.flush();
         fs.dax_unmap(&mut sys, &f);
-        assert!(fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty());
+        assert!(fs.audit(&sys, &f, ScrubGranularity::Page).is_empty());
         // Controller no longer verifies this range.
         sys.invalidate_page(f.page(0));
         sys.memory_mut().poke_line(f.addr(0).line(), &[9u8; 64]);
@@ -663,9 +604,10 @@ mod tests {
         f.read(&mut sys, 0, 0, &mut buf).expect("no verification when unmapped");
     }
 
-    /// The offline parity audit and the scrubber's are the same stripe
-    /// check: they must flag the same pages for a rotted parity line,
-    /// whichever checksum granularity the scrubber runs at.
+    /// The offline audit and the scrubber run the same checks: they must
+    /// flag the same pages with the same kind for a rotted parity line and
+    /// for a corrupted data line, whichever checksum granularity they run
+    /// at.
     #[test]
     fn parity_audit_agrees_with_scrubber() {
         use tvarak::scrub::{ScrubFindingKind, Scrubber};
@@ -675,17 +617,21 @@ mod tests {
         sys.flush();
         let first = f.first_data_index();
         init::initialize_region(fs.layout(), sys.memory_mut(), first..first + f.pages());
-        assert!(fs.scrub_parity(&sys, &f).is_empty());
+        for granularity in [ScrubGranularity::Page, ScrubGranularity::CacheLine] {
+            assert!(fs.audit(&sys, &f, granularity).is_empty());
+        }
         let rotted = fs.layout().parity_line_of(f.page(4).line(17));
         sys.memory_mut().poke_line(rotted, &[0xeeu8; 64]);
-        let offline = fs.scrub_parity(&sys, &f);
-        assert!(offline.contains(&4), "{offline:?}");
+        // Page 1 shares no stripe with page 4 at the small config's width.
+        assert_ne!(fs.layout().parity_line_of(f.page(1).line(0)).page(), rotted.page());
+        sys.memory_mut().poke_line(f.page(1).line(5), &[0x5au8; 64]);
         for granularity in [ScrubGranularity::Page, ScrubGranularity::CacheLine] {
-            let mut scrubber =
-                Scrubber::new(*fs.layout(), granularity, first, f.pages()).with_parity_audit();
+            let offline = fs.audit(&sys, &f, granularity);
+            assert!(offline.contains(&(4, ScrubFindingKind::Parity)), "{offline:?}");
+            assert!(offline.contains(&(1, ScrubFindingKind::Checksum)), "{offline:?}");
+            let mut scrubber = Scrubber::new(*fs.layout(), granularity, first, f.pages());
             let findings = scrubber.step(&mut sys, 0, f.pages()).unwrap();
-            assert!(findings.iter().all(|x| x.kind == ScrubFindingKind::Parity));
-            let online: Vec<u64> = findings.iter().map(|x| x.data_index - first).collect();
+            let online: Vec<_> = findings.iter().map(|x| (x.data_index - first, x.kind)).collect();
             assert_eq!(online, offline, "{granularity:?}");
         }
     }
@@ -699,7 +645,9 @@ mod tests {
             f.write_u64(&mut sys, 0, i * 256, i * 0x9e37).unwrap();
         }
         sys.flush();
-        assert!(fs.scrub(&sys, &f, ScrubGranularity::CacheLine).is_empty(), "checksums consistent");
-        assert!(fs.scrub_parity(&sys, &f).is_empty(), "parity consistent");
+        assert!(
+            fs.audit(&sys, &f, ScrubGranularity::CacheLine).is_empty(),
+            "checksums and parity consistent"
+        );
     }
 }

@@ -32,7 +32,7 @@ pub mod recover;
 pub mod tx;
 
 pub use fault::Fault;
-pub use fs::{DaxFs, FileHandle, FsError, RecoveryError};
+pub use fs::{DaxFs, FileHandle, FsError};
 pub use rebuild::{PoolState, ReplacementManager};
 pub use recover::{Poisoned, RecoveryEvent, RecoveryOrchestrator};
 pub use tx::{sw_redundancy_update, SwScheme, Tx, TxError, TxManager};

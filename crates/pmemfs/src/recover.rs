@@ -4,10 +4,10 @@
 //! The paper stops at "the file system recovers the page from parity"
 //! (§III-A); this module is that file-system half, made first-class. Any
 //! [`CorruptionDetected`] surfaced through a read is routed here: the
-//! orchestrator invalidates cached copies of the page, drives parity
-//! reconstruction (hardware controller when present, software otherwise)
-//! with bounded retries, verifies that the repair actually reached the
-//! media, and transparently re-issues the read. A page whose repair cannot
+//! orchestrator drives parity reconstruction
+//! ([`tvarak::recovery::recover_page`]) with up to [`MAX_RETRIES`]
+//! attempts, verifies that the repair actually reached the media, and
+//! transparently re-issues the read. A page whose repair cannot
 //! be made to stick — an unrecoverable stripe, or a sticky device fault
 //! that keeps dropping repair writes — enters a **persistent poison list**:
 //! further accesses to that page fail closed with a structured [`Poisoned`]
@@ -26,13 +26,12 @@
 //!    └───────────────────────── Poisoned  (persistent; reads fail closed)
 //! ```
 
-use crate::fs::{DaxFs, FileHandle, FsError, RecoveryError};
+use crate::fs::{DaxFs, FileHandle, FsError};
 use memsim::addr::{LineAddr, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
 use memsim::engine::{CorruptionDetected, System};
-use tvarak::controller::TvarakController;
 use tvarak::init;
 use tvarak::layout::{gather_page, peek, NvmLayout};
-use tvarak::recovery::{reconstruct_page, RecoveryFailed};
+use tvarak::recovery::{drop_stale_copies, recover_page};
 use tvarak::scrub::ScrubGranularity;
 use std::error::Error;
 use std::fmt;
@@ -97,11 +96,15 @@ pub enum RecoveryEvent {
     },
 }
 
+/// Reconstruction attempts per incident, and detections of one page per
+/// re-issued operation, before the page is quarantined.
+pub const MAX_RETRIES: u32 = 3;
+
 /// Maximum poison-list entries the one-page persistent store can hold.
 const POISON_CAP: usize = (PAGE - 8) / 8;
 
-/// Per-page corruption counts of one re-issued operation (see
-/// [`RecoveryOrchestrator::incident`]).
+/// Per-page corruption counts of one re-issued operation, or of the scrub
+/// steps stuck on one page (see [`RecoveryOrchestrator::incident`]).
 #[derive(Debug, Default)]
 pub struct Incidents(Vec<(PageNum, u32)>);
 
@@ -115,7 +118,6 @@ pub struct RecoveryOrchestrator {
     layout: NvmLayout,
     store: FileHandle,
     granularity: ScrubGranularity,
-    max_retries: u32,
     poisoned: Vec<PageNum>,
     events: Vec<RecoveryEvent>,
     detections: u64,
@@ -127,29 +129,21 @@ pub struct RecoveryOrchestrator {
 impl RecoveryOrchestrator {
     /// Create an orchestrator for `fs`'s pool, allocating its persistent
     /// poison-list page. `granularity` names the checksum granularity the
-    /// running design maintains (what software recovery verifies against);
-    /// `max_retries` bounds reconstruction attempts per incident.
+    /// running design maintains (what recovery verifies against).
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] if the pool cannot hold the one-page store.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_retries == 0`.
     pub fn new(
         fs: &mut DaxFs,
         sys: &mut System,
         granularity: ScrubGranularity,
-        max_retries: u32,
     ) -> Result<Self, FsError> {
-        assert!(max_retries > 0, "need at least one recovery attempt");
         let store = fs.create(sys, PAGE as u64)?;
         Ok(RecoveryOrchestrator {
             layout: *fs.layout(),
             store,
             granularity,
-            max_retries,
             poisoned: Vec::new(),
             events: Vec::new(),
             detections: 0,
@@ -167,9 +161,7 @@ impl RecoveryOrchestrator {
         sys: &System,
         store: FileHandle,
         granularity: ScrubGranularity,
-        max_retries: u32,
     ) -> Self {
-        assert!(max_retries > 0, "need at least one recovery attempt");
         let Ok(bytes) = gather_page(store.page(0), peek(sys.memory()));
         let count = u64::from_le_bytes(bytes[..8].try_into().unwrap()) as usize;
         let poisoned = (0..count.min(POISON_CAP))
@@ -182,7 +174,6 @@ impl RecoveryOrchestrator {
             layout: *fs.layout(),
             store,
             granularity,
-            max_retries,
             poisoned,
             events: Vec::new(),
             detections: 0,
@@ -195,11 +186,6 @@ impl RecoveryOrchestrator {
     /// The persistent poison-list store (pass to [`Self::reload`]).
     pub fn store(&self) -> &FileHandle {
         &self.store
-    }
-
-    /// The bound on reconstruction attempts per incident.
-    pub fn max_retries(&self) -> u32 {
-        self.max_retries
     }
 
     /// Give up on `page` without further recovery attempts and quarantine
@@ -248,12 +234,22 @@ impl RecoveryOrchestrator {
 
     /// Persist the poison list to its store page and rebuild the store's
     /// redundancy (an OS metadata update, below the measured path).
+    ///
+    /// # Panics
+    ///
+    /// Panics when the list outgrows the store's [`POISON_CAP`] entries: a
+    /// truncated list would let the pages past the cap fail open after a
+    /// restart.
     fn persist(&mut self, sys: &mut System) {
         let page = self.store.page(0);
         let mut bytes = [0u8; PAGE];
-        let n = self.poisoned.len().min(POISON_CAP);
+        let n = self.poisoned.len();
+        assert!(
+            n <= POISON_CAP,
+            "poison list overflow: {n} quarantined pages exceed the store's {POISON_CAP}-entry cap"
+        );
         bytes[..8].copy_from_slice(&(n as u64).to_le_bytes());
-        for (i, p) in self.poisoned.iter().take(n).enumerate() {
+        for (i, p) in self.poisoned.iter().enumerate() {
             bytes[8 + i * 8..16 + i * 8].copy_from_slice(&p.0.to_le_bytes());
         }
         let mem = sys.memory_mut();
@@ -288,37 +284,7 @@ impl RecoveryOrchestrator {
             // ground truth and stale cached copies drop without writeback.
             sys.flush();
             init::refresh_parity_for_page(&self.layout, sys.memory_mut(), page);
-            self.drop_stale_copies(sys, page);
-        }
-    }
-
-    /// Check `page`'s *media* content against its stored checksum at the
-    /// orchestrator's granularity — the post-repair acceptance test. A
-    /// repair dropped by a sticky device fault fails this even though
-    /// reconstruction itself verified.
-    ///
-    /// Lines that are not live under firmware shadow-RAID (their device
-    /// failed, or the spare has not resilvered them yet) are skipped: their
-    /// media is not the logical value, and their durability is delegated to
-    /// the shadow syndromes — reads reconstruct and verify on consumption.
-    fn media_consistent(&self, sys: &System, page: PageNum) -> bool {
-        let mem = sys.memory();
-        let media = peek(mem);
-        match self.granularity {
-            ScrubGranularity::CacheLine => (0..LINES_PER_PAGE).all(|i| {
-                let line = page.line(i);
-                if !mem.line_live(line) || !mem.line_live(self.layout.cl_csum_loc(line).0) {
-                    return true;
-                }
-                self.layout.line_matches_csum(line, &mem.peek_line(line), media) == Ok(true)
-            }),
-            ScrubGranularity::Page => {
-                if !mem.page_fully_live(page) || !mem.line_live(self.layout.page_csum_loc(page).0) {
-                    return true;
-                }
-                let Ok(bytes) = gather_page(page, media);
-                self.layout.page_matches_csums(page, self.granularity, &bytes, media) == Ok(true)
-            }
+            drop_stale_copies(sys, &self.layout, page);
         }
     }
 
@@ -354,17 +320,6 @@ impl RecoveryOrchestrator {
         mem.line_live(pcs_line)
     }
 
-    /// Software parity reconstruction for designs without a hardware
-    /// controller: [`reconstruct_page`] with every redundancy line read
-    /// from NVM, charged as redundancy traffic like the hardware path.
-    fn recover_sw(&self, sys: &mut System, page: PageNum) -> Result<(), RecoveryFailed> {
-        sys.with_hooks_env(|_hooks, env| {
-            reconstruct_page(&self.layout, self.granularity, 0, page, env, |l, env| {
-                env.nvm_read_red(0, l, true)
-            })
-        })
-    }
-
     /// Two-of-three arbitration for a failed reconstruction: if the page's
     /// media content already equals its parity reconstruction, data and
     /// parity out-vote the stored checksum — the checksum is the rotten
@@ -378,17 +333,14 @@ impl RecoveryOrchestrator {
         if !self.page_repair_lines_live(sys, page) {
             return false;
         }
-        let mem = sys.memory();
-        if (0..LINES_PER_PAGE)
-            .any(|i| self.layout.stripe_consistent(page.line(i), peek(mem)) != Ok(true))
-        {
+        if !self.layout.media_parity_ok(sys.memory(), page) {
             return false;
         }
         sys.flush();
         let n = self.layout.data_index_of(page);
         init::refresh_cl_csums(&self.layout, sys.memory_mut(), n..n + 1);
         init::refresh_page_csums(&self.layout, sys.memory_mut(), n..n + 1);
-        self.drop_stale_copies(sys, page);
+        drop_stale_copies(sys, &self.layout, page);
         self.events.push(RecoveryEvent::CsumsRebuilt { page });
         true
     }
@@ -413,7 +365,7 @@ impl RecoveryOrchestrator {
         geom.data_pages_of_stripe(stripe)
             .map(memsim::addr::nvm_page)
             .filter(|m| !self.is_poisoned(*m))
-            .all(|m| mem.page_fully_live(m) && self.media_consistent(sys, m))
+            .all(|m| mem.page_fully_live(m) && self.layout.media_csums_ok(mem, m, self.granularity))
     }
 
     /// Repair a scrub parity-audit finding: the page's data and checksums
@@ -429,7 +381,7 @@ impl RecoveryOrchestrator {
         }
         sys.flush();
         init::refresh_parity_for_page(&self.layout, sys.memory_mut(), page);
-        self.drop_stale_copies(sys, page);
+        drop_stale_copies(sys, &self.layout, page);
         self.events.push(RecoveryEvent::ParityRebuilt { page });
         self.parity_rebuilds += 1;
         true
@@ -440,9 +392,9 @@ impl RecoveryOrchestrator {
         self.parity_rebuilds
     }
 
-    /// Handle one detected corruption: invalidate the page, attempt
-    /// reconstruction up to `max_retries` times (each attempt must verify on
-    /// media to count), quarantine on failure. A failed reconstruction whose
+    /// Handle one detected corruption: attempt reconstruction
+    /// ([`recover_page`]) up to [`MAX_RETRIES`] times (each attempt must
+    /// verify on media to count), quarantine on failure. A failed reconstruction whose
     /// page nevertheless matches its parity reconstruction is arbitrated by
     /// two-of-three vote: data + parity against the checksum — see
     /// `try_csum_repair`.
@@ -455,12 +407,7 @@ impl RecoveryOrchestrator {
     /// # Errors
     ///
     /// Returns [`Poisoned`] if the page was, or has just been, quarantined.
-    pub fn handle(
-        &mut self,
-        fs: &mut DaxFs,
-        sys: &mut System,
-        err: CorruptionDetected,
-    ) -> Result<(), Poisoned> {
+    pub fn handle(&mut self, sys: &mut System, err: CorruptionDetected) -> Result<(), Poisoned> {
         let page = err.line.page();
         self.detections += 1;
         self.events.push(RecoveryEvent::Detected { line: err.line });
@@ -471,18 +418,16 @@ impl RecoveryOrchestrator {
         // the corrupt one — invalidating before writing them back would
         // silently revert them to their old (still-verifying) media value.
         // The flush drains the hierarchy, so the corrupt line's next read
-        // misses to media as required; per-attempt invalidation below keeps
-        // retries honest.
+        // misses to media as required; `recover_page`'s per-attempt
+        // invalidation keeps retries honest. A recovery only counts once
+        // the page's media passes its checksums: a repair dropped by a
+        // sticky device fault fails this even though reconstruction itself
+        // verified.
         sys.flush();
-        for attempt in 1..=self.max_retries {
-            sys.invalidate_page(page);
-            let ok = match fs.recover_page(sys, page) {
-                Ok(()) => true,
-                Err(RecoveryError::NoController) => self.recover_sw(sys, page).is_ok(),
-                Err(RecoveryError::Unrecoverable(_)) => false,
-            };
-            let ok = ok || self.try_csum_repair(sys, page);
-            if ok && self.media_consistent(sys, page) {
+        for attempt in 1..=MAX_RETRIES {
+            let ok = recover_page(sys, &self.layout, self.granularity, page).is_ok()
+                || self.try_csum_repair(sys, page);
+            if ok && self.layout.media_csums_ok(sys.memory(), page, self.granularity) {
                 self.recoveries += 1;
                 self.events.push(RecoveryEvent::Recovered { page, attempts: attempt });
                 return Ok(());
@@ -514,7 +459,7 @@ impl RecoveryOrchestrator {
     /// Route one corruption surfaced by an operation that is about to be
     /// re-issued, counting it against its page in `seen`: recover the page
     /// ([`Self::handle`]) — or, once that page has detected more than
-    /// `max_retries` times within the operation, quarantine it. A page that
+    /// [`MAX_RETRIES`] times within the operation, quarantine it. A page that
     /// keeps detecting after successful-looking recoveries (a sticky
     /// misdirected read: the media is fine, the device path is broken) must
     /// not be retried forever.
@@ -524,7 +469,6 @@ impl RecoveryOrchestrator {
     /// Returns [`Poisoned`] if the page was, or has just been, quarantined.
     pub fn incident(
         &mut self,
-        fs: &mut DaxFs,
         sys: &mut System,
         seen: &mut Incidents,
         err: CorruptionDetected,
@@ -540,10 +484,10 @@ impl RecoveryOrchestrator {
                 1
             }
         };
-        if n > self.max_retries {
+        if n > MAX_RETRIES {
             return Err(self.quarantine_page(sys, page));
         }
-        self.handle(fs, sys, err)
+        self.handle(sys, err)
     }
 
     /// The loop both [`Self::read`] and [`Self::write`] are: re-issue
@@ -551,13 +495,12 @@ impl RecoveryOrchestrator {
     /// through [`Self::incident`].
     fn retrying(
         &mut self,
-        fs: &mut DaxFs,
         sys: &mut System,
         mut access: impl FnMut(&mut System) -> Result<(), CorruptionDetected>,
     ) -> Result<(), Poisoned> {
         let mut seen = Incidents::default();
         while let Err(e) = access(sys) {
-            self.incident(fs, sys, &mut seen, e)?;
+            self.incident(sys, &mut seen, e)?;
         }
         Ok(())
     }
@@ -572,7 +515,6 @@ impl RecoveryOrchestrator {
     /// degraded mode fails closed, it never returns made-up bytes.
     pub fn read(
         &mut self,
-        fs: &mut DaxFs,
         sys: &mut System,
         file: &FileHandle,
         core: usize,
@@ -580,7 +522,7 @@ impl RecoveryOrchestrator {
         buf: &mut [u8],
     ) -> Result<(), Poisoned> {
         self.check_range(file, offset, buf.len())?;
-        self.retrying(fs, sys, |sys| file.read(sys, core, offset, buf))
+        self.retrying(sys, |sys| file.read(sys, core, offset, buf))
     }
 
     /// Orchestrated write: poisoned pages reject writes (use
@@ -592,7 +534,6 @@ impl RecoveryOrchestrator {
     /// Returns [`Poisoned`] when the range touches a quarantined page.
     pub fn write(
         &mut self,
-        fs: &mut DaxFs,
         sys: &mut System,
         file: &FileHandle,
         core: usize,
@@ -600,7 +541,7 @@ impl RecoveryOrchestrator {
         data: &[u8],
     ) -> Result<(), Poisoned> {
         self.check_range(file, offset, data.len())?;
-        self.retrying(fs, sys, |sys| file.write(sys, core, offset, data))
+        self.retrying(sys, |sys| file.write(sys, core, offset, data))
     }
 
     /// Clear a page's poison with a verified full-page rewrite: write the
@@ -622,7 +563,6 @@ impl RecoveryOrchestrator {
     /// Panics if `data` is not exactly one page or `n` is out of range.
     pub fn rewrite_page(
         &mut self,
-        _fs: &mut DaxFs,
         sys: &mut System,
         file: &FileHandle,
         n: u64,
@@ -649,46 +589,13 @@ impl RecoveryOrchestrator {
         // Rebuild this page's redundancy from media ground truth.
         let idx = file.first_data_index() + n;
         init::initialize_region(&self.layout, mem, idx..idx + 1);
-        self.drop_stale_copies(sys, page);
+        drop_stale_copies(sys, &self.layout, page);
         if let Some(pos) = self.poisoned.iter().position(|&p| p == page) {
             self.poisoned.remove(pos);
             self.persist(sys);
             self.events.push(RecoveryEvent::PoisonCleared { page });
         }
         Ok(())
-    }
-
-    /// Drop cached copies of `page` and of every redundancy line covering it
-    /// (checksum lines, parity lines) from the data hierarchy and, when a
-    /// controller is present, from its redundancy caches.
-    fn drop_stale_copies(&self, sys: &mut System, page: PageNum) {
-        sys.invalidate_page(page);
-        let layout = self.layout;
-        let mut red_lines: Vec<LineAddr> = Vec::new();
-        for i in 0..LINES_PER_PAGE {
-            let line = page.line(i);
-            red_lines.push(layout.cl_csum_loc(line).0);
-            red_lines.push(layout.parity_line_of(line));
-        }
-        red_lines.push(layout.page_csum_loc(page).0);
-        red_lines.sort_unstable_by_key(|l| l.0);
-        red_lines.dedup();
-        // Data hierarchy: software schemes cache checksum/parity lines as
-        // ordinary data. Invalidate the whole holding pages (coarse, safe).
-        let mut red_pages: Vec<PageNum> = red_lines.iter().map(|l| l.page()).collect();
-        red_pages.sort_unstable_by_key(|p| p.0);
-        red_pages.dedup();
-        for p in red_pages {
-            sys.invalidate_page(p);
-        }
-        // Controller redundancy caches.
-        sys.with_hooks_env(|hooks, env| {
-            if let Some(ctrl) = hooks.as_any_mut().downcast_mut::<TvarakController>() {
-                for line in &red_lines {
-                    ctrl.drop_cached_red(*line, env);
-                }
-            }
-        });
     }
 }
 
@@ -713,7 +620,7 @@ mod tests {
         let mut sys = System::new(cfg, Box::new(ctrl));
         let mut fs = DaxFs::new(layout, &mut sys);
         let orch =
-            RecoveryOrchestrator::new(&mut fs, &mut sys, ScrubGranularity::CacheLine, 3).unwrap();
+            RecoveryOrchestrator::new(&mut fs, &mut sys, ScrubGranularity::CacheLine).unwrap();
         let f = fs.create(&mut sys, 4 * 4096).unwrap();
         fs.dax_map(&mut sys, &f);
         (sys, fs, orch, f)
@@ -725,7 +632,7 @@ mod tests {
         let mut sys = System::new(cfg, Box::new(NullHooks));
         let mut fs = DaxFs::new(layout, &mut sys);
         let orch =
-            RecoveryOrchestrator::new(&mut fs, &mut sys, ScrubGranularity::CacheLine, 3).unwrap();
+            RecoveryOrchestrator::new(&mut fs, &mut sys, ScrubGranularity::CacheLine).unwrap();
         let f = fs.create(&mut sys, 4 * 4096).unwrap();
         fs.dax_map(&mut sys, &f);
         (sys, fs, orch, f)
@@ -733,7 +640,7 @@ mod tests {
 
     #[test]
     fn read_transparently_recovers_lost_write() {
-        let (mut sys, mut fs, mut orch, f) = tvarak_setup(16);
+        let (mut sys, _, mut orch, f) = tvarak_setup(16);
         f.write(&mut sys, 0, 0, &[0x11u8; 64]).unwrap();
         sys.flush();
         let line = f.addr(0).line();
@@ -742,7 +649,7 @@ mod tests {
         sys.flush();
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        orch.read(&mut fs, &mut sys, &f, 0, 0, &mut buf).unwrap();
+        orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0x22u8; 64], "read returns the acknowledged data");
         assert_eq!(orch.recoveries(), 1);
         assert_eq!(orch.quarantines(), 0);
@@ -755,7 +662,7 @@ mod tests {
 
     #[test]
     fn sw_recovery_without_controller() {
-        let (mut sys, mut fs, mut orch, f) = sw_setup(16);
+        let (mut sys, fs, mut orch, f) = sw_setup(16);
         // Software design: maintain CL checksums + parity functionally.
         f.write(&mut sys, 0, 0, &[0x55u8; 64]).unwrap();
         sys.flush();
@@ -766,8 +673,7 @@ mod tests {
         let line = f.addr(0).line();
         sys.memory_mut().poke_line(line, &[0x66u8; 64]);
         sys.invalidate_page(line.page());
-        orch.handle(&mut fs, &mut sys, CorruptionDetected { line })
-            .unwrap();
+        orch.handle(&mut sys, CorruptionDetected { line }).unwrap();
         let mut buf = [0u8; 64];
         f.read(&mut sys, 0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0x55u8; 64], "software recovery restored the line");
@@ -780,7 +686,7 @@ mod tests {
     #[test]
     fn sw_and_controller_recovery_repair_identically() {
         let mut repaired = Vec::new();
-        for (hardware, (mut sys, mut fs, orch, f)) in [(true, tvarak_setup(16)), (false, sw_setup(16))] {
+        for (hardware, (mut sys, fs, _, f)) in [(true, tvarak_setup(16)), (false, sw_setup(16))] {
             for i in 0..4 * LINES_PER_PAGE as u64 {
                 f.write(&mut sys, 0, i * 64, &[i as u8 ^ 0x5a; 64]).unwrap();
             }
@@ -791,12 +697,7 @@ mod tests {
             let Ok(original) = gather_page(page, peek(sys.memory()));
             sys.memory_mut().poke_line(page.line(9), &[0x66u8; 64]);
             sys.memory_mut().poke_line(page.line(40), &[0x77u8; 64]);
-            sys.invalidate_page(page);
-            if hardware {
-                fs.recover_page(&mut sys, page).unwrap();
-            } else {
-                orch.recover_sw(&mut sys, page).unwrap();
-            }
+            recover_page(&mut sys, fs.layout(), ScrubGranularity::CacheLine, page).unwrap();
             assert_eq!(sys.stats().counters.pages_recovered, 1, "hardware: {hardware}");
             let Ok(media) = gather_page(page, peek(sys.memory()));
             assert!(media == original, "hardware: {hardware}: repair restores the page");
@@ -807,7 +708,7 @@ mod tests {
 
     #[test]
     fn sticky_fault_quarantines_and_rest_of_file_serves() {
-        let (mut sys, mut fs, mut orch, f) = tvarak_setup(16);
+        let (mut sys, _, mut orch, f) = tvarak_setup(16);
         f.write(&mut sys, 0, 0, &[0x11u8; 64]).unwrap();
         f.write(&mut sys, 0, 4096, &[0x44u8; 64]).unwrap();
         sys.flush();
@@ -817,19 +718,19 @@ mod tests {
         sys.memory_mut().arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        let err = orch.read(&mut fs, &mut sys, &f, 0, 0, &mut buf).unwrap_err();
+        let err = orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap_err();
         assert_eq!(err.page, line.page());
         assert!(orch.is_poisoned(line.page()));
         // Degraded mode: the poisoned page fails closed...
-        assert!(orch.read(&mut fs, &mut sys, &f, 0, 0, &mut buf).is_err());
+        assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
         // ...while the rest of the file keeps serving.
-        orch.read(&mut fs, &mut sys, &f, 0, 4096, &mut buf).unwrap();
+        orch.read(&mut sys, &f, 0, 4096, &mut buf).unwrap();
         assert_eq!(buf, [0x44u8; 64]);
     }
 
     #[test]
     fn rewrite_clears_poison_once_fault_is_gone() {
-        let (mut sys, mut fs, mut orch, f) = tvarak_setup(16);
+        let (mut sys, fs, mut orch, f) = tvarak_setup(16);
         f.write(&mut sys, 0, 0, &[0x11u8; 64]).unwrap();
         sys.flush();
         let line = f.addr(0).line();
@@ -837,22 +738,21 @@ mod tests {
         sys.memory_mut().arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        assert!(orch.read(&mut fs, &mut sys, &f, 0, 0, &mut buf).is_err());
+        assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
         assert!(orch.is_poisoned(line.page()));
         // Rewrite while the sticky fault is live: must NOT clear poison.
         let fresh = vec![0xabu8; PAGE];
-        assert!(orch.rewrite_page(&mut fs, &mut sys, &f, 0, &fresh).is_err());
+        assert!(orch.rewrite_page(&mut sys, &f, 0, &fresh).is_err());
         assert!(orch.is_poisoned(line.page()));
         // Device replaced: fault disarmed, rewrite verifies, poison clears.
         sys.memory_mut().disarm_fault(line);
-        orch.rewrite_page(&mut fs, &mut sys, &f, 0, &fresh).unwrap();
+        orch.rewrite_page(&mut sys, &f, 0, &fresh).unwrap();
         assert!(!orch.is_poisoned(line.page()));
-        orch.read(&mut fs, &mut sys, &f, 0, 0, &mut buf).unwrap();
+        orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap();
         assert_eq!(buf, [0xabu8; 64]);
         // Redundancy was rebuilt: scrubs stay clean.
         sys.flush();
-        assert!(fs.scrub(&sys, &f, ScrubGranularity::CacheLine).is_empty());
-        assert!(fs.scrub_parity(&sys, &f).is_empty());
+        assert!(fs.audit(&sys, &f, ScrubGranularity::CacheLine).is_empty());
         assert!(orch
             .events()
             .iter()
@@ -861,7 +761,7 @@ mod tests {
 
     #[test]
     fn poison_list_survives_reload() {
-        let (mut sys, mut fs, mut orch, f) = tvarak_setup(16);
+        let (mut sys, fs, mut orch, f) = tvarak_setup(16);
         f.write(&mut sys, 0, 0, &[0x11u8; 64]).unwrap();
         sys.flush();
         let line = f.addr(0).line();
@@ -869,18 +769,18 @@ mod tests {
         sys.memory_mut().arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        assert!(orch.read(&mut fs, &mut sys, &f, 0, 0, &mut buf).is_err());
+        assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
         let store = *orch.store();
         drop(orch);
         // "Restart": rebuild from the persistent store.
         let orch2 =
-            RecoveryOrchestrator::reload(&fs, &sys, store, ScrubGranularity::CacheLine, 3);
+            RecoveryOrchestrator::reload(&fs, &sys, store, ScrubGranularity::CacheLine);
         assert_eq!(orch2.poisoned_pages(), &[line.page()]);
     }
 
     #[test]
     fn sticky_misdirected_read_quarantines_despite_clean_media() {
-        let (mut sys, mut fs, mut orch, f) = tvarak_setup(16);
+        let (mut sys, _, mut orch, f) = tvarak_setup(16);
         f.write(&mut sys, 0, 0, &[0x11u8; 64]).unwrap();
         f.write(&mut sys, 0, 64, &[0x22u8; 64]).unwrap();
         sys.flush();
@@ -891,8 +791,25 @@ mod tests {
             .arm_fault(a, FirmwareFault::StickyMisdirectedRead { actual: b });
         sys.invalidate_page(a.page());
         let mut buf = [0u8; 64];
-        let err = orch.read(&mut fs, &mut sys, &f, 0, 0, &mut buf).unwrap_err();
+        let err = orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap_err();
         assert_eq!(err.page, a.page(), "broken device path must quarantine");
         assert!(orch.is_poisoned(a.page()));
+    }
+
+    /// The one-page store holds `POISON_CAP` entries; quarantining one page
+    /// more must fail loudly instead of truncating the persisted list.
+    #[test]
+    #[should_panic(expected = "poison list overflow: 512 quarantined pages")]
+    fn poison_list_past_the_cap_panics() {
+        let cfg = SystemConfig::small();
+        let layout = NvmLayout::new(cfg.nvm.dimms, POISON_CAP as u64 + 2);
+        let mut sys = System::new(cfg, Box::new(NullHooks));
+        let mut fs = DaxFs::new(layout, &mut sys);
+        let mut orch =
+            RecoveryOrchestrator::new(&mut fs, &mut sys, ScrubGranularity::CacheLine).unwrap();
+        let f = fs.create(&mut sys, (POISON_CAP as u64 + 1) * PAGE as u64).unwrap();
+        for n in 0..f.pages() {
+            orch.quarantine_page(&mut sys, f.page(n));
+        }
     }
 }

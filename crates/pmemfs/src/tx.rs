@@ -738,8 +738,10 @@ mod tests {
         tx.write(&mut sys, &f, 256, &[0x77u8; 100]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(fs.scrub(&sys, &f, ScrubGranularity::CacheLine).is_empty(), "CL checksums consistent");
-        assert!(fs.scrub_parity(&sys, &f).is_empty(), "parity consistent");
+        assert!(
+            fs.audit(&sys, &f, ScrubGranularity::CacheLine).is_empty(),
+            "CL checksums and parity consistent"
+        );
         // Redundancy traffic was classified as such.
         assert!(sys.stats().counters.nvm_redundancy() > 0);
     }
@@ -752,8 +754,10 @@ mod tests {
         tx.write(&mut sys, &f, 5000, &[0x32u8; 64]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty(), "page checksums consistent");
-        assert!(fs.scrub_parity(&sys, &f).is_empty(), "parity consistent");
+        assert!(
+            fs.audit(&sys, &f, ScrubGranularity::Page).is_empty(),
+            "page checksums and parity consistent"
+        );
     }
 
     #[test]
@@ -814,6 +818,12 @@ mod tests {
         assert_eq!(&buf, b"durable!");
     }
 
+    /// Whether some page of `f` fails its page checksum on the media.
+    fn stale_csums(sys: &System, fs: &DaxFs, f: &FileHandle) -> bool {
+        let audit = fs.audit(sys, f, ScrubGranularity::Page);
+        audit.iter().any(|&(_, kind)| kind == tvarak::scrub::ScrubFindingKind::Checksum)
+    }
+
     #[test]
     fn vilamb_defers_redundancy_until_epoch_close() {
         let (mut sys, fs, mut txm, f) = setup(SwScheme::Vilamb { epoch_txs: 4 });
@@ -826,7 +836,7 @@ mod tests {
         }
         sys.flush();
         assert!(
-            !fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty(),
+            stale_csums(&sys, &fs, &f),
             "inside the epoch, page checksums must be stale"
         );
         // Fourth commit closes the epoch: everything refreshed.
@@ -834,8 +844,7 @@ mod tests {
         tx.write(&mut sys, &f, 3 * 4096, &[0x45u8; 64]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty());
-        assert!(fs.scrub_parity(&sys, &f).is_empty());
+        assert!(fs.audit(&sys, &f, ScrubGranularity::Page).is_empty());
     }
 
     #[test]
@@ -845,10 +854,10 @@ mod tests {
         tx.write(&mut sys, &f, 0, &[0x46u8; 64]).unwrap();
         tx.commit(&mut sys).unwrap();
         sys.flush();
-        assert!(!fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty());
+        assert!(stale_csums(&sys, &fs, &f));
         txm.vilamb_flush(&mut sys, 0).unwrap();
         sys.flush();
-        assert!(fs.scrub(&sys, &f, ScrubGranularity::Page).is_empty());
+        assert!(!stale_csums(&sys, &fs, &f));
     }
 
     #[test]

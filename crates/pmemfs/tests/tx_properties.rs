@@ -102,8 +102,11 @@ fn schemes_preserve_redundancy() {
         }
         txm.vilamb_flush(&mut sys, 0).unwrap();
         sys.flush();
-        assert_eq!(fs.scrub(&sys, &f, granularity), [0u64; 0], "seed {seed:#x}: {scheme:?} checksums");
-        assert_eq!(fs.scrub_parity(&sys, &f), [0u64; 0], "seed {seed:#x}: {scheme:?} parity");
+        assert_eq!(
+            fs.audit(&sys, &f, granularity),
+            vec![],
+            "seed {seed:#x}: {scheme:?} checksums and parity"
+        );
     }
 }
 

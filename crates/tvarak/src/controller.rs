@@ -372,11 +372,11 @@ impl TvarakController {
     }
 
     /// Drop any cached copies of redundancy `line` — on-controller caches
-    /// and the LLC redundancy partition — *without* writeback. The file
-    /// system calls this after rebuilding a page's redundancy directly on
-    /// media (the poison-clearing rewrite path), so stale cached checksums
-    /// or parity cannot shadow the rebuilt values.
-    pub fn drop_cached_red(&mut self, line: LineAddr, env: &mut HookEnv<'_>) {
+    /// and the LLC redundancy partition — *without* writeback.
+    /// [`drop_stale_copies`](crate::recovery::drop_stale_copies) calls this
+    /// after a repair rebuilt a page's redundancy directly on media, so
+    /// stale cached checksums or parity cannot shadow the rebuilt values.
+    pub(crate) fn drop_cached_red(&mut self, line: LineAddr, env: &mut HookEnv<'_>) {
         for c in &mut self.oncache {
             let all = c.all_ways();
             c.invalidate(line, all);

@@ -12,12 +12,15 @@
 //! - detected corruption is repaired from parity ([`recovery`]).
 //!
 //! This crate provides the checksum and parity primitives
-//! ([`checksum`], [`parity`]), the NVM redundancy layout ([`layout`]), the
-//! controller with all of the paper's design elements and their ablations
-//! ([`controller`]), redundancy initialization and DAX map/unmap conversions
-//! ([`init`]), parity recovery ([`recovery`]) and the background scrubber
-//! ([`scrub`]). Whole-DIMM replacement under firmware RAID, which the paper
-//! only assumes, lives in `pmemfs::rebuild`.
+//! ([`checksum`], [`parity`]), the NVM redundancy layout and its one media
+//! audit per page ([`layout`]), the controller with all of the paper's
+//! design elements and their ablations ([`controller`]), redundancy
+//! initialization and DAX map/unmap conversions ([`init`]), the one page
+//! reconstruction entry, [`recovery::recover_page`], which reads redundancy
+//! through the controller when one is installed and from NVM otherwise, and
+//! the background scrubber with its fixed budget ([`scrub`]). Whole-DIMM
+//! replacement under firmware RAID, which the paper only assumes, lives in
+//! `pmemfs::rebuild`.
 //!
 //! ```
 //! use memsim::config::SystemConfig;
@@ -56,4 +59,4 @@ pub mod scrub;
 pub use controller::{TvarakConfig, TvarakController};
 pub use layout::NvmLayout;
 pub use recovery::RecoveryFailed;
-pub use scrub::{ScrubDaemon, ScrubFinding, ScrubGranularity, Scrubber};
+pub use scrub::{ScrubFinding, ScrubGranularity, Scrubber};

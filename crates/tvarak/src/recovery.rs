@@ -9,8 +9,8 @@
 use crate::controller::{TvarakController, Urgency};
 use crate::layout::{gather_page, NvmLayout};
 use crate::scrub::ScrubGranularity;
-use memsim::addr::{LineAddr, PageNum, CACHE_LINE};
-use memsim::engine::HookEnv;
+use memsim::addr::{LineAddr, PageNum, CACHE_LINE, LINES_PER_PAGE};
+use memsim::engine::{HookEnv, System};
 use std::convert::Infallible;
 use std::error::Error;
 use std::fmt;
@@ -31,73 +31,102 @@ impl fmt::Display for RecoveryFailed {
 
 impl Error for RecoveryFailed {}
 
-/// Reconstruct every line of `page` from parity + sibling data lines, verify
-/// the result against the checksums stored at `granularity`, and repair the
-/// media. Sibling data lines are read from NVM as redundancy traffic;
-/// `read_red` fetches the redundancy lines themselves (parity, then after
-/// all 64 reconstructions the checksum lines) — the hardware controller
-/// passes its cached reader, software recovery `HookEnv::nvm_read_red`.
+/// The file system's repair of `page` after a detection, on core 0: drop
+/// the page's cached copies, reconstruct every line from parity + sibling
+/// data lines, verify the result against the checksums stored at
+/// `granularity`, and repair the media.
+///
+/// Sibling data lines are read from NVM as redundancy traffic. The
+/// redundancy lines themselves (parity, then after all 64 reconstructions
+/// the checksum lines) are read through the controller's redundancy caches
+/// when a [`TvarakController`] is installed, and straight from NVM with
+/// [`HookEnv::nvm_read_red`] otherwise (the software designs).
 ///
 /// # Errors
 ///
 /// Returns [`RecoveryFailed`] if the reconstructed content does not match
 /// the stored checksums (more than one corruption in the stripe, or
 /// corrupted redundancy).
-pub fn reconstruct_page(
+pub fn recover_page(
+    sys: &mut System,
     layout: &NvmLayout,
     granularity: ScrubGranularity,
-    core: usize,
     page: PageNum,
-    env: &mut HookEnv<'_>,
-    mut read_red: impl FnMut(LineAddr, &mut HookEnv<'_>) -> [u8; CACHE_LINE],
 ) -> Result<(), RecoveryFailed> {
-    let Ok(bytes) = gather_page(page, |line| {
-        let parity = read_red(layout.parity_line_of(line), env);
-        layout.xor_siblings(line, parity, |sib| Ok::<_, Infallible>(env.nvm_read_red(core, sib, true)))
-    });
-    let stored = |l| Ok::<_, Infallible>(read_red(l, env));
-    if layout.page_matches_csums(page, granularity, &bytes, stored) != Ok(true) {
-        return Err(RecoveryFailed { page });
-    }
-    for (o, rec) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
-        env.nvm_write_data(core, page.line(o), rec);
-    }
-    env.counters().pages_recovered += 1;
-    Ok(())
+    sys.invalidate_page(page);
+    sys.with_hooks_env(|hooks, env| {
+        let mut ctrl = hooks.as_any_mut().downcast_mut::<TvarakController>();
+        let mut read_red = |l, env: &mut HookEnv<'_>| match ctrl.as_deref_mut() {
+            Some(ctrl) => ctrl.read_red_line(0, l, Urgency::Stall, env),
+            None => env.nvm_read_red(0, l, true),
+        };
+        let Ok(bytes) = gather_page(page, |line| {
+            let parity = read_red(layout.parity_line_of(line), env);
+            layout.xor_siblings(line, parity, |sib| {
+                Ok::<_, Infallible>(env.nvm_read_red(0, sib, true))
+            })
+        });
+        let stored = |l| Ok::<_, Infallible>(read_red(l, env));
+        if layout.page_matches_csums(page, granularity, &bytes, stored) != Ok(true) {
+            return Err(RecoveryFailed { page });
+        }
+        for (o, rec) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
+            env.nvm_write_data(0, page.line(o), rec);
+        }
+        env.counters().pages_recovered += 1;
+        Ok(())
+    })
 }
 
-impl TvarakController {
-    /// [`reconstruct_page`] at the controller's checksum granularity, its
-    /// redundancy lines read through the redundancy cache hierarchy.
-    ///
-    /// The caller (the file system) must have dropped cached copies of the
-    /// page first (see `System::invalidate_page`).
-    ///
-    /// # Errors
-    ///
-    /// See [`reconstruct_page`].
-    pub fn recover_page(
-        &mut self,
-        core: usize,
-        page: PageNum,
-        env: &mut HookEnv<'_>,
-    ) -> Result<(), RecoveryFailed> {
-        let granularity = self.tvarak_config().checksum_granularity();
-        let layout = *self.layout();
-        reconstruct_page(&layout, granularity, core, page, env, |l, env| {
-            self.read_red_line(core, l, Urgency::Stall, env)
-        })
+/// Drop cached copies of `page` and of every redundancy line covering it
+/// (checksum lines, parity lines) from the data hierarchy and, when a
+/// [`TvarakController`] is installed, from its redundancy caches. The
+/// repairs that rewrite redundancy on the media (a checksum rebuild, a
+/// stripe re-silver, a page rewrite) call this so no stale copy outlives
+/// them.
+pub fn drop_stale_copies(sys: &mut System, layout: &NvmLayout, page: PageNum) {
+    sys.invalidate_page(page);
+    let mut red_lines: Vec<LineAddr> = Vec::new();
+    for i in 0..LINES_PER_PAGE {
+        let line = page.line(i);
+        red_lines.push(layout.cl_csum_loc(line).0);
+        red_lines.push(layout.parity_line_of(line));
     }
+    red_lines.push(layout.page_csum_loc(page).0);
+    red_lines.sort_unstable_by_key(|l| l.0);
+    red_lines.dedup();
+    // Data hierarchy: software schemes cache checksum/parity lines as
+    // ordinary data. Invalidate the whole holding pages (coarse, safe).
+    let mut red_pages: Vec<PageNum> = red_lines.iter().map(|l| l.page()).collect();
+    red_pages.sort_unstable_by_key(|p| p.0);
+    red_pages.dedup();
+    for p in red_pages {
+        sys.invalidate_page(p);
+    }
+    // Controller redundancy caches.
+    sys.with_hooks_env(|hooks, env| {
+        if let Some(ctrl) = hooks.as_any_mut().downcast_mut::<TvarakController>() {
+            for line in &red_lines {
+                ctrl.drop_cached_red(*line, env);
+            }
+        }
+    });
 }
 
 #[cfg(test)]
 mod tests {
+    use super::recover_page;
     use crate::controller::{TvarakConfig, TvarakController};
     use crate::init::initialize_region;
     use crate::layout::NvmLayout;
     use memsim::addr::PhysAddr;
     use memsim::config::SystemConfig;
     use memsim::engine::System;
+
+    /// The checksum granularity of the default controller.
+    fn granularity() -> crate::scrub::ScrubGranularity {
+        TvarakConfig::default().checksum_granularity()
+    }
 
     fn setup(data_pages: u64) -> (System, NvmLayout) {
         let cfg = SystemConfig::small();
@@ -131,15 +160,7 @@ mod tests {
         let err = sys.read(0, addr, &mut buf).unwrap_err();
         assert_eq!(err.line, line);
         // File-system recovery path.
-        sys.invalidate_page(line.page());
-        let page = line.page();
-        sys.with_hooks_env(|hooks, env| {
-            let ctrl = hooks
-                .as_any_mut()
-                .downcast_mut::<TvarakController>()
-                .expect("tvarak controller");
-            ctrl.recover_page(0, page, env).expect("recovery succeeds");
-        });
+        recover_page(&mut sys, &layout, granularity(), line.page()).expect("recovery succeeds");
         // Retry now sees the acknowledged (new) data.
         sys.read(0, addr, &mut buf).unwrap();
         assert_eq!(buf, [2u8; 64]);
@@ -168,17 +189,9 @@ mod tests {
         );
         sys.write(0, a, &[0xa1u8; 64]).unwrap();
         sys.flush();
-        sys.invalidate_page(a.line().page());
-        sys.invalidate_page(b.line().page());
         // Recover both pages.
         for page in [a.line().page(), b.line().page()] {
-            sys.with_hooks_env(|hooks, env| {
-                let ctrl = hooks
-                    .as_any_mut()
-                    .downcast_mut::<TvarakController>()
-                    .unwrap();
-                ctrl.recover_page(0, page, env).expect("recoverable");
-            });
+            recover_page(&mut sys, &layout, granularity(), page).expect("recoverable");
         }
         let mut buf = [0u8; 64];
         sys.read(0, a, &mut buf).unwrap();
@@ -211,16 +224,7 @@ mod tests {
         sys.invalidate_page(a.line().page());
         let mut buf = [0u8; 64];
         assert!(sys.read(0, a, &mut buf).is_err(), "corruption detected");
-        sys.invalidate_page(a.line().page());
-        let page = a.line().page();
-        let failed = sys.with_hooks_env(|hooks, env| {
-            let ctrl = hooks
-                .as_any_mut()
-                .downcast_mut::<TvarakController>()
-                .unwrap();
-            ctrl.recover_page(0, page, env).is_err()
-        });
-        assert!(failed);
+        assert!(recover_page(&mut sys, &layout, granularity(), a.line().page()).is_err());
     }
 
     #[test]
@@ -237,15 +241,9 @@ mod tests {
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
         assert!(sys.read(0, addr, &mut buf).is_err());
-        sys.invalidate_page(line.page());
-        let page = line.page();
-        let failed = sys.with_hooks_env(|hooks, env| {
-            let ctrl = hooks
-                .as_any_mut()
-                .downcast_mut::<TvarakController>()
-                .unwrap();
-            ctrl.recover_page(0, page, env).is_err()
-        });
-        assert!(failed, "unrecoverable corruption must be reported");
+        assert!(
+            recover_page(&mut sys, &layout, granularity(), line.page()).is_err(),
+            "unrecoverable corruption must be reported"
+        );
     }
 }

@@ -4,21 +4,26 @@
 //!
 //! A [`Scrubber`] walks a page range incrementally, reading each page from
 //! the media and checking it against its stored checksum (page- or
-//! cache-line-granular). Scrubbing bounds the *detection latency* of silent
-//! corruption by the scrub period — in contrast to TVARAK, which detects at
-//! the first read — and consumes NVM read bandwidth while it runs. The
-//! `detection_latency` experiment binary quantifies this difference.
+//! cache-line-granular), then auditing its parity stripe. Scrubbing bounds
+//! the *detection latency* of silent corruption by the scrub period — in
+//! contrast to TVARAK, which detects at the first read — and consumes NVM
+//! read bandwidth while it runs.
 //!
-//! [`ScrubDaemon`] packages a scrubber with a *budget*: `pages` pages of
-//! scrubbing every `interval_ops` application operations. Workload drivers
-//! call [`ScrubDaemon::tick`] once per operation; the daemon interleaves its
-//! reads with the application's and tallies them under the separate
-//! `scrub_reads` counter so reports can split demand from maintenance
-//! traffic.
+//! As the scrub daemon of a workload, a scrubber runs on a fixed budget:
+//! [`SCRUB_PAGES`] pages every [`SCRUB_INTERVAL`] application operations.
+//! Workload drivers call [`Scrubber::tick`] once per operation; the
+//! budgeted steps interleave their reads with the application's and tally
+//! them under the separate `scrub_reads` counter so reports can split
+//! demand from maintenance traffic.
 
-use crate::layout::{gather_page, peek, read_charged, NvmLayout};
-use memsim::addr::{PageNum, LINES_PER_PAGE};
-use memsim::engine::System;
+use crate::layout::{gather_page, read_charged, NvmLayout};
+use memsim::addr::PageNum;
+use memsim::engine::{CorruptionDetected, System};
+
+/// Pages verified per budgeted scrub step.
+pub const SCRUB_PAGES: u64 = 1;
+/// Application operations per budgeted scrub step ([`Scrubber::tick`]).
+pub const SCRUB_INTERVAL: u64 = 4;
 
 /// Which checksum granularity the scrubber validates against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -67,8 +72,8 @@ pub struct Scrubber {
     pages_checked: u64,
     /// Pages skipped (quarantined under the cursor) in total.
     pages_skipped: u64,
-    /// Also audit each page's parity stripe (media-level XOR comparison).
-    audit_parity: bool,
+    /// Application operations seen by [`Self::tick`].
+    ops: u64,
 }
 
 impl Scrubber {
@@ -89,21 +94,8 @@ impl Scrubber {
             passes: 0,
             pages_checked: 0,
             pages_skipped: 0,
-            audit_parity: false,
+            ops: 0,
         }
-    }
-
-    /// Additionally audit each scrubbed page's parity stripe: XOR the stripe
-    /// members at the media level and compare against the stored parity.
-    /// Checksums alone cannot see *redundancy* rot (a parity delta computed
-    /// from a misread old value leaves data and checksum agreeing while the
-    /// stripe no longer reconstructs); the audit surfaces it as a
-    /// [`ScrubFindingKind::Parity`] finding so the stripe can be re-silvered
-    /// while the data is still intact.
-    #[must_use]
-    pub fn with_parity_audit(mut self) -> Self {
-        self.audit_parity = true;
-        self
     }
 
     /// Completed full passes over the range.
@@ -136,7 +128,7 @@ impl Scrubber {
         sys: &mut System,
         core: usize,
         pages: u64,
-    ) -> Result<Vec<ScrubFinding>, memsim::engine::CorruptionDetected> {
+    ) -> Result<Vec<ScrubFinding>, CorruptionDetected> {
         let mut findings = Vec::new();
         for _ in 0..pages {
             let n = self.first + self.cursor;
@@ -156,6 +148,50 @@ impl Scrubber {
             }
         }
         Ok(findings)
+    }
+
+    /// Account one application operation; every [`SCRUB_INTERVAL`]-th call
+    /// runs [`Self::step_now`] on `core` and returns `Some(findings)`.
+    /// Off-interval calls return `Ok(None)` — distinguishable from a clean
+    /// step, so callers tracking consecutive step outcomes (e.g. repeated
+    /// verification failures on one page) aren't reset by ticks that did no
+    /// scrubbing.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hardware-verification errors like [`Self::step`].
+    pub fn tick(
+        &mut self,
+        sys: &mut System,
+        core: usize,
+    ) -> Result<Option<Vec<ScrubFinding>>, CorruptionDetected> {
+        self.ops += 1;
+        if !self.ops.is_multiple_of(SCRUB_INTERVAL) {
+            return Ok(None);
+        }
+        self.step_now(sys, core).map(Some)
+    }
+
+    /// Run one budgeted step of [`SCRUB_PAGES`] pages immediately,
+    /// regardless of the interval clock, its reads bracketed with the
+    /// system's scrub accounting (they land in `scrub_reads`, not
+    /// `nvm_data_reads`). Degraded-mode drivers use this when the
+    /// maintenance scheduler grants the scrubber a bandwidth token instead
+    /// of pacing by raw op count; on-interval [`Self::tick`] steps go
+    /// through here too.
+    ///
+    /// # Errors
+    ///
+    /// Propagates hardware-verification errors like [`Self::step`].
+    pub fn step_now(
+        &mut self,
+        sys: &mut System,
+        core: usize,
+    ) -> Result<Vec<ScrubFinding>, CorruptionDetected> {
+        sys.set_scrub_accounting(true);
+        let result = self.step(sys, core, SCRUB_PAGES);
+        sys.set_scrub_accounting(false);
+        result
     }
 
     /// Advance past the current page without checking it. Drivers use this
@@ -178,12 +214,14 @@ impl Scrubber {
         }
     }
 
+    /// Checksums through the hierarchy, then the uncharged stripe audit of
+    /// [`NvmLayout::media_parity_ok`].
     fn check_page(
         &self,
         sys: &mut System,
         core: usize,
         page: PageNum,
-    ) -> Result<Option<ScrubFindingKind>, memsim::engine::CorruptionDetected> {
+    ) -> Result<Option<ScrubFindingKind>, CorruptionDetected> {
         let mut read = |l| read_charged(sys, core, l);
         let bytes = gather_page(page, &mut read)?;
         let csums_ok = self
@@ -192,131 +230,10 @@ impl Scrubber {
         if !csums_ok {
             return Ok(Some(ScrubFindingKind::Checksum));
         }
-        if self.audit_parity && !self.parity_consistent(sys, page) {
+        if !self.layout.media_parity_ok(sys.memory(), page) {
             return Ok(Some(ScrubFindingKind::Parity));
         }
         Ok(None)
-    }
-
-    /// Media-level stripe audit: XOR every stripe member against the stored
-    /// parity line. Uses the fault-bypassing peek interface — the audit
-    /// models an offline stripe walk below the firmware, so it is not
-    /// charged as demand traffic and cannot itself trip verification.
-    fn parity_consistent(&self, sys: &System, page: PageNum) -> bool {
-        let mem = sys.memory();
-        for i in 0..LINES_PER_PAGE {
-            let line = page.line(i);
-            // Degraded mode: a dead stripe member peeks as zeros (or
-            // mid-resilver content), which is not its logical value — the
-            // audit would report phantom parity rot. Skip lines whose
-            // stripe is not fully live; the resilver restores them.
-            if !mem.line_live(line)
-                || !mem.line_live(self.layout.parity_line_of(line))
-                || self.layout.sibling_lines_of(line).any(|sib| !mem.line_live(sib))
-            {
-                continue;
-            }
-            if self.layout.stripe_consistent(line, peek(mem)) != Ok(true) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// A budgeted scrub daemon: `pages` pages of scrubbing interleaved every
-/// `interval_ops` application operations.
-///
-/// The daemon brackets its scrubber steps with the system's scrub-accounting
-/// flag, so its NVM data reads land in the `scrub_reads` counter instead of
-/// `nvm_data_reads`.
-#[derive(Debug)]
-pub struct ScrubDaemon {
-    scrubber: Scrubber,
-    pages: u64,
-    interval_ops: u64,
-    ops: u64,
-}
-
-impl ScrubDaemon {
-    /// Wrap `scrubber` with a budget of `pages` pages per `interval_ops`
-    /// application operations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pages == 0` or `interval_ops == 0`.
-    pub fn new(scrubber: Scrubber, pages: u64, interval_ops: u64) -> Self {
-        assert!(pages > 0, "scrub budget must cover at least one page");
-        assert!(interval_ops > 0, "scrub interval must be at least one op");
-        ScrubDaemon {
-            scrubber,
-            pages,
-            interval_ops,
-            ops: 0,
-        }
-    }
-
-    /// Account one application operation; every `interval_ops`-th call runs
-    /// the budgeted scrub step on `core` and returns `Some(findings)`.
-    /// Off-interval calls return `Ok(None)` — distinguishable from a clean
-    /// step, so callers tracking consecutive step outcomes (e.g. repeated
-    /// verification failures on one page) aren't reset by ticks that did no
-    /// scrubbing.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hardware-verification errors like [`Scrubber::step`].
-    pub fn tick(
-        &mut self,
-        sys: &mut System,
-        core: usize,
-    ) -> Result<Option<Vec<ScrubFinding>>, memsim::engine::CorruptionDetected> {
-        self.ops += 1;
-        if !self.ops.is_multiple_of(self.interval_ops) {
-            return Ok(None);
-        }
-        self.step_now(sys, core).map(Some)
-    }
-
-    /// Run one budgeted scrub step immediately, regardless of the interval
-    /// clock. Degraded-mode drivers use this when the maintenance scheduler
-    /// grants the scrubber a bandwidth token (scrub QoS) instead of pacing
-    /// by raw op count. Reads are bracketed with scrub accounting;
-    /// on-interval [`tick`](Self::tick) steps go through here too.
-    ///
-    /// # Errors
-    ///
-    /// Propagates hardware-verification errors like [`Scrubber::step`].
-    pub fn step_now(
-        &mut self,
-        sys: &mut System,
-        core: usize,
-    ) -> Result<Vec<ScrubFinding>, memsim::engine::CorruptionDetected> {
-        sys.set_scrub_accounting(true);
-        let result = self.scrubber.step(sys, core, self.pages);
-        sys.set_scrub_accounting(false);
-        result
-    }
-
-    /// The wrapped scrubber (pass counts, pages checked).
-    pub fn scrubber(&self) -> &Scrubber {
-        &self.scrubber
-    }
-
-    /// Skip the page currently under the scrub cursor (see
-    /// [`Scrubber::skip_current`]).
-    pub fn skip_page(&mut self) {
-        self.scrubber.skip_current();
-    }
-
-    /// Application operations observed so far.
-    pub fn ops(&self) -> u64 {
-        self.ops
-    }
-
-    /// The scrub budget as (pages, interval_ops).
-    pub fn budget(&self) -> (u64, u64) {
-        (self.pages, self.interval_ops)
     }
 }
 
@@ -325,7 +242,7 @@ mod tests {
     use super::*;
     use crate::init::initialize_region;
     use memsim::config::SystemConfig;
-    use memsim::engine::{NullHooks, System};
+    use memsim::engine::NullHooks;
 
     fn setup(pages: u64) -> (System, NvmLayout) {
         let cfg = SystemConfig::small();
@@ -348,12 +265,19 @@ mod tests {
     #[test]
     fn corruption_found_within_one_pass() {
         let (mut sys, layout) = setup(8);
-        // Corrupt data page 5 on the media.
+        // Corrupt data page 5 on the media. Its stripe no longer XORs to the
+        // stored parity either, so the audit flags its siblings' parity.
         let victim = layout.nth_data_page(5);
         sys.memory_mut().poke_line(victim.line(3), &[9u8; 64]);
         for granularity in [ScrubGranularity::Page, ScrubGranularity::CacheLine] {
             let mut s = Scrubber::new(layout, granularity, 0, 8);
-            let findings = s.step(&mut sys, 0, 8).unwrap();
+            let (findings, parity): (Vec<_>, Vec<_>) = s
+                .step(&mut sys, 0, 8)
+                .unwrap()
+                .into_iter()
+                .partition(|f| f.kind == ScrubFindingKind::Checksum);
+            assert!(parity.iter().all(|f| layout.geometry().stripe_of(f.page.nvm_index())
+                == layout.geometry().stripe_of(victim.nvm_index())));
             assert_eq!(findings.len(), 1, "{granularity:?}");
             assert_eq!(findings[0].data_index, 5);
             assert_eq!(findings[0].page, victim);
@@ -374,23 +298,25 @@ mod tests {
     #[test]
     fn daemon_paces_by_budget() {
         let (mut sys, layout) = setup(8);
-        let s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
-        let mut d = ScrubDaemon::new(s, 2, 10);
-        for _ in 0..35 {
-            d.tick(&mut sys, 0).unwrap();
+        let mut s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
+        // 6 budgeted steps' worth of ops plus a partial interval.
+        for _ in 0..6 * SCRUB_INTERVAL + SCRUB_INTERVAL - 1 {
+            s.tick(&mut sys, 0).unwrap();
         }
-        // 35 ops → 3 completed intervals × 2 pages.
-        assert_eq!(d.scrubber().pages_checked(), 6);
-        assert_eq!(d.ops(), 35);
+        assert_eq!(s.pages_checked(), 6 * SCRUB_PAGES);
+        // The partial interval was counted: one more op completes it.
+        assert!(s.tick(&mut sys, 0).unwrap().is_some());
+        assert_eq!(s.pages_checked(), 7 * SCRUB_PAGES);
     }
 
     #[test]
     fn daemon_reads_count_as_scrub_not_demand() {
         let (mut sys, layout) = setup(8);
         sys.reset_stats();
-        let s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
-        let mut d = ScrubDaemon::new(s, 8, 1);
-        d.tick(&mut sys, 0).unwrap();
+        let mut s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
+        for _ in 0..8 / SCRUB_PAGES * SCRUB_INTERVAL {
+            s.tick(&mut sys, 0).unwrap();
+        }
         let c = sys.stats().counters;
         assert!(c.scrub_reads >= 8 * 64, "scrub traffic tallied separately");
         assert_eq!(c.nvm_data_reads, 0, "no demand reads charged");
@@ -402,9 +328,13 @@ mod tests {
         let (mut sys, layout) = setup(8);
         let victim = layout.nth_data_page(3);
         sys.memory_mut().poke_line(victim.line(0), &[7u8; 64]);
-        let s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
-        let mut d = ScrubDaemon::new(s, 8, 1);
-        let findings = d.tick(&mut sys, 0).unwrap().expect("on-interval tick steps");
+        let mut s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
+        let mut findings = Vec::new();
+        for _ in 0..8 / SCRUB_PAGES * SCRUB_INTERVAL {
+            if let Some(step) = s.tick(&mut sys, 0).unwrap() {
+                findings.extend(step.into_iter().filter(|f| f.kind == ScrubFindingKind::Checksum));
+            }
+        }
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].page, victim);
         assert!(!sys.scrub_accounting());
@@ -435,11 +365,11 @@ mod tests {
     fn daemon_step_now_runs_off_interval() {
         let (mut sys, layout) = setup(8);
         sys.reset_stats();
-        let s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
-        let mut d = ScrubDaemon::new(s, 2, 1_000_000);
-        let findings = d.step_now(&mut sys, 0).unwrap();
+        let mut s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
+        assert!(s.tick(&mut sys, 0).unwrap().is_none(), "off-interval tick");
+        let findings = s.step_now(&mut sys, 0).unwrap();
         assert!(findings.is_empty());
-        assert_eq!(d.scrubber().pages_checked(), 2, "budgeted step ran now");
+        assert_eq!(s.pages_checked(), SCRUB_PAGES, "budgeted step ran now");
         assert!(sys.stats().counters.scrub_reads > 0, "scrub accounting on");
         assert!(!sys.scrub_accounting(), "flag restored");
     }
@@ -453,7 +383,7 @@ mod tests {
         // With a dead member in (almost) every stripe, a peek-based audit
         // would see zeros and cry parity rot everywhere; the gated audit
         // must stay quiet. (Checksum checks still run — reads reconstruct.)
-        let mut s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8).with_parity_audit();
+        let mut s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
         let findings = s.step(&mut sys, 0, 8).unwrap();
         assert!(findings.is_empty(), "no phantom findings while degraded: {findings:?}");
     }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Tier-1 gate. Runs, in order: a size check (no .rs file under
-# crates/memsim/src or crates/apps/src over 900 lines); the workspace build,
+# crates/{memsim,apps,pmemfs,tvarak}/src over 900 lines); the workspace build,
 # clippy (-D warnings), rustdoc (-D warnings) and tests (which include every
 # campaign's --jobs width-independence and golden CSV digests); the memsim, pmemfs and tvarak
 # tests and the fast-forward preload oracle (bench's fast_forward suite)
@@ -22,10 +22,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "=== module size (memsim, apps: no .rs file over 900 lines) ==="
+echo "=== module size (memsim, apps, pmemfs, tvarak: no .rs file over 900 lines) ==="
 # One module per layer (DESIGN.md §4): a file that outgrows this bound holds
 # more than one layer and wants splitting, not a raised bound.
-oversize=$(find crates/memsim/src crates/apps/src -name '*.rs' -exec wc -l {} + |
+oversize=$(find crates/memsim/src crates/apps/src crates/pmemfs/src crates/tvarak/src \
+    -name '*.rs' -exec wc -l {} + |
     awk '$2 != "total" && $1 > 900')
 if [[ -n "$oversize" ]]; then
     echo "ci: files over 900 lines:" >&2

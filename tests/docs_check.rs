@@ -1,4 +1,4 @@
-//! Docs that cannot drift. Three rules over the user-facing docs:
+//! Docs that cannot drift. Four rules over the user-facing docs:
 //!
 //! 1. Every command they tell a reader to run must name a target that
 //!    exists. Each `--example NAME` needs `examples/NAME.rs`, and each
@@ -15,6 +15,11 @@
 //!    (`TVARAK_SCALE`) must be read by the program: its quoted name appears
 //!    in a `.rs` file under `crates/*/src`, outside the file's
 //!    `#[cfg(test)]` tail.
+//! 4. Every `--flag` they name must be parsed by the program or be cargo's:
+//!    its quoted name (`"--jobs"`) appears in a `.rs` file under
+//!    `crates/*/src` or `benchmark/src`, outside the file's `#[cfg(test)]`
+//!    tail, or it is one of [`CARGO_FLAGS`]. [`FLAG_ALLOWLIST`] holds the
+//!    mentions that are meant to name no parsed flag.
 
 use std::fs;
 use std::path::Path;
@@ -47,6 +52,27 @@ const PATH_ALLOWLIST: [(&str, &str, &str); 5] = [
         "memsim::trace",
         "stale, but only a change to the benchmark may edit that file",
     ),
+];
+
+/// The cargo flags the docs' commands use.
+const CARGO_FLAGS: [&str; 8] = [
+    "--release",
+    "--bin",
+    "--example",
+    "--workspace",
+    "--all-targets",
+    "--manifest-path",
+    "--offline",
+    "--quiet",
+];
+
+/// `(doc, flag, reason)`: flags a doc names on purpose although no program
+/// parses them.
+const FLAG_ALLOWLIST: [(&str, &str, &str); 4] = [
+    ("DESIGN.md", "--knee", "history: a §5 ledger row of a flag deleted with serve_campaign"),
+    ("DESIGN.md", "--arrival", "history: a §5 ledger row of a flag deleted with serve_campaign"),
+    ("DESIGN.md", "--policy", "history: a §5 ledger row of a flag deleted with serve_campaign"),
+    ("DESIGN.md", "--prof", "planned: the probe option ROADMAP item 2 proposes"),
 ];
 
 /// Expand the first `{a,b,..}` group of `word`, recursively.
@@ -298,5 +324,72 @@ fn every_documented_env_var_is_read() {
         unread.is_empty(),
         "documented environment variables the program never reads:\n{}",
         unread.join("\n")
+    );
+}
+
+/// Every `--flag` word in `line`: two dashes not preceded by a word
+/// character or a dash, then a lowercase letter and more letters, digits
+/// or dashes.
+fn flags(line: &str) -> Vec<&str> {
+    let word = |c: char| c.is_ascii_alphanumeric() || c == '_' || c == '-';
+    let mut out = Vec::new();
+    for (at, _) in line.match_indices("--") {
+        let rest = &line[at + 2..];
+        if line[..at].chars().next_back().is_some_and(word)
+            || !rest.starts_with(|c: char| c.is_ascii_lowercase())
+        {
+            continue;
+        }
+        let len = rest
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .unwrap_or(rest.len());
+        out.push(&line[at..at + 2 + len]);
+    }
+    out
+}
+
+#[test]
+fn every_documented_flag_is_parsed() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut sources = Vec::new();
+    for krate in fs::read_dir(root.join("crates")).unwrap() {
+        let src = krate.unwrap().path().join("src");
+        if src.is_dir() {
+            program_sources(&src, &mut sources);
+        }
+    }
+    program_sources(&root.join("benchmark").join("src"), &mut sources);
+    let mut checked = 0;
+    let mut unparsed = Vec::new();
+    let mut allowed = [false; FLAG_ALLOWLIST.len()];
+    for doc in DOCS {
+        let text = fs::read_to_string(root.join(doc)).unwrap();
+        for (n, line) in text.lines().enumerate() {
+            for flag in flags(line) {
+                checked += 1;
+                let quoted = format!("\"{flag}\"");
+                if CARGO_FLAGS.contains(&flag) || sources.iter().any(|s| s.contains(&quoted)) {
+                    continue;
+                }
+                match FLAG_ALLOWLIST.iter().position(|&(d, f, _)| d == doc && f == flag) {
+                    Some(k) => allowed[k] = true,
+                    None => unparsed.push(format!("{doc}:{}: {flag}", n + 1)),
+                }
+            }
+        }
+    }
+    assert!(checked > 0, "no --flag found in {DOCS:?}");
+    assert!(
+        unparsed.is_empty(),
+        "documented flags no program parses:\n{}",
+        unparsed.join("\n")
+    );
+    let stale: Vec<_> = (FLAG_ALLOWLIST.iter().zip(allowed))
+        .filter(|&(_, used)| !used)
+        .map(|(&(doc, flag, _), _)| format!("{doc}: {flag}"))
+        .collect();
+    assert!(
+        stale.is_empty(),
+        "allowlisted flags that are now parsed or left their doc; drop them: {stale:?}"
     );
 }

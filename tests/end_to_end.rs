@@ -143,8 +143,8 @@ fn unmap_remap_preserves_protection() {
     file.write(&mut m.sys, 0, 100, b"mapped-write").unwrap();
     m.flush();
     m.fs.dax_unmap(&mut m.sys, &file);
-    // Page checksums now cover the data.
-    assert!(m.fs.scrub(&m.sys, &file, ScrubGranularity::Page).is_empty());
+    // Page checksums now cover the data, and parity still agrees.
+    assert!(m.fs.audit(&m.sys, &file, ScrubGranularity::Page).is_empty());
     // Remap: CL checksums regenerated; verification active again.
     m.fs.dax_map(&mut m.sys, &file);
     m.sys
