@@ -1,12 +1,10 @@
 //! The maintenance pipeline of a [`Machine`]: detection → recovery →
-//! quarantine, the scrub daemon, firmware shadow-RAID with device
-//! replacement, and the per-operation `tick_maintenance` hook the run
-//! drivers call.
+//! quarantine, the scrub daemon, device replacement, and the
+//! per-operation `tick_maintenance` hook the run drivers call.
 
 use super::{AppError, Machine};
 use memsim::addr::PageNum;
 use memsim::engine::CorruptionDetected;
-use memsim::RaidLevel;
 use pmemfs::fs::{FileHandle, FsError};
 use pmemfs::rebuild::{MaintGrant, PoolState, ReplacementManager};
 use pmemfs::recover::{Incidents, RecoveryOrchestrator};
@@ -223,35 +221,47 @@ impl Machine {
         Ok(())
     }
 
-    /// Configure firmware shadow-RAID over the whole NVM region — data,
-    /// design-level parity, and checksum tables alike, since a failed
-    /// device takes its share of all three — and install the
-    /// device-replacement lifecycle with its maintenance token bucket. Call
-    /// after all setup writes are flushed so the syndromes cover the
-    /// initial content.
+    /// Install the device-replacement lifecycle
+    /// ([`ReplacementManager`]) with its maintenance token bucket, which
+    /// then paces the scrub daemon too (see [`Self::tick_maintenance`]).
     ///
     /// # Panics
     ///
-    /// Panics if called twice, or with fewer than 3 NVM DIMMs.
-    pub fn enable_raid(&mut self, level: RaidLevel) {
-        let d = self.sys.memory().nvm_dimms() as u64;
-        let striped = self.fs.layout().total_pages().div_ceil(d) * d;
-        self.sys.memory_mut().configure_raid(striped, level);
-        self.replacement = Some(ReplacementManager::default());
+    /// Panics if called twice.
+    pub fn enable_replacement(&mut self) {
+        assert!(
+            self.replacement.is_none(),
+            "device replacement already enabled"
+        );
+        let granularity = self.design.checksum_granularity();
+        self.replacement = Some(ReplacementManager::new(*self.fs.layout(), granularity));
     }
 
     /// Fail NVM device `bank` cleanly: the hierarchy is flushed (quiesce),
-    /// the bank's media erased, and the pool serves on degraded from then
-    /// on (reconstruct-on-read, syndrome-absorbed writes).
+    /// the bank lost, and the redundancy pages it held rebuilt. The pool
+    /// serves on, degraded: reads of lost lines are repaired from parity as
+    /// they are detected. Pages the failure declares lost (two erasures in
+    /// a stripe) are quarantined.
     ///
     /// # Panics
     ///
-    /// Panics unless [`Self::enable_raid`] ran and the bank is Healthy.
+    /// Panics unless [`Self::enable_replacement`] ran and the bank is up.
     pub fn fail_device(&mut self, bank: usize) {
-        self.replacement
+        let mgr = self
+            .replacement
             .as_mut()
-            .expect("fail_device requires enable_raid")
-            .fail_device(&mut self.sys, bank);
+            .expect("fail_device requires enable_replacement");
+        for page in mgr.fail_device(&mut self.sys, bank) {
+            self.quarantine(page);
+        }
+    }
+
+    /// Quarantine a page declared lost, once, if an orchestrator is enabled
+    /// (Baseline has none: its lost lines stay signalled on every read).
+    fn quarantine(&mut self, page: PageNum) {
+        if let Some(orch) = self.orchestrator.as_mut().filter(|o| !o.is_poisoned(page)) {
+            orch.quarantine_page(&mut self.sys, page);
+        }
     }
 
     /// Attach a hot spare to failed `bank` and start the online resilver,
@@ -260,36 +270,32 @@ impl Machine {
     ///
     /// # Panics
     ///
-    /// Panics unless [`Self::enable_raid`] ran and the bank is Failed.
+    /// Panics unless [`Self::enable_replacement`] ran and the bank is failed.
     pub fn attach_spare(&mut self, bank: usize) {
         self.replacement
             .as_mut()
-            .expect("attach_spare requires enable_raid")
-            .attach_spare(&mut self.sys, bank);
+            .expect("attach_spare requires enable_replacement")
+            .attach_spare(bank);
     }
 
-    /// The replacement manager, if [`Self::enable_raid`] was called.
+    /// The replacement manager, if [`Self::enable_replacement`] was called.
     pub fn replacement(&self) -> Option<&ReplacementManager> {
         self.replacement.as_ref()
     }
 
-    /// Pool redundancy state ([`PoolState::Healthy`] when RAID is off).
+    /// Pool redundancy state ([`PoolState::Healthy`] without a replacement
+    /// manager).
     pub fn pool_state(&self) -> PoolState {
-        PoolState::of(self.sys.memory())
-    }
-
-    /// Whether no resilver is currently pending (idle or RAID off).
-    pub fn rebuild_idle(&self) -> bool {
         self.replacement
             .as_ref()
-            .is_none_or(|m| !m.rebuild_pending())
+            .map_or(PoolState::Healthy, |m| m.pool_state())
     }
 
     /// Per-operation maintenance hook, called by the run drivers after
     /// every operation. Without a replacement manager the scrub daemon (if
     /// any) ticks on its interval clock ([`Scrubber::tick`]). With one, the
     /// op feeds the maintenance token bucket and a granted step runs: a
-    /// rebuild grant resilvers one page (an abandoned page is quarantined
+    /// rebuild grant repairs one page (a page declared lost is quarantined
     /// with the orchestrator — fail closed), a scrub grant runs one budgeted
     /// scrub step ([`Scrubber::step_now`]).
     ///
@@ -311,9 +317,8 @@ impl Machine {
             }
             Some(mgr) => match mgr.on_op(self.scrubber.is_some()) {
                 Some(MaintGrant::Rebuild) => {
-                    let abandoned = mgr.step_rebuild(&mut self.sys, core);
-                    if let (Some(page), Some(orch)) = (abandoned, self.orchestrator.as_mut()) {
-                        orch.quarantine_page(&mut self.sys, page);
+                    if let Some(page) = mgr.step_rebuild(&mut self.sys) {
+                        self.quarantine(page);
                     }
                     return Ok(());
                 }

@@ -5,8 +5,8 @@
 //! - `design`: the redundancy designs ([`Design`]) and their names;
 //! - `machine`: building a [`Machine`] and its plain access, flush and
 //!   statistics calls;
-//! - `maint`: the maintenance pipeline — recovery, scrubbing, firmware RAID
-//!   and device replacement, and the per-operation `tick_maintenance` hook;
+//! - `maint`: the maintenance pipeline — recovery, scrubbing, device
+//!   replacement, and the per-operation `tick_maintenance` hook;
 //! - `run`: the clock-driven schedulers ([`run_clocked`],
 //!   [`run_clocked_threads`]).
 
@@ -111,6 +111,6 @@ pub struct Machine {
     /// bounding repeat offenders (see [`Machine::tick_maintenance`]).
     scrub_incidents: Incidents,
     /// Device-replacement lifecycle + maintenance QoS, if
-    /// [`Machine::enable_raid`] was called.
+    /// [`Machine::enable_replacement`] was called.
     replacement: Option<ReplacementManager>,
 }

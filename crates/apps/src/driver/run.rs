@@ -72,9 +72,8 @@ pub enum ThreadedRun {
 /// Classify a machine's bound-weave configuration eligibility. Depends only
 /// on the machine (never the requested thread count): software checksum
 /// schemes mutate shared file metadata inline, a scrub daemon keeps
-/// engine-global scan state, crashsim arms a crash window, chaos arms
-/// firmware faults, and degraded-mode RAID keeps reconstruction state
-/// engine-global — each forces the sequential path.
+/// engine-global scan state, crashsim arms a crash window, and chaos arms
+/// firmware faults — each forces the sequential path.
 pub fn weave_eligibility(m: &Machine) -> WeaveEligibility {
     if m.design().sw_scheme() != SwScheme::None {
         WeaveEligibility::SwScheme
@@ -84,8 +83,6 @@ pub fn weave_eligibility(m: &Machine) -> WeaveEligibility {
         WeaveEligibility::CrashWindow
     } else if m.sys.memory().armed_faults() != 0 {
         WeaveEligibility::ArmedFaults
-    } else if m.sys.memory().raid_enabled() {
-        WeaveEligibility::Raid
     } else {
         WeaveEligibility::Eligible
     }
@@ -97,7 +94,7 @@ pub fn weave_eligibility(m: &Machine) -> WeaveEligibility {
 ///
 /// Eligibility is classified by [`WeaveEligibility`] (hardware-offload
 /// designs only, no scrub daemon, no armed firmware faults, no armed crash
-/// window, no firmware shadow-RAID) and recorded in the per-cause stats
+/// window) and recorded in the per-cause stats
 /// counters at every thread count. Instances must not share writable cache
 /// lines; if they do, the engine detects it and the run reports
 /// [`ThreadedRun::Diverged`] — the caller rebuilds the machine and reruns

@@ -168,8 +168,8 @@ impl ChaosCtl {
         if (op + 1).is_multiple_of(FLUSH_EVERY) {
             m.flush();
         }
-        // Scrub daemon tick (no RAID here, so maintenance is the scrub
-        // daemon alone); detections route through the orchestrator. Only
+        // Scrub daemon tick (no device replacement here, so maintenance is the
+        // scrub daemon alone); detections route through the orchestrator. Only
         // Baseline runs without one, and Baseline detects nothing.
         let _ = m.tick_maintenance(0);
         // Newly fired firmware faults.

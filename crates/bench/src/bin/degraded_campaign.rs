@@ -1,35 +1,45 @@
 //! Degraded-mode campaign: drive every design × fio/kv under sustained
-//! foreground load through whole-device fault storms and measure what
+//! foreground load through whole-device failures and measure what
 //! broken-and-serving actually costs.
 //!
-//! Each cell walks the device-replacement lifecycle through four phases —
-//! **healthy → degraded** (a DIMM fails, reads reconstruct from firmware
-//! shadow parity) **→ rebuilding** (a hot spare attaches and the online
-//! resilver races foreground traffic under the maintenance QoS token
-//! bucket) **→ recovered** — and reports per-phase throughput, degraded
-//! read amplification, and rebuild counters. Scenarios:
+//! A DIMM failure is fail-stop: a blank spare takes the device's place and
+//! every line it held is lost, a media error the device signals on read
+//! (`memsim::Memory::fail_bank`). The design's own cross-DIMM parity is
+//! the only redundancy. Each cell walks the device-replacement lifecycle
+//! (`pmemfs::rebuild`) through four phases — **healthy → degraded** (a
+//! DIMM fails; its redundancy pages are rebuilt at once, and reads repair
+//! the lost data pages they touch from parity) **→ rebuilding** (a hot
+//! spare attaches and the resilver races foreground traffic under the
+//! maintenance token bucket) **→ recovered** — and reports per-phase
+//! throughput and tail latency, pages repaired on read and by the
+//! resilver, and pages declared lost. Scenarios:
 //!
-//! - `rebuild`: single fault at RAID-P; the baseline lifecycle.
-//! - `double-pq`: RAID-P+Q with a *second* device failing mid-resilver —
-//!   two-erasure reconstruction carries the rebuild through.
-//! - `double-p`: the same storm at P-only, where the second fault makes
-//!   stripes unreconstructible — pages are abandoned, poisoned, and
-//!   quarantined (fail closed), never fabricated.
+//! - `rebuild`: one failure; the baseline lifecycle.
+//! - `double`: a second DIMM fails mid-resilver, leaving two erasures in
+//!   every stripe whose first-failure page no read, scrub or resilver step
+//!   had repaired yet: those pages are declared lost and quarantined (fail
+//!   closed).
 //!
-//! Invariants, enforced per cell and fatal to the campaign:
+//! Baseline keeps no parity: every page its failed DIMMs held is declared
+//! lost, and its reads are signalled. Invariants, enforced per cell and
+//! fatal to the campaign:
 //!
-//! 1. The resilver completes under load (within a generous op cap) in every
-//!    scenario, for every design.
-//! 2. No silent wrong data: in the clean-recovery scenarios (`rebuild`,
-//!    `double-pq`) *no* design may return a byte that differs from the
-//!    acknowledged write stream; under `double-p`, designs with inline
-//!    cache-line verification must still never be silently wrong (poisoned
-//!    pages fail closed), while page-granular and Baseline exposure is
-//!    measured and reported.
-//! 3. Oracle bit-identity: after the final resilver and flush, the NVM
-//!    media `content_hash` equals a never-faulted oracle run of the same
-//!    design, seed, and op count (`rebuild`, `double-pq`; `double-p`
-//!    declares data loss, so its hash is reported, not asserted).
+//! 1. The resilver completes under load (within a generous op cap) for
+//!    every design and scenario.
+//! 2. No silent wrong data under any design: a lost line is signalled, so
+//!    no read returns a byte that differs from the acknowledged write
+//!    stream, and no application crashes on fabricated bytes.
+//! 3. Under `rebuild`, for every design with parity (Tvarak, the naive
+//!    ablation, TxB-Object, TxB-Page): nothing is lost or quarantined,
+//!    the degraded phase repairs through reads (reconstruct-on-read), the
+//!    post-resilver media of the striped region (every data and parity
+//!    page) equals a never-faulted oracle run of the same design, seed and
+//!    op count, and the workload file audits clean. The checksum tables
+//!    are audited, not hashed: a design keeps one granularity current,
+//!    and a rebuilt table page cannot restore the other's stale entries.
+//!
+//! Each cell also checks its declared losses: Baseline declares some page
+//! lost, and a design with parity quarantines every page it declares lost.
 //!
 //! `DEGRADED_FILTER=substring` runs matching cells only;
 //! `DEGRADED_FAULTS='lost-write@128,misdir-write@256->512'` (parsed via
@@ -41,75 +51,62 @@
 use apps::driver::{Design, Machine};
 use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
 use bench::faulted::{
-    designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
-    Workload, FLUSH_EVERY,
+    designs, enable_pipeline, seed_for, small_machine, workload, Tally, Workload, FLUSH_EVERY,
 };
 use bench::runner::{self, Cell};
-use memsim::{BankState, RaidLevel};
+use memsim::addr::{nvm_page, LINES_PER_PAGE};
 use pmemfs::fault::{self, Fault};
-use pmemfs::rebuild::{bank_in, PoolState};
+use pmemfs::rebuild::PoolState;
 use serve::Hist;
 
 const SEED_BASE: u64 = 0x00de_64ad;
 /// Per-core transaction-log bytes.
 const TX_LOG: u64 = 64 * 1024;
-/// First device to fail; the mid-rebuild second fault takes the next one.
+/// First device to fail; the mid-rebuild second failure takes the next one.
 const FAIL_BANK: usize = 1;
 const SECOND_BANK: usize = 2;
+/// Rebuilding-phase ops before the second failure: the resilver has
+/// repaired its first pages and the rest of the bank is still lost.
+const SECOND_AT: u64 = 2;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Scenario {
-    /// Single device failure, P parity, clean resilver.
+    /// One device failure, clean resilver.
     Rebuild,
-    /// Second device fails mid-resilver; P+Q carries the rebuild through.
-    DoublePq,
-    /// Second device fails mid-resilver at P-only: declared data loss,
-    /// abandoned pages quarantined, serving fails closed.
-    DoubleP,
+    /// A second device fails mid-resilver: declared data loss, lost pages
+    /// quarantined, serving fails closed.
+    Double,
 }
 
 impl Scenario {
-    fn all() -> [Scenario; 3] {
-        [Scenario::Rebuild, Scenario::DoublePq, Scenario::DoubleP]
+    fn all() -> [Scenario; 2] {
+        [Scenario::Rebuild, Scenario::Double]
     }
 
     fn label(self) -> &'static str {
         match self {
             Scenario::Rebuild => "rebuild",
-            Scenario::DoublePq => "double-pq",
-            Scenario::DoubleP => "double-p",
+            Scenario::Double => "double",
         }
-    }
-
-    fn level(self) -> RaidLevel {
-        match self {
-            Scenario::DoublePq => RaidLevel::PQ,
-            _ => RaidLevel::P,
-        }
-    }
-
-    fn second_fault(self) -> bool {
-        !matches!(self, Scenario::Rebuild)
-    }
-
-    /// Whether the post-resilver media must bit-match the never-faulted
-    /// oracle. `double-p` declares data loss (abandoned pages are poisoned
-    /// by design), so only its *behaviour* is asserted, not its bytes.
-    fn oracle_strict(self) -> bool {
-        !matches!(self, Scenario::DoubleP)
     }
 }
 
+/// Whether the cell's post-resilver media must equal the never-faulted
+/// oracle: one failure, under a design with parity to rebuild from.
+fn oracle_strict(design: Design, scenario: Scenario) -> bool {
+    scenario == Scenario::Rebuild && design != Design::Baseline
+}
+
 /// Per-phase measurement: foreground ops, simulated cycles on the serving
-/// core, degraded reconstruct-on-read fills charged in the window, and the
-/// per-op latency distribution (each op's serving-core cycle delta,
-/// including any maintenance work piggybacked on it — QoS pacing spikes are
-/// exactly what the tail shows).
+/// core, pages repaired from parity in the window, and the per-op latency
+/// distribution (each op's serving-core cycle delta, including any
+/// maintenance work piggybacked on it — QoS pacing spikes are exactly what
+/// the tail shows).
 #[derive(Debug, Clone, Default)]
 struct Phase {
     ops: u64,
     cycles: u64,
-    degraded_fills: u64,
+    recovered: u64,
     lat: Hist,
 }
 
@@ -133,11 +130,7 @@ struct Outcome {
     recoveries: u64,
     quarantines: u64,
     pages_resilvered: u64,
-    pages_abandoned: u64,
-    lines_reconstructed: u64,
-    write_intent_lines: u64,
-    dropped_writes: u64,
-    reconstructed_reads: u64,
+    pages_lost: u64,
     rebuilds_completed: u64,
     faults_armed: u64,
     content_hash: u64,
@@ -148,7 +141,7 @@ struct Outcome {
 /// A phase's measurement window on the serving core.
 struct Window {
     clock0: u64,
-    fills0: u64,
+    recovered0: u64,
     lat: Hist,
 }
 
@@ -156,7 +149,7 @@ impl Window {
     fn open(m: &Machine) -> Self {
         Window {
             clock0: m.sys.clock(0),
-            fills0: m.stats().counters.degraded_fills,
+            recovered0: m.stats().counters.pages_recovered,
             lat: Hist::new(),
         }
     }
@@ -165,7 +158,7 @@ impl Window {
         Phase {
             ops,
             cycles: m.sys.clock(0) - self.clock0,
-            degraded_fills: m.stats().counters.degraded_fills - self.fills0,
+            recovered: m.stats().counters.pages_recovered - self.recovered0,
             lat: self.lat,
         }
     }
@@ -199,6 +192,21 @@ fn drive(
     ran
 }
 
+/// FNV-1a over the striped region (every data and parity page): the media
+/// the design's parity protects.
+fn striped_hash(m: &Machine) -> u64 {
+    let layout = m.fs.layout();
+    let pages = layout.geometry().total_pages_for(layout.data_pages());
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for line in (0..pages).flat_map(|i| (0..LINES_PER_PAGE).map(move |o| nvm_page(i).line(o))) {
+        for b in m.sys.memory().peek_line(line) {
+            h ^= b as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    h
+}
+
 /// Run one faulted cell end to end; `ctx` labels violations.
 fn run_faulted(
     app: &str,
@@ -216,17 +224,11 @@ fn run_faulted(
     m.flush();
     enable_pipeline(&mut m, &file);
     m.flush();
-    m.enable_raid(scenario.level());
-
-    let striped = m.sys.memory().striped_pages();
-    let pages_per_bank = striped / m.sys.memory().nvm_dimms() as u64;
-    // The maintenance bucket resilvers one page per two foreground ops, so
-    // the second fault lands about halfway through the first resilver.
-    let second_at = pages_per_bank;
-    // Generous completion cap: 32 ops per striped page covers both banks
+    m.enable_replacement();
+    // Generous completion cap: 32 ops per region page covers both banks
     // and scrub's minimum share many times over. Exceeding it means the
     // rebuild did not complete under load.
-    let cap = 64 + 32 * striped;
+    let cap = 64 + 32 * m.fs.layout().total_pages();
 
     let mut op = 0u64;
 
@@ -248,24 +250,21 @@ fn run_faulted(
     out.phases[1] = win.close(&m, ran);
 
     // Phase 2: rebuilding — hot spare attached, resilver races foreground
-    // traffic; the storm scenarios fail a second device mid-resilver.
+    // traffic; `double` fails a second device mid-resilver.
     m.attach_spare(FAIL_BANK);
     let mut win = Window::open(&m);
     let mut rebuilding_ops = 0u64;
-    let mut second_fired = !scenario.second_fault();
+    let mut second_fired = scenario == Scenario::Rebuild;
     loop {
-        if !second_fired && rebuilding_ops >= second_at {
+        if !second_fired && rebuilding_ops >= SECOND_AT {
             m.fail_device(SECOND_BANK);
             second_fired = true;
         }
-        if m.rebuild_idle() {
-            match bank_in(m.sys.memory(), BankState::Failed) {
-                // Second spare only once the storm has fired; until then an
-                // idle manager with no failed banks means we are done.
-                Some(b) => m.attach_spare(b),
-                None if second_fired => break,
-                None => {}
-            }
+        match m.pool_state() {
+            // The second failed bank waits for the first resilver.
+            PoolState::Degraded => m.attach_spare(SECOND_BANK),
+            PoolState::Healthy if second_fired => break,
+            _ => {}
         }
         if out.tally.crashed || rebuilding_ops >= cap {
             break;
@@ -290,15 +289,10 @@ fn run_faulted(
 
     m.flush();
     out.total_ops = op;
-    out.content_hash = m.sys.memory().content_hash();
-    let rs = m.sys.memory().raid_stats();
-    out.reconstructed_reads = rs.reconstructed_reads;
-    out.dropped_writes = rs.dropped_writes;
-    out.write_intent_lines = rs.write_intent_lines;
+    out.content_hash = striped_hash(&m);
     if let Some(r) = m.replacement() {
         out.pages_resilvered = r.pages_resilvered();
-        out.pages_abandoned = r.pages_abandoned();
-        out.lines_reconstructed = r.lines_reconstructed();
+        out.pages_lost = r.pages_lost();
         out.rebuilds_completed = r.rebuilds_completed();
     }
     if let Some(orch) = m.orchestrator() {
@@ -306,11 +300,23 @@ fn run_faulted(
         out.recoveries = orch.recoveries();
         out.quarantines = orch.quarantines();
     }
+    if oracle_strict(design, scenario) {
+        if m.sys.memory().any_lost() {
+            out.violations
+                .push(format!("{ctx}: lost lines survive the resilver"));
+        }
+        let granularity = design.checksum_granularity().expect("a design with parity");
+        let findings = m.fs.audit(&m.sys, &file, granularity);
+        if !findings.is_empty() {
+            out.violations
+                .push(format!("{ctx}: post-resilver audit findings {findings:?}"));
+        }
+    }
     out
 }
 
-/// Replay the identical op stream on a never-faulted machine (no firmware
-/// RAID, no device failures) and return its final media hash.
+/// Replay the identical op stream on a never-faulted machine and return
+/// its final striped-region hash.
 fn run_oracle(app: &str, design: Design, scenario: Scenario, total_ops: u64) -> u64 {
     let seed = seed_for(SEED_BASE, app, scenario.label());
     let mut m = small_machine(design);
@@ -323,67 +329,47 @@ fn run_oracle(app: &str, design: Design, scenario: Scenario, total_ops: u64) -> 
     let mut op = 0u64;
     let _ = drive(&mut m, w.as_mut(), &mut out, &mut op, total_ops, &mut Hist::new());
     m.flush();
-    m.sys.memory().content_hash()
+    striped_hash(&m)
 }
 
 fn check_invariants(ctx: &str, design: Design, scenario: Scenario, out: &mut Outcome) {
-    let strict = scenario.oracle_strict();
-    if strict {
-        // Clean recovery: nothing may diverge from the acknowledged write
-        // stream for ANY design — there is no data loss to excuse.
-        if out.tally.wrong_data > 0 {
-            out.violations.push(format!(
-                "{ctx}: {} wrong-data reads in a clean-recovery scenario",
-                out.tally.wrong_data
+    let mut fail = |what: String| out.violations.push(format!("{ctx}: {what}"));
+    // A lost line is signalled under every design: nothing may diverge
+    // from the acknowledged write stream, and nothing may crash on
+    // fabricated bytes.
+    if out.tally.wrong_data > 0 {
+        fail(format!("{} silent wrong-data reads", out.tally.wrong_data));
+    }
+    if out.tally.crashed {
+        fail("app crash on fabricated bytes".into());
+    }
+    let expected_rebuilds = if scenario == Scenario::Double { 2 } else { 1 };
+    if out.rebuilds_completed != expected_rebuilds {
+        let done = out.rebuilds_completed;
+        fail(format!("{done} rebuilds completed, expected {expected_rebuilds}"));
+    }
+    if design == Design::Baseline {
+        if out.pages_lost == 0 {
+            fail("Baseline keeps no parity, yet declared nothing lost".into());
+        }
+    } else if oracle_strict(design, scenario) {
+        if out.pages_lost > 0 || out.quarantines > 0 {
+            fail(format!(
+                "{} pages lost and {} quarantines after one failure",
+                out.pages_lost, out.quarantines
             ));
         }
-        if out.tally.crashed {
-            out.violations
-                .push(format!("{ctx}: app crash in a clean-recovery scenario"));
+        if out.phases[1].recovered == 0 {
+            fail("no page was repaired on read while degraded".into());
         }
         if out.content_hash != out.oracle_hash {
-            out.violations.push(format!(
-                "{ctx}: post-resilver media diverges from never-faulted oracle \
-                 ({:#018x} != {:#018x})",
+            fail(format!(
+                "post-resilver media diverges from never-faulted oracle ({:#018x} != {:#018x})",
                 out.content_hash, out.oracle_hash
             ));
         }
-        if out.pages_abandoned > 0 {
-            out.violations.push(format!(
-                "{ctx}: {} pages abandoned in a clean-recovery scenario",
-                out.pages_abandoned
-            ));
-        }
-    } else {
-        // Declared data loss: inline-verified designs must still never be
-        // silently wrong — poison fails closed at first consumption.
-        if inline_cl_verified(design) && out.tally.wrong_data > 0 {
-            out.violations.push(format!(
-                "{ctx}: {} silent wrong-data reads under a verifying design",
-                out.tally.wrong_data
-            ));
-        }
-        // The P-only storm must actually declare the loss, not paper over
-        // it: unreconstructible pages are abandoned and (when an
-        // orchestrator exists) quarantined.
-        if out.pages_abandoned == 0 {
-            out.violations.push(format!(
-                "{ctx}: mid-rebuild double fault at P-only abandoned nothing \
-                 (expected fail-closed data loss)"
-            ));
-        } else if design != Design::Baseline && out.quarantines == 0 {
-            out.violations.push(format!(
-                "{ctx}: {} abandoned pages but no quarantines (poison not routed)",
-                out.pages_abandoned
-            ));
-        }
-    }
-    let expected_rebuilds = if scenario.second_fault() { 2 } else { 1 };
-    if out.rebuilds_completed != expected_rebuilds {
-        out.violations.push(format!(
-            "{ctx}: {} rebuilds completed, expected {expected_rebuilds}",
-            out.rebuilds_completed
-        ));
+    } else if out.quarantines < out.pages_lost {
+        fail(format!("{} pages lost but {} quarantines", out.pages_lost, out.quarantines));
     }
 }
 
@@ -397,7 +383,7 @@ struct Row {
 
 impl Row {
     fn hash_match(&self) -> bool {
-        self.scenario.oracle_strict() && self.out.content_hash == self.out.oracle_hash
+        oracle_strict(self.design, self.scenario) && self.out.content_hash == self.out.oracle_hash
     }
 }
 
@@ -419,7 +405,7 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
                 let faults = cfg.opts.clone();
                 cells.push(Cell::new(ctx.clone(), move || {
                     let mut out = run_faulted(app, design, scenario, &ctx, n, &faults);
-                    out.oracle_hash = if scenario.oracle_strict() && !out.tally.crashed {
+                    out.oracle_hash = if oracle_strict(design, scenario) && !out.tally.crashed {
                         run_oracle(app, design, scenario, out.total_ops)
                     } else {
                         0
@@ -437,11 +423,7 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
     let mut cols = vec![
         Col::new("app", "app", -4, |r| r.app),
         Col::new("design", "design", -17, |r| r.design.label()),
-        Col::new("scenario", "scenario", -10, |r| r.scenario.label()),
-        Col::csv("level", |r| match r.scenario.level() {
-            RaidLevel::P => "P",
-            RaidLevel::PQ => "PQ",
-        }),
+        Col::new("scenario", "scenario", -8, |r| r.scenario.label()),
         Col::new("ops", "ops", 7, |r| r.out.total_ops),
     ];
     for (p, head) in ["h_op/kc", "d_op/kc", "r_op/kc", "ok_op/kc"].into_iter().enumerate() {
@@ -458,18 +440,12 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
         cols.push(Col::new(p99, head, 8, move |r| r.out.phases[p].lat.p99()));
         cols.push(Col::csv(format!("{phase}_p999"), move |r| r.out.phases[p].lat.p999()));
     }
-    let dfills = |r: &Row, phases: std::ops::Range<usize>| -> u64 {
-        r.out.phases[phases].iter().map(|p| p.degraded_fills).sum()
-    };
     cols.extend([
-        Col::csv("degraded_fills", move |r| dfills(r, 0..4)),
-        Col::csv("reconstructed_reads", |r| r.out.reconstructed_reads),
-        Col::csv("dropped_writes", |r| r.out.dropped_writes),
-        Col::csv("write_intent_lines", |r| r.out.write_intent_lines),
+        Col::new("degraded_recovered", "d_rec", 5, |r| {
+            r.out.phases[1].recovered
+        }),
         Col::new("pages_resilvered", "resilv", 6, |r| r.out.pages_resilvered),
-        Col::new("pages_abandoned", "aband", 6, |r| r.out.pages_abandoned),
-        Col::table("dfill", 6, move |r| dfills(r, 1..3)),
-        Col::csv("lines_reconstructed", |r| r.out.lines_reconstructed),
+        Col::new("pages_lost", "lost", 5, |r| r.out.pages_lost),
         Col::csv("rebuilds_completed", |r| r.out.rebuilds_completed),
         Col::csv("detections", |r| r.out.detections),
         Col::csv("recoveries", |r| r.out.recoveries),
@@ -481,7 +457,7 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
         Col::csv("content_hash", |r| format!("{:#018x}", r.out.content_hash)),
         Col::csv("oracle_hash", |r| format!("{:#018x}", r.out.oracle_hash)),
         Col::csv("hash_match", |r| r.hash_match() as u8),
-        Col::table("hash", 5, |r| match (r.scenario.oracle_strict(), r.hash_match()) {
+        Col::table("hash", 5, |r| match (oracle_strict(r.design, r.scenario), r.hash_match()) {
             (false, _) => "-",
             (true, true) => "ok",
             (true, false) => "FAIL",

@@ -12,7 +12,7 @@ use apps::rbtree::RbTree;
 use apps::rng::Rng;
 use memsim::addr::PAGE;
 use pmemfs::fs::FileHandle;
-use pmemfs::tx::{SwScheme, TxManager};
+use pmemfs::tx::{SwScheme, TxError, TxManager};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -104,7 +104,8 @@ pub struct Tally {
     /// Reads that returned nothing where a value was expected (collateral
     /// of a degraded structure; reported, not an invariant).
     pub degraded_miss: u64,
-    /// Accesses rejected with a structured `Poisoned` error.
+    /// Accesses rejected with a signalled error: a structured `Poisoned`,
+    /// or, with no orchestrator to repair it, the media error itself.
     pub fail_closed: u64,
     /// The application panicked chasing fabricated bytes (only reachable
     /// when the stack returned wrong data — i.e. non-verifying designs).
@@ -127,6 +128,15 @@ pub trait Workload {
     fn suspect(&self) -> bool {
         false
     }
+}
+
+/// Whether `e` fails an access closed: the page is quarantined, or the
+/// corruption it hit was signalled with no orchestrator to repair it.
+fn signalled(e: &AppError) -> bool {
+    matches!(
+        e,
+        AppError::Poisoned(_) | AppError::Corruption(_) | AppError::Tx(TxError::Corruption(_))
+    )
 }
 
 /// Build `app`'s workload on `m`: `fio` is [`ShadowFio`], `rbtree` a
@@ -199,16 +209,18 @@ impl Workload for ShadowFio {
             let result = match self.txm.as_mut() {
                 // The transactional path has no inline poison gate; check
                 // explicitly so degraded pages fail closed.
-                Some(txm) => m.check_poison(&file, off, 64).map(|()| {
-                    let mut tx = txm.begin(&mut m.sys, 0).expect("tx");
-                    tx.write(&mut m.sys, &file, off, &data).expect("tx write");
-                    tx.commit(&mut m.sys).expect("commit");
+                Some(txm) => m.check_poison(&file, off, 64).and_then(|()| {
+                    m.with_recovery(|m| {
+                        let mut tx = txm.begin(&mut m.sys, 0)?;
+                        tx.write(&mut m.sys, &file, off, &data)?;
+                        Ok(tx.commit(&mut m.sys)?)
+                    })
                 }),
                 None => m.write_file(&file, 0, off, &data),
             };
             match result {
                 Ok(()) => self.shadow[l as usize] = Some(op + 1),
-                Err(AppError::Poisoned(_)) => {
+                Err(e) if signalled(&e) => {
                     t.fail_closed += 1;
                     self.shadow[l as usize] = None;
                 }
@@ -226,7 +238,7 @@ impl Workload for ShadowFio {
                         ));
                     }
                 }
-                Err(AppError::Poisoned(_)) => t.fail_closed += 1,
+                Err(e) if signalled(&e) => t.fail_closed += 1,
                 Err(e) => panic!("unexpected app error: {e}"),
             }
         }
@@ -318,7 +330,7 @@ impl Workload for ShadowKv {
                         tainted.remove(&key);
                         false
                     }
-                    Err(AppError::Poisoned(_)) => {
+                    Err(e) if signalled(&e) => {
                         t.fail_closed += 1;
                         tainted.insert(key);
                         true
@@ -348,7 +360,7 @@ impl Workload for ShadowKv {
                         }
                         false
                     }
-                    Err(AppError::Poisoned(_)) => {
+                    Err(e) if signalled(&e) => {
                         t.fail_closed += 1;
                         true
                     }

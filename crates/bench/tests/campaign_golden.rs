@@ -16,7 +16,7 @@ const GOLDEN: [(&str, &str, usize, u32); 17] = [
     ("chaos_campaign", "chaos_events.log", 435806, 0x2070a1c1),
     ("coverage_campaign", "coverage_campaign.csv", 180, 0xda1fc287),
     ("crashsim_campaign", "crashsim_campaign.csv", 8094, 0xf0e4a15d),
-    ("degraded_campaign", "degraded_campaign.csv", 10989, 0xda096078),
+    ("degraded_campaign", "degraded_campaign.csv", 6880, 0x2854d045),
     ("fig10_sensitivity", "fig10a_redundancy_ways.csv", 2219, 0xbe5858bb),
     ("fig10_sensitivity", "fig10b_diff_ways.csv", 2239, 0xcd34238d),
     ("fig8_fio", "fig8_fio.csv", 1411, 0x0a03fc6c),

@@ -172,7 +172,6 @@ impl System {
             E::ScrubDaemon => c.weave_inel_scrub += 1,
             E::CrashWindow => c.weave_inel_crash += 1,
             E::ArmedFaults => c.weave_inel_faults += 1,
-            E::Raid => c.weave_inel_raid += 1,
         }
     }
 

@@ -186,14 +186,10 @@ impl System {
                     .demand(now, occ);
                 self.uncore.counters.demand_queue_cycles += wait;
                 self.uncore.clocks[core] += wait + self.cfg.ns_to_cycles(self.cfg.nvm.read_ns);
-                // Degraded-mode amplification: a dead line is served by
-                // reconstructing from the surviving stripe members, costing
-                // that many extra media reads before the fill can complete.
-                let amp = self.uncore.mem.degraded_read_width(line);
-                if amp > 0 {
-                    self.uncore.counters.degraded_fills += 1;
-                    self.uncore.clocks[core] +=
-                        amp as u64 * self.cfg.ns_to_cycles(self.cfg.nvm.read_ns);
+                // A lost line (its DIMM failed) is a media error the device
+                // signals, under every design, before any hook sees data.
+                if self.uncore.mem.is_lost(line) {
+                    return Err(CorruptionDetected { line });
                 }
                 let data = self.uncore.mem.read_line(line);
                 // After the crash budget runs out the machine is logically

@@ -359,8 +359,9 @@ impl System {
     /// # Panics
     ///
     /// Panics if the system is already fast-forwarding, a bound-weave
-    /// session is active, a crash budget is armed, or the firmware has an
-    /// armed fault or shadow RAID: functional accesses bypass all of them.
+    /// session is active, a crash budget is armed, the firmware has an
+    /// armed fault, or a line is lost: functional accesses bypass all of
+    /// them.
     pub fn fast_forward<C, T>(
         ctx: &mut C,
         sys: fn(&mut C) -> &mut System,
@@ -375,8 +376,8 @@ impl System {
         );
         let mem = &s.uncore.mem;
         assert!(
-            mem.armed_faults() == 0 && !mem.raid_enabled(),
-            "cannot fast-forward past armed firmware faults or firmware RAID"
+            mem.armed_faults() == 0 && !mem.any_lost(),
+            "cannot fast-forward past armed firmware faults or lost lines"
         );
         s.flush();
         s.functional = true;

@@ -223,3 +223,37 @@ fn corruption_error_propagates() {
     let err = s.read(0, nvm(0), &mut buf).unwrap_err();
     assert_eq!(err.line, nvm(0).line());
 }
+
+#[test]
+fn lost_line_read_is_signalled_without_hooks_until_a_write_lands() {
+    let mut s = System::new(SystemConfig::small(), Box::new(RecordingHooks::default()));
+    s.write(0, nvm(0), &[7u8; 64]).unwrap();
+    s.flush();
+    s.memory_mut().fail_bank(0);
+    let line = nvm(0).line();
+    assert_eq!(s.memory().peek_line(line), crate::mem::poison_line(line));
+    assert!(
+        !s.memory().is_lost(nvm(4 << 12).line()),
+        "never written: zeros on the spare"
+    );
+    let mut buf = [0u8; 8];
+    assert_eq!(
+        s.read(0, nvm(0), &mut buf),
+        Err(CorruptionDetected { line })
+    );
+    let fill = s.write(0, nvm(8), &[1u8; 8]);
+    assert_eq!(
+        fill,
+        Err(CorruptionDetected { line }),
+        "the write-allocate fill"
+    );
+    let hooks = s.hooks_mut().as_any_mut().downcast_mut::<RecordingHooks>();
+    assert_eq!(hooks.unwrap().fills, vec![line], "no hook saw a lost line");
+    s.memory_mut().write_line(line, &[9u8; 64]);
+    s.read(0, nvm(0), &mut buf).unwrap();
+    assert_eq!(buf, [9u8; 8]);
+    assert!(
+        s.read(0, nvm(64), &mut buf).is_err(),
+        "the rest of the page stays lost"
+    );
+}

@@ -34,7 +34,6 @@ pub mod config;
 pub mod crc;
 pub mod engine;
 pub mod fastdiv;
-pub mod gf256;
 pub mod hash;
 pub mod mem;
 // `SpscRing` and its `unsafe` go with the weave engine (ROADMAP.md item 1).
@@ -46,8 +45,5 @@ pub mod weave;
 pub use addr::{LineAddr, PageNum, PhysAddr, CACHE_LINE, LINES_PER_PAGE, NVM_BASE, PAGE};
 pub use config::SystemConfig;
 pub use engine::{CorruptionDetected, HookEnv, NullHooks, RedundancyHooks, System};
-pub use mem::{
-    BankState, Device, FaultKind, FaultPlan, FirmwareFault, Memory, PlannedFault, RaidLevel,
-    RaidStats,
-};
+pub use mem::{Device, FaultKind, FaultPlan, FirmwareFault, Memory, PlannedFault};
 pub use stats::{Counters, Stats};

@@ -2,24 +2,24 @@
 //!
 //! The backing store holds real bytes (sparsely, one 4 KB page at a time), so
 //! checksums and parity computed by the redundancy machinery are genuine.
-//! Every line read and write goes through the device firmware, which the two
-//! child modules model below the page store:
+//! Every line read and write goes through the device firmware, whose bugs
+//! the child module `fault` models below the page store: faults armed
+//! against media locations ([`FirmwareFault`]) and seeded schedules of them
+//! ([`FaultPlan`]).
 //!
-//! - `fault`: firmware bugs armed against media locations ([`FirmwareFault`])
-//!   and seeded schedules of them ([`FaultPlan`]);
-//! - `raid`: firmware shadow-RAID, host-side P/Q syndromes that keep a
-//!   failed DIMM's content readable ([`RaidLevel`], [`BankState`]).
+//! A whole DIMM can also fail ([`Memory::fail_bank`]). The device is
+//! fail-stop: a blank spare takes its place at once, and every line the
+//! failed device held is *lost* until a write lands on it. The engine
+//! signals a demand read of a lost line as a media error under every
+//! design; repairing it is the redundancy design's job, not the memory's.
 
 mod fault;
-mod raid;
 
 pub use fault::{FaultKind, FaultPlan, FiredFault, FirmwareFault, PlannedFault};
-pub use raid::{poison_line, BankState, RaidLevel, RaidStats};
 
-use crate::addr::{LineAddr, PageNum, CACHE_LINE, NVM_BASE, PAGE, PAGE_SHIFT};
+use crate::addr::{LineAddr, PageNum, CACHE_LINE, NVM_BASE, NVM_PAGE_BASE, PAGE, PAGE_SHIFT};
 use crate::fastdiv::FastDiv;
 use crate::hash::FxHashMap;
-use raid::RaidState;
 
 /// Which device a physical line lives on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -57,10 +57,10 @@ pub struct Memory {
     page_order: Vec<u64>,
     armed: FxHashMap<LineAddr, FirmwareFault>,
     fired: Vec<FiredFault>,
-    /// Firmware shadow-RAID state (device-level P/Q over the striped pages);
-    /// `None` outside degraded-mode campaigns, keeping the hot paths to a
-    /// single discriminant test.
-    raid: Option<RaidState>,
+    /// Lost-line masks (bit = line index) of the pages a failed DIMM held;
+    /// empty outside degraded-mode runs, keeping the hot paths to one
+    /// emptiness test.
+    lost: FxHashMap<u64, u64>,
 }
 
 impl Memory {
@@ -79,7 +79,7 @@ impl Memory {
             page_order: Vec::new(),
             armed: FxHashMap::default(),
             fired: Vec::new(),
-            raid: None,
+            lost: FxHashMap::default(),
         }
     }
 
@@ -130,30 +130,9 @@ impl Memory {
         &mut self.arena[slot]
     }
 
-    /// Read a line through the device firmware (faults may fire).
+    /// Read a line through the device firmware (faults may fire). A lost
+    /// line reads back as [`poison_line`].
     pub fn read_line(&mut self, line: LineAddr) -> [u8; CACHE_LINE] {
-        // Firmware RAID is configured only in degraded-mode campaigns;
-        // raid_idx's leading Option test guards the fault-free fast path.
-        if let Some(idx) = self.raid_idx(line) {
-            let li = line.index_in_page();
-            let live = self.raid.as_ref().is_some_and(|r| r.line_live(idx, li));
-            if !live {
-                return match self.reconstruct_line(line) {
-                    Some(rec) => {
-                        if let Some(r) = self.raid.as_mut() {
-                            r.stats.reconstructed_reads += 1;
-                        }
-                        rec
-                    }
-                    None => {
-                        if let Some(r) = self.raid.as_mut() {
-                            r.stats.poison_reads += 1;
-                        }
-                        poison_line(line)
-                    }
-                };
-            }
-        }
         // Faults are armed only inside injection campaigns; skip the hash
         // probe on the overwhelmingly common fault-free path.
         if self.armed.is_empty() {
@@ -174,12 +153,6 @@ impl Memory {
 
     /// Write a line through the device firmware (faults may fire).
     pub fn write_line(&mut self, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        // Writes to a failed bank never reach media; the syndromes absorb
-        // them (handled inside poke_line, which every landing path funnels
-        // through). Nothing special is needed here: firmware faults still
-        // apply to Healthy/Rebuilding media, and a fault that redirects or
-        // drops the write perturbs media exactly as it would when healthy —
-        // the shadow layer tracks whatever actually lands.
         if self.armed.is_empty() {
             return self.poke_line(line, data);
         }
@@ -214,52 +187,66 @@ impl Memory {
         out
     }
 
-    /// Write a line directly to the media, bypassing firmware faults.
-    ///
-    /// Under firmware RAID this is where the shadow syndromes are
-    /// maintained, because every landing write funnels through here (the
-    /// fault paths of [`write_line`](Self::write_line) included): the delta
-    /// `old_logical ^ new` is applied before the store. Writes to a *failed*
-    /// bank are absorbed by the syndromes alone — the device is gone, so
-    /// nothing is stored, but reconstruction returns the new data (classic
-    /// degraded-RAID write durability). A write landing on a dead line of a
-    /// *rebuilding* bank makes the line live (write-intent).
+    /// Write a line directly to the media, bypassing firmware faults. Every
+    /// landing write funnels through here (the fault paths of
+    /// [`write_line`](Self::write_line) included), so this is where a lost
+    /// line stops being lost.
     pub fn poke_line(&mut self, line: LineAddr, data: &[u8; CACHE_LINE]) {
-        if let Some(idx) = self.raid_idx(line) {
-            let li = line.index_in_page();
-            let (failed, live) = {
-                let raid = self.raid.as_ref().expect("raid_idx implies raid");
-                (
-                    raid.banks[raid.bank_of(idx)] == BankState::Failed,
-                    raid.line_live(idx, li),
-                )
-            };
-            let old = if live {
-                self.peek_line(line)
-            } else {
-                // Delta against the *logical* old value. If too many
-                // members are dead to reconstruct it, the stripe line
-                // already lost data; zeros keep the arithmetic total.
-                self.reconstruct_line(line).unwrap_or([0u8; CACHE_LINE])
-            };
-            let raid = self.raid.as_mut().expect("raid_idx implies raid");
-            raid.apply_delta(idx, li, &old, data);
-            if failed {
-                raid.stats.dropped_writes += 1;
-                return;
+        if !self.lost.is_empty() {
+            let page = line.page().0;
+            if let Some(mask) = self.lost.get_mut(&page) {
+                *mask &= !(1u64 << line.index_in_page());
+                if *mask == 0 {
+                    self.lost.remove(&page);
+                }
             }
-            raid.mark_live(idx, li);
         }
-        self.store_line(line, data);
-    }
-
-    /// Raw arena store with no firmware-RAID bookkeeping. Used internally by
-    /// [`fail_bank`](Self::fail_bank) / [`abandon_page`](Self::abandon_page),
-    /// where media changes deliberately do *not* change logical values.
-    fn store_line(&mut self, line: LineAddr, data: &[u8; CACHE_LINE]) {
         let off = line.index_in_page() * CACHE_LINE;
         let page = self.page_mut(line.page());
         page[off..off + CACHE_LINE].copy_from_slice(data);
+    }
+
+    /// Fail NVM DIMM `bank` (fail-stop): a blank spare takes its place at
+    /// once, and every line of every page the bank held becomes lost. A
+    /// lost line reads back as [`poison_line`], so any checksum over it
+    /// fails, until a write lands on it. Pages never written hold zeros on
+    /// the spare as they did on the device, so only materialized pages are
+    /// lost. Callers quiesce (flush caches) first: the failure is of the
+    /// device, not of writeback ordering.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bank` is not an NVM DIMM index.
+    pub fn fail_bank(&mut self, bank: usize) {
+        assert!(bank < self.nvm_dimms, "no NVM DIMM {bank}");
+        for &k in &self.page_order {
+            if k < NVM_PAGE_BASE || self.dimm_div.remainder(k - NVM_PAGE_BASE) != bank as u64 {
+                continue;
+            }
+            let page = &mut self.arena[self.index[&k] as usize];
+            for (li, out) in page.as_chunks_mut::<CACHE_LINE>().0.iter_mut().enumerate() {
+                *out = poison_line(PageNum(k).line(li));
+            }
+            self.lost.insert(k, u64::MAX);
+        }
+    }
+
+    /// Whether `line` is lost: its DIMM failed and no write has landed on it
+    /// since.
+    #[inline]
+    pub fn is_lost(&self, line: LineAddr) -> bool {
+        !self.lost.is_empty()
+            && self.lost.get(&line.page().0).is_some_and(|m| (m >> line.index_in_page()) & 1 == 1)
+    }
+
+    /// Whether any line of `page` is lost.
+    pub fn page_lost(&self, page: PageNum) -> bool {
+        self.lost.contains_key(&page.0)
+    }
+
+    /// Whether any line is lost.
+    pub fn any_lost(&self) -> bool {
+        !self.lost.is_empty()
     }
 
     /// Snapshot the current media content for bound-phase data prediction
@@ -295,6 +282,15 @@ impl Memory {
         }
         h
     }
+}
+
+/// What a lost line reads back as: a deterministic pattern tagged with the
+/// line's index, designed to fail any content checksum, so a layer that
+/// consumes it without the media error detects it like corruption.
+pub fn poison_line(line: LineAddr) -> [u8; CACHE_LINE] {
+    let mut out = [0xd5u8; CACHE_LINE];
+    out[..8].copy_from_slice(&line.0.to_le_bytes());
+    out
 }
 
 /// An immutable copy of the media content at one instant, used by the

@@ -64,10 +64,6 @@ pub struct Counters {
     pub pages_recovered: u64,
     /// Cycles demand reads spent queued behind DIMM traffic (diagnostics).
     pub demand_queue_cycles: u64,
-    /// Demand NVM fills served by degraded-mode reconstruction (the line was
-    /// on a failed/rebuilding bank; the read paid `dimms - 1` extra member
-    /// reads to solve from the shadow syndromes).
-    pub degraded_fills: u64,
     /// Clocked runs that passed every bound-weave *configuration* check
     /// (they weave whenever ≥ 2 engine threads are requested). Eligibility
     /// is a property of the machine configuration alone, so these six
@@ -83,8 +79,6 @@ pub struct Counters {
     pub weave_inel_crash: u64,
     /// Clocked runs ineligible for bound-weave: armed firmware faults.
     pub weave_inel_faults: u64,
-    /// Clocked runs ineligible for bound-weave: firmware shadow-RAID enabled.
-    pub weave_inel_raid: u64,
 }
 
 /// Apply a field-list macro to every [`Counters`] field, so the add/merge
@@ -115,13 +109,11 @@ macro_rules! for_each_counter_field {
             corruptions_detected,
             pages_recovered,
             demand_queue_cycles,
-            degraded_fills,
             weave_eligible_runs,
             weave_inel_sw_scheme,
             weave_inel_scrub,
             weave_inel_crash,
             weave_inel_faults,
-            weave_inel_raid,
         );
     };
 }

@@ -133,8 +133,6 @@ pub enum WeaveEligibility {
     CrashWindow,
     /// Firmware faults are armed.
     ArmedFaults,
-    /// Firmware shadow-RAID is enabled (degraded-mode state is global).
-    Raid,
 }
 
 impl WeaveEligibility {
@@ -146,7 +144,6 @@ impl WeaveEligibility {
             WeaveEligibility::ScrubDaemon => "scrub",
             WeaveEligibility::CrashWindow => "crash-window",
             WeaveEligibility::ArmedFaults => "armed-faults",
-            WeaveEligibility::Raid => "raid",
         }
     }
 }

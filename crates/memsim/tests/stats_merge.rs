@@ -42,7 +42,7 @@ const FIELDS: &[Field] = &[
     |c| &mut c.demand_queue_cycles,
     |c| &mut c.weave_eligible_runs,
     |c| &mut c.weave_inel_sw_scheme,
-    |c| &mut c.weave_inel_raid,
+    |c| &mut c.weave_inel_faults,
 ];
 
 fn rand_counters(rng: &mut Lcg) -> Counters {

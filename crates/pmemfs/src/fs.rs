@@ -360,9 +360,9 @@ impl DaxFs {
 
     /// Offline media audit of every page of `file`
     /// ([`NvmLayout::audit_page`]): checksums stored at `granularity`
-    /// first, then stripe parity, skipping lines that are not live under
-    /// firmware RAID. Returns each inconsistent file page with what
-    /// disagrees, in file order.
+    /// first, then stripe parity; a lost line fails like corruption.
+    /// Returns each inconsistent file page with what disagrees, in file
+    /// order.
     pub fn audit(
         &self,
         sys: &System,

@@ -29,6 +29,7 @@ pub mod fault;
 pub mod fs;
 pub mod rebuild;
 pub mod recover;
+pub mod swred;
 pub mod tx;
 
 pub use fault::Fault;

@@ -2,41 +2,48 @@
 //! resilver → healthy, paced against foreground traffic by one maintenance
 //! token bucket that the resilver shares with the scrub daemon.
 //!
-//! The [`ReplacementManager`] is the OS-side owner of a pool's whole-device
-//! fault handling, the counterpart of the per-page
+//! A DIMM failure is fail-stop ([`Memory::fail_bank`](memsim::Memory::fail_bank)):
+//! a blank spare takes the device's place at once, and every line the
+//! device held is lost, a media error the engine signals on read under
+//! every design. The design's own cross-DIMM parity is the only redundancy,
+//! so every repair is one call of the one page-reconstruction entry,
+//! [`recover_page`]. The [`ReplacementManager`] is the OS-side owner of a
+//! pool's whole-device fault handling, the counterpart of the per-page
 //! [`RecoveryOrchestrator`](crate::recover::RecoveryOrchestrator):
 //!
-//! - [`fail_device`](ReplacementManager::fail_device) quiesces the cache
-//!   hierarchy (so the firmware shadow syndromes reflect every acknowledged
-//!   write) and fails the bank. The pool is now *degraded*: reads of the
-//!   failed bank reconstruct from parity on the fly, writes are absorbed
-//!   into the syndromes — serving continues, at reduced margin.
+//! - [`fail_device`](ReplacementManager::fail_device) flushes the cache
+//!   hierarchy, so the design's redundancy on media is current, fails the
+//!   bank, and rebuilds the checksum and parity pages the bank held
+//!   ([`rebuild_failed_bank`]) before the next foreground op. The pool is
+//!   now *degraded*: a foreground read of a lost line is detected, and the
+//!   orchestrator's retry repairs the page (reconstruct-on-read).
 //! - [`attach_spare`](ReplacementManager::attach_spare) starts the resilver
-//!   of the bank and the pool enters *rebuilding*.
+//!   cursor over the bank's data pages and the pool enters *rebuilding*.
 //! - Each foreground operation reported via
 //!   [`on_op`](ReplacementManager::on_op) feeds the token bucket; a granted
-//!   [`step_rebuild`](ReplacementManager::step_rebuild) resilvers one page,
-//!   charging the surviving members' reads and the spare's writes as NVM
-//!   traffic. The step that resilvers the bank's last page returns the bank
-//!   to Healthy, so [`PoolState::of`] observed after each operation cleanly
-//!   delimits the healthy / degraded / rebuilding / recovered phases a
-//!   campaign reports on.
+//!   [`step_rebuild`](ReplacementManager::step_rebuild) flushes and
+//!   recovers the bank's next still-lost page. `recover_page` invalidates
+//!   without writeback, hence the flush. The step that passes the bank's
+//!   last page returns the pool to healthy, so
+//!   [`pool_state`](ReplacementManager::pool_state) observed after each
+//!   operation delimits the healthy / degraded / rebuilding / recovered
+//!   phases a campaign reports on.
 //!
-//! The resilver is safe against racing writes by construction. A
-//! foreground write landing on a not-yet-resilvered line makes the line
-//! live (the write-intent mask in `memsim`), and the resilver skips live
-//! lines, never clobbering newer data with an older reconstruction. A
-//! resilver write has a self-cancelling syndrome delta, so it cannot
-//! corrupt the shadow parity that later lines still need.
+//! A foreground write cannot race the resilver: it fills its line first,
+//! and the fill of a lost line is repaired before the write proceeds.
 //!
-//! A page that cannot be reconstructed (a second concurrent fault at
-//! P-only, a third at P+Q) is *abandoned*: its media is poisoned, its
-//! cached copies dropped, and the caller must quarantine it with the
-//! orchestrator — the fail-closed path, never fabricated data.
+//! A page is *declared lost*, and returned for quarantine, when its stripe
+//! holds two erasures (a second failure before the resilver reached it) or
+//! when the design keeps no parity (Baseline). Its lines stay lost, so a
+//! read of it is signalled, never served as wrong bytes.
 
-use memsim::addr::{nvm_page, PageNum, LINES_PER_PAGE};
+use memsim::addr::{nvm_page, PageNum};
 use memsim::engine::System;
-use memsim::{BankState, Memory};
+use std::collections::BTreeSet;
+use tvarak::init::rebuild_failed_bank;
+use tvarak::layout::NvmLayout;
+use tvarak::recovery::recover_page;
+use tvarak::scrub::ScrubGranularity;
 
 /// Tokens one foreground operation deposits.
 const REFILL_PER_OP: u32 = 1;
@@ -51,39 +58,16 @@ const STEP_COST: u32 = 2;
 /// grant (its minimum share, which bounds detection latency).
 const SCRUB_EVERY: u32 = 4;
 
-/// Pool-level redundancy state, read from the firmware's bank states.
+/// Pool-level redundancy state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoolState {
-    /// All devices healthy; full redundancy margin.
+    /// No device down; full redundancy margin.
     Healthy,
-    /// At least one device failed with no spare attached; serving from
-    /// parity reconstruct-on-read.
+    /// At least one device failed with no spare attached; lost lines are
+    /// repaired as reads detect them.
     Degraded,
     /// A hot spare is attached and the resilver is in progress.
     Rebuilding,
-}
-
-impl PoolState {
-    /// The state of the pool on `mem`. Rebuilding wins over Degraded when
-    /// both apply (a second device down while a first resilvers); a pool
-    /// without firmware RAID is Healthy.
-    pub fn of(mem: &Memory) -> Self {
-        if !mem.raid_enabled() {
-            return PoolState::Healthy;
-        }
-        if bank_in(mem, BankState::Rebuilding).is_some() {
-            PoolState::Rebuilding
-        } else if bank_in(mem, BankState::Failed).is_some() {
-            PoolState::Degraded
-        } else {
-            PoolState::Healthy
-        }
-    }
-}
-
-/// The lowest-numbered NVM bank of `mem` in `state`, if any.
-pub fn bank_in(mem: &Memory, state: BankState) -> Option<usize> {
-    (0..mem.nvm_dimms()).find(|&b| mem.bank_state(b) == state)
 }
 
 /// What the scheduler granted this operation.
@@ -141,34 +125,62 @@ impl Scheduler {
     }
 }
 
-/// Owns the device-replacement lifecycle for one pool: the resilver cursor,
-/// the maintenance token bucket arbitrating rebuild against scrub, and the
-/// lifetime resilver counters.
-#[derive(Debug, Default)]
+/// Owns the device-replacement lifecycle for one pool: the failed banks,
+/// the resilver cursor, the maintenance token bucket arbitrating rebuild
+/// against scrub, the pages declared lost and the lifetime resilver
+/// counters.
+#[derive(Debug)]
 pub struct ReplacementManager {
+    layout: NvmLayout,
+    /// The checksum granularity repairs verify against; `None` for a
+    /// design that keeps no redundancy.
+    granularity: Option<ScrubGranularity>,
     scheduler: Scheduler,
+    /// Failed banks with no spare attached yet, in failure order.
+    failed: Vec<usize>,
     /// `(bank, region page index of its next page)` of the running resilver.
     resilver: Option<(usize, u64)>,
+    lost: BTreeSet<PageNum>,
     rebuilds_completed: u64,
     pages_resilvered: u64,
-    pages_abandoned: u64,
-    lines_reconstructed: u64,
-    lines_already_live: u64,
 }
 
 impl ReplacementManager {
-    /// Fail `bank` as a whole device. Flushes the cache hierarchy *first*
-    /// so every acknowledged write has reached the firmware (and its shadow
-    /// syndromes) before the media disappears — a clean fail-stop. The pool
-    /// keeps serving degraded afterwards.
+    /// A manager for the pool laid out by `layout`, whose design keeps its
+    /// checksums at `granularity` (`None`: no redundancy to repair from).
+    pub fn new(layout: NvmLayout, granularity: Option<ScrubGranularity>) -> Self {
+        ReplacementManager {
+            layout,
+            granularity,
+            scheduler: Scheduler::default(),
+            failed: Vec::new(),
+            resilver: None,
+            lost: BTreeSet::new(),
+            rebuilds_completed: 0,
+            pages_resilvered: 0,
+        }
+    }
+
+    /// Fail `bank` as a whole device: flush the cache hierarchy first, so
+    /// every acknowledged write and its redundancy are on media — a clean
+    /// fail-stop — then lose the bank and rebuild the redundancy pages it
+    /// held. Returns the data pages this failure declared lost (two
+    /// erasures in their stripe); the caller quarantines them.
     ///
     /// # Panics
     ///
-    /// Panics if firmware RAID is unconfigured or the bank is not Healthy
-    /// (an already-failed or mid-resilver device cannot fail "again").
-    pub fn fail_device(&mut self, sys: &mut System, bank: usize) {
+    /// Panics if `bank` is already failed or resilvering.
+    pub fn fail_device(&mut self, sys: &mut System, bank: usize) -> Vec<PageNum> {
+        let down = self.failed.contains(&bank) || self.resilver.is_some_and(|(b, _)| b == bank);
+        assert!(!down, "bank {bank} is already down");
         sys.flush();
         sys.memory_mut().fail_bank(bank);
+        self.failed.push(bank);
+        if self.granularity.is_none() {
+            return Vec::new();
+        }
+        let lost = rebuild_failed_bank(&self.layout, sys.memory_mut(), bank);
+        lost.into_iter().filter(|&p| self.lost.insert(p)).collect()
     }
 
     /// Attach a hot spare to failed `bank` and start its resilver. Only one
@@ -177,17 +189,25 @@ impl ReplacementManager {
     ///
     /// # Panics
     ///
-    /// Panics if a resilver is already running, or `bank` is not Failed.
-    pub fn attach_spare(&mut self, sys: &mut System, bank: usize) {
+    /// Panics if a resilver is already running, or `bank` is not failed.
+    pub fn attach_spare(&mut self, bank: usize) {
         assert!(self.resilver.is_none(), "a resilver is already in progress");
-        sys.memory_mut().attach_spare(bank);
+        let pos = self.failed.iter().position(|&b| b == bank);
+        self.failed
+            .remove(pos.unwrap_or_else(|| panic!("bank {bank} is not failed")));
         self.resilver = Some((bank, bank as u64));
     }
 
-    /// Whether a resilver is running (drives the scheduler's rebuild
-    /// priority).
-    pub fn rebuild_pending(&self) -> bool {
-        self.resilver.is_some()
+    /// The pool's redundancy state: Rebuilding wins over Degraded when both
+    /// apply (a second device down while a first resilvers).
+    pub fn pool_state(&self) -> PoolState {
+        if self.resilver.is_some() {
+            PoolState::Rebuilding
+        } else if self.failed.is_empty() {
+            PoolState::Healthy
+        } else {
+            PoolState::Degraded
+        }
     }
 
     /// Account one foreground operation and ask the token bucket for a
@@ -195,79 +215,45 @@ impl ReplacementManager {
     /// [`MaintGrant::Rebuild`] call [`step_rebuild`](Self::step_rebuild),
     /// on [`MaintGrant::Scrub`] run one budgeted scrub step.
     pub fn on_op(&mut self, scrub_pending: bool) -> Option<MaintGrant> {
-        self.scheduler.on_op(self.rebuild_pending(), scrub_pending)
+        self.scheduler.on_op(self.resilver.is_some(), scrub_pending)
     }
 
-    /// Resilver the next page of the failed bank on `core`. One page per
-    /// call keeps the foreground-latency impact of a grant bounded. The
-    /// step that processes the bank's last page also returns the bank to
-    /// Healthy. Does nothing when no resilver is running.
+    /// Repair the failed bank's next data page that is still lost (reads
+    /// may have repaired some already): flush, then [`recover_page`]. One
+    /// page per call keeps the foreground-latency impact of a grant
+    /// bounded. The step that passes the bank's last page completes the
+    /// resilver. Does nothing when no resilver is running.
     ///
-    /// Returns the page if it was abandoned: its media is poisoned and its
-    /// cached copies dropped, and the caller must quarantine it with the
-    /// recovery orchestrator.
-    pub fn step_rebuild(&mut self, sys: &mut System, core: usize) -> Option<PageNum> {
-        let (bank, idx) = self.resilver?;
-        let dimms = sys.memory().nvm_dimms() as u64;
-        let abandoned = self.resilver_page(sys, core, idx, dimms);
-        if idx + dimms < sys.memory().striped_pages() {
-            self.resilver = Some((bank, idx + dimms));
-        } else {
-            sys.memory_mut().complete_rebuild(bank);
-            self.resilver = None;
+    /// Returns the page if the step declared it lost (its stripe does not
+    /// verify, or the design keeps no parity); the caller quarantines it.
+    pub fn step_rebuild(&mut self, sys: &mut System) -> Option<PageNum> {
+        let (bank, mut idx) = self.resilver?;
+        let d = self.layout.geometry().dimms() as u64;
+        let end = self
+            .layout
+            .geometry()
+            .total_pages_for(self.layout.data_pages());
+        let mut next = None;
+        while idx < end && next.is_none() {
+            let page = nvm_page(idx);
+            idx += d;
+            let lost = self.layout.is_data_line(page.line(0)) && sys.memory().page_lost(page);
+            next = (lost && !self.lost.contains(&page)).then_some(page);
+        }
+        self.resilver = (idx < end).then_some((bank, idx));
+        if self.resilver.is_none() {
             self.rebuilds_completed += 1;
         }
-        abandoned
-    }
-
-    /// Reconstruct every dead line of region page `idx` first, and write
-    /// only if the whole page solves, so an unreconstructible line never
-    /// leaves the page half resilvered before it is poisoned.
-    fn resilver_page(
-        &mut self,
-        sys: &mut System,
-        core: usize,
-        idx: u64,
-        dimms: u64,
-    ) -> Option<PageNum> {
-        let page = nvm_page(idx);
-        let mut pending: Vec<(usize, [u8; 64])> = Vec::new();
-        for li in 0..LINES_PER_PAGE {
-            let line = page.line(li);
-            if sys.memory().line_live(line) {
-                self.lines_already_live += 1;
-                continue;
+        let page = next?;
+        if let Some(granularity) = self.granularity {
+            sys.flush();
+            if recover_page(sys, &self.layout, granularity, page).is_ok() {
+                self.pages_resilvered += 1;
+                return None;
             }
-            let Some(rec) = sys.memory().reconstruct_line(line) else {
-                // Fail closed: poison the page and drop cached copies so no
-                // stale clean line can serve reads past the poison.
-                sys.memory_mut().abandon_page(idx);
-                sys.invalidate_page(page);
-                self.pages_abandoned += 1;
-                return Some(page);
-            };
-            pending.push((li, rec));
         }
-        let stripe_base = idx / dimms * dimms;
-        sys.memory_mut().set_resilver_mode(true);
-        sys.with_hooks_env(|_hooks, env| {
-            for &(li, ref rec) in &pending {
-                let line = page.line(li);
-                // Charge the surviving members' reads: reconstruction
-                // streams one line from every live sibling in the stripe.
-                for s in 0..dimms {
-                    let member = nvm_page(stripe_base + s).line(li);
-                    if member != line && env.memory().line_live(member) {
-                        let _ = env.nvm_read_old_data(core, member);
-                    }
-                }
-                env.nvm_write_data(core, line, rec);
-            }
-        });
-        sys.memory_mut().set_resilver_mode(false);
-        self.lines_reconstructed += pending.len() as u64;
-        self.pages_resilvered += 1;
-        None
+        self.lost.insert(page);
+        Some(page)
     }
 
     /// Resilvers driven to completion.
@@ -275,239 +261,253 @@ impl ReplacementManager {
         self.rebuilds_completed
     }
 
-    /// Pages fully resilvered.
+    /// Pages the resilver repaired.
     pub fn pages_resilvered(&self) -> u64 {
         self.pages_resilvered
     }
 
-    /// Pages abandoned (poisoned, quarantine-bound).
-    pub fn pages_abandoned(&self) -> u64 {
-        self.pages_abandoned
-    }
-
-    /// Dead lines restored by reconstruction.
-    pub fn lines_reconstructed(&self) -> u64 {
-        self.lines_reconstructed
-    }
-
-    /// Lines the resilver found already live from foreground write-intent.
-    pub fn lines_already_live(&self) -> u64 {
-        self.lines_already_live
+    /// Pages declared lost, by a failure or by the resilver.
+    pub fn pages_lost(&self) -> u64 {
+        self.lost.len() as u64
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fs::DaxFs;
+    use crate::fs::{DaxFs, FileHandle};
+    use crate::recover::RecoveryOrchestrator;
     use memsim::config::SystemConfig;
-    use memsim::engine::NullHooks;
-    use memsim::RaidLevel;
-    use tvarak::layout::NvmLayout;
+    use memsim::engine::{NullHooks, RedundancyHooks};
+    use memsim::PAGE;
+    use tvarak::controller::{TvarakConfig, TvarakController};
 
-    /// 16 striped pages (4 stripes over the 4 DIMMs) of distinct content.
-    fn system_with_raid(level: RaidLevel) -> System {
-        let mut sys = System::new(SystemConfig::small(), Box::new(NullHooks));
-        for idx in 0..16u64 {
-            for li in 0..LINES_PER_PAGE {
-                let mut d = [0u8; 64];
-                for (k, b) in d.iter_mut().enumerate() {
-                    *b = (idx as u8 ^ li as u8)
-                        .wrapping_mul(29)
-                        .wrapping_add(k as u8);
-                }
-                sys.memory_mut().poke_line(nvm_page(idx).line(li), &d);
-            }
-        }
-        sys.memory_mut().configure_raid(16, level);
-        sys
+    /// A 16-data-page pool, all of it allocated: the orchestrator's store
+    /// and one DAX-mapped file holding distinct content. Under Tvarak the
+    /// orchestrator repairs what reads detect; without a controller
+    /// (Baseline) there is none.
+    struct Pool {
+        sys: System,
+        orch: Option<RecoveryOrchestrator>,
+        file: FileHandle,
+        mgr: ReplacementManager,
     }
 
-    /// Step the running resilver to completion; returns the pages abandoned.
-    fn finish(mgr: &mut ReplacementManager, sys: &mut System) -> Vec<PageNum> {
-        let mut abandoned = Vec::new();
-        while mgr.rebuild_pending() {
-            abandoned.extend(mgr.step_rebuild(sys, 0));
-        }
-        abandoned
-    }
-
-    #[test]
-    fn full_resilver_restores_exact_content() {
-        let mut sys = system_with_raid(RaidLevel::P);
-        let healthy = sys.memory().content_hash();
-        let mut mgr = ReplacementManager::default();
-        mgr.fail_device(&mut sys, 2);
-        mgr.attach_spare(&mut sys, 2);
-        for step in 0..4 {
-            assert!(mgr.rebuild_pending(), "one step per bank page, step {step}");
-            assert_eq!(mgr.step_rebuild(&mut sys, 0), None);
-        }
-        assert!(!mgr.rebuild_pending());
-        assert_eq!(
-            mgr.step_rebuild(&mut sys, 0),
-            None,
-            "no resilver left to step"
-        );
-        assert_eq!((mgr.pages_resilvered(), mgr.rebuilds_completed()), (4, 1));
-        assert_eq!(sys.memory().bank_state(2), BankState::Healthy);
-        assert_eq!(sys.memory().content_hash(), healthy, "bit-exact resilver");
-    }
-
-    #[test]
-    fn rebuild_charges_member_reads_and_spare_writes() {
-        let mut sys = system_with_raid(RaidLevel::P);
-        let mut mgr = ReplacementManager::default();
-        mgr.fail_device(&mut sys, 0);
-        mgr.attach_spare(&mut sys, 0);
-        sys.reset_stats();
-        finish(&mut mgr, &mut sys);
-        let c = sys.stats().counters;
-        // 4 pages × 64 lines: 3 member reads + 1 spare write each.
-        assert_eq!(c.nvm_red_reads, 4 * 64 * 3);
-        assert_eq!(c.nvm_data_writes, 4 * 64);
-    }
-
-    #[test]
-    fn foreground_write_survives_concurrent_resilver() {
-        let mut sys = system_with_raid(RaidLevel::P);
-        let mut mgr = ReplacementManager::default();
-        mgr.fail_device(&mut sys, 1);
-        mgr.attach_spare(&mut sys, 1);
-        // A foreground write lands on a dead line before the resilver
-        // reaches it (write-intent): the resilver must not clobber it.
-        let l = nvm_page(5).line(10); // page 5 is on bank 1
-        sys.memory_mut().write_line(l, &[0x77u8; 64]);
-        finish(&mut mgr, &mut sys);
-        assert_eq!(sys.memory().peek_line(l), [0x77u8; 64]);
-        assert!(mgr.lines_already_live() >= 1);
-    }
-
-    #[test]
-    fn pq_resilver_survives_second_failed_bank() {
-        let mut sys = system_with_raid(RaidLevel::PQ);
-        let healthy = sys.memory().content_hash();
-        let mut mgr = ReplacementManager::default();
-        mgr.fail_device(&mut sys, 1);
-        mgr.attach_spare(&mut sys, 1);
-        mgr.fail_device(&mut sys, 3); // double-fault storm mid-rebuild
-        assert_eq!(PoolState::of(sys.memory()), PoolState::Rebuilding);
-        assert_eq!(finish(&mut mgr, &mut sys), [], "Q covers the second fault");
-        assert_eq!(PoolState::of(sys.memory()), PoolState::Degraded);
-        // Now resilver the second bank too; media must return to the
-        // healthy image bit for bit.
-        mgr.attach_spare(&mut sys, 3);
-        finish(&mut mgr, &mut sys);
-        assert_eq!(sys.memory().content_hash(), healthy);
-        assert_eq!(mgr.rebuilds_completed(), 2);
-    }
-
-    #[test]
-    fn p_only_second_fault_fails_closed_with_poison() {
-        let mut sys = system_with_raid(RaidLevel::P);
-        let mut mgr = ReplacementManager::default();
-        mgr.fail_device(&mut sys, 1);
-        mgr.attach_spare(&mut sys, 1);
-        mgr.fail_device(&mut sys, 3);
-        let abandoned = finish(&mut mgr, &mut sys);
-        assert_eq!(abandoned.len(), 4, "every bank-1 page is unsolvable at P");
-        assert_eq!(mgr.pages_abandoned(), 4);
-        for p in &abandoned {
-            let got = sys.memory().peek_line(p.line(0));
-            assert_eq!(
-                got,
-                memsim::mem::poison_line(p.line(0)),
-                "poison, not fabricated data"
-            );
-        }
-    }
-
-    #[test]
-    fn third_concurrent_fault_fails_closed_even_at_pq() {
-        // Three dead members of four defeat P+Q: the resilver must abandon
-        // every page, never invent stripe content.
-        let mut sys = system_with_raid(RaidLevel::PQ);
-        let mut mgr = ReplacementManager::default();
-        mgr.fail_device(&mut sys, 0);
-        mgr.fail_device(&mut sys, 1);
-        mgr.attach_spare(&mut sys, 0);
-        mgr.fail_device(&mut sys, 2); // three concurrent holes
-        let line = nvm_page(0).line(0);
-        assert_eq!(sys.memory().reconstruct_line(line), None);
-        let poison = memsim::mem::poison_line(line);
-        assert_eq!(sys.memory_mut().read_line(line), poison, "degraded read");
-        let abandoned = finish(&mut mgr, &mut sys);
-        assert_eq!(
-            abandoned,
-            [0, 4, 8, 12].map(nvm_page),
-            "three erasures must not solve"
-        );
-        assert_eq!(sys.memory_mut().read_line(line), poison, "abandoned media");
-    }
-
-    fn pool() -> (System, DaxFs) {
+    fn pool(tvarak: bool) -> Pool {
         let cfg = SystemConfig::small();
         let layout = NvmLayout::new(cfg.nvm.dimms, 16);
-        let mut sys = System::new(cfg, Box::new(NullHooks));
-        let fs = DaxFs::new(layout, &mut sys);
-        let striped = layout.geometry().total_pages_for(16);
-        sys.memory_mut().configure_raid(striped, RaidLevel::P);
-        (sys, fs)
+        let hooks: Box<dyn RedundancyHooks> = match tvarak {
+            true => Box::new(TvarakController::new(
+                TvarakConfig::default(),
+                layout,
+                cfg.llc_banks,
+                cfg.controller.cache_bytes,
+                cfg.controller.cache_ways,
+            )),
+            false => Box::new(NullHooks),
+        };
+        let granularity = tvarak.then_some(ScrubGranularity::CacheLine);
+        let mut sys = System::new(cfg, hooks);
+        let mut fs = DaxFs::new(layout, &mut sys);
+        let orch = granularity.map(|g| RecoveryOrchestrator::new(&mut fs, &mut sys, g).unwrap());
+        let file = fs.create(&mut sys, fs.free_pages() * PAGE as u64).unwrap();
+        fs.dax_map(&mut sys, &file);
+        for i in 0..file.pages() * PAGE as u64 / 64 {
+            file.write(&mut sys, 0, i * 64, &[i as u8 ^ 0x5a; 64])
+                .unwrap();
+        }
+        sys.flush();
+        let mgr = ReplacementManager::new(layout, granularity);
+        Pool {
+            sys,
+            orch,
+            file,
+            mgr,
+        }
+    }
+
+    impl Pool {
+        fn read(&mut self, offset: u64) -> Result<[u8; 64], ()> {
+            let mut buf = [0u8; 64];
+            match self.orch.as_mut() {
+                Some(o) => o
+                    .read(&mut self.sys, &self.file, 0, offset, &mut buf)
+                    .map_err(drop),
+                None => self
+                    .file
+                    .read(&mut self.sys, 0, offset, &mut buf)
+                    .map_err(drop),
+            }?;
+            Ok(buf)
+        }
+
+        /// Step the running resilver to completion; returns the pages it
+        /// declared lost.
+        fn finish(&mut self) -> Vec<PageNum> {
+            let mut lost = Vec::new();
+            while self.mgr.pool_state() == PoolState::Rebuilding {
+                lost.extend(self.mgr.step_rebuild(&mut self.sys));
+            }
+            lost
+        }
+    }
+
+    #[test]
+    fn resilver_restores_media_exactly_while_a_write_races_it() {
+        let run = |fail: bool| {
+            let mut p = pool(true);
+            if fail {
+                assert_eq!(p.mgr.fail_device(&mut p.sys, 1), []);
+                p.mgr.attach_spare(1);
+            }
+            let (orch, file) = (p.orch.as_mut().unwrap(), p.file);
+            for i in 0..64u64 {
+                // A foreground write ahead of the cursor: its fill of a lost
+                // line repairs the page before the write lands.
+                let off = (i * 67 * 64 + 4096) % (file.pages() * PAGE as u64);
+                orch.write(&mut p.sys, &file, 0, off, &[i as u8; 64])
+                    .unwrap();
+                if i % 8 == 7 {
+                    assert_eq!(p.mgr.step_rebuild(&mut p.sys), None);
+                }
+            }
+            assert_eq!(p.mgr.pool_state(), PoolState::Healthy);
+            p.sys.flush();
+            (
+                p.sys.memory().content_hash(),
+                p.mgr.pages_resilvered(),
+                orch.recoveries(),
+            )
+        };
+        let (healthy, _, _) = run(false);
+        let (hash, resilvered, on_demand) = run(true);
+        assert_eq!(hash, healthy, "bit-exact media after the resilver");
+        assert!(
+            resilvered > 0 && on_demand > 0,
+            "{resilvered} by cursor, {on_demand} by writes"
+        );
+    }
+
+    #[test]
+    fn page_whose_checksums_sat_on_the_dead_dimm_is_not_quarantined() {
+        let mut p = pool(true);
+        let layout = p.mgr.layout;
+        // A live data page whose DAX-CL-checksum table page is on DIMM 1.
+        let d = layout.geometry().dimms() as u64;
+        let n = (0..p.file.pages())
+            .find(|&n| {
+                let page = p.file.page(n);
+                page.nvm_index() % d != 1
+                    && layout.cl_csum_loc(page.line(0)).0.page().nvm_index() % d == 1
+            })
+            .expect("a page with its checksums on DIMM 1");
+        let want = p.read(n * PAGE as u64).unwrap();
+        p.mgr.fail_device(&mut p.sys, 1);
+        assert_eq!(p.read(n * PAGE as u64), Ok(want));
+        let orch = p.orch.as_ref().unwrap();
+        assert_eq!((orch.detections(), orch.quarantines()), (0, 0));
     }
 
     #[test]
     fn lifecycle_healthy_degraded_rebuilding_healthy() {
-        let (mut sys, mut fs) = pool();
-        let f = fs.create(&mut sys, 8 * 1024).unwrap();
-        f.write(&mut sys, 0, 0, &[7u8; 4096]).unwrap();
-        sys.flush();
+        let mut p = pool(true);
+        assert_eq!(p.mgr.pool_state(), PoolState::Healthy);
+        let lost_page = (0..p.file.pages())
+            .find(|&n| p.file.page(n).nvm_index() % 4 == 2)
+            .unwrap();
+        let off = lost_page * PAGE as u64;
+        let want = p.read(off).unwrap();
+        p.mgr.fail_device(&mut p.sys, 2);
+        assert_eq!(p.mgr.pool_state(), PoolState::Degraded);
+        // Degraded serving: the read detects the lost line and repairs its
+        // page from the stripe (reconstruct-on-read).
+        assert!(p.sys.memory().page_lost(p.file.page(lost_page)));
+        assert_eq!(p.read(off), Ok(want));
+        assert!(!p.sys.memory().page_lost(p.file.page(lost_page)));
+        assert_eq!(p.orch.as_ref().unwrap().recoveries(), 1);
+        p.mgr.attach_spare(2);
+        assert_eq!(p.mgr.pool_state(), PoolState::Rebuilding);
+        assert_eq!(p.finish(), []);
+        assert_eq!(p.mgr.pool_state(), PoolState::Healthy);
+        assert_eq!(p.mgr.rebuilds_completed(), 1);
+        assert!(p.mgr.pages_resilvered() > 0);
+        assert!(
+            !p.sys.memory().any_lost(),
+            "data and redundancy all rebuilt"
+        );
+    }
 
-        let mut mgr = ReplacementManager::default();
-        assert_eq!(PoolState::of(sys.memory()), PoolState::Healthy);
+    #[test]
+    fn second_failure_mid_resilver_quarantines_two_erasure_pages() {
+        let mut p = pool(true);
+        let want: Vec<_> = (0..p.file.pages())
+            .map(|n| p.read(n * PAGE as u64).unwrap())
+            .collect();
+        p.mgr.fail_device(&mut p.sys, 1);
+        p.mgr.attach_spare(1);
+        assert_eq!(p.mgr.step_rebuild(&mut p.sys), None, "one page repaired");
+        let lost = p.mgr.fail_device(&mut p.sys, 3);
+        assert!(!lost.is_empty(), "stripes with both DIMMs' pages lost");
+        assert_eq!(p.mgr.pool_state(), PoolState::Rebuilding);
+        for &page in &lost {
+            p.orch.as_mut().unwrap().quarantine_page(&mut p.sys, page);
+        }
+        p.finish();
+        p.mgr.attach_spare(3);
+        p.finish();
+        assert_eq!(p.mgr.pool_state(), PoolState::Healthy);
+        assert_eq!(
+            p.mgr.pages_lost(),
+            lost.len() as u64,
+            "only the two-erasure pages"
+        );
+        // Every read either returns the written bytes or fails closed.
+        for (n, want) in want.iter().enumerate() {
+            match p.read(n as u64 * PAGE as u64) {
+                Ok(got) => assert_eq!(&got, want, "file page {n}"),
+                Err(()) => assert!(lost.contains(&p.file.page(n as u64)), "file page {n}"),
+            }
+        }
+    }
 
-        mgr.fail_device(&mut sys, 1);
-        assert_eq!(PoolState::of(sys.memory()), PoolState::Degraded);
-        // Degraded serving: reads still return the written data.
-        let mut buf = [0u8; 64];
-        f.read(&mut sys, 0, 0, &mut buf).unwrap();
-        assert_eq!(buf, [7u8; 64]);
-
-        mgr.attach_spare(&mut sys, 1);
-        assert_eq!(PoolState::of(sys.memory()), PoolState::Rebuilding);
-        assert_eq!(finish(&mut mgr, &mut sys), []);
-        assert_eq!(PoolState::of(sys.memory()), PoolState::Healthy);
-        assert_eq!(mgr.rebuilds_completed(), 1);
-        assert!(mgr.pages_resilvered() > 0);
-        // Post-resilver reads serve the original data from media.
-        let mut buf = [0u8; 64];
-        f.read(&mut sys, 0, 0, &mut buf).unwrap();
-        assert_eq!(buf, [7u8; 64]);
+    #[test]
+    fn baseline_declares_the_dead_dimm_lost_and_reads_are_signalled() {
+        let mut p = pool(false);
+        assert_eq!(p.mgr.fail_device(&mut p.sys, 0), [], "nothing to rebuild");
+        p.mgr.attach_spare(0);
+        let lost = p.finish();
+        assert_eq!(
+            p.mgr.pool_state(),
+            PoolState::Healthy,
+            "the device is replaced"
+        );
+        assert_eq!(p.mgr.pages_lost(), lost.len() as u64);
+        for n in 0..p.file.pages() {
+            let gone = lost.contains(&p.file.page(n));
+            assert_eq!(p.read(n * PAGE as u64).is_err(), gone, "file page {n}");
+        }
+        assert!(!lost.is_empty());
     }
 
     #[test]
     fn scheduler_paces_rebuild_against_foreground_ops() {
-        let (mut sys, mut fs) = pool();
-        let f = fs.create(&mut sys, 8 * 1024).unwrap();
-        f.write(&mut sys, 0, 0, &[9u8; 4096]).unwrap();
-        sys.flush();
-
-        let mut mgr = ReplacementManager::default();
-        mgr.fail_device(&mut sys, 0);
-        mgr.attach_spare(&mut sys, 0);
+        let mut p = pool(true);
+        p.mgr.fail_device(&mut p.sys, 0);
+        p.mgr.attach_spare(0);
         // At most one grant per op, every grant a rebuild.
         let mut ops = 0u64;
-        while mgr.rebuild_pending() {
+        while p.mgr.pool_state() == PoolState::Rebuilding {
             ops += 1;
             assert!(ops < 100_000, "starved resilver");
-            match mgr.on_op(false) {
-                Some(MaintGrant::Rebuild) => assert_eq!(mgr.step_rebuild(&mut sys, 0), None),
+            match p.mgr.on_op(false) {
+                Some(MaintGrant::Rebuild) => assert_eq!(p.mgr.step_rebuild(&mut p.sys), None),
                 Some(MaintGrant::Scrub) => panic!("no scrub work was pending"),
                 None => {}
             }
         }
         // The resilver cannot beat one page per STEP_COST ops by more than
         // the banked burst.
-        let total = mgr.pages_resilvered();
+        let total = p.mgr.pages_resilvered();
         assert!(total > 0);
         assert!(
             u64::from(STEP_COST) * total <= ops + u64::from(BURST),

@@ -27,7 +27,7 @@
 //! ```
 
 use crate::fs::{DaxFs, FileHandle, FsError};
-use memsim::addr::{LineAddr, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
+use memsim::addr::{LineAddr, PageNum, CACHE_LINE, PAGE};
 use memsim::engine::{CorruptionDetected, System};
 use tvarak::init;
 use tvarak::layout::{gather_page, peek, NvmLayout};
@@ -242,6 +242,7 @@ impl RecoveryOrchestrator {
     /// restart.
     fn persist(&mut self, sys: &mut System) {
         let page = self.store.page(0);
+        self.repair_lost_siblings(sys, page);
         let mut bytes = [0u8; PAGE];
         let n = self.poisoned.len();
         assert!(
@@ -259,6 +260,20 @@ impl RecoveryOrchestrator {
         let idx = self.store.first_data_index();
         init::initialize_region(&self.layout, mem, idx..idx + 1);
         sys.invalidate_page(page);
+    }
+
+    /// Repair every lost data page of `page`'s stripe ([`recover_page`])
+    /// before the stripe's parity is recomputed from media, which would
+    /// fold a lost page's poison into the parity its repair needs. A lost
+    /// page holds no cached line, so no flush is needed first.
+    fn repair_lost_siblings(&self, sys: &mut System, page: PageNum) {
+        let geom = self.layout.geometry();
+        let stripe = geom.data_pages_of_stripe(geom.stripe_of(page.nvm_index()));
+        for m in stripe.map(memsim::addr::nvm_page) {
+            if m != page && sys.memory().page_lost(m) {
+                let _ = recover_page(sys, &self.layout, self.granularity, m);
+            }
+        }
     }
 
     /// Quarantine `page`: persist it on the poison list and drop cached
@@ -288,38 +303,6 @@ impl RecoveryOrchestrator {
         }
     }
 
-    /// Whether every line the peek-based repair paths around `page` would
-    /// read or recompute from — the page itself, its design-parity lines,
-    /// its stripe siblings, and its checksum lines — is live under firmware
-    /// shadow-RAID. Trivially true with RAID unconfigured. Dead lines'
-    /// media is not the logical value: voting on or re-silvering from them
-    /// would process garbage, so repairs refuse and fail closed instead.
-    fn page_repair_lines_live(&self, sys: &System, page: PageNum) -> bool {
-        let mem = sys.memory();
-        if !mem.raid_enabled() {
-            return true;
-        }
-        // Quarantine also routes abandoned *non-data* pages (design parity,
-        // checksum regions) here; they have no design stripe or checksum
-        // coverage to repair from, so peek-based repair always refuses.
-        if !self.layout.is_data_line(page.line(0)) {
-            return false;
-        }
-        for i in 0..LINES_PER_PAGE {
-            let line = page.line(i);
-            let (cs_line, _) = self.layout.cl_csum_loc(line);
-            if !mem.line_live(line)
-                || !mem.line_live(self.layout.parity_line_of(line))
-                || !mem.line_live(cs_line)
-                || self.layout.sibling_lines_of(line).any(|sib| !mem.line_live(sib))
-            {
-                return false;
-            }
-        }
-        let (pcs_line, _) = self.layout.page_csum_loc(page);
-        mem.line_live(pcs_line)
-    }
-
     /// Two-of-three arbitration for a failed reconstruction: if the page's
     /// media content already equals its parity reconstruction, data and
     /// parity out-vote the stored checksum — the checksum is the rotten
@@ -327,12 +310,8 @@ impl RecoveryOrchestrator {
     /// update). Rebuild the checksums from media instead of quarantining
     /// intact data. Returns whether the vote carried and the repair ran.
     fn try_csum_repair(&mut self, sys: &mut System, page: PageNum) -> bool {
-        // The vote peeks media; with any involved line dead the ballot is
-        // garbage and the recompute could clobber live checksum slots.
-        // Refuse — the page falls through to quarantine (fail closed).
-        if !self.page_repair_lines_live(sys, page) {
-            return false;
-        }
+        // A lost line in the stripe reads as poison, so the vote fails and
+        // the page falls through to quarantine (fail closed).
         if !self.layout.media_parity_ok(sys.memory(), page) {
             return false;
         }
@@ -351,21 +330,17 @@ impl RecoveryOrchestrator {
     /// member — rebuilding parity from media then would erase the only
     /// independent witness of the member's acknowledged data (and the
     /// two-of-three vote would later count stale media twice). Poisoned
-    /// members are excluded: their data is already declared lost.
+    /// members are excluded: their data is already declared lost. A lost
+    /// member reads as poison and fails its checksum, so the re-silver
+    /// waits until it is repaired.
     fn stripe_resilver_safe(&self, sys: &System, page: PageNum) -> bool {
-        // Under firmware shadow-RAID, re-silvering peeks member media; a
-        // dead member's media is not its logical value, so the rebuild is
-        // deferred until the bank resilvers.
-        if !self.page_repair_lines_live(sys, page) {
-            return false;
-        }
         let geom = self.layout.geometry();
         let stripe = geom.stripe_of(page.nvm_index());
         let mem = sys.memory();
         geom.data_pages_of_stripe(stripe)
             .map(memsim::addr::nvm_page)
             .filter(|m| !self.is_poisoned(*m))
-            .all(|m| mem.page_fully_live(m) && self.layout.media_csums_ok(mem, m, self.granularity))
+            .all(|m| self.layout.media_csums_ok(mem, m, self.granularity))
     }
 
     /// Repair a scrub parity-audit finding: the page's data and checksums
@@ -574,6 +549,7 @@ impl RecoveryOrchestrator {
         // sees ground truth, then drop the page's (stale or poisoned) lines.
         sys.flush();
         sys.invalidate_page(page);
+        self.repair_lost_siblings(sys, page);
         let mem = sys.memory_mut();
         for (i, line) in data.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
             mem.write_line(page.line(i), line);
@@ -602,6 +578,7 @@ impl RecoveryOrchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsim::addr::LINES_PER_PAGE;
     use memsim::config::SystemConfig;
     use memsim::engine::{NullHooks, System};
     use memsim::FirmwareFault;

@@ -1,61 +1,22 @@
-//! libpmemobj-style transactions and the software redundancy baselines.
+//! libpmemobj-style transactions.
 //!
 //! Applications update persistent data inside transactions: `begin` persists
 //! a STARTED state record, each `write` undo-logs the old content before
 //! updating in place, and `commit` persists a COMMITTED record. These
 //! persistent metadata writes are why even read-only request paths (e.g.
 //! Redis GETs, which run transactions for incremental rehashing) generate
-//! NVM write traffic — the effect §IV-B highlights.
-//!
-//! The software redundancy baselines of the paper's evaluation run at commit
-//! (the *transaction boundary*, "TxB"):
-//!
-//! - [`SwScheme::TxbObject`] (Pangolin-like): per-object checksums — the
-//!   committed lines are re-read and checksummed individually, and parity is
-//!   *recomputed* per line by reading the stripe's sibling lines (in-place
-//!   updates forfeit data-diff parity updates, §IV).
-//! - [`SwScheme::TxbPage`] (Mojim/HotPot-like): per-page checksums — every
-//!   dirty page is read in full and checksummed, and parity is recomputed at
-//!   page granularity by reading the sibling pages.
-//!
-//! Neither scheme verifies application reads. All checksum/parity work runs
-//! on the cores through the normal cache hierarchy — exactly the software
-//! cost the paper measures against TVARAK's offload.
+//! NVM write traffic — the effect §IV-B highlights. The software redundancy
+//! baselines of the paper's evaluation ([`SwScheme`], `crate::swred`) run
+//! at commit, the *transaction boundary*.
 
 use crate::fs::{DaxFs, FileHandle, FsError};
-use memsim::addr::{LineAddr, PhysAddr, CACHE_LINE, LINES_PER_PAGE, PAGE};
+use crate::swred::SwRedundancy;
+pub use crate::swred::{sw_redundancy_update, SwScheme};
+use memsim::addr::{PhysAddr, PAGE};
 use memsim::engine::{CorruptionDetected, System};
-use tvarak::checksum::{line_checksum, page_checksum};
-use tvarak::layout::{gather_page, read_charged, NvmLayout};
-use std::collections::BTreeSet;
 use std::error::Error;
 use std::fmt;
 
-/// Which software redundancy scheme runs at transaction commit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SwScheme {
-    /// No software redundancy (used under Baseline and TVARAK designs).
-    #[default]
-    None,
-    /// Pangolin-like object-granular checksums + per-line parity recompute.
-    TxbObject,
-    /// Mojim/HotPot-like page-granular checksums + per-page parity recompute.
-    TxbPage,
-    /// Vilamb-like asynchronous redundancy (Table I): dirty pages are
-    /// tracked at commit but checksums/parity are refreshed only every
-    /// `epoch_txs` transactions, batching repeated writes to the same page —
-    /// at the cost of a vulnerability window in which silent corruption of
-    /// freshly written data goes undetected.
-    Vilamb {
-        /// Transactions per redundancy-refresh epoch.
-        epoch_txs: u32,
-    },
-}
-
-/// Cycles to checksum one 64 B line in software (hardware CRC32 ≈ 8 B/cycle).
-const CSUM_CYCLES_PER_LINE: u64 = 8;
-/// Cycles to XOR one 64 B line in software (SIMD ≈ 16 B/cycle).
-const XOR_CYCLES_PER_LINE: u64 = 4;
 /// Instruction overhead charged per transaction begin/commit (libpmemobj's
 /// tx_begin/tx_commit execute a few hundred instructions of bookkeeping).
 const TX_INSTR: u64 = 60;
@@ -96,16 +57,11 @@ impl From<CorruptionDetected> for TxError {
 /// plus the configured software redundancy scheme.
 #[derive(Debug)]
 pub struct TxManager {
-    scheme: SwScheme,
-    layout: NvmLayout,
+    red: SwRedundancy,
     meta: FileHandle,
     cores: usize,
     log_bytes_per_core: u64,
     stride: u64,
-    /// Vilamb state: pages dirtied since the last epoch refresh.
-    vilamb_dirty: BTreeSet<memsim::addr::PageNum>,
-    /// Vilamb state: transactions since the last epoch refresh.
-    vilamb_txs: u32,
     /// Scratch for the undo pre-image of each transactional write, reused
     /// so a write allocates nothing.
     undo: Vec<u8>,
@@ -131,14 +87,11 @@ impl TxManager {
         let meta = fs.create(sys, stride * cores as u64)?;
         fs.dax_map(sys, &meta);
         Ok(TxManager {
-            scheme,
-            layout: *fs.layout(),
+            red: SwRedundancy::new(scheme, *fs.layout()),
             meta,
             cores,
             log_bytes_per_core: log_bytes,
             stride,
-            vilamb_dirty: BTreeSet::new(),
-            vilamb_txs: 0,
             undo: Vec::new(),
         })
     }
@@ -151,25 +104,19 @@ impl TxManager {
     ///
     /// Propagates verification failures.
     pub fn vilamb_flush(&mut self, sys: &mut System, core: usize) -> Result<(), TxError> {
-        if self.vilamb_dirty.is_empty() {
-            return Ok(());
-        }
-        let pages = std::mem::take(&mut self.vilamb_dirty);
-        self.vilamb_txs = 0;
-        let layout = self.layout;
-        txb_page_over(sys, core, &layout, &pages).map_err(TxError::from)
+        Ok(self.red.vilamb_flush(sys, core)?)
     }
 
     /// The configured software scheme.
     pub fn scheme(&self) -> SwScheme {
-        self.scheme
+        self.red.scheme
     }
 
     /// Change the software scheme. Benchmark harnesses disable the scheme
     /// during unmeasured preload phases (rebuilding redundancy functionally
     /// afterwards) and re-enable it for the measured phase.
     pub fn set_scheme(&mut self, scheme: SwScheme) {
-        self.scheme = scheme;
+        self.red.scheme = scheme;
     }
 
     /// The metadata file (state lines + undo logs), so harnesses can rebuild
@@ -231,8 +178,11 @@ impl TxManager {
     /// Panics if `core >= cores`.
     pub fn begin<'a>(&'a mut self, sys: &mut System, core: usize) -> Result<Tx<'a>, TxError> {
         assert!(core < self.cores, "core {core} out of range");
-        sys.instr(core, TX_INSTR);
         let state_off = self.stride * core as u64;
+        let first = state_off / PAGE as u64;
+        let meta_pages = (first..first + self.stride / PAGE as u64).map(|n| self.meta.page(n));
+        self.red.check_stripes(sys, meta_pages)?;
+        sys.instr(core, TX_INSTR);
         self.meta.write_u64(sys, core, state_off, STATE_STARTED)?;
         self.meta.write_u64(sys, core, state_off + 8, 0)?;
         // Persistence ordering (the libpmemobj discipline): the STARTED
@@ -255,14 +205,14 @@ impl TxManager {
     /// crash — which is exactly the scheme's vulnerability window (pages
     /// whose redundancy refresh was still owed are no longer even known).
     pub fn clear_volatile(&mut self) {
-        self.vilamb_dirty.clear();
-        self.vilamb_txs = 0;
+        self.red.vilamb_dirty.clear();
+        self.red.vilamb_txs = 0;
     }
 
     /// Pages whose redundancy refresh Vilamb still owes (the set a crash
     /// right now would leave unverifiable). Empty for other schemes.
     pub fn vilamb_pending_pages(&self) -> Vec<memsim::addr::PageNum> {
-        self.vilamb_dirty.iter().copied().collect()
+        self.red.vilamb_dirty.iter().copied().collect()
     }
 }
 
@@ -333,6 +283,8 @@ impl Tx<'_> {
         if self.log_head + entry_bytes > self.mgr.log_bytes_per_core {
             return Err(TxError::LogFull);
         }
+        let page = file.addr(offset).line().page();
+        self.mgr.red.check_stripes(sys, [page])?;
         sys.instr(self.core, 25 + data.len() as u64 / 4);
         // Undo log: header (addr, len) + old content.
         let old = &mut self.mgr.undo;
@@ -438,7 +390,7 @@ impl Tx<'_> {
         sys.clwb_range(self.core, self.mgr.meta.addr(so), 8);
         let state_addr = self.mgr.meta.addr(so);
         self.track(state_addr, 8);
-        self.run_sw_redundancy(sys)?;
+        self.mgr.red.on_commit(sys, self.core, &self.dirty)?;
         self.finished = true;
         Ok(())
     }
@@ -475,168 +427,6 @@ impl Tx<'_> {
         self.finished = true;
         Ok(())
     }
-
-    fn run_sw_redundancy(&mut self, sys: &mut System) -> Result<(), TxError> {
-        let scheme = self.mgr.scheme;
-        let layout = self.mgr.layout;
-        if let SwScheme::Vilamb { epoch_txs } = scheme {
-            // Asynchronous: only record dirty pages now (cheap software
-            // dirty tracking); refresh when the epoch closes.
-            for &(addr, len) in &self.dirty {
-                let first = addr.line().0;
-                let last = PhysAddr(addr.0 + len.max(1) as u64 - 1).line().0;
-                for l in first..=last {
-                    let line = LineAddr(l);
-                    if layout.is_data_line(line) {
-                        self.mgr.vilamb_dirty.insert(line.page());
-                    }
-                }
-            }
-            sys.instr(self.core, 10); // dirty-bit bookkeeping
-            self.mgr.vilamb_txs += 1;
-            if self.mgr.vilamb_txs >= epoch_txs {
-                let core = self.core;
-                return self.mgr.vilamb_flush(sys, core);
-            }
-            return Ok(());
-        }
-        sw_redundancy_update(sys, self.core, scheme, &layout, &self.dirty).map_err(TxError::from)
-    }
-}
-
-/// Run a software redundancy scheme over explicitly written ranges.
-///
-/// [`Tx::commit`] uses this for transactional applications; DAX applications
-/// without transactions (fio's libpmem engine, stream) call it directly after
-/// each write, which is when they "inform the interposing library after
-/// completing a write" (§IV).
-///
-/// # Errors
-///
-/// Propagates [`CorruptionDetected`] from verified fills (only possible when
-/// combined with a hardware controller, which the paper's software designs
-/// are not).
-pub fn sw_redundancy_update(
-    sys: &mut System,
-    core: usize,
-    scheme: SwScheme,
-    layout: &NvmLayout,
-    ranges: &[(PhysAddr, u32)],
-) -> Result<(), CorruptionDetected> {
-    // Built only for the schemes that read it.
-    let lines = || {
-        let mut lines = BTreeSet::new();
-        for &(addr, len) in ranges {
-            let first = addr.line().0;
-            let last = PhysAddr(addr.0 + len.max(1) as u64 - 1).line().0;
-            for l in first..=last {
-                lines.insert(LineAddr(l));
-            }
-        }
-        lines
-    };
-    match scheme {
-        SwScheme::None => Ok(()),
-        SwScheme::TxbObject => txb_object(sys, core, layout, &lines()),
-        SwScheme::TxbPage => txb_page(sys, core, layout, &lines()),
-        // Vilamb needs manager state (epoch tracking); direct library
-        // notifications without a TxManager contribute nothing until the
-        // next epoch refresh, which is exactly its vulnerability window.
-        SwScheme::Vilamb { .. } => Ok(()),
-    }
-}
-
-/// The line source of a software parity recompute: each sibling line read
-/// through the hierarchy on `core`, plus the cycles to XOR it in.
-fn sibling_src(
-    sys: &mut System,
-    core: usize,
-) -> impl FnMut(LineAddr) -> Result<[u8; CACHE_LINE], CorruptionDetected> + '_ {
-    move |sib| {
-        let s = read_charged(sys, core, sib)?;
-        sys.compute(core, XOR_CYCLES_PER_LINE);
-        Ok(s)
-    }
-}
-
-/// Recompute and write the parity line covering `line`, whose current
-/// content is `data`, by reading the stripe's sibling lines (in-place
-/// updates leave no data diff to patch parity with).
-fn recompute_parity(
-    sys: &mut System,
-    core: usize,
-    layout: &NvmLayout,
-    line: LineAddr,
-    data: [u8; CACHE_LINE],
-) -> Result<(), CorruptionDetected> {
-    let par = layout.xor_siblings(line, data, sibling_src(sys, core))?;
-    sys.write(core, layout.parity_line_of(line).base(), &par)
-}
-
-/// Pangolin-like: checksum each dirty line; recompute its parity line by
-/// reading the stripe's sibling lines.
-fn txb_object(
-    sys: &mut System,
-    core: usize,
-    layout: &NvmLayout,
-    dirty: &BTreeSet<LineAddr>,
-) -> Result<(), CorruptionDetected> {
-    for &line in dirty {
-        if !layout.is_data_line(line) {
-            continue;
-        }
-        let data = read_charged(sys, core, line)?;
-        sys.compute(core, CSUM_CYCLES_PER_LINE);
-        let csum = line_checksum(&data);
-        let (cs_line, slot) = layout.cl_csum_loc(line);
-        let cs_addr = PhysAddr(cs_line.base().0 + slot as u64 * 4);
-        sys.write(core, cs_addr, &csum.to_le_bytes())?;
-        recompute_parity(sys, core, layout, line, data)?;
-    }
-    Ok(())
-}
-
-/// Mojim/HotPot-like: checksum each dirty page in full; recompute its
-/// stripe's parity at page granularity by reading the sibling pages.
-fn txb_page(
-    sys: &mut System,
-    core: usize,
-    layout: &NvmLayout,
-    dirty: &BTreeSet<LineAddr>,
-) -> Result<(), CorruptionDetected> {
-    let pages: BTreeSet<_> = dirty
-        .iter()
-        .filter(|l| layout.is_data_line(**l))
-        .map(|l| l.page())
-        .collect();
-    txb_page_over(sys, core, layout, &pages)
-}
-
-/// Page-granular checksum + parity refresh over an explicit page set (used
-/// by TxB-Page at commit and by Vilamb at epoch close).
-fn txb_page_over(
-    sys: &mut System,
-    core: usize,
-    layout: &NvmLayout,
-    pages: &BTreeSet<memsim::addr::PageNum>,
-) -> Result<(), CorruptionDetected> {
-    for &page in pages {
-        // Read the whole page and checksum it.
-        let bytes = gather_page(page, |l| read_charged(sys, core, l))?;
-        sys.compute(core, CSUM_CYCLES_PER_LINE * LINES_PER_PAGE as u64);
-        let csum = page_checksum(&bytes);
-        let (cs_line, slot) = layout.page_csum_loc(page);
-        let cs_addr = PhysAddr(cs_line.base().0 + slot as u64 * 4);
-        sys.write(core, cs_addr, &csum.to_le_bytes())?;
-        // Recompute the stripe's parity page line by line, as
-        // `recompute_parity` would, with the stripe resolved once per page.
-        let stripe = layout.page_stripe(page);
-        for (i, data) in bytes.as_chunks::<CACHE_LINE>().0.iter().enumerate() {
-            let par = stripe.xor_siblings(i, *data, sibling_src(sys, core))?;
-            sys.write(core, stripe.parity_line(i).base(), &par)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]

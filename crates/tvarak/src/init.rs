@@ -17,7 +17,7 @@
 
 use crate::checksum::{line_checksum, page_checksum, set_csum_slot, CSUMS_PER_LINE};
 use crate::layout::{gather_page, peek, NvmLayout};
-use memsim::addr::{nvm_page, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
+use memsim::addr::{nvm_page, LineAddr, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
 use memsim::mem::Memory;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -102,6 +102,70 @@ fn rebuild_stripe_parity(layout: &NvmLayout, mem: &mut Memory, stripe: u64) {
         let Ok(par) = layout.xor_siblings(line, mem.peek_line(line), peek(mem));
         mem.poke_line(layout.parity_line_of(line), &par);
     }
+}
+
+/// `line`'s logical content: its media, or its stripe reconstruction when
+/// the line is lost; `None` when another member of the stripe is lost too.
+fn logical_line(layout: &NvmLayout, mem: &Memory, line: LineAddr) -> Option<[u8; CACHE_LINE]> {
+    let live = |l: LineAddr| (!mem.is_lost(l)).then(|| mem.peek_line(l)).ok_or(());
+    live(line)
+        .or_else(|()| layout.reconstruct_line(line, live))
+        .ok()
+}
+
+/// Rebuild the redundancy pages that failed DIMM `bank` held — its stripes'
+/// parity pages and its pages of both checksum tables — from the logical
+/// content of the data they cover, a lost data line's taken from its
+/// stripe. Checksum pages are not parity-protected, and without this
+/// rebuild every page whose checksum sat on the failed DIMM would fail
+/// verification. Call right after [`Memory::fail_bank`], with the design's
+/// redundancy flushed to media and so current: that is what makes a
+/// stripe reconstruction safe to checksum.
+///
+/// Returns the data pages that are lost for good: a lost line whose stripe
+/// has a second lost member (a page an earlier failure took and no repair
+/// has rewritten yet). Their checksum entries on `bank` are left zero, so
+/// they never verify.
+pub fn rebuild_failed_bank(layout: &NvmLayout, mem: &mut Memory, bank: usize) -> Vec<PageNum> {
+    let geom = layout.geometry();
+    let d = geom.dimms() as u64;
+    let on_bank = |idx: u64| idx % d == bank as u64;
+    let data_pages = || (0..layout.data_pages()).map(|n| layout.nth_data_page(n));
+    let logical = |mem: &Memory, p| gather_page(p, |l| logical_line(layout, mem, l).ok_or(()));
+    // Find the unsolvable lost pages before any parity is rewritten.
+    let unsolved: Vec<PageNum> = data_pages()
+        .filter(|&p| mem.page_lost(p) && logical(mem, p).is_err())
+        .collect();
+    let stripes = geom.total_pages_for(layout.data_pages()) / d;
+    for stripe in (0..stripes).filter(|&s| on_bank(s * d + geom.parity_slot(s) as u64)) {
+        rebuild_stripe_parity(layout, mem, stripe);
+    }
+    let tables: Vec<u64> = (layout.cl_csum_base()..layout.total_pages())
+        .filter(|&t| on_bank(t) && mem.page_lost(nvm_page(t)))
+        .collect();
+    for &t in &tables {
+        for o in 0..LINES_PER_PAGE {
+            mem.poke_line(nvm_page(t).line(o), &[0u8; CACHE_LINE]);
+        }
+    }
+    let rebuilt = |l: LineAddr| tables.contains(&l.page().nvm_index());
+    for page in data_pages().filter(|p| !unsolved.contains(p)) {
+        let cl = rebuilt(layout.cl_csum_loc(page.line(0)).0);
+        let pc = rebuilt(layout.page_csum_loc(page).0);
+        if !(cl || pc) {
+            continue;
+        }
+        let Ok(bytes) = logical(mem, page) else {
+            continue;
+        };
+        if cl {
+            write_cl_csums(layout, mem, page, &bytes);
+        }
+        if pc {
+            write_page_csum(layout, mem, page, &bytes);
+        }
+    }
+    unsolved
 }
 
 /// Full redundancy initialization for the data pages in `range`: DAX-CL

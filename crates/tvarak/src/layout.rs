@@ -336,14 +336,8 @@ impl NvmLayout {
 
     /// The checksum half of [`Self::audit_page`]: whether `page`'s media
     /// content matches its checksums stored at `granularity`, read with
-    /// the uncharged [`peek`].
-    ///
-    /// Lines that are not live under firmware shadow-RAID (their device
-    /// failed, or the spare has not resilvered them yet) are skipped: their
-    /// media is not the logical value, and their durability is delegated to
-    /// the shadow syndromes. At page granularity that skips the whole page
-    /// when any line of it, or its checksum line, is not live. With RAID
-    /// off every line is live.
+    /// the uncharged [`peek`]. A lost line (or checksum line) reads back
+    /// as poison, so it fails here like any corruption.
     pub fn media_csums_ok(
         &self,
         mem: &Memory,
@@ -354,14 +348,9 @@ impl NvmLayout {
         match granularity {
             ScrubGranularity::CacheLine => (0..LINES_PER_PAGE).all(|i| {
                 let line = page.line(i);
-                !mem.line_live(line)
-                    || !mem.line_live(self.cl_csum_loc(line).0)
-                    || self.line_matches_csum(line, &mem.peek_line(line), media) == Ok(true)
+                self.line_matches_csum(line, &mem.peek_line(line), media) == Ok(true)
             }),
             ScrubGranularity::Page => {
-                if !mem.page_fully_live(page) || !mem.line_live(self.page_csum_loc(page).0) {
-                    return true;
-                }
                 let Ok(bytes) = gather_page(page, media);
                 self.page_matches_csums(page, granularity, &bytes, media) == Ok(true)
             }
@@ -372,18 +361,10 @@ impl NvmLayout {
     /// `page` equals its stripe reconstruction on the media. Checksums
     /// alone cannot see *redundancy* rot (a parity delta computed from a
     /// misread old value leaves data and checksum agreeing while the stripe
-    /// no longer reconstructs). A line whose stripe is not fully live under
-    /// firmware shadow-RAID is skipped, as in [`Self::media_csums_ok`]: a
-    /// dead member peeks as zeros (or mid-resilver content), which would
-    /// read as phantom parity rot.
+    /// no longer reconstructs). A lost stripe member reads back as poison,
+    /// so its stripe fails here.
     pub fn media_parity_ok(&self, mem: &Memory, page: PageNum) -> bool {
-        (0..LINES_PER_PAGE).all(|i| {
-            let line = page.line(i);
-            let live = mem.line_live(line)
-                && mem.line_live(self.parity_line_of(line))
-                && self.sibling_lines_of(line).all(|sib| mem.line_live(sib));
-            !live || self.stripe_consistent(line, peek(mem)) == Ok(true)
-        })
+        (0..LINES_PER_PAGE).all(|i| self.stripe_consistent(page.line(i), peek(mem)) == Ok(true))
     }
 }
 

@@ -18,9 +18,10 @@
 //! initialization and DAX map/unmap conversions ([`init`]), the one page
 //! reconstruction entry, [`recovery::recover_page`], which reads redundancy
 //! through the controller when one is installed and from NVM otherwise, and
-//! the background scrubber with its fixed budget ([`scrub`]). Whole-DIMM
-//! replacement under firmware RAID, which the paper only assumes, lives in
-//! `pmemfs::rebuild`.
+//! the background scrubber with its fixed budget ([`scrub`]). The same
+//! cross-DIMM parity rebuilds a failed DIMM ([`init::rebuild_failed_bank`]
+//! for its redundancy pages, `recover_page` for its data); the file
+//! system's side of that replacement lives in `pmemfs::rebuild`.
 //!
 //! ```
 //! use memsim::config::SystemConfig;

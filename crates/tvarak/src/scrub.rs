@@ -375,17 +375,26 @@ mod tests {
     }
 
     #[test]
-    fn parity_audit_skips_non_live_stripes() {
+    fn audit_reports_lost_lines_as_findings() {
         let (mut sys, layout) = setup(8);
-        let striped = layout.geometry().total_pages_for(8);
-        sys.memory_mut().configure_raid(striped, memsim::RaidLevel::P);
+        for n in 0..8 {
+            let line = layout.nth_data_page(n).line(0);
+            sys.memory_mut().poke_line(line, &[n as u8 + 1; 64]);
+        }
+        initialize_region(&layout, sys.memory_mut(), 0..8);
+        // Every stripe has a page on DIMM 1; the DAX-CL table is on DIMM 0.
         sys.memory_mut().fail_bank(1);
-        // With a dead member in (almost) every stripe, a peek-based audit
-        // would see zeros and cry parity rot everywhere; the gated audit
-        // must stay quiet. (Checksum checks still run — reads reconstruct.)
-        let mut s = Scrubber::new(layout, ScrubGranularity::Page, 0, 8);
-        let findings = s.step(&mut sys, 0, 8).unwrap();
-        assert!(findings.is_empty(), "no phantom findings while degraded: {findings:?}");
+        let mem = sys.memory();
+        for n in 0..8 {
+            let page = layout.nth_data_page(n);
+            let want = if mem.page_lost(page) {
+                ScrubFindingKind::Checksum
+            } else {
+                ScrubFindingKind::Parity
+            };
+            let got = layout.audit_page(mem, page, ScrubGranularity::CacheLine);
+            assert_eq!(got, Some(want), "data page {n}");
+        }
     }
 
     #[test]

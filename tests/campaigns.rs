@@ -67,7 +67,7 @@ fn chaos_cell_set_survives() {
 
 #[test]
 fn degraded_cell_set_matches_its_oracle() {
-    let filter = [("DEGRADED_FILTER", "design=Tvarak scenario=double-pq")];
+    let filter = [("DEGRADED_FILTER", "design=Tvarak scenario=rebuild")];
     let out = two_widths(degraded_campaign::campaign(), &filter);
     assert_eq!(out.rows, 2, "fio and kv");
     // ...,content_hash,oracle_hash,hash_match,seed,repro

@@ -42,11 +42,10 @@ const ENV_PREFIXES: [&str; 4] = ["TVARAK_", "MEMSIM_", "CHAOS_", "DEGRADED_"];
 
 /// `(doc, path, reason)`: crate paths a doc names on purpose although they
 /// do not resolve.
-const PATH_ALLOWLIST: [(&str, &str, &str); 5] = [
+const PATH_ALLOWLIST: [(&str, &str, &str); 4] = [
     ("DESIGN.md", "bench::serve", "history: a §5 ledger row of a removed module"),
     ("DESIGN.md", "memsim::trace", "history: a §5 ledger row of a removed module"),
     ("DESIGN.md", "bench::capture", "history: a §5 ledger row of a removed module"),
-    ("EXPERIMENTS.md", "tvarak::raid6", "history: a removed module"),
     (
         "benchmark/README.md",
         "memsim::trace",
