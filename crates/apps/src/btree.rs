@@ -268,7 +268,6 @@ impl PersistentKv for BTree {
     fn file(&self) -> &FileHandle {
         &self.file
     }
-
 }
 
 #[cfg(test)]

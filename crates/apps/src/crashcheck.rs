@@ -192,7 +192,11 @@ impl KvCrashChecker {
     /// Record that an insert of `key → val` was *issued* (it may or may not
     /// survive the crash).
     pub fn record_insert(&mut self, key: u64, val: u64) {
-        self.keys.entry(key).or_insert((None, Vec::new())).1.push(val);
+        self.keys
+            .entry(key)
+            .or_insert((None, Vec::new()))
+            .1
+            .push(val);
     }
 
     /// Record that the insert of `key → val` completed before the crash:

@@ -156,7 +156,6 @@ impl PersistentKv for CTree {
     fn file(&self) -> &FileHandle {
         &self.file
     }
-
 }
 
 #[cfg(test)]

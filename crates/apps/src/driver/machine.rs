@@ -222,8 +222,12 @@ impl Machine {
         let Some(granularity) = self.design.checksum_granularity() else {
             return Ok(());
         };
-        let bad: Vec<u64> =
-            self.fs.audit(&self.sys, file, granularity).into_iter().map(|(n, _)| n).collect();
+        let bad: Vec<u64> = self
+            .fs
+            .audit(&self.sys, file, granularity)
+            .into_iter()
+            .map(|(n, _)| n)
+            .collect();
         if bad.is_empty() {
             Ok(())
         } else {

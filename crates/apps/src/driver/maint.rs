@@ -134,12 +134,7 @@ impl Machine {
     /// # Errors
     ///
     /// [`AppError::Poisoned`] for a quarantined range.
-    pub fn check_poison(
-        &self,
-        file: &FileHandle,
-        offset: u64,
-        len: usize,
-    ) -> Result<(), AppError> {
+    pub fn check_poison(&self, file: &FileHandle, offset: u64, len: usize) -> Result<(), AppError> {
         match self.orchestrator.as_ref() {
             Some(orch) => {
                 orch.check_range(file, offset, len)?;
@@ -391,7 +386,8 @@ impl Machine {
                 // A quarantined page trips verification on every scrub read
                 // forever; that is not a new incident — skip past it.
                 let seen = &mut self.scrub_incidents;
-                if orch.is_poisoned(e.line.page()) || orch.incident(&mut self.sys, seen, e).is_err() {
+                if orch.is_poisoned(e.line.page()) || orch.incident(&mut self.sys, seen, e).is_err()
+                {
                     self.scrubber.as_mut().unwrap().skip_current();
                     self.scrub_incidents = Incidents::default();
                 }

@@ -93,15 +93,13 @@ pub(crate) mod harness {
     }
 
     /// Insert under TVARAK and check media redundancy invariants.
-    pub fn tvarak_consistency<K: PersistentKv>(
-        mut make: impl FnMut(&mut Machine) -> K,
-        n: u64,
-    ) {
+    pub fn tvarak_consistency<K: PersistentKv>(mut make: impl FnMut(&mut Machine) -> K, n: u64) {
         let mut m = machine(Design::Tvarak);
         let mut txm = m.tx_manager(64 * 1024).unwrap();
         let mut kv = make(&mut m);
         for k in 0..n {
-            kv.insert(&mut m, &mut txm, k.wrapping_mul(0x9e37), k).unwrap();
+            kv.insert(&mut m, &mut txm, k.wrapping_mul(0x9e37), k)
+                .unwrap();
         }
         m.flush();
         m.verify_all(kv.file()).unwrap();

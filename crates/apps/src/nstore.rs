@@ -119,7 +119,8 @@ impl NStore {
         assert!(key < self.n_tuples, "tuple {key} out of range");
         m.sys.instr(core, TXN_INSTR / 2);
         let mut out = [0u8; TUPLE_BYTES as usize];
-        self.tuples.read(&mut m.sys, core, key * TUPLE_BYTES, &mut out)?;
+        self.tuples
+            .read(&mut m.sys, core, key * TUPLE_BYTES, &mut out)?;
         Ok(out)
     }
 }
@@ -182,7 +183,8 @@ mod tests {
             for core in 0..2 {
                 let n = i * 2 + core as u64;
                 let key = n % 16;
-                s.update(&mut m, &mut txm, core, key, &tuple(n as u8)).unwrap();
+                s.update(&mut m, &mut txm, core, key, &tuple(n as u8))
+                    .unwrap();
                 expect.push((key, tuple(n as u8)));
             }
         }

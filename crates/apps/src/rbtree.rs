@@ -284,7 +284,6 @@ impl PersistentKv for RbTree {
     fn file(&self) -> &FileHandle {
         &self.file
     }
-
 }
 
 #[cfg(test)]

@@ -162,7 +162,8 @@ impl Redis {
             Some(off) => {
                 let vlen = self.file.read_u64(&mut m.sys, self.core, off + 16)?;
                 out.resize(vlen as usize, 0);
-                self.file.read(&mut m.sys, self.core, off + ENTRY_HDR, out)?;
+                self.file
+                    .read(&mut m.sys, self.core, off + ENTRY_HDR, out)?;
                 true
             }
             None => false,
@@ -216,9 +217,11 @@ impl Redis {
         }
         let n1 = n0 * 2;
         let t1 = self.heap.alloc(n1 * 8, 64)?;
-        self.file.write_u64(&mut m.sys, self.core, H_NBUCKETS1, n1)?;
+        self.file
+            .write_u64(&mut m.sys, self.core, H_NBUCKETS1, n1)?;
         self.file.write_u64(&mut m.sys, self.core, H_TABLE1, t1)?;
-        self.file.write_u64(&mut m.sys, self.core, H_REHASH_IDX, 0)?;
+        self.file
+            .write_u64(&mut m.sys, self.core, H_REHASH_IDX, 0)?;
         Ok(())
     }
 

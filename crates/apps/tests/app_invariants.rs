@@ -85,7 +85,11 @@ fn redis_mixed_ops_under_tvarak() {
                 }
             }
         }
-        assert_eq!(r.len(&mut m).unwrap(), reference.len() as u64, "seed {seed:#x}");
+        assert_eq!(
+            r.len(&mut m).unwrap(),
+            reference.len() as u64,
+            "seed {seed:#x}"
+        );
         m.flush();
         assert_eq!(m.verify_all(r.file()), Ok(()), "seed {seed:#x}");
     }

@@ -36,7 +36,9 @@ fn btree_completes_through_mid_run_lost_write() {
     let f = *t.file();
     let root_off = f.read_u64(&mut m.sys, 0, 0).unwrap();
     let victim = f.addr(root_off + 128).line();
-    m.sys.memory_mut().arm_fault(victim, FirmwareFault::LostWrite);
+    m.sys
+        .memory_mut()
+        .arm_fault(victim, FirmwareFault::LostWrite);
     // The overwrite's writeback is dropped: redundancy reflects the new
     // value, the media keeps the old one.
     t.insert(&mut m, &mut txm, 3, 999).unwrap();
@@ -67,7 +69,8 @@ fn double_fault_quarantines_one_page_rest_serves() {
     m.enable_recovery().unwrap();
     let f = m.create_dax_file("victim", 4 * PAGE as u64).unwrap();
     for n in 0..4u64 {
-        m.write_file(&f, 0, n * PAGE as u64, &[n as u8 + 1; 64]).unwrap();
+        m.write_file(&f, 0, n * PAGE as u64, &[n as u8 + 1; 64])
+            .unwrap();
     }
     m.flush();
     // Corrupt a data line of page 0 *and* its parity line: reconstruction
@@ -102,7 +105,8 @@ fn double_fault_quarantines_one_page_rest_serves() {
     for n in 1..4u64 {
         m.read_file(&f, 0, n * PAGE as u64, &mut buf).unwrap();
         assert_eq!(buf, [n as u8 + 1; 64]);
-        m.write_file(&f, 0, n * PAGE as u64 + 64, &[0x77; 64]).unwrap();
+        m.write_file(&f, 0, n * PAGE as u64 + 64, &[0x77; 64])
+            .unwrap();
     }
     // A verified full-page rewrite clears the poison and rebuilds
     // redundancy; the page serves again.
@@ -126,7 +130,8 @@ fn scrub_daemon_detects_and_recovers_under_software_design() {
     let f = m.create_dax_file("data", 8 * PAGE as u64).unwrap();
     for n in 0..8u64 {
         let mut tx = txm.begin(&mut m.sys, 0).unwrap();
-        tx.write(&mut m.sys, &f, n * PAGE as u64, &[n as u8 + 1; 64]).unwrap();
+        tx.write(&mut m.sys, &f, n * PAGE as u64, &[n as u8 + 1; 64])
+            .unwrap();
         tx.commit(&mut m.sys).unwrap();
     }
     m.flush();
@@ -154,7 +159,10 @@ fn scrub_daemon_detects_and_recovers_under_software_design() {
         orch.detections() > before,
         "scrub found the corruption within {ops} ops (bounded latency)"
     );
-    assert!(orch.recoveries() >= 1, "software recovery repaired the page");
+    assert!(
+        orch.recoveries() >= 1,
+        "software recovery repaired the page"
+    );
     assert_eq!(orch.quarantines(), 0);
     // The repaired page serves the original data.
     let mut buf = [0u8; 64];
@@ -173,7 +181,8 @@ fn scrub_daemon_skips_quarantined_page() {
     m.enable_recovery().unwrap();
     let f = m.create_dax_file("data", 4 * PAGE as u64).unwrap();
     for n in 0..4u64 {
-        m.write_file(&f, 0, n * PAGE as u64, &[n as u8 + 1; 64]).unwrap();
+        m.write_file(&f, 0, n * PAGE as u64, &[n as u8 + 1; 64])
+            .unwrap();
     }
     m.flush();
     m.enable_scrub_daemon(&f);
@@ -215,13 +224,17 @@ fn recover_under_software_design_restores_the_page() {
     let f = m.create_dax_file("data", 4 * PAGE as u64).unwrap();
     for n in 0..4u64 {
         let mut tx = txm.begin(&mut m.sys, 0).unwrap();
-        tx.write(&mut m.sys, &f, n * PAGE as u64, &[n as u8 + 1; 64]).unwrap();
+        tx.write(&mut m.sys, &f, n * PAGE as u64, &[n as u8 + 1; 64])
+            .unwrap();
         tx.commit(&mut m.sys).unwrap();
     }
     m.flush();
     let victim = f.addr(2 * PAGE as u64).line();
     m.sys.memory_mut().poke_line(victim, &[0xee; 64]);
-    assert!(m.verify_all(&f).is_err(), "the poke is visible on the media");
+    assert!(
+        m.verify_all(&f).is_err(),
+        "the poke is visible on the media"
+    );
     m.recover(victim.page()).unwrap();
     m.verify_all(&f).unwrap();
     let mut buf = [0u8; 64];

@@ -192,7 +192,8 @@ impl ChaosCtl {
                 if matches!(ev, RecoveryEvent::Detected { .. }) {
                     self.out.first_detect_op.get_or_insert(op);
                 }
-                self.log.push(format!("{} op={} event={:?}", self.ctx, op, ev));
+                self.log
+                    .push(format!("{} op={} event={:?}", self.ctx, op, ev));
             }
         }
     }
@@ -342,7 +343,11 @@ fn run_cell(
     enable_pipeline(&mut m, &file);
     // Fault targets: the whole raw file, or the node region a tree actually
     // exercises (its first pages).
-    let hot_pages = if raw { file.pages() } else { 4.min(file.pages()) };
+    let hot_pages = if raw {
+        file.pages()
+    } else {
+        4.min(file.pages())
+    };
     let lines: Vec<LineAddr> = (0..hot_pages)
         .flat_map(|n| (0..memsim::LINES_PER_PAGE).map(move |i| (n, i)))
         .map(|(n, i)| file.page(n).line(i))
@@ -365,7 +370,8 @@ fn run_cell(
             Err(info) => {
                 // The panic message (no source location) goes to the event log.
                 let info = info.replace('\n', " | ");
-                ctl.log.push(format!("{} op={op} event=AppCrash info={info}", ctl.ctx));
+                ctl.log
+                    .push(format!("{} op={op} event=AppCrash info={info}", ctl.ctx));
                 if inline_cl_verified(design) && !w.suspect() {
                     ctl.out.violations.push(format!(
                         "{}: app crash on fabricated bytes under a verifying design",
@@ -379,7 +385,13 @@ fn run_cell(
     }
     ctl.finish(&mut m, &file, ops);
     ctl.check_invariants(&mut m, &file, inline_cl_verified(design));
-    Row { app, design, kind, out: ctl.out, log: ctl.log }
+    Row {
+        app,
+        design,
+        kind,
+        out: ctl.out,
+        log: ctl.log,
+    }
 }
 
 fn run(cfg: &Config<bool>, jobs: usize) -> Output {
@@ -399,7 +411,10 @@ fn run(cfg: &Config<bool>, jobs: usize) -> Output {
             }
         }
     }
-    let rows: Vec<Row> = runner::run_cells(cells, jobs).into_iter().map(|r| r.value).collect();
+    let rows: Vec<Row> = runner::run_cells(cells, jobs)
+        .into_iter()
+        .map(|r| r.value)
+        .collect();
 
     type Col = Column<Row>;
     let cols = [
@@ -421,7 +436,9 @@ fn run(cfg: &Config<bool>, jobs: usize) -> Output {
             r.out.detect_latency().map_or("-".into(), |l| l.to_string())
         }),
         Col::csv("final_bad_pages", |r| r.out.final_bad_pages),
-        Col::csv("seed", |r| format!("{:#018x}", seed_for(SEED_BASE, r.app, r.kind.label()))),
+        Col::csv("seed", |r| {
+            format!("{:#018x}", seed_for(SEED_BASE, r.app, r.kind.label()))
+        }),
         // Provenance: a one-command repro. The filter string pins app,
         // design, and fault, and the seed is a pure function of that cell,
         // so the single command re-runs this exact row (single-quoted,
@@ -436,8 +453,13 @@ fn run(cfg: &Config<bool>, jobs: usize) -> Output {
         "# Chaos campaign — fault type × design × app, {ops} ops, {events} fault events/run"
     );
     let mut out = Output::sheet(&title, "chaos_campaign.csv", &cols, &rows, |_| true);
-    let log: String = rows.iter().flat_map(|r| &r.log).map(|l| format!("{l}\n")).collect();
-    out.files.push(("chaos_events.log".into(), log.into_bytes()));
+    let log: String = rows
+        .iter()
+        .flat_map(|r| &r.log)
+        .map(|l| format!("{l}\n"))
+        .collect();
+    out.files
+        .push(("chaos_events.log".into(), log.into_bytes()));
     for r in rows {
         out.violations.extend(r.out.violations);
     }

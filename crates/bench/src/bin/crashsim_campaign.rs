@@ -67,7 +67,11 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
     // Phase 1: reference runs count each cell's writeback window.
     let count_cells: Vec<Cell<u64>> = scenarios
         .iter()
-        .map(|&sc| Cell::new(format!("count {}", sc.label()), move || sc.count_writebacks()))
+        .map(|&sc| {
+            Cell::new(format!("count {}", sc.label()), move || {
+                sc.count_writebacks()
+            })
+        })
         .collect();
     let totals = runner::run_cells(count_cells, jobs);
 
@@ -78,7 +82,11 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
         for &k in &plan.points {
             replay_cells.push(Cell::new(
                 format!("{} k={k}/{}", sc.label(), plan.total),
-                move || Row { sc, k, report: sc.run_crash_point(k) },
+                move || Row {
+                    sc,
+                    k,
+                    report: sc.run_crash_point(k),
+                },
             ));
         }
     }
@@ -91,10 +99,14 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
         Col::new("app", "app", -14, |r| r.sc.app.label()),
         Col::new("design", "design", -17, |r| r.sc.design.label()),
         Col::new("crash_point", "k", 7, |r| r.k),
-        Col::new("total_writebacks", "total", 7, |r| r.report.total_writebacks),
+        Col::new("total_writebacks", "total", 7, |r| {
+            r.report.total_writebacks
+        }),
         Col::new("crashed", "crashed", 7, |r| r.report.crashed as u8),
         Col::new("rolled_back", "rolled", 6, |r| r.report.rolled_back),
-        Col::new("unverifiable_pages", "unverif", 8, |r| r.report.unverifiable_pages),
+        Col::new("unverifiable_pages", "unverif", 8, |r| {
+            r.report.unverifiable_pages
+        }),
         Col::new("vilamb_pending", "vilamb", 7, |r| r.report.vilamb_pending),
         Col::csv("violations", |r| r.report.violations.len()),
         Col::new("outcome", "outcome", 9, |r| r.report.outcome.label()),
@@ -107,7 +119,8 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
     let mut out = Output::sheet(&title, "crashsim_campaign.csv", &cols, &rows, |_| true);
     for r in &rows {
         let lost = r.report.violations.iter();
-        out.violations.extend(lost.map(|v| format!("{} k={}: {v}", r.sc.label(), r.k)));
+        out.violations
+            .extend(lost.map(|v| format!("{} k={}: {v}", r.sc.label(), r.k)));
     }
     out
 }

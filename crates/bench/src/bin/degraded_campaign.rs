@@ -327,7 +327,14 @@ fn run_oracle(app: &str, design: Design, scenario: Scenario, total_ops: u64) -> 
     m.flush();
     let mut out = Outcome::default();
     let mut op = 0u64;
-    let _ = drive(&mut m, w.as_mut(), &mut out, &mut op, total_ops, &mut Hist::new());
+    let _ = drive(
+        &mut m,
+        w.as_mut(),
+        &mut out,
+        &mut op,
+        total_ops,
+        &mut Hist::new(),
+    );
     m.flush();
     striped_hash(&m)
 }
@@ -346,7 +353,9 @@ fn check_invariants(ctx: &str, design: Design, scenario: Scenario, out: &mut Out
     let expected_rebuilds = if scenario == Scenario::Double { 2 } else { 1 };
     if out.rebuilds_completed != expected_rebuilds {
         let done = out.rebuilds_completed;
-        fail(format!("{done} rebuilds completed, expected {expected_rebuilds}"));
+        fail(format!(
+            "{done} rebuilds completed, expected {expected_rebuilds}"
+        ));
     }
     if design == Design::Baseline {
         if out.pages_lost == 0 {
@@ -369,7 +378,10 @@ fn check_invariants(ctx: &str, design: Design, scenario: Scenario, out: &mut Out
             ));
         }
     } else if out.quarantines < out.pages_lost {
-        fail(format!("{} pages lost but {} quarantines", out.pages_lost, out.quarantines));
+        fail(format!(
+            "{} pages lost but {} quarantines",
+            out.pages_lost, out.quarantines
+        ));
     }
 }
 
@@ -411,12 +423,20 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
                         0
                     };
                     check_invariants(&ctx, design, scenario, &mut out);
-                    Row { app, design, scenario, out }
+                    Row {
+                        app,
+                        design,
+                        scenario,
+                        out,
+                    }
                 }));
             }
         }
     }
-    let rows: Vec<Row> = runner::run_cells(cells, jobs).into_iter().map(|r| r.value).collect();
+    let rows: Vec<Row> = runner::run_cells(cells, jobs)
+        .into_iter()
+        .map(|r| r.value)
+        .collect();
 
     type Col = Column<Row>;
     const PHASES: [&str; 4] = ["healthy", "degraded", "rebuilding", "recovered"];
@@ -426,19 +446,32 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
         Col::new("scenario", "scenario", -8, |r| r.scenario.label()),
         Col::new("ops", "ops", 7, |r| r.out.total_ops),
     ];
-    for (p, head) in ["h_op/kc", "d_op/kc", "r_op/kc", "ok_op/kc"].into_iter().enumerate() {
-        cols.push(Col::table(head, 8, move |r| format!("{:.3}", r.out.phases[p].ops_per_kcycle())));
+    for (p, head) in ["h_op/kc", "d_op/kc", "r_op/kc", "ok_op/kc"]
+        .into_iter()
+        .enumerate()
+    {
+        cols.push(Col::table(head, 8, move |r| {
+            format!("{:.3}", r.out.phases[p].ops_per_kcycle())
+        }));
     }
     for (p, phase) in PHASES.into_iter().enumerate() {
-        cols.push(Col::csv(format!("{phase}_ops"), move |r| r.out.phases[p].ops));
-        cols.push(Col::csv(format!("{phase}_cycles"), move |r| r.out.phases[p].cycles));
+        cols.push(Col::csv(format!("{phase}_ops"), move |r| {
+            r.out.phases[p].ops
+        }));
+        cols.push(Col::csv(format!("{phase}_cycles"), move |r| {
+            r.out.phases[p].cycles
+        }));
     }
     for (p, phase) in PHASES.into_iter().enumerate() {
         // The table shows the healthy and rebuilding p99 only.
         let (p99, head) = (format!("{phase}_p99"), ["h_p99", "", "r_p99", ""][p]);
-        cols.push(Col::csv(format!("{phase}_p50"), move |r| r.out.phases[p].lat.p50()));
+        cols.push(Col::csv(format!("{phase}_p50"), move |r| {
+            r.out.phases[p].lat.p50()
+        }));
         cols.push(Col::new(p99, head, 8, move |r| r.out.phases[p].lat.p99()));
-        cols.push(Col::csv(format!("{phase}_p999"), move |r| r.out.phases[p].lat.p999()));
+        cols.push(Col::csv(format!("{phase}_p999"), move |r| {
+            r.out.phases[p].lat.p999()
+        }));
     }
     cols.extend([
         Col::new("degraded_recovered", "d_rec", 5, |r| {
@@ -457,20 +490,23 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
         Col::csv("content_hash", |r| format!("{:#018x}", r.out.content_hash)),
         Col::csv("oracle_hash", |r| format!("{:#018x}", r.out.oracle_hash)),
         Col::csv("hash_match", |r| r.hash_match() as u8),
-        Col::table("hash", 5, |r| match (oracle_strict(r.design, r.scenario), r.hash_match()) {
-            (false, _) => "-",
-            (true, true) => "ok",
-            (true, false) => "FAIL",
+        Col::table("hash", 5, |r| {
+            match (oracle_strict(r.design, r.scenario), r.hash_match()) {
+                (false, _) => "-",
+                (true, true) => "ok",
+                (true, false) => "FAIL",
+            }
         }),
-        Col::csv("seed", |r| format!("{:#018x}", seed_for(SEED_BASE, r.app, r.scenario.label()))),
+        Col::csv("seed", |r| {
+            format!("{:#018x}", seed_for(SEED_BASE, r.app, r.scenario.label()))
+        }),
         Col::csv("repro", |r| {
             let (design, scenario) = (r.design.label(), r.scenario.label());
             let ctx = format!("app={} design={design} scenario={scenario}", r.app);
             format!("DEGRADED_FILTER='{ctx}' ./target/release/degraded_campaign")
         }),
     ]);
-    let title =
-        format!("# Degraded-mode campaign — scenario × design × app, {n} ops/steady phase");
+    let title = format!("# Degraded-mode campaign — scenario × design × app, {n} ops/steady phase");
     let mut out = Output::sheet(&title, "degraded_campaign.csv", &cols, &rows, |_| true);
     for r in rows {
         out.violations.extend(r.out.violations);

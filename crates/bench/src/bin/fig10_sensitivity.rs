@@ -26,7 +26,9 @@ fn sweep(
     for (label, v) in variants {
         for (workload, run) in class_representatives() {
             let (v, s, t) = (v.clone(), cfg.scale.workloads(), cfg.threads);
-            cells.push(FigCell::new(workload, label.clone(), v.design, move || run(v, &s, t)));
+            cells.push(FigCell::new(workload, label.clone(), v.design, move || {
+                run(v, &s, t)
+            }));
         }
     }
     figure(title, name, false, cells, jobs)
@@ -40,26 +42,35 @@ pub fn campaign() -> Campaign<Option<String>> {
         if cfg.opts.as_deref() != Some("diffs") {
             let title = "Fig. 10(a) — sensitivity to LLC ways for redundancy caching";
             out.append(sweep(cfg, jobs, title, "fig10a_redundancy_ways", |ways| {
-                let v = Variant::of(Design::Tvarak).redundancy_ways(ways).diff_ways(1);
+                let v = Variant::of(Design::Tvarak)
+                    .redundancy_ways(ways)
+                    .diff_ways(1);
                 (format!("Tvarak(red={ways})"), v)
             }));
         }
         if cfg.opts.as_deref() != Some("redundancy") {
             let title = "Fig. 10(b) — sensitivity to LLC ways for data diffs";
             out.append(sweep(cfg, jobs, title, "fig10b_diff_ways", |ways| {
-                let v = Variant::of(Design::Tvarak).redundancy_ways(2).diff_ways(ways);
+                let v = Variant::of(Design::Tvarak)
+                    .redundancy_ways(2)
+                    .diff_ways(ways);
                 (format!("Tvarak(diff={ways})"), v)
             }));
         }
         out
     })
-    .options(vec![Opt::new(Kind::Positional(0), "", "redundancy|diffs", |which, v| match v {
-        "redundancy" | "diffs" if which.is_none() => {
-            *which = Some(v.to_string());
-            Ok(())
-        }
-        _ => Err("expected one sweep, redundancy or diffs".into()),
-    })])
+    .options(vec![Opt::new(
+        Kind::Positional(0),
+        "",
+        "redundancy|diffs",
+        |which, v| match v {
+            "redundancy" | "diffs" if which.is_none() => {
+                *which = Some(v.to_string());
+                Ok(())
+            }
+            _ => Err("expected one sweep, redundancy or diffs".into()),
+        },
+    )])
 }
 
 fn main() {

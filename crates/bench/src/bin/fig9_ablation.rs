@@ -53,13 +53,18 @@ pub fn campaign() -> Campaign<Option<String>> {
         let title = "Fig. 9 — Impact of TVARAK's design choices (runtime)";
         figure(title, name, false, cells, jobs)
     })
-    .options(vec![Opt::new(Kind::Positional(0), "", "a|b", |group, v| match v {
-        "a" | "b" if group.is_none() => {
-            *group = Some(v.to_string());
-            Ok(())
-        }
-        _ => Err("expected one group, a or b".into()),
-    })])
+    .options(vec![Opt::new(
+        Kind::Positional(0),
+        "",
+        "a|b",
+        |group, v| match v {
+            "a" | "b" if group.is_none() => {
+                *group = Some(v.to_string());
+                Ok(())
+            }
+            _ => Err("expected one group, a or b".into()),
+        },
+    )])
 }
 
 fn main() {

@@ -55,16 +55,22 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
     let mut cells: Vec<Cell<(&'static str, Design, SoakOutcome)>> = Vec::new();
     for design in Design::all() {
         let (s, c) = (scale.clone(), soak.clone());
-        cells.push(Cell::new(format!("soak fio-randwrite {design}"), move || {
-            let out = soak_fio(design, Pattern::RandWrite, &s, &c).expect("fio soak failed");
-            ("fio-randwrite", design, out)
-        }));
+        cells.push(Cell::new(
+            format!("soak fio-randwrite {design}"),
+            move || {
+                let out = soak_fio(design, Pattern::RandWrite, &s, &c).expect("fio soak failed");
+                ("fio-randwrite", design, out)
+            },
+        ));
         let (s, c) = (scale.clone(), soak.clone());
-        cells.push(Cell::new(format!("soak kv-btree-bal {design}"), move || {
-            let out = soak_kv(design, KvKind::BTree, KvWorkload::Balanced, &s, &c)
-                .expect("kv soak failed");
-            ("kv-btree-bal", design, out)
-        }));
+        cells.push(Cell::new(
+            format!("soak kv-btree-bal {design}"),
+            move || {
+                let out = soak_kv(design, KvKind::BTree, KvWorkload::Balanced, &s, &c)
+                    .expect("kv soak failed");
+                ("kv-btree-bal", design, out)
+            },
+        ));
     }
     let results = runner::run_cells(cells, jobs);
     runner::eprint_rates(&results, |(_, _, out)| out.monolithic.runtime_cycles());
@@ -77,31 +83,51 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
             violations.push(format!("[{app} {design}] snapshot-merge: {e}"));
         }
         let (total, hash) = (out.total_row(), Some(out.content_hash));
-        rows.extend(out.rows.into_iter().map(|r| Row { app, design, r, total_hash: None }));
-        rows.push(Row { app, design, r: total, total_hash: hash });
+        rows.extend(out.rows.into_iter().map(|r| Row {
+            app,
+            design,
+            r,
+            total_hash: None,
+        }));
+        rows.push(Row {
+            app,
+            design,
+            r: total,
+            total_hash: hash,
+        });
     }
 
     type Col = Column<Row>;
     let lat = |f: fn(&Hist) -> u64| {
-        move |r: &Row| r.total_hash.map_or_else(|| f(&r.r.lat).to_string(), |_| "-".into())
+        move |r: &Row| {
+            r.total_hash
+                .map_or_else(|| f(&r.r.lat).to_string(), |_| "-".into())
+        }
     };
     let hit = |hits: u64, misses: u64| percent(hits, hits + misses);
     let l1d = move |r: &Row| hit(r.r.delta.counters.l1d_hits, r.r.delta.counters.l1d_misses);
     let llc = move |r: &Row| hit(r.r.delta.counters.llc_hits, r.r.delta.counters.llc_misses);
     let tv = |r: &Row| {
-        percent(r.r.delta.counters.tvarak_cache_hits, r.r.delta.counters.tvarak_accesses())
+        percent(
+            r.r.delta.counters.tvarak_cache_hits,
+            r.r.delta.counters.tvarak_accesses(),
+        )
     };
     let cols = [
         Col::new("app", "app", -14, |r| r.app),
         Col::new("design", "design", -17, |r| r.design.label()),
         Col::new("interval", "interval", 8, |r| {
-            r.total_hash.map_or_else(|| r.r.interval.to_string(), |_| "total".into())
+            r.total_hash
+                .map_or_else(|| r.r.interval.to_string(), |_| "total".into())
         }),
         Col::new("ops", "ops", 7, |r| r.r.ops),
         Col::csv("cum_cycles", |r| r.r.cum_runtime_cycles),
         Col::new("interval_cycles", "cycles", 12, |r| r.r.interval_cycles),
         Col::new("ops_per_mcycle", "ops/Mcyc", 9, |r| {
-            format!("{:.3}", r.r.ops as f64 * 1e6 / r.r.interval_cycles.max(1) as f64)
+            format!(
+                "{:.3}",
+                r.r.ops as f64 * 1e6 / r.r.interval_cycles.max(1) as f64
+            )
         }),
         Col::csv("l1d_hit_pct", move |r| format!("{:.4}", l1d(r))),
         Col::csv("llc_hit_pct", move |r| format!("{:.4}", llc(r))),
@@ -115,7 +141,9 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
         Col::new("lat_p99", "p99", 8, lat(Hist::p99)),
         Col::new("lat_p999", "p999", 8, lat(Hist::p999)),
         Col::csv("lat_max", lat(Hist::max)),
-        Col::csv("content_hash", |r| r.total_hash.map_or("-".into(), |h| format!("{h:016x}"))),
+        Col::csv("content_hash", |r| {
+            r.total_hash.map_or("-".into(), |h| format!("{h:016x}"))
+        }),
     ];
     let title = format!(
         "# Soak campaign — {} intervals x {} ops/instance/interval, fio {} threads / kv {} instances",
@@ -133,9 +161,12 @@ pub fn campaign() -> Campaign<Flags> {
         Opt::new(Kind::Value, "--intervals", "N", |f: &mut Flags, v| {
             positive(v).map(|n| f.intervals = Some(n))
         }),
-        Opt::new(Kind::Value, "--ops-per-interval", "N", |f: &mut Flags, v| {
-            positive(v).map(|n| f.ops_per_interval = Some(n))
-        }),
+        Opt::new(
+            Kind::Value,
+            "--ops-per-interval",
+            "N",
+            |f: &mut Flags, v| positive(v).map(|n| f.ops_per_interval = Some(n)),
+        ),
     ])
 }
 

@@ -46,7 +46,11 @@ pub fn inline_cl_verified(design: Design) -> bool {
 
 /// The small machine every fault cell runs on.
 pub fn small_machine(design: Design) -> Machine {
-    Machine::builder().small().design(design).data_pages(256).build()
+    Machine::builder()
+        .small()
+        .design(design)
+        .data_pages(256)
+        .build()
 }
 
 /// Switch on the detection → recovery → scrub pipeline over `file`
@@ -175,12 +179,16 @@ impl ShadowFio {
             SwScheme::None => None,
             _ => Some(m.tx_manager(tx_log).expect("pool fits tx log")),
         };
-        let file = m.create_dax_file("fio", 16 * PAGE as u64).expect("pool fits");
+        let file = m
+            .create_dax_file("fio", 16 * PAGE as u64)
+            .expect("pool fits");
         let nlines = file.pages() * memsim::LINES_PER_PAGE as u64;
         // Preload every line out-of-band (unmeasured setup), then rebuild
         // redundancy from media ground truth.
         for l in 0..nlines {
-            m.sys.memory_mut().poke_line(file.addr(l * 64).line(), &fio_pattern(l, 0));
+            m.sys
+                .memory_mut()
+                .poke_line(file.addr(l * 64).line(), &fio_pattern(l, 0));
         }
         m.reinit_redundancy(&file);
         ShadowFio {

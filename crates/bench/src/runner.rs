@@ -78,11 +78,7 @@ pub fn run_cells<R: Send>(cells: Vec<Cell<R>>, jobs: usize) -> Vec<CellResult<R>
     }
     let progress = |done: usize, label: &str, wall: Duration| {
         let mut err = std::io::stderr().lock();
-        let _ = writeln!(
-            err,
-            "[{done}/{total}] {label} ({:.2}s)",
-            wall.as_secs_f64()
-        );
+        let _ = writeln!(err, "[{done}/{total}] {label} ({:.2}s)", wall.as_secs_f64());
     };
     // Work queue: an atomic cursor over the cell vector; each claimed index
     // is run exactly once and its result stored in the same slot, so the
@@ -91,8 +87,7 @@ pub fn run_cells<R: Send>(cells: Vec<Cell<R>>, jobs: usize) -> Vec<CellResult<R>
         cells.into_iter().map(|c| Mutex::new(Some(c))).collect();
     let next = AtomicUsize::new(0);
     let done = AtomicUsize::new(0);
-    let slots: Vec<Mutex<Option<CellResult<R>>>> =
-        (0..total).map(|_| Mutex::new(None)).collect();
+    let slots: Vec<Mutex<Option<CellResult<R>>>> = (0..total).map(|_| Mutex::new(None)).collect();
     let worker = || loop {
         let i = next.fetch_add(1, Ordering::Relaxed);
         if i >= total {

@@ -586,7 +586,9 @@ pub(crate) struct KvMix {
 
 impl KvMix {
     pub(crate) fn new(wl: KvWorkload, keys: u64, instances: usize) -> Self {
-        let rngs = (0..instances).map(|i| Rng::new(0xfeed + i as u64)).collect();
+        let rngs = (0..instances)
+            .map(|i| Rng::new(0xfeed + i as u64))
+            .collect();
         KvMix { wl, keys, rngs }
     }
 
@@ -700,8 +702,7 @@ pub fn run_nstore_threads(
     let v = &v.into();
     retry_sequential(threads, |threads| {
         let wal_bytes = s.nstore_txs * 160 + (1 << 20);
-        let data_pages =
-            s.nstore_tuples * 64 / PAGE as u64 + wal_bytes / PAGE as u64 + 1500;
+        let data_pages = s.nstore_tuples * 64 / PAGE as u64 + wal_bytes / PAGE as u64 + 1500;
         let mut m = machine(v.clone(), data_pages);
         let mut txm = m.tx_manager(256 * 1024)?;
         let mut store = NStore::create(&mut m, s.nstore_tuples, wal_bytes)?;
@@ -783,9 +784,13 @@ pub fn run_stream_threads(
         m.flush();
         m.reset_stats();
         let lines = st.lines_per_thread();
-        let mode = apps::driver::run_clocked_threads(&mut m, s.stream_threads, lines, threads, |m, t, i| {
-            st.op(m, txm.as_mut(), t, kernel, i)
-        })?;
+        let mode = apps::driver::run_clocked_threads(
+            &mut m,
+            s.stream_threads,
+            lines,
+            threads,
+            |m, t, i| st.op(m, txm.as_mut(), t, kernel, i),
+        )?;
         Ok(finish_threaded(&mut m, mode))
     })
 }
@@ -798,12 +803,20 @@ pub type RunFn = fn(Variant, &Scale, usize) -> Result<Outcome, AppError>;
 /// Fig. 9 ablation and Fig. 10 sensitivity sweeps.
 pub fn class_representatives() -> [(&'static str, RunFn); 5] {
     [
-        ("redis/set", |v, s, t| run_redis_threads(v, RedisWorkload::SetOnly, s, t)),
+        ("redis/set", |v, s, t| {
+            run_redis_threads(v, RedisWorkload::SetOnly, s, t)
+        }),
         ("ctree/insert", |v, s, t| {
             run_kv_threads(v, KvKind::CTree, KvWorkload::InsertOnly, s, t)
         }),
-        ("nstore/bal", |v, s, t| run_nstore_threads(v, NstoreWorkload::Balanced, s, t)),
-        ("fio/rand-wr", |v, s, t| run_fio_threads(v, Pattern::RandWrite, s, t)),
-        ("stream/triad", |v, s, t| run_stream_threads(v, Kernel::Triad, s, t)),
+        ("nstore/bal", |v, s, t| {
+            run_nstore_threads(v, NstoreWorkload::Balanced, s, t)
+        }),
+        ("fio/rand-wr", |v, s, t| {
+            run_fio_threads(v, Pattern::RandWrite, s, t)
+        }),
+        ("stream/triad", |v, s, t| {
+            run_stream_threads(v, Kernel::Triad, s, t)
+        }),
     ]
 }

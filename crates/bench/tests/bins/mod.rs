@@ -59,19 +59,35 @@ pub type Quick = fn(usize) -> Output;
 /// Every campaign at quick scale and default flags — soak also at the short
 /// 3 × 256 horizon.
 pub const ALL: [(&str, Quick); 15] = [
-    ("chaos_campaign", |j| quick(chaos_campaign::campaign(), &[], j)),
-    ("coverage_campaign", |j| quick(coverage_campaign::campaign(), &[], j)),
-    ("crashsim_campaign", |j| quick(crashsim_campaign::campaign(), &[], j)),
-    ("degraded_campaign", |j| quick(degraded_campaign::campaign(), &[], j)),
-    ("fig10_sensitivity", |j| quick(fig10_sensitivity::campaign(), &[], j)),
+    ("chaos_campaign", |j| {
+        quick(chaos_campaign::campaign(), &[], j)
+    }),
+    ("coverage_campaign", |j| {
+        quick(coverage_campaign::campaign(), &[], j)
+    }),
+    ("crashsim_campaign", |j| {
+        quick(crashsim_campaign::campaign(), &[], j)
+    }),
+    ("degraded_campaign", |j| {
+        quick(degraded_campaign::campaign(), &[], j)
+    }),
+    ("fig10_sensitivity", |j| {
+        quick(fig10_sensitivity::campaign(), &[], j)
+    }),
     ("fig8_fio", |j| quick(fig8_fio::campaign(), &[], j)),
     ("fig8_kv", |j| quick(fig8_kv::campaign(), &[], j)),
     ("fig8_nstore", |j| quick(fig8_nstore::campaign(), &[], j)),
     ("fig8_redis", |j| quick(fig8_redis::campaign(), &[], j)),
     ("fig8_stream", |j| quick(fig8_stream::campaign(), &[], j)),
-    ("fig9_ablation", |j| quick(fig9_ablation::campaign(), &[], j)),
-    ("sec4h_scaling", |j| quick(sec4h_scaling::campaign(), &[], j)),
-    ("soak_campaign", |j| quick(soak_campaign::campaign(), &[], j)),
+    ("fig9_ablation", |j| {
+        quick(fig9_ablation::campaign(), &[], j)
+    }),
+    ("sec4h_scaling", |j| {
+        quick(sec4h_scaling::campaign(), &[], j)
+    }),
+    ("soak_campaign", |j| {
+        quick(soak_campaign::campaign(), &[], j)
+    }),
     ("soak_campaign 3x256", |j| {
         let horizon = ["--intervals", "3", "--ops-per-interval", "256"];
         quick(soak_campaign::campaign(), &horizon, j)

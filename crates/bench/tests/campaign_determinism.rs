@@ -19,8 +19,15 @@ fn every_campaign_is_identical_at_jobs_1_and_4() {
             (run(4), serial.join().expect("serial run panicked"))
         });
         assert!(serial.rows > 0, "{name}: produced no rows");
-        assert!(serial.violations.is_empty(), "{name}: {:?}", serial.violations);
-        assert_eq!(serial.table, pooled.table, "{name}: table differs across --jobs");
+        assert!(
+            serial.violations.is_empty(),
+            "{name}: {:?}",
+            serial.violations
+        );
+        assert_eq!(
+            serial.table, pooled.table,
+            "{name}: table differs across --jobs"
+        );
         for (s, p) in serial.files.iter().zip(&pooled.files) {
             assert_eq!(s, p, "{name}: artefact {} differs across --jobs", s.0);
         }
@@ -34,12 +41,26 @@ fn every_campaign_is_identical_at_jobs_1_and_4() {
 #[test]
 fn reproduced_silent_no_ops_fail_closed() {
     let fig10 = bins::fig10_sensitivity::campaign();
-    let (cfg, jobs) = fig10.cli.parse(&["--jobs".into(), "2".into()], &|_| None).unwrap();
-    assert_eq!((cfg.opts, jobs), (None, 2), "no sweep named: both run, on 2 workers");
-    assert!(fig10.cli.parse(&["ways".into()], &|_| None).is_err(), "unknown sweep");
+    let (cfg, jobs) = fig10
+        .cli
+        .parse(&["--jobs".into(), "2".into()], &|_| None)
+        .unwrap();
+    assert_eq!(
+        (cfg.opts, jobs),
+        (None, 2),
+        "no sweep named: both run, on 2 workers"
+    );
+    assert!(
+        fig10.cli.parse(&["ways".into()], &|_| None).is_err(),
+        "unknown sweep"
+    );
 
     let crashsim = bins::crashsim_campaign::campaign();
-    for bad in [&["--seed", "abc"][..], &["--quick"], &["--crash-samples", "0"]] {
+    for bad in [
+        &["--seed", "abc"][..],
+        &["--quick"],
+        &["--crash-samples", "0"],
+    ] {
         let err = bins::run(&crashsim, bad, &[], 1).expect_err("must be a usage error");
         assert!(!err.0.is_empty(), "{bad:?}");
     }

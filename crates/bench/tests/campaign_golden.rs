@@ -14,11 +14,36 @@ use memsim::crc;
 const GOLDEN: [(&str, &str, usize, u32); 17] = [
     ("chaos_campaign", "chaos_campaign.csv", 16091, 0xbd3a28cb),
     ("chaos_campaign", "chaos_events.log", 435806, 0x2070a1c1),
-    ("coverage_campaign", "coverage_campaign.csv", 180, 0xda1fc287),
-    ("crashsim_campaign", "crashsim_campaign.csv", 8094, 0xf0e4a15d),
-    ("degraded_campaign", "degraded_campaign.csv", 6880, 0x2854d045),
-    ("fig10_sensitivity", "fig10a_redundancy_ways.csv", 2219, 0xbe5858bb),
-    ("fig10_sensitivity", "fig10b_diff_ways.csv", 2239, 0xcd34238d),
+    (
+        "coverage_campaign",
+        "coverage_campaign.csv",
+        180,
+        0xda1fc287,
+    ),
+    (
+        "crashsim_campaign",
+        "crashsim_campaign.csv",
+        8094,
+        0xf0e4a15d,
+    ),
+    (
+        "degraded_campaign",
+        "degraded_campaign.csv",
+        6880,
+        0x2854d045,
+    ),
+    (
+        "fig10_sensitivity",
+        "fig10a_redundancy_ways.csv",
+        2219,
+        0xbe5858bb,
+    ),
+    (
+        "fig10_sensitivity",
+        "fig10b_diff_ways.csv",
+        2239,
+        0xcd34238d,
+    ),
     ("fig8_fio", "fig8_fio.csv", 1411, 0x0a03fc6c),
     ("fig8_kv", "fig8_kv.csv", 2364, 0x31e7110d),
     ("fig8_nstore", "fig8_nstore.csv", 1177, 0x3ad46f46),
@@ -38,7 +63,11 @@ fn quick_scale_artefacts_match_their_digests() {
         let pinned = GOLDEN.iter().filter(|g| g.0 == name);
         assert!(pinned.clone().count() > 0, "{name}: no golden entry");
         for &(_, file, len, crc) in pinned {
-            let bytes = out.files.iter().find(|f| f.0 == file).map(|f| f.1.as_slice());
+            let bytes = out
+                .files
+                .iter()
+                .find(|f| f.0 == file)
+                .map(|f| f.1.as_slice());
             let bytes = bytes.unwrap_or_else(|| panic!("{name}: no artefact {file}"));
             let got = (name, file, bytes.len(), !crc::update(u32::MAX, bytes));
             assert_eq!(got, (name, file, len, crc), "{name}: {file} moved");

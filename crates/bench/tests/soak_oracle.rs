@@ -18,21 +18,37 @@ fn quick_cfg() -> (Scale, SoakConfig) {
 }
 
 fn assert_soak_invariants(out: &SoakOutcome, cfg: &SoakConfig, instances: u64, label: &str) {
-    assert_eq!(out.rows.len() as u64, cfg.intervals, "{label}: interval count");
+    assert_eq!(
+        out.rows.len() as u64,
+        cfg.intervals,
+        "{label}: interval count"
+    );
     for row in &out.rows {
-        assert_eq!(row.ops, instances * cfg.ops_per_interval, "{label}: row ops");
-        assert_eq!(row.lat.count(), row.ops, "{label}: one latency sample per op");
-        assert!(row.interval_cycles > 0, "{label}: time advances each interval");
+        assert_eq!(
+            row.ops,
+            instances * cfg.ops_per_interval,
+            "{label}: row ops"
+        );
+        assert_eq!(
+            row.lat.count(),
+            row.ops,
+            "{label}: one latency sample per op"
+        );
+        assert!(
+            row.interval_cycles > 0,
+            "{label}: time advances each interval"
+        );
     }
-    out.verify()
-        .unwrap_or_else(|e| panic!("{label}: {e}"));
+    out.verify().unwrap_or_else(|e| panic!("{label}: {e}"));
     // verify() already re-merges; double-check the headline equality here
     // so a regression in verify() itself cannot silently pass.
     let mut merged = Stats::identity();
     for row in &out.rows {
         merged.merge(&row.delta);
     }
-    merged.core_cycles.resize(out.monolithic.core_cycles.len(), 0);
+    merged
+        .core_cycles
+        .resize(out.monolithic.core_cycles.len(), 0);
     assert_eq!(merged, out.monolithic, "{label}: merged == monolithic");
 }
 

@@ -311,10 +311,7 @@ impl Scenario {
         let mut violations = Vec::new();
         let object_granular = matches!(self.design.sw_scheme(), SwScheme::TxbObject);
         match (&mut b.app, self.app) {
-            (
-                AppState::Fio { fio, chk },
-                AppKind::Fio { pattern, ops, .. },
-            ) => {
+            (AppState::Fio { fio, chk }, AppKind::Fio { pattern, ops, .. }) => {
                 'outer: for i in 0..ops {
                     for t in 0..fio.threads() {
                         let file = *fio.region(t);
@@ -426,10 +423,7 @@ impl Scenario {
     ) -> CrashReport {
         let total_writebacks = b.m.sys.crash_events();
         let crashed = b.m.sys.crash_suppressed() > 0;
-        let vilamb_pending = b
-            .txm
-            .as_ref()
-            .map_or(0, |t| t.vilamb_pending_pages().len());
+        let vilamb_pending = b.txm.as_ref().map_or(0, |t| t.vilamb_pending_pages().len());
 
         // Power loss: caches, controller SRAM, and the library's DRAM state
         // vanish; the media keeps the admitted prefix.

@@ -60,7 +60,11 @@ fn crash_after_last_writeback_equals_clean_shutdown() {
             sc.label(),
             clean.violations
         );
-        assert!(!clean.crashed, "{}: unlimited budget cannot crash", sc.label());
+        assert!(
+            !clean.crashed,
+            "{}: unlimited budget cannot crash",
+            sc.label()
+        );
         let at_end = sc.run_crash_point(clean.total_writebacks);
         assert!(
             !at_end.crashed,

@@ -39,7 +39,10 @@ impl CacheConfig {
             self.ways
         );
         let sets = lines / self.ways;
-        assert!(sets.is_power_of_two(), "set count {sets} not a power of two");
+        assert!(
+            sets.is_power_of_two(),
+            "set count {sets} not a power of two"
+        );
         sets
     }
 }
@@ -258,7 +261,10 @@ impl SystemConfig {
             self.weave_shards <= 1,
             "weave_shards must be 0 or 1: the weave engine runs one replay worker"
         );
-        assert!(self.nvm.dimms >= 2, "RAID parity needs at least 2 NVM DIMMs");
+        assert!(
+            self.nvm.dimms >= 2,
+            "RAID parity needs at least 2 NVM DIMMs"
+        );
         assert!(
             self.controller.redundancy_ways + self.controller.diff_ways < self.llc.ways,
             "reserved LLC ways must leave room for application data"

@@ -40,7 +40,12 @@ impl System {
     /// on any foreign copy. Bound order equals sequential order, so the
     /// probe sees precisely the private state sequential execution would
     /// consult through the directory.
-    pub(super) fn bound_fill(&mut self, core: usize, line: LineAddr, for_write: bool) -> [u8; CACHE_LINE] {
+    pub(super) fn bound_fill(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        for_write: bool,
+    ) -> [u8; CACHE_LINE] {
         let foreign = self.cores.iter().enumerate().any(|(other, c)| {
             other != core
                 && (c.l1d.probe(line, 0..self.cfg.l1d.ways).is_some()
@@ -119,16 +124,18 @@ impl System {
             });
         }
         for core in &self.cores {
-            core.l2.for_each_valid(0..self.cfg.l2.ways, |line, dirty, data| {
-                if dirty {
-                    overlay.insert(line.0, *data);
-                }
-            });
-            core.l1d.for_each_valid(0..self.cfg.l1d.ways, |line, dirty, data| {
-                if dirty {
-                    overlay.insert(line.0, *data);
-                }
-            });
+            core.l2
+                .for_each_valid(0..self.cfg.l2.ways, |line, dirty, data| {
+                    if dirty {
+                        overlay.insert(line.0, *data);
+                    }
+                });
+            core.l1d
+                .for_each_valid(0..self.cfg.l1d.ways, |line, dirty, data| {
+                    if dirty {
+                        overlay.insert(line.0, *data);
+                    }
+                });
         }
         // This side keeps its clocks (bound-local time) and counts its own
         // private-cache events from zero; `weave_end` folds both back.

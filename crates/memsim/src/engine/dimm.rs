@@ -214,7 +214,12 @@ impl System {
 
     /// Posted write of `line` to its memory device, with redundancy updates
     /// for NVM lines.
-    pub(super) fn mem_posted_write(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE]) {
+    pub(super) fn mem_posted_write(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        data: &[u8; CACHE_LINE],
+    ) {
         match self.uncore.mem.device_of(line) {
             Device::Dram => {
                 self.uncore.counters.dram_accesses += 1;
@@ -323,14 +328,22 @@ mod tests {
         });
         let t0 = s.clock(0);
         let mut buf = [0u8; 8];
-        s.read(0, PhysAddr(crate::addr::nvm_page(0).line(banks).base().0), &mut buf)
-            .unwrap();
+        s.read(
+            0,
+            PhysAddr(crate::addr::nvm_page(0).line(banks).base().0),
+            &mut buf,
+        )
+        .unwrap();
         let busy_latency = s.clock(0) - t0;
         let mut s2 = sys();
         s2.compute(0, 1000);
         let t0 = s2.clock(0);
-        s2.read(0, PhysAddr(crate::addr::nvm_page(0).line(1).base().0), &mut buf)
-            .unwrap();
+        s2.read(
+            0,
+            PhysAddr(crate::addr::nvm_page(0).line(1).base().0),
+            &mut buf,
+        )
+        .unwrap();
         let idle_latency = s2.clock(0) - t0;
         assert!(
             busy_latency > idle_latency + 200,

@@ -486,7 +486,13 @@ impl System {
     /// A private-cache victim arrives at the LLC: update the (inclusive)
     /// LLC copy, firing the clean→dirty diff-capture hook when appropriate,
     /// and clear this core's directory presence.
-    pub(super) fn spill_to_llc(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE], dirty: bool) {
+    pub(super) fn spill_to_llc(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        data: &[u8; CACHE_LINE],
+        dirty: bool,
+    ) {
         let ts = self.uncore.clocks[core];
         // weave-branch
         if let Some(b) = self.bound.as_mut() {

@@ -518,14 +518,20 @@ mod tests {
         assert_eq!(total, 8, "8 dirty lines, 8 writeback events");
         assert_eq!(r.crash_suppressed(), 0);
         // Flush order on the reference run = media landing order.
-        let landing: Vec<u64> = (0..8).filter(|i| r.memory().peek_line(nvm(i * 64).line())[0] != 0).collect();
+        let landing: Vec<u64> = (0..8)
+            .filter(|i| r.memory().peek_line(nvm(i * 64).line())[0] != 0)
+            .collect();
         assert_eq!(landing.len(), 8);
         for k in 0..=total {
             let mut s = sys();
             s.crash_window_start(Some(k));
             workload(&mut s);
             s.flush();
-            assert_eq!(s.crash_events(), total, "budget must not change event count");
+            assert_eq!(
+                s.crash_events(),
+                total,
+                "budget must not change event count"
+            );
             assert_eq!(s.crash_suppressed(), total - k);
             assert!(s.crashed(), "budget <= event count means crashed");
             let persisted = (0..8)
@@ -652,6 +658,7 @@ mod tests {
         assert!(s.read(0, nvm(0), &mut buf).is_err());
         s.crash_window_start(Some(0));
         assert!(s.crashed());
-        s.read(0, nvm(64), &mut buf).expect("crashed fills skip hooks");
+        s.read(0, nvm(64), &mut buf)
+            .expect("crashed fills skip hooks");
     }
 }

@@ -161,7 +161,11 @@ impl System {
 
     /// Remove `line` from `core`'s L1 and L2, returning the newest private
     /// data and whether it was dirty.
-    pub(super) fn priv_invalidate(&mut self, core: usize, line: LineAddr) -> Option<([u8; CACHE_LINE], bool)> {
+    pub(super) fn priv_invalidate(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+    ) -> Option<([u8; CACHE_LINE], bool)> {
         // weave-branch
         if self.cores.is_empty() {
             // Weave-side replay: the private caches live on the bound
@@ -192,7 +196,13 @@ impl System {
 
     /// Insert into L1, spilling a dirty victim into the L2. Returns the
     /// inserted line's L1D slot index.
-    fn fill_l1(&mut self, core: usize, line: LineAddr, data: &[u8; CACHE_LINE], excl: bool) -> usize {
+    fn fill_l1(
+        &mut self,
+        core: usize,
+        line: LineAddr,
+        data: &[u8; CACHE_LINE],
+        excl: bool,
+    ) -> usize {
         // Only reached after an L1 lookup miss; nothing between it and here
         // inserts into this L1 (lower-level fills only back-invalidate).
         let ways = 0..self.cfg.l1d.ways;

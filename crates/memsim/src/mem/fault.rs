@@ -226,7 +226,10 @@ impl FaultPlan {
             })
             .collect();
         ev.sort_by_key(|e| e.at_op);
-        FaultPlan { events: ev, next: 0 }
+        FaultPlan {
+            events: ev,
+            next: 0,
+        }
     }
 
     /// Drain and return every event scheduled at or before `op`. Call once
@@ -338,7 +341,10 @@ mod tests {
         m.arm_fault(a, FirmwareFault::StickyMisdirectedRead { actual: b });
         assert_eq!(m.read_line(a)[0], 2);
         assert_eq!(m.read_line(a)[0], 2);
-        assert_eq!(m.disarm_fault(a), Some(FirmwareFault::StickyMisdirectedRead { actual: b }));
+        assert_eq!(
+            m.disarm_fault(a),
+            Some(FirmwareFault::StickyMisdirectedRead { actual: b })
+        );
         assert_eq!(m.read_line(a)[0], 1);
     }
 
@@ -376,7 +382,12 @@ mod tests {
         let mut m = Memory::new(2);
         let l = nvm_line(0, 0);
         m.write_line(l, &[7u8; CACHE_LINE]);
-        m.arm_fault(l, FirmwareFault::MisdirectedRead { actual: nvm_line(1, 0) });
+        m.arm_fault(
+            l,
+            FirmwareFault::MisdirectedRead {
+                actual: nvm_line(1, 0),
+            },
+        );
         assert_eq!(m.peek_line(l)[0], 7);
         assert_eq!(m.armed_faults(), 1);
     }

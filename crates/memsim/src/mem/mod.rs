@@ -236,7 +236,10 @@ impl Memory {
     #[inline]
     pub fn is_lost(&self, line: LineAddr) -> bool {
         !self.lost.is_empty()
-            && self.lost.get(&line.page().0).is_some_and(|m| (m >> line.index_in_page()) & 1 == 1)
+            && self
+                .lost
+                .get(&line.page().0)
+                .is_some_and(|m| (m >> line.index_in_page()) & 1 == 1)
     }
 
     /// Whether any line of `page` is lost.
@@ -346,7 +349,12 @@ mod tests {
         let m = Memory::new(4);
         for p in 0..8u64 {
             let d = m.device_of(nvm_line(p, 0));
-            assert_eq!(d, Device::Nvm { dimm: (p % 4) as usize });
+            assert_eq!(
+                d,
+                Device::Nvm {
+                    dimm: (p % 4) as usize
+                }
+            );
             // All lines of a page are on the same DIMM.
             assert_eq!(m.device_of(nvm_line(p, 63)), d);
         }

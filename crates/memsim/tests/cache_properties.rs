@@ -31,7 +31,9 @@ fn seeds(property: u64) -> impl Iterator<Item = u64> {
 
 /// `1..max_len` arbitrary bytes (line numbers of a 256-line space).
 fn gen_lines(rng: &mut u64, max_len: u64) -> Vec<u8> {
-    (0..range(rng, 1, max_len)).map(|_| splitmix64(rng) as u8).collect()
+    (0..range(rng, 1, max_len))
+        .map(|_| splitmix64(rng) as u8)
+        .collect()
 }
 
 /// Whatever the cache returns must be the data last inserted for that
@@ -60,7 +62,11 @@ fn cache_never_invents_data() {
                 1 => {
                     if let Some(e) = cache.lookup(line, 0..ways) {
                         let expect = present.get(&(l as u64));
-                        assert_eq!(Some(&e.data[0]), expect, "seed {seed:#x}: line {l} wrong data");
+                        assert_eq!(
+                            Some(&e.data[0]),
+                            expect,
+                            "seed {seed:#x}: line {l} wrong data"
+                        );
                     }
                 }
                 _ => {
@@ -101,16 +107,29 @@ fn dirty_lines_never_silently_dropped() {
         for l in gen_lines(&mut rng, 200) {
             let line = LineAddr(l as u64);
             if let Some(ev) = cache.insert(line, &[l; CACHE_LINE], true, 0..2) {
-                assert!(ev.dirty, "seed {seed:#x}: evicted {:?} lost its dirty bit", ev.line);
+                assert!(
+                    ev.dirty,
+                    "seed {seed:#x}: evicted {:?} lost its dirty bit",
+                    ev.line
+                );
                 let expect = live.remove(&ev.line.0);
-                assert_eq!(Some(ev.data[0]), expect, "seed {seed:#x}: evicted {:?}", ev.line);
+                assert_eq!(
+                    Some(ev.data[0]),
+                    expect,
+                    "seed {seed:#x}: evicted {:?}",
+                    ev.line
+                );
             }
             live.insert(l as u64, l);
         }
         // Everything still tracked must be in the cache.
         for (&l, &d) in &live {
             let e = cache.probe(LineAddr(l), 0..2);
-            assert_eq!(e.map(|e| e.data[0]), Some(d), "seed {seed:#x}: live line {l}");
+            assert_eq!(
+                e.map(|e| e.data[0]),
+                Some(d),
+                "seed {seed:#x}: live line {l}"
+            );
         }
     }
 }
@@ -135,14 +154,21 @@ fn hierarchy_coherence_under_random_sharing() {
             } else {
                 let mut buf = [0u8; 1];
                 sys.read(core, addr, &mut buf).unwrap();
-                assert_eq!(buf[0], reference[slot], "seed {seed:#x}: core {core} slot {slot}");
+                assert_eq!(
+                    buf[0], reference[slot],
+                    "seed {seed:#x}: core {core} slot {slot}"
+                );
             }
         }
         // Durability after flush.
         sys.flush();
         for (slot, &val) in reference.iter().enumerate() {
             let line = PhysAddr(NVM_BASE + slot as u64 * 64).line();
-            assert_eq!(sys.memory().peek_line(line)[0], val, "seed {seed:#x}: slot {slot}");
+            assert_eq!(
+                sys.memory().peek_line(line)[0],
+                val,
+                "seed {seed:#x}: slot {slot}"
+            );
         }
     }
 }

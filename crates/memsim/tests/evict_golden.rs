@@ -51,7 +51,11 @@ fn run_stream(seed: u64, ops: u64) -> (u64, u64, u64) {
     }
     s.flush();
     let st = s.stats();
-    (st.evict_hash, counter_digest(&st.counters), st.runtime_cycles())
+    (
+        st.evict_hash,
+        counter_digest(&st.counters),
+        st.runtime_cycles(),
+    )
 }
 
 /// Digest the counters through the same FNV fold as the eviction digest, so
@@ -96,7 +100,11 @@ fn run_clwb_stream(seed: u64, ops: u64) -> ClwbDigests {
     let mut buf = [0u8; 8];
     for op in 0..ops {
         let r = splitmix64(&mut rng);
-        let line = if r & 3 != 0 { (r >> 8) % hot } else { (r >> 8) % lines };
+        let line = if r & 3 != 0 {
+            (r >> 8) % hot
+        } else {
+            (r >> 8) % lines
+        };
         let core = ((r >> 32) % 4) as usize;
         let addr = PhysAddr(NVM_BASE + line * 64);
         if (r >> 40).is_multiple_of(3) {

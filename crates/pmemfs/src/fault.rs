@@ -112,16 +112,20 @@ pub fn inject(sys: &mut System, file: &FileHandle, fault: Fault) {
             victim_offset,
         } => {
             let actual = file.addr(victim_offset).line();
-            sys.memory_mut()
-                .arm_fault(file.addr(offset).line(), FirmwareFault::MisdirectedWrite { actual });
+            sys.memory_mut().arm_fault(
+                file.addr(offset).line(),
+                FirmwareFault::MisdirectedWrite { actual },
+            );
         }
         Fault::MisdirectedRead {
             offset,
             source_offset,
         } => {
             let actual = file.addr(source_offset).line();
-            sys.memory_mut()
-                .arm_fault(file.addr(offset).line(), FirmwareFault::MisdirectedRead { actual });
+            sys.memory_mut().arm_fault(
+                file.addr(offset).line(),
+                FirmwareFault::MisdirectedRead { actual },
+            );
         }
     }
 }
@@ -157,14 +161,27 @@ mod tests {
         );
         assert_eq!(
             "misdir-write@128->256".parse::<Fault>().unwrap(),
-            Fault::MisdirectedWrite { offset: 128, victim_offset: 256 }
+            Fault::MisdirectedWrite {
+                offset: 128,
+                victim_offset: 256
+            }
         );
         assert_eq!(
             "misdir-read@128<-256".parse::<Fault>().unwrap(),
-            Fault::MisdirectedRead { offset: 128, source_offset: 256 }
+            Fault::MisdirectedRead {
+                offset: 128,
+                source_offset: 256
+            }
         );
-        for bad in ["", "lost-write", "lost-write@x", "misdir-write@1",
-                    "misdir-write@1<-2", "misdir-read@1->2", "gamma-ray@9"] {
+        for bad in [
+            "",
+            "lost-write",
+            "lost-write@x",
+            "misdir-write@1",
+            "misdir-write@1<-2",
+            "misdir-read@1->2",
+            "gamma-ray@9",
+        ] {
             assert!(bad.parse::<Fault>().is_err(), "{bad:?} must not parse");
         }
     }

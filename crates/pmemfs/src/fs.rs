@@ -5,12 +5,12 @@
 
 use memsim::addr::{PageNum, PhysAddr, PAGE};
 use memsim::engine::{CorruptionDetected, RedundancyRegion, System};
+use std::error::Error;
+use std::fmt;
 use tvarak::controller::TvarakController;
 use tvarak::init;
 use tvarak::layout::NvmLayout;
 use tvarak::scrub::{ScrubFindingKind, ScrubGranularity};
-use std::error::Error;
-use std::fmt;
 
 /// File-system errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -227,8 +227,7 @@ impl DaxFs {
 
     /// Data pages still unallocated (tail of the pool plus freed extents).
     pub fn free_pages(&self) -> u64 {
-        self.layout.data_pages() - self.next
-            + self.free_list.iter().map(|&(_, n)| n).sum::<u64>()
+        self.layout.data_pages() - self.next + self.free_list.iter().map(|&(_, n)| n).sum::<u64>()
     }
 
     /// Take `pages` from the free list (first-fit, splitting) or the tail.
@@ -371,7 +370,9 @@ impl DaxFs {
     ) -> Vec<(u64, ScrubFindingKind)> {
         (0..file.pages)
             .filter_map(|n| {
-                let kind = self.layout.audit_page(sys.memory(), file.page(n), granularity)?;
+                let kind = self
+                    .layout
+                    .audit_page(sys.memory(), file.page(n), granularity)?;
                 Some((n, kind))
             })
             .collect()
@@ -449,10 +450,7 @@ mod tests {
         let (mut sys, mut fs) = baseline_sys(4);
         let f = fs.create(&mut sys, 4096).unwrap();
         f.write_u64(&mut sys, 0, 16, 0xdead_beef_cafe_f00d).unwrap();
-        assert_eq!(
-            f.read_u64(&mut sys, 0, 16).unwrap(),
-            0xdead_beef_cafe_f00d
-        );
+        assert_eq!(f.read_u64(&mut sys, 0, 16).unwrap(), 0xdead_beef_cafe_f00d);
     }
 
     #[test]
@@ -564,7 +562,8 @@ mod tests {
         // The controller no longer verifies the old range.
         sys.memory_mut().poke_line(addr.line(), &[9u8; 64]);
         let mut buf = [0u8; 8];
-        sys.read(0, addr, &mut buf).expect("no verification after delete");
+        sys.read(0, addr, &mut buf)
+            .expect("no verification after delete");
     }
 
     #[test]
@@ -601,7 +600,8 @@ mod tests {
         sys.invalidate_page(f.page(0));
         sys.memory_mut().poke_line(f.addr(0).line(), &[9u8; 64]);
         let mut buf = [0u8; 8];
-        f.read(&mut sys, 0, 0, &mut buf).expect("no verification when unmapped");
+        f.read(&mut sys, 0, 0, &mut buf)
+            .expect("no verification when unmapped");
     }
 
     /// The offline audit and the scrubber run the same checks: they must
@@ -623,15 +623,27 @@ mod tests {
         let rotted = fs.layout().parity_line_of(f.page(4).line(17));
         sys.memory_mut().poke_line(rotted, &[0xeeu8; 64]);
         // Page 1 shares no stripe with page 4 at the small config's width.
-        assert_ne!(fs.layout().parity_line_of(f.page(1).line(0)).page(), rotted.page());
+        assert_ne!(
+            fs.layout().parity_line_of(f.page(1).line(0)).page(),
+            rotted.page()
+        );
         sys.memory_mut().poke_line(f.page(1).line(5), &[0x5au8; 64]);
         for granularity in [ScrubGranularity::Page, ScrubGranularity::CacheLine] {
             let offline = fs.audit(&sys, &f, granularity);
-            assert!(offline.contains(&(4, ScrubFindingKind::Parity)), "{offline:?}");
-            assert!(offline.contains(&(1, ScrubFindingKind::Checksum)), "{offline:?}");
+            assert!(
+                offline.contains(&(4, ScrubFindingKind::Parity)),
+                "{offline:?}"
+            );
+            assert!(
+                offline.contains(&(1, ScrubFindingKind::Checksum)),
+                "{offline:?}"
+            );
             let mut scrubber = Scrubber::new(*fs.layout(), granularity, first, f.pages());
             let findings = scrubber.step(&mut sys, 0, f.pages()).unwrap();
-            let online: Vec<_> = findings.iter().map(|x| (x.data_index - first, x.kind)).collect();
+            let online: Vec<_> = findings
+                .iter()
+                .map(|x| (x.data_index - first, x.kind))
+                .collect();
             assert_eq!(online, offline, "{granularity:?}");
         }
     }

@@ -29,12 +29,12 @@
 use crate::fs::{DaxFs, FileHandle, FsError};
 use memsim::addr::{LineAddr, PageNum, CACHE_LINE, PAGE};
 use memsim::engine::{CorruptionDetected, System};
+use std::error::Error;
+use std::fmt;
 use tvarak::init;
 use tvarak::layout::{gather_page, peek, NvmLayout};
 use tvarak::recovery::{drop_stale_copies, recover_page};
 use tvarak::scrub::ScrubGranularity;
-use std::error::Error;
-use std::fmt;
 
 /// Structured degraded-mode error: the page is quarantined and accesses to
 /// it fail closed. Everything else in the file keeps working.
@@ -402,9 +402,16 @@ impl RecoveryOrchestrator {
         for attempt in 1..=MAX_RETRIES {
             let ok = recover_page(sys, &self.layout, self.granularity, page).is_ok()
                 || self.try_csum_repair(sys, page);
-            if ok && self.layout.media_csums_ok(sys.memory(), page, self.granularity) {
+            if ok
+                && self
+                    .layout
+                    .media_csums_ok(sys.memory(), page, self.granularity)
+            {
                 self.recoveries += 1;
-                self.events.push(RecoveryEvent::Recovered { page, attempts: attempt });
+                self.events.push(RecoveryEvent::Recovered {
+                    page,
+                    attempts: attempt,
+                });
                 return Ok(());
             }
         }
@@ -675,9 +682,16 @@ mod tests {
             sys.memory_mut().poke_line(page.line(9), &[0x66u8; 64]);
             sys.memory_mut().poke_line(page.line(40), &[0x77u8; 64]);
             recover_page(&mut sys, fs.layout(), ScrubGranularity::CacheLine, page).unwrap();
-            assert_eq!(sys.stats().counters.pages_recovered, 1, "hardware: {hardware}");
+            assert_eq!(
+                sys.stats().counters.pages_recovered,
+                1,
+                "hardware: {hardware}"
+            );
             let Ok(media) = gather_page(page, peek(sys.memory()));
-            assert!(media == original, "hardware: {hardware}: repair restores the page");
+            assert!(
+                media == original,
+                "hardware: {hardware}: repair restores the page"
+            );
             repaired.push(media);
         }
         assert!(repaired[0] == repaired[1]);
@@ -692,7 +706,8 @@ mod tests {
         let line = f.addr(0).line();
         // Corrupt the media and wedge the line: repair writes are dropped.
         sys.memory_mut().poke_line(line, &[0xffu8; 64]);
-        sys.memory_mut().arm_fault(line, FirmwareFault::StickyLostWrite);
+        sys.memory_mut()
+            .arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
         let err = orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap_err();
@@ -712,7 +727,8 @@ mod tests {
         sys.flush();
         let line = f.addr(0).line();
         sys.memory_mut().poke_line(line, &[0xffu8; 64]);
-        sys.memory_mut().arm_fault(line, FirmwareFault::StickyLostWrite);
+        sys.memory_mut()
+            .arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
         assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
@@ -743,15 +759,15 @@ mod tests {
         sys.flush();
         let line = f.addr(0).line();
         sys.memory_mut().poke_line(line, &[0xffu8; 64]);
-        sys.memory_mut().arm_fault(line, FirmwareFault::StickyLostWrite);
+        sys.memory_mut()
+            .arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
         assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
         let store = *orch.store();
         drop(orch);
         // "Restart": rebuild from the persistent store.
-        let orch2 =
-            RecoveryOrchestrator::reload(&fs, &sys, store, ScrubGranularity::CacheLine);
+        let orch2 = RecoveryOrchestrator::reload(&fs, &sys, store, ScrubGranularity::CacheLine);
         assert_eq!(orch2.poisoned_pages(), &[line.page()]);
     }
 
@@ -784,7 +800,9 @@ mod tests {
         let mut fs = DaxFs::new(layout, &mut sys);
         let mut orch =
             RecoveryOrchestrator::new(&mut fs, &mut sys, ScrubGranularity::CacheLine).unwrap();
-        let f = fs.create(&mut sys, (POISON_CAP as u64 + 1) * PAGE as u64).unwrap();
+        let f = fs
+            .create(&mut sys, (POISON_CAP as u64 + 1) * PAGE as u64)
+            .unwrap();
         for n in 0..f.pages() {
             orch.quarantine_page(&mut sys, f.page(n));
         }

@@ -315,7 +315,9 @@ impl Tx<'_> {
         // Persist the log high-water mark so an interrupted transaction can
         // be rolled back on restart (see `TxManager::recover_all`).
         let so = self.state_off();
-        self.mgr.meta.write_u64(sys, self.core, so + 8, self.log_head)?;
+        self.mgr
+            .meta
+            .write_u64(sys, self.core, so + 8, self.log_head)?;
         sys.clwb_range(self.core, self.mgr.meta.addr(so + 8), 8);
         self.track(self.mgr.meta.addr(so + 8), 8);
         // In-place update.
@@ -386,7 +388,9 @@ impl Tx<'_> {
             sys.clwb_range(self.core, addr, len as u64);
         }
         let so = self.state_off();
-        self.mgr.meta.write_u64(sys, self.core, so, STATE_COMMITTED)?;
+        self.mgr
+            .meta
+            .write_u64(sys, self.core, so, STATE_COMMITTED)?;
         sys.clwb_range(self.core, self.mgr.meta.addr(so), 8);
         let state_addr = self.mgr.meta.addr(so);
         self.track(state_addr, 8);
@@ -415,9 +419,7 @@ impl Tx<'_> {
         }
         for (target, log_data_off, len) in entries.into_iter().rev() {
             let mut old = vec![0u8; len as usize];
-            self.mgr
-                .meta
-                .read(sys, self.core, log_data_off, &mut old)?;
+            self.mgr.meta.read(sys, self.core, log_data_off, &mut old)?;
             sys.write(self.core, target, &old)?;
             sys.clwb_range(self.core, target, len);
         }
@@ -566,7 +568,10 @@ mod tests {
         let page = run(SwScheme::TxbPage);
         let none = run(SwScheme::None);
         assert!(obj > none, "object scheme adds cache work");
-        assert!(page > obj * 2, "page scheme reads whole pages: {page} vs {obj}");
+        assert!(
+            page > obj * 2,
+            "page scheme reads whole pages: {page} vs {obj}"
+        );
     }
 
     #[test]
@@ -611,7 +616,9 @@ mod tests {
     /// Whether some page of `f` fails its page checksum on the media.
     fn stale_csums(sys: &System, fs: &DaxFs, f: &FileHandle) -> bool {
         let audit = fs.audit(sys, f, ScrubGranularity::Page);
-        audit.iter().any(|&(_, kind)| kind == tvarak::scrub::ScrubFindingKind::Checksum)
+        audit
+            .iter()
+            .any(|&(_, kind)| kind == tvarak::scrub::ScrubFindingKind::Checksum)
     }
 
     #[test]

@@ -33,7 +33,13 @@ fn seeds(property: u64) -> impl Iterator<Item = u64> {
 /// `1..max_len` writes: offset `0..30000`, any byte, length `1..40`.
 fn gen_writes(rng: &mut u64, max_len: u64) -> Vec<(u64, u8, usize)> {
     (0..range(rng, 1, max_len))
-        .map(|_| (range(rng, 0, 30000), splitmix64(rng) as u8, range(rng, 1, 40) as usize))
+        .map(|_| {
+            (
+                range(rng, 0, 30000),
+                splitmix64(rng) as u8,
+                range(rng, 1, 40) as usize,
+            )
+        })
         .collect()
 }
 
@@ -76,7 +82,10 @@ fn abort_atomicity() {
             // The file matches the reference model exactly.
             let mut buf = vec![0u8; f.len() as usize];
             f.read(&mut sys, 0, 0, &mut buf).unwrap();
-            assert!(buf == reference, "seed {seed:#x}: file differs from the reference model");
+            assert!(
+                buf == reference,
+                "seed {seed:#x}: file differs from the reference model"
+            );
         }
     }
 }
@@ -128,6 +137,9 @@ fn undo_log_space_is_reusable() {
         }
         let mut buf = vec![0u8; 4000];
         f.read(&mut sys, 0, 0, &mut buf).unwrap();
-        assert!(buf.iter().all(|&b| b == rounds - 1), "seed {seed:#x}: {rounds} rounds");
+        assert!(
+            buf.iter().all(|&b| b == rounds - 1),
+            "seed {seed:#x}: {rounds} rounds"
+        );
     }
 }

@@ -287,7 +287,10 @@ mod tests {
         let mut live = Hist::new();
         let mut oracle = Hist::new();
         let mut remerged = Hist::new();
-        for (i, v) in [3u64, 70_000, 12, 9_999_999, 64, 1, 80_000].iter().enumerate() {
+        for (i, v) in [3u64, 70_000, 12, 9_999_999, 64, 1, 80_000]
+            .iter()
+            .enumerate()
+        {
             live.record(*v);
             oracle.record(*v);
             if i % 3 == 2 {

@@ -117,8 +117,7 @@ fn quantiles_bracket_true_sample() {
         let h = hist_of(&samples);
         samples.sort_unstable();
         for &q in &[0.01, 0.25, 0.5, 0.9, 0.99, 0.999, 1.0] {
-            let rank = ((q * samples.len() as f64).ceil() as usize)
-                .clamp(1, samples.len());
+            let rank = ((q * samples.len() as f64).ceil() as usize).clamp(1, samples.len());
             let truth = samples[rank - 1];
             let (lo, hi) = h.quantile_bounds(q);
             assert!(

@@ -25,7 +25,11 @@ const fn make_table() -> [u32; 256] {
         let mut crc = i as u32;
         let mut j = 0;
         while j < 8 {
-            crc = if crc & 1 != 0 { (crc >> 1) ^ POLY } else { crc >> 1 };
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ POLY
+            } else {
+                crc >> 1
+            };
             j += 1;
         }
         table[i] = crc;
@@ -188,7 +192,11 @@ mod tests {
         let data: Vec<u8> = (0..4096u32).map(|i| (i * 31 + 7) as u8).collect();
         // Split at awkward boundaries, including line-by-line (the
         // controller's page-streaming pattern).
-        for splits in [vec![0usize], vec![1, 7, 9], (0..64).map(|i| i * 64).collect()] {
+        for splits in [
+            vec![0usize],
+            vec![1, 7, 9],
+            (0..64).map(|i| i * 64).collect(),
+        ] {
             let mut h = Crc32c::new();
             let mut prev = 0usize;
             for s in splits.into_iter().chain([data.len()]) {

@@ -387,12 +387,7 @@ impl TvarakController {
     /// Fetch the old (pre-modification) content of a dirty data line about
     /// to be written back: from the diff partition if present, else an extra
     /// NVM read of the current media content.
-    fn old_data_for(
-        &self,
-        core: usize,
-        line: LineAddr,
-        env: &mut HookEnv<'_>,
-    ) -> [u8; CACHE_LINE] {
+    fn old_data_for(&self, core: usize, line: LineAddr, env: &mut HookEnv<'_>) -> [u8; CACHE_LINE] {
         if self.cfg.data_diffs {
             if let Some(d) = env.llc_diff_invalidate(line) {
                 return d.data;
@@ -649,7 +644,10 @@ mod tests {
         sys.flush();
         let c = sys.stats().counters;
         assert_eq!(c.reads_verified, 0);
-        assert_eq!(c.nvm_red_writes, 0, "no redundancy maintained when unmapped");
+        assert_eq!(
+            c.nvm_red_writes, 0,
+            "no redundancy maintained when unmapped"
+        );
         let mut buf = [0u8; 8];
         sys.read(0, addr, &mut buf).unwrap();
         assert_eq!(buf, [9u8; 8]);
@@ -684,7 +682,8 @@ mod tests {
             for n in 0..32u64 {
                 let base = layout.nth_data_page(n).base();
                 for l in 0..64u64 {
-                    sys.write(0, PhysAddr(base.0 + l * 64), &[n as u8; 64]).unwrap();
+                    sys.write(0, PhysAddr(base.0 + l * 64), &[n as u8; 64])
+                        .unwrap();
                 }
             }
             sys.flush();

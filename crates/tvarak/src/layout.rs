@@ -57,8 +57,7 @@ impl NvmLayout {
         assert!(data_pages > 0, "need at least one data page");
         let geom = StripeGeometry::new(dimms);
         let striped_pages = geom.total_pages_for(data_pages);
-        let cl_csum_pages =
-            (striped_pages * CL_CSUM_BYTES_PER_PAGE as u64).div_ceil(PAGE as u64);
+        let cl_csum_pages = (striped_pages * CL_CSUM_BYTES_PER_PAGE as u64).div_ceil(PAGE as u64);
         let page_csum_pages = (striped_pages * 4).div_ceil(PAGE as u64);
         let cl_csum_base = striped_pages;
         let page_csum_base = cl_csum_base + cl_csum_pages;
@@ -579,7 +578,9 @@ mod tests {
             let mut state = dimms as u64;
             for n in 0..pages {
                 for o in 0..LINES_PER_PAGE {
-                    state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    state = state
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
                     let content = std::array::from_fn(|k| (state >> (k % 8 * 8)) as u8 ^ k as u8);
                     mem.poke_line(l.nth_data_page(n).line(o), &content);
                 }

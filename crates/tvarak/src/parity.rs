@@ -109,7 +109,9 @@ impl StripeGeometry {
     /// Iterate region-relative indices of the first `n` data pages (skipping
     /// parity pages).
     pub fn data_page_iter(&self, n: u64) -> impl Iterator<Item = u64> + '_ {
-        (0u64..).filter(|&i| !self.is_parity_page(i)).take(n as usize)
+        (0u64..)
+            .filter(|&i| !self.is_parity_page(i))
+            .take(n as usize)
     }
 }
 
@@ -139,11 +141,7 @@ pub fn xor_into_scalar(a: &mut [u8; CACHE_LINE], b: &[u8; CACHE_LINE]) {
 /// Apply the RAID-5 delta update `parity ^= old ^ new`, eight `u64` lanes
 /// per line (see [`xor_into`] for why this shape autovectorizes).
 #[inline]
-pub fn parity_delta(
-    parity: &mut [u8; CACHE_LINE],
-    old: &[u8; CACHE_LINE],
-    new: &[u8; CACHE_LINE],
-) {
+pub fn parity_delta(parity: &mut [u8; CACHE_LINE], old: &[u8; CACHE_LINE], new: &[u8; CACHE_LINE]) {
     let mut i = 0;
     while i < CACHE_LINE {
         let x = u64::from_ne_bytes(parity[i..i + 8].try_into().unwrap())

@@ -25,7 +25,11 @@ pub struct RecoveryFailed {
 
 impl fmt::Display for RecoveryFailed {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "parity reconstruction of {:?} failed verification", self.page)
+        write!(
+            f,
+            "parity reconstruction of {:?} failed verification",
+            self.page
+        )
     }
 }
 

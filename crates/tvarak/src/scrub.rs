@@ -276,8 +276,10 @@ mod tests {
                 .unwrap()
                 .into_iter()
                 .partition(|f| f.kind == ScrubFindingKind::Checksum);
-            assert!(parity.iter().all(|f| layout.geometry().stripe_of(f.page.nvm_index())
-                == layout.geometry().stripe_of(victim.nvm_index())));
+            assert!(parity
+                .iter()
+                .all(|f| layout.geometry().stripe_of(f.page.nvm_index())
+                    == layout.geometry().stripe_of(victim.nvm_index())));
             assert_eq!(findings.len(), 1, "{granularity:?}");
             assert_eq!(findings[0].data_index, 5);
             assert_eq!(findings[0].page, victim);
@@ -332,7 +334,10 @@ mod tests {
         let mut findings = Vec::new();
         for _ in 0..8 / SCRUB_PAGES * SCRUB_INTERVAL {
             if let Some(step) = s.tick(&mut sys, 0).unwrap() {
-                findings.extend(step.into_iter().filter(|f| f.kind == ScrubFindingKind::Checksum));
+                findings.extend(
+                    step.into_iter()
+                        .filter(|f| f.kind == ScrubFindingKind::Checksum),
+                );
             }
         }
         assert_eq!(findings.len(), 1);

@@ -49,7 +49,10 @@ fn data_page_indexing_roundtrips() {
         let n = range(&mut rng, 0, 10_000);
         let layout = NvmLayout::new(dimms, 10_000);
         let page = layout.nth_data_page(n);
-        assert!(!layout.geometry().is_parity_page(page.nvm_index()), "seed {seed:#x}");
+        assert!(
+            !layout.geometry().is_parity_page(page.nvm_index()),
+            "seed {seed:#x}"
+        );
         assert_eq!(layout.data_index_of(page), n, "seed {seed:#x}");
     }
 }
@@ -90,10 +93,16 @@ fn csum_tables_do_not_overlap_stripes() {
         let page = layout.nth_data_page(n);
         let (cs_line, _) = layout.cl_csum_loc(page.line((n % 64) as usize));
         assert!(!layout.is_data_line(cs_line), "seed {seed:#x}");
-        assert!(cs_line.page().nvm_index() >= geom_striped_pages(&layout), "seed {seed:#x}");
+        assert!(
+            cs_line.page().nvm_index() >= geom_striped_pages(&layout),
+            "seed {seed:#x}"
+        );
         let (pcs_line, _) = layout.page_csum_loc(page);
         assert!(!layout.is_data_line(pcs_line), "seed {seed:#x}");
-        assert!(pcs_line.page().nvm_index() > cs_line.page().nvm_index(), "seed {seed:#x}");
+        assert!(
+            pcs_line.page().nvm_index() > cs_line.page().nvm_index(),
+            "seed {seed:#x}"
+        );
     }
 }
 
@@ -115,13 +124,21 @@ fn stripe_members_are_consistent() {
         let mut members = vec![line.page().nvm_index(), par.page().nvm_index()];
         for s in layout.sibling_lines_of(line) {
             assert_eq!(s.index_in_page(), o, "seed {seed:#x}");
-            assert_eq!(geom.stripe_of(s.page().nvm_index()), stripe, "seed {seed:#x}");
+            assert_eq!(
+                geom.stripe_of(s.page().nvm_index()),
+                stripe,
+                "seed {seed:#x}"
+            );
             members.push(s.page().nvm_index());
         }
         assert_eq!(members.len(), dimms, "seed {seed:#x}: dimms - 2 siblings");
         members.sort_unstable();
         members.dedup();
-        assert_eq!(members.len(), dimms, "seed {seed:#x}: stripe members must be distinct and complete");
+        assert_eq!(
+            members.len(),
+            dimms,
+            "seed {seed:#x}: stripe members must be distinct and complete"
+        );
     }
 }
 
@@ -132,8 +149,9 @@ fn stripe_members_are_consistent() {
 fn parity_delta_matches_recompute_and_recovers() {
     for seed in seeds(5) {
         let mut rng = seed;
-        let members: Vec<[u8; CACHE_LINE]> =
-            (0..range(&mut rng, 2, 6)).map(|_| gen_line(&mut rng)).collect();
+        let members: Vec<[u8; CACHE_LINE]> = (0..range(&mut rng, 2, 6))
+            .map(|_| gen_line(&mut rng))
+            .collect();
         let upd = gen_line(&mut rng);
         let idx = range(&mut rng, 0, members.len() as u64) as usize;
         // Parity of the original stripe.
@@ -188,7 +206,9 @@ fn csum_slot_isolation() {
 fn crc_detects_single_byte_changes() {
     for seed in seeds(7) {
         let mut rng = seed;
-        let data: Vec<u8> = (0..range(&mut rng, 1, 256)).map(|_| splitmix64(&mut rng) as u8).collect();
+        let data: Vec<u8> = (0..range(&mut rng, 1, 256))
+            .map(|_| splitmix64(&mut rng) as u8)
+            .collect();
         let i = range(&mut rng, 0, data.len() as u64) as usize;
         let delta = range(&mut rng, 1, 256) as u8;
         let mut mutated = data.clone();
@@ -209,7 +229,10 @@ fn geometry_partitions_pages() {
         let mut iter_idx = 0;
         for idx in 0..by_iter[by_iter.len() - 1] + 1 {
             if geom.is_parity_page(idx) {
-                assert!(!by_iter.contains(&idx), "seed {seed:#x}: parity page {idx} iterated");
+                assert!(
+                    !by_iter.contains(&idx),
+                    "seed {seed:#x}: parity page {idx} iterated"
+                );
             } else {
                 assert_eq!(by_iter[iter_idx], idx, "seed {seed:#x}");
                 iter_idx += 1;

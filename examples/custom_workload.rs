@@ -47,11 +47,7 @@ impl PersistentGraph {
         Ok(())
     }
 
-    fn neighbors(
-        &self,
-        m: &mut Machine,
-        v: u64,
-    ) -> Result<Vec<u64>, Box<dyn std::error::Error>> {
+    fn neighbors(&self, m: &mut Machine, v: u64) -> Result<Vec<u64>, Box<dyn std::error::Error>> {
         let mut out = Vec::new();
         let mut cur = self.file.read_u64(&mut m.sys, 0, v * 8)?;
         while cur != NIL {
@@ -119,7 +115,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let line = g.file.addr(1000 * 8 + 64).line();
     m.sys.memory_mut().poke_line(line, &[0xff; 64]);
     m.sys.invalidate_page(line.page());
-    let err = g.neighbors(&mut m, 0).expect_err("corruption must be detected");
+    let err = g
+        .neighbors(&mut m, 0)
+        .expect_err("corruption must be detected");
     println!("detected: {err}");
     m.recover(line.page())?;
     let depth_after = g.bfs_depth(&mut m, 0, 500)?;

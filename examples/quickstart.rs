@@ -38,7 +38,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert_eq!(&buf, b"hello tvarak");
 
     machine.flush();
-    machine.verify_all(&file).expect("checksums and parity consistent");
+    machine
+        .verify_all(&file)
+        .expect("checksums and parity consistent");
 
     let stats = machine.stats();
     let c = stats.counters;

@@ -11,10 +11,7 @@ use apps::rng::Rng;
 use tvarak_repro::prelude::*;
 
 fn run(design: Design) -> Result<(u64, u64, u64), Box<dyn std::error::Error>> {
-    let mut m = Machine::builder()
-        .design(design)
-        .data_pages(4096)
-        .build();
+    let mut m = Machine::builder().design(design).data_pages(4096).build();
     let mut txm = m.tx_manager(128 * 1024)?;
     let mut redis = Redis::create(&mut m, 0, 4 * 1024 * 1024, 1024)?;
     m.reset_stats();
@@ -24,9 +21,8 @@ fn run(design: Design) -> Result<(u64, u64, u64), Box<dyn std::error::Error>> {
         redis.set(&mut m, &mut txm, rng.below(10_000), &val)?;
     }
     m.flush();
-    m.verify_all(redis.file()).map_err(|bad| {
-        format!("redundancy inconsistent on {} pages", bad.len())
-    })?;
+    m.verify_all(redis.file())
+        .map_err(|bad| format!("redundancy inconsistent on {} pages", bad.len()))?;
     let s = m.stats();
     Ok((
         s.runtime_cycles(),

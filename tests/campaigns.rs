@@ -26,8 +26,17 @@ fn two_widths<O: Default>(campaign: Campaign<O>, env: &[(&str, &str)]) -> Output
     };
     let (cfg, _) = campaign.cli.parse(&[], &lookup).expect("valid environment");
     let (serial, pooled) = ((campaign.run)(&cfg, 1), (campaign.run)(&cfg, 3));
-    assert_eq!(serial, pooled, "{}: output depends on --jobs", campaign.cli.name);
-    assert_eq!(serial.violations, Vec::<String>::new(), "{}", campaign.cli.name);
+    assert_eq!(
+        serial, pooled,
+        "{}: output depends on --jobs",
+        campaign.cli.name
+    );
+    assert_eq!(
+        serial.violations,
+        Vec::<String>::new(),
+        "{}",
+        campaign.cli.name
+    );
     serial
 }
 
@@ -40,20 +49,36 @@ fn coverage_matches_table_one() {
     let out = two_widths(coverage_campaign::campaign(), &[]);
     // design,inline,wrong_reads,by_scrub,undetected,recovered
     let row = |design: &str| -> Vec<u64> {
-        let line = csv(&out).lines().find(|l| l.starts_with(design)).expect("design row");
-        line.split(',').skip(1).map(|v| v.parse().unwrap()).collect()
+        let line = csv(&out)
+            .lines()
+            .find(|l| l.starts_with(design))
+            .expect("design row");
+        line.split(',')
+            .skip(1)
+            .map(|v| v.parse().unwrap())
+            .collect()
     };
-    assert_eq!(row("Tvarak,"), [40, 0, 0, 0, 40], "detects on first touch, recovers");
+    assert_eq!(
+        row("Tvarak,"),
+        [40, 0, 0, 0, 40],
+        "detects on first touch, recovers"
+    );
     for software in ["Baseline,", "TxB-Object-Csums,", "TxB-Page-Csums,"] {
         let r = row(software);
-        assert!(r[0] == 0 && r[1] > 0 && r[4] == 0, "{software} consumes it silently: {r:?}");
+        assert!(
+            r[0] == 0 && r[1] > 0 && r[4] == 0,
+            "{software} consumes it silently: {r:?}"
+        );
     }
 }
 
 #[test]
 fn every_crash_point_recovers() {
     let out = two_widths(crashsim_campaign::campaign(), &[]);
-    assert!(out.rows > 15, "three apps x five designs, several points each");
+    assert!(
+        out.rows > 15,
+        "three apps x five designs, several points each"
+    );
     assert!(!csv(&out).contains(",lost,"), "an unrecoverable-loss row");
 }
 
@@ -62,7 +87,10 @@ fn chaos_cell_set_survives() {
     let filter = [("CHAOS_FILTER", "design=Tvarak fault=sticky")];
     let out = two_widths(chaos_campaign::campaign(), &filter);
     assert_eq!(out.rows, 6, "three apps x two sticky faults under Tvarak");
-    assert!(out.files.iter().any(|f| f.0 == "chaos_events.log" && !f.1.is_empty()));
+    assert!(out
+        .files
+        .iter()
+        .any(|f| f.0 == "chaos_events.log" && !f.1.is_empty()));
 }
 
 #[test]
@@ -72,5 +100,8 @@ fn degraded_cell_set_matches_its_oracle() {
     assert_eq!(out.rows, 2, "fio and kv");
     // ...,content_hash,oracle_hash,hash_match,seed,repro
     let matched = |l: &str| l.rsplit(',').nth(2) == Some("1");
-    assert!(csv(&out).lines().skip(1).all(matched), "post-resilver media != oracle");
+    assert!(
+        csv(&out).lines().skip(1).all(matched),
+        "post-resilver media != oracle"
+    );
 }

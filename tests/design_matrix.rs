@@ -42,7 +42,10 @@ fn redis_functional_under_every_design() {
         }
         let mut out = Vec::new();
         for k in 0..80u64 {
-            assert!(r.get(&mut m, &mut txm, k, &mut out).unwrap(), "{design}: key {k}");
+            assert!(
+                r.get(&mut m, &mut txm, k, &mut out).unwrap(),
+                "{design}: key {k}"
+            );
             assert_eq!(out, [k as u8; 8], "{design}");
         }
         m.flush();
@@ -91,7 +94,8 @@ fn nstore_functional_under_every_design() {
         let mut txm = m.tx_manager(64 * 1024).unwrap();
         let mut s = NStore::create(&mut m, 64, 128 * 1024).unwrap();
         for i in 0..50u64 {
-            s.update(&mut m, &mut txm, 0, i % 64, &[i as u8; 64]).unwrap();
+            s.update(&mut m, &mut txm, 0, i % 64, &[i as u8; 64])
+                .unwrap();
         }
         for i in 0..50u64 {
             let _ = s.read(&mut m, 0, i % 64).unwrap();

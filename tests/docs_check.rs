@@ -43,9 +43,21 @@ const ENV_PREFIXES: [&str; 4] = ["TVARAK_", "MEMSIM_", "CHAOS_", "DEGRADED_"];
 /// `(doc, path, reason)`: crate paths a doc names on purpose although they
 /// do not resolve.
 const PATH_ALLOWLIST: [(&str, &str, &str); 4] = [
-    ("DESIGN.md", "bench::serve", "history: a §5 ledger row of a removed module"),
-    ("DESIGN.md", "memsim::trace", "history: a §5 ledger row of a removed module"),
-    ("DESIGN.md", "bench::capture", "history: a §5 ledger row of a removed module"),
+    (
+        "DESIGN.md",
+        "bench::serve",
+        "history: a §5 ledger row of a removed module",
+    ),
+    (
+        "DESIGN.md",
+        "memsim::trace",
+        "history: a §5 ledger row of a removed module",
+    ),
+    (
+        "DESIGN.md",
+        "bench::capture",
+        "history: a §5 ledger row of a removed module",
+    ),
     (
         "benchmark/README.md",
         "memsim::trace",
@@ -68,10 +80,26 @@ const CARGO_FLAGS: [&str; 8] = [
 /// `(doc, flag, reason)`: flags a doc names on purpose although no program
 /// parses them.
 const FLAG_ALLOWLIST: [(&str, &str, &str); 4] = [
-    ("DESIGN.md", "--knee", "history: a §5 ledger row of a flag deleted with serve_campaign"),
-    ("DESIGN.md", "--arrival", "history: a §5 ledger row of a flag deleted with serve_campaign"),
-    ("DESIGN.md", "--policy", "history: a §5 ledger row of a flag deleted with serve_campaign"),
-    ("DESIGN.md", "--prof", "planned: the probe option ROADMAP item 2 proposes"),
+    (
+        "DESIGN.md",
+        "--knee",
+        "history: a §5 ledger row of a flag deleted with serve_campaign",
+    ),
+    (
+        "DESIGN.md",
+        "--arrival",
+        "history: a §5 ledger row of a flag deleted with serve_campaign",
+    ),
+    (
+        "DESIGN.md",
+        "--policy",
+        "history: a §5 ledger row of a flag deleted with serve_campaign",
+    ),
+    (
+        "DESIGN.md",
+        "--prof",
+        "planned: the probe option ROADMAP item 2 proposes",
+    ),
 ];
 
 /// Expand the first `{a,b,..}` group of `word`, recursively.
@@ -179,8 +207,13 @@ fn declares_pub(text: &str, name: &str) -> bool {
             .split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
             .filter(|w| !w.is_empty())
             .collect();
-        let kinds = ["fn", "struct", "enum", "trait", "type", "const", "static", "mod"];
-        if words.windows(2).any(|w| kinds.contains(&w[0]) && w[1] == name) {
+        let kinds = [
+            "fn", "struct", "enum", "trait", "type", "const", "static", "mod",
+        ];
+        if words
+            .windows(2)
+            .any(|w| kinds.contains(&w[0]) && w[1] == name)
+        {
             return true;
         }
     }
@@ -224,7 +257,10 @@ fn every_documented_crate_path_resolves() {
                 let Some(why) = unresolved(root, &path) else {
                     continue;
                 };
-                match PATH_ALLOWLIST.iter().position(|&(d, p, _)| d == doc && p == path) {
+                match PATH_ALLOWLIST
+                    .iter()
+                    .position(|&(d, p, _)| d == doc && p == path)
+                {
                     Some(k) => allowed[k] = true,
                     None => bad.push(format!("{doc}:{}: {path}: {why}", n + 1)),
                 }
@@ -275,7 +311,11 @@ fn every_documented_example_and_bin_exists() {
 fn env_vars(line: &str) -> Vec<&str> {
     let word = |c: char| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_';
     line.split(|c: char| !word(c))
-        .filter(|w| ENV_PREFIXES.iter().any(|p| w.len() > p.len() && w.starts_with(p)))
+        .filter(|w| {
+            ENV_PREFIXES
+                .iter()
+                .any(|p| w.len() > p.len() && w.starts_with(p))
+        })
         .collect()
 }
 
@@ -370,7 +410,10 @@ fn every_documented_flag_is_parsed() {
                 if CARGO_FLAGS.contains(&flag) || sources.iter().any(|s| s.contains(&quoted)) {
                     continue;
                 }
-                match FLAG_ALLOWLIST.iter().position(|&(d, f, _)| d == doc && f == flag) {
+                match FLAG_ALLOWLIST
+                    .iter()
+                    .position(|&(d, f, _)| d == doc && f == flag)
+                {
                     Some(k) => allowed[k] = true,
                     None => unparsed.push(format!("{doc}:{}: {flag}", n + 1)),
                 }

@@ -102,7 +102,9 @@ fn deleted_file_pages_reused_under_tvarak_stay_protected() {
     m.flush();
     m.verify_all(&b).unwrap();
     // Corruption of the reused extent is detected under the new mapping.
-    m.sys.memory_mut().poke_line(b.addr(4096).line(), &[1u8; 64]);
+    m.sys
+        .memory_mut()
+        .poke_line(b.addr(4096).line(), &[1u8; 64]);
     m.sys.invalidate_page(b.page(1));
     let mut buf = [0u8; 8];
     assert!(b.read(&mut m.sys, 0, 4096, &mut buf).is_err());

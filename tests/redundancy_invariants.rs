@@ -39,8 +39,17 @@ fn seeds(property: u64, cases: u64) -> impl Iterator<Item = u64> {
 /// A generated workload step.
 #[derive(Debug, Clone)]
 enum Step {
-    Write { core: usize, offset: u64, byte: u8, len: usize },
-    Read { core: usize, offset: u64, len: usize },
+    Write {
+        core: usize,
+        offset: u64,
+        byte: u8,
+        len: usize,
+    },
+    Read {
+        core: usize,
+        offset: u64,
+        len: usize,
+    },
 }
 
 /// `1..max_len` steps: core `0..2`, offset `0..16000`, length `1..64`.
@@ -53,7 +62,12 @@ fn gen_steps(rng: &mut u64, max_len: u64) -> Vec<Step> {
             let byte = splitmix64(rng) as u8;
             let len = range(rng, 1, 64) as usize;
             if write {
-                Step::Write { core, offset, byte, len }
+                Step::Write {
+                    core,
+                    offset,
+                    byte,
+                    len,
+                }
             } else {
                 Step::Read { core, offset, len }
             }
@@ -65,7 +79,13 @@ fn gen_steps(rng: &mut u64, max_len: u64) -> Vec<Step> {
 /// `1..48`.
 fn gen_tx_writes(rng: &mut u64, max_len: u64) -> Vec<(u64, u8, usize)> {
     (0..range(rng, 1, max_len))
-        .map(|_| (range(rng, 0, 12000), splitmix64(rng) as u8, range(rng, 1, 48) as usize))
+        .map(|_| {
+            (
+                range(rng, 0, 12000),
+                splitmix64(rng) as u8,
+                range(rng, 1, 48) as usize,
+            )
+        })
         .collect()
 }
 
@@ -84,7 +104,12 @@ fn run_steps(design: Design, steps: &[Step], seed: u64) -> (Machine, pmemfs::Fil
     let mut reference = vec![0u8; 16 * 1024 + 64];
     for step in steps {
         match *step {
-            Step::Write { core, offset, byte, len } => {
+            Step::Write {
+                core,
+                offset,
+                byte,
+                len,
+            } => {
                 let data = vec![byte; len];
                 file.write(&mut m.sys, core, offset, &data).unwrap();
                 reference[offset as usize..offset as usize + len].copy_from_slice(&data);
@@ -174,7 +199,8 @@ fn corruption_always_detected_and_recovered() {
             Ok(()),
             "seed {seed:#x}: single corruption is recoverable"
         );
-        file.read(&mut m.sys, 0, corrupt_line * 64, &mut buf).unwrap();
+        file.read(&mut m.sys, 0, corrupt_line * 64, &mut buf)
+            .unwrap();
         let off = (corrupt_line * 64) as usize;
         assert_eq!(&buf[..], &reference[off..off + 64], "seed {seed:#x}");
     }
@@ -191,7 +217,8 @@ fn sw_scheme_consistent_after_tx_writes(design: Design, property: u64, max_len: 
         let file = m.create_dax_file("prop", 16 * 1024).unwrap();
         for (offset, byte, len) in writes {
             let mut tx = txm.begin(&mut m.sys, 0).unwrap();
-            tx.write(&mut m.sys, &file, offset, &vec![byte; len]).unwrap();
+            tx.write(&mut m.sys, &file, offset, &vec![byte; len])
+                .unwrap();
             tx.commit(&mut m.sys).unwrap();
         }
         m.flush();
@@ -235,7 +262,8 @@ fn tx_abort_restores_reference_state() {
         // Aborted transaction: must leave no trace.
         let mut tx = txm.begin(&mut m.sys, 0).unwrap();
         for &(off, b) in &aborted {
-            tx.write(&mut m.sys, &file, off, &[b.wrapping_add(1); 8]).unwrap();
+            tx.write(&mut m.sys, &file, off, &[b.wrapping_add(1); 8])
+                .unwrap();
         }
         tx.abort(&mut m.sys).unwrap();
         let mut buf = vec![0u8; 16 * 1024];
