@@ -25,6 +25,16 @@
 //! same first-invalid-else-LRU victim choice); the eviction-order digest
 //! goldens in `tests/evict_golden.rs` and the bench determinism suite prove
 //! it.
+//!
+//! An empty slot is all-zero in every column: tags are stored bit-inverted
+//! (`!line`), so an empty tag is 0, and every other column's empty value is
+//! 0 too. Each column is therefore a zeroed allocation (`vec![0; n]` over a
+//! primitive, which the allocator can hand out as untouched zero pages), and
+//! building a cache writes none of its state: a page of it faults in only
+//! when a set is first used. The payloads are one flat `Vec<u8>` viewed as
+//! 64 B chunks, because `vec![[0u8; 64]; n]` is not a zeroed allocation —
+//! std's zeroed fast path covers arrays of at most 16 elements, so that
+//! form writes every byte up front.
 
 use crate::addr::{LineAddr, CACHE_LINE};
 use crate::fastdiv::FastDiv;
@@ -37,12 +47,22 @@ const FLAG_VALID: u8 = 1 << 0;
 const FLAG_DIRTY: u8 = 1 << 1;
 const FLAG_EXCL: u8 = 1 << 2;
 
-/// Tag value stored for invalid slots. A real line address is a physical
-/// address shifted right by 6, so it can never reach `u64::MAX`; keeping
-/// invalid slots at this sentinel lets the hit scan compare raw tag words
-/// with no separate valid-bit load (the flags byte stays authoritative for
-/// state carried across invalidation, e.g. a drained line's dirty bit).
-const INVALID_LINE: u64 = u64::MAX;
+/// The one line address no slot can hold: tags are stored as `!line`, so
+/// this address would encode as [`EMPTY_TAG`]. A real line address is a
+/// physical address shifted right by 6, so it never reaches `u64::MAX`.
+const RESERVED_LINE: u64 = u64::MAX;
+
+/// Stored tag of an empty slot (`!RESERVED_LINE`). Keeping empty slots at
+/// this value lets the hit scan compare raw tag words with no separate
+/// valid-bit load (the flags byte stays authoritative for state carried
+/// across invalidation, e.g. a drained line's dirty bit).
+const EMPTY_TAG: u64 = 0;
+
+/// The stored tag of `line`.
+#[inline]
+fn tag_of(line: LineAddr) -> u64 {
+    !line.0
+}
 
 /// Mutable view of a resident line, returned by [`CacheArray::lookup`].
 ///
@@ -155,20 +175,23 @@ pub struct CacheArray {
     /// line, victim dirty) in eviction order. Exposed so the determinism
     /// goldens can prove a data-layout refactor never changes victim choice.
     evict_hash: u64,
-    /// Tag words, indexed `set * ways + way`; [`INVALID_LINE`] in empty
-    /// slots. The hit scan is a raw equality sweep over a set's slice of
-    /// this array — contiguous `u64`s, so an 8–16 way set is one or two
-    /// vector loads.
+    /// Stored tags (`!line`, see [`tag_of`]), indexed `set * ways + way`;
+    /// [`EMPTY_TAG`] (0) in empty slots. The hit scan is a raw equality
+    /// sweep over a set's slice of this array — contiguous `u64`s, so an
+    /// 8–16 way set is one or two vector loads.
     lines: Vec<u64>,
     /// LRU stamps, parallel to `lines` (larger = more recently used).
     lru: Vec<u64>,
     /// `FLAG_VALID | FLAG_DIRTY | FLAG_EXCL`, parallel to `lines`.
     flags: Vec<u8>,
-    /// Line payloads, parallel to `lines`.
-    data: Vec<[u8; CACHE_LINE]>,
+    /// Line payloads, `CACHE_LINE` bytes per slot in `lines` order; one
+    /// flat zeroed allocation viewed through `as_chunks`.
+    data: Vec<u8>,
     /// Directory sharer masks, parallel to `lines` (LLC only; 0 elsewhere).
     sharers: Vec<u64>,
-    /// Directory owners, parallel to `lines` ([`NO_OWNER`] elsewhere).
+    /// Directory owners, parallel to `lines` ([`NO_OWNER`] in a resident
+    /// line with no owner). An empty slot's owner is 0 and never read:
+    /// `install` writes it before any lookup can return the slot.
     owner: Vec<u8>,
 }
 
@@ -196,12 +219,12 @@ impl CacheArray {
             set_div: FastDiv::new(set_div),
             tick: 0,
             evict_hash: EVICT_HASH_BASIS,
-            lines: vec![INVALID_LINE; slots],
+            lines: vec![EMPTY_TAG; slots],
             lru: vec![0; slots],
             flags: vec![0; slots],
-            data: vec![[0; CACHE_LINE]; slots],
+            data: vec![0; slots * CACHE_LINE],
             sharers: vec![0; slots],
-            owner: vec![NO_OWNER; slots],
+            owner: vec![0; slots],
         }
     }
 
@@ -241,32 +264,57 @@ impl CacheArray {
         self.tick
     }
 
+    /// Slot `idx`'s payload.
+    #[inline]
+    fn data_at(&self, idx: usize) -> &[u8; CACHE_LINE] {
+        &self.data.as_chunks().0[idx]
+    }
+
+    /// Slot `idx`'s payload, mutably. Borrows only the `data` column.
+    #[inline]
+    fn data_mut(data: &mut [u8], idx: usize) -> &mut [u8; CACHE_LINE] {
+        &mut data.as_chunks_mut().0[idx]
+    }
+
+    /// Resident slot `idx`'s state, for an eviction or invalidation.
+    #[inline]
+    fn evicted_at(&self, idx: usize) -> Evicted {
+        Evicted {
+            line: LineAddr(!self.lines[idx]),
+            dirty: self.flags[idx] & FLAG_DIRTY != 0,
+            data: *self.data_at(idx),
+            sharers: self.sharers[idx],
+            owner: self.owner[idx],
+        }
+    }
+
     /// Borrow slot `idx` across all columns as an [`EntryRef`].
     #[inline]
     fn entry_at(&mut self, idx: usize) -> EntryRef<'_> {
         EntryRef {
-            line: self.lines[idx],
+            line: !self.lines[idx],
             flags: &mut self.flags[idx],
-            data: &mut self.data[idx],
+            data: Self::data_mut(&mut self.data, idx),
             sharers: &mut self.sharers[idx],
             owner: &mut self.owner[idx],
         }
     }
 
-    /// Scan `ways` of `set` for a matching tag; the hot loop. Invalid slots
-    /// hold [`INVALID_LINE`], which no real address equals, so this is a
+    /// Scan `ways` of `set` for a matching tag; the hot loop. Empty slots
+    /// hold [`EMPTY_TAG`], which no real address encodes to, so this is a
     /// pure equality sweep over contiguous words — written as a
     /// reverse-iteration reduction (no early exit) so the compiler can keep
     /// it branch-free; a line appears at most once per partition, so first
     /// match and last match coincide.
     #[inline]
     fn find(&self, set: usize, line: LineAddr, ways: Range<usize>) -> Option<usize> {
-        debug_assert_ne!(line.0, INVALID_LINE, "INVALID_LINE is reserved");
+        debug_assert_ne!(line.0, RESERVED_LINE, "RESERVED_LINE is reserved");
+        let tag = tag_of(line);
         let base = set * self.ways;
         let tags = &self.lines[base + ways.start..base + ways.end];
         let mut found = usize::MAX;
         for i in (0..tags.len()).rev() {
-            if tags[i] == line.0 {
+            if tags[i] == tag {
                 found = i;
             }
         }
@@ -314,10 +362,10 @@ impl CacheArray {
         let set = self.set_of(line);
         let idx = self.find(set, line, ways)?;
         Some(EntryView {
-            line: LineAddr(self.lines[idx]),
+            line: LineAddr(!self.lines[idx]),
             dirty: self.flags[idx] & FLAG_DIRTY != 0,
             excl: self.flags[idx] & FLAG_EXCL != 0,
-            data: &self.data[idx],
+            data: self.data_at(idx),
             sharers: self.sharers[idx],
             owner: self.owner[idx],
         })
@@ -352,7 +400,7 @@ impl CacheArray {
         let tick = self.next_tick();
         // Hit: update in place.
         if let Some(idx) = self.find(set, line, ways.clone()) {
-            self.data[idx] = *data;
+            *Self::data_mut(&mut self.data, idx) = *data;
             if dirty {
                 self.flags[idx] |= FLAG_DIRTY;
             }
@@ -414,7 +462,7 @@ impl CacheArray {
         let mut victim_lru = u64::MAX;
         for way in ways {
             let idx = self.slot(set, way);
-            if self.lines[idx] == INVALID_LINE {
+            if self.lines[idx] == EMPTY_TAG {
                 victim_way = Some(way);
                 break;
             }
@@ -425,28 +473,21 @@ impl CacheArray {
         }
         let way = victim_way.expect("insert called with empty way range");
         let idx = self.slot(set, way);
-        let old_line = self.lines[idx];
-        let evicted = if old_line != INVALID_LINE {
-            let old_dirty = self.flags[idx] & FLAG_DIRTY != 0;
+        let evicted = if self.lines[idx] != EMPTY_TAG {
+            let old = self.evicted_at(idx);
             let mut h = self.evict_hash;
-            for w in [set as u64, way as u64, old_line, old_dirty as u64] {
+            for w in [set as u64, way as u64, old.line.0, old.dirty as u64] {
                 h = fold_evict(h, w);
             }
             self.evict_hash = h;
-            Some(Evicted {
-                line: LineAddr(old_line),
-                dirty: old_dirty,
-                data: self.data[idx],
-                sharers: self.sharers[idx],
-                owner: self.owner[idx],
-            })
+            Some(old)
         } else {
             None
         };
-        self.lines[idx] = line.0;
+        self.lines[idx] = tag_of(line);
         self.lru[idx] = tick;
         self.flags[idx] = FLAG_VALID | if dirty { FLAG_DIRTY } else { 0 };
-        self.data[idx] = *data;
+        *Self::data_mut(&mut self.data, idx) = *data;
         self.sharers[idx] = 0;
         self.owner[idx] = NO_OWNER;
         (evicted, idx)
@@ -456,16 +497,16 @@ impl CacheArray {
     pub fn invalidate(&mut self, line: LineAddr, ways: Range<usize>) -> Option<Evicted> {
         let set = self.set_of(line);
         let idx = self.find(set, line, ways)?;
-        let old_line = self.lines[idx];
-        self.lines[idx] = INVALID_LINE;
+        Some(self.vacate(idx))
+    }
+
+    /// Empty resident slot `idx` and return its final state.
+    #[inline]
+    fn vacate(&mut self, idx: usize) -> Evicted {
+        let old = self.evicted_at(idx);
+        self.lines[idx] = EMPTY_TAG;
         self.flags[idx] &= !FLAG_VALID;
-        Some(Evicted {
-            line: LineAddr(old_line),
-            dirty: self.flags[idx] & FLAG_DIRTY != 0,
-            data: self.data[idx],
-            sharers: self.sharers[idx],
-            owner: self.owner[idx],
-        })
+        old
     }
 
     /// Drain every valid line in `ways` into a caller-provided buffer (not
@@ -475,17 +516,8 @@ impl CacheArray {
         for set in 0..self.sets {
             for way in ways.clone() {
                 let idx = self.slot(set, way);
-                if self.lines[idx] != INVALID_LINE {
-                    let old_line = self.lines[idx];
-                    self.lines[idx] = INVALID_LINE;
-                    self.flags[idx] &= !FLAG_VALID;
-                    out.push(Evicted {
-                        line: LineAddr(old_line),
-                        dirty: self.flags[idx] & FLAG_DIRTY != 0,
-                        data: self.data[idx],
-                        sharers: self.sharers[idx],
-                        owner: self.owner[idx],
-                    });
+                if self.lines[idx] != EMPTY_TAG {
+                    out.push(self.vacate(idx));
                 }
             }
         }
@@ -498,7 +530,7 @@ impl CacheArray {
         for set in 0..self.sets {
             for way in ways.clone() {
                 let idx = self.slot(set, way);
-                self.lines[idx] = INVALID_LINE;
+                self.lines[idx] = EMPTY_TAG;
                 self.flags[idx] &= !FLAG_VALID;
             }
         }
@@ -515,11 +547,11 @@ impl CacheArray {
         for set in 0..self.sets {
             for way in ways.clone() {
                 let idx = self.slot(set, way);
-                if self.lines[idx] != INVALID_LINE {
+                if self.lines[idx] != EMPTY_TAG {
                     f(
-                        LineAddr(self.lines[idx]),
+                        LineAddr(!self.lines[idx]),
                         self.flags[idx] & FLAG_DIRTY != 0,
-                        &self.data[idx],
+                        self.data_at(idx),
                     );
                 }
             }
@@ -531,7 +563,7 @@ impl CacheArray {
         let mut n = 0;
         for set in 0..self.sets {
             for way in ways.clone() {
-                if self.lines[self.slot(set, way)] != INVALID_LINE {
+                if self.lines[self.slot(set, way)] != EMPTY_TAG {
                     n += 1;
                 }
             }
@@ -559,6 +591,29 @@ mod tests {
         let e = c.lookup(line(8), 0..2).expect("hit");
         assert_eq!(e.data[0], 1);
         assert!(!e.dirty());
+    }
+
+    #[test]
+    fn fresh_array_misses_line_zero() {
+        // An empty slot is all-zero; its tag must not decode to line 0.
+        let mut c = CacheArray::new(4, 2, 1);
+        assert!(c.lookup(line(0), 0..2).is_none());
+        assert!(c.probe(line(0), 0..2).is_none());
+        assert!(c.invalidate(line(0), 0..2).is_none());
+        assert_eq!(c.occupancy(0..2), 0);
+        let mut drained = Vec::new();
+        c.drain_into(0..2, &mut drained);
+        assert!(drained.is_empty());
+    }
+
+    #[test]
+    fn line_zero_hits_after_insert() {
+        let mut c = CacheArray::new(4, 2, 1);
+        assert!(c.insert(line(0), &data(3), true, 0..2).is_none());
+        let e = c.lookup(line(0), 0..2).expect("hit");
+        assert_eq!(e.line(), line(0));
+        assert_eq!((e.data[0], e.dirty(), *e.owner), (3, true, NO_OWNER));
+        assert_eq!(c.occupancy(0..2), 1);
     }
 
     #[test]

@@ -8,9 +8,11 @@
 //! partitions must produce identical hit/miss results, identical evicted
 //! (line, dirty, data) sequences, and identical occupancy at every step —
 //! which pins the SoA refactor to the old behaviour far more densely than
-//! the end-to-end goldens alone.
+//! the end-to-end goldens alone. Half the lines are drawn from the NVM line
+//! range, so the array's bit-inverted tag encoding is checked at the
+//! addresses the simulator really caches, not only near zero.
 
-use memsim::addr::{LineAddr, CACHE_LINE};
+use memsim::addr::{LineAddr, CACHE_LINE, LINE_SHIFT, NVM_BASE};
 use memsim::cache::{CacheArray, Evicted, NO_OWNER};
 use std::ops::Range;
 
@@ -220,11 +222,17 @@ fn differential_run(seed: u64, ops: usize) {
     let split = (splitmix64(&mut rng) % ways as u64) as usize;
     let parts: [Range<usize>; 2] = [0..split.max(1), split.min(ways - 1)..ways];
 
-    // Footprint ~4x capacity so evictions are common.
-    let lines = (sets * ways * 4) as u64;
+    // Footprint ~4x capacity so evictions are common: `lines` offsets from
+    // line 0 and as many from the first NVM line.
+    let lines = (sets * ways * 2) as u64;
     for op in 0..ops {
         let r = splitmix64(&mut rng);
-        let line = LineAddr(r % lines);
+        let base = if (r >> 17) & 1 == 1 {
+            NVM_BASE >> LINE_SHIFT
+        } else {
+            0
+        };
+        let line = LineAddr(base + r % lines);
         let part = parts[((r >> 16) & 1) as usize].clone();
         let ctx = format!(
             "seed {seed:#x} op {op} line {} part {part:?} (sets {sets} ways {ways} div {set_div})",

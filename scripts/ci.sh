@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 gate. Runs, in order: a size check (no .rs file under
-# crates/{memsim,apps,pmemfs,tvarak,bench,crashsim}/src over 900 lines); the workspace build,
+# crates/{memsim,apps,pmemfs,tvarak,bench,crashsim}/src over 900 lines); a
+# rustfmt check of the workspace; the workspace build,
 # clippy (-D warnings), rustdoc (-D warnings) and tests (which include every
 # campaign's --jobs width-independence and golden CSV digests); the memsim, pmemfs and tvarak
 # tests and the fast-forward preload oracle (bench's fast_forward suite)
@@ -34,6 +35,11 @@ if [[ -n "$oversize" ]]; then
     echo "$oversize" >&2
     exit 1
 fi
+
+echo "=== format (workspace: cargo fmt --all -- --check) ==="
+# The tree is rustfmt-clean; a diff here means run `cargo fmt --all`. The
+# standalone benchmark/ workspace is not part of this workspace.
+cargo fmt --all -- --check
 
 echo "=== build (workspace) ==="
 cargo build --release --workspace
