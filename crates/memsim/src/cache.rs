@@ -177,9 +177,11 @@ pub struct CacheArray {
     evict_hash: u64,
     /// Stored tags (`!line`, see [`tag_of`]), indexed `set * ways + way`;
     /// [`EMPTY_TAG`] (0) in empty slots. The hit scan is a raw equality
-    /// sweep over a set's slice of this array — contiguous `u64`s, so an
-    /// 8–16 way set is one or two vector loads.
+    /// sweep over a set's slice of this array — contiguous `u64`s, scanned
+    /// branch-free.
     lines: Vec<u64>,
+    /// Number of resident (non-empty) slots, behind [`Self::is_empty`].
+    resident: usize,
     /// LRU stamps, parallel to `lines` (larger = more recently used).
     lru: Vec<u64>,
     /// `FLAG_VALID | FLAG_DIRTY | FLAG_EXCL`, parallel to `lines`.
@@ -220,6 +222,7 @@ impl CacheArray {
             tick: 0,
             evict_hash: EVICT_HASH_BASIS,
             lines: vec![EMPTY_TAG; slots],
+            resident: 0,
             lru: vec![0; slots],
             flags: vec![0; slots],
             data: vec![0; slots * CACHE_LINE],
@@ -242,6 +245,11 @@ impl CacheArray {
     /// Number of sets.
     pub fn sets(&self) -> usize {
         self.sets
+    }
+
+    /// Whether no slot in any way holds a line.
+    pub fn is_empty(&self) -> bool {
+        self.resident == 0
     }
 
     /// The full way range (an unpartitioned cache).
@@ -482,6 +490,7 @@ impl CacheArray {
             self.evict_hash = h;
             Some(old)
         } else {
+            self.resident += 1;
             None
         };
         self.lines[idx] = tag_of(line);
@@ -506,6 +515,7 @@ impl CacheArray {
         let old = self.evicted_at(idx);
         self.lines[idx] = EMPTY_TAG;
         self.flags[idx] &= !FLAG_VALID;
+        self.resident -= 1;
         old
     }
 
@@ -530,6 +540,9 @@ impl CacheArray {
         for set in 0..self.sets {
             for way in ways.clone() {
                 let idx = self.slot(set, way);
+                if self.lines[idx] != EMPTY_TAG {
+                    self.resident -= 1;
+                }
                 self.lines[idx] = EMPTY_TAG;
                 self.flags[idx] &= !FLAG_VALID;
             }
@@ -710,6 +723,26 @@ mod tests {
         e.set_dirty(false);
         e.set_excl(false);
         assert!(!e.dirty() && !e.excl());
+    }
+
+    #[test]
+    fn is_empty_tracks_resident_lines() {
+        let mut c = CacheArray::new(1, 2, 1);
+        assert!(c.is_empty());
+        c.insert(line(1), &data(1), false, 0..1);
+        c.insert(line(2), &data(2), false, 1..2);
+        // An eviction and an in-place update keep the count.
+        c.insert(line(3), &data(3), false, 0..1).expect("evict");
+        c.insert(line(2), &data(4), true, 1..2);
+        assert_eq!(c.occupancy(0..2), 2);
+        c.invalidate(line(3), 0..1).expect("present");
+        assert!(!c.is_empty());
+        c.clear(0..2);
+        assert!(c.is_empty());
+        c.insert(line(5), &data(5), true, 0..1);
+        let mut drained = Vec::new();
+        c.drain_into(0..2, &mut drained);
+        assert!(c.is_empty());
     }
 
     #[test]

@@ -526,14 +526,13 @@ impl System {
     ) {
         let bank = self.bank_of(line);
         let ways = self.data_ways();
-        let found = self.uncore.llc[bank].lookup_idx(line, ways);
-        let info = found.map(|idx| {
-            let e = self.uncore.llc[bank].entry_mut(idx);
-            (*e.data, e.dirty())
-        });
-        match info {
-            Some((old_data, was_dirty)) => {
-                if dirty && !was_dirty && line.is_nvm() {
+        match self.uncore.llc[bank].lookup_idx(line, ways) {
+            Some(idx) => {
+                let e = self.uncore.llc[bank].entry_mut(idx);
+                // Only the clean->dirty hook reads the old payload, so only
+                // it pays for the copy.
+                if dirty && !e.dirty() && line.is_nvm() {
+                    let old_data = *e.data;
                     self.hooks.on_llc_clean_to_dirty(
                         core,
                         line,
@@ -546,7 +545,7 @@ impl System {
                 }
                 // The diff-capture hook above only touches the diff/red
                 // partitions, so the data-partition slot index still holds.
-                let mut e = self.uncore.llc[bank].entry_mut(found.expect("checked above"));
+                let mut e = self.uncore.llc[bank].entry_mut(idx);
                 if dirty {
                     *e.data = *data;
                     e.set_dirty(true);

@@ -321,9 +321,21 @@ impl System {
     /// Walks the inclusive LLC's directory: each line costs one LLC probe,
     /// plus an L1/L2 invalidation in each core of the line's sharer mask. A
     /// line the LLC does not hold has no private copy (inclusion), so it
-    /// costs nothing more. Debug builds check that claim on every line.
+    /// costs nothing more, and when every LLC bank is empty — file creation
+    /// on a fresh machine — no line is cached anywhere and the walk is
+    /// skipped. Debug builds check the inclusion claim on every line, and
+    /// on the skip that every private cache is empty too.
     pub fn invalidate_page(&mut self, page: PageNum) {
         self.assert_unbound("invalidate_page");
+        if self.uncore.llc.iter().all(CacheArray::is_empty) {
+            debug_assert!(
+                self.cores
+                    .iter()
+                    .all(|c| c.l1d.is_empty() && c.l2.is_empty()),
+                "a private cache holds a line the empty LLC does not"
+            );
+            return;
+        }
         let ways = self.data_ways();
         for i in 0..LINES_PER_PAGE {
             let line = page.line(i);
@@ -391,9 +403,10 @@ impl System {
 
     /// Whether no L1, L2 or LLC way (any partition) holds a line.
     fn caches_empty(&self) -> bool {
-        let empty = |c: &CacheArray| c.occupancy(c.all_ways()) == 0;
-        self.cores.iter().all(|c| empty(&c.l1d) && empty(&c.l2))
-            && self.uncore.llc.iter().all(empty)
+        self.cores
+            .iter()
+            .all(|c| c.l1d.is_empty() && c.l2.is_empty())
+            && self.uncore.llc.iter().all(CacheArray::is_empty)
     }
 }
 

@@ -207,7 +207,7 @@ fn assert_same_evicted(a: &Option<Evicted>, b: &Option<Evicted>, ctx: &str) {
 
 /// Drive both implementations through the same randomized stream: mixed
 /// lookups (with flag/directory mutation on hit), inserts (fresh and
-/// re-insert), invalidates, and occupancy probes, over a randomized way
+/// re-insert), invalidates, and occupancy and emptiness probes, over a randomized way
 /// partition of a randomized geometry.
 fn differential_run(seed: u64, ops: usize) {
     let mut rng = seed;
@@ -300,6 +300,11 @@ fn differential_run(seed: u64, ops: usize) {
                     soa.occupancy(part.clone()),
                     aos.occupancy(part),
                     "{ctx}: occupancy"
+                );
+                assert_eq!(
+                    soa.is_empty(),
+                    aos.occupancy(0..ways) == 0,
+                    "{ctx}: is_empty"
                 );
             }
         }

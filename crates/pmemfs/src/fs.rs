@@ -272,9 +272,7 @@ impl DaxFs {
         // reads as zeros everywhere.
         for n in first..first + pages {
             let page = self.layout.nth_data_page(n);
-            for i in 0..memsim::LINES_PER_PAGE {
-                sys.memory_mut().poke_line(page.line(i), &[0u8; 64]);
-            }
+            sys.memory_mut().poke_page(page, &[0u8; PAGE]);
             sys.invalidate_page(page);
         }
         init::initialize_region(&self.layout, sys.memory_mut(), first..first + pages);

@@ -7,28 +7,70 @@
 //! fault-bypassing peek/poke interface because they are setup-time
 //! operations, excluded from measured runs — see DESIGN.md).
 //!
-//! The checksum helpers work a page at a time: they gather the page's
-//! content once and derive every checksum they write from it. A page's 64
-//! DAX-CL-checksums fill exactly four checksum lines, the 256 B at
-//! `page index * 256`, so they are written whole, with no
-//! read-modify-write. A page's system-checksum shares its checksum line
+//! The helpers are page-granular kernels: each reads a data page once,
+//! through [`Memory::peek_page`], and derives everything it writes from
+//! those bytes. A page's 64 DAX-CL-checksums fill exactly four checksum
+//! lines, the 256 B at `page index * 256`, so they are written whole, with
+//! no read-modify-write. A page's system-checksum shares its checksum line
 //! with fifteen other pages, so that one slot is still read, patched and
-//! written back.
+//! written back. A stripe's parity page is the XOR of its data pages, taken
+//! a page at a time and written with [`Memory::poke_page`].
+//!
+//! A page that holds no bytes (never written, or written only with zeros)
+//! reads as zeros, so it takes the zero page's checksum lines and page
+//! checksum, computed at most once per call: creating and mapping a fresh
+//! file computes no checksum per page and XORs nothing.
 
 use crate::checksum::{line_checksum, page_checksum, set_csum_slot, CSUMS_PER_LINE};
-use crate::layout::{gather_page, peek, NvmLayout};
+use crate::layout::{gather_page, NvmLayout};
+use crate::parity::xor_into;
 use memsim::addr::{nvm_page, LineAddr, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
 use memsim::mem::Memory;
+use std::cell::OnceCell;
 use std::collections::BTreeSet;
 use std::ops::Range;
+
+/// Checksum lines holding one page's DAX-CL-checksums.
+const CL_CSUM_LINES: usize = LINES_PER_PAGE / CSUMS_PER_LINE;
+
+/// A page's DAX-CL-checksum lines.
+type ClCsumLines = [[u8; CACHE_LINE]; CL_CSUM_LINES];
+
+/// The checksums of data pages as read from the media, with the zero
+/// page's computed at most once and shared by every page that holds no
+/// bytes.
+#[derive(Default)]
+struct PageCsums {
+    zero_cl: OnceCell<ClCsumLines>,
+    zero_page: OnceCell<u32>,
+}
+
+impl PageCsums {
+    /// `page`'s DAX-CL-checksum lines.
+    fn cl_lines(&self, mem: &Memory, page: PageNum) -> ClCsumLines {
+        match mem.peek_page(page) {
+            Some(bytes) => cl_csum_lines(bytes),
+            None => *self.zero_cl.get_or_init(|| cl_csum_lines(&[0u8; PAGE])),
+        }
+    }
+
+    /// `page`'s system-checksum.
+    fn page(&self, mem: &Memory, page: PageNum) -> u32 {
+        match mem.peek_page(page) {
+            Some(bytes) => page_checksum(bytes),
+            None => *self.zero_page.get_or_init(|| page_checksum(&[0u8; PAGE])),
+        }
+    }
+}
 
 /// Write the DAX-CL-checksums for the data pages with indices in `range`,
 /// computed from current media content (the map-time page→CL conversion).
 pub fn refresh_cl_csums(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>) {
+    let csums = PageCsums::default();
     for n in range {
         let page = layout.nth_data_page(n);
-        let Ok(bytes) = gather_page(page, peek(mem));
-        write_cl_csums(layout, mem, page, &bytes);
+        let lines = csums.cl_lines(mem, page);
+        write_cl_csums(layout, mem, page, &lines);
     }
 }
 
@@ -36,34 +78,42 @@ pub fn refresh_cl_csums(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>)
 /// `range`, computed from current media content (the unmap-time CL→page
 /// conversion).
 pub fn refresh_page_csums(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>) {
+    let csums = PageCsums::default();
     for n in range {
         let page = layout.nth_data_page(n);
-        let Ok(bytes) = gather_page(page, peek(mem));
-        write_page_csum(layout, mem, page, &bytes);
+        let csum = csums.page(mem, page);
+        write_page_csum(layout, mem, page, csum);
     }
 }
 
-/// Write `page`'s four DAX-CL-checksum lines whole, from its content
-/// `bytes`.
-fn write_cl_csums(layout: &NvmLayout, mem: &mut Memory, page: PageNum, bytes: &[u8; PAGE]) {
-    let (lines, _) = bytes.as_chunks::<CACHE_LINE>();
-    for (k, group) in lines.chunks(CSUMS_PER_LINE).enumerate() {
+/// The four DAX-CL-checksum lines of a page with content `bytes`.
+fn cl_csum_lines(bytes: &[u8; PAGE]) -> ClCsumLines {
+    let mut out = [[0u8; CACHE_LINE]; CL_CSUM_LINES];
+    for (cs, group) in out
+        .iter_mut()
+        .zip(bytes.as_chunks::<CACHE_LINE>().0.chunks(CSUMS_PER_LINE))
+    {
+        for (slot, data) in group.iter().enumerate() {
+            set_csum_slot(cs, slot, line_checksum(data));
+        }
+    }
+    out
+}
+
+/// Write `page`'s four DAX-CL-checksum lines whole.
+fn write_cl_csums(layout: &NvmLayout, mem: &mut Memory, page: PageNum, lines: &ClCsumLines) {
+    for (k, cs) in lines.iter().enumerate() {
         let (cs_line, first_slot) = layout.cl_csum_loc(page.line(k * CSUMS_PER_LINE));
         debug_assert_eq!(first_slot, 0, "a page's checksums start a checksum line");
-        let mut cs = [0u8; CACHE_LINE];
-        for (slot, data) in group.iter().enumerate() {
-            set_csum_slot(&mut cs, slot, line_checksum(data));
-        }
-        mem.poke_line(cs_line, &cs);
+        mem.poke_line(cs_line, cs);
     }
 }
 
-/// Patch `page`'s slot of its system-checksum line, from its content
-/// `bytes`.
-fn write_page_csum(layout: &NvmLayout, mem: &mut Memory, page: PageNum, bytes: &[u8; PAGE]) {
+/// Patch `page`'s slot of its system-checksum line with `csum`.
+fn write_page_csum(layout: &NvmLayout, mem: &mut Memory, page: PageNum, csum: u32) {
     let (cs_line, slot) = layout.page_csum_loc(page);
     let mut cs = mem.peek_line(cs_line);
-    set_csum_slot(&mut cs, slot, page_checksum(bytes));
+    set_csum_slot(&mut cs, slot, csum);
     mem.poke_line(cs_line, &cs);
 }
 
@@ -90,18 +140,20 @@ pub fn refresh_parity_for_page(layout: &NvmLayout, mem: &mut Memory, page: PageN
     rebuild_stripe_parity(layout, mem, geom.stripe_of(page.nvm_index()));
 }
 
+/// Write `stripe`'s parity page as the XOR of its data pages; pages that
+/// hold no bytes contribute nothing.
 fn rebuild_stripe_parity(layout: &NvmLayout, mem: &mut Memory, stripe: u64) {
     let geom = layout.geometry();
-    let first = geom
-        .data_pages_of_stripe(stripe)
-        .next()
-        .map(nvm_page)
-        .expect("a stripe has at least one data page");
-    for o in 0..LINES_PER_PAGE {
-        let line = first.line(o);
-        let Ok(par) = layout.xor_siblings(line, mem.peek_line(line), peek(mem));
-        mem.poke_line(layout.parity_line_of(line), &par);
+    let mut parity = [0u8; PAGE];
+    let data = geom.data_pages_of_stripe(stripe).map(nvm_page);
+    for bytes in data.filter_map(|page| mem.peek_page(page)) {
+        let dst = parity.as_chunks_mut::<CACHE_LINE>().0.iter_mut();
+        for (d, s) in dst.zip(bytes.as_chunks::<CACHE_LINE>().0) {
+            xor_into(d, s);
+        }
     }
+    let first = stripe * geom.dimms() as u64;
+    mem.poke_page(nvm_page(geom.parity_page_of(first)), &parity);
 }
 
 /// `line`'s logical content: its media, or its stripe reconstruction when
@@ -159,10 +211,10 @@ pub fn rebuild_failed_bank(layout: &NvmLayout, mem: &mut Memory, bank: usize) ->
             continue;
         };
         if cl {
-            write_cl_csums(layout, mem, page, &bytes);
+            write_cl_csums(layout, mem, page, &cl_csum_lines(&bytes));
         }
         if pc {
-            write_page_csum(layout, mem, page, &bytes);
+            write_page_csum(layout, mem, page, page_checksum(&bytes));
         }
     }
     unsolved
@@ -172,11 +224,12 @@ pub fn rebuild_failed_bank(layout: &NvmLayout, mem: &mut Memory, bank: usize) ->
 /// checksums, page checksums, and parity, all consistent with current media
 /// content.
 pub fn initialize_region(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>) {
+    let csums = PageCsums::default();
     for n in range.clone() {
         let page = layout.nth_data_page(n);
-        let Ok(bytes) = gather_page(page, peek(mem));
-        write_cl_csums(layout, mem, page, &bytes);
-        write_page_csum(layout, mem, page, &bytes);
+        let (lines, csum) = (csums.cl_lines(mem, page), csums.page(mem, page));
+        write_cl_csums(layout, mem, page, &lines);
+        write_page_csum(layout, mem, page, csum);
     }
     refresh_parity(layout, mem, range);
 }
@@ -185,7 +238,7 @@ pub fn initialize_region(layout: &NvmLayout, mem: &mut Memory, range: Range<u64>
 mod tests {
     use super::*;
     use crate::checksum::csum_slot;
-    use memsim::addr::{CACHE_LINE, PAGE};
+    use crate::layout::peek;
 
     #[test]
     fn initialize_zero_region_matches_zero_checksums() {

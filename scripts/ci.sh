@@ -10,8 +10,9 @@
 # byte-diff between the sequential engine (threads 1) and the bound-weave
 # engine (threads 2 — every N >= 2 is the same bound thread + one replay
 # worker) with its divergence smoke; and the benchmark's correctness gate on
-# two short workloads (the woven LLC-fit fio cell, and the transactional
-# B-Tree, the one whose ops clwb). The campaigns exit non-zero on any survival invariant
+# three short workloads (the woven LLC-fit fio cell, the fio rand-read cell
+# whose set-up pokes and re-initializes 96 MiB of media, and the
+# transactional B-Tree, the one whose ops clwb). The campaigns exit non-zero on any survival invariant
 # violation (silent wrong data, an unsettled media inconsistency after
 # convergence, a poisoned page that fails open, or a resilver that fails to
 # complete / diverges from the never-faulted oracle),
@@ -132,14 +133,16 @@ if grep "rerunning sequentially" "$scratch/threads2/stderr.txt" >&2; then
 fi
 echo "ci: no weave cell fell back to sequential"
 
-echo "=== benchmark correctness gate (fio-llcfit-tvarak-t2, btree-insert-txbpage; 1 s each) ==="
+echo "=== benchmark correctness gate (fio-llcfit-tvarak-t2, fio-randread-tvarak, btree-insert-txbpage; 1 s each) ==="
 # The repo's one performance instrument is the standalone benchmark/ crate
 # (BENCHMARK.json). CI smokes its correctness gate only: exact-repeat
 # simulated results (and, on llcfit, the threads-2 vs threads-1
 # comparison), none of which depends on how fast the host is. llcfit issues
-# no transaction and no clwb; the B-Tree covers the tx/clwb path. Builds
-# into benchmark/target.
-for workload in fio-llcfit-tvarak-t2 btree-insert-txbpage; do
+# no transaction and no clwb; rand-read is the one workload whose set-up
+# drives `poke_line` and `reinit_redundancy` over its whole footprint and
+# then audits every verified read against them; the B-Tree covers the
+# tx/clwb path. Builds into benchmark/target.
+for workload in fio-llcfit-tvarak-t2 fio-randread-tvarak btree-insert-txbpage; do
     bench_last=$(cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- \
         --workload "$workload" --seed 1 --seconds 1 --trace 0 | tail -n 1)
     if [[ "$bench_last" != *'"correct": true'* || "$bench_last" != *'"failed": 0'* ]]; then
