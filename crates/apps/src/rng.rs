@@ -10,20 +10,23 @@ pub struct Rng {
     s: [u64; 4],
 }
 
+/// One SplitMix64 step: advance `state` and return the next 64 bits. Tiny
+/// and seedable; it fills [`Rng`]'s state and draws the crash-point and
+/// fault schedules.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
 impl Rng {
     /// Create a generator from a seed (any value, including 0).
     pub fn new(seed: u64) -> Self {
-        // SplitMix64 to fill the state.
         let mut x = seed;
-        let mut next = || {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = x;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^ (z >> 31)
-        };
         Rng {
-            s: [next(), next(), next(), next()],
+            s: std::array::from_fn(|_| splitmix64(&mut x)),
         }
     }
 

@@ -26,43 +26,134 @@
 //! `results/chaos_events.log`; exits non-zero on any invariant violation.
 
 use apps::driver::{Design, Machine};
+use apps::rng::splitmix64;
 use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
 use bench::faulted::{
     designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
     FLUSH_EVERY,
 };
 use bench::runner::{self, Cell};
-use memsim::addr::{LineAddr, PAGE};
-use memsim::{FaultKind, FaultPlan, FirmwareFault};
+use memsim::addr::{LineAddr, CACHE_LINE, PAGE};
+use memsim::FirmwareFault;
 use pmemfs::fs::FileHandle;
 use pmemfs::recover::{RecoveryEvent, MAX_RETRIES};
 use tvarak::scrub::{ScrubGranularity, SCRUB_INTERVAL, SCRUB_PAGES};
 
 const SEED_BASE: u64 = 0x00c4_a05c;
 
-/// Whether a fired fault of this kind leaves the media inconsistent with the
-/// acknowledged write stream (read-path misdirections corrupt what's
-/// *returned*, not what's stored).
-fn corrupts_media(kind: FaultKind) -> bool {
-    matches!(
-        kind,
-        FaultKind::LostWrite
-            | FaultKind::MisdirectedWrite
-            | FaultKind::TornWrite
-            | FaultKind::StickyLostWrite
-    )
+/// The §II-A firmware-fault kinds the campaign sweeps, one per cell. A
+/// kind speaks in abstract selectors until an event comes due, so one
+/// [`FaultPlan`] replays identically across designs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FaultKind {
+    LostWrite,
+    MisdirectedWrite,
+    MisdirectedRead,
+    TornWrite,
+    StickyLostWrite,
+    StickyMisdirectedRead,
 }
 
-fn build_fault(kind: FaultKind, aux: LineAddr, torn_bytes: usize) -> FirmwareFault {
-    match kind {
-        FaultKind::LostWrite => FirmwareFault::LostWrite,
-        FaultKind::MisdirectedWrite => FirmwareFault::MisdirectedWrite { actual: aux },
-        FaultKind::MisdirectedRead => FirmwareFault::MisdirectedRead { actual: aux },
-        FaultKind::TornWrite => FirmwareFault::TornWrite {
-            persist_bytes: torn_bytes,
-        },
-        FaultKind::StickyLostWrite => FirmwareFault::StickyLostWrite,
-        FaultKind::StickyMisdirectedRead => FirmwareFault::StickyMisdirectedRead { actual: aux },
+impl FaultKind {
+    /// All kinds, in §II-A taxonomy order (one-shot first, then sticky).
+    const ALL: [FaultKind; 6] = [
+        FaultKind::LostWrite,
+        FaultKind::MisdirectedWrite,
+        FaultKind::MisdirectedRead,
+        FaultKind::TornWrite,
+        FaultKind::StickyLostWrite,
+        FaultKind::StickyMisdirectedRead,
+    ];
+
+    fn label(self) -> &'static str {
+        match self {
+            FaultKind::LostWrite => "lost-write",
+            FaultKind::MisdirectedWrite => "misdir-write",
+            FaultKind::MisdirectedRead => "misdir-read",
+            FaultKind::TornWrite => "torn-write",
+            FaultKind::StickyLostWrite => "sticky-lost-write",
+            FaultKind::StickyMisdirectedRead => "sticky-misdir-read",
+        }
+    }
+
+    /// Whether a fired fault of this kind leaves the media inconsistent
+    /// with the acknowledged write stream (read-path misdirections corrupt
+    /// what's *returned*, not what's stored).
+    fn corrupts_media(self) -> bool {
+        !matches!(
+            self,
+            FaultKind::MisdirectedRead | FaultKind::StickyMisdirectedRead
+        )
+    }
+
+    /// The firmware fault to arm; `aux` is the misdirection's other line.
+    fn fault(self, aux: LineAddr, torn_bytes: usize) -> FirmwareFault {
+        match self {
+            FaultKind::LostWrite => FirmwareFault::LostWrite,
+            FaultKind::MisdirectedWrite => FirmwareFault::MisdirectedWrite { actual: aux },
+            FaultKind::MisdirectedRead => FirmwareFault::MisdirectedRead { actual: aux },
+            FaultKind::TornWrite => FirmwareFault::TornWrite {
+                persist_bytes: torn_bytes,
+            },
+            FaultKind::StickyLostWrite => FirmwareFault::StickyLostWrite,
+            FaultKind::StickyMisdirectedRead => {
+                FirmwareFault::StickyMisdirectedRead { actual: aux }
+            }
+        }
+    }
+}
+
+/// One scheduled fault of a [`FaultPlan`].
+#[derive(Debug, PartialEq)]
+struct PlannedFault {
+    /// Operation index at which the fault arms.
+    at_op: u64,
+    /// Target selector, reduced modulo the candidate lines.
+    target_sel: u64,
+    /// Selector for the misdirection's other line.
+    aux_sel: u64,
+    /// Persisted prefix of a torn write (1..=63: genuinely torn).
+    torn_bytes: usize,
+}
+
+/// A deterministic, seeded schedule of one kind's faults over an operation
+/// timeline: the same arguments give the same plan.
+struct FaultPlan {
+    events: Vec<PlannedFault>,
+    next: usize,
+}
+
+impl FaultPlan {
+    /// `events` faults spread uniformly over `0..total_ops`.
+    fn new(seed: u64, total_ops: u64, events: usize) -> Self {
+        // Perturb the seed so plan draws decorrelate from any other
+        // splitmix64 user sharing it.
+        let mut s = seed ^ 0x5eed_0000_fa17_0000;
+        let mut events: Vec<PlannedFault> = (0..events)
+            .map(|_| {
+                let at_op = splitmix64(&mut s) % total_ops;
+                // A discarded draw: the pinned chaos schedules depend on it.
+                splitmix64(&mut s);
+                PlannedFault {
+                    at_op,
+                    target_sel: splitmix64(&mut s),
+                    aux_sel: splitmix64(&mut s),
+                    torn_bytes: 1 + (splitmix64(&mut s) % (CACHE_LINE as u64 - 1)) as usize,
+                }
+            })
+            .collect();
+        events.sort_by_key(|e| e.at_op);
+        FaultPlan { events, next: 0 }
+    }
+
+    /// Drain every event scheduled at or before `op` (call with a
+    /// monotonically increasing `op`).
+    fn due(&mut self, op: u64) -> &[PlannedFault] {
+        let start = self.next;
+        while self.next < self.events.len() && self.events[self.next].at_op <= op {
+            self.next += 1;
+        }
+        &self.events[start..self.next]
     }
 }
 
@@ -118,7 +209,7 @@ impl ChaosCtl {
         debug: bool,
     ) -> Self {
         ChaosCtl {
-            plan: FaultPlan::new(seed, ops, events, &[kind]),
+            plan: FaultPlan::new(seed, ops, events),
             lines,
             kind,
             fired_seen: 0,
@@ -130,9 +221,7 @@ impl ChaosCtl {
     }
 
     fn before_op(&mut self, m: &mut Machine, op: u64) {
-        // Pre-drain due events to end the borrow before arming.
-        let due: Vec<_> = self.plan.due(op).to_vec();
-        for ev in due {
+        for ev in self.plan.due(op) {
             let target = self.lines[(ev.target_sel % self.lines.len() as u64) as usize];
             let mut aux = self.lines[(ev.aux_sel % self.lines.len() as u64) as usize];
             if aux == target {
@@ -140,24 +229,22 @@ impl ChaosCtl {
             }
             m.sys
                 .memory_mut()
-                .arm_fault(target, build_fault(ev.kind, aux, ev.torn_bytes));
+                .arm_fault(target, self.kind.fault(aux, ev.torn_bytes));
             self.out.armed += 1;
-            // Read-path faults only fire on a demand miss; flush (which
-            // writes back dirty lines and drains the hierarchy) so the next
-            // access goes to the device. A bare invalidate would discard
-            // acknowledged dirty data — the campaign must not inject faults
-            // the fault model doesn't define.
-            if matches!(
-                ev.kind,
-                FaultKind::MisdirectedRead | FaultKind::StickyMisdirectedRead
-            ) {
+            // Read-path faults (the ones that leave the media intact) only
+            // fire on a demand miss; flush (which writes back dirty lines
+            // and drains the hierarchy) so the next access goes to the
+            // device. A bare invalidate would discard acknowledged dirty
+            // data — the campaign must not inject faults the fault model
+            // doesn't define.
+            if !self.kind.corrupts_media() {
                 m.flush();
             }
             self.log.push(format!(
                 "{} op={} event=Armed kind={} line={:?} aux={:?}",
                 self.ctx,
                 op,
-                ev.kind.label(),
+                self.kind.label(),
                 target,
                 aux
             ));
@@ -176,7 +263,7 @@ impl ChaosCtl {
         let fired = m.sys.memory().fired_faults();
         for f in &fired[self.fired_seen..] {
             self.out.fired += 1;
-            if corrupts_media(self.kind) {
+            if self.kind.corrupts_media() {
                 self.out.media_fired += 1;
                 self.out.first_fire_op.get_or_insert(op);
             }
@@ -401,7 +488,7 @@ fn run(cfg: &Config<bool>, jobs: usize) -> Output {
     let mut cells: Vec<Cell<Row>> = Vec::new();
     for app in ["btree", "rbtree", "fio"] {
         for design in designs() {
-            for kind in FaultKind::all() {
+            for kind in FaultKind::ALL {
                 let ctx = format!("app={app} design={} fault={}", design.label(), kind.label());
                 if cfg.selects(&ctx) {
                     cells.push(Cell::new(ctx, move || {
@@ -479,4 +566,35 @@ pub fn campaign() -> Campaign<bool> {
 
 fn main() {
     campaign().main()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fault_plan_is_deterministic_and_sorted() {
+        let p1 = FaultPlan::new(42, 1000, 16);
+        assert_eq!(p1.events, FaultPlan::new(42, 1000, 16).events);
+        assert!(p1.events.windows(2).all(|w| w[0].at_op <= w[1].at_op));
+        assert!(p1.events.iter().all(|e| e.at_op < 1000));
+        assert!(p1
+            .events
+            .iter()
+            .all(|e| e.torn_bytes >= 1 && e.torn_bytes < CACHE_LINE));
+        assert_ne!(p1.events, FaultPlan::new(43, 1000, 16).events);
+    }
+
+    #[test]
+    fn fault_plan_due_drains_in_order() {
+        let mut p = FaultPlan::new(7, 100, 10);
+        let mut seen = 0;
+        for op in 0..100 {
+            let due = p.due(op);
+            assert!(due.iter().all(|e| e.at_op <= op));
+            seen += due.len();
+        }
+        assert_eq!(seen, 10);
+        assert!(p.due(1000).is_empty());
+    }
 }

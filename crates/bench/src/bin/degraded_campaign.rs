@@ -41,21 +41,17 @@
 //! Each cell also checks its declared losses: Baseline declares some page
 //! lost, and a design with parity quarantines every page it declares lost.
 //!
-//! `DEGRADED_FILTER=substring` runs matching cells only;
-//! `DEGRADED_FAULTS='lost-write@128,misdir-write@256->512'` (parsed via
-//! `pmemfs::fault::Fault`'s `FromStr`) arms an extra firmware-fault mix
-//! against the fio file at the start of the degraded phase. Emits
+//! `DEGRADED_FILTER=substring` runs matching cells only. Emits
 //! `results/degraded_campaign.csv` (byte-identical at any `--jobs`) and
 //! exits non-zero on any invariant violation.
 
 use apps::driver::{Design, Machine};
-use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
+use bench::campaign::{Campaign, Column, Config, Output};
 use bench::faulted::{
     designs, enable_pipeline, seed_for, small_machine, workload, Tally, Workload, FLUSH_EVERY,
 };
 use bench::runner::{self, Cell};
 use memsim::addr::{nvm_page, LINES_PER_PAGE};
-use pmemfs::fault::{self, Fault};
 use pmemfs::rebuild::PoolState;
 use serve::Hist;
 
@@ -132,7 +128,6 @@ struct Outcome {
     pages_resilvered: u64,
     pages_lost: u64,
     rebuilds_completed: u64,
-    faults_armed: u64,
     content_hash: u64,
     oracle_hash: u64,
     violations: Vec<String>,
@@ -208,14 +203,7 @@ fn striped_hash(m: &Machine) -> u64 {
 }
 
 /// Run one faulted cell end to end; `ctx` labels violations.
-fn run_faulted(
-    app: &str,
-    design: Design,
-    scenario: Scenario,
-    ctx: &str,
-    n: u64,
-    faults: &[Fault],
-) -> Outcome {
+fn run_faulted(app: &str, design: Design, scenario: Scenario, ctx: &str, n: u64) -> Outcome {
     let seed = seed_for(SEED_BASE, app, scenario.label());
     let mut out = Outcome::default();
     let mut m = small_machine(design);
@@ -239,12 +227,6 @@ fn run_faulted(
 
     // Phase 1: degraded — the device dies, serving continues from parity.
     m.fail_device(FAIL_BANK);
-    if app == "fio" {
-        for f in faults {
-            fault::inject(&mut m.sys, &file, *f);
-            out.faults_armed += 1;
-        }
-    }
     let mut win = Window::open(&m);
     let ran = drive(&mut m, w.as_mut(), &mut out, &mut op, n, &mut win.lat);
     out.phases[1] = win.close(&m, ran);
@@ -399,7 +381,7 @@ impl Row {
     }
 }
 
-fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
+fn run(cfg: &Config<()>, jobs: usize) -> Output {
     // Ops per steady phase (healthy / degraded / recovered).
     let n = cfg.scale.pick(60, 150, 300);
     let mut cells: Vec<Cell<Row>> = Vec::new();
@@ -414,9 +396,8 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
                 if !cfg.selects(&ctx) {
                     continue;
                 }
-                let faults = cfg.opts.clone();
                 cells.push(Cell::new(ctx.clone(), move || {
-                    let mut out = run_faulted(app, design, scenario, &ctx, n, &faults);
+                    let mut out = run_faulted(app, design, scenario, &ctx, n);
                     out.oracle_hash = if oracle_strict(design, scenario) && !out.tally.crashed {
                         run_oracle(app, design, scenario, out.total_ops)
                     } else {
@@ -486,7 +467,6 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
         Col::csv("wrong_data", |r| r.out.tally.wrong_data),
         Col::new("fail_closed", "closed", 6, |r| r.out.tally.fail_closed),
         Col::csv("crashed", |r| r.out.tally.crashed as u8),
-        Col::csv("faults_armed", |r| r.out.faults_armed),
         Col::csv("content_hash", |r| format!("{:#018x}", r.out.content_hash)),
         Col::csv("oracle_hash", |r| format!("{:#018x}", r.out.oracle_hash)),
         Col::csv("hash_match", |r| r.hash_match() as u8),
@@ -514,22 +494,11 @@ fn run(cfg: &Config<Vec<Fault>>, jobs: usize) -> Output {
     out
 }
 
-/// The campaign this binary runs; the option is the `DEGRADED_FAULTS` mix.
-pub fn campaign() -> Campaign<Vec<Fault>> {
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
     Campaign::new("degraded_campaign", run)
         .filter_env("DEGRADED_FILTER")
         .ok_line("all degraded-mode invariants held")
-        .options(vec![Opt::new(
-            Kind::Env,
-            "DEGRADED_FAULTS",
-            "'lost-write@128,misdir-write@256->512'",
-            |faults: &mut Vec<Fault>, spec| {
-                for s in spec.split([',', ' ']).filter(|s| !s.trim().is_empty()) {
-                    faults.push(s.trim().parse::<Fault>().map_err(|e| e.to_string())?);
-                }
-                Ok(())
-            },
-        )])
 }
 
 fn main() {

@@ -65,6 +65,4 @@ fn reproduced_silent_no_ops_fail_closed() {
         assert!(!err.0.is_empty(), "{bad:?}");
     }
     assert!(bins::run(&crashsim, &[], &[("TVARAK_SCALE", "qick")], 1).is_err());
-    let degraded = bins::degraded_campaign::campaign();
-    assert!(bins::run(&degraded, &[], &[("DEGRADED_FAULTS", "lost-write@x")], 1).is_err());
 }

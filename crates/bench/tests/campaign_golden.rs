@@ -29,8 +29,8 @@ const GOLDEN: [(&str, &str, usize, u32); 17] = [
     (
         "degraded_campaign",
         "degraded_campaign.csv",
-        6880,
-        0x2854d045,
+        6827,
+        0x4958837f,
     ),
     (
         "fig10_sensitivity",

@@ -6,6 +6,8 @@
 //! `N`; small workloads replay every `k ∈ 0..=N` exhaustively, large ones a
 //! seeded uniform sample (always including both endpoints).
 
+use apps::rng::splitmix64;
+
 /// The crash points to replay for one (app, design) cell.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CrashPlan {
@@ -60,16 +62,6 @@ impl CrashPlan {
         points.dedup();
         CrashPlan { total, points }
     }
-}
-
-/// SplitMix64: tiny, high-quality, dependency-free PRNG (same idiom as
-/// `memsim::mem`'s fault-arming helper).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

@@ -45,5 +45,5 @@ pub mod weave;
 pub use addr::{LineAddr, PageNum, PhysAddr, CACHE_LINE, LINES_PER_PAGE, NVM_BASE, PAGE};
 pub use config::SystemConfig;
 pub use engine::{CorruptionDetected, HookEnv, NullHooks, RedundancyHooks, System};
-pub use mem::{Device, FaultKind, FaultPlan, FirmwareFault, Memory, PlannedFault};
+pub use mem::{Device, FirmwareFault, Memory};
 pub use stats::{Counters, Stats};

@@ -16,11 +16,11 @@
 //!
 //! Device-level ECC cannot catch these (the ECC travels with the data), which
 //! is why the paper's system-checksums exist; our verification tests exercise
-//! that end to end. [`FaultPlan`] builds deterministic seeded schedules of
-//! these faults over an operation timeline for chaos campaigns.
+//! that end to end. This is the one fault vocabulary: tests, examples and
+//! campaigns arm a [`FirmwareFault`] on a line with [`Memory::arm_fault`].
 
 use super::Memory;
-use crate::addr::{LineAddr, CACHE_LINE};
+use crate::addr::LineAddr;
 
 /// A firmware bug armed against a specific media location.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,143 +119,10 @@ impl Memory {
     }
 }
 
-/// Kinds of firmware fault a [`FaultPlan`] can schedule. The plan speaks in
-/// abstract *selectors* (the harness maps them onto concrete lines of the
-/// workload's files when an event comes due), so one plan replays
-/// identically across designs and applications.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FaultKind {
-    /// One-shot [`FirmwareFault::LostWrite`].
-    LostWrite,
-    /// One-shot [`FirmwareFault::MisdirectedWrite`].
-    MisdirectedWrite,
-    /// One-shot [`FirmwareFault::MisdirectedRead`].
-    MisdirectedRead,
-    /// One-shot [`FirmwareFault::TornWrite`].
-    TornWrite,
-    /// [`FirmwareFault::StickyLostWrite`].
-    StickyLostWrite,
-    /// [`FirmwareFault::StickyMisdirectedRead`].
-    StickyMisdirectedRead,
-}
-
-impl FaultKind {
-    /// All kinds, in §II-A taxonomy order (one-shot first, then sticky).
-    pub fn all() -> [FaultKind; 6] {
-        [
-            FaultKind::LostWrite,
-            FaultKind::MisdirectedWrite,
-            FaultKind::MisdirectedRead,
-            FaultKind::TornWrite,
-            FaultKind::StickyLostWrite,
-            FaultKind::StickyMisdirectedRead,
-        ]
-    }
-
-    /// Short label for reports.
-    pub fn label(&self) -> &'static str {
-        match self {
-            FaultKind::LostWrite => "lost-write",
-            FaultKind::MisdirectedWrite => "misdir-write",
-            FaultKind::MisdirectedRead => "misdir-read",
-            FaultKind::TornWrite => "torn-write",
-            FaultKind::StickyLostWrite => "sticky-lost-write",
-            FaultKind::StickyMisdirectedRead => "sticky-misdir-read",
-        }
-    }
-}
-
-/// One scheduled fault of a [`FaultPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PlannedFault {
-    /// Operation index at which the fault arms (the harness polls
-    /// [`FaultPlan::due`] once per application operation).
-    pub at_op: u64,
-    /// What to arm.
-    pub kind: FaultKind,
-    /// Abstract target selector — the harness reduces it modulo its line or
-    /// page population to pick the armed location.
-    pub target_sel: u64,
-    /// Abstract selector for the "actual" location of misdirected variants.
-    pub aux_sel: u64,
-    /// Persisted prefix length for [`FaultKind::TornWrite`] (1..=63 so the
-    /// write is genuinely torn, never empty or complete).
-    pub torn_bytes: usize,
-}
-
-/// A deterministic, seeded schedule of firmware faults over an operation
-/// timeline. Two plans built with the same arguments are identical, so a
-/// chaos campaign can replay the exact same fault sequence against every
-/// design and compare outcomes cell by cell.
-#[derive(Debug, Clone)]
-pub struct FaultPlan {
-    events: Vec<PlannedFault>,
-    next: usize,
-}
-
-/// splitmix64: tiny, seedable, good enough for schedule generation. Kept
-/// local so `memsim` stays dependency-free (`apps::rng` sits above us).
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-impl FaultPlan {
-    /// Build a plan of `events` faults drawn from `kinds`, spread uniformly
-    /// over `0..total_ops`, deterministically from `seed`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `kinds` is empty or `total_ops == 0`.
-    pub fn new(seed: u64, total_ops: u64, events: usize, kinds: &[FaultKind]) -> Self {
-        assert!(!kinds.is_empty(), "need at least one fault kind");
-        assert!(total_ops > 0, "need a non-empty op timeline");
-        // Perturb the caller's seed so plan draws decorrelate from any other
-        // splitmix64 user sharing the same seed.
-        let mut s = seed ^ 0x5eed_0000_fa17_0000;
-        let mut ev: Vec<PlannedFault> = (0..events)
-            .map(|_| PlannedFault {
-                at_op: splitmix64(&mut s) % total_ops,
-                kind: kinds[(splitmix64(&mut s) % kinds.len() as u64) as usize],
-                target_sel: splitmix64(&mut s),
-                aux_sel: splitmix64(&mut s),
-                torn_bytes: 1 + (splitmix64(&mut s) % (CACHE_LINE as u64 - 1)) as usize,
-            })
-            .collect();
-        ev.sort_by_key(|e| e.at_op);
-        FaultPlan {
-            events: ev,
-            next: 0,
-        }
-    }
-
-    /// Drain and return every event scheduled at or before `op`. Call once
-    /// per application operation with a monotonically increasing `op`.
-    pub fn due(&mut self, op: u64) -> &[PlannedFault] {
-        let start = self.next;
-        while self.next < self.events.len() && self.events[self.next].at_op <= op {
-            self.next += 1;
-        }
-        &self.events[start..self.next]
-    }
-
-    /// Events not yet drained.
-    pub fn remaining(&self) -> usize {
-        self.events.len() - self.next
-    }
-
-    /// All scheduled events, drained or not.
-    pub fn events(&self) -> &[PlannedFault] {
-        &self.events
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::addr::CACHE_LINE;
     use crate::mem::tests::nvm_line;
 
     #[test]
@@ -346,35 +213,6 @@ mod tests {
             Some(FirmwareFault::StickyMisdirectedRead { actual: b })
         );
         assert_eq!(m.read_line(a)[0], 1);
-    }
-
-    #[test]
-    fn fault_plan_is_deterministic_and_sorted() {
-        let p1 = FaultPlan::new(42, 1000, 16, &FaultKind::all());
-        let p2 = FaultPlan::new(42, 1000, 16, &FaultKind::all());
-        assert_eq!(p1.events(), p2.events());
-        assert!(p1.events().windows(2).all(|w| w[0].at_op <= w[1].at_op));
-        assert!(p1.events().iter().all(|e| e.at_op < 1000));
-        assert!(p1
-            .events()
-            .iter()
-            .all(|e| e.torn_bytes >= 1 && e.torn_bytes < CACHE_LINE));
-        let p3 = FaultPlan::new(43, 1000, 16, &FaultKind::all());
-        assert_ne!(p1.events(), p3.events());
-    }
-
-    #[test]
-    fn fault_plan_due_drains_in_order() {
-        let mut p = FaultPlan::new(7, 100, 10, &[FaultKind::LostWrite]);
-        let mut seen = 0;
-        for op in 0..100 {
-            let due = p.due(op);
-            assert!(due.iter().all(|e| e.at_op <= op));
-            seen += due.len();
-        }
-        assert_eq!(seen, 10);
-        assert_eq!(p.remaining(), 0);
-        assert!(p.due(1000).is_empty());
     }
 
     #[test]

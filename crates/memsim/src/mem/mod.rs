@@ -4,8 +4,8 @@
 //! checksums and parity computed by the redundancy machinery are genuine.
 //! Every line read and write goes through the device firmware, whose bugs
 //! the child module `fault` models below the page store: faults armed
-//! against media locations ([`FirmwareFault`]) and seeded schedules of them
-//! ([`FaultPlan`]).
+//! against media locations ([`FirmwareFault`]) and the record of those that
+//! fired ([`FiredFault`]).
 //!
 //! A whole DIMM can also fail ([`Memory::fail_bank`]). The device is
 //! fail-stop: a blank spare takes its place at once, and every line the
@@ -15,7 +15,7 @@
 
 mod fault;
 
-pub use fault::{FaultKind, FaultPlan, FiredFault, FirmwareFault, PlannedFault};
+pub use fault::{FiredFault, FirmwareFault};
 
 use crate::addr::{LineAddr, PageNum, CACHE_LINE, NVM_BASE, NVM_PAGE_BASE, PAGE, PAGE_SHIFT};
 use crate::fastdiv::FastDiv;

@@ -4,8 +4,7 @@
 //! simulated NVM, DAX file mapping (which registers ranges with the TVARAK
 //! controller and converts checksum granularity, §III-C), libpmemobj-style
 //! transactions with the paper's software redundancy baselines
-//! (TxB-Object-Csums, TxB-Page-Csums), firmware fault injection, and the
-//! OS-side recovery path.
+//! (TxB-Object-Csums, TxB-Page-Csums), and the OS-side recovery path.
 //!
 //! ```
 //! use memsim::config::SystemConfig;
@@ -25,14 +24,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fault;
 pub mod fs;
 pub mod rebuild;
 pub mod recover;
 pub mod swred;
 pub mod tx;
 
-pub use fault::Fault;
 pub use fs::{DaxFs, FileHandle, FsError};
 pub use rebuild::{PoolState, ReplacementManager};
 pub use recover::{Poisoned, RecoveryEvent, RecoveryOrchestrator};

@@ -24,7 +24,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("== lost write ==");
     file.write(&mut machine.sys, 0, 0, b"version-1")?;
     machine.flush();
-    pmemfs::fault::inject(&mut machine.sys, &file, Fault::LostWrite { offset: 0 });
+    machine
+        .sys
+        .memory_mut()
+        .arm_fault(file.addr(0).line(), FirmwareFault::LostWrite);
     file.write(&mut machine.sys, 0, 0, b"version-2")?;
     machine.flush(); // the device acks ... and drops the write
     machine.sys.invalidate_page(file.page(0)); // force a re-read from media
@@ -47,13 +50,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let victim = 3 * 4096;
     file.write(&mut machine.sys, 0, victim, b"innocent!")?;
     machine.flush();
-    pmemfs::fault::inject(
-        &mut machine.sys,
-        &file,
-        Fault::MisdirectedWrite {
-            offset: intended,
-            victim_offset: victim,
-        },
+    let actual = file.addr(victim).line();
+    machine.sys.memory_mut().arm_fault(
+        file.addr(intended).line(),
+        FirmwareFault::MisdirectedWrite { actual },
     );
     file.write(&mut machine.sys, 0, intended, b"version-3")?;
     machine.flush();

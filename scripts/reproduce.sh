@@ -10,6 +10,10 @@ cd "$(dirname "$0")/.."
 cargo build --release -p bench
 
 run() { echo "=== $1 ${2:-} ==="; cargo run --release -q -p bench --bin "$1" -- ${2:-}; }
+# Fig. 9/10, §IV-H and the Vilamb sweep run at reduced scale when full is
+# asked for, and at the requested scale otherwise.
+sweep_scale=$TVARAK_SCALE
+if [ "$sweep_scale" = full ]; then sweep_scale=reduced; fi
 
 run show_config
 run fig8_redis
@@ -17,12 +21,12 @@ run fig8_kv
 run fig8_nstore
 run fig8_fio
 run fig8_stream
-TVARAK_SCALE=reduced run fig9_ablation a
-TVARAK_SCALE=reduced run fig9_ablation b
-TVARAK_SCALE=reduced run fig10_sensitivity redundancy
-TVARAK_SCALE=reduced run fig10_sensitivity diffs
-TVARAK_SCALE=reduced run sec4h_scaling
-TVARAK_SCALE=reduced run vilamb_sweep
+TVARAK_SCALE=$sweep_scale run fig9_ablation a
+TVARAK_SCALE=$sweep_scale run fig9_ablation b
+TVARAK_SCALE=$sweep_scale run fig10_sensitivity redundancy
+TVARAK_SCALE=$sweep_scale run fig10_sensitivity diffs
+TVARAK_SCALE=$sweep_scale run sec4h_scaling
+TVARAK_SCALE=$sweep_scale run vilamb_sweep
 run coverage_campaign
 run chaos_campaign
 run degraded_campaign

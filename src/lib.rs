@@ -5,11 +5,12 @@
 //! can depend on a single crate:
 //!
 //! - [`memsim`] — execution-driven cache/memory-hierarchy simulator
-//!   (the zsim substitute; cores, L1/L2/LLC, DRAM + NVM DIMMs).
+//!   (the zsim substitute; cores, L1/L2/LLC, DRAM + NVM DIMMs and their
+//!   firmware faults).
 //! - [`tvarak`] — the paper's contribution: the TVARAK redundancy controller,
 //!   checksum/parity primitives, redundancy layout, software baselines.
 //! - [`pmemfs`] — DAX file-system layer: persistent pools, DAX mapping,
-//!   libpmemobj-style transactions, firmware fault injection.
+//!   libpmemobj-style transactions, recovery.
 //! - [`apps`] — the seven evaluated applications and workload generators.
 //!
 //! ## Quickstart
@@ -46,7 +47,7 @@ pub mod prelude {
     //! Convenience re-exports for examples and tests.
     pub use apps::driver::{Design, Machine, MachineBuilder};
     pub use memsim::config::SystemConfig;
+    pub use memsim::mem::FirmwareFault;
     pub use memsim::stats::Stats;
-    pub use pmemfs::fault::Fault;
     pub use tvarak::controller::TvarakConfig;
 }

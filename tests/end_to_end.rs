@@ -2,7 +2,6 @@
 //! transactions → applications → controller → recovery) working together.
 
 use apps::redis::Redis;
-use pmemfs::fault::{inject, Fault};
 use tvarak::scrub::ScrubGranularity;
 use tvarak_repro::prelude::*;
 
@@ -90,13 +89,10 @@ fn misdirected_read_detected_once() {
     file.write(&mut m.sys, 0, 4096, &[2u8; 64]).unwrap();
     m.flush();
     m.sys.invalidate_page(file.page(0));
-    inject(
-        &mut m.sys,
-        &file,
-        Fault::MisdirectedRead {
-            offset: 0,
-            source_offset: 4096,
-        },
+    let actual = file.addr(4096).line();
+    m.sys.memory_mut().arm_fault(
+        file.addr(0).line(),
+        FirmwareFault::MisdirectedRead { actual },
     );
     let mut buf = [0u8; 64];
     let err = file.read(&mut m.sys, 0, 0, &mut buf).unwrap_err();
@@ -120,7 +116,9 @@ fn baseline_misses_what_tvarak_catches() {
         let file = m.create_dax_file("f", 8192).unwrap();
         file.write(&mut m.sys, 0, 0, b"original!").unwrap();
         m.flush();
-        inject(&mut m.sys, &file, Fault::LostWrite { offset: 0 });
+        m.sys
+            .memory_mut()
+            .arm_fault(file.addr(0).line(), FirmwareFault::LostWrite);
         file.write(&mut m.sys, 0, 0, b"updated!!").unwrap();
         m.flush();
         m.sys.invalidate_page(file.page(0));

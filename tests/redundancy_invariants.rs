@@ -15,16 +15,8 @@
 //! a failure reproduces by running that seed alone.
 
 use apps::driver::{Design, Machine};
+use apps::rng::splitmix64;
 use tvarak::controller::TvarakConfig;
-
-/// splitmix64 — the repo's standard seeded generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A value in `lo..hi`.
 fn range(rng: &mut u64, lo: u64, hi: u64) -> u64 {
