@@ -112,9 +112,9 @@ impl fmt::Display for Design {
 
 /// The design names `Design`'s [`FromStr`](std::str::FromStr) impl
 /// accepts, for error messages and usage strings.
-pub const DESIGN_NAMES: &str = "baseline, tvarak, naive, tvarak-noverify, \
-     tvarak-nodiff, tvarak-stall, tvarak-nocache, txb-object, txb-page, \
-     vilamb, vilamb:<epoch_txs>";
+pub const DESIGN_NAMES: &str = "baseline, tvarak, naive, tvarak-nodiff, \
+     tvarak-stall, tvarak-nocache, txb-object, txb-page, vilamb, \
+     vilamb:<epoch_txs>";
 
 /// A design name the command line could not be parsed into a [`Design`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -153,7 +153,6 @@ impl std::str::FromStr for Design {
             "baseline" => Design::Baseline,
             "tvarak" => Design::Tvarak,
             "naive" => Design::TvarakAblated(TvarakConfig::naive()),
-            "tvarak-noverify" => ablated(|tc| tc.verify_reads = false),
             "tvarak-nodiff" => ablated(|tc| tc.data_diffs = false),
             "tvarak-stall" => ablated(|tc| tc.overlapped_verification = false),
             "tvarak-nocache" => ablated(|tc| tc.redundancy_caching = false),
@@ -213,7 +212,8 @@ mod tests {
             "naive".parse::<Design>().unwrap().label(),
             "Tvarak(ablated)"
         );
-        assert!("tvarak-noverify".parse::<Design>().is_ok());
+        // TVARAK always verifies DAX fills (§III-E): no ablation turns it off.
+        assert!("Tvarak-NoVerify".parse::<Design>().is_err());
         let err = "bogus".parse::<Design>().unwrap_err().to_string();
         assert!(err.contains("bogus") && err.contains("txb-page"), "{err}");
         assert!("vilamb:x".parse::<Design>().is_err());

@@ -159,16 +159,8 @@ impl Machine {
         offset: u64,
         buf: &mut [u8],
     ) -> Result<(), AppError> {
-        match self.orchestrator.as_mut() {
-            Some(orch) => {
-                orch.read(&mut self.sys, file, core, offset, buf)?;
-                Ok(())
-            }
-            None => {
-                file.read(&mut self.sys, core, offset, buf)?;
-                Ok(())
-            }
-        }
+        self.check_poison(file, offset, buf.len())?;
+        self.with_recovery(|m| Ok(file.read(&mut m.sys, core, offset, buf)?))
     }
 
     /// Write `file` with the full pipeline (see [`Self::read_file`]).
@@ -183,16 +175,8 @@ impl Machine {
         offset: u64,
         data: &[u8],
     ) -> Result<(), AppError> {
-        match self.orchestrator.as_mut() {
-            Some(orch) => {
-                orch.write(&mut self.sys, file, core, offset, data)?;
-                Ok(())
-            }
-            None => {
-                file.write(&mut self.sys, core, offset, data)?;
-                Ok(())
-            }
-        }
+        self.check_poison(file, offset, data.len())?;
+        self.with_recovery(|m| Ok(file.write(&mut m.sys, core, offset, data)?))
     }
 
     /// Rewrite page `n` of `file` wholesale, clearing its poison if the

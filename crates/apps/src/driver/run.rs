@@ -118,7 +118,7 @@ where
 {
     // The eligibility check (and its per-cause counters) runs at every
     // thread count, so campaign stats and CSVs stay byte-identical across
-    // MEMSIM_ENGINE_THREADS values.
+    // engine thread counts.
     let eligibility = weave_eligibility(m);
     m.sys.note_weave_eligibility(eligibility);
     if threads < 2 || eligibility != WeaveEligibility::Eligible {

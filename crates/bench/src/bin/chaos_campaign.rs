@@ -27,7 +27,7 @@
 
 use apps::driver::{Design, Machine};
 use apps::rng::splitmix64;
-use bench::campaign::{Campaign, Column, Config, Kind, Opt, Output};
+use bench::campaign::{Campaign, Column, Config, Output};
 use bench::faulted::{
     designs, enable_pipeline, inline_cl_verified, seed_for, small_machine, workload, Tally,
     FLUSH_EVERY,
@@ -195,8 +195,6 @@ struct ChaosCtl {
     out: Outcome,
     log: Vec<String>,
     ctx: String,
-    /// `CHAOS_DEBUG`: dump per-check page lists when the final sweep flags pages.
-    debug: bool,
 }
 
 impl ChaosCtl {
@@ -206,7 +204,6 @@ impl ChaosCtl {
         kind: FaultKind,
         lines: Vec<LineAddr>,
         ctx: String,
-        debug: bool,
     ) -> Self {
         ChaosCtl {
             plan: FaultPlan::new(seed, ops, events),
@@ -216,7 +213,6 @@ impl ChaosCtl {
             out: Outcome::default(),
             log: Vec::new(),
             ctx,
-            debug,
         }
     }
 
@@ -377,24 +373,25 @@ impl ChaosCtl {
         }
         // No *silent* media inconsistency survives the final sweep: every
         // inconsistent page must be on the poison list. (Baseline maintains
-        // no redundancy, so verify_all is trivially empty there.)
+        // no redundancy, so verify_all is trivially empty there.) A violation
+        // carries the per-check page lists — the audit at both granularities
+        // and the poison list — so a failing cell explains itself.
         let bad = m.verify_all(file).err().unwrap_or_default();
         self.out.final_bad_pages = bad.len();
-        if self.debug && !bad.is_empty() {
-            let cl = m.fs.audit(&m.sys, file, ScrubGranularity::CacheLine);
-            let page = m.fs.audit(&m.sys, file, ScrubGranularity::Page);
-            eprintln!(
-                "{}: debug bad={bad:?} cl={cl:?} page={page:?} poisoned={poisoned:?}",
-                self.ctx
-            );
+        let silent: Vec<_> = (bad.iter())
+            .filter(|&&n| !poisoned.contains(&file.page(n)))
+            .collect();
+        if silent.is_empty() {
+            return;
         }
-        for n in bad {
-            if !poisoned.contains(&file.page(n)) {
-                self.out.violations.push(format!(
-                    "{}: file page {n} inconsistent but not quarantined (silent)",
-                    self.ctx
-                ));
-            }
+        let cl = m.fs.audit(&m.sys, file, ScrubGranularity::CacheLine);
+        let page = m.fs.audit(&m.sys, file, ScrubGranularity::Page);
+        for n in silent {
+            self.out.violations.push(format!(
+                "{}: file page {n} inconsistent but not quarantined (silent); \
+                 bad={bad:?} cl={cl:?} page={page:?} poisoned={poisoned:?}",
+                self.ctx
+            ));
         }
     }
 }
@@ -416,7 +413,6 @@ fn run_cell(
     design: Design,
     kind: FaultKind,
     (ops, events): (u64, usize),
-    debug: bool,
 ) -> Row {
     let mut m = small_machine(design);
     let ctx = format!("app={app} design={} fault={}", design.label(), kind.label());
@@ -439,7 +435,7 @@ fn run_cell(
         .flat_map(|n| (0..memsim::LINES_PER_PAGE).map(move |i| (n, i)))
         .map(|(n, i)| file.page(n).line(i))
         .collect();
-    let mut ctl = ChaosCtl::new(seed, (ops, events), kind, lines, ctx, debug);
+    let mut ctl = ChaosCtl::new(seed, (ops, events), kind, lines, ctx);
     if !raw {
         let page_map: Vec<_> = (0..file.pages()).map(|n| file.page(n)).collect();
         ctl.log.push(format!(
@@ -481,10 +477,9 @@ fn run_cell(
     }
 }
 
-fn run(cfg: &Config<bool>, jobs: usize) -> Output {
+fn run(cfg: &Config<()>, jobs: usize) -> Output {
     // Ops per run and fault events per run.
     let (ops, events) = cfg.scale.pick((240, 5), (600, 8), (1200, 12));
-    let debug = cfg.opts;
     let mut cells: Vec<Cell<Row>> = Vec::new();
     for app in ["btree", "rbtree", "fio"] {
         for design in designs() {
@@ -492,7 +487,7 @@ fn run(cfg: &Config<bool>, jobs: usize) -> Output {
                 let ctx = format!("app={app} design={} fault={}", design.label(), kind.label());
                 if cfg.selects(&ctx) {
                     cells.push(Cell::new(ctx, move || {
-                        run_cell(app, design, kind, (ops, events), debug)
+                        run_cell(app, design, kind, (ops, events))
                     }));
                 }
             }
@@ -553,15 +548,11 @@ fn run(cfg: &Config<bool>, jobs: usize) -> Output {
     out
 }
 
-/// The campaign this binary runs; the option is `CHAOS_DEBUG`.
-pub fn campaign() -> Campaign<bool> {
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
     Campaign::new("chaos_campaign", run)
         .filter_env("CHAOS_FILTER")
         .ok_line("all survival invariants held")
-        .options(vec![Opt::new(Kind::Env, "CHAOS_DEBUG", "1", |debug, _| {
-            *debug = true;
-            Ok(())
-        })])
 }
 
 fn main() {

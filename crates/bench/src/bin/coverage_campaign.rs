@@ -18,9 +18,10 @@ use apps::rng::Rng;
 use bench::campaign::{Campaign, Column, Output};
 use bench::faulted::designs;
 use bench::runner::{self, Cell};
-use tvarak::scrub::{ScrubGranularity, Scrubber};
+use tvarak::scrub::Scrubber;
 
-const TRIALS: u64 = 40;
+/// Corruptions injected per design.
+pub const TRIALS: u64 = 40;
 const FILE_BYTES: u64 = 64 * 1024;
 const READS: u64 = 400;
 
@@ -108,26 +109,28 @@ fn run_trial(design: Design, trial: u64) -> Tally {
             }
         }
     }
-    if !detected {
-        // Background scrub pass (the software designs' safety net).
-        let granularity = match design {
-            Design::TxbObject => ScrubGranularity::CacheLine,
-            _ => ScrubGranularity::Page,
-        };
-        let layout = *m.fs.layout();
-        let mut scrubber =
-            Scrubber::new(layout, granularity, file.first_data_index(), file.pages());
-        match scrubber.step(&mut m.sys, 0, file.pages()) {
-            Ok(findings) if !findings.is_empty() => tally.detected_by_scrub += 1,
-            Ok(_) => tally.undetected += 1,
-            Err(err) => {
-                // Controller beat the scrubber: count the detection AND run
-                // the same recovery path the inline arm does, so the
-                // recovered column is comparable across designs.
-                tally.detected_inline += 1;
-                if m.recover(err.line.page()).is_ok() {
-                    tally.recovered += 1;
-                }
+    if detected {
+        return tally;
+    }
+    // Background scrub pass (the software designs' safety net) at the
+    // design's own checksum granularity. Baseline keeps no checksums, so
+    // nothing can find the corruption.
+    let Some(granularity) = design.checksum_granularity() else {
+        tally.undetected += 1;
+        return tally;
+    };
+    let layout = *m.fs.layout();
+    let mut scrubber = Scrubber::new(layout, granularity, file.first_data_index(), file.pages());
+    match scrubber.step(&mut m.sys, 0, file.pages()) {
+        Ok(findings) if !findings.is_empty() => tally.detected_by_scrub += 1,
+        Ok(_) => tally.undetected += 1,
+        Err(err) => {
+            // Controller beat the scrubber: count the detection AND run
+            // the same recovery path the inline arm does, so the
+            // recovered column is comparable across designs.
+            tally.detected_inline += 1;
+            if m.recover(err.line.page()).is_ok() {
+                tally.recovered += 1;
             }
         }
     }

@@ -60,8 +60,6 @@ pub enum Kind {
     /// Bare arguments, at least this many; the setter runs once per
     /// argument, in order.
     Positional(usize),
-    /// An environment variable; the setter runs only when it is set.
-    Env,
 }
 
 /// Validates an option's text and stores the typed value in the campaign's
@@ -116,10 +114,10 @@ pub fn number(v: &str) -> Result<u64, String> {
 pub struct Config<O> {
     /// `TVARAK_SCALE`.
     pub scale: ScaleKind,
-    /// Bound-weave engine threads per cell (`--threads` beats
-    /// `MEMSIM_ENGINE_THREADS`; default 1, the sequential oracle; 0 asks
-    /// for the host's available parallelism). Any value ≥ 2 means the same
-    /// engine: the bound thread plus one replay worker.
+    /// Bound-weave engine threads per cell (`--threads`; default 1, the
+    /// sequential oracle; 0 asks for the host's available parallelism).
+    /// Any value ≥ 2 means the same engine: the bound thread plus one
+    /// replay worker.
     pub threads: usize,
     /// Cell filter from the campaign's filter variable (empty: all cells).
     pub filter: String,
@@ -267,12 +265,11 @@ impl Output {
 }
 
 /// A binary's command line and environment: the common `--jobs`,
-/// `--threads`, `TVARAK_SCALE`, `MEMSIM_JOBS` and `MEMSIM_ENGINE_THREADS`
-/// plus what it declares here.
+/// `--threads` and `TVARAK_SCALE` plus what it declares here.
 pub struct Cli<O> {
     /// Binary name (usage text, diagnostics).
     pub name: &'static str,
-    /// Flags, positionals and environment variables beyond the common set.
+    /// Flags and positionals beyond the common set.
     options: Vec<Opt<O>>,
     /// The cell-filter variable (`CHAOS_FILTER`), for campaigns that have
     /// one; it lands in [`Config::filter`].
@@ -281,8 +278,8 @@ pub struct Cli<O> {
 
 impl<O: Default> Cli<O> {
     /// Parse `args` (without the program name) and the environment into the
-    /// config and the `--jobs` width (flag beats `MEMSIM_JOBS` beats the
-    /// host's available parallelism).
+    /// config and the `--jobs` width (default: the host's available
+    /// parallelism).
     ///
     /// # Errors
     ///
@@ -296,21 +293,13 @@ impl<O: Default> Cli<O> {
         let bad = |what: &str, e: String| UsageError(format!("{what}: {e}"));
         let host = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut opts = O::default();
-        let jobs = env("MEMSIM_JOBS").map(|v| positive(&v).map_err(|e| bad("MEMSIM_JOBS", e)));
-        let threads = env("MEMSIM_ENGINE_THREADS")
-            .map(|v| number(&v).map_err(|e| bad("MEMSIM_ENGINE_THREADS", e)));
-        let (mut jobs, mut threads) = (jobs.transpose()?, threads.transpose()?);
+        let (mut jobs, mut threads) = (None, None);
         let scale = match env("TVARAK_SCALE").as_deref() {
             Some("quick") => ScaleKind::Quick,
             Some("reduced") => ScaleKind::Reduced,
             Some("full") | None => ScaleKind::Full,
             Some(other) => return Err(bad("TVARAK_SCALE", format!("unknown scale {other:?}"))),
         };
-        for o in self.options.iter().filter(|o| o.kind == Kind::Env) {
-            if let Some(v) = env(o.name) {
-                (o.set)(&mut opts, &v).map_err(|e| bad(o.name, e))?;
-            }
-        }
         let mut positionals = 0;
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -328,7 +317,6 @@ impl<O: Default> Cli<O> {
             let opt = self.options.iter().find(|o| match o.kind {
                 Kind::Value => o.name == name,
                 Kind::Positional(_) => !flag,
-                Kind::Env => false,
             });
             match (name, opt.map(|o| o.kind)) {
                 ("--jobs", _) => jobs = Some(positive(value()?).map_err(|e| bad(name, e))?),
@@ -363,13 +351,11 @@ impl<O: Default> Cli<O> {
     /// The usage text printed with every [`UsageError`].
     fn usage(&self) -> String {
         let mut s = format!("usage: {} [--jobs N] [--threads N]", self.name);
-        let mut envs =
-            String::from("TVARAK_SCALE=quick|reduced|full MEMSIM_JOBS=N MEMSIM_ENGINE_THREADS=N");
+        let mut envs = String::from("TVARAK_SCALE=quick|reduced|full");
         for o in &self.options {
             match o.kind {
                 Kind::Value => s += &format!(" [{} {}]", o.name, o.hint),
                 Kind::Positional(_) => s += &format!(" [{}]", o.hint),
-                Kind::Env => envs += &format!(" {}={}", o.name, o.hint),
             }
         }
         if let Some(f) = self.filter_env {
@@ -419,8 +405,7 @@ impl<O: Default> Campaign<O> {
         }
     }
 
-    /// Set the flags, positionals and environment variables beyond the
-    /// common set.
+    /// Set the flags and positionals beyond the common set.
     pub fn options(mut self, options: Vec<Opt<O>>) -> Self {
         self.cli.options = options;
         self
@@ -612,11 +597,6 @@ mod tests {
                 }
                 _ => Err("expected a or b, once".into()),
             }),
-            Opt::new(Kind::Env, "APPS", "x,y", |o, v| {
-                let known = v.split(',').all(|a| a == "x" || a == "y");
-                o.push(format!("apps={v}"));
-                known.then_some(()).ok_or(format!("unknown app in {v:?}"))
-            }),
         ])
     }
 
@@ -635,21 +615,24 @@ mod tests {
         assert_eq!((jobs, cfg.threads, cfg.scale), (host, 1, ScaleKind::Full));
         assert!(cfg.opts.is_empty() && cfg.filter.is_empty());
 
-        let env = [
-            ("TVARAK_SCALE", "quick"),
-            ("MEMSIM_JOBS", "5"),
-            ("MEMSIM_ENGINE_THREADS", "0"),
-            ("APPS", "x,y"),
-            ("T_FILTER", "app="),
-        ];
-        let (cfg, jobs) = parse(&["--seed=9", "b"], &env).unwrap();
-        assert_eq!((jobs, cfg.threads, cfg.scale), (5, host, ScaleKind::Quick));
-        assert_eq!(cfg.opts, ["apps=x,y", "seed=9", "b"]);
+        let env = [("TVARAK_SCALE", "quick"), ("T_FILTER", "app=")];
+        let (cfg, jobs) = parse(&["--seed=9", "b", "--threads=0"], &env).unwrap();
+        assert_eq!(
+            (jobs, cfg.threads, cfg.scale),
+            (host, host, ScaleKind::Quick)
+        );
+        assert_eq!(cfg.opts, ["seed=9", "b"]);
         assert_eq!(cfg.filter, "app=");
 
         let (cfg, jobs) = parse(&["--jobs", "2", "--threads=3", "--seed", "7"], &env).unwrap();
-        assert_eq!((jobs, cfg.threads), (2, 3), "flags beat the environment");
-        assert_eq!(cfg.opts, ["apps=x,y", "seed=7"]);
+        assert_eq!((jobs, cfg.threads), (2, 3));
+        assert_eq!(cfg.opts, ["seed=7"]);
+
+        // Only the flags set the widths: a variable that once spelled one
+        // of them is ignored, whatever its name.
+        let every_var = |k: &str| (k != "TVARAK_SCALE").then(|| "5".to_string());
+        let (cfg, jobs) = campaign().cli.parse(&[], &every_var).unwrap();
+        assert_eq!((jobs, cfg.threads, cfg.filter.as_str()), (host, 1, "5"));
         assert_eq!(
             parse(&[], &[("TVARAK_SCALE", "full")]).unwrap().0.scale,
             ScaleKind::Full
@@ -669,12 +652,8 @@ mod tests {
             (&["--seed", "abc"], &[]),
             (&["c"], &[]),
             (&["a", "b"], &[]),
-            (&["--APPS", "x"], &[]),
             (&[], &[("TVARAK_SCALE", "qick")]),
             (&[], &[("TVARAK_SCALE", "")]),
-            (&[], &[("MEMSIM_JOBS", "0")]),
-            (&[], &[("MEMSIM_ENGINE_THREADS", "two")]),
-            (&[], &[("APPS", "x,z")]),
         ] {
             assert!(parse(args, env).is_err(), "accepted {args:?} {env:?}");
         }

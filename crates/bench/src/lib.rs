@@ -28,9 +28,9 @@
 //! How fast the simulator itself runs is measured by the standalone
 //! `benchmark/` crate (`BENCHMARK.json`), not by anything in this crate.
 //!
-//! Every binary but `show_config` takes `--jobs N` / `MEMSIM_JOBS` (worker
-//! pool width; output is byte-identical at any setting), `--threads N` /
-//! `MEMSIM_ENGINE_THREADS` and `TVARAK_SCALE=quick|reduced|full`; anything
+//! Every binary but `show_config` takes `--jobs N` (worker pool width;
+//! output is byte-identical at any setting), `--threads N` and
+//! `TVARAK_SCALE=quick|reduced|full`; anything
 //! unknown or malformed is a usage error (exit 2), a violated invariant or
 //! failed write exits 1. `scripts/reproduce.sh` chains everything.
 

@@ -14,8 +14,8 @@
 //! runs, never what it computes. The only shared mutable state is the
 //! work-queue index and the slot each cell writes its own result into.
 //!
-//! The worker count is resolved once by `crate::campaign` (`--jobs` beats
-//! `MEMSIM_JOBS` beats `available_parallelism()`) and passed down.
+//! The worker count is resolved once by `crate::campaign` (`--jobs`, else
+//! `available_parallelism()`) and passed down.
 //! Progress lines go to stderr only, so piped stdout stays clean.
 
 use std::io::Write as _;

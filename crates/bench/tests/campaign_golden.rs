@@ -18,7 +18,7 @@ const GOLDEN: [(&str, &str, usize, u32); 17] = [
         "coverage_campaign",
         "coverage_campaign.csv",
         180,
-        0xda1fc287,
+        0xadf1a68a,
     ),
     (
         "crashsim_campaign",

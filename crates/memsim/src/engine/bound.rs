@@ -169,7 +169,7 @@ impl System {
     /// check in the per-cause counters. The clocked scheduler calls this
     /// once per run at *every* requested thread count (the check ignores
     /// the thread count), so the counters — and any CSV column derived from
-    /// them — are identical across `MEMSIM_ENGINE_THREADS` values.
+    /// them — are identical across engine thread counts.
     pub fn note_weave_eligibility(&mut self, e: crate::weave::WeaveEligibility) {
         use crate::weave::WeaveEligibility as E;
         let c = &mut self.uncore.counters;

@@ -67,7 +67,7 @@ pub struct Counters {
     /// Clocked runs that passed every bound-weave *configuration* check
     /// (they weave whenever ≥ 2 engine threads are requested). Eligibility
     /// is a property of the machine configuration alone, so these six
-    /// counters come out identical at any `MEMSIM_ENGINE_THREADS` — the
+    /// counters come out identical at any engine thread count — the
     /// cross-thread byte-diff gates rely on that.
     pub weave_eligible_runs: u64,
     /// Clocked runs ineligible for bound-weave: a software checksum scheme

@@ -117,8 +117,8 @@ impl DivergenceKind {
 
 /// Outcome of the bound-weave *configuration* eligibility check. The check
 /// depends only on the machine configuration (never on the requested thread
-/// count), so the per-cause counters it feeds are identical at any
-/// `MEMSIM_ENGINE_THREADS` — campaign CSVs carrying them stay byte-identical
+/// count), so the per-cause counters it feeds are identical at any engine
+/// thread count — campaign CSVs carrying them stay byte-identical
 /// across thread counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WeaveEligibility {

@@ -33,4 +33,4 @@ pub mod tx;
 pub use fs::{DaxFs, FileHandle, FsError};
 pub use rebuild::{PoolState, ReplacementManager};
 pub use recover::{Poisoned, RecoveryEvent, RecoveryOrchestrator};
-pub use tx::{sw_redundancy_update, SwScheme, Tx, TxError, TxManager};
+pub use tx::{SwScheme, Tx, TxError, TxManager};

@@ -276,6 +276,7 @@ impl ReplacementManager {
 mod tests {
     use super::*;
     use crate::fs::{DaxFs, FileHandle};
+    use crate::recover::tests::retried;
     use crate::recover::RecoveryOrchestrator;
     use memsim::config::SystemConfig;
     use memsim::engine::{NullHooks, RedundancyHooks};
@@ -328,15 +329,11 @@ mod tests {
 
     impl Pool {
         fn read(&mut self, offset: u64) -> Result<[u8; 64], ()> {
-            let mut buf = [0u8; 64];
+            let (mut buf, file) = ([0u8; 64], self.file);
+            let mut read = |sys: &mut System| file.read(sys, 0, offset, &mut buf);
             match self.orch.as_mut() {
-                Some(o) => o
-                    .read(&mut self.sys, &self.file, 0, offset, &mut buf)
-                    .map_err(drop),
-                None => self
-                    .file
-                    .read(&mut self.sys, 0, offset, &mut buf)
-                    .map_err(drop),
+                Some(o) => retried(o, &mut self.sys, (&file, offset, 64), read).map_err(drop),
+                None => read(&mut self.sys).map_err(drop),
             }?;
             Ok(buf)
         }
@@ -365,8 +362,8 @@ mod tests {
                 // A foreground write ahead of the cursor: its fill of a lost
                 // line repairs the page before the write lands.
                 let off = (i * 67 * 64 + 4096) % (file.pages() * PAGE as u64);
-                orch.write(&mut p.sys, &file, 0, off, &[i as u8; 64])
-                    .unwrap();
+                let write = |sys: &mut System| file.write(sys, 0, off, &[i as u8; 64]);
+                retried(orch, &mut p.sys, (&file, off, 64), write).unwrap();
                 if i % 8 == 7 {
                     assert_eq!(p.mgr.step_rebuild(&mut p.sys), None);
                 }

@@ -472,60 +472,6 @@ impl RecoveryOrchestrator {
         self.handle(sys, err)
     }
 
-    /// The loop both [`Self::read`] and [`Self::write`] are: re-issue
-    /// `access` until it succeeds, routing every corruption it surfaces
-    /// through [`Self::incident`].
-    fn retrying(
-        &mut self,
-        sys: &mut System,
-        mut access: impl FnMut(&mut System) -> Result<(), CorruptionDetected>,
-    ) -> Result<(), Poisoned> {
-        let mut seen = Incidents::default();
-        while let Err(e) = access(sys) {
-            self.incident(sys, &mut seen, e)?;
-        }
-        Ok(())
-    }
-
-    /// Orchestrated read: like [`FileHandle::read`], but corruption is
-    /// transparently recovered and the read re-issued (see
-    /// [`Self::incident`] for the retry bound).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Poisoned`] when the range touches a quarantined page —
-    /// degraded mode fails closed, it never returns made-up bytes.
-    pub fn read(
-        &mut self,
-        sys: &mut System,
-        file: &FileHandle,
-        core: usize,
-        offset: u64,
-        buf: &mut [u8],
-    ) -> Result<(), Poisoned> {
-        self.check_range(file, offset, buf.len())?;
-        self.retrying(sys, |sys| file.read(sys, core, offset, buf))
-    }
-
-    /// Orchestrated write: poisoned pages reject writes (use
-    /// [`Self::rewrite_page`] to clear poison); corruption surfaced by
-    /// write-allocate fills is recovered like a read.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Poisoned`] when the range touches a quarantined page.
-    pub fn write(
-        &mut self,
-        sys: &mut System,
-        file: &FileHandle,
-        core: usize,
-        offset: u64,
-        data: &[u8],
-    ) -> Result<(), Poisoned> {
-        self.check_range(file, offset, data.len())?;
-        self.retrying(sys, |sys| file.write(sys, core, offset, data))
-    }
-
     /// Clear a page's poison with a verified full-page rewrite: write the
     /// new content through the firmware, confirm it reached the media (a
     /// still-active sticky fault keeps the page quarantined), rebuild the
@@ -583,7 +529,7 @@ impl RecoveryOrchestrator {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use memsim::addr::LINES_PER_PAGE;
     use memsim::config::SystemConfig;
@@ -610,6 +556,37 @@ mod tests {
         (sys, fs, orch, f)
     }
 
+    /// An orchestrated access, as `Machine::{read_file, write_file}` run
+    /// it: a poisoned range fails closed, then `access` is re-issued until
+    /// it succeeds, every corruption it surfaces routed through
+    /// [`RecoveryOrchestrator::incident`].
+    pub(crate) fn retried(
+        orch: &mut RecoveryOrchestrator,
+        sys: &mut System,
+        (file, offset, len): (&FileHandle, u64, usize),
+        mut access: impl FnMut(&mut System) -> Result<(), CorruptionDetected>,
+    ) -> Result<(), Poisoned> {
+        orch.check_range(file, offset, len)?;
+        let mut seen = Incidents::default();
+        while let Err(e) = access(sys) {
+            orch.incident(sys, &mut seen, e)?;
+        }
+        Ok(())
+    }
+
+    /// Read 64 bytes at `offset` through [`retried`].
+    fn read(
+        orch: &mut RecoveryOrchestrator,
+        sys: &mut System,
+        f: &FileHandle,
+        offset: u64,
+        buf: &mut [u8; 64],
+    ) -> Result<(), Poisoned> {
+        retried(orch, sys, (f, offset, 64), |sys| {
+            f.read(sys, 0, offset, buf)
+        })
+    }
+
     fn sw_setup(pages: u64) -> (System, DaxFs, RecoveryOrchestrator, FileHandle) {
         let cfg = SystemConfig::small();
         let layout = NvmLayout::new(cfg.nvm.dimms, pages);
@@ -633,7 +610,7 @@ mod tests {
         sys.flush();
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap();
+        read(&mut orch, &mut sys, &f, 0, &mut buf).unwrap();
         assert_eq!(buf, [0x22u8; 64], "read returns the acknowledged data");
         assert_eq!(orch.recoveries(), 1);
         assert_eq!(orch.quarantines(), 0);
@@ -710,13 +687,13 @@ mod tests {
             .arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        let err = orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap_err();
+        let err = read(&mut orch, &mut sys, &f, 0, &mut buf).unwrap_err();
         assert_eq!(err.page, line.page());
         assert!(orch.is_poisoned(line.page()));
         // Degraded mode: the poisoned page fails closed...
-        assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
+        assert!(read(&mut orch, &mut sys, &f, 0, &mut buf).is_err());
         // ...while the rest of the file keeps serving.
-        orch.read(&mut sys, &f, 0, 4096, &mut buf).unwrap();
+        read(&mut orch, &mut sys, &f, 4096, &mut buf).unwrap();
         assert_eq!(buf, [0x44u8; 64]);
     }
 
@@ -731,7 +708,7 @@ mod tests {
             .arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
+        assert!(read(&mut orch, &mut sys, &f, 0, &mut buf).is_err());
         assert!(orch.is_poisoned(line.page()));
         // Rewrite while the sticky fault is live: must NOT clear poison.
         let fresh = vec![0xabu8; PAGE];
@@ -741,7 +718,7 @@ mod tests {
         sys.memory_mut().disarm_fault(line);
         orch.rewrite_page(&mut sys, &f, 0, &fresh).unwrap();
         assert!(!orch.is_poisoned(line.page()));
-        orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap();
+        read(&mut orch, &mut sys, &f, 0, &mut buf).unwrap();
         assert_eq!(buf, [0xabu8; 64]);
         // Redundancy was rebuilt: scrubs stay clean.
         sys.flush();
@@ -763,7 +740,7 @@ mod tests {
             .arm_fault(line, FirmwareFault::StickyLostWrite);
         sys.invalidate_page(line.page());
         let mut buf = [0u8; 64];
-        assert!(orch.read(&mut sys, &f, 0, 0, &mut buf).is_err());
+        assert!(read(&mut orch, &mut sys, &f, 0, &mut buf).is_err());
         let store = *orch.store();
         drop(orch);
         // "Restart": rebuild from the persistent store.
@@ -784,7 +761,7 @@ mod tests {
             .arm_fault(a, FirmwareFault::StickyMisdirectedRead { actual: b });
         sys.invalidate_page(a.page());
         let mut buf = [0u8; 64];
-        let err = orch.read(&mut sys, &f, 0, 0, &mut buf).unwrap_err();
+        let err = read(&mut orch, &mut sys, &f, 0, &mut buf).unwrap_err();
         assert_eq!(err.page, a.page(), "broken device path must quarantine");
         assert!(orch.is_poisoned(a.page()));
     }

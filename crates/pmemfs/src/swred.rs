@@ -139,17 +139,17 @@ impl SwRedundancy {
 
 /// Run a software redundancy scheme over explicitly written ranges.
 ///
-/// [`Tx::commit`](crate::tx::Tx::commit) uses this for transactional applications; DAX applications
-/// without transactions (fio's libpmem engine, stream) call it directly after
-/// each write, which is when they "inform the interposing library after
-/// completing a write" (§IV).
+/// [`Tx::commit`](crate::tx::Tx::commit) runs this for every application,
+/// the non-transactional DAX ones (fio, stream) included: they commit each
+/// write through a `Tx`, which is when they "inform the interposing library
+/// after completing a write" (§IV).
 ///
 /// # Errors
 ///
 /// Propagates [`CorruptionDetected`] from verified fills (only possible when
 /// combined with a hardware controller, which the paper's software designs
 /// are not).
-pub fn sw_redundancy_update(
+fn sw_redundancy_update(
     sys: &mut System,
     core: usize,
     scheme: SwScheme,

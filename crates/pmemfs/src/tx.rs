@@ -11,7 +11,7 @@
 
 use crate::fs::{DaxFs, FileHandle, FsError};
 use crate::swred::SwRedundancy;
-pub use crate::swred::{sw_redundancy_update, SwScheme};
+pub use crate::swred::SwScheme;
 use memsim::addr::{PhysAddr, PAGE};
 use memsim::engine::{CorruptionDetected, System};
 use std::error::Error;

@@ -50,8 +50,6 @@ pub struct TvarakConfig {
     /// Store pre-modification data in the LLC diff way-partition so parity
     /// and checksums update by delta without re-reading old data from NVM.
     pub data_diffs: bool,
-    /// Verify every DAX NVM read against its system-checksum.
-    pub verify_reads: bool,
     /// Issue the verification checksum fetch concurrently with the demand
     /// data fill (the controller computes the checksum address from the
     /// request address). When false, the fetch serializes after the fill —
@@ -66,7 +64,6 @@ impl Default for TvarakConfig {
             cl_granular_csums: true,
             redundancy_caching: true,
             data_diffs: true,
-            verify_reads: true,
             overlapped_verification: true,
         }
     }
@@ -81,7 +78,6 @@ impl TvarakConfig {
             cl_granular_csums: false,
             redundancy_caching: false,
             data_diffs: false,
-            verify_reads: true,
             overlapped_verification: true,
         }
     }
@@ -159,11 +155,6 @@ impl TvarakController {
             mapped: Vec::new(),
             drain_scratch: Vec::new(),
         }
-    }
-
-    /// The ablation configuration.
-    pub fn tvarak_config(&self) -> TvarakConfig {
-        self.cfg
     }
 
     /// The NVM layout this controller protects.
@@ -406,7 +397,7 @@ impl RedundancyHooks for TvarakController {
         env: &mut HookEnv<'_>,
     ) -> Result<(), CorruptionDetected> {
         env.charge(core, env.cfg.controller.range_match_cycles);
-        if !self.cfg.verify_reads || !self.is_mapped(line) {
+        if !self.is_mapped(line) {
             return Ok(());
         }
         env.counters().reads_verified += 1;

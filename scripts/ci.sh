@@ -112,10 +112,10 @@ in_scratch() {
 
 echo "=== bound-weave CSV differential (fig8_fio, threads 1 vs 2) ==="
 # The bound-weave hard requirement: campaign output is byte-identical at any
-# MEMSIM_ENGINE_THREADS. Every value >= 2 runs the same engine, so one woven
-# run against the sequential one covers them all.
-in_scratch seq TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=1 fig8_fio --jobs 1
-in_scratch threads2 TVARAK_SCALE=quick MEMSIM_ENGINE_THREADS=2 fig8_fio --jobs 1
+# --threads. Every value >= 2 runs the same engine, so one woven run against
+# the sequential one covers them all.
+in_scratch seq TVARAK_SCALE=quick fig8_fio --jobs 1 --threads 1
+in_scratch threads2 TVARAK_SCALE=quick fig8_fio --jobs 1 --threads 2
 if ! diff -q "$scratch/seq/results/fig8_fio.csv" "$scratch/threads2/results/fig8_fio.csv"; then
     echo "ci: fig8_fio.csv differs between 1 and 2 engine threads" >&2
     exit 1

@@ -46,6 +46,7 @@ fn csv(out: &Output) -> &str {
 
 #[test]
 fn coverage_matches_table_one() {
+    use coverage_campaign::TRIALS;
     let out = two_widths(coverage_campaign::campaign(), &[]);
     // design,inline,wrong_reads,by_scrub,undetected,recovered
     let row = |design: &str| -> Vec<u64> {
@@ -60,16 +61,23 @@ fn coverage_matches_table_one() {
     };
     assert_eq!(
         row("Tvarak,"),
-        [40, 0, 0, 0, 40],
+        [TRIALS, 0, 0, 0, TRIALS],
         "detects on first touch, recovers"
     );
-    for software in ["Baseline,", "TxB-Object-Csums,", "TxB-Page-Csums,"] {
+    for software in ["TxB-Object-Csums,", "TxB-Page-Csums,"] {
         let r = row(software);
         assert!(
-            r[0] == 0 && r[1] > 0 && r[4] == 0,
-            "{software} consumes it silently: {r:?}"
+            r[0] == 0 && r[1] > 0 && r[2] > 0 && r[4] == 0,
+            "{software} consumes it silently, a scrub finds it: {r:?}"
         );
     }
+    let baseline = row("Baseline,");
+    assert!(baseline[1] > 0, "Baseline consumes it silently");
+    assert_eq!(
+        (baseline[0], baseline[2], baseline[3]),
+        (0, 0, TRIALS),
+        "Baseline keeps no checksums: nothing ever finds it"
+    );
 }
 
 #[test]
