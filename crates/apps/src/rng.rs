@@ -4,21 +4,12 @@
 //! self-contained xoshiro256** generator seeded explicitly (never from the
 //! environment).
 
+pub use memsim::hash::splitmix64;
+
 /// xoshiro256** PRNG (Blackman & Vigna), seeded via SplitMix64.
 #[derive(Debug, Clone)]
 pub struct Rng {
     s: [u64; 4],
-}
-
-/// One SplitMix64 step: advance `state` and return the next 64 bits. Tiny
-/// and seedable; it fills [`Rng`]'s state and draws the crash-point and
-/// fault schedules.
-pub fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl Rng {

@@ -21,7 +21,8 @@
 //!    with `Poisoned`; the rest of the file keeps serving.
 //!
 //! Faults are injected from a deterministic seeded [`FaultPlan`], identical
-//! across designs for a given (app, fault-kind) cell. Emits
+//! across designs for a given (app, fault-kind) cell. `--filter
+//! <substring>` runs matching cells only. Emits
 //! `results/chaos_campaign.csv` plus a structured event log in
 //! `results/chaos_events.log`; exits non-zero on any invariant violation.
 
@@ -528,7 +529,7 @@ fn run(cfg: &Config<()>, jobs: usize) -> Output {
         Col::csv("repro", |r| {
             let (design, fault) = (r.design.label(), r.kind.label());
             let ctx = format!("app={} design={design} fault={fault}", r.app);
-            format!("CHAOS_FILTER='{ctx}' ./target/release/chaos_campaign")
+            format!("./target/release/chaos_campaign --filter '{ctx}'")
         }),
     ];
     let title = format!(
@@ -551,7 +552,7 @@ fn run(cfg: &Config<()>, jobs: usize) -> Output {
 /// The campaign this binary runs.
 pub fn campaign() -> Campaign<()> {
     Campaign::new("chaos_campaign", run)
-        .filter_env("CHAOS_FILTER")
+        .filtered()
         .ok_line("all survival invariants held")
 }
 

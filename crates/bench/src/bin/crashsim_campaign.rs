@@ -7,29 +7,23 @@
 //! 1. **Count**: one reference run per (app, design) cell with an unlimited
 //!    writeback budget measures the window's total NVM writebacks `N`.
 //! 2. **Replay**: a [`CrashPlan`] picks crash points from `0..=N`
-//!    (exhaustive when `N` is small, seeded reservoir sampling otherwise;
-//!    `--crash-samples` caps the points per cell) and each point replays the
+//!    (exhaustive when `N` is small, reservoir sampling from a fixed seed
+//!    otherwise, capped per cell by the scale) and each point replays the
 //!    run with that budget, power-fails, recovers, and verifies.
 //!
 //! Emits `results/crashsim_campaign.csv` from the in-input-order results, so
-//! the file is byte-identical at every `--jobs` setting and for a fixed
-//! `--seed`. Exits non-zero if any crash point reports unrecoverable loss.
-//!
-//! Flags: `--crash-samples N`, `--seed N`, `--jobs N`;
-//! `TVARAK_SCALE=quick` keeps the windows tiny (CI smoke).
+//! the file is byte-identical at every `--jobs` setting. Exits non-zero if
+//! any crash point reports unrecoverable loss. `TVARAK_SCALE=quick` keeps
+//! the windows tiny (CI smoke).
 
 use apps::driver::Design;
 use apps::fio::Pattern;
-use bench::campaign::{number, positive, Campaign, Column, Config, Kind, Opt, Output};
+use bench::campaign::{Campaign, Column, Config, Output};
 use bench::runner::{self, Cell};
 use crashsim::{AppKind, CrashPlan, CrashReport, Scenario};
 
-/// `--crash-samples` and `--seed`.
-#[derive(Default)]
-pub struct Flags {
-    crash_samples: Option<u64>,
-    seed: Option<u64>,
-}
+/// The crash-point sampling seed.
+const SEED: u64 = 0x7c4a_51c3;
 
 /// One replayed crash point.
 struct Row {
@@ -38,13 +32,11 @@ struct Row {
     report: CrashReport,
 }
 
-fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
+fn run(cfg: &Config<()>, jobs: usize) -> Output {
     // Workload sizes and the per-cell crash-point cap: quick keeps windows
     // small enough that most cells enumerate exhaustively.
-    let (fio_ops, stream_iters, ctree_keys, crash_samples) =
+    let (fio_ops, stream_iters, ctree_keys, samples) =
         cfg.scale.pick((3, 2, 4, 8), (6, 4, 8, 16), (8, 6, 12, 24));
-    let samples = cfg.opts.crash_samples.unwrap_or(crash_samples).max(2) as usize;
-    let seed = cfg.opts.seed.unwrap_or(0x7c4a_51c3);
     let apps = [
         AppKind::Fio {
             threads: 2,
@@ -78,7 +70,7 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
     // Phase 2: replay every planned crash point of every cell.
     let mut replay_cells: Vec<Cell<Row>> = Vec::new();
     for (&sc, total) in scenarios.iter().zip(&totals) {
-        let plan = CrashPlan::sampled(total.value, samples, seed);
+        let plan = CrashPlan::sampled(total.value, samples, SEED);
         for &k in &plan.points {
             replay_cells.push(Cell::new(
                 format!("{} k={k}/{}", sc.label(), plan.total),
@@ -113,7 +105,7 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
         Col::csv("image_hash", |r| format!("{:#018x}", r.report.image_hash)),
     ];
     let title = format!(
-        "# Crash-simulation campaign — {} cells, ≤{samples} crash points each, seed {seed:#x}",
+        "# Crash-simulation campaign — {} cells, ≤{samples} crash points each, seed {SEED:#x}",
         scenarios.len()
     );
     let mut out = Output::sheet(&title, "crashsim_campaign.csv", &cols, &rows, |_| true);
@@ -126,17 +118,9 @@ fn run(cfg: &Config<Flags>, jobs: usize) -> Output {
 }
 
 /// The campaign this binary runs.
-pub fn campaign() -> Campaign<Flags> {
+pub fn campaign() -> Campaign<()> {
     Campaign::new("crashsim_campaign", run)
         .ok_line("every crash point recovered to a consistent state")
-        .options(vec![
-            Opt::new(Kind::Value, "--crash-samples", "N", |f: &mut Flags, v| {
-                positive(v).map(|n| f.crash_samples = Some(n))
-            }),
-            Opt::new(Kind::Value, "--seed", "N", |f: &mut Flags, v| {
-                number(v).map(|n| f.seed = Some(n))
-            }),
-        ])
 }
 
 fn main() {

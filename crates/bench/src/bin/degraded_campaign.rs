@@ -41,7 +41,7 @@
 //! Each cell also checks its declared losses: Baseline declares some page
 //! lost, and a design with parity quarantines every page it declares lost.
 //!
-//! `DEGRADED_FILTER=substring` runs matching cells only. Emits
+//! `--filter <substring>` runs matching cells only. Emits
 //! `results/degraded_campaign.csv` (byte-identical at any `--jobs`) and
 //! exits non-zero on any invariant violation.
 
@@ -483,7 +483,7 @@ fn run(cfg: &Config<()>, jobs: usize) -> Output {
         Col::csv("repro", |r| {
             let (design, scenario) = (r.design.label(), r.scenario.label());
             let ctx = format!("app={} design={design} scenario={scenario}", r.app);
-            format!("DEGRADED_FILTER='{ctx}' ./target/release/degraded_campaign")
+            format!("./target/release/degraded_campaign --filter '{ctx}'")
         }),
     ]);
     let title = format!("# Degraded-mode campaign — scenario × design × app, {n} ops/steady phase");
@@ -497,7 +497,7 @@ fn run(cfg: &Config<()>, jobs: usize) -> Output {
 /// The campaign this binary runs.
 pub fn campaign() -> Campaign<()> {
     Campaign::new("degraded_campaign", run)
-        .filter_env("DEGRADED_FILTER")
+        .filtered()
         .ok_line("all degraded-mode invariants held")
 }
 

@@ -2,11 +2,12 @@
 //!
 //! (a) sweep the redundancy-caching ways over {1, 2, 4, 8} with 1 diff
 //! way; (b) sweep the data-diff ways over {1, 2, 4, 8} with 2 redundancy
-//! ways — for the same five workloads as Fig. 9. Pass `redundancy`, `diffs`,
-//! or nothing (both) as an argument.
+//! ways — for the same five workloads as Fig. 9. Emits both sweeps,
+//! `results/fig10a_redundancy_ways.{csv,gp}` and
+//! `results/fig10b_diff_ways.{csv,gp}`.
 
 use apps::driver::Design;
-use bench::campaign::{figure, Campaign, Config, FigCell, Kind, Opt, Output};
+use bench::campaign::{figure, Campaign, Config, FigCell, Output};
 use bench::workloads::{class_representatives, Variant};
 
 const WAYS: [usize; 4] = [1, 2, 4, 8];
@@ -14,7 +15,7 @@ const WAYS: [usize; 4] = [1, 2, 4, 8];
 /// One sweep: Baseline rows for normalization, then one variant per way
 /// count, each over the five class representatives.
 fn sweep(
-    cfg: &Config<Option<String>>,
+    cfg: &Config<()>,
     jobs: usize,
     title: &str,
     name: &str,
@@ -34,43 +35,25 @@ fn sweep(
     figure(title, name, false, cells, jobs)
 }
 
-/// The campaign this binary runs; the option is the sweep (`redundancy` or
-/// `diffs`).
-pub fn campaign() -> Campaign<Option<String>> {
-    Campaign::new("fig10_sensitivity", |cfg: &Config<Option<String>>, jobs| {
-        let mut out = Output::default();
-        if cfg.opts.as_deref() != Some("diffs") {
-            let title = "Fig. 10(a) — sensitivity to LLC ways for redundancy caching";
-            out.append(sweep(cfg, jobs, title, "fig10a_redundancy_ways", |ways| {
-                let v = Variant::of(Design::Tvarak)
-                    .redundancy_ways(ways)
-                    .diff_ways(1);
-                (format!("Tvarak(red={ways})"), v)
-            }));
-        }
-        if cfg.opts.as_deref() != Some("redundancy") {
-            let title = "Fig. 10(b) — sensitivity to LLC ways for data diffs";
-            out.append(sweep(cfg, jobs, title, "fig10b_diff_ways", |ways| {
-                let v = Variant::of(Design::Tvarak)
-                    .redundancy_ways(2)
-                    .diff_ways(ways);
-                (format!("Tvarak(diff={ways})"), v)
-            }));
-        }
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("fig10_sensitivity", |cfg, jobs| {
+        let title = "Fig. 10(a) — sensitivity to LLC ways for redundancy caching";
+        let mut out = sweep(cfg, jobs, title, "fig10a_redundancy_ways", |ways| {
+            let v = Variant::of(Design::Tvarak)
+                .redundancy_ways(ways)
+                .diff_ways(1);
+            (format!("Tvarak(red={ways})"), v)
+        });
+        let title = "Fig. 10(b) — sensitivity to LLC ways for data diffs";
+        out.append(sweep(cfg, jobs, title, "fig10b_diff_ways", |ways| {
+            let v = Variant::of(Design::Tvarak)
+                .redundancy_ways(2)
+                .diff_ways(ways);
+            (format!("Tvarak(diff={ways})"), v)
+        }));
         out
     })
-    .options(vec![Opt::new(
-        Kind::Positional(0),
-        "",
-        "redundancy|diffs",
-        |which, v| match v {
-            "redundancy" | "diffs" if which.is_none() => {
-                *which = Some(v.to_string());
-                Ok(())
-            }
-            _ => Err("expected one sweep, redundancy or diffs".into()),
-        },
-    )])
 }
 
 fn main() {

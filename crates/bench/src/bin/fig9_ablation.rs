@@ -10,11 +10,10 @@
 //!    (this row is also TVARAK for systems with *exclusive* LLCs, §IV-G)
 //! 4. `+Data-diffs` — the complete TVARAK design
 //!
-//! An optional group argument lets long sweeps fit in bounded CI slots:
-//! `a` = redis+ctree, `b` = nstore+fio+stream, default = all.
+//! Emits `results/fig9_ablation.csv` and `.gp`.
 
 use apps::driver::Design;
-use bench::campaign::{figure, Campaign, Config, FigCell, Kind, Opt};
+use bench::campaign::{figure, Campaign, FigCell};
 use bench::workloads::{class_representatives, Variant};
 use tvarak::controller::TvarakConfig;
 
@@ -33,38 +32,21 @@ fn variants() -> Vec<(&'static str, Design)> {
     ]
 }
 
-/// The campaign this binary runs; the option is the group (`a` or `b`).
-pub fn campaign() -> Campaign<Option<String>> {
-    Campaign::new("fig9_ablation", |cfg: &Config<Option<String>>, jobs| {
-        let (classes, name) = match cfg.opts.as_deref() {
-            Some("a") => (0..2, "fig9_ablation_a"),
-            Some("b") => (2..5, "fig9_ablation_b"),
-            _ => (0..5, "fig9_ablation"),
-        };
+/// The campaign this binary runs.
+pub fn campaign() -> Campaign<()> {
+    Campaign::new("fig9_ablation", |cfg, jobs| {
         let mut cells = Vec::new();
-        for (workload, run) in &class_representatives()[classes] {
+        for (workload, run) in class_representatives() {
             for (label, design) in variants() {
-                let (run, s, t) = (*run, cfg.scale.workloads(), cfg.threads);
-                cells.push(FigCell::new(*workload, label, design, move || {
+                let (s, t) = (cfg.scale.workloads(), cfg.threads);
+                cells.push(FigCell::new(workload, label, design, move || {
                     run(Variant::of(design), &s, t)
                 }));
             }
         }
         let title = "Fig. 9 — Impact of TVARAK's design choices (runtime)";
-        figure(title, name, false, cells, jobs)
+        figure(title, "fig9_ablation", false, cells, jobs)
     })
-    .options(vec![Opt::new(
-        Kind::Positional(0),
-        "",
-        "a|b",
-        |group, v| match v {
-            "a" | "b" if group.is_none() => {
-                *group = Some(v.to_string());
-                Ok(())
-            }
-            _ => Err("expected one group, a or b".into()),
-        },
-    )])
 }
 
 fn main() {

@@ -6,10 +6,10 @@
 //! [`Opt`]ions, and a pure `run` from the parsed [`Config`] to an
 //! [`Output`]. The driver owns the rest — argv and environment parsing
 //! (fail closed: anything unknown or malformed is a [`UsageError`]),
-//! `TVARAK_SCALE`, `--jobs`/`--threads`, the cell filter, rendering table
-//! and CSV from one [`Column`] list, the `results/` layout, violation
-//! reporting, and the exit codes: 0 clean, 1 invariant violation or failed
-//! write, 2 usage.
+//! `TVARAK_SCALE`, `--jobs`/`--threads`, the `--filter` cell filter of the
+//! campaigns that opt in, rendering table and CSV from one [`Column`] list,
+//! the `results/` layout, violation reporting, and the exit codes: 0 clean,
+//! 1 invariant violation or failed write, 2 usage.
 
 use crate::report::{Report, Row};
 use crate::runner::{self, Cell};
@@ -99,7 +99,7 @@ pub fn positive(v: &str) -> Result<u64, String> {
     }
 }
 
-/// Parse a non-negative integer (`--threads`, `--seed`).
+/// Parse a non-negative integer (`--threads`).
 ///
 /// # Errors
 ///
@@ -119,7 +119,7 @@ pub struct Config<O> {
     /// Any value ≥ 2 means the same engine: the bound thread plus one
     /// replay worker.
     pub threads: usize,
-    /// Cell filter from the campaign's filter variable (empty: all cells).
+    /// Cell filter from `--filter` (empty: all cells).
     pub filter: String,
     /// The campaign's own options.
     pub opts: O,
@@ -271,9 +271,9 @@ pub struct Cli<O> {
     pub name: &'static str,
     /// Flags and positionals beyond the common set.
     options: Vec<Opt<O>>,
-    /// The cell-filter variable (`CHAOS_FILTER`), for campaigns that have
-    /// one; it lands in [`Config::filter`].
-    filter_env: Option<&'static str>,
+    /// Whether `--filter` is accepted; its value lands in
+    /// [`Config::filter`].
+    filtered: bool,
 }
 
 impl<O: Default> Cli<O> {
@@ -283,7 +283,8 @@ impl<O: Default> Cli<O> {
     ///
     /// # Errors
     ///
-    /// Unknown flag or argument, missing or malformed value, unknown
+    /// Unknown flag or argument (`--filter` too, unless the campaign opted
+    /// in), missing or malformed value, empty filter, unknown
     /// `TVARAK_SCALE`, or any rejection by an option's setter.
     pub fn parse(
         &self,
@@ -293,7 +294,7 @@ impl<O: Default> Cli<O> {
         let bad = |what: &str, e: String| UsageError(format!("{what}: {e}"));
         let host = || std::thread::available_parallelism().map_or(1, |n| n.get());
         let mut opts = O::default();
-        let (mut jobs, mut threads) = (None, None);
+        let (mut jobs, mut threads, mut filter) = (None, None, String::new());
         let scale = match env("TVARAK_SCALE").as_deref() {
             Some("quick") => ScaleKind::Quick,
             Some("reduced") => ScaleKind::Reduced,
@@ -321,6 +322,10 @@ impl<O: Default> Cli<O> {
             match (name, opt.map(|o| o.kind)) {
                 ("--jobs", _) => jobs = Some(positive(value()?).map_err(|e| bad(name, e))?),
                 ("--threads", _) => threads = Some(number(value()?).map_err(|e| bad(name, e))?),
+                ("--filter", _) if self.filtered => match value()? {
+                    "" => return Err(bad(name, "expected a non-empty substring".into())),
+                    v => filter = v.to_string(),
+                },
                 (_, Some(Kind::Value)) => set(opt, &mut opts, value()?)?,
                 (_, Some(Kind::Positional(_))) => {
                     positionals += 1;
@@ -338,7 +343,6 @@ impl<O: Default> Cli<O> {
             Some(n) => n as usize,
             None => 1,
         };
-        let filter = self.filter_env.and_then(env).unwrap_or_default();
         let cfg = Config {
             scale,
             threads,
@@ -351,19 +355,18 @@ impl<O: Default> Cli<O> {
     /// The usage text printed with every [`UsageError`].
     fn usage(&self) -> String {
         let mut s = format!("usage: {} [--jobs N] [--threads N]", self.name);
-        let mut envs = String::from("TVARAK_SCALE=quick|reduced|full");
+        if self.filtered {
+            s += " [--filter <substring>]";
+        }
         for o in &self.options {
             match o.kind {
                 Kind::Value => s += &format!(" [{} {}]", o.name, o.hint),
                 Kind::Positional(_) => s += &format!(" [{}]", o.hint),
             }
         }
-        if let Some(f) = self.filter_env {
-            envs += &format!(" {f}=<substring>");
-        }
         format!(
             "{s}\n--threads: 1 = sequential, any N >= 2 = bound thread + one replay worker\n\
-             environment: {envs}"
+             environment: TVARAK_SCALE=quick|reduced|full"
         )
     }
 }
@@ -396,7 +399,7 @@ impl<O: Default> Campaign<O> {
         let cli = Cli {
             name,
             options: Vec::new(),
-            filter_env: None,
+            filtered: false,
         };
         Campaign {
             cli,
@@ -411,9 +414,10 @@ impl<O: Default> Campaign<O> {
         self
     }
 
-    /// Set the cell-filter variable (`CHAOS_FILTER`).
-    pub fn filter_env(mut self, var: &'static str) -> Self {
-        self.cli.filter_env = Some(var);
+    /// Accept `--filter <substring>`: run only the cells whose label
+    /// contains it ([`Config::selects`]).
+    pub fn filtered(mut self) -> Self {
+        self.cli.filtered = true;
         self
     }
 
@@ -584,7 +588,7 @@ mod tests {
             violations: cfg.opts.iter().filter(|o| *o == "b").cloned().collect(),
             rows: usize::from(cfg.selects("cell")),
         })
-        .filter_env("T_FILTER")
+        .filtered()
         .ok_line("ok")
         .options(vec![
             Opt::new(Kind::Value, "--seed", "N", |o, v| {
@@ -615,8 +619,9 @@ mod tests {
         assert_eq!((jobs, cfg.threads, cfg.scale), (host, 1, ScaleKind::Full));
         assert!(cfg.opts.is_empty() && cfg.filter.is_empty());
 
-        let env = [("TVARAK_SCALE", "quick"), ("T_FILTER", "app=")];
-        let (cfg, jobs) = parse(&["--seed=9", "b", "--threads=0"], &env).unwrap();
+        let env = [("TVARAK_SCALE", "quick")];
+        let args = ["--seed=9", "b", "--filter=app=", "--threads=0"];
+        let (cfg, jobs) = parse(&args, &env).unwrap();
         assert_eq!(
             (jobs, cfg.threads, cfg.scale),
             (host, host, ScaleKind::Quick)
@@ -624,15 +629,24 @@ mod tests {
         assert_eq!(cfg.opts, ["seed=9", "b"]);
         assert_eq!(cfg.filter, "app=");
 
-        let (cfg, jobs) = parse(&["--jobs", "2", "--threads=3", "--seed", "7"], &env).unwrap();
-        assert_eq!((jobs, cfg.threads), (2, 3));
+        let args = [
+            "--jobs",
+            "2",
+            "--threads=3",
+            "--filter",
+            "x y",
+            "--seed",
+            "7",
+        ];
+        let (cfg, jobs) = parse(&args, &env).unwrap();
+        assert_eq!((jobs, cfg.threads, cfg.filter.as_str()), (2, 3, "x y"));
         assert_eq!(cfg.opts, ["seed=7"]);
 
-        // Only the flags set the widths: a variable that once spelled one
-        // of them is ignored, whatever its name.
+        // Only flags set the widths and the filter: no variable but
+        // `TVARAK_SCALE` is read, whatever its name.
         let every_var = |k: &str| (k != "TVARAK_SCALE").then(|| "5".to_string());
         let (cfg, jobs) = campaign().cli.parse(&[], &every_var).unwrap();
-        assert_eq!((jobs, cfg.threads, cfg.filter.as_str()), (host, 1, "5"));
+        assert_eq!((jobs, cfg.threads, cfg.filter.as_str()), (host, 1, ""));
         assert_eq!(
             parse(&[], &[("TVARAK_SCALE", "full")]).unwrap().0.scale,
             ScaleKind::Full
@@ -650,6 +664,8 @@ mod tests {
             (&["--threads", "x"], &[]),
             (&["--seed"], &[]),
             (&["--seed", "abc"], &[]),
+            (&["--filter"], &[]),
+            (&["--filter="], &[]),
             (&["c"], &[]),
             (&["a", "b"], &[]),
             (&[], &[("TVARAK_SCALE", "qick")]),
@@ -657,13 +673,23 @@ mod tests {
         ] {
             assert!(parse(args, env).is_err(), "accepted {args:?} {env:?}");
         }
+        // A campaign that did not opt in has no `--filter`.
+        let mut unfiltered = campaign();
+        unfiltered.cli.filtered = false;
+        let args = ["--filter".to_string(), "app=".to_string()];
+        assert!(
+            unfiltered.cli.parse(&args, &|_| None).is_err(),
+            "not opted in"
+        );
+        assert!(!unfiltered.cli.usage().contains("--filter"));
         let mut strict = campaign();
         strict.cli.options[1] = Opt::new(Kind::Positional(2), "", "<a> <b>", |_, _| Ok(()));
         assert!(
             strict.cli.parse(&["a".into()], &|_| None).is_err(),
             "missing positional"
         );
-        assert!(campaign().cli.usage().contains("[--seed N] [a|b]"));
+        let usage = campaign().cli.usage();
+        assert!(usage.contains("[--filter <substring>] [--seed N] [a|b]"));
     }
 
     #[test]
@@ -693,7 +719,7 @@ mod tests {
         assert_eq!(emit(&[], &[], &dir), (0, "t\nok\n".into()));
         assert_eq!(std::fs::read(dir.join("t.csv")).unwrap(), b"h\n");
         assert_eq!(emit(&["b"], &[], &dir), (1, "t\n".into()), "violation");
-        let filtered = emit(&[], &[("T_FILTER", "zzz")], &dir);
+        let filtered = emit(&["--filter", "zzz"], &[], &dir);
         assert_eq!(filtered.0, 2, "a filter that matched nothing");
         // A results path that is a regular file: the write error is an exit
         // code, not a silently stale artefact.

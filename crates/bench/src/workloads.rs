@@ -148,24 +148,15 @@ pub struct Outcome {
     pub dimm_accesses: Vec<(u64, u64)>,
 }
 
-/// A design plus machine-parameter overrides: the Fig. 10 way-partition
-/// sweeps and the §IV-H DIMM-count / NVM-technology studies vary these while
+/// A design plus the machine it runs on: the Fig. 10 way-partition sweeps
+/// and the §IV-H DIMM-count / NVM-technology studies edit the machine while
 /// reusing the same workload code.
 #[derive(Debug, Clone)]
 pub struct Variant {
     /// The redundancy design.
     pub design: Design,
-    /// Override: LLC ways for redundancy caching (Fig. 10(a)).
-    pub redundancy_ways: Option<usize>,
-    /// Override: LLC ways for data diffs (Fig. 10(b)).
-    pub diff_ways: Option<usize>,
-    /// Override: NVM DIMM count (§IV-H).
-    pub nvm_dimms: Option<usize>,
-    /// Override: NVM read/write latency in ns (§IV-H, e.g. battery-backed
-    /// DRAM as NVM = DRAM timing).
-    pub nvm_latency_ns: Option<(f64, f64)>,
-    /// Override: NVM read/write DIMM occupancy in ns (scaled with latency).
-    pub nvm_occupancy_ns: Option<(f64, f64)>,
+    /// The machine (default: the paper's Table III).
+    pub cfg: SystemConfig,
 }
 
 impl Variant {
@@ -173,36 +164,34 @@ impl Variant {
     pub fn of(design: Design) -> Self {
         Variant {
             design,
-            redundancy_ways: None,
-            diff_ways: None,
-            nvm_dimms: None,
-            nvm_latency_ns: None,
-            nvm_occupancy_ns: None,
+            cfg: SystemConfig::default(),
         }
     }
 
-    /// Set the LLC redundancy-caching way count.
+    /// Set the LLC redundancy-caching way count (Fig. 10(a)).
     pub fn redundancy_ways(mut self, w: usize) -> Self {
-        self.redundancy_ways = Some(w);
+        self.cfg.controller.redundancy_ways = w;
         self
     }
 
-    /// Set the LLC data-diff way count.
+    /// Set the LLC data-diff way count (Fig. 10(b)).
     pub fn diff_ways(mut self, w: usize) -> Self {
-        self.diff_ways = Some(w);
+        self.cfg.controller.diff_ways = w;
         self
     }
 
-    /// Set the NVM DIMM count.
+    /// Set the NVM DIMM count (§IV-H).
     pub fn nvm_dimms(mut self, d: usize) -> Self {
-        self.nvm_dimms = Some(d);
+        self.cfg.nvm.dimms = d;
         self
     }
 
-    /// Use battery-backed DRAM timing for the "NVM" devices (§IV-H).
+    /// Use battery-backed DRAM timing for the "NVM" devices (§IV-H): DRAM
+    /// latency, with the DIMM occupancy scaled with it.
     pub fn dram_as_nvm(mut self) -> Self {
-        self.nvm_latency_ns = Some((15.0, 15.0));
-        self.nvm_occupancy_ns = Some((7.5, 7.5));
+        let nvm = &mut self.cfg.nvm;
+        (nvm.read_ns, nvm.write_ns) = (15.0, 15.0);
+        (nvm.read_occupancy_ns, nvm.write_occupancy_ns) = (7.5, 7.5);
         self
     }
 }
@@ -213,30 +202,11 @@ impl From<Design> for Variant {
     }
 }
 
-/// Build the paper's Table III machine with `data_pages` pool pages, under
-/// a variant's overrides.
+/// Build a variant's machine with `data_pages` pool pages.
 pub fn machine(v: impl Into<Variant>, data_pages: u64) -> Machine {
     let v = v.into();
-    let mut cfg = SystemConfig::default();
-    if let Some(w) = v.redundancy_ways {
-        cfg.controller.redundancy_ways = w;
-    }
-    if let Some(w) = v.diff_ways {
-        cfg.controller.diff_ways = w;
-    }
-    if let Some(d) = v.nvm_dimms {
-        cfg.nvm.dimms = d;
-    }
-    if let Some((r, w)) = v.nvm_latency_ns {
-        cfg.nvm.read_ns = r;
-        cfg.nvm.write_ns = w;
-    }
-    if let Some((r, w)) = v.nvm_occupancy_ns {
-        cfg.nvm.read_occupancy_ns = r;
-        cfg.nvm.write_occupancy_ns = w;
-    }
     Machine::builder()
-        .system_config(cfg)
+        .system_config(v.cfg)
         .design(v.design)
         .data_pages(data_pages)
         .build()

@@ -4,7 +4,7 @@
 
 #![allow(dead_code)] // each file's `main`, and helpers only one suite uses
 
-use bench::campaign::{Campaign, Output, UsageError};
+use bench::campaign::{Campaign, Config, Output, UsageError};
 
 #[path = "../../src/bin/chaos_campaign.rs"]
 pub mod chaos_campaign;
@@ -35,22 +35,24 @@ pub mod soak_campaign;
 #[path = "../../src/bin/vilamb_sweep.rs"]
 pub mod vilamb_sweep;
 
-/// Parse `args` under `env` as the binary would, then run at `jobs` workers.
-pub fn run<O: Default>(
+/// Parse `args` under `env` as the binary would: the config and the
+/// `--jobs` width.
+pub fn parse<O: Default>(
     campaign: &Campaign<O>,
     args: &[&str],
     env: &[(&str, &str)],
-    jobs: usize,
-) -> Result<Output, UsageError> {
+) -> Result<(Config<O>, usize), UsageError> {
     let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
     let lookup = |k: &str| env.iter().find(|e| e.0 == k).map(|e| e.1.to_string());
-    let (cfg, _) = campaign.cli.parse(&args, &lookup)?;
-    Ok((campaign.run)(&cfg, jobs))
+    campaign.cli.parse(&args, &lookup)
 }
 
-/// `run` at quick scale with arguments the campaign must accept.
+/// Run at quick scale and `jobs` workers with arguments the campaign must
+/// accept.
 pub fn quick<O: Default>(campaign: Campaign<O>, args: &[&str], jobs: usize) -> Output {
-    run(&campaign, args, &[("TVARAK_SCALE", "quick")], jobs).expect("valid arguments")
+    let parsed = parse(&campaign, args, &[("TVARAK_SCALE", "quick")]);
+    let (cfg, _) = parsed.expect("valid arguments");
+    (campaign.run)(&cfg, jobs)
 }
 
 /// A campaign at quick scale, as a function of the worker count.

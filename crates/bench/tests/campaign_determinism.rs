@@ -35,34 +35,38 @@ fn every_campaign_is_identical_at_jobs_1_and_4() {
     }
 }
 
-/// The two silent no-ops reproduced at the parent commit: `fig10_sensitivity
-/// --jobs 2` took `--jobs` for its sweep name and ran nothing;
-/// `crashsim_campaign --seed abc` fell back to the default seed.
+/// An argument a binary does not take, or a malformed value of one it does,
+/// is a usage error, never a silent no-op: `fig10_sensitivity --jobs 2`
+/// once took `--jobs` for a sweep name and ran nothing, and
+/// `crashsim_campaign --seed abc` fell back to a default seed.
 #[test]
 fn reproduced_silent_no_ops_fail_closed() {
     let fig10 = bins::fig10_sensitivity::campaign();
-    let (cfg, jobs) = fig10
-        .cli
-        .parse(&["--jobs".into(), "2".into()], &|_| None)
-        .unwrap();
-    assert_eq!(
-        (cfg.opts, jobs),
-        (None, 2),
-        "no sweep named: both run, on 2 workers"
-    );
-    assert!(
-        fig10.cli.parse(&["ways".into()], &|_| None).is_err(),
-        "unknown sweep"
-    );
+    let (_, jobs) = bins::parse(&fig10, &["--jobs", "2"], &[]).unwrap();
+    assert_eq!(jobs, 2);
+    assert!(bins::parse(&fig10, &["ways"], &[]).is_err(), "fig10 ways");
+    let fig9 = bins::fig9_ablation::campaign();
+    assert!(bins::parse(&fig9, &["a"], &[]).is_err(), "fig9 a");
 
     let crashsim = bins::crashsim_campaign::campaign();
     for bad in [
-        &["--seed", "abc"][..],
+        &["--seed", "7"][..],
+        &["--crash-samples", "8"],
         &["--quick"],
-        &["--crash-samples", "0"],
+        &["--filter", "app=fio"],
     ] {
-        let err = bins::run(&crashsim, bad, &[], 1).expect_err("must be a usage error");
-        assert!(!err.0.is_empty(), "{bad:?}");
+        assert!(bins::parse(&crashsim, bad, &[]).is_err(), "{bad:?}");
     }
-    assert!(bins::run(&crashsim, &[], &[("TVARAK_SCALE", "qick")], 1).is_err());
+    let qick = [("TVARAK_SCALE", "qick")];
+    assert!(bins::parse(&crashsim, &[], &qick).is_err());
+
+    let soak = bins::soak_campaign::campaign();
+    for bad in [&["--intervals", "0"][..], &["--intervals", "abc"]] {
+        assert!(bins::parse(&soak, bad, &[]).is_err(), "{bad:?}");
+    }
+    let chaos = bins::chaos_campaign::campaign();
+    assert!(
+        bins::parse(&chaos, &["--filter"], &[]).is_err(),
+        "bare --filter"
+    );
 }

@@ -8,6 +8,9 @@
 //! deterministic across runs and platforms — so swapping it in cannot
 //! change any simulated number, only wall-clock time. (The maps it backs
 //! are never iterated for output, so even iteration order is immaterial.)
+//!
+//! It also holds [`splitmix64`], the one seeded bit mixer every crate's
+//! generators and property tests draw from.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -81,6 +84,17 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
 /// A `HashMap` keyed with [`FxHasher`].
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
+
+/// One SplitMix64 step: advance `state` and return the next 64 bits. Tiny
+/// and seedable; it fills `apps::rng::Rng`'s state, draws the crash-point
+/// and fault schedules, and drives the property tests.
+pub fn splitmix64(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
 
 #[cfg(test)]
 mod tests {

@@ -578,16 +578,8 @@ impl WeaveReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::splitmix64;
     use crate::mem::Memory;
-
-    /// splitmix64 — the repo's standard seeded generator.
-    fn splitmix64(state: &mut u64) -> u64 {
-        *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = *state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
 
     /// Many emitters feed a ring far smaller than the stream (so it wraps
     /// and the producer keeps meeting a full ring) while a worker replays

@@ -6,18 +6,10 @@ use memsim::addr::{LineAddr, PhysAddr, CACHE_LINE, NVM_BASE};
 use memsim::cache::CacheArray;
 use memsim::config::SystemConfig;
 use memsim::engine::{NullHooks, System};
+use memsim::hash::splitmix64;
 use std::collections::HashMap;
 
 const CASES: u64 = 64;
-
-/// splitmix64 — the repo's standard seeded generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A value in `lo..hi`.
 fn range(rng: &mut u64, lo: u64, hi: u64) -> u64 {

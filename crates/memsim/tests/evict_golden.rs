@@ -7,16 +7,8 @@
 use memsim::addr::{PhysAddr, NVM_BASE};
 use memsim::config::SystemConfig;
 use memsim::engine::{NullHooks, System};
+use memsim::hash::splitmix64;
 use memsim::stats::Counters;
-
-/// splitmix64 — the repo's standard seeded generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// Drive a deterministic mixed read/write stream over a footprint much
 /// larger than the hierarchy, with periodic flushes and clwbs, from `seed`.

@@ -14,6 +14,7 @@
 
 use memsim::addr::{LineAddr, CACHE_LINE, LINE_SHIFT, NVM_BASE};
 use memsim::cache::{CacheArray, Evicted, NO_OWNER};
+use memsim::hash::splitmix64;
 use std::ops::Range;
 
 /// The pre-refactor entry layout, verbatim.
@@ -181,14 +182,6 @@ impl OracleCache {
         }
         n
     }
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 fn assert_same_evicted(a: &Option<Evicted>, b: &Option<Evicted>, ctx: &str) {

@@ -6,6 +6,7 @@
 //! failed DIMM — and must leave every line of the layout byte-identical.
 
 use memsim::addr::{nvm_page, PageNum, CACHE_LINE, LINES_PER_PAGE, PAGE};
+use memsim::hash::splitmix64;
 use memsim::mem::Memory;
 use std::collections::BTreeSet;
 use std::ops::Range;
@@ -14,15 +15,6 @@ use tvarak::init;
 use tvarak::layout::{gather_page, peek, NvmLayout};
 
 const CASES: u64 = 64;
-
-/// splitmix64 — the repo's standard seeded generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A value in `lo..hi`.
 fn range(rng: &mut u64, lo: u64, hi: u64) -> u64 {

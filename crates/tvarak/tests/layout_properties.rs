@@ -4,20 +4,12 @@
 //! seed.
 
 use memsim::addr::{CACHE_LINE, LINES_PER_PAGE};
+use memsim::hash::splitmix64;
 use tvarak::checksum::{crc32c, csum_slot, set_csum_slot, CSUMS_PER_LINE};
 use tvarak::layout::NvmLayout;
 use tvarak::parity::{parity_delta, xor_into, StripeGeometry};
 
 const CASES: u64 = 128;
-
-/// splitmix64 — the repo's standard seeded generator.
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
 
 /// A value in `lo..hi`.
 fn range(rng: &mut u64, lo: u64, hi: u64) -> u64 {

@@ -6,7 +6,8 @@
 # campaign's --jobs width-independence and golden CSV digests); the memsim, pmemfs and tvarak
 # tests and the fast-forward preload oracle (bench's fast_forward suite)
 # again in debug, so their debug assertions run; quick-scale smokes of the
-# coverage, chaos, degraded, crashsim and soak campaigns; the fig8_fio
+# coverage, chaos, degraded, crashsim and soak campaigns, and a run of the
+# first chaos and degraded row's printed repro command; the fig8_fio
 # byte-diff between the sequential engine (threads 1) and the bound-weave
 # engine (threads 2 — every N >= 2 is the same bound thread + one replay
 # worker) with its divergence smoke; and the benchmark's correctness gate on
@@ -64,6 +65,22 @@ echo "=== tests (memsim, pmemfs, tvarak, fast-forward oracle; debug assertions o
 cargo test -q -p memsim -p pmemfs -p tvarak
 cargo test -q -p bench --test fast_forward
 
+repo_root="$PWD"
+scratch="$(mktemp -d)"
+trap 'rm -rf "$scratch"' EXIT
+# in_scratch NAME [VAR=VALUE...] BIN [ARGS...]: run target/release/BIN in the
+# fresh directory $scratch/NAME; stdout is discarded, stderr kept in
+# $scratch/NAME/stderr.txt and shown if the run fails.
+in_scratch() {
+    local dir="$scratch/$1"; shift
+    local envs=()
+    while [[ "$1" == *=* ]]; do envs+=("$1"); shift; done
+    local bin="$1"; shift
+    mkdir -p "$dir"
+    (cd "$dir" && env ${envs[@]+"${envs[@]}"} "$repo_root/target/release/$bin" "$@" > /dev/null 2> stderr.txt) \
+        || { cat "$dir/stderr.txt" >&2; exit 1; }
+}
+
 echo "=== coverage_campaign (quick) ==="
 TVARAK_SCALE=quick ./target/release/coverage_campaign
 
@@ -77,6 +94,34 @@ echo "=== degraded_campaign (quick) ==="
 # with parity, post-resilver data and parity that diverge from the
 # never-faulted oracle.
 TVARAK_SCALE=quick ./target/release/degraded_campaign
+
+echo "=== repro commands (first chaos and degraded row, quick) ==="
+# Every row of these CSVs carries the one command that re-runs its cell
+# (the `repro` column). Run the first row's, as printed, from a fresh
+# directory: it must exit 0 and write exactly one row, byte-identical to it.
+for c in chaos_campaign degraded_campaign; do
+    repro=$(awk -F, 'NR == 1 { for (i = 1; i <= NF; i++) if ($i == "repro") col = i }
+                     NR == 2 { print $col }' "results/$c.csv")
+    if [[ "$repro" != "./target/release/$c --filter '"* ]]; then
+        echo "ci: $c.csv row 1 has no repro command for $c: '$repro'" >&2
+        exit 1
+    fi
+    dir="$scratch/repro-$c"
+    mkdir -p "$dir"
+    ln -s "$repo_root/target" "$dir/target"
+    (cd "$dir" && export TVARAK_SCALE=quick && eval "$repro" > /dev/null 2> stderr.txt) \
+        || { cat "$dir/stderr.txt" >&2; echo "ci: $c repro failed: $repro" >&2; exit 1; }
+    rows=$(awk 'END { print NR - 1 }' "$dir/results/$c.csv")
+    if [[ "$rows" != 1 ]]; then
+        echo "ci: $c repro wrote $rows data rows, not 1: $repro" >&2
+        exit 1
+    fi
+    if [[ "$(sed -n 2p "$dir/results/$c.csv")" != "$(sed -n 2p "results/$c.csv")" ]]; then
+        echo "ci: $c repro's row differs from the campaign's: $repro" >&2
+        exit 1
+    fi
+    echo "ci: $repro -> 1 row"
+done
 
 echo "=== crashsim_campaign (quick) ==="
 # The binary already exits non-zero on any unrecoverable-loss crash point;
@@ -93,22 +138,6 @@ echo "=== soak_campaign (quick, short horizon) ==="
 # machine's monolithic stats (DESIGN.md §16). Width-independence of this
 # and every other campaign is a cargo test (campaign_determinism.rs).
 TVARAK_SCALE=quick ./target/release/soak_campaign --intervals 3 --ops-per-interval 256
-
-repo_root="$PWD"
-scratch="$(mktemp -d)"
-trap 'rm -rf "$scratch"' EXIT
-# in_scratch NAME [VAR=VALUE...] BIN [ARGS...]: run target/release/BIN in the
-# fresh directory $scratch/NAME; stdout is discarded, stderr kept in
-# $scratch/NAME/stderr.txt and shown if the run fails.
-in_scratch() {
-    local dir="$scratch/$1"; shift
-    local envs=()
-    while [[ "$1" == *=* ]]; do envs+=("$1"); shift; done
-    local bin="$1"; shift
-    mkdir -p "$dir"
-    (cd "$dir" && env ${envs[@]+"${envs[@]}"} "$repo_root/target/release/$bin" "$@" > /dev/null 2> stderr.txt) \
-        || { cat "$dir/stderr.txt" >&2; exit 1; }
-}
 
 echo "=== bound-weave CSV differential (fig8_fio, threads 1 vs 2) ==="
 # The bound-weave hard requirement: campaign output is byte-identical at any

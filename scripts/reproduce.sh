@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 
 cargo build --release -p bench
 
-run() { echo "=== $1 ${2:-} ==="; cargo run --release -q -p bench --bin "$1" -- ${2:-}; }
+run() { echo "=== $1 ==="; cargo run --release -q -p bench --bin "$1"; }
 # Fig. 9/10, §IV-H and the Vilamb sweep run at reduced scale when full is
 # asked for, and at the requested scale otherwise.
 sweep_scale=$TVARAK_SCALE
@@ -21,10 +21,8 @@ run fig8_kv
 run fig8_nstore
 run fig8_fio
 run fig8_stream
-TVARAK_SCALE=$sweep_scale run fig9_ablation a
-TVARAK_SCALE=$sweep_scale run fig9_ablation b
-TVARAK_SCALE=$sweep_scale run fig10_sensitivity redundancy
-TVARAK_SCALE=$sweep_scale run fig10_sensitivity diffs
+TVARAK_SCALE=$sweep_scale run fig9_ablation
+TVARAK_SCALE=$sweep_scale run fig10_sensitivity
 TVARAK_SCALE=$sweep_scale run sec4h_scaling
 TVARAK_SCALE=$sweep_scale run vilamb_sweep
 run coverage_campaign

@@ -18,13 +18,11 @@ mod crashsim_campaign;
 #[path = "../crates/bench/src/bin/degraded_campaign.rs"]
 mod degraded_campaign;
 
-/// Run at quick scale under `env` at 1 and 3 workers; the two must agree.
-fn two_widths<O: Default>(campaign: Campaign<O>, env: &[(&str, &str)]) -> Output {
-    let lookup = |k: &str| match k {
-        "TVARAK_SCALE" => Some("quick".to_string()),
-        _ => env.iter().find(|e| e.0 == k).map(|e| e.1.to_string()),
-    };
-    let (cfg, _) = campaign.cli.parse(&[], &lookup).expect("valid environment");
+/// Run at quick scale with `args` at 1 and 3 workers; the two must agree.
+fn two_widths<O: Default>(campaign: Campaign<O>, args: &[&str]) -> Output {
+    let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+    let quick = |k: &str| (k == "TVARAK_SCALE").then(|| "quick".to_string());
+    let (cfg, _) = campaign.cli.parse(&args, &quick).expect("valid arguments");
     let (serial, pooled) = ((campaign.run)(&cfg, 1), (campaign.run)(&cfg, 3));
     assert_eq!(
         serial, pooled,
@@ -92,7 +90,7 @@ fn every_crash_point_recovers() {
 
 #[test]
 fn chaos_cell_set_survives() {
-    let filter = [("CHAOS_FILTER", "design=Tvarak fault=sticky")];
+    let filter = ["--filter", "design=Tvarak fault=sticky"];
     let out = two_widths(chaos_campaign::campaign(), &filter);
     assert_eq!(out.rows, 6, "three apps x two sticky faults under Tvarak");
     assert!(out
@@ -103,7 +101,7 @@ fn chaos_cell_set_survives() {
 
 #[test]
 fn degraded_cell_set_matches_its_oracle() {
-    let filter = [("DEGRADED_FILTER", "design=Tvarak scenario=rebuild")];
+    let filter = ["--filter", "design=Tvarak scenario=rebuild"];
     let out = two_widths(degraded_campaign::campaign(), &filter);
     assert_eq!(out.rows, 2, "fio and kv");
     // ...,content_hash,oracle_hash,hash_match,seed,repro

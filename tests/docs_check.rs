@@ -38,7 +38,7 @@ const CRATES: [&str; 7] = [
 ];
 
 /// The prefixes of the environment variables the program reads.
-const ENV_PREFIXES: [&str; 4] = ["TVARAK_", "MEMSIM_", "CHAOS_", "DEGRADED_"];
+const ENV_PREFIXES: [&str; 1] = ["TVARAK_"];
 
 /// `(doc, path, reason)`: crate paths a doc names on purpose although they
 /// do not resolve.
